@@ -1,9 +1,11 @@
 """Convolutions, correlations and energy functionals.
 
-Tables are exact integer-valued finitely-supported functions.  Large cyclic
-convolutions go through a mean-centered floating FFT whose output must land
-within 1e-6 of integers (and reproduce the exact total mass); anything else
-falls back to the direct path with a warning.
+Tables are exact integer-valued finitely-supported functions: int64 while
+B = min(|f|_1 |g|_inf, |g|_1 |f|_inf) < 2^62 bounds every entry, Python
+ints above.  Small windows convolve by direct pair sums; the rest by a real
+FFT whose operands are split into limbs chosen before it runs, so that
+Percival's a priori error bound proves each limb product rounds exactly.
+Nothing is validated after the fact except the exact mass identity.
 
 Moment notation used throughout: (f*g)(x) = sum_y f(y) g(x-y) and
 (f o g)(x) = sum_y f(y) g(y+x); E_k(A) = sum_x (A o A)(x)^k; T_k(A) is the
@@ -14,7 +16,6 @@ zero.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -25,9 +26,9 @@ from . import groups
 from .groups import Elem, GroupSpec
 from .gset import GSet
 
-FFT_THRESHOLD = 1024          # dense size at which the FFT path takes over
-FFT_INT_TOL = 1e-6            # max allowed distance from an integer
-_MAX_PAIR_CHUNK = 4_000_000   # direct-path scratch bound
+FFT_THRESHOLD = 1024          # cyclic order at which the FFT path takes over
+_LATTICE_DIRECT = 1 << 22     # lattice window product below which the direct path runs
+_WIDE = 1 << 62               # entry bound from which tables hold Python ints
 
 
 class ConvTable:
@@ -67,18 +68,24 @@ class ConvTable:
         idx = tuple(c - o for c, o in zip(x, self.offset))
         if any(i < 0 or i >= s for i, s in zip(idx, self.array.shape)):
             return 0
-        return self.array[idx].item()
+        return int(self.array[idx])
 
     def support(self) -> Iterator[tuple[Elem, int]]:
         for idx in zip(*np.nonzero(self.array)):
             coords = tuple(int(i + o) for i, o in zip(idx, self.offset))
-            yield coords, self.array[idx].item()
+            yield coords, int(self.array[idx])
 
     def support_size(self) -> int:
         return int(np.count_nonzero(self.array))
 
     def total(self) -> int:
-        return int(self.array.sum(dtype=object)) if self.array.dtype == np.int64 else float(self.array.sum())
+        return _total(self.array)
+
+    def sum_at(self, points: np.ndarray) -> int:
+        """Exact sum of the table over the rows of a len x dim coordinate matrix."""
+        idx = points % self.group.moduli if self.group.is_cyclic else points - self.offset
+        inside = ((idx >= 0) & (idx < self.array.shape)).all(axis=1)
+        return sum(self.array[tuple(idx[inside].T)].tolist())
 
     def values(self) -> np.ndarray:
         return self.array.ravel()
@@ -121,118 +128,120 @@ def as_table(x) -> ConvTable:
 # convolution engine
 
 
-def _direct_cyclic(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-    n = math.prod(moduli)
-    fidx = np.flatnonzero(fa.ravel())
-    gidx = np.flatnonzero(ga.ravel())
-    if len(fidx) > len(gidx):
-        fidx, gidx, fa, ga = gidx, fidx, ga, fa
-    out = np.zeros(n, dtype=np.int64)
+def _total(x: np.ndarray) -> int:
+    """Exact sum of an integer array, summed in int64 where that cannot wrap."""
+    if x.dtype != object and x.size * max(int(x.max()), -int(x.min())) >= 1 << 63:
+        x = x.astype(object)
+    return int(x.sum())
+
+
+def _norms(x: np.ndarray) -> tuple[int, int]:
+    """(|x|_1, |x|_inf) as exact Python ints."""
+    lo, hi = int(x.min()), int(x.max())
+    return _total(x if lo >= 0 else np.abs(x)), max(hi, -lo)
+
+
+def _direct(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None) -> np.ndarray:
+    """Sum over all pairs of support points (the engine sends at most 2^22
+    pairs).  With moduli the window is the group, else the lattice window."""
+    out_shape = moduli or tuple(int(a + b - 1) for a, b in zip(fa.shape, ga.shape))
+    fidx, gidx = np.flatnonzero(fa), np.flatnonzero(ga)
     if len(fidx) == 0 or len(gidx) == 0:
-        return out.reshape(moduli)
-    fvals = fa.ravel()[fidx]
-    gvals = ga.ravel()[gidx]
-    fco = np.array(np.unravel_index(fidx, moduli), dtype=np.int64)
-    gco = np.array(np.unravel_index(gidx, moduli), dtype=np.int64)
+        return np.zeros(out_shape, dtype=np.int64)
+    fvals, gvals = fa.ravel()[fidx], ga.ravel()[gidx]
     unit = bool((fvals == 1).all() and (gvals == 1).all())
-    chunk = max(1, _MAX_PAIR_CHUNK // max(1, len(gidx)))
-    for i0 in range(0, len(fidx), chunk):
-        i1 = min(i0 + chunk, len(fidx))
-        flat = np.zeros((i1 - i0, len(gidx)), dtype=np.int64)
-        for ax, mod in enumerate(moduli):
-            s = (fco[ax, i0:i1, None] + gco[ax, None, :]) % mod
-            flat = flat * mod + s
-        if unit:
-            out += np.bincount(flat.ravel(), minlength=n)
-        else:
-            w = fvals[i0:i1, None] * gvals[None, :]
-            np.add.at(out, flat.ravel(), w.ravel())
-    return out.reshape(moduli)
-
-
-def _fft_cyclic(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray | None:
-    n = math.prod(moduli)
-    mass_f = int(fa.sum())
-    mass_g = int(ga.sum())
-    cf = fa - mass_f / n
-    cg = ga - mass_g / n
-    conv = np.fft.ifftn(np.fft.fftn(cf) * np.fft.fftn(cg)).real
-    res = conv + (mass_f * mass_g) / n
-    rounded = np.rint(res)
-    if np.abs(res - rounded).max() > FFT_INT_TOL:
-        return None
-    out = rounded.astype(np.int64)
-    if int(out.sum()) != mass_f * mass_g:
-        return None
-    return out
-
-
-def _conv_dense_cyclic(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-    n = math.prod(moduli)
-    if n < FFT_THRESHOLD:
-        return _direct_cyclic(fa, ga, moduli)
-    out = _fft_cyclic(fa, ga, moduli)
-    if out is None:
-        warnings.warn("FFT convolution failed integer validation; using the direct path",
-                      RuntimeWarning, stacklevel=3)
-        out = _direct_cyclic(fa, ga, moduli)
-    return out
-
-
-def _direct_lattice(fa: np.ndarray, ga: np.ndarray) -> np.ndarray:
-    out_shape = tuple(int(a + b - 1) for a, b in zip(fa.shape, ga.shape))
-    fidx = np.flatnonzero(fa.ravel())
-    gidx = np.flatnonzero(ga.ravel())
-    out = np.zeros(out_shape, dtype=np.int64).ravel()
-    if len(fidx) == 0 or len(gidx) == 0:
-        return out.reshape(out_shape)
-    if len(fidx) > len(gidx):
-        fidx, gidx, fa, ga = gidx, fidx, ga, fa
-        out_shape = tuple(int(a + b - 1) for a, b in zip(fa.shape, ga.shape))
-    fvals = fa.ravel()[fidx]
-    gvals = ga.ravel()[gidx]
-    fco = np.array(np.unravel_index(fidx, fa.shape), dtype=np.int64)
-    gco = np.array(np.unravel_index(gidx, ga.shape), dtype=np.int64)
-    unit = bool((fvals == 1).all() and (gvals == 1).all())
+    flat = 0
+    for fc, gc, dim in zip(np.unravel_index(fidx, fa.shape), np.unravel_index(gidx, ga.shape), out_shape):
+        s = fc[:, None] + gc[None, :]
+        flat = flat * dim + (s % dim if moduli else s)
     size = math.prod(out_shape)
-    chunk = max(1, _MAX_PAIR_CHUNK // max(1, len(gidx)))
-    for i0 in range(0, len(fidx), chunk):
-        i1 = min(i0 + chunk, len(fidx))
-        flat = np.zeros((i1 - i0, len(gidx)), dtype=np.int64)
-        for ax, dim in enumerate(out_shape):
-            s = fco[ax, i0:i1, None] + gco[ax, None, :]
-            flat = flat * dim + s
-        if unit:
-            out += np.bincount(flat.ravel(), minlength=size)
-        else:
-            w = fvals[i0:i1, None] * gvals[None, :]
-            np.add.at(out, flat.ravel(), w.ravel())
+    if unit:  # entries are at most min(|supp f|, |supp g|)
+        return np.bincount(flat.ravel(), minlength=size).reshape(out_shape)
+    fl, gl = (list(map(abs, v.tolist())) for v in (fvals, gvals))
+    dtype = object if min(sum(fl) * max(gl), sum(gl) * max(fl)) >= _WIDE else np.int64
+    out = np.zeros(size, dtype=dtype)
+    np.add.at(out, flat.ravel(), np.multiply.outer(fvals.astype(dtype), gvals.astype(dtype)).ravel())
     return out.reshape(out_shape)
 
 
-def _fft_lattice(fa: np.ndarray, ga: np.ndarray) -> np.ndarray | None:
-    out_shape = tuple(int(a + b - 1) for a, b in zip(fa.shape, ga.shape))
-    pad = tuple(1 << (s - 1).bit_length() for s in out_shape)
-    conv = np.fft.irfftn(np.fft.rfftn(fa, pad) * np.fft.rfftn(ga, pad), pad)
-    res = conv[tuple(slice(0, s) for s in out_shape)]
-    rounded = np.rint(res)
-    if np.abs(res - rounded).max() > FFT_INT_TOL:
-        return None
-    out = rounded.astype(np.int64)
-    if int(out.sum()) != int(fa.sum()) * int(ga.sum()):
-        return None
+def _percival(size: int) -> float:
+    """Percival (Math. Comp. 72, 2003): a radix-2 FFT convolution of length
+    2^m errs by less than ||x||_2 ||y||_2 ((1+e)^3m (1+e sqrt5)^(3m+1)
+    (1+e)^3m - 1) per entry, e = 2^-53 (twiddles accurate to e); about 13 m e."""
+    m, e = max(1, (size - 1).bit_length()), 2.0 ** -53
+    return math.expm1(6 * m * math.log1p(e) + (3 * m + 1) * math.log1p(e * math.sqrt(5)))
+
+
+def _split(fn: tuple[int, int], gn: tuple[int, int], size: int) -> tuple[int | None, int | None]:
+    """Limb widths for f and g (None: whole) that keep Percival's bound for
+    every limb product below 1/4.  A whole x has ||x||_2^2 <= |x|_1 |x|_inf,
+    a b-bit limb ||limb||_2^2 <= 4^b size.  f, the operand with the larger
+    maximum, is split first; g too only if 1-bit limbs of f do not suffice."""
+    cap = 1 / (16 * _percival(size) ** 2)   # need ||x||_2^2 ||y||_2^2 < cap
+    whole_g = gn[0] * gn[1]
+    if fn[0] * fn[1] * whole_g < cap:
+        return None, None
+    bits = max((b for b in range(1, 64) if 4 ** b * whole_g * size < cap), default=0)
+    if bits:
+        return bits, None
+    bits = max(b for b in range(1, 64) if 4 ** b * size < math.sqrt(cap))
+    return bits, bits
+
+
+def _limbs(x: np.ndarray, bits: int | None, linf: int) -> list[np.ndarray]:
+    """x = sum_i limb_i 2^(bits i) as float64 arrays: low limbs in
+    [0, 2^bits), the top one carries the sign."""
+    if bits is None:
+        return [x.astype(np.float64)]
+    top = (linf.bit_length() - 1) // bits
+    return [(x >> (bits * i) & (1 << bits) - 1 if i < top else x >> (bits * i)).astype(np.float64)
+            for i in range(top + 1)]
+
+
+def _fold(x: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
+    """Wrap a linear window of length 2m - 1 per axis onto Z/m."""
+    for ax, m in enumerate(moduli):
+        x = np.concatenate([x, np.zeros(x.shape[:ax] + (1,) + x.shape[ax + 1:], x.dtype)], axis=ax)
+        x = x.reshape(x.shape[:ax] + (2, m) + x.shape[ax + 1:]).sum(axis=ax)
+    return x
+
+
+def _fft(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None) -> np.ndarray:
+    """Real-FFT convolution, exact by the a priori limb split of `_split`:
+    cyclic at the group size for power-of-two moduli, else linear at
+    power-of-two sizes (folded if cyclic).  Limb products are summed in int64
+    modulo 2^64, exact while B < 2^62, and in Python ints above."""
+    lin = tuple(int(a + b - 1) for a, b in zip(fa.shape, ga.shape))
+    pow2 = bool(moduli) and all(m & (m - 1) == 0 for m in moduli)
+    shape = moduli if pow2 else tuple(1 << (s - 1).bit_length() for s in lin)
+    axes = tuple(range(fa.ndim))
+    fn, gn = _norms(fa), _norms(ga)
+    if fn[1] < gn[1]:
+        fa, ga, fn, gn = ga, fa, gn, fn
+    fbits, gbits = _split(fn, gn, math.prod(shape))
+    wide = min(fn[0] * gn[1], gn[0] * fn[1]) >= _WIDE
+    ghat = [np.fft.rfftn(p, shape, axes) for p in _limbs(ga, gbits, gn[1])]
+    acc = np.zeros(shape, dtype=object if wide else np.uint64)
+    for i, p in enumerate(_limbs(fa, fbits, fn[1])):
+        fh = np.fft.rfftn(p, shape, axes)
+        for j, gh in enumerate(ghat):
+            part = np.rint(np.fft.irfftn(fh * gh, shape, axes)).astype(np.int64)
+            shift = i * (fbits or 0) + j * (gbits or 0)
+            acc += part.astype(object) << shift if wide else part.view(np.uint64) << shift
+    out = acc if wide else acc.view(np.int64)
+    if not pow2:
+        out = _fold(out[tuple(slice(0, s) for s in lin)], moduli or ())
+    if (int(out.sum()) - int(fa.sum()) * int(ga.sum())) % (1 << 64):   # checked mod 2^64
+        raise ArithmeticError("FFT convolution broke the mass identity sum(f*g) = sum(f) sum(g)")
     return out
 
 
-def _conv_lattice(fa: np.ndarray, ga: np.ndarray) -> np.ndarray:
-    if fa.size * ga.size < 1 << 22:
-        return _direct_lattice(fa, ga)
-    out = _fft_lattice(fa, ga)
-    if out is None:
-        warnings.warn("FFT convolution failed integer validation; using the direct path",
-                      RuntimeWarning, stacklevel=3)
-        out = _direct_lattice(fa, ga)
-    return out
+_direct_cyclic, _fft_cyclic = _direct, _fft   # the paths under their cyclic-only names
+
+
+def _conv(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None) -> np.ndarray:
+    small = fa.size < FFT_THRESHOLD if moduli else fa.size * ga.size < _LATTICE_DIRECT
+    return (_direct if small else _fft)(fa, ga, moduli)
 
 
 def convolve(f, g) -> ConvTable:
@@ -242,26 +251,17 @@ def convolve(f, g) -> ConvTable:
         raise groups.GroupError("convolution operands live in different groups")
     grp = tf.group
     if grp.is_cyclic:
-        return ConvTable(grp, _conv_dense_cyclic(tf.array, tg.array, grp.moduli))
-    arr = _conv_lattice(tf.array, tg.array)
+        return ConvTable(grp, _conv(tf.array, tg.array, grp.moduli))
     off = tuple(a + b for a, b in zip(tf.offset, tg.offset))
-    return ConvTable(grp, arr, off).trimmed()
+    return ConvTable(grp, _conv(tf.array, tg.array), off).trimmed()
 
 
 def _reflect(t: ConvTable) -> ConvTable:
-    g = t.group
-    if g.is_cyclic:
-        arr = t.array
-        out = arr.copy()
-        for ax in range(arr.ndim):
-            out = np.flip(out, axis=ax)
-            out = np.roll(out, 1, axis=ax)  # index negation: -i mod n
-        return ConvTable(g, out)
-    flipped = t.array
-    for ax in range(flipped.ndim):
-        flipped = np.flip(flipped, axis=ax)
+    flipped = np.flip(t.array)
+    if t.group.is_cyclic:  # index negation: -i mod n
+        return ConvTable(t.group, np.roll(flipped, 1, axis=tuple(range(flipped.ndim))))
     off = tuple(-(o + s - 1) for o, s in zip(t.offset, t.array.shape))
-    return ConvTable(g, flipped.copy(), off)
+    return ConvTable(t.group, flipped.copy(), off)
 
 
 def correlate(f, g) -> ConvTable:
@@ -329,13 +329,9 @@ def energy_k_pair(a: GSet, b: GSet, k) -> int | float:
     km1 = (int(k) if exact else k) - 1
     total = 0 if exact else 0.0
     for elem, v in ta.support():
-        if km1 == 0:
-            total += v
-            continue
-        w = tb.value(elem)
-        if w == 0:
-            continue
-        total += v * w ** km1 if exact else float(v) * float(w) ** km1
+        w = tb.value(elem) if km1 else 1
+        if w:
+            total += v * w ** km1 if exact else float(v) * float(w) ** km1
     return total
 
 
@@ -345,23 +341,26 @@ def t_k(a: GSet, k: int) -> int:
         raise ValueError("T_k needs k >= 1")
     if not a:
         return 0
-    table = conv_power(a, k)
-    result = _power_sum(table.values(), 2)
+    base = ConvTable.from_gset(a)
+    result = _power_sum(conv_power(base, k).values(), 2)
     if a.group.is_cyclic:
-        spec = np.abs(np.fft.fftn(ConvTable.from_gset(a).array)) ** (2 * k)
+        spec = np.abs(np.fft.fftn(base.array)) ** (2 * k)
         fourier = float(spec.sum()) / a.group.order
-        if not math.isclose(fourier, float(result), rel_tol=FFT_INT_TOL):
+        if not math.isclose(fourier, float(result), rel_tol=1e-6):
             raise AssertionError(f"T_k Fourier cross-check failed: {fourier} vs {result}")
     return result
 
 
 def sigma_k(a: GSet, k: int) -> int:
-    """sigma_k(A) = number of k-tuples of A summing to zero."""
+    """sigma_k(A) = number of k-tuples of A summing to zero
+    = sum over a in A of A^(*(k-1))(-a)."""
     if k < 1:
         raise ValueError("sigma_k needs k >= 1")
     if not a:
         return 0
-    return conv_power(a, k).value(groups.zero(a.group))
+    if k == 1:
+        return int(groups.zero(a.group) in a)
+    return conv_power(a, k - 1).sum_at(-a.coord_matrix())
 
 
 def level_sequence(a: GSet) -> list[int]:

@@ -103,22 +103,19 @@ def greedy_completion(a: GSet, caps: Caps = DEFAULT_CAPS) -> GSet:
     if len(a) == 1:
         base = a.elems[0]
         return GSet(g, (groups.op_sub(g, x, base) for x in groups.enumerate_elements(g)))
-    from .moments import _conv_dense_cyclic  # late import, avoids a cycle
+    from .moments import ConvTable, correlate  # late import, avoids a cycle
 
-    ind = a.indicator().ravel()
-    rev = np.zeros(n, dtype=np.int64)
-    rev[(-a.flat_indices()) % n] = 1
-    uncovered = np.ones(n, dtype=np.int64)
+    ind = a.indicator()
+    uncovered = np.ones(g.moduli, dtype=np.int64)
     chosen: list[int] = []
     while uncovered.any():
-        # gain(x) = |(A + x) n U| = sum_y U(y) A(y - x) = (A^c * U)(x)
-        gains = _conv_dense_cyclic(rev.reshape(g.moduli), uncovered.reshape(g.moduli), g.moduli).ravel()
+        # gain(x) = |(A + x) n U| = sum_y A(y) U(y + x) = (A o U)(x)
+        gains = correlate(ConvTable(g, ind), ConvTable(g, uncovered)).array.ravel()
         x = int(np.argmax(gains))  # argmax takes the smallest index on ties
         if gains[x] <= 0:
             raise AssertionError("greedy cover stalled")  # unreachable: translates cover G
         chosen.append(x)
-        covered = (a.flat_indices() + x) % n
-        uncovered[covered] = 0
+        uncovered[np.roll(ind, groups.from_flat(g, x), axis=tuple(range(g.dim))) == 1] = 0
     bound = math.ceil((n / len(a)) * (math.log(n) + 1))
     assert len(chosen) <= bound, f"greedy cover guarantee violated: {len(chosen)} > {bound}"
     return GSet(g, (groups.from_flat(g, x) for x in chosen))

@@ -158,3 +158,54 @@ def oracle_gram_2x2_eigs(g00, g01, g11):
     tr = g00 + g11
     disc = ((g00 - g11) ** 2 + 4 * g01 ** 2) ** 0.5
     return (tr + disc) / 2, (tr - disc) / 2
+
+
+def kronecker_convolve(mods, f, g):
+    """(f * g)(x) = sum_y f(y) g(x - y) for dicts {coordinate tuple: count >= 0}.
+
+    Kronecker substitution: each function becomes one Python integer with a
+    fixed-width slot per point of the output box, so one exact integer
+    product holds every convolution value in its own slot.  Cyclic results
+    are reduced mod the moduli afterwards.
+    """
+    f = {x: v for x, v in f.items() if v}
+    g = {x: v for x, v in g.items() if v}
+    if not f or not g:
+        return {}
+    dim = len(next(iter(f)))
+    flo = [min(x[i] for x in f) for i in range(dim)]
+    glo = [min(x[i] for x in g) for i in range(dim)]
+    spans = [max(x[i] for x in f) - flo[i] + max(x[i] for x in g) - glo[i] + 1
+             for i in range(dim)]
+    strides = [1] * dim
+    for i in range(dim - 2, -1, -1):
+        strides[i] = strides[i + 1] * spans[i + 1]
+    slots = strides[0] * spans[0]
+    bound = min(sum(f.values()) * max(g.values()), sum(g.values()) * max(f.values()))
+    width = bound.bit_length() // 8 + 1          # bytes per slot; no slot carries
+
+    def pack(h, lo):
+        buf = bytearray(width * slots)
+        for x, v in h.items():
+            pos = sum((x[i] - lo[i]) * strides[i] for i in range(dim))
+            buf[pos * width:(pos + 1) * width] = v.to_bytes(width, "little")
+        return int.from_bytes(buf, "little")
+
+    raw = (pack(f, flo) * pack(g, glo)).to_bytes(width * slots, "little")
+    out = {}
+    for pos in range(slots):
+        v = int.from_bytes(raw[pos * width:(pos + 1) * width], "little")
+        if v:
+            x = tuple(pos // strides[i] % spans[i] + flo[i] + glo[i] for i in range(dim))
+            x = normalize(mods, x)
+            out[x] = out.get(x, 0) + v
+    return out
+
+
+def kronecker_sum_counts(mods, a, k):
+    """r_{kA}(x) = #{(a_1..a_k) in A^k : a_1 + ... + a_k = x}, as a dict."""
+    ind = {x: 1 for x in a}
+    counts = ind
+    for _ in range(k - 1):
+        counts = kronecker_convolve(mods, counts, ind)
+    return counts

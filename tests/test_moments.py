@@ -230,20 +230,139 @@ def test_pair_slice_identity_micro_brute_force():
                 oracles.oracle_pair_slice_sum(mods, set(a.elems), k, l)
 
 
-def test_fft_fallback_warns_and_stays_exact():
-    # force the FFT integer tolerance to zero so the fallback path fires
-    old = moments.FFT_INT_TOL
-    moments.FFT_INT_TOL = 0.0
-    try:
-        g = cyclic(1024)
-        rng = random.Random(3)
-        a = GSet(g, rng.sample(range(1024), 200))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            t = correlate(a, a)
-        assert t.total() == len(a) ** 2
-    finally:
-        moments.FFT_INT_TOL = old
+def table_of(g, counts, dtype=np.int64):
+    """ConvTable holding a {coordinate tuple: integer} dict."""
+    if g.is_cyclic:
+        arr, lo = np.zeros(g.moduli, dtype=dtype), (0,) * g.dim
+    else:
+        lo = tuple(min(p[i] for p in counts) for i in range(g.dim))
+        hi = tuple(max(p[i] for p in counts) for i in range(g.dim))
+        arr = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)), dtype=dtype)
+    for p, v in counts.items():
+        arr[tuple(c - l for c, l in zip(p, lo))] = v
+    return ConvTable(g, arr, None if g.is_cyclic else lo)
+
+
+def roadmap_repro():
+    rng = random.Random(5)
+    return GSet(cyclic(16384), [x for x in range(16384) if rng.random() < 0.5])
+
+
+def boundary_tables():
+    """(group, f, g) whose entry bound B = |f|_1 |g|_inf sits at 2^62 - 1 and
+    2^62, on the direct path, the cyclic FFT at the group size, the padded and
+    folded FFT, and the lattice FFT."""
+    cases = []
+    for g in (cyclic(64), cyclic(1024), cyclic(1536), cyclic(32, 48), lattice(2)):
+        one = (0,) * (g.dim - 1) + (1,)
+        far = (3,) * g.dim if g.is_cyclic else (63,) * g.dim  # lattice windows 64x64
+        for total in ((1 << 62) - 1, 1 << 62):
+            x = total // 3
+            f = {(0,) * g.dim: x, one: total - x, far: 0}
+            h = {(0,) * g.dim: 1, one: 1, far: 1}
+            cases.append((g, f, h))
+    return cases
+
+
+def test_sigma_t_wide_match_kronecker_oracle():
+    # sigma_6 wrapped to a negative int64 and T_6 raised before tables could widen
+    a = roadmap_repro()
+    counts = oracles.kronecker_sum_counts((16384,), set(a.elems), 6)
+    assert sigma_k(a, 6) == counts[(0,)] == 18392766791437006971
+    assert t_k(a, 6) == sum(c * c for c in counts.values())
+
+
+def test_entry_bound_boundaries_match_oracle():
+    for g, f, h in boundary_tables():
+        mods = g.moduli if g.is_cyclic else None
+        t = convolve(table_of(g, f), table_of(g, h))
+        want = oracles.kronecker_convolve(mods, f, h)
+        assert dict(t.support()) == want
+        wide = sum(f.values()) >= 1 << 62
+        assert t.array.dtype == (object if wide else np.int64)
+        assert max(want.values()) == sum(f.values())
+
+
+def test_limb_plan():
+    # E_2 on Z/2^20 at density 1/2: two whole indicator operands, bound ~2^-26
+    n, half = 1 << 20, (1 << 19, 1)
+    assert moments._split(half, half, n) == (None, None)
+    assert moments._percival(n) * 2 ** 19 < 2 ** -25
+    # the step A^(*4) * A of sigma_6 on Z/16384: split A^(*4) into 2 limbs
+    fn, gn = (8192 ** 4, 1 << 38), (8192, 1)
+    bits, gbits = moments._split(fn, gn, 16384)
+    assert gbits is None and 19 < bits < 38
+    assert 4 ** bits * 16384 * gn[0] * gn[1] * (4 * moments._percival(16384)) ** 2 < 1
+    # both operands too wide to keep either whole: both split
+    big = (1 << 52, 1 << 40)
+    bits, gbits = moments._split(big, big, 4096)
+    assert bits == gbits and 0 < bits < 40
+    assert (4 ** bits * 4096 * 4 * moments._percival(4096)) ** 2 < 1
+
+
+def test_fft_limb_products_exact():
+    rng = random.Random(73)
+    g = cyclic(4096)
+    f = {(x,): rng.randrange(1 << 40) for x in range(4096)}
+    h = {(x,): rng.randrange(1 << 38) for x in range(4096)}
+    t = convolve(table_of(g, f), table_of(g, h))   # both operands split
+    assert t.array.dtype == object
+    assert dict(t.support()) == oracles.kronecker_convolve((4096,), f, h)
+    # signed operands: the top limb carries the sign
+    f = {(x,): rng.choice((-1, 1)) * rng.randrange(1 << 45) for x in rng.sample(range(4096), 60)}
+    h = {(x,): rng.randrange(-3, 4) for x in rng.sample(range(4096), 60)}
+    want = {}
+    for (u,), v in f.items():
+        for (w,), c in h.items():
+            want[((u + w) % 4096,)] = want.get(((u + w) % 4096,), 0) + v * c
+    t = convolve(table_of(g, f), table_of(g, h))
+    assert dict(t.support()) == {x: v for x, v in want.items() if v}
+
+
+def test_padded_folded_and_lattice_powers_match_oracle():
+    rng = random.Random(79)
+    box = [(x, y) for x in range(-20, 21) for y in range(-20, 21)]
+    for g, elems in ((cyclic(1536), rng.sample(range(1536), 700)),
+                     (cyclic(32, 48), [groups.from_flat(cyclic(32, 48), v)
+                                       for v in rng.sample(range(1536), 700)]),
+                     (lattice(2), rng.sample(box, 800))):
+        a = GSet(g, elems)
+        mods = g.moduli if g.is_cyclic else None
+        counts = oracles.kronecker_sum_counts(mods, set(a.elems), 4)
+        assert dict(conv_power(a, 4).support()) == counts
+        assert sigma_k(a, 4) == counts.get((0,) * g.dim, 0)
+        assert t_k(a, 3) == sum(c * c for c in
+                                oracles.kronecker_sum_counts(mods, set(a.elems), 3).values())
+
+
+def test_wide_cases_emit_no_warning():
+    a = roadmap_repro()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma_k(a, 6)
+        t_k(a, 6)
+        for g, f, h in boundary_tables():
+            convolve(table_of(g, f), table_of(g, h))
+
+
+def test_wide_tables_stay_exact(monkeypatch):
+    s = 1 << 70
+    wide = table_of(lattice(1), {(0,): 3 * s, (2,): s}, dtype=object)
+    assert wide.value(0) == 3 * s and wide.value(1) == 0
+    assert wide.total() == 4 * s
+    assert dict(wide.support()) == {(0,): 3 * s, (2,): s}
+    assert moments._power_sum(wide.values(), 3) == 28 * s ** 3
+    narrow = moments.correlate
+
+    def scaled(f, g):
+        t = narrow(f, g)
+        return ConvTable(t.group, t.array.astype(object) * s, t.offset)
+
+    monkeypatch.setattr(moments, "correlate", scaled)
+    a = zset([0, 1, 3])
+    assert level_sequence(a) == [3 * s] + [s] * 6
+    assert energy_k_pair(a, a, 3) == 33 * s ** 3
+    assert energy_k(a, 4) == 87 * s ** 4
 
 
 def test_table_csv_export():

@@ -119,6 +119,10 @@ def test_greedy_completion():
     assert greedy_completion(full_group(g6)) == GSet(g6, [0])
     single = greedy_completion(GSet(g6, [4]))
     assert len(single) == 6 and sumset(GSet(g6, [4]), single) == full_group(g6)
+    # a product group: translates must be taken coordinatewise, not on flat ranks
+    g48 = cyclic(4, 8)
+    b = GSet(g48, [(0, 1), (1, 0), (2, 5)])
+    assert sumset(b, greedy_completion(b)) == full_group(g48)
 
 
 def test_basis_depth_examples():

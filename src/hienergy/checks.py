@@ -21,7 +21,7 @@ import numpy as np
 
 from . import eigen, extract, genset, groups, moments, setops, spectrum
 from .groups import Elem, GroupSpec
-from .gset import GSet, full_group
+from .gset import GSet, as_rows, full_group
 from .setops import MINUS, PLUS
 
 REL_TOL = 1e-9
@@ -90,22 +90,20 @@ def slice_corr_sums(a: GSet, depth: int) -> dict[Elem, int]:
     """F_depth(x) = sum over s in G^depth of (A_s o A_s)(x), evaluated by
     explicit translate intersections: pairs (u, v) of A contribute
     |(A-u) n (A-v)|^depth at x = v - u."""
-    g = a.group
-    translated = {u: frozenset(groups.op_sub(g, e, u) for e in a.elems) for u in a.elems}
-    out: dict[Elem, int] = {}
-    for u in a.elems:
-        tu = translated[u]
-        for v in a.elems:
-            inter = len(tu & translated[v])
-            if depth == 0:
-                contrib = 1
-            elif inter == 0:
-                continue
-            else:
-                contrib = inter ** depth
-            x = groups.op_sub(g, v, u)
-            out[x] = out.get(x, 0) + contrib
-    return out
+    if not a:
+        return {}
+    n = len(a)
+    # row u n + v is v - u: the translate A - u lists its points in rows u n .. u n + n - 1
+    rows = as_rows(a.group, (a.coords[None, :] - a.coords[:, None]).reshape(n * n, -1))
+    points, first, point = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    point = point.ravel()
+    holds = np.zeros((len(points), n), dtype=np.int64)   # holds[p, u]: point p lies in A - u
+    holds[point, np.repeat(np.arange(n), n)] = 1
+    inter = holds.T @ holds                              # |(A-u) n (A-v)|
+    sums = np.zeros(len(points), dtype=object)
+    np.add.at(sums, point, inter.ravel().astype(object) ** depth)
+    # keys in the order a loop over pairs (u, v) meets them: float sums over the dict follow it
+    return {tuple(points[p].tolist()): sums[p] for p in np.argsort(first)}
 
 
 def _pair_energy_materialized(a: GSet, b: GSet, k: int) -> int:

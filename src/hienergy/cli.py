@@ -1,16 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 1 hard-check failure, 2 usage error, 3 cap exceeded.
-All commands are deterministic for fixed inputs and seeds; --threads (or
-HIENERGY_THREADS) is accepted for interface stability and output does not
-depend on it.
+All commands are deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -190,18 +187,21 @@ def cmd_verify(args) -> int:
             fh.write(report.to_csv())
     for line in report.to_csv().splitlines():
         print(line)
-    cap_errors = [e for e in report.errors if str(e.get("error", "")).startswith("cap")]
-    other_errors = [e for e in report.errors if not str(e.get("error", "")).startswith("cap")]
+    return _exit_code(report)
+
+
+def _exit_code(report: checks.SuiteReport) -> int:
+    """Print every error and hard failure to stderr; 1 for a hard failure or
+    an error other than a cap, else 3 if a cap was hit, else 0."""
     for e in report.errors:
         print(f"error: {e}", file=sys.stderr)
-    if report.hard_failures or other_errors:
-        for r in report.hard_failures:
-            print(f"HARD FAIL {r.check_id}: lhs={r.lhs} rhs={r.rhs} inputs={r.inputs}",
-                  file=sys.stderr)
+    for r in report.hard_failures:
+        print(f"HARD FAIL {r.check_id}: lhs={r.lhs} rhs={r.rhs} inputs={r.inputs}",
+              file=sys.stderr)
+    capped = [e for e in report.errors if str(e.get("error", "")).startswith("cap")]
+    if report.hard_failures or len(capped) < len(report.errors):
         return FAIL_EXIT
-    if cap_errors:
-        return CAP_EXIT
-    return 0
+    return CAP_EXIT if capped else 0
 
 
 def cmd_extract(args) -> int:
@@ -269,19 +269,12 @@ def cmd_suite(args) -> int:
             fh.write(report.to_json())
         print(args.report)
     print(report.to_csv(), end="")
-    if report.hard_failures:
-        for r in report.hard_failures[:20]:
-            print(f"HARD FAIL {r.check_id}: {r.inputs}", file=sys.stderr)
-        return FAIL_EXIT
-    return 0
+    return _exit_code(report)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hienergy",
                                  description="exact convolution-moment laboratory")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("HIENERGY_THREADS", "1")),
-                    help="accepted for interface stability; results identical for all values")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_set_sources(p):

@@ -99,14 +99,10 @@ def build_gram(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> PatternGr
     n = len(a)
     if n > caps.gram:
         raise CapExceededError(f"|A| = {n} exceeds Gram cap {caps.gram}")
-    corr = moments.correlate(b, b)
-    g = a.group
-    gram = np.zeros((n, n), dtype=np.int64)
-    for i, y in enumerate(a.elems):
-        for j in range(i, n):
-            v = corr.value(groups.op_sub(g, a.elems[j], y)) ** k
-            gram[i, j] = v
-            gram[j, i] = v
+    if len(b) ** k >= 1 << 63:   # |B|^k is the largest entry, on the diagonal
+        raise OverflowError(f"Gram entries |B|^k = {len(b) ** k} exceed int64")
+    diffs = (a.coords[None, :] - a.coords[:, None]).reshape(n * n, -1)   # row i n + j: y_j - y_i
+    gram = moments.correlate(b, b).values_at(diffs).reshape(n, n) ** k
     trace = int(np.trace(gram.astype(object)))
     if trace != n * len(b) ** k:
         raise AssertionError(f"Gram trace {trace} != |A||B|^k = {n * len(b) ** k}")
@@ -180,9 +176,7 @@ def _flat_function(g: GroupSpec, f) -> np.ndarray:
     """Coerce a GSet / ConvTable / array / callable to a dense complex vector."""
     n = g.order
     if isinstance(f, GSet):
-        out = np.zeros(n, dtype=np.complex128)
-        out[f.flat_indices()] = 1.0
-        return out
+        return f.indicator().astype(np.complex128).ravel()
     if isinstance(f, moments.ConvTable):
         return f.array.astype(np.complex128).ravel()
     if callable(f):
@@ -202,12 +196,8 @@ def _group_ifft(g: GroupSpec, flat: np.ndarray) -> np.ndarray:
 
 
 def _reflect_flat(g: GroupSpec, flat: np.ndarray) -> np.ndarray:
-    idx = np.arange(g.order)
-    neg = np.array([groups.flat_index(g, groups.op_neg(g, x))
-                    for x in groups.enumerate_elements(g)], dtype=np.int64)
-    out = np.empty_like(flat)
-    out[neg] = flat[idx]
-    return out
+    """x -> flat(-x) on the group."""
+    return moments._reflect(moments.ConvTable(g, flat.reshape(g.moduli))).array.ravel()
 
 
 def operator_apply(g: GroupSpec, phi, psi, f) -> np.ndarray:
@@ -240,17 +230,11 @@ def bilinear_residual(g: GroupSpec, phi, e_set: GSet, u, v) -> float:
     mask[e_set.flat_indices()] = False
     if np.abs(u_v[mask]).max(initial=0.0) > 0 or np.abs(v_v[mask]).max(initial=0.0) > 0:
         raise ValueError("u and v must be supported on E")
-    lhs = complex(np.vdot(v_v, operator_apply(g, phi, _indicator(g, e_set), u_v)))
+    lhs = complex(np.vdot(v_v, operator_apply(g, phi, e_set, u_v)))
     phi_v = _flat_function(g, phi)
     rhs = complex((phi_v * _group_fft(g, u_v) * np.conj(_group_fft(g, v_v))).sum())
     scale = max(1.0, abs(lhs), abs(rhs))
     return abs(lhs - rhs) / scale
-
-
-def _indicator(g: GroupSpec, a: GSet) -> np.ndarray:
-    out = np.zeros(g.order, dtype=np.complex128)
-    out[a.flat_indices()] = 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +362,11 @@ def subgroup_eigencheck(gamma: GSet, phi=None, k: int = 1, base_set: GSet | None
         u = np.zeros(n)
         u[idx] = rng.integers(-3, 4, size=t).astype(np.float64)
         lhs = _quadratic_form(g, psi_v, u)
-        corr_g = _quadratic_form(g, psi_v, _indicator(g, gamma).real)
+        corr_g = _quadratic_form(g, psi_v, _flat_function(g, gamma).real)
         rhs = (u[idx].sum() ** 2 / t ** 2) * corr_g
         if lhs < rhs - 1e-6 * max(1.0, abs(rhs)):
             connected_ok = False
-    u0 = _indicator(g, gamma).real
+    u0 = _flat_function(g, gamma).real
     lhs0 = _quadratic_form(g, psi_v, u0)
     rhs0 = (u0[idx].sum() ** 2 / t ** 2) * _quadratic_form(g, psi_v, u0)
     connected_equality = math.isclose(lhs0, rhs0, rel_tol=1e-9, abs_tol=1e-9)

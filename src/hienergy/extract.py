@@ -16,7 +16,7 @@ import numpy as np
 
 from . import groups, moments, setops
 from .groups import Elem, GroupSpec
-from .gset import GSet
+from .gset import GSet, as_rows
 from .moments import EnergyProfile
 
 
@@ -438,22 +438,12 @@ def almost_period_check(a: GSet, b: GSet, t) -> int:
 
 
 def _sequence_conv(g: GroupSpec, seq: Sequence[Elem], b: GSet) -> moments.ConvTable:
-    counts: dict[Elem, int] = {}
-    for x in seq:
-        counts[x] = counts.get(x, 0) + 1
-    if g.is_cyclic:
-        arr = np.zeros(g.order, dtype=np.int64)
-        for x, c in counts.items():
-            arr[groups.flat_index(g, x)] = c
-        table = moments.ConvTable(g, arr.reshape(g.moduli))
-    else:
-        mat = np.array(list(counts), dtype=np.int64)
-        lo = mat.min(axis=0)
-        shape = tuple(int(h - l + 1) for l, h in zip(lo, mat.max(axis=0)))
-        arr = np.zeros(shape, dtype=np.int64)
-        for x, c in counts.items():
-            arr[tuple(int(ci - li) for ci, li in zip(x, lo))] = c
-        table = moments.ConvTable(g, arr, tuple(int(v) for v in lo))
+    rows = as_rows(g, seq)
+    lo = np.zeros(g.dim, dtype=np.int64) if g.is_cyclic else rows.min(axis=0)
+    shape = g.moduli if g.is_cyclic else tuple(int(s) for s in rows.max(axis=0) - lo + 1)
+    arr = np.zeros(shape, dtype=np.int64)
+    np.add.at(arr, tuple((rows - lo).T), 1)   # multiplicities of the sequence
+    table = moments.ConvTable(g, arr, tuple(int(v) for v in lo))
     return moments.convolve(table, moments.ConvTable.from_gset(b))
 
 
@@ -524,18 +514,19 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200, seed: int = 1,
             if all(m in a.as_set for m in moved) and _approximates(g, moved, a, b, k, base):
                 members.append(x)
         slices.append(members)
+    sets = [GSet(g, members) for members in slices]
     best = (-1, 0, 0)
     for i in range(len(shifts)):
         for j in range(len(shifts)):
-            if not slices[i] or not slices[j]:
+            if not sets[i] or not sets[j]:
                 continue
-            size = len(setops.diffset(GSet(g, slices[i]), GSet(g, slices[j])))
+            size = len(setops.diffset(sets[i], sets[j]))
             if size > best[0]:
                 best = (size, i, j)
     if best[0] < 0:
         raise ExtractionError("all sampled shift slices were empty")
     _, i0, j0 = best
-    t_raw = setops.diffset(GSet(g, slices[i0]), GSet(g, slices[j0]))
+    t_raw = setops.diffset(sets[i0], sets[j0])
     assert t_raw.issubset(setops.diffset(a, a)), "periods must come from A - A"
     rep.add_stage("shifts", sampled=len(shifts), pair=[i0, j0],
                   shift_s0=[list(e) for e in shifts[i0]],

@@ -1,6 +1,7 @@
 """Ambient abelian groups: finite products of cyclic groups and integer lattices.
 
-Elements are coordinate tuples.  For a cyclic product Z/n_1 x ... x Z/n_d
+Single elements are coordinate tuples (a GSet stores its elements as the
+rows of an int64 matrix, see gset).  For a cyclic product Z/n_1 x ... x Z/n_d
 coordinates are kept reduced into [0, n_i); for the lattice Z^d they are
 arbitrary integers.  The dual of a cyclic product is identified with the
 group itself through the pairing xi.x = sum_i xi_i x_i / n_i.
@@ -153,14 +154,6 @@ def enumerate_elements(g: GroupSpec) -> Iterator[Elem]:
     if g.kind != CYCLIC:
         raise GroupError("cannot enumerate an infinite lattice")
     return itertools.product(*(range(n) for n in g.moduli))
-
-
-def flat_index(g: GroupSpec, x: Elem) -> int:
-    """Mixed-radix rank of a reduced element; matches enumeration order."""
-    idx = 0
-    for c, n in zip(x, g.moduli):
-        idx = idx * n + c
-    return idx
 
 
 def from_flat(g: GroupSpec, idx: int) -> Elem:

@@ -1,5 +1,13 @@
 """Finite subsets of an ambient group, plus the on-disk set format.
 
+A GSet stores one form, ``coords``: an (n, dim) int64 matrix with one row per
+element, rows reduced mod the moduli in a cyclic product, unique and sorted
+lexicographically (the order of the sorted coordinate tuples).  Lattice
+coordinates must satisfy |c| < 2^62, so a sum or difference of two rows
+cannot wrap.  ``elems`` (tuples of Python ints), ``as_set`` and
+``indicator()`` are views, derived on first use and cached, and
+``flat_indices()`` reads the indicator; set algebra runs on ``coords``.
+
 File format (UTF-8 text): line 1 is ``group: <literal>``, every following
 non-blank line is one element with comma-separated coordinates.  Files
 written by :func:`write_set` round-trip bit-exactly.
@@ -7,12 +15,15 @@ written by :func:`write_set` round-trip bit-exactly.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import groups
 from .groups import Elem, GroupSpec
+
+_LATTICE_BOUND = 1 << 62
 
 
 class SetFileError(ValueError):
@@ -24,83 +35,116 @@ class SetFileError(ValueError):
         self.column = column
 
 
+def as_rows(group: GroupSpec, elems) -> np.ndarray:
+    """Elements (ints, coordinate sequences or an int64 matrix) as a
+    len x dim int64 matrix in input order, reduced in a cyclic product."""
+    try:
+        rows = np.array(elems if isinstance(elems, np.ndarray) else list(elems), dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
+        raise groups.GroupError(f"elements of {group} must be integer coordinates "
+                                "within int64") from None
+    if rows.ndim == 1 and (group.dim == 1 or rows.size == 0):
+        rows = rows.reshape(-1, group.dim)
+    if rows.ndim != 2 or rows.shape[1] != group.dim:
+        raise groups.GroupError(f"elements of {group} need {group.dim} coordinates")
+    return rows % np.array(group.moduli, dtype=np.int64) if group.is_cyclic else rows
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One scalar per row that compares as the row does lexicographically."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view([(f"c{i}", np.int64) for i in range(rows.shape[1])])[:, 0]
+
+
 class GSet:
-    """Immutable finite subset: sorted unique reduced elements."""
+    """Immutable finite subset, stored as ``coords`` (see the module docstring)."""
 
-    __slots__ = ("group", "elems", "_set", "_hash")
-
-    def __init__(self, group: GroupSpec, elems: Iterable = ()):  # elems: ints or tuples
-        normalized = {groups.as_elem(group, e) for e in elems}
+    def __init__(self, group: GroupSpec, elems: Iterable = ()):  # elems: ints, tuples or rows
+        rows = as_rows(group, elems)
+        if not group.is_cyclic and (rows.max(initial=0) >= _LATTICE_BOUND
+                                    or rows.min(initial=0) <= -_LATTICE_BOUND):
+            raise groups.GroupError("lattice coordinates must lie strictly between -2^62 and 2^62")
+        rows = rows[np.lexsort(rows.T[::-1])]
+        fresh = np.ones(len(rows), dtype=bool)
+        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
         self.group = group
-        self.elems: tuple[Elem, ...] = tuple(sorted(normalized))
-        self._set = frozenset(self.elems)
-        self._hash = hash((group, self.elems))
+        self.coords = rows[fresh]
+        self.coords.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.elems)
+        return len(self.coords)
 
     def __iter__(self) -> Iterator[Elem]:
         return iter(self.elems)
 
     def __contains__(self, x) -> bool:
-        return groups.as_elem(self.group, x) in self._set
+        return groups.as_elem(self.group, x) in self.as_set
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GSet) and self.group == other.group and self.elems == other.elems
+        return (isinstance(other, GSet) and self.group == other.group
+                and np.array_equal(self.coords, other.coords))
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.group, self.coords.tobytes()))
 
     def __repr__(self) -> str:
-        inner = ",".join("(" + groups.format_elem(e) + ")" for e in self.elems[:8])
-        if len(self.elems) > 8:
+        inner = ",".join("(" + groups.format_elem(e) + ")" for e in self.coords[:8].tolist())
+        if len(self) > 8:
             inner += ",..."
         return f"GSet({self.group}, {{{inner}}}, n={len(self)})"
 
-    @property
+    @cached_property
+    def elems(self) -> tuple[Elem, ...]:
+        return tuple(map(tuple, self.coords.tolist()))
+
+    @cached_property
     def as_set(self) -> frozenset:
-        return self._set
+        return frozenset(self.elems)
 
-    def flat_indices(self) -> np.ndarray:
-        """Element ranks for a cyclic product, sorted ascending."""
-        g = self.group
-        if not g.is_cyclic:
-            raise groups.GroupError("flat indices need a finite cyclic product")
-        return np.array([groups.flat_index(g, e) for e in self.elems], dtype=np.int64)
-
-    def coord_matrix(self) -> np.ndarray:
-        """len x dim int64 matrix of coordinates."""
-        if not self.elems:
-            return np.zeros((0, self.group.dim), dtype=np.int64)
-        return np.array(self.elems, dtype=np.int64)
-
-    def indicator(self) -> np.ndarray:
-        """Dense 0/1 array shaped by the moduli (cyclic products only)."""
+    @cached_property
+    def _dense(self) -> np.ndarray:
         g = self.group
         if not g.is_cyclic:
             raise groups.GroupError("dense indicator needs a cyclic product")
-        arr = np.zeros(g.order, dtype=np.int64)
-        arr[self.flat_indices()] = 1
-        return arr.reshape(g.moduli)
+        arr = np.zeros(g.moduli, dtype=np.int64)
+        arr[tuple(self.coords.T)] = 1
+        arr.flags.writeable = False
+        return arr
+
+    def indicator(self) -> np.ndarray:
+        """Dense 0/1 array shaped by the moduli (cyclic products only)."""
+        return self._dense
+
+    def flat_indices(self) -> np.ndarray:
+        """Element ranks for a cyclic product, sorted ascending."""
+        return np.flatnonzero(self.indicator())
+
+    def isin(self, rows: np.ndarray) -> np.ndarray:
+        """Mask of the rows of a reduced len x dim matrix that are elements."""
+        keys, want = _row_keys(self.coords), _row_keys(rows)
+        at = np.searchsorted(keys, want)
+        found = np.zeros(len(want), dtype=bool)
+        inside = at < len(keys)
+        found[inside] = keys[at[inside]] == want[inside]
+        return found
 
     def translate(self, t) -> "GSet":
-        t = groups.as_elem(self.group, t)
-        return GSet(self.group, (groups.op_add(self.group, e, t) for e in self.elems))
+        return GSet(self.group, self.coords + GSet(self.group, [t]).coords)
 
     def negate(self) -> "GSet":
-        return GSet(self.group, (groups.op_neg(self.group, e) for e in self.elems))
+        return GSet(self.group, -self.coords)
 
     def intersect(self, other: "GSet") -> "GSet":
         _require_same_group(self, other)
-        return GSet(self.group, self._set & other._set)
+        return GSet(self.group, self.coords[other.isin(self.coords)])
 
     def union(self, other: "GSet") -> "GSet":
         _require_same_group(self, other)
-        return GSet(self.group, self._set | other._set)
+        return GSet(self.group, np.concatenate([self.coords, other.coords]))
 
     def issubset(self, other: "GSet") -> bool:
         _require_same_group(self, other)
-        return self._set <= other._set
+        return bool(other.isin(self.coords).all())
 
 
 def _require_same_group(a: GSet, b: GSet) -> None:
@@ -111,7 +155,7 @@ def _require_same_group(a: GSet, b: GSet) -> None:
 def full_group(g: GroupSpec) -> GSet:
     if not g.is_cyclic:
         raise groups.GroupError("the lattice is not a finite set")
-    return GSet(g, groups.enumerate_elements(g))
+    return GSet(g, np.argwhere(np.ones(g.moduli, dtype=bool)))
 
 
 def gset(group: GroupSpec, elems: Iterable) -> GSet:

@@ -52,7 +52,7 @@ class ConvTable:
         g = a.group
         if g.is_cyclic:
             return cls(g, a.indicator())
-        mat = a.coord_matrix()
+        mat = a.coords
         if len(mat) == 0:
             return cls(g, np.zeros((1,) * g.dim, dtype=np.int64))
         lo = mat.min(axis=0)
@@ -81,11 +81,13 @@ class ConvTable:
     def total(self) -> int:
         return _total(self.array)
 
-    def sum_at(self, points: np.ndarray) -> int:
-        """Exact sum of the table over the rows of a len x dim coordinate matrix."""
+    def values_at(self, points: np.ndarray) -> np.ndarray:
+        """Entries at the rows of a len x dim coordinate matrix, 0 off the window."""
         idx = points % self.group.moduli if self.group.is_cyclic else points - self.offset
         inside = ((idx >= 0) & (idx < self.array.shape)).all(axis=1)
-        return sum(self.array[tuple(idx[inside].T)].tolist())
+        out = np.zeros(len(points), dtype=self.array.dtype)
+        out[inside] = self.array[tuple(idx[inside].T)]
+        return out
 
     def values(self) -> np.ndarray:
         return self.array.ravel()
@@ -266,7 +268,8 @@ def _reflect(t: ConvTable) -> ConvTable:
 
 def correlate(f, g) -> ConvTable:
     """(f o g)(x) = sum_y f(y) g(y + x); for sets, counts of x = b - a."""
-    tf, tg = as_table(f), as_table(g)
+    tf = as_table(f)
+    tg = tf if g is f else as_table(g)
     out = convolve(_reflect(tf), tg)
     if isinstance(f, GSet) and isinstance(g, GSet):
         assert out.total() == len(f) * len(g), "correlation mass must equal |A||B|"
@@ -324,15 +327,12 @@ def energy_k_pair(a: GSet, b: GSet, k) -> int | float:
     if not a:
         return 0 if float(k).is_integer() else 0.0
     ta = correlate(a, a)
-    tb = correlate(b, b)
-    exact = float(k).is_integer()
-    km1 = (int(k) if exact else k) - 1
-    total = 0 if exact else 0.0
-    for elem, v in ta.support():
-        w = tb.value(elem) if km1 else 1
-        if w:
-            total += v * w ** km1 if exact else float(v) * float(w) ** km1
-    return total
+    support = np.nonzero(ta.array)
+    v = ta.array[support].tolist()
+    w = correlate(b, b).values_at(np.stack(support, axis=1) + ta.offset).tolist()
+    if float(k).is_integer():
+        return sum(x * y ** (int(k) - 1) for x, y in zip(v, w))
+    return sum((float(x) * float(y) ** (k - 1) for x, y in zip(v, w) if y), 0.0)
 
 
 def t_k(a: GSet, k: int) -> int:
@@ -360,7 +360,7 @@ def sigma_k(a: GSet, k: int) -> int:
         return 0
     if k == 1:
         return int(groups.zero(a.group) in a)
-    return conv_power(a, k - 1).sum_at(-a.coord_matrix())
+    return sum(conv_power(a, k - 1).values_at(-a.coords).tolist())
 
 
 def level_sequence(a: GSet) -> list[int]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import groups
 from .groups import Elem, GroupSpec
-from .gset import GSet, _require_same_group, full_group
+from .gset import GSet, _require_same_group, as_rows, full_group
 
 MINUS = "-"
 PLUS = "+"
@@ -41,14 +41,12 @@ DEFAULT_CAPS = Caps()
 
 def sumset(a: GSet, b: GSet) -> GSet:
     _require_same_group(a, b)
-    g = a.group
-    return GSet(g, (groups.op_add(g, x, y) for x in a for y in b))
+    return GSet(a.group, (a.coords[:, None] + b.coords[None]).reshape(-1, a.group.dim))
 
 
 def diffset(a: GSet, b: GSet) -> GSet:
     _require_same_group(a, b)
-    g = a.group
-    return GSet(g, (groups.op_sub(g, x, y) for x in a for y in b))
+    return GSet(a.group, (a.coords[:, None] - b.coords[None]).reshape(-1, a.group.dim))
 
 
 def iterated(a: GSet, n: int, m: int) -> GSet:
@@ -67,12 +65,9 @@ def iterated(a: GSet, n: int, m: int) -> GSet:
 
 def stabilizer_slice(a: GSet, s: Sequence) -> GSet:
     """A_s = A n (A - s_1) n ... n (A - s_j); empty s gives A itself."""
-    g = a.group
     out = a
-    for si in s:
-        si = groups.as_elem(g, si)
-        shifted = GSet(g, (groups.op_sub(g, e, si) for e in a))
-        out = out.intersect(shifted)
+    for si in GSet(a.group, s).coords:
+        out = out.intersect(GSet(a.group, a.coords - si))
         if not out:
             break
     return out
@@ -82,14 +77,14 @@ def restricted_sum(a: GSet, b: GSet, edges: Iterable[tuple], sign: str = MINUS) 
     """{a - b : (a, b) in edges} (or a + b); edges must lie inside A x B."""
     _require_same_group(a, b)
     g = a.group
-    out = []
-    for x, y in edges:
-        x = groups.as_elem(g, x)
-        y = groups.as_elem(g, y)
-        if x not in a.as_set or y not in b.as_set:
-            raise ValueError(f"edge ({x}, {y}) leaves A x B")
-        out.append(groups.op_sub(g, x, y) if sign == MINUS else groups.op_add(g, x, y))
-    return GSet(g, out)
+    edges = list(edges)
+    x = as_rows(g, [e[0] for e in edges])
+    y = as_rows(g, [e[1] for e in edges])
+    inside = a.isin(x) & b.isin(y)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise ValueError(f"edge ({tuple(x[i].tolist())}, {tuple(y[i].tolist())}) leaves A x B")
+    return GSet(g, x - y if sign == MINUS else x + y)
 
 
 def greedy_completion(a: GSet, caps: Caps = DEFAULT_CAPS) -> GSet:
@@ -101,8 +96,7 @@ def greedy_completion(a: GSet, caps: Caps = DEFAULT_CAPS) -> GSet:
         raise ValueError("cannot complete the empty set")
     n = g.order
     if len(a) == 1:
-        base = a.elems[0]
-        return GSet(g, (groups.op_sub(g, x, base) for x in groups.enumerate_elements(g)))
+        return GSet(g, full_group(g).coords - a.coords[0])
     from .moments import ConvTable, correlate  # late import, avoids a cycle
 
     ind = a.indicator()
@@ -115,10 +109,10 @@ def greedy_completion(a: GSet, caps: Caps = DEFAULT_CAPS) -> GSet:
         if gains[x] <= 0:
             raise AssertionError("greedy cover stalled")  # unreachable: translates cover G
         chosen.append(x)
-        uncovered[np.roll(ind, groups.from_flat(g, x), axis=tuple(range(g.dim))) == 1] = 0
+        uncovered[np.roll(ind, np.unravel_index(x, g.moduli), axis=tuple(range(g.dim))) == 1] = 0
     bound = math.ceil((n / len(a)) * (math.log(n) + 1))
     assert len(chosen) <= bound, f"greedy cover guarantee violated: {len(chosen)} > {bound}"
-    return GSet(g, (groups.from_flat(g, x) for x in chosen))
+    return GSet(g, np.stack(np.unravel_index(chosen, g.moduli), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +149,10 @@ class TupleSet:
         return out
 
     def __contains__(self, tup) -> bool:
-        g = self.group
-        elems = [groups.as_elem(g, x) for x in tup]
-        if len(elems) != self.arity:
+        rows = as_rows(self.group, tup)
+        if len(rows) != self.arity:
             return False
-        flat = np.array([c for e in elems for c in e], dtype=np.int64).reshape(1, -1)
-        val = self._pack_coords(flat)[0]
+        val = self._pack_coords(rows.reshape(1, -1))[0]
         if val < 0:
             return False
         i = np.searchsorted(self.packed, val)
@@ -219,8 +211,8 @@ def delta_sumset(sets: Sequence[GSet], b: GSet, sign: str = MINUS,
     if work > caps.tuples:
         raise CapExceededError(f"delta_sumset work {work} exceeds cap {caps.tuples}")
 
-    mats = [a.coord_matrix() for a in sets]
-    bmat = b.coord_matrix()
+    mats = [a.coords for a in sets]
+    bmat = b.coords
     mods = np.array(g.moduli, dtype=np.int64) if g.is_cyclic else None
 
     # per-slot coordinate windows over all translates
@@ -287,7 +279,7 @@ def diagonal_translate_family(t: TupleSet, c_set: GSet, sign: str = PLUS) -> lis
     if len(t) == 0 or len(c_set) == 0:
         return [np.zeros(0, dtype=np.int64) for _ in c_set]
     coords = _unpack_coords(t)
-    cmat = c_set.coord_matrix()
+    cmat = c_set.coords
     if g.is_cyclic:
         offsets = np.zeros(coords.shape[1], dtype=np.int64)
         radices = np.tile(np.array(g.moduli, dtype=np.int64), t.arity)
@@ -320,9 +312,7 @@ def diagonal_translate_family(t: TupleSet, c_set: GSet, sign: str = PLUS) -> lis
 def delta_translate(t: TupleSet, c, sign: str = PLUS) -> np.ndarray:
     """Packed values of T +- Delta(c) for one element (cyclic groups keep the
     fundamental-domain window, so results are comparable between calls)."""
-    g = t.group
-    c = groups.as_elem(g, c)
-    return diagonal_translate_family(t, GSet(g, [c]), sign)[0]
+    return diagonal_translate_family(t, GSet(t.group, [c]), sign)[0]
 
 
 def delta_sumset_tupleset(t: TupleSet, c_set: GSet, sign: str = PLUS) -> int:
@@ -452,5 +442,5 @@ def magnification_k(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> tupl
     bk = product_tupleset([b] * k, caps)
     ids = diagonal_translate_family(bk, a, PLUS)
     ratio, chosen = _magnification_search(_coverage_arrays(a, ids), len(a))
-    witness = GSet(a.group, [a.elems[j] for j in chosen])
+    witness = GSet(a.group, a.coords[list(chosen)])
     return ratio, witness

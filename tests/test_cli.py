@@ -127,3 +127,10 @@ def test_suite_cli(capsys):
     code, out, _ = run_cli(capsys, "suite", "--checks", "C1,C13",
                            "--recipe", "random:N=64,delta=0.2,seed=2")
     assert code == 0 and out.startswith("check_id,")
+
+
+def test_suite_cap_errors_exit_nonzero(capsys):
+    code, out, err = run_cli(capsys, "suite", "--checks", "C18",
+                             "--recipe", "random:N=2048,delta=0.6,seed=1")
+    assert code == 3 and "cap" in err
+    assert out.startswith("check_id,")

@@ -28,6 +28,23 @@ def test_gram_examples():
     assert int(np.trace(pg.gram)) == 4
 
 
+def test_gram_entries_match_brute_force():
+    for g, pts, qts in [(cyclic(4, 8), [(0, 1), (3, 7), (2, 2)], [(3, 7), (1, 1), (0, 6)]),
+                        (lattice(2), [(0, -1), (-3, 7), (2, 2)], [(-3, 7), (1, 1), (0, 6)])]:
+        mods = g.moduli if g.is_cyclic else None
+        a, b = GSet(g, pts), GSet(g, qts)
+        shifted = {y: {oracles.sub(mods, x, y) for x in b.elems} for y in a.elems}
+        want = [[len(shifted[y] & shifted[z]) ** 2 for z in a.elems] for y in a.elems]
+        assert build_gram(a, b, 2).gram.tolist() == want
+
+
+def test_gram_entries_stop_at_int64():
+    b = zset([0, 1])
+    assert build_gram(b, b, 62).gram.tolist() == [[1 << 62, 1], [1, 1 << 62]]
+    with pytest.raises(OverflowError):
+        build_gram(b, b, 63)   # |B|^k = 2^63 would wrap
+
+
 def test_singular_spectrum_examples():
     b = zset([0, 1])
     lam2 = singular_spectrum(build_gram(b, b, 1))

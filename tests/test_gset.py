@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+import oracles
 from hienergy import groups
 from hienergy.gset import GSet, SetFileError, dumps_set, loads_set, zset
 from hienergy.groups import cyclic, lattice
@@ -49,3 +51,44 @@ def test_indicator_and_flat_indices():
     assert ind.shape == (4, 2)
     assert ind.sum() == 2 and ind[0, 1] == 1 and ind[3, 0] == 1
     assert list(a.flat_indices()) == [1, 6]
+
+
+def test_stored_rows_match_sorted_tuples():
+    pts = [(3, -1), (-2, 5), (3, -1), (-2, -7), (0, 0), (-5, 4)]
+    a = GSet(lattice(2), pts)
+    assert a.elems == tuple(sorted(set(pts)))
+    assert a.coords.shape == (5, 2) and a.coords.dtype == np.int64
+    assert type(a.elems[0][0]) is int  # reprs of elements seed derived samples
+    assert GSet(cyclic(4, 8), [(5, -1), (1, 7)]).elems == ((1, 7),)
+
+
+def test_array_input_matches_list_input():
+    rows = [(3, -1), (-2, 5), (3, -1)]
+    assert GSet(lattice(2), np.array(rows, dtype=np.int64)) == GSet(lattice(2), rows)
+    assert GSet(cyclic(12), np.array([13, -1, 5])) == GSet(cyclic(12), [13, -1, 5])
+    assert len(GSet(lattice(3), np.zeros((0, 3), dtype=np.int64))) == 0
+
+
+def test_coordinates_that_could_wrap_are_rejected():
+    for c in (1 << 62, -(1 << 62), 1 << 70):
+        with pytest.raises(groups.GroupError):
+            zset([0, c])
+    with pytest.raises(groups.GroupError):
+        GSet(lattice(2), [(1, 2, 3)])
+    big = zset([(1 << 62) - 1, -(1 << 62) + 1])
+    with pytest.raises(groups.GroupError):
+        big.translate(1)
+
+
+def test_array_algebra_matches_tuple_algebra():
+    for g, pts, qts in [(cyclic(4, 8), [(0, 1), (3, 7), (2, 2)], [(3, 7), (1, 1)]),
+                        (lattice(2), [(0, -1), (-3, 7), (2, 2)], [(-3, 7), (1, 1)])]:
+        mods = g.moduli if g.is_cyclic else None
+        a, b = GSet(g, pts), GSet(g, qts)
+        t = (1, 5)
+        assert a.translate(t).as_set == {oracles.add(mods, x, t) for x in pts}
+        assert a.negate().as_set == {oracles.sub(mods, (0, 0), x) for x in pts}
+        assert a.intersect(b).as_set == set(pts) & set(qts)
+        assert a.union(b).as_set == set(pts) | set(qts)
+        assert a.intersect(b).issubset(a) and not a.issubset(b)
+        assert hash(a) == hash(GSet(g, a.coords)) and a != b

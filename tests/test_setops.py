@@ -56,6 +56,26 @@ def test_slice_matches_oracle():
         assert got == want
 
 
+def test_row_algebra_matches_brute_force():
+    # flat ranks do not add in a product group, so Z/4xZ/8 separates row sums from rank sums
+    rng = random.Random(17)
+    for g in [cyclic(4, 8), lattice(2)]:
+        mods = g.moduli if g.is_cyclic else None
+        for _ in range(10):
+            pts = [(rng.randrange(-9, 9), rng.randrange(-9, 9)) for _ in range(rng.randint(1, 7))]
+            qts = [(rng.randrange(-9, 9), rng.randrange(-9, 9)) for _ in range(rng.randint(1, 7))]
+            a, b = GSet(g, pts), GSet(g, qts)
+            xs, ys = set(a.elems), set(b.elems)
+            assert sumset(a, b).as_set == {oracles.add(mods, x, y) for x in xs for y in ys}
+            assert diffset(a, b).as_set == {oracles.sub(mods, x, y) for x in xs for y in ys}
+            s = [oracles.sub(mods, y, x) for x, y in zip(sorted(xs), sorted(ys))][:2]
+            assert stabilizer_slice(a, s).as_set == oracles.oracle_slice(mods, xs, s)
+            edges = [(x, y) for x in xs for y in ys if rng.random() < 0.5]
+            for sign, op in [(MINUS, oracles.sub), (PLUS, oracles.add)]:
+                want = {op(mods, x, y) for x, y in edges}
+                assert restricted_sum(a, b, edges, sign).as_set == want
+
+
 def test_delta_sumset_examples():
     a = zset([0, 1, 3])
     assert len(delta_sumset([a, a], a, MINUS)) == 25

@@ -1,7 +1,7 @@
 """Exact computation and verification of higher convolution moments of
 finite sets in abelian groups."""
 
-from .groups import GroupSpec, cyclic, lattice, make_group, parse_group
+from .groups import GroupSpec, InvariantError, cyclic, lattice, make_group, parse_group
 from .gset import GSet, gset, loads_set, read_set, write_set, zset
 from .moments import (ConvTable, EnergyProfile, convolve, correlate, energy_k,
                       energy_k_pair, energy_pair, level_sequence, mult_energy_k,
@@ -12,9 +12,8 @@ from .setops import (Caps, CapExceededError, TupleSet, basis_depth_test, d_k,
                      stabilizer_slice, sumset)
 from .spectrum import (SpectrumTable, dft, dim_exact, dim_greedy, dissociated_test,
                        large_spectrum, spectrum_energy_t_k)
-from .eigen import (PatternGram, build_gram, jacobi_eigenvalues,
-                    magnification_lower_bounds, singular_spectrum,
-                    subgroup_eigencheck, union_family_lower_bound)
+from .eigen import (PatternGram, build_gram, magnification_lower_bounds,
+                    singular_spectrum, subgroup_eigencheck, union_family_lower_bound)
 from .genset import SetRecipe, gen, mult_subgroup, parse_recipe, quadratic_residues, recipe
 from .extract import (ExtractionReport, almost_period_check, bsg_extract,
                       bsg_extract_v2, cs_period_search, find_configuration,

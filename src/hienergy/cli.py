@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,21 +32,16 @@ def _load_sets(args) -> list[GSet]:
     return out
 
 
-def _caps(args) -> Caps:
-    caps = Caps()
-    if getattr(args, "cap_tuples", None):
-        caps.tuples = args.cap_tuples
-    if getattr(args, "cap_subsets", None):
-        caps.subsets = args.cap_subsets
-    return caps
-
-
-def _apply_global_caps(args) -> None:
-    # checks and pipelines consult the shared default caps object
+def _apply_global_caps(args) -> Caps:
+    """Set the --cap-* flags on the shared default caps, which every command,
+    check and pipeline consults; return the previous values for `main` to
+    restore."""
+    saved = replace(setops.DEFAULT_CAPS)
     if getattr(args, "cap_tuples", None):
         setops.DEFAULT_CAPS.tuples = args.cap_tuples
     if getattr(args, "cap_subsets", None):
         setops.DEFAULT_CAPS.subsets = args.cap_subsets
+    return saved
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -76,7 +72,6 @@ def cmd_compute(args) -> int:
         a = setops.diffset(a, a)
     elif getattr(args, "pre", "none") == "sum":
         a = setops.sumset(a, a)
-    caps = _caps(args)
     q = args.quantity
     k = args.k
     if k is not None and float(k).is_integer():
@@ -96,11 +91,11 @@ def cmd_compute(args) -> int:
         payload["value"] = v
         lines = [f"sigma_{int(k or 2)}(A) = {v}"]
     elif q == "Dk":
-        v = setops.d_k(a, int(k or 2), caps)
+        v = setops.d_k(a, int(k or 2))
         payload["value"] = v
         lines = [f"D_{int(k or 2)}(A) = {v}"]
     elif q == "Sk":
-        v = setops.s_k(a, int(k or 2), caps)
+        v = setops.s_k(a, int(k or 2))
         payload["value"] = v
         lines = [f"S_{int(k or 2)}(A) = {v}"]
     elif q == "spectrum":
@@ -118,12 +113,12 @@ def cmd_compute(args) -> int:
         payload["value"] = v
         lines = [f"dim(A) = {v}" + (" (greedy lower bound)" if args.greedy else "")]
     elif q == "mag":
-        r, z = setops.magnification(a, b, caps)
+        r, z = setops.magnification(a, b)
         payload["value"] = str(r)
         payload["witness"] = [list(e) for e in z.elems]
         lines = [f"R_B[A] = {r} (= {float(r)}), witness |Z| = {len(z)}"]
     elif q == "magk":
-        r, z = setops.magnification_k(a, b, int(k or 1), caps)
+        r, z = setops.magnification_k(a, b, int(k or 1))
         payload["value"] = str(r)
         payload["witness"] = [list(e) for e in z.elems]
         lines = [f"R^({int(k or 1)})_B[A] = {r} (= {float(r)}), witness |Z| = {len(z)}"]
@@ -353,7 +348,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
-    _apply_global_caps(args)
+    saved = _apply_global_caps(args)
     try:
         return args.fn(args)
     except SetFileError as exc:
@@ -365,6 +360,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, groups.GroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    finally:
+        vars(setops.DEFAULT_CAPS).update(vars(saved))
 
 
 if __name__ == "__main__":

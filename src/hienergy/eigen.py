@@ -1,7 +1,8 @@
 """Spectral machinery: the pattern Gram |(B-y) n (B-y')|^k on A x A, its
-eigenvalues, lower bounds for magnification ratios, and the convolution
-operator whose eigenfunctions on a multiplicative subgroup are the
-multiplicative characters."""
+eigenvalues (LAPACK `eigvalsh`, certified against the Gram's exact integer
+trace and Frobenius norm), lower bounds for magnification ratios, and the
+convolution operator whose eigenfunctions on a multiplicative subgroup are
+the multiplicative characters."""
 
 from __future__ import annotations
 
@@ -13,63 +14,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import groups, moments
-from .groups import GroupSpec
+from .groups import GroupSpec, InvariantError
 from .gset import GSet
 from .setops import CapExceededError, Caps, DEFAULT_CAPS
 
 INVARIANT_RTOL = 1e-8
 EIG_SLACK = 1e-9
-
-
-class EigenConvergenceError(RuntimeError):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# Jacobi eigensolver
-
-
-def jacobi_eigenvalues(matrix: np.ndarray, rel_tol: float = 1e-10,
-                       max_sweeps: int = 64) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by cyclic-by-rows Jacobi.
-
-    Deterministic sweep order; stops when the off-diagonal Frobenius mass
-    drops below rel_tol * ||matrix||_F.  Returns values sorted descending.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n == 1:
-        return a.ravel().copy()
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n)
-    thresh = rel_tol * norm
-    rotate_floor = thresh / (n * n)
-    for _ in range(max_sweeps):
-        hollow = a.copy()
-        np.fill_diagonal(hollow, 0.0)
-        if float(np.linalg.norm(hollow)) <= thresh:
-            return np.sort(np.diag(a))[::-1].copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= rotate_floor:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    raise EigenConvergenceError(f"Jacobi did not converge in {max_sweeps} sweeps")
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +32,7 @@ class PatternGram:
     b: GSet
     k: int
     gram: np.ndarray  # |A| x |A| symmetric nonnegative integers
+    frobenius_sq: int  # E_(2k+1)(A, B), the exact squared Frobenius norm of gram
 
 
 def build_gram(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> PatternGram:
@@ -105,27 +56,26 @@ def build_gram(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> PatternGr
     gram = moments.correlate(b, b).values_at(diffs).reshape(n, n) ** k
     trace = int(np.trace(gram.astype(object)))
     if trace != n * len(b) ** k:
-        raise AssertionError(f"Gram trace {trace} != |A||B|^k = {n * len(b) ** k}")
+        raise InvariantError(f"Gram trace {trace} != |A||B|^k = {n * len(b) ** k}")
     frob = int(sum(int(v) ** 2 for v in gram.ravel()))
     expected = moments.energy_k_pair(a, b, 2 * k + 1)
     if frob != expected:
-        raise AssertionError(f"Gram Frobenius^2 {frob} != E_(2k+1)(A,B) = {expected}")
-    return PatternGram(a=a, b=b, k=k, gram=gram)
+        raise InvariantError(f"Gram Frobenius^2 {frob} != E_(2k+1)(A,B) = {expected}")
+    return PatternGram(a=a, b=b, k=k, gram=gram, frobenius_sq=expected)
 
 
 def singular_spectrum(pg: PatternGram) -> np.ndarray:
     """Descending eigenvalues lambda_j^2 of the Gram; invariants re-checked."""
-    lam2 = np.clip(jacobi_eigenvalues(pg.gram.astype(np.float64)), 0.0, None)
+    lam2 = np.clip(np.linalg.eigvalsh(pg.gram.astype(np.float64))[::-1], 0.0, None)
     n = len(pg.a)
     trace = float(n * len(pg.b) ** pg.k)
     if not math.isclose(float(lam2.sum()), trace, rel_tol=INVARIANT_RTOL):
-        raise AssertionError("sum of lambda^2 drifted from |A||B|^k")
-    frob = float(moments.energy_k_pair(pg.a, pg.b, 2 * pg.k + 1))
-    if not math.isclose(float((lam2 ** 2).sum()), frob, rel_tol=INVARIANT_RTOL):
-        raise AssertionError("sum of lambda^4 drifted from E_(2k+1)(A,B)")
+        raise InvariantError("sum of lambda^2 drifted from |A||B|^k")
+    if not math.isclose(float((lam2 ** 2).sum()), float(pg.frobenius_sq), rel_tol=INVARIANT_RTOL):
+        raise InvariantError("sum of lambda^4 drifted from E_(2k+1)(A,B)")
     floor = float(moments.energy_k_pair(pg.a, pg.b, pg.k + 1)) / n
     if lam2[0] < floor * (1 - EIG_SLACK) - EIG_SLACK:
-        raise AssertionError(f"lambda_1^2 = {lam2[0]} below E_(k+1)(A,B)/|A| = {floor}")
+        raise InvariantError(f"lambda_1^2 = {lam2[0]} below E_(k+1)(A,B)/|A| = {floor}")
     return lam2
 
 
@@ -150,8 +100,9 @@ def magnification_lower_bounds(a: GSet, b: GSet, k: int,
     lam2 = singular_spectrum(pg)
     bk = float(len(b)) ** (2 * k)
     bound_eig = bk / float(lam2[0])
-    bound_energy = bk / math.sqrt(float(moments.energy_k_pair(a, b, 2 * k + 1)))
-    assert bound_eig >= bound_energy * (1 - EIG_SLACK)
+    bound_energy = bk / math.sqrt(float(pg.frobenius_sq))
+    if bound_eig < bound_energy * (1 - EIG_SLACK):
+        raise InvariantError(f"eigenvalue bound {bound_eig} below energy bound {bound_energy}")
     return {"bound_eig": bound_eig, "bound_energy": bound_energy}
 
 
@@ -321,7 +272,7 @@ def subgroup_eigencheck(gamma: GSet, phi=None, k: int = 1, base_set: GSet | None
         corr = moments.correlate(base_set, base_set).array.astype(np.float64).ravel() ** k
         phi_v = _group_fft(g, corr.astype(np.complex128)) / n
         if np.abs(phi_v.imag).max() > 1e-9:
-            raise AssertionError("kernel transform of a symmetric table must be real")
+            raise InvariantError("kernel transform of a symmetric table must be real")
         phi_v = phi_v.real.astype(np.complex128)
         claimed = float(moments.energy_k_pair(gamma, base_set, k + 1)) / t
     elif phi is None:
@@ -372,7 +323,7 @@ def subgroup_eigencheck(gamma: GSet, phi=None, k: int = 1, base_set: GSet | None
     connected_equality = math.isclose(lhs0, rhs0, rel_tol=1e-9, abs_tol=1e-9)
 
     if max(residuals) >= residual_tol:
-        raise AssertionError(f"character eigenfunction residual too large: {max(residuals)}")
+        raise InvariantError(f"character eigenfunction residual too large: {max(residuals)}")
 
     return SubgroupEigenReport(
         p=p, t=t, k=k,

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import groups, moments, setops
-from .groups import Elem, GroupSpec
+from .groups import Elem, GroupSpec, InvariantError
 from .gset import GSet, as_rows
 from .moments import EnergyProfile
 
@@ -83,8 +83,8 @@ def popular_set(a: GSet, threshold: Fraction | float | None = None) -> GSet:
             picked.append(elem)
             kept_mass += v
     out = GSet(a.group, picked)
-    if default:
-        assert 2 * kept_mass >= len(a) ** 2, "popular mass fell below |A|^2/2"
+    if default and 2 * kept_mass < len(a) ** 2:
+        raise InvariantError("popular mass fell below |A|^2/2")
     return out
 
 
@@ -182,14 +182,14 @@ def robust_core(family: Sequence[GSet], universe: GSet, delta: float) -> list[in
     need = 0.75 * len(j_set)
     core = [i for i in j_set if len(v_rows[i]) >= need]
     if len(core) < delta * n / 32 * (1 - 1e-12):
-        raise AssertionError("robust core fell below 2^-5 delta n")
+        raise InvariantError("robust core fell below 2^-5 delta n")
     partner_floor = delta * n / 4
     strong = [set(j for j in range(n) if (masks[i] & masks[j]).bit_count() >= floor)
               for i in range(n)]
     for i in core:
         for j in core:
             if len(strong[i] & strong[j]) < partner_floor * (1 - 1e-12):
-                raise AssertionError("two-step connectivity failed on the core")
+                raise InvariantError("two-step connectivity failed on the core")
     return core
 
 
@@ -230,7 +230,7 @@ def bsg_extract(a: GSet, eps: float = 1.0) -> ExtractionReport:
         fam.append(GSet(g, members))
     floor = n * n / (2 ** ((1 + eps) / eps) * m_val ** (1 / eps))
     if mass < floor * (1 - 1e-9):
-        raise AssertionError(f"popularity mass {mass} fell below the forced bound {floor}")
+        raise InvariantError(f"popularity mass {mass} fell below the forced bound {floor}")
     rep.add_stage("family", mass=mass, forced_floor=floor)
 
     delta = 2 ** (-(1 + eps) / eps) * m_val ** (-1 / eps)
@@ -246,7 +246,6 @@ def bsg_extract(a: GSet, eps: float = 1.0) -> ExtractionReport:
     rep.ratio = diff / claimed
     rep.add_stage("conclusion", diff_size=diff,
                   implied_constant=diff / (k_val ** 4 * len(a_prime)))
-    assert a_prime.issubset(a)
     return rep
 
 
@@ -275,7 +274,7 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
     p_mass = sum(corr.value(s) for s in p_set)
     forced = (e2 / 2) ** ((2 + eps) / (1 + eps)) / float(e3e) ** (1 / (1 + eps))
     if p_mass < forced * (1 - 1e-9):
-        raise AssertionError(f"popular mass {p_mass} fell below the forced bound {forced}")
+        raise InvariantError(f"popular mass {p_mass} fell below the forced bound {forced}")
     gamma = p_mass / n ** 2
     rep.add_stage("popular", size=len(p_set), mass=p_mass, forced_floor=forced, gamma=gamma)
 
@@ -303,7 +302,7 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
         pp_ok = p_corr.value(s) >= len(union)
         checks.append({"s": list(s), "contained": contained, "cs_ok": cs_ok, "pp_ok": pp_ok})
         if not (contained and cs_ok and pp_ok):
-            raise AssertionError(f"difference-set transfer failed at shift {s}")
+            raise InvariantError(f"difference-set transfer failed at shift {s}")
     rep.add_stage("transfer_checks", samples=checks)
 
     # selection machinery on the popular set itself
@@ -335,7 +334,6 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
     a_prime = GSet(g, [e for e in a.elems if groups.op_sub(g, e, best_x) in p_prime.as_set])
     rep.add_stage("translate", x=list(best_x), overlap=best_hit)
     rep.store_set("A_prime", a_prime)
-    assert a_prime.issubset(a)
 
     beta = 6 * (3 + 4 * eps) / (eps * (1 + eps))
     ratios = []
@@ -410,8 +408,6 @@ def small_t4_extract(a: GSet) -> ExtractionReport:
     rep.claimed = target
     rep.measured = float(coverage)
     rep.ratio = coverage / target if target > 0 else float("inf")
-    cover_set = GSet(g, [groups.op_add(g, r, x) for r in r_set for x in b.elems])
-    assert a.intersect(cover_set).issubset(a)
     return rep
 
 
@@ -527,7 +523,8 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200, seed: int = 1,
         raise ExtractionError("all sampled shift slices were empty")
     _, i0, j0 = best
     t_raw = setops.diffset(sets[i0], sets[j0])
-    assert t_raw.issubset(setops.diffset(a, a)), "periods must come from A - A"
+    if not t_raw.issubset(setops.diffset(a, a)):
+        raise InvariantError("periods must come from A - A")
     rep.add_stage("shifts", sampled=len(shifts), pair=[i0, j0],
                   shift_s0=[list(e) for e in shifts[i0]],
                   shift_t0=[list(e) for e in shifts[j0]],

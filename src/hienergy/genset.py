@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import groups
-from .groups import GroupSpec
+from .groups import GroupSpec, InvariantError
 from .gset import GSet
 
 
@@ -116,7 +116,7 @@ def primitive_root(p: int) -> int:
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
-    raise AssertionError("no primitive root found")  # unreachable for prime p
+    raise InvariantError("no primitive root found")  # unreachable for prime p
 
 
 def mult_subgroup(p: int, t: int) -> GSet:

@@ -25,6 +25,12 @@ class GroupError(ValueError):
     """Malformed group description or mismatched operands."""
 
 
+class InvariantError(AssertionError):
+    """An internal identity that holds by theorem or construction failed.
+
+    Raised explicitly, so the checks stay on under `python -O`."""
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     kind: str

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import groups
-from .groups import Elem, GroupSpec
+from .groups import Elem, GroupSpec, InvariantError
 from .gset import GSet
 
 FFT_THRESHOLD = 1024          # cyclic order at which the FFT path takes over
@@ -271,8 +271,8 @@ def correlate(f, g) -> ConvTable:
     tf = as_table(f)
     tg = tf if g is f else as_table(g)
     out = convolve(_reflect(tf), tg)
-    if isinstance(f, GSet) and isinstance(g, GSet):
-        assert out.total() == len(f) * len(g), "correlation mass must equal |A||B|"
+    if isinstance(f, GSet) and isinstance(g, GSet) and out.total() != len(f) * len(g):
+        raise InvariantError("correlation mass must equal |A||B|")
     return out
 
 
@@ -347,7 +347,7 @@ def t_k(a: GSet, k: int) -> int:
         spec = np.abs(np.fft.fftn(base.array)) ** (2 * k)
         fourier = float(spec.sum()) / a.group.order
         if not math.isclose(fourier, float(result), rel_tol=1e-6):
-            raise AssertionError(f"T_k Fourier cross-check failed: {fourier} vs {result}")
+            raise InvariantError(f"T_k Fourier cross-check failed: {fourier} vs {result}")
     return result
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import groups
-from .groups import Elem, GroupSpec
+from .groups import Elem, GroupSpec, InvariantError
 from .gset import GSet, _require_same_group, as_rows, full_group
 
 MINUS = "-"
@@ -59,7 +59,6 @@ def iterated(a: GSet, n: int, m: int) -> GSet:
     neg = a.negate()
     for _ in range(m):
         acc = neg if acc is None else sumset(acc, neg)
-    assert acc is not None
     return acc
 
 
@@ -107,11 +106,12 @@ def greedy_completion(a: GSet, caps: Caps = DEFAULT_CAPS) -> GSet:
         gains = correlate(ConvTable(g, ind), ConvTable(g, uncovered)).array.ravel()
         x = int(np.argmax(gains))  # argmax takes the smallest index on ties
         if gains[x] <= 0:
-            raise AssertionError("greedy cover stalled")  # unreachable: translates cover G
+            raise InvariantError("greedy cover stalled")  # unreachable: translates cover G
         chosen.append(x)
         uncovered[np.roll(ind, np.unravel_index(x, g.moduli), axis=tuple(range(g.dim))) == 1] = 0
     bound = math.ceil((n / len(a)) * (math.log(n) + 1))
-    assert len(chosen) <= bound, f"greedy cover guarantee violated: {len(chosen)} > {bound}"
+    if len(chosen) > bound:
+        raise InvariantError(f"greedy cover guarantee violated: {len(chosen)} > {bound}")
     return GSet(g, np.stack(np.unravel_index(chosen, g.moduli), axis=1))
 
 
@@ -368,52 +368,36 @@ def basis_depth_test(b: GSet, k: int, sign: str = MINUS,
 # magnification ratios
 
 
-def _coverage_arrays(a: GSet, b_sets_packed: list[np.ndarray]):
-    """Per-element packed-id arrays used by the branch-and-bound search."""
-    return [np.unique(arr) for arr in b_sets_packed]
-
-
-def _magnification_search(ids_per_elem: list[np.ndarray], n_elems: int):
+def _magnification_search(ids_per_elem: list[np.ndarray]) -> tuple[Fraction, tuple[int, ...]]:
     """Exact min over nonempty Z of |union of chosen id sets| / |Z|.
 
-    Supersets are pruned once |B+Z|/|A| already exceeds the incumbent ratio.
+    Each element's ids become one Python-int bitmask over the compacted ids,
+    so a union is an OR and its size a popcount; ratios are compared by
+    integer cross-multiplication.  Supersets are pruned once |B+Z|/|A|
+    already exceeds the incumbent ratio.
     """
-    counts: dict[int, int] = {}
-    best = [None, None]  # Fraction ratio, chosen index tuple
-
-    def include(j: int) -> int:
-        fresh = 0
-        for v in ids_per_elem[j]:
-            c = counts.get(v, 0)
-            counts[v] = c + 1
-            if c == 0:
-                fresh += 1
-        return fresh
-
-    def exclude(j: int) -> None:
-        for v in ids_per_elem[j]:
-            c = counts[v] - 1
-            if c:
-                counts[v] = c
-            else:
-                del counts[v]
+    n_elems = len(ids_per_elem)
+    ids, compact = np.unique(np.concatenate(ids_per_elem), return_inverse=True)
+    masks = []
+    for part in np.split(compact.ravel(), np.cumsum([len(x) for x in ids_per_elem])[:-1]):
+        bits = np.zeros(len(ids), dtype=bool)
+        bits[part] = True
+        masks.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
+    best = [0, 0, ()]  # |B+Z| and |Z| of the incumbent (|Z| = 0: none yet), its indices
 
     def rec(start: int, size: int, union: int, chosen: list[int]) -> None:
         for j in range(start, n_elems):
-            fresh = include(j)
-            union2 = union + fresh
+            union2 = union | masks[j]
+            count = union2.bit_count()
             chosen.append(j)
-            ratio = Fraction(union2, size + 1)
-            if best[0] is None or ratio < best[0]:
-                best[0] = ratio
-                best[1] = tuple(chosen)
-            if best[0] is None or Fraction(union2, n_elems) < best[0]:
+            if best[1] == 0 or count * best[1] < best[0] * (size + 1):
+                best[:] = [count, size + 1, tuple(chosen)]
+            if count * best[1] < best[0] * n_elems:
                 rec(j + 1, size + 1, union2, chosen)
             chosen.pop()
-            exclude(j)
 
     rec(0, 0, 0, [])
-    return best[0], best[1]
+    return Fraction(best[0], best[1]), best[2]
 
 
 def magnification(a: GSet, b: GSet, caps: Caps = DEFAULT_CAPS) -> tuple[Fraction, GSet]:
@@ -441,6 +425,6 @@ def magnification_k(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> tupl
         raise CapExceededError("B^k tuple space exceeds cap")
     bk = product_tupleset([b] * k, caps)
     ids = diagonal_translate_family(bk, a, PLUS)
-    ratio, chosen = _magnification_search(_coverage_arrays(a, ids), len(a))
+    ratio, chosen = _magnification_search(ids)
     witness = GSet(a.group, a.coords[list(chosen)])
     return ratio, witness

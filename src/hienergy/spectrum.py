@@ -10,7 +10,7 @@ from typing import Iterable
 import numpy as np
 
 from . import groups, moments
-from .groups import Elem, GroupSpec
+from .groups import Elem, GroupSpec, InvariantError
 from .gset import GSet
 from .setops import CapExceededError
 
@@ -55,7 +55,7 @@ def dft(f) -> SpectrumTable:
     lhs = float((table.array.astype(np.float64) ** 2).sum())
     rhs = float((np.abs(arr) ** 2).sum()) / g.order
     if not math.isclose(lhs, rhs, rel_tol=PARSEVAL_RTOL, abs_tol=1e-12):
-        raise AssertionError(f"Parseval check failed: {lhs} vs {rhs}")
+        raise InvariantError(f"Parseval check failed: {lhs} vs {rhs}")
     return spec
 
 
@@ -69,9 +69,11 @@ def large_spectrum(a: GSet, alpha: float) -> GSet:
     thresh = alpha * len(a) - 1e-9 * max(1, len(a))
     picked = [xi for xi in groups.enumerate_elements(g) if mags[xi] >= thresh]
     out = GSet(g, picked)
-    assert groups.zero(g) in out.as_set, "large spectrum must contain 0"
+    if groups.zero(g) not in out.as_set:
+        raise InvariantError("large spectrum must contain 0")
     delta = len(a) / g.order
-    assert len(out) <= alpha ** -2 * delta ** -1 * (1 + 1e-9), "trivial bound violated"
+    if len(out) > alpha ** -2 * delta ** -1 * (1 + 1e-9):
+        raise InvariantError("trivial bound violated")
     return out
 
 

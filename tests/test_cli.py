@@ -134,3 +134,13 @@ def test_suite_cap_errors_exit_nonzero(capsys):
                              "--recipe", "random:N=2048,delta=0.6,seed=1")
     assert code == 3 and "cap" in err
     assert out.startswith("check_id,")
+
+
+def test_cap_flags_do_not_leak_into_later_calls(capsys):
+    before = vars(setops.DEFAULT_CAPS).copy()
+    code, _, err = run_cli(capsys, "compute", "Dk", "--recipe", "interval:n=12,N=64",
+                           "--k", "3", "--cap-tuples", "100")
+    assert code == 3 and "cap 100" in err
+    assert vars(setops.DEFAULT_CAPS) == before
+    code, _, err = run_cli(capsys, "suite", "--checks", "C13", "--recipe", "interval:n=12,N=64")
+    assert code == 0, err

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
-from hienergy import eigen, genset, groups, moments, setops
+from hienergy import checks, eigen, genset, groups, moments, setops
 from hienergy.groups import cyclic, lattice
 from hienergy.gset import GSet, full_group, zset
-from hienergy.eigen import (build_gram, jacobi_eigenvalues, magnification_lower_bounds,
-                            singular_spectrum, subgroup_eigencheck,
-                            union_family_lower_bound)
+from hienergy.eigen import (build_gram, magnification_lower_bounds, singular_spectrum,
+                            subgroup_eigencheck, union_family_lower_bound)
+from oracles import jacobi_eigenvalues
 
 
 def rand_gset(rng, g, size):
@@ -224,3 +224,76 @@ def test_spectrum_report_shape():
     assert set(rep) == {"a_size", "b_size", "k", "lambdas_sq", "trace_check",
                         "frobenius_check"}
     assert rep["lambdas_sq"] == pytest.approx([3, 1])
+
+
+def _c18_grams():
+    """The distinct (A, B, k) of the C18 grids over the standard suite corpus."""
+    instances = (checks.standard_corpus(seed=2024, cyclic_count=30, lattice_count=3)
+                 + checks.basis_instances() + checks.intset_instances())
+    seen = {}
+    for inst in instances:
+        for p in checks.default_grid("C18", inst):
+            seen[(p["a"], p["b"], p["k"])] = None
+    return list(seen)
+
+
+def test_singular_spectrum_matches_jacobi_oracle():
+    grams = _c18_grams()
+    assert len(grams) >= 100
+    for a, b, k in grams:
+        pg = build_gram(a, b, k)
+        lam2 = singular_spectrum(pg)
+        ref = jacobi_eigenvalues(pg.gram.astype(np.float64))
+        assert np.abs(lam2 - ref).max() <= 1e-12 * ref[0]
+
+
+def _sign_cases():
+    return [(cyclic(4, 8), [(0, 1), (3, 7), (2, 2), (1, 5)], [(3, 7), (1, 1), (0, 6)]),
+            (lattice(2), [(0, -1), (-3, 7), (2, 2), (5, 0)], [(-3, 7), (1, 1), (0, 6)])]
+
+
+def test_c18_sign_is_an_exact_permutation(monkeypatch):
+    for g, pts, qts in _sign_cases():
+        a, b = GSet(g, pts), GSet(g, qts)
+        for k in (1, 2):
+            res = checks.check_c18(a, b, k, variant="sign")
+            assert res.passed and res.lhs == 0
+    real = eigen.build_gram
+    built = []
+
+    def swap_in_negated(a, b, k, *rest):
+        pg = real(a, b, k, *rest)
+        built.append(pg)
+        if len(built) % 2 == 0:   # the second build is the Gram of (-A, -B)
+            gram = pg.gram.copy()
+            gram[0, 0], gram[0, 1] = gram[0, 1], gram[0, 0]
+            pg.gram = gram
+        return pg
+
+    monkeypatch.setattr(eigen, "build_gram", swap_in_negated)
+    for g, pts, qts in _sign_cases():
+        res = checks.check_c18(GSet(g, pts), GSet(g, qts), 1, variant="sign")
+        assert not res.passed and res.lhs == 2
+
+
+def test_c18_builds_and_solves_per_variant(monkeypatch):
+    counts = {"build": 0, "solve": 0}
+    real_build, real_solve = eigen.build_gram, np.linalg.eigvalsh
+
+    def build(*args, **kwargs):
+        counts["build"] += 1
+        return real_build(*args, **kwargs)
+
+    def solve(*args, **kwargs):
+        counts["solve"] += 1
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "build_gram", build)
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    a, b = zset([0, 1, 3, 7]), zset([0, 2, 3])
+    want = {"trace": (1, 0), "frobenius": (1, 1), "order": (1, 1), "exact": (1, 1),
+            "sign": (2, 0)}
+    for variant, (builds, solves) in want.items():
+        counts.update(build=0, solve=0)
+        assert checks.check_c18(a, b, 2, variant=variant).passed
+        assert (counts["build"], counts["solve"]) == (builds, solves), variant

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -370,3 +373,30 @@ def test_table_csv_export():
     csv = correlate(a, a).to_csv()
     assert csv.splitlines()[0] == "element,count"
     assert '"0",3' in csv
+
+
+def test_correlation_mass_check_survives_optimize():
+    # `python -O` strips `assert`; the invariant must still raise
+    script = "\n".join([
+        "import sys",
+        "from hienergy import moments",
+        "from hienergy.gset import zset",
+        "real = moments.convolve",
+        "def corrupt(f, g):",
+        "    out = real(f, g)",
+        "    out.array[0] += 1",
+        "    return out",
+        "moments.convolve = corrupt",
+        "if not sys.flags.optimize:",
+        "    sys.exit('not running under -O')",
+        "try:",
+        "    moments.correlate(zset([0, 1, 3]), zset([0, 2]))",
+        "except AssertionError as exc:",
+        "    print(type(exc).__name__)",
+    ])
+    src = os.path.dirname(os.path.dirname(moments.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "InvariantError"

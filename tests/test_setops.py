@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -214,16 +215,20 @@ def test_magnification_k_examples():
 
 def test_magnification_matches_oracle():
     rng = random.Random(7)
-    for _ in range(12):
-        g = rng.choice([cyclic(16), lattice(1)])
-        a = rand_gset(rng, g, rng.randint(1, 5))
-        b = rand_gset(rng, g, rng.randint(1, 5))
-        r, z = magnification(a, b)
-        want, _ = oracles.oracle_magnification(g.moduli if g.is_cyclic else None,
-                                               set(a.elems), set(b.elems))
-        assert r == want
-        plus = sumset(b, z)
-        assert Fraction(len(plus), len(z)) == r
+    for g in (cyclic(16), cyclic(4, 8), lattice(1)):
+        mods = g.moduli if g.is_cyclic else None
+        for _ in range(6):
+            a = rand_gset(rng, g, rng.randint(1, 8))
+            b = rand_gset(rng, g, rng.randint(1, 5))
+            assert magnification(a, b) == magnification_k(a, b, 1)
+            for k in (1, 2):
+                r, z = magnification_k(a, b, k)
+                want, _ = oracles.oracle_magnification(mods, a.elems, b.elems, k)
+                assert r == want
+                # the witness attains the ratio
+                plus = {tuple(oracles.add(mods, x, y) for x in xs)
+                        for xs in itertools.product(b.elems, repeat=k) for y in z.elems}
+                assert z and z.issubset(a) and Fraction(len(plus), len(z)) == r
 
 
 def test_petridis_iterated_bound():

@@ -109,9 +109,7 @@ def slice_corr_sums(a: GSet, depth: int) -> dict[Elem, int]:
 def _pair_energy_materialized(a: GSet, b: GSet, k: int) -> int:
     """E(Delta(A), B^k) by materializing both tuple sets and counting
     coincident sums, independent of the correlation-table route."""
-    bk = setops.product_tupleset([b] * k)
-    chunks = setops.diagonal_translate_family(bk, a, PLUS)
-    sums = np.concatenate(chunks)
+    sums = setops._translate_grid([b] * k, a, PLUS, setops.DEFAULT_CAPS)[0]
     _, counts = np.unique(sums, return_counts=True)
     return int((counts.astype(object) ** 2).sum())
 
@@ -182,12 +180,26 @@ def check_c8(a: GSet, alpha: float, k: int) -> CheckResult:
 
 
 def check_c9(a: GSet, alpha: float, k: int) -> CheckResult:
+    """|Lambda| <= alpha^-3 delta^-1 (kappa - delta^(2k-1))^(1/(2k)) for the
+    nonzero large spectrum Lambda = R_alpha(A) minus 0 (as in C8), where
+    kappa = E_2k(A)/|A|^(2k+1).  With h = A o A - delta|A|, h^(r) = |A^(r)|^2
+    for r != 0 but h^(0) = 0, so Parseval holds only off 0: alpha^2 |A|^2
+    |Lambda| <= sum_{r in Lambda} h^(r) = sum_x h(x) Lambda^v(x).  Hoelder
+    (2k and q = 2k/(2k-1), |Lambda^v|_q <= N^(1/q) |Lambda|^(1/2)) and
+    |h|_2k^2k <= E_2k(A) - N m^2k = |A|^(2k+1)(kappa - delta^(2k-1)), from
+    (m e)^2k <= m^2k ((1+e)^2k - 1 - 2k e) at A o A = m(1+e), m = delta|A|,
+    give |Lambda|^(1/2) <= alpha^-2 delta^(1/(2k)-1) (kappa -
+    delta^(2k-1))^(1/(2k)); times |Lambda|^(1/2) <= alpha^-1 delta^(-1/2)
+    (Parseval) that is the bound at k = 1.  At k >= 2 these steps give
+    delta^(1/(2k)-3/2), and the stated delta^-1 is checked as it stands.
+    Counting 0 cannot hold: for A = G the right side is 0, yet 0 is in R_alpha.
+    """
     g = a.group
     delta = len(a) / g.order
     kappa = float(moments.energy_k(a, 2 * k)) / len(a) ** (2 * k + 1)
     inner = max(0.0, kappa - delta ** (2 * k - 1))
     rhs = alpha ** -3 / delta * inner ** (1 / (2 * k))
-    lhs = len(spectrum.large_spectrum(a, alpha))
+    lhs = len(spectrum.large_spectrum(a, alpha)) - 1   # large_spectrum always holds 0
     return _res("C9", {**_summary(a), "alpha": alpha, "k": k}, lhs, rhs, "<=",
                 tolerance=REL_TOL)
 

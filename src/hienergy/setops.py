@@ -1,8 +1,16 @@
 """Set algebra: sumsets, stabilizer slices, higher-dimensional delta-sumsets,
 greedy completions, basis-depth tests and exact magnification ratios.
 
-The k-dimensional objects A_1 x ... x A_k -+ Delta(B) are materialized as
-packed integer arrays; D_k and S_k are their cardinalities when all A_i = B.
+The k-dimensional objects A_1 x ... x A_k -+ Delta(C) are materialized by
+one kernel, `_translate_grid`.  A tuple packs into one int64 in slot-major
+mixed radix (slot 1's coordinates are the most significant), inside one
+window shared by every translate: the fundamental domain of a cyclic group,
+the box of the A_i -+ C on a lattice.  Each slot packs A_i -+ c for all c at
+once, and one broadcast per slot folds it in, giving a |C| x prod |A_i| grid
+with a row per c.  `delta_sumset` dedups the grid with an in-place sort and
+a neighbour comparison: sorted output is what `TupleSet` stores anyway, and
+the sort needs no hash table.  D_k and S_k are its cardinalities when all
+A_i = C; the rows themselves are the id sets of the magnification search.
 """
 
 from __future__ import annotations
@@ -119,6 +127,11 @@ def greedy_completion(a: GSet, caps: Caps = DEFAULT_CAPS) -> GSet:
 # packed tuple sets
 
 
+def _pack(rel: np.ndarray, radices: np.ndarray) -> np.ndarray:
+    """Mixed-radix value of the window-relative coordinates on the last axis."""
+    return np.ravel_multi_index(np.moveaxis(rel, -1, 0), radices)
+
+
 class TupleSet:
     """A finite set of k-tuples of group elements, stored packed.
 
@@ -139,31 +152,19 @@ class TupleSet:
     def __len__(self) -> int:
         return len(self.packed)
 
-    def _pack_coords(self, coords: np.ndarray) -> np.ndarray:
-        rel = coords - self.offsets
-        if (rel < 0).any() or (rel >= self.radices).any():
-            return np.full(len(coords), -1, dtype=np.int64)  # outside the window
-        out = np.zeros(len(coords), dtype=np.int64)
-        for j in range(coords.shape[1]):
-            out = out * self.radices[j] + rel[:, j]
-        return out
-
     def __contains__(self, tup) -> bool:
         rows = as_rows(self.group, tup)
         if len(rows) != self.arity:
             return False
-        val = self._pack_coords(rows.reshape(1, -1))[0]
-        if val < 0:
-            return False
+        rel = rows.ravel() - self.offsets
+        if (rel < 0).any() or (rel >= self.radices).any():
+            return False  # outside the window
+        val = _pack(rel, self.radices)
         i = np.searchsorted(self.packed, val)
         return i < len(self.packed) and self.packed[i] == val
 
     def decode(self, value: int) -> tuple[Elem, ...]:
-        coords = []
-        for radix in self.radices[::-1]:
-            coords.append(value % radix)
-            value //= radix
-        coords = np.array(coords[::-1], dtype=np.int64) + self.offsets
+        coords = np.array(np.unravel_index(value, self.radices)) + self.offsets
         d = self.group.dim
         return tuple(tuple(int(c) for c in coords[i * d:(i + 1) * d]) for i in range(self.arity))
 
@@ -171,25 +172,55 @@ class TupleSet:
         for v in self.packed:
             yield self.decode(int(v))
 
-    def to_set(self) -> set:
-        return set(self)
+
+def _box(rows: np.ndarray) -> np.ndarray:
+    """Coordinatewise minima over maxima of a row matrix (zeros if it is empty)."""
+    if len(rows) == 0:
+        return np.zeros((2, rows.shape[1]), dtype=np.int64)
+    return np.stack([rows.min(axis=0), rows.max(axis=0)])
 
 
-def _slot_layout(group: GroupSpec, coord_mins, coord_maxs):
-    """Offsets and radices for packing arity*dim coordinate rows."""
-    offsets = np.array(coord_mins, dtype=np.int64)
-    radices = np.array(coord_maxs, dtype=np.int64) - offsets + 1
-    total_bits = sum(int(r).bit_length() for r in radices)
-    if total_bits > 62:
+def _translate_grid(sets: Sequence[GSet], c: GSet, sign: str,
+                    caps: Caps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed values of A_1 x ... x A_k -+ Delta(c) for every c in C.
+
+    Returns (grid, offsets, radices): row j of the |C| x prod |A_i| int64
+    grid packs the translate by the j-th element of C, all rows in one
+    window (the fundamental domain of a cyclic group, the box of the
+    A_i -+ C on a lattice), so values of different rows compare directly.
+    """
+    if not sets:
+        raise ValueError("need at least one factor set")
+    g = c.group
+    for a in sets:
+        _require_same_group(a, c)
+    work = len(c) * math.prod(max(len(a), 1) for a in sets)
+    if work > caps.tuples:
+        raise CapExceededError(f"tuple work {work} exceeds cap {caps.tuples}")
+    d = g.dim
+    shift = -c.coords if sign == MINUS else c.coords
+    if g.is_cyclic:
+        offsets = np.zeros(len(sets) * d, dtype=np.int64)
+        radices = list(g.moduli) * len(sets)
+    else:  # slot i spans the box of A_i + shift
+        boxes = np.concatenate([_box(a.coords) + _box(shift) for a in sets], axis=1)
+        offsets = boxes[0]
+        # in Python ints: a radix may pass 2^63 before the bit count rejects it
+        radices = [hi - lo + 1 for lo, hi in boxes.T.tolist()]
+    if sum(r.bit_length() for r in radices) > 62:
         raise CapExceededError("packed tuple space exceeds 62 bits")
-    return offsets, radices
-
-
-def _pack_columns(cols: list[np.ndarray], radices: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(cols[0])
-    for j, col in enumerate(cols):
-        out = out * radices[j] + col
-    return out
+    radices = np.array(radices, dtype=np.int64)
+    grid = np.zeros((len(c), 1), dtype=np.int64)
+    for i, a in enumerate(sets):
+        window = slice(i * d, (i + 1) * d)
+        rel = a.coords[None] + shift[:, None]                 # |C| x |A_i| x d
+        if g.is_cyclic:
+            rel %= radices[window]
+        part = _pack(rel - offsets[window], radices[window])  # |C| x |A_i|
+        slot_radix = int(np.prod(radices[window]))
+        grid = (grid[:, :, None] * slot_radix + part[:, None, :]).reshape(
+            len(c), grid.shape[1] * len(a))
+    return grid, offsets, radices
 
 
 def delta_sumset(sets: Sequence[GSet], b: GSet, sign: str = MINUS,
@@ -200,134 +231,12 @@ def delta_sumset(sets: Sequence[GSet], b: GSet, sign: str = MINUS,
     (A_k - x_k) is nonempty; with plus iff B n (x_1 - A_1) n ... is.
     Cardinalities give D_k(A) / S_k(A) when every set equals B.
     """
-    if not sets:
-        raise ValueError("need at least one factor set")
-    g = b.group
-    for a in sets:
-        _require_same_group(a, b)
-    k = len(sets)
-    d = g.dim
-    work = len(b) * math.prod(max(len(a), 1) for a in sets)
-    if work > caps.tuples:
-        raise CapExceededError(f"delta_sumset work {work} exceeds cap {caps.tuples}")
-
-    mats = [a.coords for a in sets]
-    bmat = b.coords
-    mods = np.array(g.moduli, dtype=np.int64) if g.is_cyclic else None
-
-    # per-slot coordinate windows over all translates
-    mins, maxs = [], []
-    for i in range(k):
-        for ax in range(d):
-            if g.is_cyclic:
-                mins.append(0)
-                maxs.append(g.moduli[ax] - 1)
-            else:
-                lo_a = int(mats[i][:, ax].min()) if len(mats[i]) else 0
-                hi_a = int(mats[i][:, ax].max()) if len(mats[i]) else 0
-                lo_b = int(bmat[:, ax].min()) if len(bmat) else 0
-                hi_b = int(bmat[:, ax].max()) if len(bmat) else 0
-                if sign == MINUS:
-                    mins.append(lo_a - hi_b)
-                    maxs.append(hi_a - lo_b)
-                else:
-                    mins.append(lo_a + lo_b)
-                    maxs.append(hi_a + hi_b)
-    offsets, radices = _slot_layout(g, mins, maxs)
-
-    chunks = []
-    for bi in range(len(bmat)):
-        bvec = bmat[bi]
-        acc: np.ndarray | None = None
-        for i in range(k):
-            shifted = mats[i] - bvec if sign == MINUS else mats[i] + bvec
-            if g.is_cyclic:
-                shifted = shifted % mods
-            cols = [shifted[:, ax] - offsets[i * d + ax] for ax in range(d)]
-            part = _pack_columns(cols, radices[i * d:(i + 1) * d])
-            # fold this slot into the accumulated prefix
-            slot_radix = int(np.prod(radices[i * d:(i + 1) * d]))
-            if acc is None:
-                acc = part
-            else:
-                acc = (acc[:, None] * slot_radix + part[None, :]).ravel()
-        if acc is not None:
-            chunks.append(acc)
-    if not chunks or any(len(a) == 0 for a in mats) or len(bmat) == 0:
-        packed = np.zeros(0, dtype=np.int64)
-    else:
-        packed = np.unique(np.concatenate(chunks))
-    return TupleSet(g, k, packed, offsets, radices)
-
-
-def _unpack_coords(t: TupleSet) -> np.ndarray:
-    """n x (arity*dim) coordinate rows of a packed tuple set."""
-    vals = t.packed.copy()
-    cols = []
-    for radix in t.radices[::-1]:
-        cols.append(vals % radix)
-        vals = vals // radix
-    if not cols:
-        return np.zeros((len(t.packed), 0), dtype=np.int64)
-    return np.stack(cols[::-1], axis=1) + t.offsets
-
-
-def diagonal_translate_family(t: TupleSet, c_set: GSet, sign: str = PLUS) -> list[np.ndarray]:
-    """Packed values of T +- Delta(c) for every c in C, in one shared window
-    so values from different translates are directly comparable."""
-    g = t.group
-    if len(t) == 0 or len(c_set) == 0:
-        return [np.zeros(0, dtype=np.int64) for _ in c_set]
-    coords = _unpack_coords(t)
-    cmat = c_set.coords
-    if g.is_cyclic:
-        offsets = np.zeros(coords.shape[1], dtype=np.int64)
-        radices = np.tile(np.array(g.moduli, dtype=np.int64), t.arity)
-        mods = radices
-    else:
-        tiled_lo = np.tile(cmat.min(axis=0), t.arity)
-        tiled_hi = np.tile(cmat.max(axis=0), t.arity)
-        if sign == PLUS:
-            lo = coords.min(axis=0) + tiled_lo
-            hi = coords.max(axis=0) + tiled_hi
-        else:
-            lo = coords.min(axis=0) - tiled_hi
-            hi = coords.max(axis=0) - tiled_lo
-        offsets, radices = _slot_layout(g, lo, hi)
-        mods = None
-    out = []
-    for c in cmat:
-        delta = np.tile(c, t.arity)
-        shifted = coords + delta if sign == PLUS else coords - delta
-        if mods is not None:
-            shifted = shifted % mods
-        rel = shifted - offsets
-        packed = np.zeros(len(rel), dtype=np.int64)
-        for j in range(rel.shape[1]):
-            packed = packed * radices[j] + rel[:, j]
-        out.append(packed)
-    return out
-
-
-def delta_translate(t: TupleSet, c, sign: str = PLUS) -> np.ndarray:
-    """Packed values of T +- Delta(c) for one element (cyclic groups keep the
-    fundamental-domain window, so results are comparable between calls)."""
-    return diagonal_translate_family(t, GSet(t.group, [c]), sign)[0]
-
-
-def delta_sumset_tupleset(t: TupleSet, c_set: GSet, sign: str = PLUS) -> int:
-    """|T +- Delta(C)| for an arbitrary tuple set T (cardinality only)."""
-    if len(t) == 0 or len(c_set) == 0:
-        return 0
-    chunks = diagonal_translate_family(t, c_set, sign)
-    return len(np.unique(np.concatenate(chunks)))
-
-
-def product_tupleset(sets: Sequence[GSet], caps: Caps = DEFAULT_CAPS) -> TupleSet:
-    """Plain Cartesian product A_1 x ... x A_k as a TupleSet."""
-    g = sets[0].group
-    zero = GSet(g, [groups.zero(g)])
-    return delta_sumset(list(sets), zero, MINUS, caps)
+    grid, offsets, radices = _translate_grid(sets, b, sign, caps)
+    vals = grid.ravel()
+    vals.sort()
+    first = np.ones(len(vals), dtype=bool)
+    first[1:] = vals[1:] != vals[:-1]
+    return TupleSet(b.group, len(sets), vals[first], offsets, radices)
 
 
 def d_k(a: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> int:
@@ -368,18 +277,18 @@ def basis_depth_test(b: GSet, k: int, sign: str = MINUS,
 # magnification ratios
 
 
-def _magnification_search(ids_per_elem: list[np.ndarray]) -> tuple[Fraction, tuple[int, ...]]:
-    """Exact min over nonempty Z of |union of chosen id sets| / |Z|.
+def _magnification_search(grid: np.ndarray) -> tuple[Fraction, tuple[int, ...]]:
+    """Exact min over nonempty Z of |union of the chosen rows' ids| / |Z|.
 
-    Each element's ids become one Python-int bitmask over the compacted ids,
+    Each row's ids become one Python-int bitmask over the compacted ids,
     so a union is an OR and its size a popcount; ratios are compared by
     integer cross-multiplication.  Supersets are pruned once |B+Z|/|A|
     already exceeds the incumbent ratio.
     """
-    n_elems = len(ids_per_elem)
-    ids, compact = np.unique(np.concatenate(ids_per_elem), return_inverse=True)
+    n_elems = len(grid)
+    ids, compact = np.unique(grid, return_inverse=True)
     masks = []
-    for part in np.split(compact.ravel(), np.cumsum([len(x) for x in ids_per_elem])[:-1]):
+    for part in compact.reshape(grid.shape):
         bits = np.zeros(len(ids), dtype=bool)
         bits[part] = True
         masks.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
@@ -407,8 +316,6 @@ def magnification(a: GSet, b: GSet, caps: Caps = DEFAULT_CAPS) -> tuple[Fraction
         raise ValueError("magnification needs a nonempty A")
     if not b:
         raise ValueError("magnification needs a nonempty B")
-    if len(a) > caps.subsets:
-        raise CapExceededError(f"|A| = {len(a)} exceeds subset cap {caps.subsets}")
     return magnification_k(a, b, 1, caps)
 
 
@@ -421,10 +328,7 @@ def magnification_k(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> tupl
         raise ValueError("magnification needs nonempty sets")
     if len(a) > caps.subsets:
         raise CapExceededError(f"|A| = {len(a)} exceeds subset cap {caps.subsets}")
-    if len(b) ** k * len(a) > caps.tuples:
-        raise CapExceededError("B^k tuple space exceeds cap")
-    bk = product_tupleset([b] * k, caps)
-    ids = diagonal_translate_family(bk, a, PLUS)
-    ratio, chosen = _magnification_search(ids)
+    grid, _, _ = _translate_grid([b] * k, a, PLUS, caps)   # row z: B^k + Delta(z)
+    ratio, chosen = _magnification_search(grid)
     witness = GSet(a.group, a.coords[list(chosen)])
     return ratio, witness

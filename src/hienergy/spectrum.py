@@ -32,9 +32,6 @@ class SpectrumTable:
         xi = groups.as_elem(self.group, xi)
         return complex(self.array[xi])
 
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.array).ravel()
-
     def to_csv(self) -> str:
         lines = ["xi,re,im,abs"]
         for xi in groups.enumerate_elements(self.group):

@@ -44,6 +44,18 @@ def test_c14_vacuous_and_real():
     assert r3.passed
 
 
+def test_c9_counts_the_nonzero_large_spectrum():
+    # on dense8 only the zero frequency is large, and the right side is 0.46 < 1
+    dense8 = GSet(cyclic(8), [0, 1, 2, 3, 4, 5, 6])
+    r = run_check("C9", {"a": dense8, "alpha": 0.5, "k": 1})
+    assert r.lhs == 0 and r.passed
+    # the subgroup 8Z/64 has the 7 nonzero multiples of 8 as its large spectrum
+    sub = GSet(cyclic(64), range(0, 64, 8))
+    for k in (1, 2):
+        r = run_check("C9", {"a": sub, "alpha": 0.75, "k": k})
+        assert r.lhs == 7 and r.passed and r.lhs > 0.35 * r.rhs
+
+
 def test_c29_c30_on_dense_basis():
     g = cyclic(8)
     dense = GSet(g, [0, 1, 2, 3, 4, 5, 6])

@@ -19,6 +19,8 @@ from hienergy.setops import (CapExceededError, Caps, MINUS, PLUS, basis_depth_te
 def rand_gset(rng, g, size):
     if g.is_cyclic:
         return GSet(g, [groups.from_flat(g, v) for v in rng.sample(range(g.order), size)])
+    if g.dim == 2:
+        return GSet(g, [(v // 9 - 4, v % 9 - 4) for v in rng.sample(range(81), size)])
     return GSet(g, rng.sample(range(40), size))
 
 
@@ -87,7 +89,7 @@ def test_delta_sumset_examples():
 def test_delta_sumset_against_oracle():
     rng = random.Random(11)
     for _ in range(25):
-        g = rng.choice([cyclic(12), cyclic(3, 4), lattice(1)])
+        g = rng.choice([cyclic(12), cyclic(3, 4), lattice(1), lattice(2)])
         k = rng.randint(1, 3)
         sets = [rand_gset(rng, g, rng.randint(1, 4)) for _ in range(k)]
         b = rand_gset(rng, g, rng.randint(1, 4))
@@ -97,6 +99,20 @@ def test_delta_sumset_against_oracle():
                                            [set(s.elems) for s in sets], set(b.elems), sign)
         assert len(t) == len(want)
         assert set(t) == want  # decode round-trip
+
+
+def test_dk_sk_slice_identity():
+    # D_k(A) = sum over s in (A-A)^(k-1) of |A - A_s| and S_k(A) = sum_s |A + A_s|: the
+    # right sides run through stabilizer_slice and diffset/sumset, the left through the kernel
+    rng = random.Random(23)
+    for g in (cyclic(12), cyclic(3, 4), lattice(1)):
+        for _ in range(8):
+            a = rand_gset(rng, g, rng.randint(1, 6))
+            diffs = diffset(a, a).elems
+            for k in (1, 2, 3):
+                slices = [stabilizer_slice(a, s) for s in itertools.product(diffs, repeat=k - 1)]
+                assert d_k(a, k) == sum(len(diffset(a, x)) for x in slices)
+                assert s_k(a, k) == sum(len(sumset(a, x)) for x in slices)
 
 
 def test_delta_sumset_k1_agrees_with_diffset_sumset():
@@ -115,9 +131,13 @@ def test_tupleset_membership_and_decode():
     a = zset([0, 1, 3])
     t = delta_sumset([a, a], a, MINUS)
     assert ((0,), (0,)) in t
-    assert (((0,), (0,)),) != None and (((7,), (0,))) not in t
     listed = set(t)
     assert len(listed) == len(t)
+    assert all(tup in t for tup in listed)
+    # (3, -3) lies in the window [-3, 3]^2 but needs 3 - x and -3 - x both in {0, 1, 3}
+    assert ((3,), (-3,)) not in t and ((-3,), (-3,)) in t
+    assert ((7,), (0,)) not in t and ((0,), (-4,)) not in t   # outside the window
+    assert ((0,),) not in t                                     # wrong arity
 
 
 def test_restricted_sum():
@@ -215,7 +235,7 @@ def test_magnification_k_examples():
 
 def test_magnification_matches_oracle():
     rng = random.Random(7)
-    for g in (cyclic(16), cyclic(4, 8), lattice(1)):
+    for g in (cyclic(16), cyclic(4, 8), lattice(1), lattice(2)):
         mods = g.moduli if g.is_cyclic else None
         for _ in range(6):
             a = rand_gset(rng, g, rng.randint(1, 8))

@@ -1,7 +1,32 @@
 """Constructive procedures: popular differences, the difference-set transfer
 A - A_s <= D n (D+s), intersection/robust-core selection, both structured
 subset extraction pipelines, small-T_3 covering, almost-period search, and
-configuration / covering sweeps."""
+configuration / covering sweeps.
+
+Everything runs on the sorted int64 rows of ``GSet.coords`` and on
+``ConvTable`` arrays.  Two identities turn the L2 defects of the
+almost-period search into one entry of a correlation each, with
+(f o g)(x) = sum_y f(y) g(y + x):
+
+* Shift defect.  For a finitely supported c (here c = A*B),
+  sum_x (c(x) - c(x+t))^2 = 2((c o c)(0) - (c o c)(t)): expand the square,
+  and sum_x c(x+t)^2 = sum_x c(x)^2 = (c o c)(0).  Off the window of a
+  lattice table (c o c)(t) = 0, so one correlation serves every t, cyclic
+  or lattice.
+
+* Translated-sequence defect.  Let X be a sequence of k elements of G with
+  multiplicity function mu_X, c = mu_X * B and d = A*B (integer tables).
+  X approximates when ||c/k - d/|A|||_2^2 <= 2|B|/k, that is when
+  sum_y (|A| c(y) - k d(y))^2 <= 2|A|^2|B|k.  Translating X by x translates
+  c by x, so the defect of X + x is sum_y (|A| c(y-x) - k d(y))^2
+  = |A|^2|c|^2 + k^2|d|^2 - 2|A|k sum_y c(y-x) d(y), and
+  sum_y c(y-x) d(y) = sum_z c(z) d(z+x) = (c o d)(x).  So X + x approximates
+  iff (c o d)(x) >= (|A|^2|c|^2 + k^2|d|^2 - 2|A|^2|B|k) / (2|A|k).  With
+  c(y) = sum_i B(y - s_i), both terms are sums over the sequence:
+  (c o d)(x) = sum_i (B o d)(s_i + x) and |c|^2 = sum_(i,j) (B o B)(s_i - s_j).
+  Two correlations, B o d and B o B, taken once, decide every sequence and
+  every x.
+"""
 
 from __future__ import annotations
 
@@ -15,8 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from . import groups, moments, setops
-from .groups import Elem, GroupSpec, InvariantError
-from .gset import GSet, as_rows
+from .groups import Elem, InvariantError
+from .gset import GSet, as_rows, full_group
 from .moments import EnergyProfile
 
 
@@ -69,31 +94,23 @@ def popular_set(a: GSet, threshold: Fraction | float | None = None) -> GSet:
     """
     if not a:
         raise ValueError("popular set needs a nonempty A")
-    corr = moments.correlate(a, a)
+    points, values = moments.correlate(a, a).support_rows()
     default = threshold is None
     if default:
-        d_size = corr.support_size()  # |A - A|
-        threshold = Fraction(len(a) ** 2, 2 * d_size)
+        threshold = Fraction(len(a) ** 2, 2 * len(values))  # |A - A| support points
     if isinstance(threshold, float):
         threshold = Fraction(threshold).limit_denominator(10 ** 12)
-    picked = []
-    kept_mass = 0
-    for elem, v in corr.support():
-        if v >= threshold:
-            picked.append(elem)
-            kept_mass += v
-    out = GSet(a.group, picked)
-    if default and 2 * kept_mass < len(a) ** 2:
+    keep = values >= math.ceil(threshold)   # counts are integers; no product is formed
+    if default and 2 * int(values[keep].sum()) < len(a) ** 2:
         raise InvariantError("popular mass fell below |A|^2/2")
-    return out
+    return GSet(a.group, points[keep])
 
 
 def katz_koester(a: GSet, s, sign: str = setops.MINUS) -> tuple[GSet, bool]:
     """A -+ A_s together with the verified containment inside D n (D +- s),
     where D = A -+ A.  The containment is unconditional; the flag records the
     explicit re-check."""
-    g = a.group
-    s = groups.as_elem(g, s)
+    s = as_rows(a.group, [s])[0]
     a_s = setops.stabilizer_slice(a, [s])
     if not a_s:
         return a_s, True
@@ -104,7 +121,7 @@ def katz_koester(a: GSet, s, sign: str = setops.MINUS) -> tuple[GSet, bool]:
     else:
         moved = setops.sumset(a, a_s)
         d = setops.sumset(a, a)
-        window = d.intersect(d.translate(groups.op_neg(g, s)))
+        window = d.intersect(d.translate(-s))
     return moved, moved.issubset(window)
 
 
@@ -112,17 +129,14 @@ def katz_koester(a: GSet, s, sign: str = setops.MINUS) -> tuple[GSet, bool]:
 # intersection selection machinery
 
 
-def _family_masks(family: Sequence[GSet], universe: GSet) -> list[int]:
-    pos = {e: i for i, e in enumerate(universe.elems)}
-    masks = []
-    for s in family:
-        m = 0
-        for e in s.elems:
-            if e not in pos:
-                raise ValueError("family member leaves the universe")
-            m |= 1 << pos[e]
-        masks.append(m)
-    return masks
+def _membership(family: Sequence[GSet], universe: GSet) -> tuple[np.ndarray, np.ndarray]:
+    """(member, inter): the n x m table of u_j in S_i, and the n x n table
+    of |S_i n S_j| from one float64 product, exact while m < 2^53."""
+    member = np.array([s.isin(universe.coords) for s in family], dtype=bool)
+    if member.sum() != sum(len(s) for s in family):
+        raise ValueError("family member leaves the universe")
+    dense = member.astype(np.float64)
+    return member, (dense @ dense.T).astype(np.int64)
 
 
 def intersection_select(family: Sequence[GSet], universe: GSet, delta: float,
@@ -137,33 +151,22 @@ def intersection_select(family: Sequence[GSet], universe: GSet, delta: float,
     m = len(universe)
     if n == 0 or m == 0:
         raise ValueError("need a nonempty family and universe")
-    masks = _family_masks(family, universe)
-    total_pairs = 0
-    k_masks = [0] * m
-    for i, mask in enumerate(masks):
-        rem = mask
-        while rem:
-            low = rem & -rem
-            k_masks[low.bit_length() - 1] |= 1 << i
-            rem ^= low
-    total_pairs = sum(km.bit_count() ** 2 for km in k_masks)
+    member, inter = _membership(family, universe)
+    # sum_(i,j) |S_i n S_j| = sum over the columns alpha of |K_alpha|^2
+    total_pairs = int((member.sum(axis=0) ** 2).sum())
     if total_pairs < delta * delta * m * n * n * (1 - 1e-12):
         raise ExtractionError(
             f"selection precondition fails: sum |S_i n S_j| = {total_pairs} "
             f"< delta^2 m n^2 = {delta * delta * m * n * n}")
     size_floor = delta * n / math.sqrt(2)
     pair_floor = eta * delta * delta * m / 2
-    for a_idx, km in enumerate(k_masks):
-        members = [i for i in range(n) if km >> i & 1]
+    for a_idx in range(m):
+        members = np.flatnonzero(member[:, a_idx])
         if len(members) < size_floor:
             continue
-        good = 0
-        for i in members:
-            for j in members:
-                if (masks[i] & masks[j]).bit_count() >= pair_floor:
-                    good += 1
+        good = int((inter[np.ix_(members, members)] >= pair_floor).sum())
         if good >= (1 - eta) * len(members) ** 2:
-            return members, universe.elems[a_idx]
+            return members.tolist(), universe.elems[a_idx]
     raise ExtractionError("no column of the membership table satisfies both selection bounds")
 
 
@@ -175,26 +178,29 @@ def robust_core(family: Sequence[GSet], universe: GSet, delta: float) -> list[in
     n = len(family)
     m = len(universe)
     j_set, _alpha = intersection_select(family, universe, delta, eta)
-    masks = _family_masks(family, universe)
-    floor = delta * delta * m / 16  # 2^-4 delta^2 m
-    v_rows = {i: {j for j in j_set if (masks[i] & masks[j]).bit_count() >= floor}
-              for i in j_set}
+    strong = _membership(family, universe)[1] >= delta * delta * m / 16  # 2^-4 delta^2 m
     need = 0.75 * len(j_set)
-    core = [i for i in j_set if len(v_rows[i]) >= need]
+    core = [i for i in j_set if strong[i, j_set].sum() >= need]
     if len(core) < delta * n / 32 * (1 - 1e-12):
         raise InvariantError("robust core fell below 2^-5 delta n")
     partner_floor = delta * n / 4
-    strong = [set(j for j in range(n) if (masks[i] & masks[j]).bit_count() >= floor)
-              for i in range(n)]
-    for i in core:
-        for j in core:
-            if len(strong[i] & strong[j]) < partner_floor * (1 - 1e-12):
-                raise InvariantError("two-step connectivity failed on the core")
+    # the partners shared by i and j: entry (i, j) of strong strong^T
+    rows = strong[core].astype(np.float64)
+    if (rows @ rows.T < partner_floor * (1 - 1e-12)).any():
+        raise InvariantError("two-step connectivity failed on the core")
     return core
 
 
 # ---------------------------------------------------------------------------
 # structured-subset pipelines
+
+
+def _popularity_family(a: GSet, corr: moments.ConvTable, e: int) -> np.ndarray:
+    """|A| x |A| incidence matrix of 2|A|^2 (A o A)(x - y) >= e, rows x and
+    columns y in the order of A, from one gather of corr = A o A."""
+    n = len(a)
+    diffs = (a.coords[:, None] - a.coords[None]).reshape(-1, a.group.dim)
+    return corr.values_at(diffs).reshape(n, n) >= -(-e // (2 * n * n))   # integer ceiling
 
 
 def _doubling_from_energy(a: GSet) -> tuple[int, Fraction]:
@@ -219,15 +225,11 @@ def bsg_extract(a: GSet, eps: float = 1.0) -> ExtractionReport:
     rep = ExtractionReport("bsg1", profile.as_dict(), {"eps": eps})
     rep.add_stage("normalize", K=k_val, M=m_val, E2=e2, E2_eps=float(e2e))
 
-    corr = moments.correlate(a, a)
     g = a.group
     # S_a via the exact comparison 2|A|^2 (A o A)(a-b) >= E_2
-    fam = []
-    mass = 0
-    for x in a.elems:
-        members = [y for y in a.elems if 2 * n * n * corr.value(groups.op_sub(g, x, y)) >= e2]
-        mass += len(members)
-        fam.append(GSet(g, members))
+    incidence = _popularity_family(a, moments.correlate(a, a), e2)
+    fam = [GSet(g, a.coords[row]) for row in incidence]
+    mass = int(incidence.sum())
     floor = n * n / (2 ** ((1 + eps) / eps) * m_val ** (1 / eps))
     if mass < floor * (1 - 1e-9):
         raise InvariantError(f"popularity mass {mass} fell below the forced bound {floor}")
@@ -235,7 +237,7 @@ def bsg_extract(a: GSet, eps: float = 1.0) -> ExtractionReport:
 
     delta = 2 ** (-(1 + eps) / eps) * m_val ** (-1 / eps)
     core = robust_core(fam, a, delta)
-    a_prime = GSet(g, [a.elems[i] for i in core])
+    a_prime = GSet(g, a.coords[core])
     rep.add_stage("core", delta=delta, size=len(a_prime))
     rep.store_set("A_prime", a_prime)
 
@@ -270,8 +272,7 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
 
     # popular differences at level |A|/(2K) = E_2/(2|A|^2)
     p_set = popular_set(a, Fraction(e2, 2 * n * n))
-    corr = moments.correlate(a, a)
-    p_mass = sum(corr.value(s) for s in p_set)
+    p_mass = int(moments.correlate(a, a).values_at(p_set.coords).sum())
     forced = (e2 / 2) ** ((2 + eps) / (1 + eps)) / float(e3e) ** (1 / (1 + eps))
     if p_mass < forced * (1 - 1e-9):
         raise InvariantError(f"popular mass {p_mass} fell below the forced bound {forced}")
@@ -283,24 +284,22 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
     sample = list(p_set.elems)
     rng.shuffle(sample)
     checks = []
-    s_fam = {x: GSet(g, [y for y in a.elems if groups.op_sub(g, x, y) in p_set.as_set])
-             for x in a.elems}
     p_corr = moments.correlate(p_set, p_set)
     for s in sample[:6]:
-        a_s = setops.stabilizer_slice(a, [s])
-        union: set[Elem] = set()
-        incidence = 0
-        for x in a_s.elems:
-            x_shift = groups.op_sub(g, x, s)
-            both = s_fam[x].intersect(s_fam.get(x_shift, GSet(g, [])))
-            incidence += len(both)
-            union.update(groups.op_sub(g, x, b) for b in both.elems)
-        window = p_set.intersect(p_set.translate(s))
-        contained = all(u in window.as_set for u in union)
+        s_row = as_rows(g, [s])
+        a_s = setops.stabilizer_slice(a, s_row)
+        # x in A_s puts x + s in A; with u = x - y (y in A), y lies in
+        # S_x n S_(x+s) iff u and u + s are in P, so every such u is in P n (P - s)
+        u = as_rows(g, (a_s.coords[:, None] - a.coords[None]).reshape(-1, g.dim))
+        both = p_set.isin(u) & p_set.isin(as_rows(g, u + s_row))
+        incidence = int(both.sum())
+        union = GSet(g, u[both])
+        contained = union.issubset(p_set.intersect(p_set.translate(-s_row[0])))
         e_pair = moments.energy_pair(a_s, a) if a_s else 1
         cs_ok = len(union) * e_pair >= incidence ** 2
-        pp_ok = p_corr.value(s) >= len(union)
-        checks.append({"s": list(s), "contained": contained, "cs_ok": cs_ok, "pp_ok": pp_ok})
+        pp_ok = int(p_corr.values_at(s_row)[0]) >= len(union)   # (P o P)(s) = |P n (P - s)|
+        checks.append({"s": list(s), "contained": contained, "cs_ok": cs_ok, "pp_ok": pp_ok,
+                       "incidence": incidence})
         if not (contained and cs_ok and pp_ok):
             raise InvariantError(f"difference-set transfer failed at shift {s}")
     rep.add_stage("transfer_checks", samples=checks)
@@ -308,30 +307,21 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
     # selection machinery on the popular set itself
     ep = moments.energy_k(p_set, 2)
     kp = Fraction(len(p_set) ** 3, ep)
-    fam = []
     p_n = len(p_set)
-    for q in p_set.elems:
-        members = [r for r in p_set.elems
-                   if 2 * p_n * p_n * p_corr.value(groups.op_sub(g, q, r)) >= ep]
-        fam.append(GSet(g, members))
-    pair_total = 0
-    masks = _family_masks(fam, p_set)
-    for mi in masks:
-        for mj in masks:
-            pair_total += (mi & mj).bit_count()
+    incidence = _popularity_family(p_set, p_corr, ep)
+    fam = [GSet(g, p_set.coords[row]) for row in incidence]
+    # sum_(i,j) |S_i n S_j| counts, for each column, the ordered pairs of its rows
+    pair_total = int((incidence.sum(axis=0) ** 2).sum())
     delta_p = math.sqrt(pair_total / (p_n ** 3))
     core = robust_core(fam, p_set, delta_p)
-    p_prime = GSet(g, [p_set.elems[i] for i in core])
+    p_prime = GSet(g, p_set.coords[core])
     rep.add_stage("difference_core", K_P=float(kp), delta=delta_p, size=len(p_prime))
     rep.store_set("P_prime", p_prime)
 
-    # best translate pulls the structure back into A
-    best_x, best_hit = None, -1
-    for x in sorted({groups.op_sub(g, x, q) for x in a.elems for q in p_prime.elems}):
-        hit = sum(1 for e in a.elems if groups.op_sub(g, e, x) in p_prime.as_set)
-        if hit > best_hit:
-            best_x, best_hit = x, hit
-    a_prime = GSet(g, [e for e in a.elems if groups.op_sub(g, e, best_x) in p_prime.as_set])
+    # best translate pulls the structure back into A: (P' o A)(x) = |A n (P' + x)|,
+    # and the first maximum in sorted order wins
+    best_x, best_hit = moments.correlate(p_prime, a).argmax()
+    a_prime = GSet(g, a.coords[p_prime.isin(as_rows(g, a.coords - best_x))])
     rep.add_stage("translate", x=list(best_x), overlap=best_hit)
     rep.store_set("A_prime", a_prime)
 
@@ -366,11 +356,10 @@ def small_t4_extract(a: GSet) -> ExtractionReport:
     rep = ExtractionReport("smallT4", profile.as_dict(), {})
     rep.add_stage("normalize", K=k_val, M=m_val, T3=t3, gamma=float(e3) / n ** 4)
 
-    corr = moments.correlate(a, a)
+    points, values = moments.correlate(a, a).support_rows()
     best_s, best_beta, best_slice = None, -1.0, None
-    for s, v in sorted(corr.support()):
-        if 2 * n ** 3 * v <= e3:  # needs |A_s| > gamma |A| / 2 strictly
-            continue
+    # needs |A_s| > gamma |A| / 2 strictly: 2|A|^3 v > E_3, for integer v
+    for s in points[values > e3 // (2 * n ** 3)]:
         a_s = setops.stabilizer_slice(a, [s])
         beta = moments.energy_pair(a, a_s) / (n * len(a_s) ** 2)
         if beta > best_beta:
@@ -380,7 +369,7 @@ def small_t4_extract(a: GSet) -> ExtractionReport:
         rep.notes.append("no slice above the gamma floor; degenerate covering with B = A")
     else:
         b = best_slice
-        rep.add_stage("slice", s=list(best_s), beta=best_beta, size=len(b))
+        rep.add_stage("slice", s=best_s.tolist(), beta=best_beta, size=len(b))
     rep.store_set("B", b)
 
     target = n / m_val ** 1.5
@@ -389,18 +378,14 @@ def small_t4_extract(a: GSet) -> ExtractionReport:
     chosen: list[Elem] = []
     covered = 0
     while covered < target and len(chosen) < n:
-        hits = moments.correlate(b, remaining)
-        best_r, gain = None, 0
-        for r, v in sorted(hits.support()):
-            if v > gain:
-                best_r, gain = r, v
-        if best_r is None or gain < max(1.0, threshold):
+        # (B o R)(r) = |(B + r) n R|; the first maximum in sorted order wins
+        best_r, gain = moments.correlate(b, remaining).argmax()
+        if gain < max(1.0, threshold):
             break
         chosen.append(best_r)
-        shifted = b.translate(best_r)
-        remaining = GSet(g, [e for e in remaining.elems if e not in shifted.as_set])
+        remaining = GSet(g, remaining.coords[~b.translate(best_r).isin(remaining.coords)])
         covered = n - len(remaining)
-    r_set = GSet(g, chosen) if chosen else GSet(g, [groups.zero(g)])
+    r_set = GSet(g, chosen or [(0,) * g.dim])
     coverage = len(a) - len(remaining) if chosen else len(a.intersect(b))
     rep.store_set("R", r_set)
     rep.add_stage("cover", coverage=coverage, target=target, translates=len(r_set),
@@ -415,46 +400,35 @@ def small_t4_extract(a: GSet) -> ExtractionReport:
 # almost periods
 
 
+def _shift_defects(c: moments.ConvTable, shifts: np.ndarray) -> list[int]:
+    """sum_x (c(x) - c(x+t))^2 for each row t of shifts, read off one
+    correlation as 2((c o c)(0) - (c o c)(t)) (module docstring)."""
+    cc = moments.correlate(c, c)
+    at_zero = int(cc.values_at(np.zeros((1, c.group.dim), dtype=np.int64))[0])
+    return [2 * (at_zero - v) for v in cc.values_at(shifts).tolist()]
+
+
 def almost_period_check(a: GSet, b: GSet, t) -> int:
     """Exact squared L2 shift defect sum_x ((A*B)(x) - (A*B)(x+t))^2."""
     if a.group != b.group:
         raise groups.GroupError("almost-period operands live in different groups")
-    g = a.group
-    t = groups.as_elem(g, t)
-    table = moments.convolve(a, b)
-    if g.is_cyclic:
-        arr = table.array
-        shifted = arr
-        for ax, c in enumerate(t):
-            shifted = np.roll(shifted, -c, axis=ax)
-        return int(((arr - shifted) ** 2).sum(dtype=object))
-    support = {elem for elem, _ in table.support()}
-    points = support | {groups.op_sub(g, e, t) for e in support}
-    return sum((table.value(x) - table.value(groups.op_add(g, x, t))) ** 2 for x in points)
+    return _shift_defects(moments.convolve(a, b), as_rows(a.group, [t]))[0]
 
 
-def _sequence_conv(g: GroupSpec, seq: Sequence[Elem], b: GSet) -> moments.ConvTable:
-    rows = as_rows(g, seq)
-    lo = np.zeros(g.dim, dtype=np.int64) if g.is_cyclic else rows.min(axis=0)
-    shape = g.moduli if g.is_cyclic else tuple(int(s) for s in rows.max(axis=0) - lo + 1)
-    arr = np.zeros(shape, dtype=np.int64)
-    np.add.at(arr, tuple((rows - lo).T), 1)   # multiplicities of the sequence
-    table = moments.ConvTable(g, arr, tuple(int(v) for v in lo))
-    return moments.convolve(table, moments.ConvTable.from_gset(b))
+def _approximation_floor(seq: np.ndarray, bb: moments.ConvTable, n: int, k: int,
+                         nb: int, d_sq: int) -> int:
+    """Least (c o d)(x) at which X + x approximates, for the sequence X of
+    rows of seq, c = mu_X * B, bb = B o B and d_sq = |A*B|^2 (module
+    docstring).  |c|^2 = sum_(i,j) (B o B)(s_i - s_j) <= k^2 |B| in int64."""
+    c_sq = int(bb.values_at((seq[:, None] - seq[None]).reshape(-1, seq.shape[1])).sum())
+    return -(-(n * n * (c_sq - 2 * nb * k) + k * k * d_sq) // (2 * n * k))   # integer ceiling
 
 
-def _approximates(g: GroupSpec, seq: Sequence[Elem], a: GSet, b: GSet, k: int,
-                  base: moments.ConvTable) -> bool:
-    """Exact form of ||mu_X * B - A * B||_2^2 <= 2|A|^2|B|/k: the defect is
-    sum (|A| c - k d)^2 / k^2 with integer tables c, d."""
-    n = len(a)
-    conv = _sequence_conv(g, seq, b)
-    if g.is_cyclic:
-        lhs = int((((n * conv.array) - k * base.array) ** 2).sum(dtype=object))
-    else:
-        pts = {e for e, _ in conv.support()} | {e for e, _ in base.support()}
-        lhs = sum((n * conv.value(x) - k * base.value(x)) ** 2 for x in pts)
-    return lhs <= 2 * n * n * len(b) * k
+def _overlaps(seq: np.ndarray, bd: moments.ConvTable, points: np.ndarray) -> np.ndarray:
+    """(c o d)(x) = sum_i (B o d)(s_i + x) for each row x of points, with
+    bd = B o d; each sum is at most k |B| |A|."""
+    moved = (points[None] + seq[:, None]).reshape(-1, seq.shape[1])
+    return bd.values_at(moved).reshape(len(seq), len(points)).sum(axis=0)
 
 
 def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200, seed: int = 1,
@@ -473,18 +447,22 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200, seed: int = 1,
     if k < 1:
         raise ValueError("k must be >= 1")
     g = a.group
-    n = len(a)
+    n, nb = len(a), len(b)
     rng = random.Random(seed)
     base = moments.convolve(a, b)
+    d_sq = moments.energy_pair(a, b)
+    bb, bd = moments.correlate(b, b), moments.correlate(b, base)
+    origin = np.zeros((1, g.dim), dtype=np.int64)
     profile = EnergyProfile.from_set(a, ks=(2,))
     rep = ExtractionReport("cs", profile.as_dict(),
                            {"k": k, "trials": trials, "seed": seed})
 
-    good: list[tuple[Elem, ...]] = []
+    good: list[np.ndarray] = []
     hits = 0
     for _ in range(trials):
-        seq = tuple(rng.choice(a.elems) for _ in range(k))
-        if _approximates(g, seq, a, b, k, base):
+        seq = as_rows(g, [rng.choice(a.elems) for _ in range(k)])
+        # the defect of X itself: the identity at x = 0
+        if _overlaps(seq, bd, origin)[0] >= _approximation_floor(seq, bb, n, k, nb, d_sq):
             hits += 1
             good.append(seq)
     rate = hits / trials if trials else 0.0
@@ -493,24 +471,20 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200, seed: int = 1,
     if not good:
         raise ExtractionError(f"no approximating sample in {trials} trials")
 
-    shifts: list[tuple[Elem, ...]] = []
-    seen: set[tuple[Elem, ...]] = set()
+    shifts: list[np.ndarray] = []
+    seen: set[bytes] = set()
     for _ in range(shift_samples):
         seq = good[rng.randrange(len(good))]
-        base_pt = rng.choice(a.elems)
-        s = tuple(groups.op_sub(g, x, base_pt) for x in seq)
-        if s not in seen:
-            seen.add(s)
+        s = as_rows(g, seq - rng.choice(a.elems))
+        if s.tobytes() not in seen:
+            seen.add(s.tobytes())
             shifts.append(s)
-    slices: list[list[Elem]] = []
+    # A'_s: the x in A with every x + s_i in A whose translate X = s + x approximates
+    sets = []
     for s in shifts:
-        members = []
-        for x in a.elems:
-            moved = tuple(groups.op_add(g, si, x) for si in s)
-            if all(m in a.as_set for m in moved) and _approximates(g, moved, a, b, k, base):
-                members.append(x)
-        slices.append(members)
-    sets = [GSet(g, members) for members in slices]
+        cand = setops.stabilizer_slice(a, s).coords
+        floor = _approximation_floor(s, bb, n, k, nb, d_sq)
+        sets.append(GSet(g, cand[_overlaps(s, bd, cand) >= floor]))
     best = (-1, 0, 0)
     for i in range(len(shifts)):
         for j in range(len(shifts)):
@@ -526,18 +500,14 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200, seed: int = 1,
     if not t_raw.issubset(setops.diffset(a, a)):
         raise InvariantError("periods must come from A - A")
     rep.add_stage("shifts", sampled=len(shifts), pair=[i0, j0],
-                  shift_s0=[list(e) for e in shifts[i0]],
-                  shift_t0=[list(e) for e in shifts[j0]],
-                  slice_sizes=[len(s) for s in slices])
+                  shift_s0=shifts[i0].tolist(), shift_t0=shifts[j0].tolist(),
+                  slice_sizes=[len(s) for s in sets])
 
-    budget = 32 * n * n * len(b)
-    valid, violations = [], []
-    for t in t_raw.elems:
-        if k * almost_period_check(a, b, t) <= budget:
-            valid.append(t)
-        else:
-            violations.append(list(t))
-    t_set = GSet(g, valid)
+    # every member of T against the 32|A|^2|B|/k budget, from one correlation of A*B
+    budget = 32 * n * n * nb
+    within = np.array([k * v <= budget for v in _shift_defects(base, t_raw.coords)], dtype=bool)
+    t_set = GSet(g, t_raw.coords[within])
+    violations = t_raw.coords[~within].tolist()
     rep.store_set("T", t_set)
     if violations:
         rep.ok = False
@@ -571,14 +541,17 @@ def find_configuration(a: GSet, coeffs: Sequence[int], sign: str = setops.MINUS
     if not coeffs or all(c == 0 for c in coeffs):
         raise ValueError("coefficients must not be all zero")
     target = setops.diffset(a, a) if sign == setops.MINUS else setops.sumset(a, a)
-    member = target.as_set
-    zero_elem = groups.zero(g)
-    for x in groups.enumerate_elements(g):
-        for d in groups.enumerate_elements(g):
-            if d == zero_elem:
-                continue
-            if all(groups.op_add(g, x, groups.op_scale(g, c, d)) in member for c in coeffs):
-                return x, d
+    member = target.indicator()
+    mods = np.array(g.moduli, dtype=np.int64)
+    points = full_group(g).coords   # lexicographic; row 0 is the zero element
+    # c_i d for every d != 0, c_i reduced first so entries stay below n^2
+    reduced = np.array([[c % m for m in g.moduli] for c in coeffs], dtype=np.int64)
+    steps = reduced[:, None] * points[None, 1:] % mods   # |coeffs| x (N - 1) x dim
+    for x in points:
+        hit = member[tuple(np.moveaxis((steps + x) % mods, -1, 0))].all(axis=0)
+        j = int(np.argmax(hit))
+        if hit[j]:
+            return tuple(x.tolist()), tuple(points[j + 1].tolist())
     return None
 
 
@@ -593,8 +566,7 @@ def nb_cover(b: GSet, cap: int = 64) -> int | None:
         raise groups.GroupError("covering number needs a finite group")
     if not b:
         return None
-    base = b.elems[0]
-    b0 = b.translate(groups.op_neg(g, base))
+    b0 = GSet(g, b.coords - b.coords[0])
     n_amb = g.order
     current = b0
     for n in range(1, cap + 1):

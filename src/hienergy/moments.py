@@ -70,13 +70,22 @@ class ConvTable:
             return 0
         return int(self.array[idx])
 
-    def support(self) -> Iterator[tuple[Elem, int]]:
-        for idx in zip(*np.nonzero(self.array)):
-            coords = tuple(int(i + o) for i, o in zip(idx, self.offset))
-            yield coords, int(self.array[idx])
+    def support_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(points, values) of the nonzero entries: a len x dim coordinate
+        matrix in lexicographic order (the window's row-major order), and
+        the entries at those points."""
+        idx = np.argwhere(self.array)
+        return idx + np.array(self.offset, dtype=np.int64), self.array[tuple(idx.T)]
 
-    def support_size(self) -> int:
-        return int(np.count_nonzero(self.array))
+    def support(self) -> Iterator[tuple[Elem, int]]:
+        points, values = self.support_rows()
+        return zip(map(tuple, points.tolist()), values.tolist())
+
+    def argmax(self) -> tuple[Elem, int]:
+        """The first maximum in the lexicographic order of its point, and its value."""
+        i = int(np.argmax(self.array))   # row-major order is lexicographic
+        point = np.unravel_index(i, self.array.shape)
+        return tuple(int(p + o) for p, o in zip(point, self.offset)), int(self.array.flat[i])
 
     def total(self) -> int:
         return _total(self.array)
@@ -236,9 +245,6 @@ def _fft(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None) 
     if (int(out.sum()) - int(fa.sum()) * int(ga.sum())) % (1 << 64):   # checked mod 2^64
         raise ArithmeticError("FFT convolution broke the mass identity sum(f*g) = sum(f) sum(g)")
     return out
-
-
-_direct_cyclic, _fft_cyclic = _direct, _fft   # the paths under their cyclic-only names
 
 
 def _conv(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None) -> np.ndarray:

@@ -71,13 +71,12 @@ def iterated(a: GSet, n: int, m: int) -> GSet:
 
 
 def stabilizer_slice(a: GSet, s: Sequence) -> GSet:
-    """A_s = A n (A - s_1) n ... n (A - s_j); empty s gives A itself."""
-    out = a
-    for si in GSet(a.group, s).coords:
-        out = out.intersect(GSet(a.group, a.coords - si))
-        if not out:
-            break
-    return out
+    """A_s = A n (A - s_1) n ... n (A - s_j), the x in A with every x + s_i
+    in A: one membership mask over the |s| x |A| translated rows.  Empty s
+    gives A itself."""
+    shifts = GSet(a.group, s).coords
+    moved = as_rows(a.group, (shifts[:, None] + a.coords[None]).reshape(-1, a.group.dim))
+    return GSet(a.group, a.coords[a.isin(moved).reshape(len(shifts), len(a)).all(axis=0)])
 
 
 def restricted_sum(a: GSet, b: GSet, edges: Iterable[tuple], sign: str = MINUS) -> GSet:
@@ -94,7 +93,7 @@ def restricted_sum(a: GSet, b: GSet, edges: Iterable[tuple], sign: str = MINUS) 
     return GSet(g, x - y if sign == MINUS else x + y)
 
 
-def greedy_completion(a: GSet, caps: Caps = DEFAULT_CAPS) -> GSet:
+def greedy_completion(a: GSet) -> GSet:
     """Greedy X with A + X = G; |X| <= ceil((N/|A|)(ln N + 1)) by set cover."""
     g = a.group
     if not g.is_cyclic:

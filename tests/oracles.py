@@ -54,13 +54,45 @@ def oracle_energy_k(mods, a, k):
     return sum(c ** k for c in counts.values())
 
 
-def oracle_energy_pair(mods, a, b):
+def sum_counts(mods, a, b):
+    """(A*B)(x) = #{(u, v) in A x B : u + v = x}."""
     sums = {}
     for u in a:
         for v in b:
             x = add(mods, u, v)
             sums[x] = sums.get(x, 0) + 1
-    return sum(c ** 2 for c in sums.values())
+    return sums
+
+
+def oracle_energy_pair(mods, a, b):
+    return sum(c ** 2 for c in sum_counts(mods, a, b).values())
+
+
+def oracle_shift_defect(mods, a, b, t):
+    """sum_x ((A*B)(x) - (A*B)(x+t))^2, by definition: over every x at which
+    either term is nonzero."""
+    c = sum_counts(mods, a, b)
+    points = set(c) | {sub(mods, x, t) for x in c}
+    return sum((c.get(x, 0) - c.get(add(mods, x, t), 0)) ** 2 for x in points)
+
+
+def oracle_sequence_defect(mods, seq, a, b, k):
+    """sum_y (|A| c(y) - k d(y))^2 with c(y) = #{(i, v) : s_i + v = y, v in B}
+    over the sequence (repeats counted) and d = A*B."""
+    c = sum_counts(mods, seq, b)   # seq is a list, so a repeated s_i counts twice
+    d = sum_counts(mods, a, b)
+    n = len(a)
+    return sum((n * c.get(y, 0) - k * d.get(y, 0)) ** 2 for y in set(c) | set(d))
+
+
+def oracle_first_configuration(mods, target, coeffs):
+    """First (x, d), d != 0, in lexicographic order with every x + c d in target."""
+    elems = list(itertools.product(*(range(n) for n in mods)))
+    for x in elems:
+        for d in elems[1:]:   # elems[0] is zero
+            if all(add(mods, x, tuple(c * di for di in d)) in target for c in coeffs):
+                return x, d
+    return None
 
 
 def oracle_energy_k_pair(mods, a, b, k):

@@ -114,13 +114,24 @@ def test_cap_exit_code(tmp_path, capsys):
     assert code == 3 and "cap" in err.lower()
 
 
-def test_byte_identical_reruns(tmp_path, capsys):
-    args = ["extract", "cs", "--recipe", "interval:n=12,N=64", "--k", "3",
-            "--trials", "80", "--seed", "5", "--out", str(tmp_path / "r.json")]
-    run_cli(capsys, *args)
-    first = (tmp_path / "r.json").read_bytes()
-    run_cli(capsys, *args)
-    assert (tmp_path / "r.json").read_bytes() == first
+@pytest.mark.parametrize("pipeline, extra", [
+    ("cs", ["--k", "3", "--trials", "80", "--seed", "5"]),
+    ("bsg2", ["--nm", "1,1", "--nm", "2,1", "--seed", "3"]),
+    ("smallT4", []),
+    ("config", ["--c", "1,-2,5", "--sign", "+"]),
+], ids=["cs", "bsg2", "smallT4", "config"])
+def test_byte_identical_reruns(tmp_path, capsys, pipeline, extra):
+    # the report file where the pipeline writes one, and stdout for every pipeline
+    out = tmp_path / "r.json"
+    args = ["extract", pipeline, "--recipe", "interval:n=12,N=64", *extra, "--out", str(out)]
+    runs = []
+    for _ in range(2):
+        code, stdout, _ = run_cli(capsys, *args)
+        assert code == 0 and stdout
+        runs.append((stdout, out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+    assert (runs[0][1] is None) == (pipeline == "config")
 
 
 def test_suite_cli(capsys):

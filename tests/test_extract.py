@@ -1,8 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+import oracles
 from hienergy import extract, groups, moments, setops
 from hienergy.extract import (ExtractionError, almost_period_check, bsg_extract,
                               bsg_extract_v2, cs_period_search, find_configuration,
@@ -15,6 +17,8 @@ from hienergy.gset import GSet, full_group, zset
 def rand_gset(rng, g, size):
     if g.is_cyclic:
         return GSet(g, [groups.from_flat(g, v) for v in rng.sample(range(g.order), size)])
+    if g.dim == 2:
+        return GSet(g, [(v // 9 - 4, v % 9 - 4) for v in rng.sample(range(81), size)])
     return GSet(g, rng.sample(range(40), size))
 
 
@@ -197,6 +201,45 @@ def test_bsg_v2_two_ap_union():
     assert a_prime.issubset(a) and len(a_prime) > 0
 
 
+def test_bsg_v2_transfer_samples_are_not_vacuous():
+    # for x in A_s = A n (A - s) the partner family is looked up at x + s, which lies in A,
+    # so every sample has incidence #{(x, y) in A_s x A : x - y, x + s - y in P} > 0
+    rng = random.Random(61)
+    for a in (zset(range(16)), GSet(cyclic(64), rng.sample(range(64), 16))):
+        n, mods = len(a), a.group.moduli or None
+        xs = set(a.elems)
+        e2 = oracles.oracle_energy_k(mods, xs, 2)
+        p = set(popular_set(a, Fraction(e2, 2 * n * n)).elems)
+        rep = bsg_extract_v2(a, 1.0)
+        samples = next(s for s in rep.stages if s["stage"] == "transfer_checks")["samples"]
+        assert samples
+        for smp in samples:
+            s = tuple(smp["s"])
+            want = sum(1 for x in xs if oracles.add(mods, x, s) in xs for y in xs
+                       if oracles.sub(mods, x, y) in p
+                       and oracles.sub(mods, oracles.add(mods, x, s), y) in p)
+            assert smp["incidence"] == want > 0
+            assert smp["contained"] and smp["cs_ok"] and smp["pp_ok"]
+
+
+def test_find_configuration_matches_brute_force():
+    rng = random.Random(43)
+    outcomes = set()
+    for g in (cyclic(4, 8), cyclic(9)):
+        mods = g.moduli
+        for _ in range(6):
+            a = rand_gset(rng, g, rng.randint(1, 4))
+            xs = set(a.elems)
+            for coeffs in ((0, 1, 2), (1, -1, 3), (2, -5), (-3,)):
+                for sign, op in (("-", oracles.sub), ("+", oracles.add)):
+                    target = {op(mods, x, y) for x in xs for y in xs}
+                    want = oracles.oracle_first_configuration(mods, target, coeffs)
+                    assert find_configuration(a, coeffs, sign) == want
+                    outcomes.add("none" if want is None else
+                                 "zero x" if not any(want[0]) else "later x")
+    assert outcomes == {"none", "zero x", "later x"}
+
+
 def test_small_t4_examples():
     g = cyclic(16)
     rep = small_t4_extract(full_group(g))
@@ -224,6 +267,29 @@ def test_almost_period_examples():
     assert almost_period_check(z, z, 1) > 0
 
 
+def test_almost_period_matches_oracle():
+    # one correlation identity serves cyclic groups and lattices; t runs over
+    # differences, zero, and points where (A*B) o (A*B) vanishes
+    rng = random.Random(41)
+    for g in (cyclic(12), cyclic(4, 8), lattice(1), lattice(2)):
+        mods = g.moduli if g.is_cyclic else None
+        off_support = 0
+        for _ in range(6):
+            a, b = (rand_gset(rng, g, rng.randint(1, 4)) for _ in range(2))
+            xs, ys = set(a.elems), set(b.elems)
+            c = oracles.sum_counts(mods, xs, ys)
+            ts = [(0,) * g.dim, (5,) * g.dim, (-40,) * g.dim, (23, -17)[:g.dim]]
+            ts += [oracles.sub(mods, x, y) for x, y in zip(sorted(xs), sorted(ys))]
+            if g.is_cyclic:   # a t with ((A*B) o (A*B))(t) = 0, where there is one
+                gaps = set(full_group(g).elems) - {oracles.sub(mods, u, v) for u in c for v in c}
+                ts += sorted(gaps)[:1]
+            for t in ts:
+                got = almost_period_check(a, b, t)
+                assert got == oracles.oracle_shift_defect(mods, xs, ys, t)
+                off_support += got == 2 * oracles.oracle_energy_pair(mods, xs, ys)
+        assert off_support >= 3
+
+
 def test_cs_period_search_ap():
     g = cyclic(64)
     a = GSet(g, range(16))
@@ -245,6 +311,29 @@ def test_cs_full_group_all_approximate():
     assert len(rep.outputs["T"]) == 16
     for t in rep.outputs["T"]:
         assert almost_period_check(a, a, tuple(t)) == 0
+
+
+def test_cs_slices_match_per_x_definition():
+    # A'_s = {x in A : x + s_i in A for all i, and s + x approximates}, element by element
+    g16, g32 = cyclic(16), cyclic(32)
+    interval = GSet(cyclic(64), range(12))
+    cases = [(interval, interval, 3, 5),
+             (GSet(g32, [9, 12, 19, 31]), GSet(g32, [0, 8, 9, 14, 15, 19, 21, 23]), 3, 39),
+             (GSet(g16, [1, 2, 7, 10, 13, 14, 15]), GSet(g16, [4, 10, 14, 15]), 6, 96)]
+    proper = 0
+    for a, b, k, seed in cases:
+        rep = cs_period_search(a, b, k, trials=40, seed=seed)
+        st = next(s for s in rep.stages if s["stage"] == "shifts")
+        mods, xs, ys = a.group.moduli, set(a.elems), set(b.elems)
+        budget = 2 * len(xs) ** 2 * len(ys) * k
+        for pos, shift in zip(st["pair"], (st["shift_s0"], st["shift_t0"])):
+            shift = [tuple(e) for e in shift]
+            inside = [x for x in sorted(xs) if all(oracles.add(mods, x, s) in xs for s in shift)]
+            members = [x for x in inside if oracles.oracle_sequence_defect(
+                mods, [oracles.add(mods, s, x) for s in shift], xs, ys, k) <= budget]
+            assert len(members) == st["slice_sizes"][pos]
+            proper += 0 < len(members) < len(inside)
+    assert proper >= 1   # the defect test, not only the slice, decides some x
 
 
 def test_cs_no_sample_error():

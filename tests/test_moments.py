@@ -161,8 +161,8 @@ def test_fft_equals_direct_500_instances():
         b = GSet(g, rng.sample(range(n), rng.randint(2, 48)))
         fa = ConvTable.from_gset(a).array
         fb = ConvTable.from_gset(b).array
-        fft = moments._fft_cyclic(fa, fb, g.moduli)
-        direct = moments._direct_cyclic(fa, fb, g.moduli)
+        fft = moments._fft(fa, fb, g.moduli)
+        direct = moments._direct(fa, fb, g.moduli)
         assert fft is not None
         assert (fft == direct).all(), f"instance {i} diverged"
 
@@ -173,8 +173,8 @@ def test_fft_multidim_and_lattice_paths():
     a = GSet(g, [groups.from_flat(g, v) for v in rng.sample(range(1024), 40)])
     b = GSet(g, [groups.from_flat(g, v) for v in rng.sample(range(1024), 40)])
     fa, fb = ConvTable.from_gset(a).array, ConvTable.from_gset(b).array
-    assert (moments._fft_cyclic(fa, fb, g.moduli) ==
-            moments._direct_cyclic(fa, fb, g.moduli)).all()
+    assert (moments._fft(fa, fb, g.moduli) ==
+            moments._direct(fa, fb, g.moduli)).all()
     # lattice windows: shift far from the origin, exactness preserved
     z = lattice(1)
     a = GSet(z, [x + 1000 for x in rng.sample(range(100), 20)])

@@ -57,6 +57,19 @@ def test_slice_matches_oracle():
         got = {e for e in stabilizer_slice(a, s)}
         want = oracles.oracle_slice(g.moduli, set(a.elems), s)
         assert got == want
+    for g in (cyclic(16), lattice(2)):
+        empty = GSet(g, [])
+        assert len(stabilizer_slice(empty, [])) == 0
+        assert len(stabilizer_slice(empty, [(1,) * g.dim, (0,) * g.dim])) == 0
+    z2 = lattice(2)
+    nonempty = 0
+    for _ in range(30):
+        a = rand_gset(rng, z2, rng.randint(1, 30))
+        s = [(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(rng.randint(0, 3))]
+        got = stabilizer_slice(a, s).as_set
+        assert got == oracles.oracle_slice(None, set(a.elems), s)
+        nonempty += bool(got) and len(got) < len(a)
+    assert nonempty >= 5   # proper, nonempty slices occur, so the comparison has teeth
 
 
 def test_row_algebra_matches_brute_force():

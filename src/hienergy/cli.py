@@ -82,22 +82,12 @@ def cmd_compute(args) -> int:
         v = moments.energy_k(a, k if k is not None else 2)
         payload["value"] = v
         lines = [f"E_{k if k is not None else 2}(A) = {v}"]
-    elif q == "Tk":
-        v = moments.t_k(a, int(k or 2))
+    elif q in ("Tk", "sigmak", "Dk", "Sk"):
+        name, fn = {"Tk": ("T", moments.t_k), "sigmak": ("sigma", moments.sigma_k),
+                    "Dk": ("D", setops.d_k), "Sk": ("S", setops.s_k)}[q]
+        v = fn(a, int(k or 2))
         payload["value"] = v
-        lines = [f"T_{int(k or 2)}(A) = {v}"]
-    elif q == "sigmak":
-        v = moments.sigma_k(a, int(k or 2))
-        payload["value"] = v
-        lines = [f"sigma_{int(k or 2)}(A) = {v}"]
-    elif q == "Dk":
-        v = setops.d_k(a, int(k or 2))
-        payload["value"] = v
-        lines = [f"D_{int(k or 2)}(A) = {v}"]
-    elif q == "Sk":
-        v = setops.s_k(a, int(k or 2))
-        payload["value"] = v
-        lines = [f"S_{int(k or 2)}(A) = {v}"]
+        lines = [f"{name}_{int(k or 2)}(A) = {v}"]
     elif q == "spectrum":
         table = spectrum.dft(a)
         payload["csv"] = table.to_csv()

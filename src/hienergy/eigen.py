@@ -148,7 +148,7 @@ def _group_ifft(g: GroupSpec, flat: np.ndarray) -> np.ndarray:
 
 def _reflect_flat(g: GroupSpec, flat: np.ndarray) -> np.ndarray:
     """x -> flat(-x) on the group."""
-    return moments._reflect(moments.ConvTable(g, flat.reshape(g.moduli))).array.ravel()
+    return np.roll(np.flip(flat.reshape(g.moduli)), 1, axis=tuple(range(g.dim))).ravel()   # -i mod n
 
 
 def operator_apply(g: GroupSpec, phi, psi, f) -> np.ndarray:

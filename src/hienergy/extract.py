@@ -86,15 +86,17 @@ def _json_default(obj):
 # popular differences and the difference-set transfer
 
 
-def popular_set(a: GSet, threshold: Fraction | float | None = None) -> GSet:
+def popular_set(a: GSet, threshold: Fraction | float | None = None,
+                corr: moments.ConvTable | None = None) -> GSet:
     """P = {s : (A o A)(s) >= threshold}; default threshold |A|^2 / (2|A-A|).
+    corr, when given, is the table A o A.
 
     With the default threshold the popular part keeps at least half the mass:
     sum_{s in P} (A o A)(s) >= |A|^2 / 2.
     """
     if not a:
         raise ValueError("popular set needs a nonempty A")
-    points, values = moments.correlate(a, a).support_rows()
+    points, values = (moments.correlate(a, a) if corr is None else corr).support_rows()
     default = threshold is None
     if default:
         threshold = Fraction(len(a) ** 2, 2 * len(values))  # |A - A| support points
@@ -114,14 +116,9 @@ def katz_koester(a: GSet, s, sign: str = setops.MINUS) -> tuple[GSet, bool]:
     a_s = setops.stabilizer_slice(a, [s])
     if not a_s:
         return a_s, True
-    if sign == setops.MINUS:
-        moved = setops.diffset(a, a_s)
-        d = setops.diffset(a, a)
-        window = d.intersect(d.translate(s))
-    else:
-        moved = setops.sumset(a, a_s)
-        d = setops.sumset(a, a)
-        window = d.intersect(d.translate(-s))
+    op, t = (setops.diffset, s) if sign == setops.MINUS else (setops.sumset, -s)
+    moved, d = op(a, a_s), op(a, a)
+    window = d.intersect(d.translate(t))
     return moved, moved.issubset(window)
 
 
@@ -203,11 +200,6 @@ def _popularity_family(a: GSet, corr: moments.ConvTable, e: int) -> np.ndarray:
     return corr.values_at(diffs).reshape(n, n) >= -(-e // (2 * n * n))   # integer ceiling
 
 
-def _doubling_from_energy(a: GSet) -> tuple[int, Fraction]:
-    e2 = moments.energy_k(a, 2)
-    return e2, Fraction(len(a) ** 3, e2)
-
-
 def bsg_extract(a: GSet, eps: float = 1.0) -> ExtractionReport:
     """Dense-popularity extraction: builds the popularity family
     S_a = {b in A : (A o A)(a - b) >= |A|/(2K)}, validates the mass lower
@@ -217,17 +209,18 @@ def bsg_extract(a: GSet, eps: float = 1.0) -> ExtractionReport:
     if not (0 < eps <= 1):
         raise ValueError("eps must lie in (0, 1]")
     n = len(a)
-    e2, k_inv = _doubling_from_energy(a)
-    k_val = float(k_inv)
-    e2e = moments.energy_k(a, 2 + eps)
+    corr = moments.correlate(a, a)
+    e2 = moments.energy_k(a, 2, corr)
+    k_val = float(Fraction(n ** 3, e2))
+    e2e = moments.energy_k(a, 2 + eps, corr)
     m_val = float(e2e) * k_val ** (1 + eps) / n ** (3 + eps)
-    profile = EnergyProfile.from_set(a, ks=(2, 3))
+    profile = EnergyProfile.from_set(a, ks=(2, 3), corr=corr)
     rep = ExtractionReport("bsg1", profile.as_dict(), {"eps": eps})
     rep.add_stage("normalize", K=k_val, M=m_val, E2=e2, E2_eps=float(e2e))
 
     g = a.group
     # S_a via the exact comparison 2|A|^2 (A o A)(a-b) >= E_2
-    incidence = _popularity_family(a, moments.correlate(a, a), e2)
+    incidence = _popularity_family(a, corr, e2)
     fam = [GSet(g, a.coords[row]) for row in incidence]
     mass = int(incidence.sum())
     floor = n * n / (2 ** ((1 + eps) / eps) * m_val ** (1 / eps))
@@ -262,17 +255,18 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
         raise ValueError("eps must lie in (0, 1]")
     n = len(a)
     g = a.group
-    e2, k_inv = _doubling_from_energy(a)
-    k_val = float(k_inv)
-    e3e = moments.energy_k(a, 3 + eps)
+    corr = moments.correlate(a, a)
+    e2 = moments.energy_k(a, 2, corr)
+    k_val = float(Fraction(n ** 3, e2))
+    e3e = moments.energy_k(a, 3 + eps, corr)
     m_val = float(e3e) * k_val ** (2 + eps) / n ** (4 + eps)
-    profile = EnergyProfile.from_set(a, ks=(2, 3, 4))
+    profile = EnergyProfile.from_set(a, ks=(2, 3, 4), corr=corr)
     rep = ExtractionReport("bsg2", profile.as_dict(), {"eps": eps, "nm": list(map(list, nm)), "seed": seed})
     rep.add_stage("normalize", K=k_val, M=m_val, E2=e2, E3_eps=float(e3e))
 
     # popular differences at level |A|/(2K) = E_2/(2|A|^2)
-    p_set = popular_set(a, Fraction(e2, 2 * n * n))
-    p_mass = int(moments.correlate(a, a).values_at(p_set.coords).sum())
+    p_set = popular_set(a, Fraction(e2, 2 * n * n), corr)
+    p_mass = int(corr.values_at(p_set.coords).sum())
     forced = (e2 / 2) ** ((2 + eps) / (1 + eps)) / float(e3e) ** (1 / (1 + eps))
     if p_mass < forced * (1 - 1e-9):
         raise InvariantError(f"popular mass {p_mass} fell below the forced bound {forced}")
@@ -305,7 +299,7 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
     rep.add_stage("transfer_checks", samples=checks)
 
     # selection machinery on the popular set itself
-    ep = moments.energy_k(p_set, 2)
+    ep = moments.energy_k(p_set, 2, p_corr)
     kp = Fraction(len(p_set) ** 3, ep)
     p_n = len(p_set)
     incidence = _popularity_family(p_set, p_corr, ep)
@@ -347,16 +341,16 @@ def small_t4_extract(a: GSet) -> ExtractionReport:
         raise ValueError("extraction needs a nonempty set")
     n = len(a)
     g = a.group
-    d = setops.diffset(a, a)
-    k_val = len(d) / n
+    corr = moments.correlate(a, a)
+    k_val = np.count_nonzero(corr.array) / n   # |A - A| / |A|
     t3 = moments.t_k(a, 3)
     m_val = float(t3) * k_val ** 2 / n ** 5
-    e3 = moments.energy_k(a, 3)
-    profile = EnergyProfile.from_set(a, ks=(2, 3))
+    e3 = moments.energy_k(a, 3, corr)
+    profile = EnergyProfile.from_set(a, ks=(2, 3), corr=corr)
     rep = ExtractionReport("smallT4", profile.as_dict(), {})
     rep.add_stage("normalize", K=k_val, M=m_val, T3=t3, gamma=float(e3) / n ** 4)
 
-    points, values = moments.correlate(a, a).support_rows()
+    points, values = corr.support_rows()
     best_s, best_beta, best_slice = None, -1.0, None
     # needs |A_s| > gamma |A| / 2 strictly: 2|A|^3 v > E_3, for integer v
     for s in points[values > e3 // (2 * n ** 3)]:
@@ -431,6 +425,26 @@ def _overlaps(seq: np.ndarray, bd: moments.ConvTable, points: np.ndarray) -> np.
     return bd.values_at(moved).reshape(len(seq), len(points)).sum(axis=0)
 
 
+def _difference_sizes(sets: Sequence[GSet]) -> np.ndarray:
+    """m x m table of |S_i - S_j| for sets in one cyclic product.  The
+    difference of x in S_i and y in S_j packs into the key (i m + j) N +
+    rank(x - y), so S_i - S_j is the distinct keys of pair (i, j), counted
+    by one sort per block of whole S_i of at most 2^22 keys (a single block
+    at corpus sizes)."""
+    g, m, sizes = sets[0].group, len(sets), [len(s) for s in sets]
+    rows, starts = np.concatenate([s.coords for s in sets]), np.cumsum([0] + sizes)
+    owner = np.repeat(np.arange(m), sizes)
+    step = max(1, (1 << 22) // max(1, len(rows) * max(sizes)))   # slices per block
+    counts = np.zeros(m * m, dtype=np.int64)
+    for i in range(0, m, step):
+        lo, hi = starts[i], starts[min(i + step, m)]
+        diff = np.moveaxis((rows[lo:hi, None] - rows[None]) % g.moduli, -1, 0)
+        keys = (owner[lo:hi, None] * m + owner[None]) * g.order + np.ravel_multi_index(tuple(diff), g.moduli)
+        keys = np.sort(keys, axis=None)
+        counts += np.bincount(keys[np.diff(keys, prepend=-1) != 0] // g.order, minlength=m * m)
+    return counts.reshape(m, m)
+
+
 def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200, seed: int = 1,
                      shift_samples: int = 24) -> ExtractionReport:
     """Randomized almost-period search with exact final validation.
@@ -453,51 +467,41 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200, seed: int = 1,
     d_sq = moments.energy_pair(a, b)
     bb, bd = moments.correlate(b, b), moments.correlate(b, base)
     origin = np.zeros((1, g.dim), dtype=np.int64)
-    profile = EnergyProfile.from_set(a, ks=(2,))
+    corr = moments.correlate(a, a)   # its support is A - A
+    profile = EnergyProfile.from_set(a, ks=(2,), corr=corr)
     rep = ExtractionReport("cs", profile.as_dict(),
                            {"k": k, "trials": trials, "seed": seed})
 
     good: list[np.ndarray] = []
-    hits = 0
     for _ in range(trials):
         seq = as_rows(g, [rng.choice(a.elems) for _ in range(k)])
         # the defect of X itself: the identity at x = 0
         if _overlaps(seq, bd, origin)[0] >= _approximation_floor(seq, bb, n, k, nb, d_sq):
-            hits += 1
             good.append(seq)
-    rate = hits / trials if trials else 0.0
+    rate = len(good) / trials if trials else 0.0
     sigma = math.sqrt(0.25 / trials) if trials else 0.0
-    rep.add_stage("sampling", trials=trials, hits=hits, rate=rate, three_sigma=3 * sigma)
+    rep.add_stage("sampling", trials=trials, hits=len(good), rate=rate, three_sigma=3 * sigma)
     if not good:
         raise ExtractionError(f"no approximating sample in {trials} trials")
 
-    shifts: list[np.ndarray] = []
-    seen: set[bytes] = set()
+    drawn: dict[bytes, np.ndarray] = {}   # distinct shift sequences in the order drawn
     for _ in range(shift_samples):
         seq = good[rng.randrange(len(good))]
         s = as_rows(g, seq - rng.choice(a.elems))
-        if s.tobytes() not in seen:
-            seen.add(s.tobytes())
-            shifts.append(s)
+        drawn.setdefault(s.tobytes(), s)
+    shifts = list(drawn.values())
     # A'_s: the x in A with every x + s_i in A whose translate X = s + x approximates
     sets = []
     for s in shifts:
         cand = setops.stabilizer_slice(a, s).coords
         floor = _approximation_floor(s, bb, n, k, nb, d_sq)
         sets.append(GSet(g, cand[_overlaps(s, bd, cand) >= floor]))
-    best = (-1, 0, 0)
-    for i in range(len(shifts)):
-        for j in range(len(shifts)):
-            if not sets[i] or not sets[j]:
-                continue
-            size = len(setops.diffset(sets[i], sets[j]))
-            if size > best[0]:
-                best = (size, i, j)
-    if best[0] < 0:
+    sizes = _difference_sizes(sets)
+    if not sizes.any():
         raise ExtractionError("all sampled shift slices were empty")
-    _, i0, j0 = best
+    i0, j0 = divmod(int(np.argmax(sizes)), len(sets))   # the first maximum in (i, j) order
     t_raw = setops.diffset(sets[i0], sets[j0])
-    if not t_raw.issubset(setops.diffset(a, a)):
+    if not corr.values_at(t_raw.coords).all():
         raise InvariantError("periods must come from A - A")
     rep.add_stage("shifts", sampled=len(shifts), pair=[i0, j0],
                   shift_s0=shifts[i0].tolist(), shift_t0=shifts[j0].tolist(),
@@ -514,9 +518,8 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200, seed: int = 1,
         rep.notes.append(f"{len(violations)} members exceeded the almost-period budget")
         rep.add_stage("violations", members=violations)
 
-    d = setops.diffset(a, a)
-    k_doub = len(d) / n
-    e_high = float(moments.energy_k(a, 2 * k + 2))
+    k_doub = np.count_nonzero(corr.array) / n
+    e_high = float(moments.energy_k(a, 2 * k + 2, corr))
     m_val = e_high * k_doub ** (2 * k + 1) / n ** (2 * k + 3)
     claimed = k_doub * n / (16 * m_val)
     rep.claimed = claimed

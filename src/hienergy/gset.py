@@ -64,7 +64,7 @@ class GSet:
         if not group.is_cyclic and (rows.max(initial=0) >= _LATTICE_BOUND
                                     or rows.min(initial=0) <= -_LATTICE_BOUND):
             raise groups.GroupError("lattice coordinates must lie strictly between -2^62 and 2^62")
-        rows = rows[np.lexsort(rows.T[::-1])]
+        rows = np.sort(rows, axis=0) if group.dim == 1 else rows[np.lexsort(rows.T[::-1])]
         fresh = np.ones(len(rows), dtype=bool)
         fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
         self.group = group

@@ -5,7 +5,11 @@ B = min(|f|_1 |g|_inf, |g|_1 |f|_inf) < 2^62 bounds every entry, Python
 ints above.  Small windows convolve by direct pair sums; the rest by a real
 FFT whose operands are split into limbs chosen before it runs, so that
 Percival's a priori error bound proves each limb product rounds exactly.
-Nothing is validated after the fact except the exact mass identity.
+A correlation is the same engine call: the direct path subtracts indices,
+the FFT conjugates f's spectrum (same moduli, same bound), and a
+self-product (f is g) transforms each limb once, so A o A costs two real
+FFTs.  Nothing is validated after the fact except the exact mass identity
+and T_k's cross-check on the real spectrum.
 
 Moment notation used throughout: (f*g)(x) = sum_y f(y) g(x-y) and
 (f o g)(x) = sum_y f(y) g(y+x); E_k(A) = sum_x (A o A)(x)^k; T_k(A) is the
@@ -152,9 +156,12 @@ def _norms(x: np.ndarray) -> tuple[int, int]:
     return _total(x if lo >= 0 else np.abs(x)), max(hi, -lo)
 
 
-def _direct(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None) -> np.ndarray:
+def _direct(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
+            corr: bool = False) -> np.ndarray:
     """Sum over all pairs of support points (the engine sends at most 2^22
-    pairs).  With moduli the window is the group, else the lattice window."""
+    pairs) at index i + j, or j - i for a correlation.  With moduli the window
+    is the group, else the lattice window, where correlation lags start at
+    1 - (f's extent)."""
     out_shape = moduli or tuple(int(a + b - 1) for a, b in zip(fa.shape, ga.shape))
     fidx, gidx = np.flatnonzero(fa), np.flatnonzero(ga)
     if len(fidx) == 0 or len(gidx) == 0:
@@ -162,8 +169,9 @@ def _direct(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = Non
     fvals, gvals = fa.ravel()[fidx], ga.ravel()[gidx]
     unit = bool((fvals == 1).all() and (gvals == 1).all())
     flat = 0
-    for fc, gc, dim in zip(np.unravel_index(fidx, fa.shape), np.unravel_index(gidx, ga.shape), out_shape):
-        s = fc[:, None] + gc[None, :]
+    for fc, gc, fs, dim in zip(np.unravel_index(fidx, fa.shape), np.unravel_index(gidx, ga.shape),
+                               fa.shape, out_shape):
+        s = gc[None, :] - fc[:, None] + (0 if moduli else fs - 1) if corr else fc[:, None] + gc[None, :]
         flat = flat * dim + (s % dim if moduli else s)
     size = math.prod(out_shape)
     if unit:  # entries are at most min(|supp f|, |supp g|)
@@ -186,8 +194,10 @@ def _percival(size: int) -> float:
 def _split(fn: tuple[int, int], gn: tuple[int, int], size: int) -> tuple[int | None, int | None]:
     """Limb widths for f and g (None: whole) that keep Percival's bound for
     every limb product below 1/4.  A whole x has ||x||_2^2 <= |x|_1 |x|_inf,
-    a b-bit limb ||limb||_2^2 <= 4^b size.  f, the operand with the larger
-    maximum, is split first; g too only if 1-bit limbs of f do not suffice."""
+    a b-bit limb ||limb||_2^2 <= 4^b size.  The operand with the larger
+    maximum is split first; the other only if 1-bit limbs cannot suffice."""
+    if fn[1] < gn[1]:
+        return _split(gn, fn, size)[::-1]
     cap = 1 / (16 * _percival(size) ** 2)   # need ||x||_2^2 ||y||_2^2 < cap
     whole_g = gn[0] * gn[1]
     if fn[0] * fn[1] * whole_g < cap:
@@ -210,73 +220,75 @@ def _limbs(x: np.ndarray, bits: int | None, linf: int) -> list[np.ndarray]:
 
 
 def _fold(x: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-    """Wrap a linear window of length 2m - 1 per axis onto Z/m."""
+    """Wrap the first 2m entries per axis of a window onto Z/m."""
     for ax, m in enumerate(moduli):
-        x = np.concatenate([x, np.zeros(x.shape[:ax] + (1,) + x.shape[ax + 1:], x.dtype)], axis=ax)
+        x = x.take(np.arange(2 * m), axis=ax)
         x = x.reshape(x.shape[:ax] + (2, m) + x.shape[ax + 1:]).sum(axis=ax)
     return x
 
 
-def _fft(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None) -> np.ndarray:
-    """Real-FFT convolution, exact by the a priori limb split of `_split`:
-    cyclic at the group size for power-of-two moduli, else linear at
-    power-of-two sizes (folded if cyclic).  Limb products are summed in int64
-    modulo 2^64, exact while B < 2^62, and in Python ints above."""
+def _fft(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
+         corr: bool = False) -> np.ndarray:
+    """Real-FFT convolution, or correlation with f's spectrum conjugated,
+    exact by the a priori limb split of `_split`: cyclic at the group size
+    for power-of-two moduli, else linear at power-of-two sizes (folded if
+    cyclic).  Limb products are summed in int64 modulo 2^64, exact while
+    B < 2^62, and in Python ints above."""
     lin = tuple(int(a + b - 1) for a, b in zip(fa.shape, ga.shape))
     pow2 = bool(moduli) and all(m & (m - 1) == 0 for m in moduli)
     shape = moduli if pow2 else tuple(1 << (s - 1).bit_length() for s in lin)
-    axes = tuple(range(fa.ndim))
-    fn, gn = _norms(fa), _norms(ga)
-    if fn[1] < gn[1]:
-        fa, ga, fn, gn = ga, fa, gn, fn
+    axes, same = tuple(range(fa.ndim)), fa is ga
+    fn = _norms(fa)
+    gn = fn if same else _norms(ga)
     fbits, gbits = _split(fn, gn, math.prod(shape))
     wide = min(fn[0] * gn[1], gn[0] * fn[1]) >= _WIDE
     ghat = [np.fft.rfftn(p, shape, axes) for p in _limbs(ga, gbits, gn[1])]
+    # f's limb spectra are made one at a time, or shared with g's for a self-product
+    fhat = ghat if same and fbits == gbits else (np.fft.rfftn(p, shape, axes)
+                                                 for p in _limbs(fa, fbits, fn[1]))
+    if corr:
+        fhat = (np.conj(h) for h in fhat)
     acc = np.zeros(shape, dtype=object if wide else np.uint64)
-    for i, p in enumerate(_limbs(fa, fbits, fn[1])):
-        fh = np.fft.rfftn(p, shape, axes)
+    for i, fh in enumerate(fhat):
         for j, gh in enumerate(ghat):
             part = np.rint(np.fft.irfftn(fh * gh, shape, axes)).astype(np.int64)
             shift = i * (fbits or 0) + j * (gbits or 0)
             acc += part.astype(object) << shift if wide else part.view(np.uint64) << shift
     out = acc if wide else acc.view(np.int64)
     if not pow2:
-        out = _fold(out[tuple(slice(0, s) for s in lin)], moduli or ())
+        # a correlation's lag d sits at index d mod size; roll the window's
+        # first lag to index 0: 1 - (f's extent) on a lattice, -m for the fold
+        if corr:
+            out = np.roll(out, moduli or tuple(s - 1 for s in fa.shape), axes)
+        out = _fold(out, moduli) if moduli else out[tuple(slice(0, s) for s in lin)]
     if (int(out.sum()) - int(fa.sum()) * int(ga.sum())) % (1 << 64):   # checked mod 2^64
         raise ArithmeticError("FFT convolution broke the mass identity sum(f*g) = sum(f) sum(g)")
     return out
 
 
-def _conv(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None) -> np.ndarray:
+def _conv(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None, corr: bool) -> np.ndarray:
     small = fa.size < FFT_THRESHOLD if moduli else fa.size * ga.size < _LATTICE_DIRECT
-    return (_direct if small else _fft)(fa, ga, moduli)
+    return (_direct if small else _fft)(fa, ga, moduli, corr)
 
 
-def convolve(f, g) -> ConvTable:
-    """(f * g)(x) = sum_y f(y) g(x - y), exact integers."""
-    tf, tg = as_table(f), as_table(g)
+def convolve(f, g, *, corr: bool = False) -> ConvTable:
+    """(f * g)(x) = sum_y f(y) g(x - y), or with corr the correlation
+    (f o g)(x) = sum_y f(y) g(y + x); exact integers."""
+    tf = as_table(f)
+    tg = tf if g is f else as_table(g)
     if tf.group != tg.group:
         raise groups.GroupError("convolution operands live in different groups")
     grp = tf.group
     if grp.is_cyclic:
-        return ConvTable(grp, _conv(tf.array, tg.array, grp.moduli))
-    off = tuple(a + b for a, b in zip(tf.offset, tg.offset))
-    return ConvTable(grp, _conv(tf.array, tg.array), off).trimmed()
-
-
-def _reflect(t: ConvTable) -> ConvTable:
-    flipped = np.flip(t.array)
-    if t.group.is_cyclic:  # index negation: -i mod n
-        return ConvTable(t.group, np.roll(flipped, 1, axis=tuple(range(flipped.ndim))))
-    off = tuple(-(o + s - 1) for o, s in zip(t.offset, t.array.shape))
-    return ConvTable(t.group, flipped.copy(), off)
+        return ConvTable(grp, _conv(tf.array, tg.array, grp.moduli, corr))
+    # a correlation's lags start at g's offset minus the far corner of f's window
+    off = tuple(b - a - s + 1 if corr else a + b for a, b, s in zip(tf.offset, tg.offset, tf.array.shape))
+    return ConvTable(grp, _conv(tf.array, tg.array, None, corr), off).trimmed()
 
 
 def correlate(f, g) -> ConvTable:
     """(f o g)(x) = sum_y f(y) g(y + x); for sets, counts of x = b - a."""
-    tf = as_table(f)
-    tg = tf if g is f else as_table(g)
-    out = convolve(_reflect(tf), tg)
+    out = convolve(f, g, corr=True)
     if isinstance(f, GSet) and isinstance(g, GSet) and out.total() != len(f) * len(g):
         raise InvariantError("correlation mass must equal |A||B|")
     return out
@@ -298,29 +310,29 @@ def conv_power(a, k: int) -> ConvTable:
 
 
 def _power_sum(values: np.ndarray, k) -> int | float:
-    pos = values[values > 0]
+    """sum v^k over the positive entries: in int64 where no term or partial
+    sum can wrap, else over the distinct values in Python numbers."""
+    pos, ki = values[values > 0], int(k) if float(k).is_integer() else None
     if len(pos) == 0:
-        return 0 if float(k).is_integer() else 0.0
-    vals, cnts = np.unique(pos, return_counts=True)
-    if float(k).is_integer():
-        ki = int(k)
-        return sum(int(c) * int(v) ** ki for v, c in zip(vals, cnts))
+        return 0.0 if ki is None else 0
+    if ki is not None and int(pos.max()) ** ki * len(pos) < 1 << 63:
+        return int((pos ** ki).sum())
+    vals, cnts = (v.tolist() for v in np.unique(pos, return_counts=True))
+    if ki is not None:
+        return sum(c * v ** ki for v, c in zip(vals, cnts))
     return float(sum(float(c) * float(v) ** k for v, c in zip(vals, cnts)))
 
 
-def energy_k(a: GSet, k) -> int | float:
-    """E_k(A) = sum_x (A o A)(x)^k; exact for integer k, E_1(A) = |A|^2."""
+def energy_k(a: GSet, k, corr: ConvTable | None = None) -> int | float:
+    """E_k(A) = sum_x (A o A)(x)^k; exact for integer k, E_1(A) = |A|^2.
+    corr, when given, is the table A o A."""
     if k < 1:
         raise ValueError("energy order must be >= 1")
-    if not a:
-        return 0 if float(k).is_integer() else 0.0
-    return _power_sum(correlate(a, a).values(), k)
+    return _power_sum((correlate(a, a) if corr is None else corr).values(), k)
 
 
 def energy_pair(a: GSet, b: GSet) -> int:
     """Additive energy E(A, B) = sum_x (A * B)(x)^2."""
-    if not a or not b:
-        return 0
     return _power_sum(convolve(a, b).values(), 2)
 
 
@@ -330,12 +342,8 @@ def energy_k_pair(a: GSet, b: GSet, k) -> int | float:
         raise groups.GroupError("energy operands live in different groups")
     if k < 1:
         raise ValueError("energy order must be >= 1")
-    if not a:
-        return 0 if float(k).is_integer() else 0.0
-    ta = correlate(a, a)
-    support = np.nonzero(ta.array)
-    v = ta.array[support].tolist()
-    w = correlate(b, b).values_at(np.stack(support, axis=1) + ta.offset).tolist()
+    points, v = correlate(a, a).support_rows()
+    v, w = v.tolist(), correlate(b, b).values_at(points).tolist()
     if float(k).is_integer():
         return sum(x * y ** (int(k) - 1) for x, y in zip(v, w))
     return sum((float(x) * float(y) ** (k - 1) for x, y in zip(v, w) if y), 0.0)
@@ -345,12 +353,12 @@ def t_k(a: GSet, k: int) -> int:
     """T_k(A) = sum_x (A *_(k-1) A)(x)^2, cross-checked on the dual side."""
     if k < 1:
         raise ValueError("T_k needs k >= 1")
-    if not a:
-        return 0
     base = ConvTable.from_gset(a)
     result = _power_sum(conv_power(base, k).values(), 2)
     if a.group.is_cyclic:
-        spec = np.abs(np.fft.fftn(base.array)) ** (2 * k)
+        # the real half-spectrum: each last-axis bin but the first and Nyquist counts twice
+        spec = np.abs(np.fft.rfftn(base.array)) ** (2 * k)
+        spec[..., 1:(a.group.moduli[-1] + 1) // 2] *= 2
         fourier = float(spec.sum()) / a.group.order
         if not math.isclose(fourier, float(result), rel_tol=1e-6):
             raise InvariantError(f"T_k Fourier cross-check failed: {fourier} vs {result}")
@@ -362,8 +370,6 @@ def sigma_k(a: GSet, k: int) -> int:
     = sum over a in A of A^(*(k-1))(-a)."""
     if k < 1:
         raise ValueError("sigma_k needs k >= 1")
-    if not a:
-        return 0
     if k == 1:
         return int(groups.zero(a.group) in a)
     return sum(conv_power(a, k - 1).values_at(-a.coords).tolist())
@@ -371,10 +377,8 @@ def sigma_k(a: GSet, k: int) -> int:
 
 def level_sequence(a: GSet) -> list[int]:
     """Positive values of A o A sorted descending; length |A - A|."""
-    if not a:
-        return []
     vals = correlate(a, a).values()
-    return sorted((int(v) for v in vals[vals > 0]), reverse=True)
+    return np.sort(vals[vals > 0])[::-1].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +438,19 @@ class EnergyProfile:
     doubling_plus: float
 
     @classmethod
-    def from_set(cls, a: GSet, ks: Iterable[int] = (2, 3, 4), set_id: str = "") -> "EnergyProfile":
-        from .setops import diffset, sumset  # local import to avoid a cycle
-
+    def from_set(cls, a: GSet, ks: Iterable[int] = (2, 3, 4), set_id: str = "",
+                 corr: ConvTable | None = None) -> "EnergyProfile":
+        """Every E_k and |A - A| (its support) from one table corr = A o A;
+        |A + A| is the support of A * A."""
         if not a:
             raise ValueError("profile needs a nonempty set")
         n = len(a)
-        kappa = {int(k): float(energy_k(a, int(k))) / n ** (k + 1) for k in ks}
+        corr = correlate(a, a) if corr is None else corr
+        kappa = {int(k): float(energy_k(a, int(k), corr)) / n ** (k + 1) for k in ks}
         delta = n / a.group.order if a.group.is_cyclic else None
         return cls(set_id=set_id, size=n, kappa=kappa, delta=delta,
-                   doubling_minus=len(diffset(a, a)) / n,
-                   doubling_plus=len(sumset(a, a)) / n)
+                   doubling_minus=np.count_nonzero(corr.array) / n,
+                   doubling_plus=np.count_nonzero(convolve(a, a).array) / n)
 
     def as_dict(self) -> dict:
         return {

@@ -62,6 +62,16 @@ def test_stored_rows_match_sorted_tuples():
     assert GSet(cyclic(4, 8), [(5, -1), (1, 7)]).elems == ((1, 7),)
 
 
+def test_one_dimensional_sets_sort_negatives_and_drop_duplicates():
+    # 1-D sets are built by a plain sort, lattice or cyclic
+    a = zset([7, -3, 0, -3, 12, 7, -40, 0])
+    assert a.elems == ((-40,), (-3,), (0,), (7,), (12,))
+    assert a.coords.shape == (5, 1) and a.coords.flags.writeable is False
+    assert zset(np.array([5, 5, -5])) == zset([-5, 5])
+    assert GSet(cyclic(10), [-1, 9, 19, -11, 3]).elems == ((3,), (9,))
+    assert len(zset([])) == 0 and zset([]).coords.shape == (0, 1)
+
+
 def test_array_input_matches_list_input():
     rows = [(3, -1), (-2, 5), (3, -1)]
     assert GSet(lattice(2), np.array(rows, dtype=np.int64)) == GSet(lattice(2), rows)

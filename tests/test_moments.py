@@ -103,9 +103,10 @@ def test_sigma_k_examples():
 
 
 def test_t_sigma_match_oracle():
+    # odd and even last axes: T_k's cross-check weighs the real half-spectrum
     rng = random.Random(41)
-    for _ in range(15):
-        g = rng.choice([cyclic(10), lattice(1)])
+    for _ in range(30):
+        g = rng.choice([cyclic(10), cyclic(9), cyclic(3, 5), cyclic(4, 6), cyclic(6, 3), lattice(1)])
         a = rand_gset(rng, g, rng.randint(1, 5))
         mods = g.moduli if g.is_cyclic else None
         for k in (1, 2, 3):
@@ -129,6 +130,12 @@ def test_level_sequence_examples():
     assert level_sequence(zset([4])) == [1]
     g = cyclic(5)
     assert level_sequence(full_group(g)) == [5] * 5
+    rng = random.Random(29)
+    a = GSet(cyclic(2048), rng.sample(range(2048), 300))   # the FFT path
+    levels = level_sequence(a)
+    assert all(type(v) is int for v in levels)
+    want = oracles.corr_counts((2048,), set(a.elems), set(a.elems))
+    assert levels == sorted(want.values(), reverse=True)
 
 
 def test_mult_energy_examples():
@@ -187,6 +194,71 @@ def test_fft_multidim_and_lattice_paths():
             s = (u[0] + v[0],)
             want[s] = want.get(s, 0) + 1
     assert dict((e, c) for e, c in t.support()) == want
+
+
+def oracle_correlate(mods, f, h):
+    """(f o h)(x) = sum_y f(y) h(y + x): the oracle convolution of f reflected."""
+    return oracles.kronecker_convolve(
+        mods, {oracles.normalize(mods, tuple(-c for c in x)): v for x, v in f.items()}, h)
+
+
+def weighted(rng, g, points, bits, span=None):
+    """{point: value} with values below 2^bits (all 1 for bits 0), on points
+    of a cyclic group or of the box [-span, span)^dim of a lattice."""
+    if g.is_cyclic:
+        pts = [groups.from_flat(g, v) for v in rng.sample(range(g.order), points)]
+    else:
+        pts = list({tuple(rng.randrange(-span, span) for _ in range(g.dim)) for _ in range(points)})
+    return {p: rng.randrange(1, 1 << bits) if bits else 1 for p in pts}
+
+
+@pytest.mark.parametrize("g, threshold, span, path", [
+    (cyclic(16), None, None, "_direct"),
+    (cyclic(4, 4), None, None, "_direct"),
+    (cyclic(1024), None, None, "_fft"),           # cyclic FFT at the group size
+    (cyclic(32, 64), None, None, "_fft"),
+    (cyclic(1000), 1, None, "_fft"),              # padded linear FFT, folded
+    (cyclic(3, 5), 1, None, "_fft"),
+    (lattice(1), None, 30, "_direct"),
+    (lattice(1), None, 3000, "_fft"),             # padded linear FFT on a window
+    (lattice(2), None, 60, "_fft"),
+], ids=["Z16", "Z4xZ4", "Z1024", "Z32xZ64", "Z1000", "Z3xZ5-fft", "Z-direct", "Z-fft", "Z2-fft"])
+def test_correlate_matches_oracle_on_every_path(monkeypatch, g, threshold, span, path):
+    if threshold is not None:
+        monkeypatch.setattr(moments, "FFT_THRESHOLD", threshold)
+    served = []
+    for name in ("_direct", "_fft"):
+        real = getattr(moments, name)
+        monkeypatch.setattr(moments, name, lambda *args, _r=real, _n=name: served.append(_n) or _r(*args))
+    rng = random.Random(83)
+    mods = g.moduli if g.is_cyclic else None
+    points = min(12, g.order) if g.is_cyclic and g.order < 64 else 40
+    # 0/1, then entries to 2^40 that force a limb split, with either operand the wider
+    for fbits, hbits in ((0, 0), (40, 3), (3, 40), (40, 40)):
+        f, h = weighted(rng, g, points, fbits, span), weighted(rng, g, points, hbits, span)
+        tf, th = table_of(g, f), table_of(g, h)
+        assert dict(correlate(tf, th).support()) == oracle_correlate(mods, f, h)
+        assert dict(correlate(th, tf).support()) == oracle_correlate(mods, h, f)
+        assert dict(correlate(tf, tf).support()) == oracle_correlate(mods, f, f)
+    a, b = (GSet(g, list(weighted(rng, g, points, 0, span))) for _ in range(2))
+    assert dict(correlate(a, b).support()) == oracles.corr_counts(mods, set(a.elems), set(b.elems))
+    assert dict(correlate(a, a).support()) == oracles.corr_counts(mods, set(a.elems), set(a.elems))
+    assert set(served) == {path}
+
+
+def test_self_products_transform_once(monkeypatch):
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        real = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *args, _r=real, _n=name: calls.append(_n) or _r(*args))
+    a = GSet(cyclic(4096), random.Random(89).sample(range(4096), 1500))
+    for product in (correlate, convolve):
+        calls.clear()
+        product(a, a)
+        assert calls == ["rfftn", "irfftn"]
+    calls.clear()
+    correlate(a, GSet(cyclic(4096), [0, 5, 9]))
+    assert calls == ["rfftn", "rfftn", "irfftn"]
 
 
 def test_conv_power_chain_exact():
@@ -382,8 +454,8 @@ def test_correlation_mass_check_survives_optimize():
         "from hienergy import moments",
         "from hienergy.gset import zset",
         "real = moments.convolve",
-        "def corrupt(f, g):",
-        "    out = real(f, g)",
+        "def corrupt(f, g, **kw):",
+        "    out = real(f, g, **kw)",
         "    out.array[0] += 1",
         "    return out",
         "moments.convolve = corrupt",

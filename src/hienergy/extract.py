@@ -129,6 +129,8 @@ def katz_koester(a: GSet, s, sign: str = setops.MINUS) -> tuple[GSet, bool]:
 def _membership(family: Sequence[GSet], universe: GSet) -> tuple[np.ndarray, np.ndarray]:
     """(member, inter): the n x m table of u_j in S_i, and the n x n table
     of |S_i n S_j| from one float64 product, exact while m < 2^53."""
+    if len(family) == 0 or len(universe) == 0:
+        raise ValueError("need a nonempty family and universe")
     member = np.array([s.isin(universe.coords) for s in family], dtype=bool)
     if member.sum() != sum(len(s) for s in family):
         raise ValueError("family member leaves the universe")
@@ -144,11 +146,11 @@ def intersection_select(family: Sequence[GSet], universe: GSet, delta: float,
 
     The pair threshold uses m = |universe| (the counting in the selection
     argument runs over the universe, not the index set)."""
-    n = len(family)
-    m = len(universe)
-    if n == 0 or m == 0:
-        raise ValueError("need a nonempty family and universe")
-    member, inter = _membership(family, universe)
+    return _select(*_membership(family, universe), universe, delta, eta)
+
+
+def _select(member: np.ndarray, inter: np.ndarray, universe: GSet, delta: float, eta: float):
+    n, m = member.shape
     # sum_(i,j) |S_i n S_j| = sum over the columns alpha of |K_alpha|^2
     total_pairs = int((member.sum(axis=0) ** 2).sum())
     if total_pairs < delta * delta * m * n * n * (1 - 1e-12):
@@ -171,11 +173,10 @@ def robust_core(family: Sequence[GSet], universe: GSet, delta: float) -> list[in
     """Two-step-connected core J': every i, j in J' share, over the whole
     index set, at least 2^-2 delta n partners k with
     |S_i n S_k|, |S_j n S_k| >= 2^-4 delta^2 m.  Verified before returning."""
-    eta = 1 / 8
-    n = len(family)
-    m = len(universe)
-    j_set, _alpha = intersection_select(family, universe, delta, eta)
-    strong = _membership(family, universe)[1] >= delta * delta * m / 16  # 2^-4 delta^2 m
+    member, inter = _membership(family, universe)
+    n, m = member.shape
+    j_set, _alpha = _select(member, inter, universe, delta, eta=1 / 8)
+    strong = inter >= delta * delta * m / 16  # 2^-4 delta^2 m
     need = 0.75 * len(j_set)
     core = [i for i in j_set if strong[i, j_set].sum() >= need]
     if len(core) < delta * n / 32 * (1 - 1e-12):

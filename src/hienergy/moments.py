@@ -2,14 +2,15 @@
 
 Tables are exact integer-valued finitely-supported functions: int64 while
 B = min(|f|_1 |g|_inf, |g|_1 |f|_inf) < 2^62 bounds every entry, Python
-ints above.  Small windows convolve by direct pair sums; the rest by a real
-FFT whose operands are split into limbs chosen before it runs, so that
-Percival's a priori error bound proves each limb product rounds exactly.
-A correlation is the same engine call: the direct path subtracts indices,
-the FFT conjugates f's spectrum (same moduli, same bound), and a
-self-product (f is g) transforms each limb once, so A o A costs two real
-FFTs.  Nothing is validated after the fact except the exact mass identity
-and T_k's cross-check on the real spectrum.
+ints above.  Direct pair sums serve a product iff nnz(f) nnz(g) <= max(2^14,
+2 x transform size), capped at 2^22 pairs; else a real FFT on operands split
+into limbs chosen before it runs, so that Percival's a priori error bound
+proves each limb product rounds exactly.  A correlation is the same call:
+the direct path subtracts indices, the FFT conjugates f's spectrum.  A
+self-product (f is g) transforms each limb once, and a conv_power chain its
+base once, which T_k's cross-check reuses: A o A costs two real FFTs, T_k
+2k - 2 on a power-of-two cyclic group.  Only the exact mass identity and
+T_k's cross-check are validated after the fact.
 
 Moment notation used throughout: (f*g)(x) = sum_y f(y) g(x-y) and
 (f o g)(x) = sum_y f(y) g(y+x); E_k(A) = sum_x (A o A)(x)^k; T_k(A) is the
@@ -30,8 +31,8 @@ from . import groups
 from .groups import Elem, GroupSpec, InvariantError
 from .gset import GSet
 
-FFT_THRESHOLD = 1024          # cyclic order at which the FFT path takes over
-_LATTICE_DIRECT = 1 << 22     # lattice window product below which the direct path runs
+_DIRECT_MIN = 1 << 14         # support pairs the direct path always serves ...
+_DIRECT_MAX = 1 << 22         # ... and never exceeds
 _WIDE = 1 << 62               # entry bound from which tables hold Python ints
 
 
@@ -115,15 +116,6 @@ class ConvTable:
         off = tuple(int(s.start + o) for s, o in zip(slices, self.offset))
         return ConvTable(self.group, self.array[slices].copy(), off)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConvTable) or self.group != other.group:
-            return NotImplemented
-        a, b = self.trimmed(), other.trimmed()
-        return a.offset == b.offset and a.array.shape == b.array.shape and bool((a.array == b.array).all())
-
-    def __hash__(self):
-        raise TypeError("ConvTable is not hashable")
-
     def to_csv(self) -> str:
         lines = ["element,count"]
         for elem, v in sorted(self.support()):
@@ -158,10 +150,10 @@ def _norms(x: np.ndarray) -> tuple[int, int]:
 
 def _direct(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
             corr: bool = False) -> np.ndarray:
-    """Sum over all pairs of support points (the engine sends at most 2^22
-    pairs) at index i + j, or j - i for a correlation.  With moduli the window
-    is the group, else the lattice window, where correlation lags start at
-    1 - (f's extent)."""
+    """Sum over all pairs of support points (at most max(2^14, 2 x FFT size),
+    capped at 2^22) at index i + j, or j - i for a correlation.  With moduli
+    the window is the group, else the lattice window, where correlation lags
+    start at 1 - (f's extent)."""
     out_shape = moduli or tuple(int(a + b - 1) for a, b in zip(fa.shape, ga.shape))
     fidx, gidx = np.flatnonzero(fa), np.flatnonzero(ga)
     if len(fidx) == 0 or len(gidx) == 0:
@@ -227,35 +219,51 @@ def _fold(x: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
     return x
 
 
+def _shape(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None) -> tuple[int, ...]:
+    """The FFT's shape: the group for power-of-two moduli, else powers of two over the linear product."""
+    pow2 = bool(moduli) and all(m & (m - 1) == 0 for m in moduli)
+    return moduli if pow2 else tuple(1 << int(a + b - 2).bit_length() for a, b in zip(fa.shape, ga.shape))
+
+
 def _fft(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
-         corr: bool = False) -> np.ndarray:
+         corr: bool = False, spectra: dict | None = None) -> np.ndarray:
     """Real-FFT convolution, or correlation with f's spectrum conjugated,
     exact by the a priori limb split of `_split`: cyclic at the group size
     for power-of-two moduli, else linear at power-of-two sizes (folded if
-    cyclic).  Limb products are summed in int64 modulo 2^64, exact while
-    B < 2^62, and in Python ints above."""
+    cyclic).  One limb each forms the product in one buffer; more are summed
+    in int64 modulo 2^64, exact while B < 2^62, and in Python ints above.
+    spectra (the caller's, for one g) keeps g's whole spectrum per shape."""
     lin = tuple(int(a + b - 1) for a, b in zip(fa.shape, ga.shape))
-    pow2 = bool(moduli) and all(m & (m - 1) == 0 for m in moduli)
-    shape = moduli if pow2 else tuple(1 << (s - 1).bit_length() for s in lin)
+    shape = _shape(fa, ga, moduli)
     axes, same = tuple(range(fa.ndim)), fa is ga
     fn = _norms(fa)
     gn = fn if same else _norms(ga)
     fbits, gbits = _split(fn, gn, math.prod(shape))
     wide = min(fn[0] * gn[1], gn[0] * fn[1]) >= _WIDE
-    ghat = [np.fft.rfftn(p, shape, axes) for p in _limbs(ga, gbits, gn[1])]
-    # f's limb spectra are made one at a time, or shared with g's for a self-product
-    fhat = ghat if same and fbits == gbits else (np.fft.rfftn(p, shape, axes)
-                                                 for p in _limbs(fa, fbits, fn[1]))
-    if corr:
-        fhat = (np.conj(h) for h in fhat)
-    acc = np.zeros(shape, dtype=object if wide else np.uint64)
-    for i, fh in enumerate(fhat):
-        for j, gh in enumerate(ghat):
-            part = np.rint(np.fft.irfftn(fh * gh, shape, axes)).astype(np.int64)
-            shift = i * (fbits or 0) + j * (gbits or 0)
-            acc += part.astype(object) << shift if wide else part.view(np.uint64) << shift
-    out = acc if wide else acc.view(np.int64)
-    if not pow2:
+    cache = spectra if spectra is not None and gbits is None else {}
+    if (ghat := cache.get(shape)) is None:
+        ghat = cache[shape] = [np.fft.rfftn(p, shape, axes) for p in _limbs(ga, gbits, gn[1])]
+    if fbits is None and gbits is None and not wide:
+        prod = ghat[0].copy() if same else np.fft.rfftn(fa.astype(np.float64), shape, axes)
+        if corr:
+            np.conjugate(prod, out=prod)
+        prod *= ghat[0]
+        out = np.fft.irfftn(prod, shape, axes)
+        out = np.rint(out, out=out).astype(np.int64)
+    else:
+        # f's limb spectra are made one at a time, or shared with g's for a self-product
+        fhat = ghat if same and fbits == gbits else (np.fft.rfftn(p, shape, axes)
+                                                     for p in _limbs(fa, fbits, fn[1]))
+        if corr:
+            fhat = (np.conj(h) for h in fhat)
+        acc = np.zeros(shape, dtype=object if wide else np.uint64)
+        for i, fh in enumerate(fhat):
+            for j, gh in enumerate(ghat):
+                part = np.rint(np.fft.irfftn(fh * gh, shape, axes)).astype(np.int64)
+                shift = i * (fbits or 0) + j * (gbits or 0)
+                acc += part.astype(object) << shift if wide else part.view(np.uint64) << shift
+        out = acc if wide else acc.view(np.int64)
+    if shape != moduli:
         # a correlation's lag d sits at index d mod size; roll the window's
         # first lag to index 0: 1 - (f's extent) on a lattice, -m for the fold
         if corr:
@@ -266,9 +274,18 @@ def _fft(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
     return out
 
 
-def _conv(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None, corr: bool) -> np.ndarray:
-    small = fa.size < FFT_THRESHOLD if moduli else fa.size * ga.size < _LATTICE_DIRECT
-    return (_direct if small else _fft)(fa, ga, moduli, corr)
+def _conv(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None = None) -> ConvTable:
+    """Direct iff nnz(f) nnz(g) <= max(2^14, 2 x FFT size), capped at 2^22; else the FFT."""
+    grp, fa, ga = tf.group, tf.array, tg.array
+    moduli = grp.moduli if grp.is_cyclic else None
+    pairs = np.count_nonzero(fa) * np.count_nonzero(ga)
+    direct = pairs <= min(_DIRECT_MAX, max(_DIRECT_MIN, 2 * math.prod(_shape(fa, ga, moduli))))
+    out = _direct(fa, ga, moduli, corr) if direct else _fft(fa, ga, moduli, corr, spectra)
+    if moduli:
+        return ConvTable(grp, out)
+    # a correlation's lags start at g's offset minus the far corner of f's window
+    off = tuple(b - a - s + 1 if corr else a + b for a, b, s in zip(tf.offset, tg.offset, fa.shape))
+    return ConvTable(grp, out, off).trimmed()
 
 
 def convolve(f, g, *, corr: bool = False) -> ConvTable:
@@ -278,12 +295,7 @@ def convolve(f, g, *, corr: bool = False) -> ConvTable:
     tg = tf if g is f else as_table(g)
     if tf.group != tg.group:
         raise groups.GroupError("convolution operands live in different groups")
-    grp = tf.group
-    if grp.is_cyclic:
-        return ConvTable(grp, _conv(tf.array, tg.array, grp.moduli, corr))
-    # a correlation's lags start at g's offset minus the far corner of f's window
-    off = tuple(b - a - s + 1 if corr else a + b for a, b, s in zip(tf.offset, tg.offset, tf.array.shape))
-    return ConvTable(grp, _conv(tf.array, tg.array, None, corr), off).trimmed()
+    return _conv(tf, tg, corr)
 
 
 def correlate(f, g) -> ConvTable:
@@ -298,10 +310,14 @@ def conv_power(a, k: int) -> ConvTable:
     """k-fold convolution power (k factors); k = 1 returns the table itself."""
     if k < 1:
         raise ValueError("conv_power needs k >= 1")
-    t = as_table(a)
+    return _power(as_table(a), k, {})
+
+
+def _power(t: ConvTable, k: int, spectra: dict) -> ConvTable:
+    """t^(*k), transforming t once: spectra keeps its spectrum for the call."""
     out = t
     for _ in range(k - 1):
-        out = convolve(out, t)
+        out = _conv(out, t, False, spectra)
     return out
 
 
@@ -310,13 +326,25 @@ def conv_power(a, k: int) -> ConvTable:
 
 
 def _power_sum(values: np.ndarray, k) -> int | float:
-    """sum v^k over the positive entries: in int64 where no term or partial
-    sum can wrap, else over the distinct values in Python numbers."""
+    """sum v^k over the positive entries; for integer k in int64 where nothing
+    can wrap, over a bincount where max <= 4 len (every E_k), in int64 binomial
+    terms of v = h 2^s + l (h, l < 2^s) where (2^s)^k len < 2^63; else over
+    the distinct values in Python numbers."""
     pos, ki = values[values > 0], int(k) if float(k).is_integer() else None
     if len(pos) == 0:
         return 0.0 if ki is None else 0
-    if ki is not None and int(pos.max()) ** ki * len(pos) < 1 << 63:
-        return int((pos ** ki).sum())
+    if ki is not None and pos.dtype != object:
+        top, n = int(pos.max()), len(pos)
+        if top ** ki * n < 1 << 63:
+            return int((pos ** ki).sum())
+        if top <= 4 * n:
+            vals = np.flatnonzero(cnts := np.bincount(pos))
+            return sum(c * v ** ki for v, c in zip(vals.tolist(), cnts[vals].tolist()))
+        s = (top.bit_length() + 1) // 2
+        if (1 << s * ki) * n < 1 << 63:
+            h, l = pos >> s, pos & (1 << s) - 1
+            return sum(math.comb(ki, j) * int((h ** j * l ** (ki - j)).sum()) << s * j
+                       for j in range(ki + 1))
     vals, cnts = (v.tolist() for v in np.unique(pos, return_counts=True))
     if ki is not None:
         return sum(c * v ** ki for v, c in zip(vals, cnts))
@@ -353,11 +381,12 @@ def t_k(a: GSet, k: int) -> int:
     """T_k(A) = sum_x (A *_(k-1) A)(x)^2, cross-checked on the dual side."""
     if k < 1:
         raise ValueError("T_k needs k >= 1")
-    base = ConvTable.from_gset(a)
-    result = _power_sum(conv_power(base, k).values(), 2)
+    base, spectra = ConvTable.from_gset(a), {}
+    result = _power_sum(_power(base, k, spectra).values(), 2)
     if a.group.is_cyclic:
-        # the real half-spectrum: each last-axis bin but the first and Nyquist counts twice
-        spec = np.abs(np.fft.rfftn(base.array)) ** (2 * k)
+        # the real half-spectrum, the chain's own where its FFT ran at the group
+        # size: each last-axis bin but the first and Nyquist counts twice
+        spec = np.abs((spectra.get(a.group.moduli) or [np.fft.rfftn(base.array)])[0]) ** (2 * k)
         spec[..., 1:(a.group.moduli[-1] + 1) // 2] *= 2
         fourier = float(spec.sum()) / a.group.order
         if not math.isclose(fourier, float(result), rel_tol=1e-6):

@@ -212,27 +212,29 @@ def weighted(rng, g, points, bits, span=None):
     return {p: rng.randrange(1, 1 << bits) if bits else 1 for p in pts}
 
 
-@pytest.mark.parametrize("g, threshold, span, path", [
-    (cyclic(16), None, None, "_direct"),
-    (cyclic(4, 4), None, None, "_direct"),
-    (cyclic(1024), None, None, "_fft"),           # cyclic FFT at the group size
-    (cyclic(32, 64), None, None, "_fft"),
-    (cyclic(1000), 1, None, "_fft"),              # padded linear FFT, folded
-    (cyclic(3, 5), 1, None, "_fft"),
-    (lattice(1), None, 30, "_direct"),
-    (lattice(1), None, 3000, "_fft"),             # padded linear FFT on a window
-    (lattice(2), None, 60, "_fft"),
-], ids=["Z16", "Z4xZ4", "Z1024", "Z32xZ64", "Z1000", "Z3xZ5-fft", "Z-direct", "Z-fft", "Z2-fft"])
-def test_correlate_matches_oracle_on_every_path(monkeypatch, g, threshold, span, path):
-    if threshold is not None:
-        monkeypatch.setattr(moments, "FFT_THRESHOLD", threshold)
+@pytest.mark.parametrize("g, points, span, cap, path", [
+    (cyclic(16), 12, None, None, "_direct"),
+    (cyclic(4, 4), 12, None, None, "_direct"),
+    (cyclic(4096), 64, None, None, "_direct"),       # sparse: sqrt(N) points, 2^12 pairs
+    (cyclic(1024), 160, None, None, "_fft"),         # cyclic FFT at the group size
+    (cyclic(32, 64), 160, None, None, "_fft"),
+    (cyclic(1000), 160, None, None, "_fft"),         # padded linear FFT, folded
+    (cyclic(3, 5), 12, None, 0, "_fft"),             # forced: _DIRECT_MAX patched to 0
+    (lattice(1), 40, 30, None, "_direct"),
+    (lattice(1), 240, 3000, None, "_fft"),           # padded linear FFT on a window
+    (lattice(1), 300, 150, None, "_fft"),            # dense Z set
+    (lattice(2), 240, 20, None, "_fft"),
+], ids=["Z16", "Z4xZ4", "Z4096-sparse", "Z1024", "Z32xZ64", "Z1000", "Z3xZ5-fft", "Z-direct",
+        "Z-fft", "Z-dense", "Z2-fft"])
+def test_correlate_matches_oracle_on_every_path(monkeypatch, g, points, span, cap, path):
+    if cap is not None:
+        monkeypatch.setattr(moments, "_DIRECT_MAX", cap)
     served = []
     for name in ("_direct", "_fft"):
         real = getattr(moments, name)
         monkeypatch.setattr(moments, name, lambda *args, _r=real, _n=name: served.append(_n) or _r(*args))
     rng = random.Random(83)
     mods = g.moduli if g.is_cyclic else None
-    points = min(12, g.order) if g.is_cyclic and g.order < 64 else 40
     # 0/1, then entries to 2^40 that force a limb split, with either operand the wider
     for fbits, hbits in ((0, 0), (40, 3), (3, 40), (40, 40)):
         f, h = weighted(rng, g, points, fbits, span), weighted(rng, g, points, hbits, span)
@@ -257,8 +259,31 @@ def test_self_products_transform_once(monkeypatch):
         product(a, a)
         assert calls == ["rfftn", "irfftn"]
     calls.clear()
-    correlate(a, GSet(cyclic(4096), [0, 5, 9]))
+    correlate(a, GSet(cyclic(4096), range(0, 400, 20)))
     assert calls == ["rfftn", "rfftn", "irfftn"]
+    # a conv_power chain transforms A once, and T_k's cross-check reuses it
+    for moment, k, counts in ((t_k, 2, (1, 1)), (t_k, 3, (2, 2)), (t_k, 4, (3, 3)),
+                              (sigma_k, 3, (1, 1)), (sigma_k, 4, (2, 2))):
+        calls.clear()
+        moment(a, k)
+        assert (calls.count("rfftn"), calls.count("irfftn")) == counts, (moment.__name__, k)
+
+
+def test_single_limb_product_keeps_mass_check(monkeypatch):
+    a = GSet(cyclic(4096), random.Random(97).sample(range(4096), 1500))
+    b = GSet(cyclic(4096), random.Random(98).sample(range(4096), 900))
+    assert moments._split((1500, 1), (1500, 1), 4096) == (None, None)
+    real = np.fft.irfftn
+
+    def corrupt(*args):
+        out = real(*args)
+        out.flat[7] += 1
+        return out
+    monkeypatch.setattr(np.fft, "irfftn", corrupt)
+    for f, g in ((a, a), (a, b)):
+        for product in (correlate, convolve):
+            with pytest.raises(ArithmeticError, match="mass identity"):
+                product(f, g)
 
 
 def test_conv_power_chain_exact():
@@ -356,6 +381,20 @@ def test_entry_bound_boundaries_match_oracle():
         wide = sum(f.values()) >= 1 << 62
         assert t.array.dtype == (object if wide else np.int64)
         assert max(want.values()) == sum(f.values())
+
+
+def test_power_sum_matches_python_ints_on_every_branch():
+    # near 2^10 with max <= 4 len: int64 to k = 5, the bincount loop at k = 6;
+    # near 2^20: int64 at k = 2, the h 2^s + l split at k = 3, 4, the Python loop
+    # beyond; near 2^37: the split at k = 2, the Python loop beyond
+    rng = np.random.default_rng(101)
+    for bits, n in ((10, 1024), (20, 1000), (37, 1000)):
+        values = np.concatenate([(1 << bits) + rng.integers(-64, 64, n), [0, -5, (1 << bits) - 1]])
+        top, n = int(values.max()), int((values > 0).sum())
+        if bits == 10:
+            assert top ** 6 * n >= 1 << 63 and top <= 4 * n
+        for k in range(2, 7):
+            assert moments._power_sum(values, k) == sum(int(v) ** k for v in values.tolist() if v > 0)
 
 
 def test_limb_plan():

@@ -14,6 +14,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -170,8 +171,7 @@ def check_c7(sets: Sequence[GSet]) -> CheckResult:
 
 def check_c8(a: GSet, alpha: float, k: int) -> CheckResult:
     g = a.group
-    r_alpha = spectrum.large_spectrum(a, alpha)
-    lam = GSet(g, [e for e in r_alpha.elems if e != groups.zero(g)])
+    lam = GSet(g, spectrum.large_spectrum(a, alpha).coords[1:])   # row 0 is the zero frequency
     lhs = moments.t_k(lam, k) if lam else 0
     delta = len(a) / g.order
     rhs = delta * alpha ** (2 * k) * len(lam) ** (2 * k)
@@ -424,8 +424,7 @@ def check_c21(a: GSet, l: int, variant: str = "diff") -> CheckResult:
 
 
 def check_c22(a: GSet, b: GSet, l: int) -> CheckResult:
-    corr = moments.correlate(a, a)
-    mass = sum(corr.value(x) for x in b)
+    mass = sum(moments.correlate(a, a).values_at(b.coords).tolist())
     lhs = mass ** (4 * l)
     rhs = len(a) ** (6 * l - 4) * moments.energy_k(b, l) * moments.energy_k(a, l + 2)
     return _res("C22", {**_summary(a), **_summary(b, "B"), "l": l}, lhs, rhs, "<=")
@@ -433,12 +432,13 @@ def check_c22(a: GSet, b: GSet, l: int) -> CheckResult:
 
 def check_c24(a: GSet, alpha: float) -> CheckResult:
     f1 = slice_corr_sums(a, 1)
-    corr = moments.correlate(a, a)
+    points = np.array(list(f1), dtype=np.int64).reshape(-1, a.group.dim)
+    pairs = list(zip(f1.values(), moments.correlate(a, a).values_at(points).tolist()))
     exact = float(alpha).is_integer()
     if exact:
-        lhs = sum(v * corr.value(x) ** int(alpha) for x, v in f1.items())
+        lhs = sum(v * c ** int(alpha) for v, c in pairs)
     else:
-        lhs = float(sum(v * float(corr.value(x)) ** alpha for x, v in f1.items()))
+        lhs = float(sum(v * float(c) ** alpha for v, c in pairs))
     rhs = moments.energy_k(a, 2 + alpha)
     tol = 0.0 if exact else REL_TOL
     return _res("C24", {**_summary(a), "alpha": alpha}, lhs, rhs, "=", tolerance=tol)
@@ -464,12 +464,10 @@ def check_c26(p: int, t: int, picks: tuple[int, int, int] = (0, 1, 2)) -> CheckR
     q = genset.invariant_union(gamma, (picks[0],))
     q1 = genset.invariant_union(gamma, (picks[1],))
     q2 = genset.invariant_union(gamma, (picks[2],))
-    corr = moments.correlate(q1, q2)
-    lhs = sum(corr.value(x) for x in q)
+    lhs = sum(moments.correlate(q1, q2).values_at(q.coords).tolist())
     rhs = t ** (-1 / 3) * (len(q) * len(q1) * len(q2)) ** (2 / 3)
-    res = _res("C26", {"p": p, "t": t}, lhs, rhs, "<=", hard=False,
-               passed=math.isfinite(_ratio(lhs, rhs)))
-    return res
+    return _res("C26", {"p": p, "t": t}, lhs, rhs, "<=", hard=False,
+                passed=math.isfinite(_ratio(lhs, rhs)))
 
 
 def check_c27(p: int, t: int, variant: str = "invariant", coset: int = 0,
@@ -592,14 +590,11 @@ def check_c34(a: GSet, top: int = 8) -> CheckResult:
     logk = max(1.0, math.log2(max(2.0, k_val)))
     size_floor = len(a) / (k_val ** (25 / 22) * logk)
     candidates: list[tuple[str, GSet]] = [("A", a), ("D", d), ("P", extract.popular_set(a))]
-    corr = moments.correlate(a, a)
-    popular = sorted(corr.support(), key=lambda kv: (-kv[1], kv[0]))[:top]
-    for s, _ in popular:
-        candidates.append((f"A_s{list(s)}", setops.stabilizer_slice(a, [s])))
-    d_corr = moments.correlate(d, d)
-    popular_d = sorted(d_corr.support(), key=lambda kv: (-kv[1], kv[0]))[:top]
-    for s, _ in popular_d:
-        candidates.append((f"D_s{list(s)}", setops.stabilizer_slice(d, [s])))
+    for name, base in (("A", a), ("D", d)):
+        # the top values, ties in lexicographic order of the point
+        points, values = moments.correlate(base, base).support_rows()
+        for s in points[np.argsort(-values, kind="stable")[:top]].tolist():
+            candidates.append((f"{name}_s{s}", setops.stabilizer_slice(base, [s])))
     best_name, best_ratio, best_size = None, -1.0, 0
     for name, cand in candidates:
         if len(cand) < max(2, size_floor):
@@ -706,10 +701,6 @@ def check_ek_slices(a: GSet, k: int) -> CheckResult:
     return _res("EKS", {**_summary(a), "k": k}, lhs, rhs, "=")
 
 
-def check_eigen_trace(a: GSet, b: GSet, k: int) -> CheckResult:
-    return check_c18(a, b, k, variant="trace")
-
-
 # ---------------------------------------------------------------------------
 # registry and suite runner
 
@@ -725,7 +716,7 @@ REGISTRY: dict[str, Callable[..., CheckResult]] = {
     "C29": check_c29, "C30": check_c30, "C31": check_c31, "C32": check_c32,
     "C33": check_c33, "C34": check_c34, "C35": check_c35, "C36": check_c36,
     "C37": check_c37, "C38": check_c38,
-    "EKS": check_ek_slices, "EIGTR": check_eigen_trace,
+    "EKS": check_ek_slices, "EIGTR": lambda **kw: check_c18(variant="trace", **kw),
 }
 
 HARD_CHECKS = {"C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10", "C10p",
@@ -759,99 +750,101 @@ class Instance:
         span = max(8, 3 * len(self.a))
         return GSet(g, rng.sample(range(span), min(size, span)))
 
+    @cached_property
+    def grids(self) -> dict[str, list[dict]]:
+        """Default parameter grids by check id (ids without one are absent),
+        built on first use with the companion sets and kept."""
+        a = self.a
+        if self.kind == "subgroup":
+            p, t = self.extra["p"], self.extra["t"]
+            return {
+                "C25": [{"p": p, "t": t, "k": 1}],
+                "C26": [{"p": p, "t": t}],
+                "C27": [{"p": p, "t": t, "variant": "invariant", "coset": 1},
+                        {"p": p, "t": t, "variant": "pred"}],
+                "C36": [{"p": p, "t": t}],
+                "C38": [{"p": p, "kmax": 2}],
+            }
+        if self.kind == "intset":
+            c35 = [{"a": a, "variant": "lcon"}, {"a": a, "variant": "solymosi"},
+                   {"a": a, "variant": "sigma"}]
+            if 0 not in a:
+                c35.append({"a": a, "variant": "balog"})
+            return {"C35": c35}
+        if a is None or self.kind != "set":
+            return {}
+        small = self.derived("small", 5)
+        small2 = self.derived("small2", 5)
+        small3 = self.derived("small3", 4)
+        b = self.derived("b")
+        grids: dict[str, list[dict]] = {
+            "C1": [{"a": a, "k": k} for k in (1, 2, 3)],
+            "C2": [{"a": a, "k": k} for k in (1, 2)],
+            "C3": [{"a": a, "k": k, "sign": s} for k in (1, 2) for s in (MINUS, PLUS)],
+            "C4": [{"a": a, "k": k, "l": l} for k in range(1, 5) for l in range(1, 5)
+                   if 2 <= k + l <= 5],
+            "C5": [{"a": a, "b": b, "k": k} for k in (1, 2, 3)],
+            "C6": [{"a": a, "k": k} for k in (1, 2, 3)],
+            "C7": [{"sets": [a, b, small]}],
+            "C11": ([{"sets": {"W": small, "X": small2, "Y": b, "Z": small3}, "variant": "tri1"}]
+                    + [{"sets": {"A1": small, "A2": small2, "A3": small3, "B": b},
+                        "variant": "tri2", "m": m} for m in (1, 2)]
+                    + [{"sets": {"A1": small, "A2": small2, "X": small3, "Z": b},
+                        "variant": "eq"}]),
+            "C13": [{"a": a, "n": 1, "m": 1, "variant": v}
+                    for v in ("D_lower", "D_upper", "S_lower", "S_upper")]
+                   + [{"a": a, "n": 1, "m": 2, "variant": v}
+                      for v in ("D_lower", "D_upper", "S_lower", "S_upper", "DS")]
+                   + [{"a": a, "n": 2, "m": 1, "variant": v}
+                      for v in ("D_lower", "D_upper", "S_lower", "S_upper", "DS2")],
+            "C16": [{"a": small, "b0": small2, "c": small3, "k": k} for k in (1, 2)],
+            "C19": [{"a": a, "b": b, "k": k} for k in (1, 2, 3)],
+            "C20": [{"a": a, "sign": s} for s in (MINUS, PLUS)],
+            "C21": [{"a": a, "l": l, "variant": v} for l in (2, 3)
+                    for v in ("diff", "sum", "sum2")],
+            "C22": [{"a": a, "b": b, "l": l} for l in (1, 2)],
+            "C24": [{"a": a, "alpha": al} for al in (1.0, 2.0, 1.5)],
+            "C28": [{"x1": small, "y": small2, "z1": small3, "w": b}],
+            "EKS": [{"a": a, "k": k} for k in (2, 3, 4)],
+        }
+        sub = _subsample(a, 10)
+        grids["C17"] = ([{"a": sub, "variant": "power", "n": n, "m": m}
+                         for n, m in ((1, 1), (2, 1), (2, 2))]
+                        + [{"a": sub, "b": small, "c": small2, "variant": "sum3"},
+                           {"a": _subsample(a, 7), "b": small3, "c": small2,
+                            "variant": "delta", "k": 2}])
+        sub8 = _subsample(a, 8)
+        grids["C18"] = ([{"a": a, "b": b, "k": k, "variant": v}
+                         for k in (1, 2) for v in ("trace", "frobenius", "order", "sign")]
+                        + [{"a": sub8, "b": small, "k": k, "variant": "exact"} for k in (1, 2)])
+        grids["EIGTR"] = [{"a": a, "b": b, "k": k} for k in (1, 2, 3)]
+        if a.group.is_cyclic:
+            grids["C8"] = [{"a": a, "alpha": al, "k": k} for al in (0.3, 0.6) for k in (2, 3)]
+            grids["C9"] = [{"a": a, "alpha": al, "k": k} for al in (0.3, 0.5, 0.75)
+                           for k in (1, 2)]
+            grids["C10"] = [{"a": a, "k": k} for k in (2, 3)]
+            grids["C10p"] = [{"a": a, "k": k} for k in (2, 3)]
+            grids["C15"] = [{"sets": [small, b]}, {"sets": [small, small2, small3]}]
+            grids["C37"] = [{"a": a, "coeffs": (0, 1, 2), "sign": MINUS}]
+            grids["C31"] = [{"a": a, "k": 3, "trials": 60, "seed": 11}]
+            grids["C32"] = [{"a": a, "pipeline": "bsg1"}, {"a": a, "pipeline": "bsg2"}]
+            grids["C33"] = [{"a": a}]
+            grids["C34"] = [{"a": a}]
+        if self.extra.get("basis_depth"):
+            k = self.extra["basis_depth"]
+            grids["C14"] = ([{"b": a, "a": small, "k": k, "sign": MINUS},
+                             {"b": a, "a": small, "k": k, "sign": MINUS, "m": k + 1}]
+                            + ([{"b": a, "a": small, "k": k, "sign": PLUS}]
+                               if self.extra.get("plus_basis") else []))
+            if k >= 2:
+                grids["C29"] = [{"b": a, "k": k, "m": m} for m in range(1, k)]
+                grids["C30"] = [{"b": a, "k": k}]
+        return grids
+
 
 def default_grid(check_id: str, inst: Instance) -> list[dict]:
     """Default parameter grid of a check over one suite instance."""
-    cid = check_id.replace("'", "p")
-    a = inst.a
-    if inst.kind == "subgroup":
-        p, t = inst.extra["p"], inst.extra["t"]
-        return {
-            "C25": [{"p": p, "t": t, "k": 1}],
-            "C26": [{"p": p, "t": t}],
-            "C27": [{"p": p, "t": t, "variant": "invariant", "coset": 1},
-                    {"p": p, "t": t, "variant": "pred"}],
-            "C36": [{"p": p, "t": t}],
-            "C38": [{"p": p, "kmax": 2}],
-        }.get(cid, [])
-    if inst.kind == "intset":
-        if cid != "C35":
-            return []
-        xs = {e[0] for e in a.elems}
-        grids = [{"a": a, "variant": "lcon"}, {"a": a, "variant": "solymosi"},
-                 {"a": a, "variant": "sigma"}]
-        if 0 not in xs:
-            grids.append({"a": a, "variant": "balog"})
-        return grids
-    if a is None or inst.kind != "set":
-        return []
-    small = inst.derived("small", 5)
-    small2 = inst.derived("small2", 5)
-    small3 = inst.derived("small3", 4)
-    b = inst.derived("b")
-    grids: dict[str, list[dict]] = {
-        "C1": [{"a": a, "k": k} for k in (1, 2, 3)],
-        "C2": [{"a": a, "k": k} for k in (1, 2)],
-        "C3": [{"a": a, "k": k, "sign": s} for k in (1, 2) for s in (MINUS, PLUS)],
-        "C4": [{"a": a, "k": k, "l": l} for k in range(1, 5) for l in range(1, 5)
-               if 2 <= k + l <= 5],
-        "C5": [{"a": a, "b": b, "k": k} for k in (1, 2, 3)],
-        "C6": [{"a": a, "k": k} for k in (1, 2, 3)],
-        "C7": [{"sets": [a, b, small]}],
-        "C11": ([{"sets": {"W": small, "X": small2, "Y": b, "Z": small3}, "variant": "tri1"}]
-                + [{"sets": {"A1": small, "A2": small2, "A3": small3, "B": b},
-                    "variant": "tri2", "m": m} for m in (1, 2)]
-                + [{"sets": {"A1": small, "A2": small2, "X": small3, "Z": b},
-                    "variant": "eq"}]),
-        "C13": [{"a": a, "n": 1, "m": 1, "variant": v}
-                for v in ("D_lower", "D_upper", "S_lower", "S_upper")]
-               + [{"a": a, "n": 1, "m": 2, "variant": v}
-                  for v in ("D_lower", "D_upper", "S_lower", "S_upper", "DS")]
-               + [{"a": a, "n": 2, "m": 1, "variant": v}
-                  for v in ("D_lower", "D_upper", "S_lower", "S_upper", "DS2")],
-        "C16": [{"a": small, "b0": small2, "c": small3, "k": k} for k in (1, 2)],
-        "C19": [{"a": a, "b": b, "k": k} for k in (1, 2, 3)],
-        "C20": [{"a": a, "sign": s} for s in (MINUS, PLUS)],
-        "C21": [{"a": a, "l": l, "variant": v} for l in (2, 3)
-                for v in ("diff", "sum", "sum2")],
-        "C22": [{"a": a, "b": b, "l": l} for l in (1, 2)],
-        "C24": [{"a": a, "alpha": al} for al in (1.0, 2.0, 1.5)],
-        "C28": [{"x1": small, "y": small2, "z1": small3, "w": b}],
-        "EKS": [{"a": a, "k": k} for k in (2, 3, 4)],
-    }
-    sub = _subsample(a, 10)
-    grids["C17"] = ([{"a": sub, "variant": "power", "n": n, "m": m}
-                     for n, m in ((1, 1), (2, 1), (2, 2))]
-                    + [{"a": sub, "b": small, "c": small2, "variant": "sum3"},
-                       {"a": _subsample(a, 7), "b": small3, "c": small2,
-                        "variant": "delta", "k": 2}])
-    sub8 = _subsample(a, 8)
-    grids["C18"] = ([{"a": a, "b": b, "k": k, "variant": v}
-                     for k in (1, 2) for v in ("trace", "frobenius", "order", "sign")]
-                    + [{"a": sub8, "b": small, "k": k, "variant": "exact"} for k in (1, 2)])
-    grids["EIGTR"] = [{"a": a, "b": b, "k": k} for k in (1, 2, 3)]
-    if a.group.is_cyclic:
-        grids["C8"] = [{"a": a, "alpha": al, "k": k} for al in (0.3, 0.6) for k in (2, 3)]
-        grids["C9"] = [{"a": a, "alpha": al, "k": k} for al in (0.3, 0.5, 0.75)
-                       for k in (1, 2)]
-        grids["C10"] = [{"a": a, "k": k} for k in (2, 3)]
-        grids["C10p"] = [{"a": a, "k": k} for k in (2, 3)]
-        grids["C15"] = [{"sets": [small, b]}, {"sets": [small, small2, small3]}]
-        grids["C37"] = [{"a": a, "coeffs": (0, 1, 2), "sign": MINUS}]
-        grids["C31"] = [{"a": a, "k": 3, "trials": 60, "seed": 11}]
-        grids["C32"] = [{"a": a, "pipeline": "bsg1"}, {"a": a, "pipeline": "bsg2"}]
-        grids["C33"] = [{"a": a}]
-        grids["C34"] = [{"a": a}]
-    if inst.extra.get("basis_depth"):
-        k = inst.extra["basis_depth"]
-        grids["C14"] = ([{"b": a, "a": small, "k": k, "sign": MINUS},
-                         {"b": a, "a": small, "k": k, "sign": MINUS, "m": k + 1}]
-                        + ([{"b": a, "a": small, "k": k, "sign": PLUS}]
-                           if inst.extra.get("plus_basis") else []))
-        if k >= 2:
-            grids["C29"] = [{"b": a, "k": k, "m": m} for m in range(1, k)]
-            grids["C30"] = [{"b": a, "k": k}]
-    return grids.get(cid, [])
+    return inst.grids.get(check_id.replace("'", "p"), [])
 
 
 def _subsample(a: GSet, size: int) -> GSet:

@@ -86,17 +86,15 @@ def _json_default(obj):
 # popular differences and the difference-set transfer
 
 
-def popular_set(a: GSet, threshold: Fraction | float | None = None,
-                corr: moments.ConvTable | None = None) -> GSet:
+def popular_set(a: GSet, threshold: Fraction | float | None = None) -> GSet:
     """P = {s : (A o A)(s) >= threshold}; default threshold |A|^2 / (2|A-A|).
-    corr, when given, is the table A o A.
 
     With the default threshold the popular part keeps at least half the mass:
     sum_{s in P} (A o A)(s) >= |A|^2 / 2.
     """
     if not a:
         raise ValueError("popular set needs a nonempty A")
-    points, values = (moments.correlate(a, a) if corr is None else corr).support_rows()
+    points, values = moments.correlate(a, a).support_rows()
     default = threshold is None
     if default:
         threshold = Fraction(len(a) ** 2, 2 * len(values))  # |A - A| support points
@@ -193,12 +191,13 @@ def robust_core(family: Sequence[GSet], universe: GSet, delta: float) -> list[in
 # structured-subset pipelines
 
 
-def _popularity_family(a: GSet, corr: moments.ConvTable, e: int) -> np.ndarray:
+def _popularity_family(a: GSet, e: int) -> np.ndarray:
     """|A| x |A| incidence matrix of 2|A|^2 (A o A)(x - y) >= e, rows x and
-    columns y in the order of A, from one gather of corr = A o A."""
+    columns y in the order of A, from one gather of A o A."""
     n = len(a)
     diffs = (a.coords[:, None] - a.coords[None]).reshape(-1, a.group.dim)
-    return corr.values_at(diffs).reshape(n, n) >= -(-e // (2 * n * n))   # integer ceiling
+    corr = moments.correlate(a, a).values_at(diffs).reshape(n, n)
+    return corr >= -(-e // (2 * n * n))   # integer ceiling
 
 
 def bsg_extract(a: GSet, eps: float = 1.0) -> ExtractionReport:
@@ -210,18 +209,17 @@ def bsg_extract(a: GSet, eps: float = 1.0) -> ExtractionReport:
     if not (0 < eps <= 1):
         raise ValueError("eps must lie in (0, 1]")
     n = len(a)
-    corr = moments.correlate(a, a)
-    e2 = moments.energy_k(a, 2, corr)
+    e2 = moments.energy_k(a, 2)
     k_val = float(Fraction(n ** 3, e2))
-    e2e = moments.energy_k(a, 2 + eps, corr)
+    e2e = moments.energy_k(a, 2 + eps)
     m_val = float(e2e) * k_val ** (1 + eps) / n ** (3 + eps)
-    profile = EnergyProfile.from_set(a, ks=(2, 3), corr=corr)
+    profile = EnergyProfile.from_set(a, ks=(2, 3))
     rep = ExtractionReport("bsg1", profile.as_dict(), {"eps": eps})
     rep.add_stage("normalize", K=k_val, M=m_val, E2=e2, E2_eps=float(e2e))
 
     g = a.group
     # S_a via the exact comparison 2|A|^2 (A o A)(a-b) >= E_2
-    incidence = _popularity_family(a, corr, e2)
+    incidence = _popularity_family(a, e2)
     fam = [GSet(g, a.coords[row]) for row in incidence]
     mass = int(incidence.sum())
     floor = n * n / (2 ** ((1 + eps) / eps) * m_val ** (1 / eps))
@@ -256,18 +254,17 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
         raise ValueError("eps must lie in (0, 1]")
     n = len(a)
     g = a.group
-    corr = moments.correlate(a, a)
-    e2 = moments.energy_k(a, 2, corr)
+    e2 = moments.energy_k(a, 2)
     k_val = float(Fraction(n ** 3, e2))
-    e3e = moments.energy_k(a, 3 + eps, corr)
+    e3e = moments.energy_k(a, 3 + eps)
     m_val = float(e3e) * k_val ** (2 + eps) / n ** (4 + eps)
-    profile = EnergyProfile.from_set(a, ks=(2, 3, 4), corr=corr)
+    profile = EnergyProfile.from_set(a, ks=(2, 3, 4))
     rep = ExtractionReport("bsg2", profile.as_dict(), {"eps": eps, "nm": list(map(list, nm)), "seed": seed})
     rep.add_stage("normalize", K=k_val, M=m_val, E2=e2, E3_eps=float(e3e))
 
     # popular differences at level |A|/(2K) = E_2/(2|A|^2)
-    p_set = popular_set(a, Fraction(e2, 2 * n * n), corr)
-    p_mass = int(corr.values_at(p_set.coords).sum())
+    p_set = popular_set(a, Fraction(e2, 2 * n * n))
+    p_mass = int(moments.correlate(a, a).values_at(p_set.coords).sum())
     forced = (e2 / 2) ** ((2 + eps) / (1 + eps)) / float(e3e) ** (1 / (1 + eps))
     if p_mass < forced * (1 - 1e-9):
         raise InvariantError(f"popular mass {p_mass} fell below the forced bound {forced}")
@@ -279,7 +276,6 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
     sample = list(p_set.elems)
     rng.shuffle(sample)
     checks = []
-    p_corr = moments.correlate(p_set, p_set)
     for s in sample[:6]:
         s_row = as_rows(g, [s])
         a_s = setops.stabilizer_slice(a, s_row)
@@ -292,7 +288,8 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
         contained = union.issubset(p_set.intersect(p_set.translate(-s_row[0])))
         e_pair = moments.energy_pair(a_s, a) if a_s else 1
         cs_ok = len(union) * e_pair >= incidence ** 2
-        pp_ok = int(p_corr.values_at(s_row)[0]) >= len(union)   # (P o P)(s) = |P n (P - s)|
+        # (P o P)(s) = |P n (P - s)|
+        pp_ok = int(moments.correlate(p_set, p_set).values_at(s_row)[0]) >= len(union)
         checks.append({"s": list(s), "contained": contained, "cs_ok": cs_ok, "pp_ok": pp_ok,
                        "incidence": incidence})
         if not (contained and cs_ok and pp_ok):
@@ -300,10 +297,10 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
     rep.add_stage("transfer_checks", samples=checks)
 
     # selection machinery on the popular set itself
-    ep = moments.energy_k(p_set, 2, p_corr)
+    ep = moments.energy_k(p_set, 2)
     kp = Fraction(len(p_set) ** 3, ep)
     p_n = len(p_set)
-    incidence = _popularity_family(p_set, p_corr, ep)
+    incidence = _popularity_family(p_set, ep)
     fam = [GSet(g, p_set.coords[row]) for row in incidence]
     # sum_(i,j) |S_i n S_j| counts, for each column, the ordered pairs of its rows
     pair_total = int((incidence.sum(axis=0) ** 2).sum())
@@ -346,8 +343,8 @@ def small_t4_extract(a: GSet) -> ExtractionReport:
     k_val = np.count_nonzero(corr.array) / n   # |A - A| / |A|
     t3 = moments.t_k(a, 3)
     m_val = float(t3) * k_val ** 2 / n ** 5
-    e3 = moments.energy_k(a, 3, corr)
-    profile = EnergyProfile.from_set(a, ks=(2, 3), corr=corr)
+    e3 = moments.energy_k(a, 3)
+    profile = EnergyProfile.from_set(a, ks=(2, 3))
     rep = ExtractionReport("smallT4", profile.as_dict(), {})
     rep.add_stage("normalize", K=k_val, M=m_val, T3=t3, gamma=float(e3) / n ** 4)
 
@@ -469,7 +466,7 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200, seed: int = 1,
     bb, bd = moments.correlate(b, b), moments.correlate(b, base)
     origin = np.zeros((1, g.dim), dtype=np.int64)
     corr = moments.correlate(a, a)   # its support is A - A
-    profile = EnergyProfile.from_set(a, ks=(2,), corr=corr)
+    profile = EnergyProfile.from_set(a, ks=(2,))
     rep = ExtractionReport("cs", profile.as_dict(),
                            {"k": k, "trials": trials, "seed": seed})
 
@@ -520,7 +517,7 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200, seed: int = 1,
         rep.add_stage("violations", members=violations)
 
     k_doub = np.count_nonzero(corr.array) / n
-    e_high = float(moments.energy_k(a, 2 * k + 2, corr))
+    e_high = float(moments.energy_k(a, 2 * k + 2))
     m_val = e_high * k_doub ** (2 * k + 1) / n ** (2 * k + 3)
     claimed = k_doub * n / (16 * m_val)
     rep.claimed = claimed

@@ -7,6 +7,7 @@ coordinates must satisfy |c| < 2^62, so a sum or difference of two rows
 cannot wrap.  ``elems`` (tuples of Python ints), ``as_set`` and
 ``indicator()`` are views, derived on first use and cached, and
 ``flat_indices()`` reads the indicator; set algebra runs on ``coords``.
+``moments.correlate(a, a)`` keeps the table A o A on the set the same way.
 
 File format (UTF-8 text): line 1 is ``group: <literal>``, every following
 non-blank line is one element with comma-separated coordinates.  Files
@@ -70,6 +71,7 @@ class GSet:
         self.group = group
         self.coords = rows[fresh]
         self.coords.flags.writeable = False
+        self._self_corr = None   # A o A, built and kept by moments.correlate
 
     def __len__(self) -> int:
         return len(self.coords)

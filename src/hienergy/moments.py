@@ -10,7 +10,9 @@ the direct path subtracts indices, the FFT conjugates f's spectrum.  A
 self-product (f is g) transforms each limb once, and a conv_power chain its
 base once, which T_k's cross-check reuses: A o A costs two real FFTs, T_k
 2k - 2 on a power-of-two cyclic group.  Only the exact mass identity and
-T_k's cross-check are validated after the fact.
+T_k's cross-check are validated after the fact.  A o A of a GSet is built
+once and kept on the set, read-only: every E_k, the level sequence and the
+Gram (B o B)^k read that one table.
 
 Moment notation used throughout: (f*g)(x) = sum_y f(y) g(x-y) and
 (f o g)(x) = sum_y f(y) g(y+x); E_k(A) = sum_x (A o A)(x)^k; T_k(A) is the
@@ -299,10 +301,17 @@ def convolve(f, g, *, corr: bool = False) -> ConvTable:
 
 
 def correlate(f, g) -> ConvTable:
-    """(f o g)(x) = sum_y f(y) g(y + x); for sets, counts of x = b - a."""
+    """(f o g)(x) = sum_y f(y) g(y + x); for sets, counts of x = b - a.
+    With one GSet passed twice the table is built once and kept on the set."""
+    keep = f is g and isinstance(f, GSet)
+    if keep and f._self_corr is not None:
+        return f._self_corr
     out = convolve(f, g, corr=True)
     if isinstance(f, GSet) and isinstance(g, GSet) and out.total() != len(f) * len(g):
         raise InvariantError("correlation mass must equal |A||B|")
+    if keep:
+        out.array.flags.writeable = False
+        f._self_corr = out
     return out
 
 
@@ -351,12 +360,11 @@ def _power_sum(values: np.ndarray, k) -> int | float:
     return float(sum(float(c) * float(v) ** k for v, c in zip(vals, cnts)))
 
 
-def energy_k(a: GSet, k, corr: ConvTable | None = None) -> int | float:
-    """E_k(A) = sum_x (A o A)(x)^k; exact for integer k, E_1(A) = |A|^2.
-    corr, when given, is the table A o A."""
+def energy_k(a: GSet, k) -> int | float:
+    """E_k(A) = sum_x (A o A)(x)^k; exact for integer k, E_1(A) = |A|^2."""
     if k < 1:
         raise ValueError("energy order must be >= 1")
-    return _power_sum((correlate(a, a) if corr is None else corr).values(), k)
+    return _power_sum(correlate(a, a).values(), k)
 
 
 def energy_pair(a: GSet, b: GSet) -> int:
@@ -467,18 +475,16 @@ class EnergyProfile:
     doubling_plus: float
 
     @classmethod
-    def from_set(cls, a: GSet, ks: Iterable[int] = (2, 3, 4), set_id: str = "",
-                 corr: ConvTable | None = None) -> "EnergyProfile":
-        """Every E_k and |A - A| (its support) from one table corr = A o A;
+    def from_set(cls, a: GSet, ks: Iterable[int] = (2, 3, 4), set_id: str = "") -> "EnergyProfile":
+        """Every E_k and |A - A| (its support) from the set's A o A;
         |A + A| is the support of A * A."""
         if not a:
             raise ValueError("profile needs a nonempty set")
         n = len(a)
-        corr = correlate(a, a) if corr is None else corr
-        kappa = {int(k): float(energy_k(a, int(k), corr)) / n ** (k + 1) for k in ks}
+        kappa = {int(k): float(energy_k(a, int(k))) / n ** (k + 1) for k in ks}
         delta = n / a.group.order if a.group.is_cyclic else None
         return cls(set_id=set_id, size=n, kappa=kappa, delta=delta,
-                   doubling_minus=np.count_nonzero(corr.array) / n,
+                   doubling_minus=np.count_nonzero(correlate(a, a).array) / n,
                    doubling_plus=np.count_nonzero(convolve(a, a).array) / n)
 
     def as_dict(self) -> dict:

@@ -61,12 +61,10 @@ def large_spectrum(a: GSet, alpha: float) -> GSet:
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
     g = a.group
-    spec = dft(a)
-    mags = np.abs(spec.array)
+    mags = np.abs(dft(a).array)
     thresh = alpha * len(a) - 1e-9 * max(1, len(a))
-    picked = [xi for xi in groups.enumerate_elements(g) if mags[xi] >= thresh]
-    out = GSet(g, picked)
-    if groups.zero(g) not in out.as_set:
+    out = GSet(g, np.argwhere(mags >= thresh))   # row-major is lexicographic
+    if len(out) == 0 or out.coords[0].any():
         raise InvariantError("large spectrum must contain 0")
     delta = len(a) / g.order
     if len(out) > alpha ** -2 * delta ** -1 * (1 + 1e-9):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hienergy import checks, genset, groups, setops
+from hienergy import checks, genset, groups, moments, setops
 from hienergy.checks import Instance, run_check, run_suite
 from hienergy.groups import cyclic, lattice
 from hienergy.gset import GSet, full_group, zset
@@ -125,6 +125,23 @@ def test_pipeline_checks_smoke():
     assert r34.passed
 
 
+def test_c22_c24_gathers_match_pointwise_loops():
+    # reference: the per-point loops over ConvTable.value, in slice_corr_sums' key order
+    rng = random.Random(41)
+    for g in (cyclic(64), cyclic(4, 8), lattice(1)):
+        for _ in range(4):
+            a, b = (GSet(g, [groups.from_flat(g, v) for v in rng.sample(range(32), n)])
+                    if g.is_cyclic else GSet(g, rng.sample(range(40), n)) for n in (9, 6))
+            corr = moments.correlate(a, a)
+            mass = sum(corr.value(x) for x in b)
+            assert run_check("C22", {"a": a, "b": b, "l": 2}).lhs == float(mass ** 8)
+            f1 = checks.slice_corr_sums(a, 1)
+            want = sum(v * corr.value(x) ** 2 for x, v in f1.items())
+            assert run_check("C24", {"a": a, "alpha": 2.0}).lhs == float(want)
+            want = float(sum(v * float(corr.value(x)) ** 1.5 for x, v in f1.items()))
+            assert run_check("C24", {"a": a, "alpha": 1.5}).lhs == want
+
+
 def test_c35_variants():
     a = zset(range(1, 17))
     for variant in ("lcon", "balog", "solymosi", "sigma"):
@@ -138,6 +155,27 @@ def test_suite_isolates_errors():
     rep = run_suite([bad, good], ["C17", "C1"])
     assert any(r.passed and r.inputs.get("instance") == "good" for r in rep.results)
     assert any(e["instance"] == "bad" for e in rep.errors)
+
+
+def test_instance_builds_companions_and_grids_once(monkeypatch):
+    calls = []
+    real = Instance.derived
+    monkeypatch.setattr(Instance, "derived",
+                        lambda self, *args: calls.append(self.label) or real(self, *args))
+    insts = (checks.standard_corpus(seed=7, cyclic_count=3, lattice_count=1)
+             + checks.basis_instances()[1:2] + checks.subgroup_instances(p_max=7)
+             + checks.intset_instances()[:1])
+    rep = run_suite(insts, sorted(checks.REGISTRY))
+    assert rep.results and not rep.hard_failures
+    for inst in insts:
+        assert calls.count(inst.label) <= 4
+        fresh = Instance(inst.kind, inst.label, inst.a, inst.extra)
+        for cid in checks.REGISTRY:
+            assert checks.default_grid(cid, inst) == checks.default_grid(cid, fresh)
+    inst = insts[0]
+    c1, c5 = checks.default_grid("C1", inst), checks.default_grid("C5", inst)
+    c22 = checks.default_grid("C22", inst)
+    assert c1[0]["a"] is c5[0]["a"] and c5[0]["b"] is c22[0]["b"]
 
 
 def test_suite_report_formats():

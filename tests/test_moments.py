@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hienergy import groups, moments, setops
+from hienergy import extract, groups, moments, setops
 from hienergy.groups import cyclic, lattice
 from hienergy.gset import GSet, full_group, zset
 from hienergy.moments import (ConvTable, EnergyProfile, convolve, correlate,
@@ -40,6 +40,31 @@ def test_correlate_degenerate():
     g = cyclic(6)
     t2 = correlate(full_group(g), full_group(g))
     assert all(t2.value(x) == 6 for x in groups.enumerate_elements(g))
+
+
+def test_self_correlation_built_once_and_kept(monkeypatch):
+    builds = []
+    real = moments._conv
+
+    def counted(tf, tg, corr=False, spectra=None):
+        builds.append(corr)
+        return real(tf, tg, corr, spectra)
+    monkeypatch.setattr(moments, "_conv", counted)
+    for a in (zset([0, 1, 3, 7, 8]), GSet(cyclic(4, 8), [(0, 1), (1, 3), (2, 2), (3, 7)])):
+        builds.clear()
+        energy_k(a, 2)
+        energy_k(a, 3)
+        level_sequence(a)
+        EnergyProfile.from_set(a)
+        extract.popular_set(a)
+        assert builds.count(True) == 1
+        kept = correlate(a, a)
+        assert kept is correlate(a, a) and builds.count(True) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            kept.array[0] = 0
+        # an equal set built apart has its own table
+        twin = GSet(a.group, a.coords)
+        assert correlate(twin, twin) is not kept and builds.count(True) == 2
 
 
 def test_energy_examples():

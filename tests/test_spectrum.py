@@ -55,14 +55,19 @@ def test_large_spectrum_examples():
 
 def test_large_spectrum_trivial_bound():
     rng = random.Random(13)
-    for _ in range(20):
-        g = cyclic(64)
-        a = rand_gset(rng, g, rng.randint(4, 20))
-        delta = len(a) / 64
-        for alpha in (0.3, 0.6, 0.9):
-            r = large_spectrum(a, alpha)
-            assert (0,) in r.as_set
-            assert len(r) <= alpha ** -2 / delta * (1 + 1e-9)
+    for g in (cyclic(64), cyclic(4, 8)):
+        for _ in range(20):
+            a = rand_gset(rng, g, rng.randint(4, 20))
+            delta = len(a) / g.order
+            mags = np.abs(dft(a).array)
+            for alpha in (0.3, 0.6, 0.9):
+                r = large_spectrum(a, alpha)
+                assert (0,) * g.dim in r.as_set
+                assert len(r) <= alpha ** -2 / delta * (1 + 1e-9)
+                # reference: a loop over the dual in lexicographic order
+                thresh = alpha * len(a) - 1e-9 * len(a)
+                assert r.elems == tuple(xi for xi in groups.enumerate_elements(g)
+                                        if mags[xi] >= thresh)
 
 
 def test_dissociated_examples():

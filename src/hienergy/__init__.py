@@ -8,8 +8,8 @@ from .moments import (ConvTable, EnergyProfile, convolve, correlate, energy_k,
                       prodset_size, quotset_size, sigma_k, t_k)
 from .setops import (Caps, CapExceededError, TupleSet, basis_depth_test, d_k,
                      delta_sumset, diffset, greedy_completion, iterated,
-                     magnification, magnification_k, restricted_sum, s_k,
-                     stabilizer_slice, sumset)
+                     family_sumset_sizes, magnification, magnification_k,
+                     restricted_sum, s_k, slice_masks, stabilizer_slice, sumset)
 from .spectrum import (SpectrumTable, dft, dim_exact, dim_greedy, dissociated_test,
                        large_spectrum, spectrum_energy_t_k)
 from .eigen import (PatternGram, build_gram, magnification_lower_bounds,

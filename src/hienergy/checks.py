@@ -389,13 +389,10 @@ def check_c19(a: GSet, b: GSet, k: int) -> CheckResult:
 
 def check_c20(a: GSet, sign: str = MINUS) -> CheckResult:
     p_star = extract.popular_set(a)
-    mass = 0
-    moved_total = 0
-    for s in p_star.elems:
-        a_s = setops.stabilizer_slice(a, [s])
-        mass += len(a_s)
-        moved = setops.diffset(a, a_s) if sign == MINUS else setops.sumset(a, a_s)
-        moved_total += len(moved)
+    member = setops.slice_masks(a, p_star.coords)   # row s: the slice A_s
+    mass = int(member.sum())
+    whole = np.ones((1, len(a)), dtype=bool)   # the family {A}: |A -+ A_s| = |A_s -+ A|
+    moved_total = int(setops.family_sumset_sizes(a, member, whole, sign).sum())
     e3 = moments.energy_k(a, 3)
     lhs = moved_total * e3
     rhs = mass ** 2 * len(a) ** 2  # eta^2 |A|^6 / E_3 with eta = mass/|A|^2
@@ -593,8 +590,9 @@ def check_c34(a: GSet, top: int = 8) -> CheckResult:
     for name, base in (("A", a), ("D", d)):
         # the top values, ties in lexicographic order of the point
         points, values = moments.correlate(base, base).support_rows()
-        for s in points[np.argsort(-values, kind="stable")[:top]].tolist():
-            candidates.append((f"{name}_s{s}", setops.stabilizer_slice(base, [s])))
+        top_points = points[np.argsort(-values, kind="stable")[:top]]
+        for s, row in zip(top_points.tolist(), setops.slice_masks(base, top_points)):
+            candidates.append((f"{name}_s{s}", base.subset(row)))
     best_name, best_ratio, best_size = None, -1.0, 0
     for name, cand in candidates:
         if len(cand) < max(2, size_floor):

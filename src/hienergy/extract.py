@@ -5,7 +5,8 @@ configuration / covering sweeps.
 
 Everything runs on the sorted int64 rows of ``GSet.coords`` and on
 ``ConvTable`` arrays.  Two identities turn the L2 defects of the
-almost-period search into one entry of a correlation each, with
+almost-period search into one entry of a correlation each, and a third
+turns the small-T_3 slice scores into one gather, with
 (f o g)(x) = sum_y f(y) g(y + x):
 
 * Shift defect.  For a finitely supported c (here c = A*B),
@@ -25,7 +26,15 @@ almost-period search into one entry of a correlation each, with
   c(y) = sum_i B(y - s_i), both terms are sums over the sequence:
   (c o d)(x) = sum_i (B o d)(s_i + x) and |c|^2 = sum_(i,j) (B o B)(s_i - s_j).
   Two correlations, B o d and B o B, taken once, decide every sequence and
-  every x.
+  every x.  All trials are drawn before any is decided, so each sum is one
+  gather for the whole batch, and the slices of all sampled shift
+  sequences are one `setops.slice_masks` family.
+
+* Slice energies.  For the small-T_3 covering, E(A, A_s) = sum over u, v
+  in A_s of (A o A)(v - u): the pairs (a, u), (a', v) with a + u = a' + v
+  are counted by a - a' = v - u.  With m_s the mask of A_s over the rows
+  of A and Q[u, v] = (A o A)(a_v - a_u), one gather of the kept A o A,
+  every candidate's energy is the exact integer m_s^T Q m_s <= |A|^3.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ import numpy as np
 
 from . import groups, moments, setops
 from .groups import Elem, InvariantError
-from .gset import GSet, as_rows, full_group
+from .gset import GSet, _row_keys, as_rows, full_group
 from .moments import EnergyProfile
 
 
@@ -125,13 +134,17 @@ def katz_koester(a: GSet, s, sign: str = setops.MINUS) -> tuple[GSet, bool]:
 
 
 def _membership(family: Sequence[GSet], universe: GSet) -> tuple[np.ndarray, np.ndarray]:
-    """(member, inter): the n x m table of u_j in S_i, and the n x n table
-    of |S_i n S_j| from one float64 product, exact while m < 2^53."""
+    """(member, inter): the n x m table of u_j in S_i, filled from one
+    search of every member's rows in the universe, and the n x n table of
+    |S_i n S_j| from one float64 product, exact while m < 2^53."""
     if len(family) == 0 or len(universe) == 0:
         raise ValueError("need a nonempty family and universe")
-    member = np.array([s.isin(universe.coords) for s in family], dtype=bool)
-    if member.sum() != sum(len(s) for s in family):
+    rows = np.concatenate([s.coords for s in family])
+    if not universe.isin(rows).all():
         raise ValueError("family member leaves the universe")
+    member = np.zeros((len(family), len(universe)), dtype=bool)
+    member[np.repeat(np.arange(len(family)), [len(s) for s in family]),
+           np.searchsorted(_row_keys(universe.coords), _row_keys(rows))] = True
     dense = member.astype(np.float64)
     return member, (dense @ dense.T).astype(np.int64)
 
@@ -220,7 +233,7 @@ def bsg_extract(a: GSet, eps: float = 1.0) -> ExtractionReport:
     g = a.group
     # S_a via the exact comparison 2|A|^2 (A o A)(a-b) >= E_2
     incidence = _popularity_family(a, e2)
-    fam = [GSet(g, a.coords[row]) for row in incidence]
+    fam = [a.subset(row) for row in incidence]
     mass = int(incidence.sum())
     floor = n * n / (2 ** ((1 + eps) / eps) * m_val ** (1 / eps))
     if mass < floor * (1 - 1e-9):
@@ -276,16 +289,18 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
     sample = list(p_set.elems)
     rng.shuffle(sample)
     checks = []
-    for s in sample[:6]:
-        s_row = as_rows(g, [s])
-        a_s = setops.stabilizer_slice(a, s_row)
+    shifts = as_rows(g, sample[:6])
+    # the slices A_s and P_s = P n (P - s) of every sampled shift, one family each
+    a_family, p_family = setops.slice_masks(a, shifts), setops.slice_masks(p_set, shifts)
+    for s, s_row, a_row, p_row in zip(sample, shifts[:, None], a_family, p_family):
+        a_s = a.subset(a_row)
         # x in A_s puts x + s in A; with u = x - y (y in A), y lies in
         # S_x n S_(x+s) iff u and u + s are in P, so every such u is in P n (P - s)
         u = as_rows(g, (a_s.coords[:, None] - a.coords[None]).reshape(-1, g.dim))
         both = p_set.isin(u) & p_set.isin(as_rows(g, u + s_row))
         incidence = int(both.sum())
         union = GSet(g, u[both])
-        contained = union.issubset(p_set.intersect(p_set.translate(-s_row[0])))
+        contained = union.issubset(p_set.subset(p_row))
         e_pair = moments.energy_pair(a_s, a) if a_s else 1
         cs_ok = len(union) * e_pair >= incidence ** 2
         # (P o P)(s) = |P n (P - s)|
@@ -301,7 +316,7 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
     kp = Fraction(len(p_set) ** 3, ep)
     p_n = len(p_set)
     incidence = _popularity_family(p_set, ep)
-    fam = [GSet(g, p_set.coords[row]) for row in incidence]
+    fam = [p_set.subset(row) for row in incidence]
     # sum_(i,j) |S_i n S_j| counts, for each column, the ordered pairs of its rows
     pair_total = int((incidence.sum(axis=0) ** 2).sum())
     delta_p = math.sqrt(pair_total / (p_n ** 3))
@@ -313,7 +328,7 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
     # best translate pulls the structure back into A: (P' o A)(x) = |A n (P' + x)|,
     # and the first maximum in sorted order wins
     best_x, best_hit = moments.correlate(p_prime, a).argmax()
-    a_prime = GSet(g, a.coords[p_prime.isin(as_rows(g, a.coords - best_x))])
+    a_prime = a.subset(p_prime.isin(as_rows(g, a.coords - best_x)))
     rep.add_stage("translate", x=list(best_x), overlap=best_hit)
     rep.store_set("A_prime", a_prime)
 
@@ -330,6 +345,23 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
     rep.claimed = ratios[0]["claimed"] if ratios else None
     rep.ratio = ratios[0]["ratio"] if ratios else None
     return rep
+
+
+def _slice_energies(a: GSet, member: np.ndarray) -> np.ndarray:
+    """E(A, B_i) for each row i of a boolean matrix over the rows of A, B_i
+    the rows it selects.  E(A, B) = sum over u, v in B of (A o A)(v - u),
+    so row i's energy is m_i^T Q m_i with Q[u, v] = (A o A)(a_v - a_u),
+    gathered from the kept A o A in blocks of at most 2^22 entries.  Each
+    sum is an exact integer of at most |A|^3."""
+    n, d = len(a), a.group.dim
+    corr, rows = moments.correlate(a, a), member.astype(np.int64)
+    energies = np.zeros(len(member), dtype=np.int64)
+    step = max(1, setops._BLOCK // max(1, n))
+    for lo in range(0, n, step):
+        cols = a.coords[lo:lo + step]
+        q = corr.values_at((cols[None] - a.coords[:, None]).reshape(-1, d)).reshape(n, len(cols))
+        energies += ((rows @ q) * rows[:, lo:lo + step]).sum(axis=1)
+    return energies
 
 
 def small_t4_extract(a: GSet) -> ExtractionReport:
@@ -349,19 +381,18 @@ def small_t4_extract(a: GSet) -> ExtractionReport:
     rep.add_stage("normalize", K=k_val, M=m_val, T3=t3, gamma=float(e3) / n ** 4)
 
     points, values = corr.support_rows()
-    best_s, best_beta, best_slice = None, -1.0, None
     # needs |A_s| > gamma |A| / 2 strictly: 2|A|^3 v > E_3, for integer v
-    for s in points[values > e3 // (2 * n ** 3)]:
-        a_s = setops.stabilizer_slice(a, [s])
-        beta = moments.energy_pair(a, a_s) / (n * len(a_s) ** 2)
-        if beta > best_beta:
-            best_s, best_beta, best_slice = s, beta, a_s
-    if best_slice is None:
+    shifts = points[values > e3 // (2 * n ** 3)]
+    member = setops.slice_masks(a, shifts)
+    betas = [e / (n * m * m) for e, m in zip(_slice_energies(a, member).tolist(),
+                                             member.sum(axis=1).tolist())]
+    if not betas:
         b = a
         rep.notes.append("no slice above the gamma floor; degenerate covering with B = A")
     else:
-        b = best_slice
-        rep.add_stage("slice", s=best_s.tolist(), beta=best_beta, size=len(b))
+        i = betas.index(max(betas))   # the first maximum in the order of the shifts
+        b = a.subset(member[i])
+        rep.add_stage("slice", s=shifts[i].tolist(), beta=betas[i], size=len(b))
     rep.store_set("B", b)
 
     target = n / m_val ** 1.5
@@ -375,7 +406,7 @@ def small_t4_extract(a: GSet) -> ExtractionReport:
         if gain < max(1.0, threshold):
             break
         chosen.append(best_r)
-        remaining = GSet(g, remaining.coords[~b.translate(best_r).isin(remaining.coords)])
+        remaining = remaining.subset(~b.translate(best_r).isin(remaining.coords))
         covered = n - len(remaining)
     r_set = GSet(g, chosen or [(0,) * g.dim])
     coverage = len(a) - len(remaining) if chosen else len(a.intersect(b))
@@ -407,40 +438,25 @@ def almost_period_check(a: GSet, b: GSet, t) -> int:
     return _shift_defects(moments.convolve(a, b), as_rows(a.group, [t]))[0]
 
 
-def _approximation_floor(seq: np.ndarray, bb: moments.ConvTable, n: int, k: int,
-                         nb: int, d_sq: int) -> int:
-    """Least (c o d)(x) at which X + x approximates, for the sequence X of
-    rows of seq, c = mu_X * B, bb = B o B and d_sq = |A*B|^2 (module
-    docstring).  |c|^2 = sum_(i,j) (B o B)(s_i - s_j) <= k^2 |B| in int64."""
-    c_sq = int(bb.values_at((seq[:, None] - seq[None]).reshape(-1, seq.shape[1])).sum())
-    return -(-(n * n * (c_sq - 2 * nb * k) + k * k * d_sq) // (2 * n * k))   # integer ceiling
+def _approximation_floors(seqs: np.ndarray, bb: moments.ConvTable, n: int, nb: int,
+                          d_sq: int) -> np.ndarray:
+    """Least (c o d)(x) at which X + x approximates, for each sequence X of
+    an m x k x dim stack, c = mu_X * B, bb = B o B and d_sq = |A*B|^2
+    (module docstring).  |c|^2 = sum_(i,j) (B o B)(s_i - s_j) <= k^2 |B|
+    comes from one gather for the whole stack; the floor is formed in
+    Python ints."""
+    m, k, d = seqs.shape
+    c_sq = bb.values_at((seqs[:, :, None] - seqs[:, None]).reshape(-1, d)).reshape(m, k * k)
+    return np.array([-(-(n * n * (c - 2 * nb * k) + k * k * d_sq) // (2 * n * k))   # ceiling
+                     for c in c_sq.sum(axis=1).tolist()], dtype=np.int64)
 
 
-def _overlaps(seq: np.ndarray, bd: moments.ConvTable, points: np.ndarray) -> np.ndarray:
-    """(c o d)(x) = sum_i (B o d)(s_i + x) for each row x of points, with
-    bd = B o d; each sum is at most k |B| |A|."""
-    moved = (points[None] + seq[:, None]).reshape(-1, seq.shape[1])
-    return bd.values_at(moved).reshape(len(seq), len(points)).sum(axis=0)
-
-
-def _difference_sizes(sets: Sequence[GSet]) -> np.ndarray:
-    """m x m table of |S_i - S_j| for sets in one cyclic product.  The
-    difference of x in S_i and y in S_j packs into the key (i m + j) N +
-    rank(x - y), so S_i - S_j is the distinct keys of pair (i, j), counted
-    by one sort per block of whole S_i of at most 2^22 keys (a single block
-    at corpus sizes)."""
-    g, m, sizes = sets[0].group, len(sets), [len(s) for s in sets]
-    rows, starts = np.concatenate([s.coords for s in sets]), np.cumsum([0] + sizes)
-    owner = np.repeat(np.arange(m), sizes)
-    step = max(1, (1 << 22) // max(1, len(rows) * max(sizes)))   # slices per block
-    counts = np.zeros(m * m, dtype=np.int64)
-    for i in range(0, m, step):
-        lo, hi = starts[i], starts[min(i + step, m)]
-        diff = np.moveaxis((rows[lo:hi, None] - rows[None]) % g.moduli, -1, 0)
-        keys = (owner[lo:hi, None] * m + owner[None]) * g.order + np.ravel_multi_index(tuple(diff), g.moduli)
-        keys = np.sort(keys, axis=None)
-        counts += np.bincount(keys[np.diff(keys, prepend=-1) != 0] // g.order, minlength=m * m)
-    return counts.reshape(m, m)
+def _overlaps(seqs: np.ndarray, bd: moments.ConvTable, points: np.ndarray) -> np.ndarray:
+    """(c o d)(x) = sum_i (B o d)(s_i + x) for each sequence of an m x k x dim
+    stack and its point x, row of an m x dim matrix, with bd = B o d; each
+    sum is at most k |B| |A|."""
+    m, k, d = seqs.shape
+    return bd.values_at((seqs + points[:, None]).reshape(-1, d)).reshape(m, k).sum(axis=1)
 
 
 def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200, seed: int = 1,
@@ -464,37 +480,37 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200, seed: int = 1,
     base = moments.convolve(a, b)
     d_sq = moments.energy_pair(a, b)
     bb, bd = moments.correlate(b, b), moments.correlate(b, base)
-    origin = np.zeros((1, g.dim), dtype=np.int64)
     corr = moments.correlate(a, a)   # its support is A - A
     profile = EnergyProfile.from_set(a, ks=(2,))
     rep = ExtractionReport("cs", profile.as_dict(),
                            {"k": k, "trials": trials, "seed": seed})
 
-    good: list[np.ndarray] = []
-    for _ in range(trials):
-        seq = as_rows(g, [rng.choice(a.elems) for _ in range(k)])
-        # the defect of X itself: the identity at x = 0
-        if _overlaps(seq, bd, origin)[0] >= _approximation_floor(seq, bb, n, k, nb, d_sq):
-            good.append(seq)
+    # every trial's sequence first: choice over range(n) takes the draws choice over A would
+    picks = np.array([rng.choice(range(n)) for _ in range(trials * k)], dtype=np.int64)
+    seqs = a.coords[picks.reshape(trials, k)]
+    # the defect of X itself: the identity at x = 0
+    origins = np.zeros((trials, g.dim), dtype=np.int64)
+    good = seqs[_overlaps(seqs, bd, origins) >= _approximation_floors(seqs, bb, n, nb, d_sq)]
     rate = len(good) / trials if trials else 0.0
     sigma = math.sqrt(0.25 / trials) if trials else 0.0
     rep.add_stage("sampling", trials=trials, hits=len(good), rate=rate, three_sigma=3 * sigma)
-    if not good:
+    if not len(good):
         raise ExtractionError(f"no approximating sample in {trials} trials")
 
     drawn: dict[bytes, np.ndarray] = {}   # distinct shift sequences in the order drawn
     for _ in range(shift_samples):
         seq = good[rng.randrange(len(good))]
-        s = as_rows(g, seq - rng.choice(a.elems))
+        s = as_rows(g, seq - a.coords[rng.choice(range(n))])
         drawn.setdefault(s.tobytes(), s)
-    shifts = list(drawn.values())
-    # A'_s: the x in A with every x + s_i in A whose translate X = s + x approximates
-    sets = []
-    for s in shifts:
-        cand = setops.stabilizer_slice(a, s).coords
-        floor = _approximation_floor(s, bb, n, k, nb, d_sq)
-        sets.append(GSet(g, cand[_overlaps(s, bd, cand) >= floor]))
-    sizes = _difference_sizes(sets)
+    shifts = np.stack(list(drawn.values()))
+    # A'_s: the x in A with every x + s_i in A (the family of all shift rows,
+    # ANDed per sequence) whose translate X = s + x approximates
+    member = setops.slice_masks(a, shifts.reshape(-1, g.dim)).reshape(len(shifts), k, n).all(axis=1)
+    seq_ids, xs = np.nonzero(member)
+    floors = _approximation_floors(shifts, bb, n, nb, d_sq)
+    member[seq_ids, xs] = _overlaps(shifts[seq_ids], bd, a.coords[xs]) >= floors[seq_ids]
+    sets = [a.subset(row) for row in member]
+    sizes = setops.family_sumset_sizes(a, member, member)   # |A'_s - A'_t| for every pair
     if not sizes.any():
         raise ExtractionError("all sampled shift slices were empty")
     i0, j0 = divmod(int(np.argmax(sizes)), len(sets))   # the first maximum in (i, j) order
@@ -508,7 +524,7 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200, seed: int = 1,
     # every member of T against the 32|A|^2|B|/k budget, from one correlation of A*B
     budget = 32 * n * n * nb
     within = np.array([k * v <= budget for v in _shift_defects(base, t_raw.coords)], dtype=bool)
-    t_set = GSet(g, t_raw.coords[within])
+    t_set = t_raw.subset(within)
     violations = t_raw.coords[~within].tolist()
     rep.store_set("T", t_set)
     if violations:

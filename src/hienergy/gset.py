@@ -51,6 +51,16 @@ def as_rows(group: GroupSpec, elems) -> np.ndarray:
     return rows % np.array(group.moduli, dtype=np.int64) if group.is_cyclic else rows
 
 
+def bounded_rows(group: GroupSpec, elems) -> np.ndarray:
+    """``as_rows``, refusing lattice coordinates outside (-2^62, 2^62): the
+    sum or difference of two such rows cannot wrap."""
+    rows = as_rows(group, elems)
+    if not group.is_cyclic and (rows.max(initial=0) >= _LATTICE_BOUND
+                                or rows.min(initial=0) <= -_LATTICE_BOUND):
+        raise groups.GroupError("lattice coordinates must lie strictly between -2^62 and 2^62")
+    return rows
+
+
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One scalar per row that compares as the row does lexicographically."""
     rows = np.ascontiguousarray(rows)
@@ -61,10 +71,7 @@ class GSet:
     """Immutable finite subset, stored as ``coords`` (see the module docstring)."""
 
     def __init__(self, group: GroupSpec, elems: Iterable = ()):  # elems: ints, tuples or rows
-        rows = as_rows(group, elems)
-        if not group.is_cyclic and (rows.max(initial=0) >= _LATTICE_BOUND
-                                    or rows.min(initial=0) <= -_LATTICE_BOUND):
-            raise groups.GroupError("lattice coordinates must lie strictly between -2^62 and 2^62")
+        rows = bounded_rows(group, elems)
         rows = np.sort(rows, axis=0) if group.dim == 1 else rows[np.lexsort(rows.T[::-1])]
         fresh = np.ones(len(rows), dtype=bool)
         fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
@@ -130,6 +137,20 @@ class GSet:
         found[inside] = keys[at[inside]] == want[inside]
         return found
 
+    def subset(self, mask: np.ndarray) -> "GSet":
+        """The elements at the True entries of a boolean mask over the rows.
+        Selected rows of a canonical matrix are canonical, so nothing is
+        sorted or checked again."""
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != (len(self),):
+            raise ValueError(f"subset needs a boolean mask of length {len(self)}")
+        out = GSet.__new__(GSet)
+        out.group = self.group
+        out.coords = self.coords[mask]
+        out.coords.flags.writeable = False
+        out._self_corr = None
+        return out
+
     def translate(self, t) -> "GSet":
         return GSet(self.group, self.coords + GSet(self.group, [t]).coords)
 
@@ -138,7 +159,7 @@ class GSet:
 
     def intersect(self, other: "GSet") -> "GSet":
         _require_same_group(self, other)
-        return GSet(self.group, self.coords[other.isin(self.coords)])
+        return self.subset(other.isin(self.coords))
 
     def union(self, other: "GSet") -> "GSet":
         _require_same_group(self, other)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import groups
 from .groups import Elem, GroupSpec, InvariantError
-from .gset import GSet, _require_same_group, as_rows, full_group
+from .gset import GSet, _require_same_group, _row_keys, as_rows, bounded_rows, full_group
 
 MINUS = "-"
 PLUS = "+"
@@ -70,13 +70,58 @@ def iterated(a: GSet, n: int, m: int) -> GSet:
     return acc
 
 
+_BLOCK = 1 << 22   # entries of one block of translated rows or packed keys
+
+
+def slice_masks(a: GSet, shifts) -> np.ndarray:
+    """The slice family {A_s = A n (A - s) : s in S} as one |S| x |A|
+    membership matrix, M[i, j] = 1_A(a_j + s_i): one membership test over
+    the translated rows, in blocks of whole rows of at most 2^22 entries.
+    Shifts are elements (ints, coordinate sequences or an int64 matrix),
+    reduced in a cyclic product; repeats give repeated rows."""
+    shifts = bounded_rows(a.group, shifts)
+    n, d = len(a), a.group.dim
+    member = np.empty((len(shifts), n), dtype=bool)
+    step = max(1, _BLOCK // max(1, n))
+    for lo in range(0, len(shifts), step):
+        block = shifts[lo:lo + step]
+        moved = as_rows(a.group, (block[:, None] + a.coords[None]).reshape(-1, d))
+        member[lo:lo + step] = a.isin(moved).reshape(len(block), n)
+    return member
+
+
 def stabilizer_slice(a: GSet, s: Sequence) -> GSet:
     """A_s = A n (A - s_1) n ... n (A - s_j), the x in A with every x + s_i
-    in A: one membership mask over the |s| x |A| translated rows.  Empty s
-    gives A itself."""
-    shifts = GSet(a.group, s).coords
-    moved = as_rows(a.group, (shifts[:, None] + a.coords[None]).reshape(-1, a.group.dim))
-    return GSet(a.group, a.coords[a.isin(moved).reshape(len(shifts), len(a)).all(axis=0)])
+    in A.  Empty s gives A itself."""
+    return a.subset(slice_masks(a, s).all(axis=0))
+
+
+def family_sumset_sizes(a: GSet, left: np.ndarray, right: np.ndarray,
+                        sign: str = MINUS) -> np.ndarray:
+    """The |L| x |R| table of |B_i -+ C_j|, for B_i and C_j the rows of A
+    that row i of `left` and row j of `right` select (boolean matrices over
+    the rows of A, slice families from `slice_masks`, say).  The value
+    a_x -+ a_y gets a compact id from one sort of the |A|^2 values;
+    |B_i -+ C_j| is then the count of distinct keys (i |R| + j) |A -+ A| + id
+    over x in B_i and y in C_j, sorted in blocks of whole rows of `left` of
+    at most 2^22 keys."""
+    n, d = len(a), a.group.dim
+    pairs = a.coords[:, None] - a.coords[None] if sign == MINUS else a.coords[:, None] + a.coords[None]
+    values, ids = np.unique(_row_keys(as_rows(a.group, pairs.reshape(-1, d))), return_inverse=True)
+    ids, width = ids.reshape(n, n).astype(np.int64), len(right) * len(values)
+    r_rows, r_cols = np.nonzero(right)
+    sizes = np.zeros((len(left), len(right)), dtype=np.int64)
+    step = max(1, _BLOCK // max(1, n * len(r_rows)))
+    for lo in range(0, len(left), step):
+        block = left[lo:lo + step]
+        l_rows, l_cols = np.nonzero(block)
+        keys = (l_rows[:, None] * width + r_rows[None] * len(values)
+                + ids[l_cols[:, None], r_cols[None]]).ravel()
+        keys.sort()
+        counts = np.bincount(keys[np.diff(keys, prepend=-1) != 0] // len(values),
+                             minlength=len(block) * len(right))
+        sizes[lo:lo + step] = counts.reshape(len(block), len(right))
+    return sizes
 
 
 def restricted_sum(a: GSet, b: GSet, edges: Iterable[tuple], sign: str = MINUS) -> GSet:

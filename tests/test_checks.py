@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -195,3 +196,14 @@ def test_standard_corpus_deterministic():
     b = checks.standard_corpus(seed=5, cyclic_count=4, lattice_count=2)
     assert [i.a.elems for i in a] == [[*i.a.elems] and i.a.elems for i in b]
     assert {str(i.a.group) for i in a} >= {"Z/64", "Z/128"}
+
+
+def test_slice_family_checks_report_is_pinned():
+    # the report of the checks that read slice families (C20, C34, small-T4, the CS
+    # search, the BSG transfer checks), pinned by digest so that a rewrite of how the
+    # family is read must reproduce it byte for byte
+    insts = checks.standard_corpus(seed=2024, cyclic_count=4, lattice_count=2)
+    rep = run_suite(insts, ["C20", "C31", "C32", "C33", "C34"])
+    assert len(rep.results) == 32 and not rep.errors
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == "bca2e2d6401144892ca80ace2e9afa6a30f9fe8706d2b6fd6566197eec3f00f4"

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -155,3 +158,14 @@ def test_cap_flags_do_not_leak_into_later_calls(capsys):
     assert vars(setops.DEFAULT_CAPS) == before
     code, _, err = run_cli(capsys, "suite", "--checks", "C13", "--recipe", "interval:n=12,N=64")
     assert code == 0, err
+
+
+def test_module_entry_point_runs_the_cli():
+    # a checkout reaches the CLI as `python -m hienergy` with src/ on the path
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run([sys.executable, "-m", "hienergy", "compute", "Ek", "--k", "2",
+                          "--recipe", "interval:n=5"], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert (run.returncode, run.stdout.strip()) == (0, "E_2(A) = 85")

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -110,6 +111,21 @@ def test_intersection_select_matches_exhaustive_alpha_sweep():
         if good >= (1 - 1 / 8) * len(members) ** 2:
             assert cand == alpha and members == j
             break
+
+
+def test_membership_table_matches_per_member_search():
+    rng = random.Random(19)
+    for g in (cyclic(4, 8), lattice(2)):
+        universe = rand_gset(rng, g, 14)
+        fam = [GSet(g, rng.sample(universe.elems, rng.randint(0, 14))) for _ in range(9)]
+        member, inter = extract._membership(fam, universe)
+        assert (member == np.array([s.isin(universe.coords) for s in fam])).all()
+        assert inter.tolist() == [[len(si.intersect(sj)) for sj in fam] for si in fam]
+        candidates = GSet(g, [(1, 3), (2, 6), (100, 100)])
+        outside = candidates.subset(~universe.isin(candidates.coords))
+        assert len(outside) > 0
+        with pytest.raises(ValueError):
+            extract._membership(fam + [outside], universe)
 
 
 def test_robust_core_postconditions_random():
@@ -256,6 +272,30 @@ def test_small_t4_examples():
     assert math.isfinite(rep3.ratio)
 
 
+def test_small_t4_family_energies_and_choice_match_per_slice_loop():
+    # every candidate's E(A, A_s) from one gather equals energy_pair on the built slice,
+    # and the chosen slice is the first maximum of the per-slice beta loop
+    rng = random.Random(37)
+    for g in (cyclic(64), cyclic(4, 8), lattice(1), lattice(2)):
+        for _ in range(6):
+            a = rand_gset(rng, g, rng.randint(2, 14))
+            n = len(a)
+            points, values = moments.correlate(a, a).support_rows()
+            shifts = points[values > moments.energy_k(a, 3) // (2 * n ** 3)]
+            member = setops.slice_masks(a, shifts)
+            energies = extract._slice_energies(a, member).tolist()
+            slices = [a.subset(row) for row in member]
+            assert energies == [moments.energy_pair(a, x) for x in slices]
+            best, best_beta = None, -1.0
+            for s, x in zip(shifts.tolist(), slices):
+                beta = moments.energy_pair(a, x) / (n * len(x) ** 2)
+                if beta > best_beta:
+                    best, best_beta = (s, x), beta
+            stage = next(st for st in small_t4_extract(a).stages if st["stage"] == "slice")
+            assert (stage["s"], stage["beta"], stage["size"]) == (best[0], best_beta, len(best[1]))
+    assert extract._slice_energies(zset([0, 1, 3]), np.zeros((0, 3), dtype=bool)).shape == (0,)
+
+
 def test_almost_period_examples():
     a7 = GSet(cyclic(7), [0, 1, 3])
     assert almost_period_check(a7, a7, 1) == 8
@@ -336,11 +376,56 @@ def test_cs_slices_match_per_x_definition():
     assert proper >= 1   # the defect test, not only the slice, decides some x
 
 
+def test_cs_batched_sampling_matches_per_trial_loop():
+    # the hits, and through the shift draws that read them the approximating sequences
+    # themselves, equal a trial-by-trial loop drawing from A.elems with the oracle's defect
+    g16, g32, g48 = cyclic(16), cyclic(32), cyclic(4, 8)
+    cases = [(GSet(cyclic(64), range(12)), GSet(cyclic(64), range(12)), 3, 80, 5),
+             (GSet(g32, [9, 12, 19, 31]), GSet(g32, [0, 8, 9, 14, 15, 19, 21, 23]), 3, 40, 39),
+             (GSet(g16, [1, 2, 7, 10, 13, 14, 15]), GSet(g16, [4, 10, 14, 15]), 6, 30, 96),
+             (GSet(g48, [(0, 1), (1, 3), (2, 2), (3, 7), (1, 0)]),
+              GSet(g48, [(0, 0), (1, 1), (2, 5)]), 4, 60, 11),
+             (GSet(g16, [0, 3, 5]), GSet(g16, [0, 8]), 1, 7, 2),
+             # here some sequences sit exactly on the budget
+             (GSet(cyclic(8), [2, 3, 4]), GSet(cyclic(8), [1, 6]), 3, 20, 117)]
+    for a, b, k, trials, seed in cases:
+        mods, xs, ys = a.group.moduli, set(a.elems), set(b.elems)
+        budget = 2 * len(xs) ** 2 * len(ys) * k
+        rng = random.Random(seed)
+        good = []
+        for _ in range(trials):
+            seq = [rng.choice(a.elems) for _ in range(k)]
+            if oracles.oracle_sequence_defect(mods, seq, xs, ys, k) <= budget:
+                good.append(seq)
+        rep = cs_period_search(a, b, k, trials=trials, seed=seed)
+        assert rep.stages[0]["hits"] == len(good) > 0
+        shifts = []
+        for _ in range(24):
+            seq, x = good[rng.randrange(len(good))], rng.choice(a.elems)
+            shift = [oracles.sub(mods, e, x) for e in seq]
+            if shift not in shifts:
+                shifts.append(shift)
+        st = next(s for s in rep.stages if s["stage"] == "shifts")
+        assert st["sampled"] == len(shifts)
+        i0, j0 = st["pair"]
+        assert (st["shift_s0"], st["shift_t0"]) == ([list(e) for e in shifts[i0]],
+                                                    [list(e) for e in shifts[j0]])
+        sizes = [sum(all(oracles.add(mods, x, e) in xs for e in shift)
+                     and oracles.oracle_sequence_defect(
+                         mods, [oracles.add(mods, e, x) for e in shift], xs, ys, k) <= budget
+                     for x in xs)
+                 for shift in shifts]
+        assert st["slice_sizes"] == sizes
+
+
 def test_cs_no_sample_error():
     g = cyclic(64)
     a = GSet(g, [0, 1, 2, 3])
     with pytest.raises(ExtractionError):
         cs_period_search(a, GSet(g, range(32)), 1, trials=0, seed=1)
+    g48 = cyclic(4, 8)
+    with pytest.raises(ExtractionError):
+        cs_period_search(GSet(g48, [(0, 1), (2, 3)]), GSet(g48, [(1, 1)]), 3, trials=0, seed=4)
 
 
 def test_find_configuration_examples():

@@ -102,3 +102,20 @@ def test_array_algebra_matches_tuple_algebra():
         assert a.union(b).as_set == set(pts) | set(qts)
         assert a.intersect(b).issubset(a) and not a.issubset(b)
         assert hash(a) == hash(GSet(g, a.coords)) and a != b
+
+
+def test_subset_selects_rows_without_a_rebuild():
+    for a in [GSet(cyclic(4, 8), [(0, 1), (3, 7), (2, 2), (1, 5)]), zset([-4, 0, 9, 11]),
+              GSet(lattice(2), [(0, -1), (-3, 7), (2, 2)])]:
+        mask = np.arange(len(a)) % 2 == 0
+        sub = a.subset(mask)
+        assert sub == GSet(a.group, a.coords[mask]) and sub.group == a.group
+        assert not sub.coords.flags.writeable and sub._self_corr is None
+        assert vars(sub).keys() == vars(GSet(a.group, a.coords[mask])).keys()
+        assert a.subset(np.zeros(len(a), dtype=bool)) == GSet(a.group, [])
+        assert a.subset(np.ones(len(a), dtype=bool)) == a
+        for bad in (np.arange(len(a)) % 2, np.ones(len(a) + 1, dtype=bool)):
+            with pytest.raises(ValueError):
+                a.subset(bad)
+    empty = GSet(cyclic(8), [])
+    assert len(empty.subset(np.zeros(0, dtype=bool))) == 0

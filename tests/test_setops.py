@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +13,8 @@ from hienergy.groups import cyclic, lattice
 from hienergy.gset import GSet, full_group, zset
 from hienergy.setops import (CapExceededError, Caps, MINUS, PLUS, basis_depth_test,
                              delta_sumset, diffset, d_k, greedy_completion, iterated,
-                             magnification, magnification_k, restricted_sum, s_k,
-                             stabilizer_slice, sumset)
+                             family_sumset_sizes, magnification, magnification_k,
+                             restricted_sum, s_k, slice_masks, stabilizer_slice, sumset)
 
 
 def rand_gset(rng, g, size):
@@ -70,6 +71,78 @@ def test_slice_matches_oracle():
         assert got == oracles.oracle_slice(None, set(a.elems), s)
         nonempty += bool(got) and len(got) < len(a)
     assert nonempty >= 5   # proper, nonempty slices occur, so the comparison has teeth
+
+
+def test_slice_masks_rows_match_oracle():
+    # M[i, j] = 1_A(a_j + s_i); repeated and unreduced shifts, empty shifts and an empty A
+    rng = random.Random(29)
+    for g in (cyclic(16), cyclic(4, 8), lattice(1), lattice(2)):
+        mods = g.moduli if g.is_cyclic else None
+        proper = 0
+        for _ in range(12):
+            a = rand_gset(rng, g, rng.randint(1, 9))
+            diffs = list(diffset(a, a).elems)
+            shifts = rng.sample(diffs, min(4, len(diffs))) + [diffs[0], diffs[0]]
+            if g.is_cyclic:   # the same shifts, unreduced
+                shifts += [tuple(c + 3 * m for c, m in zip(s, g.moduli)) for s in shifts[:2]]
+            else:
+                shifts.append(tuple(rng.randrange(-50, 50) for _ in range(g.dim)))
+            member = slice_masks(a, shifts)
+            assert member.shape == (len(shifts), len(a)) and member.dtype == bool
+            for s, row in zip(shifts, member):
+                want = oracles.oracle_slice(mods, set(a.elems), [s])
+                assert {e for e, m in zip(a.elems, row) if m} == want
+                proper += 0 < len(want) < len(a)
+            if g.is_cyclic:   # an unreduced shift gives the row of its reduction
+                assert (member[-2] == member[0]).all() and (member[-1] == member[1]).all()
+        assert proper >= 5
+        a = rand_gset(rng, g, 5)
+        assert slice_masks(a, []).shape == (0, 5)
+        empty = GSet(g, [])
+        assert slice_masks(empty, [(1,) * g.dim, (0,) * g.dim]).shape == (2, 0)
+        assert slice_masks(empty, []).shape == (0, 0)
+
+
+def test_family_sumset_sizes_match_pairwise_sumsets():
+    # C20's counts |A - A_s| and |A + A_s| for every s in the popular set P* (the family
+    # {A} on the right), and the pair table of |B_i -+ C_j|, with empty and repeated rows
+    from hienergy.extract import popular_set
+    rng = random.Random(31)
+    for g in (cyclic(16), cyclic(4, 8), lattice(1), lattice(2)):
+        for _ in range(10):
+            a = rand_gset(rng, g, rng.randint(1, 12))
+            member = slice_masks(a, popular_set(a).coords)
+            member = np.concatenate([member, member[:1], np.zeros((1, len(a)), dtype=bool)])
+            whole = np.ones((1, len(a)), dtype=bool)
+            right = np.array([rng.random() < 0.5 for _ in range(3 * len(a))]).reshape(3, len(a))
+            slices = [a.subset(row) for row in member]
+            for sign, op in ((MINUS, diffset), (PLUS, sumset)):
+                assert (family_sumset_sizes(a, member, whole, sign)[:, 0].tolist()
+                        == [len(op(a, x)) for x in slices])
+                want = [[len(op(x, a.subset(row))) for row in right] for x in slices]
+                assert family_sumset_sizes(a, member, right, sign).tolist() == want
+    empty = GSet(cyclic(8), [])
+    assert family_sumset_sizes(empty, np.zeros((3, 0), dtype=bool),
+                               np.zeros((2, 0), dtype=bool)).tolist() == [[0, 0]] * 3
+    a = zset([0, 1, 3])
+    assert family_sumset_sizes(a, np.ones((2, 3), dtype=bool), np.zeros((0, 3), dtype=bool)).shape == (2, 0)
+
+
+def test_slice_family_blocks_give_the_unblocked_results(monkeypatch):
+    # blocks of a few entries force many blocks, some of a single row
+    from hienergy import extract
+    rng = random.Random(41)
+    for g in (cyclic(4, 8), lattice(2)):
+        a = rand_gset(rng, g, 11)
+        shifts = diffset(a, a).coords
+        member = slice_masks(a, shifts)
+        sizes = family_sumset_sizes(a, member, member, PLUS)
+        energies = extract._slice_energies(a, member)
+        monkeypatch.setattr(setops, "_BLOCK", 5)
+        assert (slice_masks(a, shifts) == member).all()
+        assert (family_sumset_sizes(a, member, member, PLUS) == sizes).all()
+        assert (extract._slice_energies(a, member) == energies).all()
+        monkeypatch.undo()
 
 
 def test_row_algebra_matches_brute_force():

@@ -745,8 +745,10 @@ class Instance:
         if g.is_cyclic:
             flat = rng.sample(range(g.order), min(size, g.order))
             return GSet(g, [groups.from_flat(g, v) for v in flat])
+        # points of the box [0, span)^dim, drawn as flat indices
         span = max(8, 3 * len(self.a))
-        return GSet(g, rng.sample(range(span), min(size, span)))
+        flat = rng.sample(range(span ** g.dim), min(size, span ** g.dim))
+        return GSet(g, np.column_stack(np.unravel_index(flat, (span,) * g.dim)))
 
     @cached_property
     def grids(self) -> dict[str, list[dict]]:

@@ -7,7 +7,8 @@ coordinates must satisfy |c| < 2^62, so a sum or difference of two rows
 cannot wrap.  ``elems`` (tuples of Python ints), ``as_set`` and
 ``indicator()`` are views, derived on first use and cached, and
 ``flat_indices()`` reads the indicator; set algebra runs on ``coords``.
-``moments.correlate(a, a)`` keeps the table A o A on the set the same way.
+``moments.correlate(a, a)`` keeps the table A o A on the set the same way,
+and ``moments.t_k``/``sigma_k`` keep its chain of convolution powers.
 
 File format (UTF-8 text): line 1 is ``group: <literal>``, every following
 non-blank line is one element with comma-separated coordinates.  Files
@@ -79,6 +80,7 @@ class GSet:
         self.coords = rows[fresh]
         self.coords.flags.writeable = False
         self._self_corr = None   # A o A, built and kept by moments.correlate
+        self._chain = None       # A^(*j), T_j and sigma_j, kept by moments.t_k and sigma_k
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -148,7 +150,7 @@ class GSet:
         out.group = self.group
         out.coords = self.coords[mask]
         out.coords.flags.writeable = False
-        out._self_corr = None
+        out._self_corr = out._chain = None
         return out
 
     def translate(self, t) -> "GSet":

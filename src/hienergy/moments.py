@@ -7,12 +7,16 @@ ints above.  Direct pair sums serve a product iff nnz(f) nnz(g) <= max(2^14,
 into limbs chosen before it runs, so that Percival's a priori error bound
 proves each limb product rounds exactly.  A correlation is the same call:
 the direct path subtracts indices, the FFT conjugates f's spectrum.  A
-self-product (f is g) transforms each limb once, and a conv_power chain its
-base once, which T_k's cross-check reuses: A o A costs two real FFTs, T_k
-2k - 2 on a power-of-two cyclic group.  Only the exact mass identity and
-T_k's cross-check are validated after the fact.  A o A of a GSet is built
-once and kept on the set, read-only: every E_k, the level sequence and the
-Gram (B o B)^k read that one table.
+self-product (f is g) transforms each limb once, and a chain of convolution
+powers its base once per FFT shape.  Only the exact mass identity and T_k's
+cross-check are validated after the fact.  A o A of a GSet is built once and
+kept on the set, read-only: every E_k, the level sequence and the Gram
+(B o B)^k read that one table.  Its chain is kept the same way: each level
+A^(*j) is built once per set, by one engine call on the level below, and
+leaves T_j and sigma_j behind; the set keeps only the top level and, on a
+cyclic group, the base's spectra, which T_k's cross-check reuses.  On a
+power-of-two cyclic group, with one limb per operand, T_1..T_k and
+sigma_1..sigma_k together cost 2k - 2 real FFTs per set.
 
 Moment notation used throughout: (f*g)(x) = sum_y f(y) g(x-y) and
 (f o g)(x) = sum_y f(y) g(y+x); E_k(A) = sum_x (A o A)(x)^k; T_k(A) is the
@@ -139,7 +143,7 @@ def as_table(x) -> ConvTable:
 
 def _total(x: np.ndarray) -> int:
     """Exact sum of an integer array, summed in int64 where that cannot wrap."""
-    if x.dtype != object and x.size * max(int(x.max()), -int(x.min())) >= 1 << 63:
+    if x.dtype != object and x.size * max(int(x.max(initial=0)), -int(x.min(initial=0))) >= 1 << 63:
         x = x.astype(object)
     return int(x.sum())
 
@@ -316,18 +320,72 @@ def correlate(f, g) -> ConvTable:
 
 
 def conv_power(a, k: int) -> ConvTable:
-    """k-fold convolution power (k factors); k = 1 returns the table itself."""
+    """k-fold convolution power (k factors); k = 1 returns the table itself.
+    Nothing is kept: t_k and sigma_k read a set's kept chain instead."""
     if k < 1:
         raise ValueError("conv_power needs k >= 1")
-    return _power(as_table(a), k, {})
-
-
-def _power(t: ConvTable, k: int, spectra: dict) -> ConvTable:
-    """t^(*k), transforming t once: spectra keeps its spectrum for the call."""
-    out = t
-    for _ in range(k - 1):
-        out = _conv(out, t, False, spectra)
+    out = t = as_table(a)
+    for out in _powers(t, t, {}, k - 1):
+        pass
     return out
+
+
+def _powers(top: ConvTable, base: ConvTable, spectra: dict, steps: int) -> Iterator[ConvTable]:
+    """top * base, top * base * base, ...: one engine call per step, each
+    transforming base at most once per FFT shape (spectra keeps its spectrum)."""
+    for _ in range(steps):
+        top = _conv(top, base, False, spectra)
+        yield top
+
+
+def _at_zero(t: ConvTable) -> int:
+    """The table's entry at the group's zero."""
+    return int(t.values_at(np.zeros((1, t.group.dim), dtype=np.int64))[0])
+
+
+class _Chain:
+    """The convolution powers of one set, kept on it as GSet._chain: the top
+    level A^(*L), read-only, and T_j = sum (A^(*j))^2 and sigma_j = A^(*j)(0)
+    for every j <= L.  A cyclic chain keeps the base's spectra for its steps
+    and T_k's cross-check; a lattice window grows at every level, so there a
+    spectrum serves one extension only."""
+
+    __slots__ = ("base", "top", "spectra", "t", "sigma", "checked")
+
+    def __init__(self, a: GSet):
+        self.base = self.top = ConvTable.from_gset(a)
+        self.base.array.flags.writeable = False
+        self.spectra = {} if a.group.is_cyclic else None
+        self.t, self.sigma = [len(a)], [_at_zero(self.base)]   # level j at index j - 1
+        self.checked: set[int] = set()   # k whose T_k passed the Fourier cross-check
+
+    def extend(self, k: int) -> "_Chain":
+        """Build the levels up to k.  A level's table, T_j and sigma_j are
+        committed together once all three exist, so a step that raises leaves
+        the last good level in place."""
+        spectra = {} if self.spectra is None else self.spectra
+        for top in _powers(self.top, self.base, spectra, k - len(self.t)):
+            t, sigma = _power_sum(top.values(), 2), _at_zero(top)
+            top.array.flags.writeable = False
+            self.top = top
+            self.t.append(t)
+            self.sigma.append(sigma)
+        return self
+
+    def spectrum(self) -> np.ndarray:
+        """The base's real half-spectrum at the group size (cyclic chains
+        only): the steps' own where their FFT ran there, else made once."""
+        moduli = self.base.group.moduli
+        if moduli not in self.spectra:
+            self.spectra[moduli] = [np.fft.rfftn(self.base.array)]
+        return self.spectra[moduli][0]
+
+
+def _chain(a: GSet, k: int) -> _Chain:
+    """a's kept chain, extended to level k."""
+    if a._chain is None:
+        a._chain = _Chain(a)
+    return a._chain.extend(k)
 
 
 # ---------------------------------------------------------------------------
@@ -386,30 +444,34 @@ def energy_k_pair(a: GSet, b: GSet, k) -> int | float:
 
 
 def t_k(a: GSet, k: int) -> int:
-    """T_k(A) = sum_x (A *_(k-1) A)(x)^2, cross-checked on the dual side."""
+    """T_k(A) = sum_x (A *_(k-1) A)(x)^2, read from the set's kept chain and
+    cross-checked on the dual side the first time it is served."""
     if k < 1:
         raise ValueError("T_k needs k >= 1")
-    base, spectra = ConvTable.from_gset(a), {}
-    result = _power_sum(_power(base, k, spectra).values(), 2)
-    if a.group.is_cyclic:
-        # the real half-spectrum, the chain's own where its FFT ran at the group
-        # size: each last-axis bin but the first and Nyquist counts twice
-        spec = np.abs((spectra.get(a.group.moduli) or [np.fft.rfftn(base.array)])[0]) ** (2 * k)
+    chain = _chain(a, k)
+    result = chain.t[k - 1]
+    if a.group.is_cyclic and k not in chain.checked:
+        # each last-axis bin of the real half-spectrum but the first and Nyquist counts twice
+        spec = np.abs(chain.spectrum()) ** (2 * k)
         spec[..., 1:(a.group.moduli[-1] + 1) // 2] *= 2
         fourier = float(spec.sum()) / a.group.order
         if not math.isclose(fourier, float(result), rel_tol=1e-6):
             raise InvariantError(f"T_k Fourier cross-check failed: {fourier} vs {result}")
+        chain.checked.add(k)
     return result
 
 
 def sigma_k(a: GSet, k: int) -> int:
-    """sigma_k(A) = number of k-tuples of A summing to zero
-    = sum over a in A of A^(*(k-1))(-a)."""
+    """sigma_k(A) = number of k-tuples of A summing to zero = A^(*k)(0)
+    = sum over a in A of A^(*(k-1))(-a): recorded by the set's kept chain up
+    to its top level, gathered from the top above it."""
     if k < 1:
         raise ValueError("sigma_k needs k >= 1")
     if k == 1:
         return int(groups.zero(a.group) in a)
-    return sum(conv_power(a, k - 1).values_at(-a.coords).tolist())
+    if a._chain is not None and k <= len(a._chain.sigma):
+        return a._chain.sigma[k - 1]
+    return _total(_chain(a, k - 1).top.values_at(-a.coords))
 
 
 def level_sequence(a: GSet) -> list[int]:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hienergy import cli, genset, moments, setops, spectrum
+from hienergy import checks, cli, genset, moments, setops, spectrum
 from hienergy.gset import loads_set, read_set, write_set, zset
 
 
@@ -60,6 +60,17 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert code == 0
     code, _, err = run_cli(capsys, "verify", "--checks", "NOPE", "--recipe", "qr:p=13")
     assert code == 2 and "unknown check id" in err
+
+
+def test_verify_every_check_on_a_z2_set(tmp_path, capsys):
+    # the companion sets of a Z^2 instance are points of Z^2, not integers
+    path = tmp_path / "z2.txt"
+    path.write_text("group: Z^2\n0,0\n1,0\n0,1\n2,3\n-1,2\n3,-2\n")
+    code, out, err = run_cli(capsys, "verify", "--checks", ",".join(sorted(checks.REGISTRY)),
+                             "--set", str(path))
+    assert code == 0 and err == ""
+    rows = {line.split(",")[0]: line.split(",")[2] for line in out.splitlines()[1:]}
+    assert {"C5", "C20", "C21"} <= rows.keys() and set(rows.values()) == {"0"}
 
 
 def test_verify_report_files(tmp_path, capsys):

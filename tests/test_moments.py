@@ -125,6 +125,7 @@ def test_sigma_k_examples():
     d = setops.diffset(a, a)
     assert sigma_k(d, 2) == 7
     assert sigma_k(zset([0]), 5) == 1
+    assert sigma_k(GSet(cyclic(8), []), 3) == sigma_k(zset([]), 2) == t_k(zset([]), 3) == 0
 
 
 def test_t_sigma_match_oracle():
@@ -137,6 +138,68 @@ def test_t_sigma_match_oracle():
         for k in (1, 2, 3):
             assert t_k(a, k) == oracles.oracle_t_k(mods, set(a.elems), k)
             assert sigma_k(a, k) == oracles.oracle_sigma_k(mods, set(a.elems), k)
+
+
+def chain_oracle(a, kmax):
+    """{("t" | "sigma", k): value} for k = 1..kmax, from the oracle's sum counts."""
+    mods = a.group.moduli if a.group.is_cyclic else None
+    want = {}
+    for k in range(1, kmax + 1):
+        counts = oracles.kronecker_sum_counts(mods, set(a.elems), k)
+        want["t", k] = sum(c * c for c in counts.values())
+        want["sigma", k] = counts.get((0,) * a.group.dim, 0)
+    return want
+
+
+def test_kept_chain_matches_oracle_in_any_order():
+    rng = random.Random(47)
+    box = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+    requests = [(name, k) for name in ("t", "sigma") for k in range(1, 7)]
+    for g in (cyclic(9), cyclic(10), cyclic(4, 8), lattice(1), lattice(2)):
+        for trial in range(4):
+            size = rng.randint(2, 7)
+            a = rand_gset(rng, g, size) if g.is_cyclic or g.dim == 1 else GSet(g, rng.sample(box, size))
+            want = chain_oracle(a, 6)
+            # the first order asks sigma_1 of a fresh set; every order is asked twice
+            order = [("sigma", 1)] + requests if trial == 0 else rng.sample(requests, len(requests))
+            assert a._chain is None
+            for name, k in order + order[::-1]:
+                got = (t_k if name == "t" else sigma_k)(a, k)
+                assert got == want[name, k], (g, a.elems, order, name, k)
+            assert a.subset(np.ones(len(a), dtype=bool))._chain is None
+
+
+def test_chain_step_that_raises_keeps_the_last_good_level(monkeypatch):
+    a = GSet(cyclic(4096), random.Random(91).sample(range(4096), 1500))
+    want = chain_oracle(a, 5)
+    assert t_k(a, 3) == want["t", 3]
+    top = a._chain.top
+    real = np.fft.irfftn
+
+    def corrupt(*args):
+        out = real(*args)
+        out.flat[7] += 1
+        return out
+    monkeypatch.setattr(np.fft, "irfftn", corrupt)
+    with pytest.raises(ArithmeticError, match="mass identity"):
+        t_k(a, 5)
+    assert a._chain.top is top and len(a._chain.t) == len(a._chain.sigma) == 3
+    monkeypatch.setattr(np.fft, "irfftn", real)
+    assert sigma_k(a, 4) == want["sigma", 4]
+    assert t_k(a, 5) == want["t", 5] and sigma_k(a, 5) == want["sigma", 5]
+
+
+def test_corrupted_kept_spectrum_trips_each_first_t_k_read():
+    a = GSet(cyclic(4096), random.Random(92).sample(range(4096), 1500))
+    want = chain_oracle(a, 7)
+    assert t_k(a, 2) == want["t", 2]
+    assert sigma_k(a, 7) == want["sigma", 7]   # builds levels 1..6, serves no T_k
+    a._chain.spectrum()[:] *= 1.01
+    assert t_k(a, 2) == want["t", 2]           # checked before the corruption
+    for k in (1, 3, 4, 5, 6):
+        for _ in range(2):
+            with pytest.raises(groups.InvariantError, match="cross-check"):
+                t_k(a, k)
 
 
 def test_fractional_energy_monotone_chain():
@@ -286,9 +349,13 @@ def test_self_products_transform_once(monkeypatch):
     calls.clear()
     correlate(a, GSet(cyclic(4096), range(0, 400, 20)))
     assert calls == ["rfftn", "rfftn", "irfftn"]
-    # a conv_power chain transforms A once, and T_k's cross-check reuses it
-    for moment, k, counts in ((t_k, 2, (1, 1)), (t_k, 3, (2, 2)), (t_k, 4, (3, 3)),
-                              (sigma_k, 3, (1, 1)), (sigma_k, 4, (2, 2))):
+    # a set's kept chain transforms A once (level 2 is a self-product) and each
+    # new level's top once, and T_k's cross-check reuses A's spectrum; sigma_k
+    # up to the top level, and repeated requests, read the kept levels
+    a = GSet(cyclic(4096), random.Random(90).sample(range(4096), 1500))
+    for moment, k, counts in ((t_k, 2, (1, 1)), (t_k, 3, (1, 1)), (t_k, 4, (1, 1)),
+                              (sigma_k, 2, (0, 0)), (sigma_k, 3, (0, 0)), (sigma_k, 4, (0, 0)),
+                              (t_k, 3, (0, 0)), (sigma_k, 5, (0, 0)), (t_k, 4, (0, 0))):
         calls.clear()
         moment(a, k)
         assert (calls.count("rfftn"), calls.count("irfftn")) == counts, (moment.__name__, k)
@@ -390,11 +457,16 @@ def boundary_tables():
 
 
 def test_sigma_t_wide_match_kronecker_oracle():
-    # sigma_6 wrapped to a negative int64 and T_6 raised before tables could widen
+    # sigma_6 wrapped to a negative int64 and T_6 raised before tables could
+    # widen; either may come first on a set's kept chain
     a = roadmap_repro()
     counts = oracles.kronecker_sum_counts((16384,), set(a.elems), 6)
-    assert sigma_k(a, 6) == counts[(0,)] == 18392766791437006971
-    assert t_k(a, 6) == sum(c * c for c in counts.values())
+    want = {sigma_k: counts[(0,)], t_k: sum(c * c for c in counts.values())}
+    assert want[sigma_k] == 18392766791437006971
+    for order in ((sigma_k, t_k), (t_k, sigma_k)):
+        fresh = GSet(a.group, a.coords)
+        for moment in order:
+            assert moment(fresh, 6) == want[moment]
 
 
 def test_entry_bound_boundaries_match_oracle():

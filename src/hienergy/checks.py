@@ -16,7 +16,8 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -87,10 +88,14 @@ def _summary(a: GSet, name: str = "A") -> dict:
 # honest slice enumeration (the oracle side of the slice identities)
 
 
-def slice_corr_sums(a: GSet, depth: int) -> dict[Elem, int]:
+def slice_corr_sums(a: GSet, depth: int) -> Mapping[Elem, int]:
     """F_depth(x) = sum over s in G^depth of (A_s o A_s)(x), evaluated by
     explicit translate intersections: pairs (u, v) of A contribute
-    |(A-u) n (A-v)|^depth at x = v - u."""
+    |(A-u) n (A-v)|^depth at x = v - u.  Kept on A per depth, read-only."""
+    return a.kept(("F", depth), lambda: MappingProxyType(_slice_corr_sums(a, depth)))
+
+
+def _slice_corr_sums(a: GSet, depth: int) -> dict[Elem, int]:
     if not a:
         return {}
     n = len(a)

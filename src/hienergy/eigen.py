@@ -36,7 +36,8 @@ class PatternGram:
 
 
 def build_gram(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> PatternGram:
-    """Gram(y, y') = |(B-y) n (B-y')|^k = (B o B)(y'-y)^k on A x A.
+    """Gram(y, y') = |(B-y) n (B-y')|^k = (B o B)(y'-y)^k on A x A, kept on
+    A per (B, k) with its array read-only.
 
     Validates trace = |A||B|^k and squared Frobenius norm = E_{2k+1}(A, B)
     at construction.
@@ -47,17 +48,23 @@ def build_gram(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> PatternGr
         raise ValueError("pattern depth k must be >= 1")
     if not a or not b:
         raise ValueError("pattern Gram needs nonempty sets")
-    n = len(a)
-    if n > caps.gram:
-        raise CapExceededError(f"|A| = {n} exceeds Gram cap {caps.gram}")
+    if len(a) > caps.gram:
+        raise CapExceededError(f"|A| = {len(a)} exceeds Gram cap {caps.gram}")
     if len(b) ** k >= 1 << 63:   # |B|^k is the largest entry, on the diagonal
         raise OverflowError(f"Gram entries |B|^k = {len(b) ** k} exceed int64")
+    return a.kept(("gram", b, k), lambda: _gram(a, b, k))
+
+
+def _gram(a: GSet, b: GSet, k: int) -> PatternGram:
+    n, top = len(a), len(b) ** k
     diffs = (a.coords[None, :] - a.coords[:, None]).reshape(n * n, -1)   # row i n + j: y_j - y_i
     gram = moments.correlate(b, b).values_at(diffs).reshape(n, n) ** k
+    gram.flags.writeable = False
     trace = int(np.trace(gram.astype(object)))
-    if trace != n * len(b) ** k:
-        raise InvariantError(f"Gram trace {trace} != |A||B|^k = {n * len(b) ** k}")
-    frob = int(sum(int(v) ** 2 for v in gram.ravel()))
+    if trace != n * top:
+        raise InvariantError(f"Gram trace {trace} != |A||B|^k = {n * top}")
+    flat = gram.ravel()   # n^2 entries of at most |B|^k
+    frob = int(flat @ flat) if n * n * top * top < 1 << 63 else sum(int(v) ** 2 for v in flat.tolist())
     expected = moments.energy_k_pair(a, b, 2 * k + 1)
     if frob != expected:
         raise InvariantError(f"Gram Frobenius^2 {frob} != E_(2k+1)(A,B) = {expected}")

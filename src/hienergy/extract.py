@@ -50,7 +50,7 @@ import numpy as np
 
 from . import groups, moments, setops
 from .groups import Elem, InvariantError
-from .gset import GSet, _row_keys, as_rows, full_group
+from .gset import GSet, as_rows, full_group
 from .moments import EnergyProfile
 
 
@@ -133,34 +133,33 @@ def katz_koester(a: GSet, s, sign: str = setops.MINUS) -> tuple[GSet, bool]:
 # intersection selection machinery
 
 
-def _membership(family: Sequence[GSet], universe: GSet) -> tuple[np.ndarray, np.ndarray]:
-    """(member, inter): the n x m table of u_j in S_i, filled from one
-    search of every member's rows in the universe, and the n x n table of
-    |S_i n S_j| from one float64 product, exact while m < 2^53."""
-    if len(family) == 0 or len(universe) == 0:
-        raise ValueError("need a nonempty family and universe")
-    rows = np.concatenate([s.coords for s in family])
-    if not universe.isin(rows).all():
-        raise ValueError("family member leaves the universe")
-    member = np.zeros((len(family), len(universe)), dtype=bool)
-    member[np.repeat(np.arange(len(family)), [len(s) for s in family]),
-           np.searchsorted(_row_keys(universe.coords), _row_keys(rows))] = True
+def _intersections(member: np.ndarray) -> np.ndarray:
+    """The n x n table of |S_i n S_j| for the rows of an n x m membership
+    matrix, from one float64 product, exact while m < 2^53."""
+    if member.ndim != 2 or member.dtype != bool or 0 in member.shape:
+        raise ValueError("need a nonempty family and universe as a boolean matrix")
     dense = member.astype(np.float64)
-    return member, (dense @ dense.T).astype(np.int64)
+    return (dense @ dense.T).astype(np.int64)
 
 
-def intersection_select(family: Sequence[GSet], universe: GSet, delta: float,
+def intersection_select(member: np.ndarray, universe: GSet, delta: float,
                         eta: float) -> tuple[list[int], Elem]:
     """Pick J = K_alpha = {i : alpha in S_i} for the first alpha in universe
     order with |K_alpha| >= delta n / sqrt(2) and pair density
     |{(i,j) in J^2 : |S_i n S_j| >= eta delta^2 m / 2}| >= (1 - eta)|J|^2.
+    The family S_1..S_n is given as its n x m membership matrix over the
+    rows of the universe: member[i, j] iff u_j in S_i.
 
     The pair threshold uses m = |universe| (the counting in the selection
     argument runs over the universe, not the index set)."""
-    return _select(*_membership(family, universe), universe, delta, eta)
+    if member.shape[1:] != (len(universe),):
+        raise ValueError(f"membership matrix needs one column per universe row ({len(universe)})")
+    j_set, column = _select(member, _intersections(member), delta, eta)
+    return j_set, universe.elems[column]
 
 
-def _select(member: np.ndarray, inter: np.ndarray, universe: GSet, delta: float, eta: float):
+def _select(member: np.ndarray, inter: np.ndarray, delta: float,
+            eta: float) -> tuple[list[int], int]:
     n, m = member.shape
     # sum_(i,j) |S_i n S_j| = sum over the columns alpha of |K_alpha|^2
     total_pairs = int((member.sum(axis=0) ** 2).sum())
@@ -176,17 +175,18 @@ def _select(member: np.ndarray, inter: np.ndarray, universe: GSet, delta: float,
             continue
         good = int((inter[np.ix_(members, members)] >= pair_floor).sum())
         if good >= (1 - eta) * len(members) ** 2:
-            return members.tolist(), universe.elems[a_idx]
+            return members.tolist(), a_idx
     raise ExtractionError("no column of the membership table satisfies both selection bounds")
 
 
-def robust_core(family: Sequence[GSet], universe: GSet, delta: float) -> list[int]:
-    """Two-step-connected core J': every i, j in J' share, over the whole
-    index set, at least 2^-2 delta n partners k with
-    |S_i n S_k|, |S_j n S_k| >= 2^-4 delta^2 m.  Verified before returning."""
-    member, inter = _membership(family, universe)
+def robust_core(member: np.ndarray, delta: float) -> list[int]:
+    """Two-step-connected core J' of the family given by the rows of an
+    n x m membership matrix: every i, j in J' share, over the whole index
+    set, at least 2^-2 delta n partners k with |S_i n S_k|, |S_j n S_k| >=
+    2^-4 delta^2 m.  Verified before returning."""
+    inter = _intersections(member)
     n, m = member.shape
-    j_set, _alpha = _select(member, inter, universe, delta, eta=1 / 8)
+    j_set, _ = _select(member, inter, delta, eta=1 / 8)
     strong = inter >= delta * delta * m / 16  # 2^-4 delta^2 m
     need = 0.75 * len(j_set)
     core = [i for i in j_set if strong[i, j_set].sum() >= need]
@@ -233,7 +233,6 @@ def bsg_extract(a: GSet, eps: float = 1.0) -> ExtractionReport:
     g = a.group
     # S_a via the exact comparison 2|A|^2 (A o A)(a-b) >= E_2
     incidence = _popularity_family(a, e2)
-    fam = [a.subset(row) for row in incidence]
     mass = int(incidence.sum())
     floor = n * n / (2 ** ((1 + eps) / eps) * m_val ** (1 / eps))
     if mass < floor * (1 - 1e-9):
@@ -241,7 +240,7 @@ def bsg_extract(a: GSet, eps: float = 1.0) -> ExtractionReport:
     rep.add_stage("family", mass=mass, forced_floor=floor)
 
     delta = 2 ** (-(1 + eps) / eps) * m_val ** (-1 / eps)
-    core = robust_core(fam, a, delta)
+    core = robust_core(incidence, delta)
     a_prime = GSet(g, a.coords[core])
     rep.add_stage("core", delta=delta, size=len(a_prime))
     rep.store_set("A_prime", a_prime)
@@ -316,11 +315,10 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
     kp = Fraction(len(p_set) ** 3, ep)
     p_n = len(p_set)
     incidence = _popularity_family(p_set, ep)
-    fam = [p_set.subset(row) for row in incidence]
     # sum_(i,j) |S_i n S_j| counts, for each column, the ordered pairs of its rows
     pair_total = int((incidence.sum(axis=0) ** 2).sum())
     delta_p = math.sqrt(pair_total / (p_n ** 3))
-    core = robust_core(fam, p_set, delta_p)
+    core = robust_core(incidence, delta_p)
     p_prime = GSet(g, p_set.coords[core])
     rep.add_stage("difference_core", K_P=float(kp), delta=delta_p, size=len(p_prime))
     rep.store_set("P_prime", p_prime)

@@ -7,8 +7,23 @@ coordinates must satisfy |c| < 2^62, so a sum or difference of two rows
 cannot wrap.  ``elems`` (tuples of Python ints), ``as_set`` and
 ``indicator()`` are views, derived on first use and cached, and
 ``flat_indices()`` reads the indicator; set algebra runs on ``coords``.
-``moments.correlate(a, a)`` keeps the table A o A on the set the same way,
-and ``moments.t_k``/``sigma_k`` keep its chain of convolution powers.
+
+Objects computed from a set, and from partner sets compared by value, are
+kept on it in one dict through ``GSet.kept(key, build)``, which runs
+``build()`` once per key and keeps nothing if it raises.  The dict dies with
+the set; ``subset`` and every constructor start an empty one.  Its keys:
+
+- ``"AoA"``: the table A o A (``moments.correlate(a, a)``), read-only;
+- ``"chain"``: the convolution powers behind ``moments.t_k``/``sigma_k``;
+- ``"A+A"``, ``"A-A"``: ``setops.sumset(a, a)``, ``setops.diffset(a, a)``;
+- ``("D", k)``, ``("S", k)``: the counts D_k(A), S_k(A), never the tuples;
+- ``("R", b, k)``: R^(k)_B[A] and its witness (``setops.magnification_k``);
+- ``("F", depth)``: ``checks.slice_corr_sums``, a read-only mapping;
+- ``("gram", b, k)``: ``eigen.build_gram``, its array read-only;
+- ``("Epair", b, k)``: E_k(A, B) (``moments.energy_k_pair``).
+
+Every cap check of a kept function runs before the lookup, so a smaller
+``Caps`` still refuses a value that is already kept.
 
 File format (UTF-8 text): line 1 is ``group: <literal>``, every following
 non-blank line is one element with comma-separated coordinates.  Files
@@ -18,7 +33,7 @@ written by :func:`write_set` round-trip bit-exactly.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -26,6 +41,7 @@ from . import groups
 from .groups import Elem, GroupSpec
 
 _LATTICE_BOUND = 1 << 62
+_MISSING = object()
 
 
 class SetFileError(ValueError):
@@ -79,8 +95,7 @@ class GSet:
         self.group = group
         self.coords = rows[fresh]
         self.coords.flags.writeable = False
-        self._self_corr = None   # A o A, built and kept by moments.correlate
-        self._chain = None       # A^(*j), T_j and sigma_j, kept by moments.t_k and sigma_k
+        self._kept: dict = {}   # see the module docstring
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -150,8 +165,16 @@ class GSet:
         out.group = self.group
         out.coords = self.coords[mask]
         out.coords.flags.writeable = False
-        out._self_corr = out._chain = None
+        out._kept = {}
         return out
+
+    def kept(self, key, build: Callable):
+        """The value kept under key, else build()'s, kept; nothing is kept
+        if build raises."""
+        value = self._kept.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._kept[key] = build()
+        return value
 
     def translate(self, t) -> "GSet":
         return GSet(self.group, self.coords + GSet(self.group, [t]).coords)

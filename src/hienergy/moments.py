@@ -10,8 +10,9 @@ the direct path subtracts indices, the FFT conjugates f's spectrum.  A
 self-product (f is g) transforms each limb once, and a chain of convolution
 powers its base once per FFT shape.  Only the exact mass identity and T_k's
 cross-check are validated after the fact.  A o A of a GSet is built once and
-kept on the set, read-only: every E_k, the level sequence and the Gram
-(B o B)^k read that one table.  Its chain is kept the same way: each level
+kept on the set (see the gset module), read-only: every E_k, the level
+sequence and the Gram (B o B)^k read that one table, and E_k(A, B) is kept
+on A per (B, k).  Its chain is kept the same way: each level
 A^(*j) is built once per set, by one engine call on the level below, and
 leaves T_j and sigma_j behind; the set keeps only the top level and, on a
 cyclic group, the base's spectra, which T_k's cross-check reuses.  On a
@@ -307,16 +308,21 @@ def convolve(f, g, *, corr: bool = False) -> ConvTable:
 def correlate(f, g) -> ConvTable:
     """(f o g)(x) = sum_y f(y) g(y + x); for sets, counts of x = b - a.
     With one GSet passed twice the table is built once and kept on the set."""
-    keep = f is g and isinstance(f, GSet)
-    if keep and f._self_corr is not None:
-        return f._self_corr
+    if f is g and isinstance(f, GSet):
+        return f.kept("AoA", lambda: _read_only(_correlate(f, f)))
+    return _correlate(f, g)
+
+
+def _correlate(f, g) -> ConvTable:
     out = convolve(f, g, corr=True)
     if isinstance(f, GSet) and isinstance(g, GSet) and out.total() != len(f) * len(g):
         raise InvariantError("correlation mass must equal |A||B|")
-    if keep:
-        out.array.flags.writeable = False
-        f._self_corr = out
     return out
+
+
+def _read_only(t: ConvTable) -> ConvTable:
+    t.array.flags.writeable = False
+    return t
 
 
 def conv_power(a, k: int) -> ConvTable:
@@ -344,7 +350,7 @@ def _at_zero(t: ConvTable) -> int:
 
 
 class _Chain:
-    """The convolution powers of one set, kept on it as GSet._chain: the top
+    """The convolution powers of one set, kept on it under "chain": the top
     level A^(*L), read-only, and T_j = sum (A^(*j))^2 and sigma_j = A^(*j)(0)
     for every j <= L.  A cyclic chain keeps the base's spectra for its steps
     and T_k's cross-check; a lattice window grows at every level, so there a
@@ -381,11 +387,9 @@ class _Chain:
         return self.spectra[moduli][0]
 
 
-def _chain(a: GSet, k: int) -> _Chain:
-    """a's kept chain, extended to level k."""
-    if a._chain is None:
-        a._chain = _Chain(a)
-    return a._chain.extend(k)
+def _chain(a: GSet) -> _Chain:
+    """a's kept chain, built at level 1 on first use."""
+    return a.kept("chain", lambda: _Chain(a))
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +397,23 @@ def _chain(a: GSet, k: int) -> _Chain:
 
 
 def _power_sum(values: np.ndarray, k) -> int | float:
-    """sum v^k over the positive entries; for integer k in int64 where nothing
-    can wrap, over a bincount where max <= 4 len (every E_k), in int64 binomial
-    terms of v = h 2^s + l (h, l < 2^s) where (2^s)^k len < 2^63; else over
-    the distinct values in Python numbers."""
-    pos, ki = values[values > 0], int(k) if float(k).is_integer() else None
+    """sum v^k over the positive entries; for integer k >= 1 in int64 over
+    the whole table where it is nonnegative and nothing can wrap (zeros add
+    nothing), else over the positive entries: in int64 where nothing can
+    wrap there, over a bincount where max <= 4 len (every E_k), in int64
+    binomial terms of v = h 2^s + l (h, l < 2^s) where (2^s)^k len < 2^63;
+    else over the distinct values in Python numbers."""
+    ki = int(k) if float(k).is_integer() else None
+    exact = ki is not None and values.dtype != object
+    if exact:
+        top = int(values.max(initial=0))   # also the maximum of the positive entries
+        if top ** ki * len(values) < 1 << 63 and values.min(initial=0) >= 0:
+            return int(np.dot(values, values) if ki == 2 else (values ** ki).sum())
+    pos = values[values > 0]
     if len(pos) == 0:
         return 0.0 if ki is None else 0
-    if ki is not None and pos.dtype != object:
-        top, n = int(pos.max()), len(pos)
+    if exact:
+        n = len(pos)
         if top ** ki * n < 1 << 63:
             return int((pos ** ki).sum())
         if top <= 4 * n:
@@ -431,16 +443,26 @@ def energy_pair(a: GSet, b: GSet) -> int:
 
 
 def energy_k_pair(a: GSet, b: GSet, k) -> int | float:
-    """E_k(A, B) = sum_x (A o A)(x) (B o B)(x)^(k-1); E_2(A, B) = E(A, B)."""
+    """E_k(A, B) = sum_x (A o A)(x) (B o B)(x)^(k-1); E_2(A, B) = E(A, B).
+    Kept on A per (B, k)."""
     if a.group != b.group:
         raise groups.GroupError("energy operands live in different groups")
     if k < 1:
         raise ValueError("energy order must be >= 1")
+    return a.kept(("Epair", b, k), lambda: _energy_k_pair(a, b, k))
+
+
+def _energy_k_pair(a: GSet, b: GSet, k) -> int | float:
+    """For integer k summed in int64 where |supp| max v max w^(k-1) < 2^63,
+    else in Python numbers."""
     points, v = correlate(a, a).support_rows()
-    v, w = v.tolist(), correlate(b, b).values_at(points).tolist()
+    w = correlate(b, b).values_at(points)
     if float(k).is_integer():
-        return sum(x * y ** (int(k) - 1) for x, y in zip(v, w))
-    return sum((float(x) * float(y) ** (k - 1) for x, y in zip(v, w) if y), 0.0)
+        e = int(k) - 1
+        if len(v) * int(v.max(initial=0)) * int(w.max(initial=0)) ** e < 1 << 63:
+            return int((v * w ** e).sum())
+        return sum(x * y ** e for x, y in zip(v.tolist(), w.tolist()))
+    return sum((float(x) * float(y) ** (k - 1) for x, y in zip(v.tolist(), w.tolist()) if y), 0.0)
 
 
 def t_k(a: GSet, k: int) -> int:
@@ -448,7 +470,7 @@ def t_k(a: GSet, k: int) -> int:
     cross-checked on the dual side the first time it is served."""
     if k < 1:
         raise ValueError("T_k needs k >= 1")
-    chain = _chain(a, k)
+    chain = _chain(a).extend(k)
     result = chain.t[k - 1]
     if a.group.is_cyclic and k not in chain.checked:
         # each last-axis bin of the real half-spectrum but the first and Nyquist counts twice
@@ -469,9 +491,10 @@ def sigma_k(a: GSet, k: int) -> int:
         raise ValueError("sigma_k needs k >= 1")
     if k == 1:
         return int(groups.zero(a.group) in a)
-    if a._chain is not None and k <= len(a._chain.sigma):
-        return a._chain.sigma[k - 1]
-    return _total(_chain(a, k - 1).top.values_at(-a.coords))
+    chain = _chain(a)
+    if k <= len(chain.sigma):
+        return chain.sigma[k - 1]
+    return _total(chain.extend(k - 1).top.values_at(-a.coords))
 
 
 def level_sequence(a: GSet) -> list[int]:

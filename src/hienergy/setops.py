@@ -11,6 +11,9 @@ with a row per c.  `delta_sumset` dedups the grid with an in-place sort and
 a neighbour comparison: sorted output is what `TupleSet` stores anyway, and
 the sort needs no hash table.  D_k and S_k are its cardinalities when all
 A_i = C; the rows themselves are the id sets of the magnification search.
+A + A, A - A, the counts D_k and S_k and the ratios R^(k)_B[A] are kept on
+the set (see the gset module), each behind its cap checks: `_check_work`
+bounds the grid's size before any lookup or build.
 """
 
 from __future__ import annotations
@@ -48,13 +51,17 @@ DEFAULT_CAPS = Caps()
 
 
 def sumset(a: GSet, b: GSet) -> GSet:
+    """A + B; A + A is kept on A."""
     _require_same_group(a, b)
-    return GSet(a.group, (a.coords[:, None] + b.coords[None]).reshape(-1, a.group.dim))
+    build = lambda: GSet(a.group, (a.coords[:, None] + b.coords[None]).reshape(-1, a.group.dim))
+    return a.kept("A+A", build) if a is b else build()
 
 
 def diffset(a: GSet, b: GSet) -> GSet:
+    """A - B; A - A is kept on A."""
     _require_same_group(a, b)
-    return GSet(a.group, (a.coords[:, None] - b.coords[None]).reshape(-1, a.group.dim))
+    build = lambda: GSet(a.group, (a.coords[:, None] - b.coords[None]).reshape(-1, a.group.dim))
+    return a.kept("A-A", build) if a is b else build()
 
 
 def iterated(a: GSet, n: int, m: int) -> GSet:
@@ -224,6 +231,16 @@ def _box(rows: np.ndarray) -> np.ndarray:
     return np.stack([rows.min(axis=0), rows.max(axis=0)])
 
 
+def _check_work(sets: Sequence[GSet], c: GSet, caps: Caps) -> None:
+    """Refuse the |C| prod |A_i| tuples of A_1 x ... x A_k -+ Delta(C) above
+    the tuple cap; the operands must share one group."""
+    for a in sets:
+        _require_same_group(a, c)
+    work = len(c) * math.prod(max(len(a), 1) for a in sets)
+    if work > caps.tuples:
+        raise CapExceededError(f"tuple work {work} exceeds cap {caps.tuples}")
+
+
 def _translate_grid(sets: Sequence[GSet], c: GSet, sign: str,
                     caps: Caps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Packed values of A_1 x ... x A_k -+ Delta(c) for every c in C.
@@ -235,12 +252,8 @@ def _translate_grid(sets: Sequence[GSet], c: GSet, sign: str,
     """
     if not sets:
         raise ValueError("need at least one factor set")
+    _check_work(sets, c, caps)
     g = c.group
-    for a in sets:
-        _require_same_group(a, c)
-    work = len(c) * math.prod(max(len(a), 1) for a in sets)
-    if work > caps.tuples:
-        raise CapExceededError(f"tuple work {work} exceeds cap {caps.tuples}")
     d = g.dim
     shift = -c.coords if sign == MINUS else c.coords
     if g.is_cyclic:
@@ -284,13 +297,19 @@ def delta_sumset(sets: Sequence[GSet], b: GSet, sign: str = MINUS,
 
 
 def d_k(a: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> int:
-    """D_k(A) = |A^k - Delta(A)|."""
-    return len(delta_sumset([a] * k, a, MINUS, caps))
+    """D_k(A) = |A^k - Delta(A)|, kept on A (the count only)."""
+    return _delta_count(a, k, MINUS, caps)
 
 
 def s_k(a: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> int:
-    """S_k(A) = |A^k + Delta(A)|."""
-    return len(delta_sumset([a] * k, a, PLUS, caps))
+    """S_k(A) = |A^k + Delta(A)|, kept on A (the count only)."""
+    return _delta_count(a, k, PLUS, caps)
+
+
+def _delta_count(a: GSet, k: int, sign: str, caps: Caps) -> int:
+    _check_work([a] * k, a, caps)
+    return a.kept(("D" if sign == MINUS else "S", k),
+                  lambda: len(delta_sumset([a] * k, a, sign, caps)))
 
 
 def basis_depth_test(b: GSet, k: int, sign: str = MINUS,
@@ -364,7 +383,8 @@ def magnification(a: GSet, b: GSet, caps: Caps = DEFAULT_CAPS) -> tuple[Fraction
 
 
 def magnification_k(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> tuple[Fraction, GSet]:
-    """R^(k)_B[A] = min over nonempty Z <= A of |B^k + Delta(Z)| / |Z|."""
+    """R^(k)_B[A] = min over nonempty Z <= A of |B^k + Delta(Z)| / |Z|,
+    with a witness Z; kept on A per (B, k)."""
     _require_same_group(a, b)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -372,7 +392,11 @@ def magnification_k(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> tupl
         raise ValueError("magnification needs nonempty sets")
     if len(a) > caps.subsets:
         raise CapExceededError(f"|A| = {len(a)} exceeds subset cap {caps.subsets}")
+    _check_work([b] * k, a, caps)
+    return a.kept(("R", b, k), lambda: _magnification(a, b, k, caps))
+
+
+def _magnification(a: GSet, b: GSet, k: int, caps: Caps) -> tuple[Fraction, GSet]:
     grid, _, _ = _translate_grid([b] * k, a, PLUS, caps)   # row z: B^k + Delta(z)
     ratio, chosen = _magnification_search(grid)
-    witness = GSet(a.group, a.coords[list(chosen)])
-    return ratio, witness
+    return ratio, GSet(a.group, a.coords[list(chosen)])

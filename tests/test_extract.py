@@ -23,6 +23,11 @@ def rand_gset(rng, g, size):
     return GSet(g, rng.sample(range(40), size))
 
 
+def member_of(fam, universe):
+    """The membership matrix of a family of subsets over the universe rows."""
+    return np.array([s.isin(universe.coords) for s in fam]).reshape(len(fam), len(universe))
+
+
 def test_popular_set_examples():
     a = zset([0, 1, 3])
     p = popular_set(a)
@@ -71,16 +76,16 @@ def test_katz_koester_unconditional():
 
 
 def test_intersection_select_identical_family():
-    fam = [zset([0, 1, 2])] * 5
+    fam = member_of([zset([0, 1, 2])] * 5, zset([0, 1, 2]))
     j, alpha = intersection_select(fam, zset([0, 1, 2]), 1.0, 1 / 8)
-    assert j == [0, 1, 2, 3, 4]
-    core = robust_core(fam, zset([0, 1, 2]), 1.0)
+    assert j == [0, 1, 2, 3, 4] and alpha == (0,)
+    core = robust_core(fam, 1.0)
     assert core == [0, 1, 2, 3, 4]
 
 
 def test_intersection_select_validates_precondition():
     # pairwise disjoint family: sum |S_i n S_j| = sum |S_i|, far below delta^2 m n^2
-    fam = [zset([0]), zset([1]), zset([2])]
+    fam = np.eye(3, dtype=bool)
     with pytest.raises(ExtractionError):
         intersection_select(fam, zset([0, 1, 2]), 0.9, 1 / 8)
 
@@ -97,7 +102,7 @@ def test_intersection_select_matches_exhaustive_alpha_sweep():
     n, m = len(fam), len(universe)
     total = sum(len(si.intersect(sj)) for si in fam for sj in fam)
     delta = math.sqrt(total / (m * n * n))
-    j, alpha = intersection_select(fam, universe, delta, 1 / 8)
+    j, alpha = intersection_select(member_of(fam, universe), universe, delta, 1 / 8)
     # exhaustive sweep oracle: first alpha passing both bounds
     masks = [set(s.elems) for s in fam]
     floor = delta * n / math.sqrt(2)
@@ -118,14 +123,15 @@ def test_membership_table_matches_per_member_search():
     for g in (cyclic(4, 8), lattice(2)):
         universe = rand_gset(rng, g, 14)
         fam = [GSet(g, rng.sample(universe.elems, rng.randint(0, 14))) for _ in range(9)]
-        member, inter = extract._membership(fam, universe)
-        assert (member == np.array([s.isin(universe.coords) for s in fam])).all()
+        member = member_of(fam, universe)
+        assert [universe.subset(row) for row in member] == fam
+        inter = extract._intersections(member)
         assert inter.tolist() == [[len(si.intersect(sj)) for sj in fam] for si in fam]
-        candidates = GSet(g, [(1, 3), (2, 6), (100, 100)])
-        outside = candidates.subset(~universe.isin(candidates.coords))
-        assert len(outside) > 0
-        with pytest.raises(ValueError):
-            extract._membership(fam + [outside], universe)
+        for bad in (member[:0], member[:, :0], member.astype(np.int64)):
+            with pytest.raises(ValueError):
+                robust_core(bad, 0.5)
+        with pytest.raises(ValueError, match="one column per universe row"):
+            intersection_select(member[:, 1:], universe, 0.5, 1 / 8)
 
 
 def test_robust_core_postconditions_random():
@@ -136,7 +142,7 @@ def test_robust_core_postconditions_random():
         n, m = len(fam), len(universe)
         total = sum(len(si.intersect(sj)) for si in fam for sj in fam)
         delta = math.sqrt(total / (m * n * n))
-        core = robust_core(fam, universe, delta)
+        core = robust_core(member_of(fam, universe), delta)
         assert len(core) >= delta * n / 32 * (1 - 1e-9)
         floor = delta * delta * m / 16
         for i in core:
@@ -156,7 +162,7 @@ def test_robust_core_two_cluster_family():
     n, m = 12, 20
     total = sum(len(si.intersect(sj)) for si in fam for sj in fam)
     delta = math.sqrt(total / (m * n * n))
-    core = robust_core(fam, universe, delta)
+    core = robust_core(member_of(fam, universe), delta)
     assert core and (all(i < 6 for i in core) or all(i >= 6 for i in core))
 
 

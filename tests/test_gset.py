@@ -110,7 +110,7 @@ def test_subset_selects_rows_without_a_rebuild():
         mask = np.arange(len(a)) % 2 == 0
         sub = a.subset(mask)
         assert sub == GSet(a.group, a.coords[mask]) and sub.group == a.group
-        assert not sub.coords.flags.writeable and sub._self_corr is sub._chain is None
+        assert not sub.coords.flags.writeable and sub._kept == {}
         assert vars(sub).keys() == vars(GSet(a.group, a.coords[mask])).keys()
         assert a.subset(np.zeros(len(a), dtype=bool)) == GSet(a.group, [])
         assert a.subset(np.ones(len(a), dtype=bool)) == a

@@ -162,18 +162,19 @@ def test_kept_chain_matches_oracle_in_any_order():
             want = chain_oracle(a, 6)
             # the first order asks sigma_1 of a fresh set; every order is asked twice
             order = [("sigma", 1)] + requests if trial == 0 else rng.sample(requests, len(requests))
-            assert a._chain is None
+            assert "chain" not in a._kept
             for name, k in order + order[::-1]:
                 got = (t_k if name == "t" else sigma_k)(a, k)
                 assert got == want[name, k], (g, a.elems, order, name, k)
-            assert a.subset(np.ones(len(a), dtype=bool))._chain is None
+            assert a.subset(np.ones(len(a), dtype=bool))._kept == {}
 
 
 def test_chain_step_that_raises_keeps_the_last_good_level(monkeypatch):
     a = GSet(cyclic(4096), random.Random(91).sample(range(4096), 1500))
     want = chain_oracle(a, 5)
     assert t_k(a, 3) == want["t", 3]
-    top = a._chain.top
+    chain = a._kept["chain"]
+    top = chain.top
     real = np.fft.irfftn
 
     def corrupt(*args):
@@ -183,7 +184,7 @@ def test_chain_step_that_raises_keeps_the_last_good_level(monkeypatch):
     monkeypatch.setattr(np.fft, "irfftn", corrupt)
     with pytest.raises(ArithmeticError, match="mass identity"):
         t_k(a, 5)
-    assert a._chain.top is top and len(a._chain.t) == len(a._chain.sigma) == 3
+    assert chain.top is top and len(chain.t) == len(chain.sigma) == 3
     monkeypatch.setattr(np.fft, "irfftn", real)
     assert sigma_k(a, 4) == want["sigma", 4]
     assert t_k(a, 5) == want["t", 5] and sigma_k(a, 5) == want["sigma", 5]
@@ -194,7 +195,7 @@ def test_corrupted_kept_spectrum_trips_each_first_t_k_read():
     want = chain_oracle(a, 7)
     assert t_k(a, 2) == want["t", 2]
     assert sigma_k(a, 7) == want["sigma", 7]   # builds levels 1..6, serves no T_k
-    a._chain.spectrum()[:] *= 1.01
+    a._kept["chain"].spectrum()[:] *= 1.01
     assert t_k(a, 2) == want["t", 2]           # checked before the corruption
     for k in (1, 3, 4, 5, 6):
         for _ in range(2):

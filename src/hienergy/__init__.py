@@ -11,7 +11,7 @@ from .setops import (Caps, CapExceededError, TupleSet, basis_depth_test, d_k,
                      family_sumset_sizes, magnification, magnification_k,
                      restricted_sum, s_k, slice_masks, stabilizer_slice, sumset)
 from .spectrum import (SpectrumTable, dft, dim_exact, dim_greedy, dissociated_test,
-                       large_spectrum, spectrum_energy_t_k)
+                       large_spectrum)
 from .eigen import (PatternGram, build_gram, magnification_lower_bounds,
                     singular_spectrum, subgroup_eigencheck, union_family_lower_bound)
 from .genset import SetRecipe, gen, mult_subgroup, parse_recipe, quadratic_residues, recipe

@@ -22,8 +22,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import eigen, extract, genset, groups, moments, setops, spectrum
-from .groups import Elem, GroupSpec
-from .gset import GSet, as_rows, full_group
+from .groups import Elem
+from .gset import GSet, _row_keys, as_rows, bounded_rows, full_group
 from .setops import MINUS, PLUS
 
 REL_TOL = 1e-9
@@ -228,16 +228,18 @@ def check_c10(a: GSet, k: int, primed: bool = False) -> CheckResult:
     return _res(cid, {**_summary(a), "k": k}, lhs, rhs, ">=", tolerance=REL_TOL)
 
 
-def _tuple_delta_size(tuples: set[tuple], x_set: GSet, g: GroupSpec) -> int:
-    out = set()
-    for tup in tuples:
-        for x in x_set:
-            out.add(tuple(groups.op_sub(g, y, x) for y in tup))
-    return len(out)
+def _tuple_delta_size(y: np.ndarray, last: GSet, x: GSet) -> int:
+    """|(Y x L) - Delta(X)| for the tuples of an (n, m, d) block Y: the
+    distinct rows (y_1 - x, ..., y_m - x, l - x) of one (n |L|, |X|, (m + 1) d)
+    block over y in Y, l in L and x in X."""
+    n, m, d = y.shape
+    tuples = np.concatenate([np.repeat(y, len(last), axis=0),
+                             np.tile(last.coords, (n, 1))[:, None]], axis=1)
+    diffs = as_rows(x.group, (tuples[:, None] - x.coords[None, :, None]).reshape(-1, d))
+    return len(np.unique(_row_keys(diffs.reshape(-1, (m + 1) * d))))
 
 
 def check_c11(sets: dict, variant: str, m: int = 1) -> CheckResult:
-    g = next(v.group for v in sets.values() if isinstance(v, GSet))
     if variant == "tri1":
         w, x, y, z = sets["W"], sets["X"], sets["Y"], sets["Z"]
         lhs = len(w) * len(x) * len(setops.diffset(y, z))
@@ -259,10 +261,11 @@ def check_c11(sets: dict, variant: str, m: int = 1) -> CheckResult:
         return _res("C11", inputs, lhs, rhs, "=")
     elif variant == "eq_tuples":
         y_tuples, x, z = sets["Yt"], sets["X"], sets["Z"]
-        yz = {tup + (c,) for tup in y_tuples for c in z}
-        yx = {tup + (c,) for tup in y_tuples for c in x}
-        lhs = _tuple_delta_size(yz, x, g)
-        rhs = _tuple_delta_size(yx, z, g)
+        m = len(next(iter(y_tuples), ()))
+        y = bounded_rows(x.group, [e for tup in y_tuples for e in tup])
+        y = y.reshape(len(y_tuples), m, x.group.dim)
+        lhs = _tuple_delta_size(y, z, x)
+        rhs = _tuple_delta_size(y, x, z)
         inputs = {"variant": variant, "sizes": [len(y_tuples), len(x), len(z)]}
         return _res("C11", inputs, lhs, rhs, "=")
     else:
@@ -478,7 +481,7 @@ def check_c27(p: int, t: int, variant: str = "invariant", coset: int = 0,
     cosets = genset.subgroup_cosets(gamma)
     gamma_star = cosets[coset % len(cosets)]
     keep = max(1, int(len(gamma_star) * sub_frac))
-    gamma_prime = GSet(gamma.group, gamma_star.elems[:keep])
+    gamma_prime = GSet(gamma.group, gamma_star.coords[:keep])
     if variant == "pred":
         lhs = len(setops.sumset(gamma, gamma_prime))
         rhs = len(gamma_prime) * math.sqrt(t / max(1.0, math.log2(t)))
@@ -615,7 +618,7 @@ def check_c34(a: GSet, top: int = 8) -> CheckResult:
 def check_c35(a: GSet, variant: str = "lcon") -> CheckResult:
     if a.group.dim != 1 or a.group.is_cyclic:
         raise ValueError("sum-product reports need integer sets")
-    xs = [e[0] for e in a.elems]
+    xs = a.coords[:, 0].tolist()
     n = len(xs)
     inputs = {"size": n, "variant": variant}
     if variant == "lcon":
@@ -656,10 +659,9 @@ def check_c35(a: GSet, variant: str = "lcon") -> CheckResult:
 
 def check_c36(p: int, t: int) -> CheckResult:
     gamma = genset.mult_subgroup(p, t)
-    members = {e[0] for e in gamma.elems}
-    inputs = {"p": p, "t": t, "has_minus_one": (p - 1) in members}
+    inputs = {"p": p, "t": t, "has_minus_one": p - 1 in gamma}
     six = setops.iterated(gamma, 6, 0)
-    covered = len(six) >= p - 1 and all(x in six for x in range(1, p))
+    covered = len(six) >= p - 1 and bool(six.isin(np.arange(1, p).reshape(-1, 1)).all())
     return _res("C36", inputs, int(covered), 1, ">=", hard=False, passed=True,
                 witness={"covers": covered, "six_size": len(six)})
 
@@ -671,9 +673,8 @@ def check_c37(a: GSet, coeffs: Sequence[int], sign: str = MINUS) -> CheckResult:
     if found is None:
         return _res("C37", inputs, 0, 0, ">=", hard=False, witness="none")
     x, d = found
-    g = a.group
-    valid = all(groups.op_add(g, x, groups.op_scale(g, c, d)) in side.as_set
-                and d != groups.zero(g) for c in coeffs)
+    points = as_rows(a.group, np.array(x) + np.multiply.outer(coeffs, d))
+    valid = bool(side.isin(points).all() and any(d))
     return _res("C37", inputs, int(valid), 1, ">=", hard=False, passed=valid,
                 witness={"x": list(x), "d": list(d)})
 
@@ -747,13 +748,10 @@ class Instance:
         rng = random.Random(f"{self.label}:{tag}")
         g = self.a.group
         size = size or max(2, len(self.a) // 2 + 1)
-        if g.is_cyclic:
-            flat = rng.sample(range(g.order), min(size, g.order))
-            return GSet(g, [groups.from_flat(g, v) for v in flat])
-        # points of the box [0, span)^dim, drawn as flat indices
-        span = max(8, 3 * len(self.a))
-        flat = rng.sample(range(span ** g.dim), min(size, span ** g.dim))
-        return GSet(g, np.column_stack(np.unravel_index(flat, (span,) * g.dim)))
+        # flat indices of the group, or of the box [0, span)^dim of a lattice
+        shape = g.moduli if g.is_cyclic else (max(8, 3 * len(self.a)),) * g.dim
+        flat = rng.sample(range(math.prod(shape)), min(size, math.prod(shape)))
+        return GSet(g, np.column_stack(np.unravel_index(flat, shape)))
 
     @cached_property
     def grids(self) -> dict[str, list[dict]]:
@@ -855,8 +853,10 @@ def default_grid(check_id: str, inst: Instance) -> list[dict]:
 def _subsample(a: GSet, size: int) -> GSet:
     if len(a) <= size:
         return a
-    rng = random.Random(f"sub:{len(a)}:{size}:{a.elems[0]}")
-    return GSet(a.group, rng.sample(a.elems, size))
+    rng = random.Random(f"sub:{len(a)}:{size}:{tuple(a.coords[0].tolist())}")
+    keep = np.zeros(len(a), dtype=bool)
+    keep[rng.sample(range(len(a)), size)] = True   # a sample of the rows takes these positions
+    return a.subset(keep)
 
 
 @dataclass
@@ -929,7 +929,7 @@ def standard_corpus(seed: int = 2024, cyclic_count: int = 200,
         g = ambients[i % len(ambients)]
         size = rng.randint(3, 16)
         elems = rng.sample(range(g.order), size)
-        a = GSet(g, [groups.from_flat(g, e) for e in elems])
+        a = GSet(g, np.column_stack(np.unravel_index(elems, g.moduli)))
         out.append(Instance("set", f"cyc{i}:{g}", a))
     for i in range(lattice_count):
         size = rng.randint(3, 16)
@@ -972,5 +972,5 @@ def intset_instances() -> list[Instance]:
         out.append(Instance("intset", f"interval{n}", a))
         conv = genset.gen(genset.recipe("convex", n=min(n, 24)))
         out.append(Instance("intset", f"convex{n}", GSet(groups.lattice(1),
-                                                         [e[0] + 1 for e in conv.elems])))
+                                                         conv.coords + 1)))
     return out

@@ -12,8 +12,6 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
-
 from . import checks, extract, genset, groups, moments, setops, spectrum
 from .gset import GSet, SetFileError, dumps_set, loads_set, read_set, write_set
 from .setops import CapExceededError, Caps
@@ -91,11 +89,12 @@ def cmd_compute(args) -> int:
     elif q == "spectrum":
         table = spectrum.dft(a)
         payload["csv"] = table.to_csv()
-        payload["values"] = [[str(xi), abs(table.value(xi))] for xi in groups.enumerate_elements(a.group)]
+        payload["values"] = [[str(tuple(xi)), abs(v)] for xi, v in
+                             zip(table.dual_rows().tolist(), table.array.ravel().tolist())]
         lines = payload["csv"].splitlines()
     elif q == "Ralpha":
         r = spectrum.large_spectrum(a, args.alpha)
-        payload["value"] = [list(e) for e in r.elems]
+        payload["value"] = r.coords.tolist()
         payload["size"] = len(r)
         lines = [f"R_{args.alpha}(A): size {len(r)}", dumps_set(r).rstrip()]
     elif q == "dim":
@@ -105,12 +104,12 @@ def cmd_compute(args) -> int:
     elif q == "mag":
         r, z = setops.magnification(a, b)
         payload["value"] = str(r)
-        payload["witness"] = [list(e) for e in z.elems]
+        payload["witness"] = z.coords.tolist()
         lines = [f"R_B[A] = {r} (= {float(r)}), witness |Z| = {len(z)}"]
     elif q == "magk":
         r, z = setops.magnification_k(a, b, int(k or 1))
         payload["value"] = str(r)
-        payload["witness"] = [list(e) for e in z.elems]
+        payload["witness"] = z.coords.tolist()
         lines = [f"R^({int(k or 1)})_B[A] = {r} (= {float(r)}), witness |Z| = {len(z)}"]
     elif q == "levels":
         v = moments.level_sequence(a)

@@ -131,14 +131,12 @@ def union_family_lower_bound(a1: GSet, family_sizes: Sequence[int], a: GSet, b: 
 
 
 def _flat_function(g: GroupSpec, f) -> np.ndarray:
-    """Coerce a GSet / ConvTable / array / callable to a dense complex vector."""
+    """Coerce a GSet / ConvTable / array to a dense complex vector."""
     n = g.order
     if isinstance(f, GSet):
         return f.indicator().astype(np.complex128).ravel()
     if isinstance(f, moments.ConvTable):
         return f.array.astype(np.complex128).ravel()
-    if callable(f):
-        return np.array([f(x) for x in groups.enumerate_elements(g)], dtype=np.complex128)
     arr = np.asarray(f, dtype=np.complex128).ravel()
     if arr.size != n:
         raise ValueError(f"dense function must have {n} entries")
@@ -216,13 +214,13 @@ def multiplicative_order_elements(gamma: GSet) -> tuple[int, int]:
     p = g.moduli[0]
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    vals = {e[0] for e in gamma.elems}
+    vals = gamma.coords[:, 0]
     if 0 in vals or 1 not in vals:
         raise ValueError("subgroup must contain 1 and avoid 0")
-    for x in vals:
-        for y in vals:
-            if (x * y) % p not in vals:
-                raise ValueError("set is not multiplicatively closed")
+    if p >= 1 << 31:   # keeps every product of two residues inside int64
+        raise ValueError(f"multiplicative subgroups need p < 2^31, got {p}")
+    if not np.isin(np.multiply.outer(vals, vals) % p, vals).all():
+        raise ValueError("set is not multiplicatively closed")
     return p, len(vals)
 
 
@@ -254,12 +252,12 @@ def subgroup_characters(gamma: GSet) -> np.ndarray:
     root = primitive_root(p)
     h = pow(root, (p - 1) // t, p)
     order = [pow(h, l, p) for l in range(t)]
-    if set(order) != {e[0] for e in gamma.elems}:
+    if sorted(order) != gamma.coords[:, 0].tolist():
         raise ValueError("set is not the subgroup generated by a primitive-root power")
     chars = np.zeros((t, p), dtype=np.complex128)
-    for alpha in range(t):
-        for l, x in enumerate(order):
-            chars[alpha, x] = np.exp(2j * np.pi * alpha * l / t)
+    steps = np.arange(t)
+    # the phase 2 pi alpha l / t, rounded step by step in that order
+    chars[:, order] = np.exp(1j * ((2 * np.pi * steps)[:, None] * steps / t))
     return chars
 
 
@@ -288,8 +286,8 @@ def subgroup_eigencheck(gamma: GSet, phi=None, k: int = 1, base_set: GSet | None
         phi_v = _flat_function(g, phi)
 
     # Gamma-invariance of phi
-    for gam in gamma.elems:
-        perm = np.array([(gam[0] * x) % p for x in range(p)], dtype=np.int64)
+    for gam in gamma.coords[:, 0].tolist():
+        perm = (gam * np.arange(p, dtype=np.int64)) % p
         if np.abs(phi_v[perm] - phi_v).max() > 1e-9 * max(1.0, np.abs(phi_v).max()):
             raise ValueError("phi is not Gamma-invariant")
 

@@ -75,7 +75,7 @@ class ExtractionReport:
         self.stages.append({"stage": name, **detail})
 
     def store_set(self, name: str, a: GSet) -> None:
-        self.outputs[name] = [list(e) for e in a.elems]
+        self.outputs[name] = a.coords.tolist()
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2, sort_keys=True, default=_json_default)
@@ -155,7 +155,7 @@ def intersection_select(member: np.ndarray, universe: GSet, delta: float,
     if member.shape[1:] != (len(universe),):
         raise ValueError(f"membership matrix needs one column per universe row ({len(universe)})")
     j_set, column = _select(member, _intersections(member), delta, eta)
-    return j_set, universe.elems[column]
+    return j_set, tuple(universe.coords[column].tolist())
 
 
 def _select(member: np.ndarray, inter: np.ndarray, delta: float,
@@ -285,13 +285,13 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
 
     # sampled verification of the union inequality feeding E(P)
     rng = random.Random(seed)
-    sample = list(p_set.elems)
-    rng.shuffle(sample)
+    order = list(range(len(p_set)))
+    rng.shuffle(order)   # the permutation a shuffle of the elements takes
     checks = []
-    shifts = as_rows(g, sample[:6])
+    shifts = p_set.coords[order[:6]]
     # the slices A_s and P_s = P n (P - s) of every sampled shift, one family each
     a_family, p_family = setops.slice_masks(a, shifts), setops.slice_masks(p_set, shifts)
-    for s, s_row, a_row, p_row in zip(sample, shifts[:, None], a_family, p_family):
+    for s, s_row, a_row, p_row in zip(shifts.tolist(), shifts[:, None], a_family, p_family):
         a_s = a.subset(a_row)
         # x in A_s puts x + s in A; with u = x - y (y in A), y lies in
         # S_x n S_(x+s) iff u and u + s are in P, so every such u is in P n (P - s)

@@ -140,7 +140,7 @@ def subgroup_cosets(gamma: GSet) -> list[GSet]:
     p = gamma.group.moduli[0]
     seen: set[int] = set()
     cosets = []
-    members = [e[0] for e in gamma.elems]
+    members = gamma.coords[:, 0].tolist()
     for x in range(1, p):
         if x in seen:
             continue
@@ -269,6 +269,6 @@ _BUILDERS = {
 def is_convex(a: GSet) -> bool:
     if a.group.dim != 1 or len(a) < 3:
         return True
-    xs = [e[0] for e in a.elems]
+    xs = a.coords[:, 0].tolist()
     gaps = [b - a for a, b in zip(xs, xs[1:])]
     return all(g2 > g1 for g1, g2 in zip(gaps, gaps[1:]))

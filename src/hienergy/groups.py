@@ -1,7 +1,10 @@
 """Ambient abelian groups: finite products of cyclic groups and integer lattices.
 
-Single elements are coordinate tuples (a GSet stores its elements as the
-rows of an int64 matrix, see gset).  For a cyclic product Z/n_1 x ... x Z/n_d
+The package computes on elements as the rows of an int64 matrix (see
+gset); this module describes the ambient group and parses and formats
+single elements as coordinate tuples, for input and output.  ``zero`` is
+the tuple zero and ``op_add`` the tuple form of the group law, kept for
+callers outside the package.  For a cyclic product Z/n_1 x ... x Z/n_d
 coordinates are kept reduced into [0, n_i); for the lattice Z^d they are
 arbitrary integers.  The dual of a cyclic product is identified with the
 group itself through the pairing xi.x = sum_i xi_i x_i / n_i.
@@ -9,11 +12,9 @@ group itself through the pairing xi.x = sum_i xi_i x_i / n_i.
 
 from __future__ import annotations
 
-import cmath
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Elem = tuple[int, ...]
 
@@ -125,49 +126,8 @@ def op_add(g: GroupSpec, x: Elem, y: Elem) -> Elem:
     return tuple(a + b for a, b in zip(x, y))
 
 
-def op_neg(g: GroupSpec, x: Elem) -> Elem:
-    if len(x) != g.dim:
-        raise GroupError("dimension mismatch in op_neg")
-    if g.kind == CYCLIC:
-        return tuple((-a) % n for a, n in zip(x, g.moduli))
-    return tuple(-a for a in x)
-
-
-def op_sub(g: GroupSpec, x: Elem, y: Elem) -> Elem:
-    return op_add(g, x, op_neg(g, y))
-
-
-def op_scale(g: GroupSpec, c: int, x: Elem) -> Elem:
-    if g.kind == CYCLIC:
-        return tuple((c * a) % n for a, n in zip(x, g.moduli))
-    return tuple(c * a for a in x)
-
-
 def zero(g: GroupSpec) -> Elem:
     return (0,) * g.dim
-
-
-def character(g: GroupSpec, xi: Elem, x: Elem) -> complex:
-    """e(-xi.x) where xi.x = sum_i xi_i x_i / n_i; unit-modulus complex."""
-    if g.kind != CYCLIC:
-        raise GroupError("characters are only enumerable on cyclic products")
-    phase = sum((a * b) / n for a, b, n in zip(xi, x, g.moduli))
-    return cmath.exp(-2j * math.pi * phase)
-
-
-def enumerate_elements(g: GroupSpec) -> Iterator[Elem]:
-    """All elements of a cyclic product in lexicographic order."""
-    if g.kind != CYCLIC:
-        raise GroupError("cannot enumerate an infinite lattice")
-    return itertools.product(*(range(n) for n in g.moduli))
-
-
-def from_flat(g: GroupSpec, idx: int) -> Elem:
-    coords = []
-    for n in reversed(g.moduli):
-        coords.append(idx % n)
-        idx //= n
-    return tuple(reversed(coords))
 
 
 def format_elem(x: Elem) -> str:

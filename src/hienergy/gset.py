@@ -4,9 +4,12 @@ A GSet stores one form, ``coords``: an (n, dim) int64 matrix with one row per
 element, rows reduced mod the moduli in a cyclic product, unique and sorted
 lexicographically (the order of the sorted coordinate tuples).  Lattice
 coordinates must satisfy |c| < 2^62, so a sum or difference of two rows
-cannot wrap.  ``elems`` (tuples of Python ints), ``as_set`` and
-``indicator()`` are views, derived on first use and cached, and
-``flat_indices()`` reads the indicator; set algebra runs on ``coords``.
+cannot wrap.  Everything in the package computes on ``coords``; element
+tuples appear only where input is parsed and output is formatted.  The two
+views, ``elems`` (tuples of Python ints, for tests and callers outside the
+package) and ``indicator()``, are derived on first use and cached, and
+``flat_indices()`` reads the indicator.  Membership (``x in a``,
+``isin``) is a binary search of the sorted rows.
 
 Objects computed from a set, and from partner sets compared by value, are
 kept on it in one dict through ``GSet.kept(key, build)``, which runs
@@ -79,7 +82,10 @@ def bounded_rows(group: GroupSpec, elems) -> np.ndarray:
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One scalar per row that compares as the row does lexicographically."""
+    """One scalar per row that compares as the row does lexicographically:
+    the coordinate itself in one dimension, else a structured view."""
+    if rows.shape[1] == 1:
+        return rows[:, 0]
     rows = np.ascontiguousarray(rows)
     return rows.view([(f"c{i}", np.int64) for i in range(rows.shape[1])])[:, 0]
 
@@ -104,7 +110,7 @@ class GSet:
         return iter(self.elems)
 
     def __contains__(self, x) -> bool:
-        return groups.as_elem(self.group, x) in self.as_set
+        return bool(self.isin(as_rows(self.group, [x]))[0])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GSet) and self.group == other.group
@@ -122,10 +128,6 @@ class GSet:
     @cached_property
     def elems(self) -> tuple[Elem, ...]:
         return tuple(map(tuple, self.coords.tolist()))
-
-    @cached_property
-    def as_set(self) -> frozenset:
-        return frozenset(self.elems)
 
     @cached_property
     def _dense(self) -> np.ndarray:
@@ -222,7 +224,7 @@ def write_set(a: GSet, path) -> None:
 
 def dumps_set(a: GSet) -> str:
     lines = [f"group: {groups.format_group(a.group)}"]
-    lines.extend(groups.format_elem(e) for e in a.elems)
+    lines.extend(groups.format_elem(e) for e in a.coords.tolist())
     return "\n".join(lines) + "\n"
 
 

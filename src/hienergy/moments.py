@@ -75,23 +75,12 @@ class ConvTable:
 
     # -- access -------------------------------------------------------
 
-    def value(self, x) -> int:
-        x = groups.as_elem(self.group, x)
-        idx = tuple(c - o for c, o in zip(x, self.offset))
-        if any(i < 0 or i >= s for i, s in zip(idx, self.array.shape)):
-            return 0
-        return int(self.array[idx])
-
     def support_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(points, values) of the nonzero entries: a len x dim coordinate
         matrix in lexicographic order (the window's row-major order), and
         the entries at those points."""
         idx = np.argwhere(self.array)
         return idx + np.array(self.offset, dtype=np.int64), self.array[tuple(idx.T)]
-
-    def support(self) -> Iterator[tuple[Elem, int]]:
-        points, values = self.support_rows()
-        return zip(map(tuple, points.tolist()), values.tolist())
 
     def argmax(self) -> tuple[Elem, int]:
         """The first maximum in the lexicographic order of its point, and its value."""
@@ -125,7 +114,8 @@ class ConvTable:
 
     def to_csv(self) -> str:
         lines = ["element,count"]
-        for elem, v in sorted(self.support()):
+        points, values = self.support_rows()
+        for elem, v in zip(points.tolist(), values.tolist()):
             lines.append(f"\"{groups.format_elem(elem)}\",{v}")
         return "\n".join(lines) + "\n"
 
@@ -490,7 +480,7 @@ def sigma_k(a: GSet, k: int) -> int:
     if k < 1:
         raise ValueError("sigma_k needs k >= 1")
     if k == 1:
-        return int(groups.zero(a.group) in a)
+        return int(a.isin(np.zeros((1, a.group.dim), dtype=np.int64))[0])
     chain = _chain(a)
     if k <= len(chain.sigma):
         return chain.sigma[k - 1]
@@ -511,7 +501,7 @@ def _as_int_set(a) -> list[int]:
     if isinstance(a, GSet):
         if a.group.dim != 1:
             raise ValueError("multiplicative energies need 1-dimensional integer sets")
-        return [e[0] for e in a.elems]
+        return a.coords[:, 0].tolist()
     return sorted(set(int(x) for x in a))
 
 

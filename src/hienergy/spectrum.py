@@ -3,15 +3,13 @@ sets, dissociativity and dimension."""
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Iterable
 
 import numpy as np
 
 from . import groups, moments
-from .groups import Elem, GroupSpec, InvariantError
-from .gset import GSet
+from .groups import GroupSpec, InvariantError
+from .gset import GSet, _row_keys, as_rows
 from .setops import CapExceededError
 
 PARSEVAL_RTOL = 1e-9
@@ -28,14 +26,13 @@ class SpectrumTable:
         self.group = group
         self.array = array
 
-    def value(self, xi) -> complex:
-        xi = groups.as_elem(self.group, xi)
-        return complex(self.array[xi])
+    def dual_rows(self) -> np.ndarray:
+        """Every dual element as a row, in lexicographic (the array's row-major) order."""
+        return np.argwhere(np.ones(self.array.shape, dtype=bool))
 
     def to_csv(self) -> str:
         lines = ["xi,re,im,abs"]
-        for xi in groups.enumerate_elements(self.group):
-            v = self.array[xi]
+        for xi, v in zip(self.dual_rows().tolist(), self.array.ravel().tolist()):
             lines.append(f"\"{groups.format_elem(xi)}\",{v.real!r},{v.imag!r},{abs(v)!r}")
         return "\n".join(lines) + "\n"
 
@@ -72,94 +69,72 @@ def large_spectrum(a: GSet, alpha: float) -> GSet:
     return out
 
 
-def _signed_sum_counts(g: GroupSpec, elems: list[Elem]) -> dict[Elem, int]:
-    counts: dict[Elem, int] = {groups.zero(g): 1}
-    for lam in elems:
-        nxt: dict[Elem, int] = {}
-        neg = groups.op_neg(g, lam)
-        for s, c in counts.items():
-            for t in (s, groups.op_add(g, s, lam), groups.op_add(g, s, neg)):
-                nxt[t] = nxt.get(t, 0) + c
-        counts = nxt
-    return counts
+def _signed_sums(g: GroupSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sums sum_j eps_j lam_j, eps in {-1,0,1}^t, over the rows
+    lam_j, as sorted rows with their counts.  Each row extends the sums by
+    {0, +lam, -lam}; repeats merge by one sort of their keys."""
+    sums, counts = np.zeros((1, g.dim), dtype=np.int64), np.ones(1, dtype=np.int64)
+    for lam in rows:
+        sums, counts = np.concatenate([sums, sums + lam, sums - lam]), np.tile(counts, 3)
+        if g.is_cyclic:
+            sums %= np.array(g.moduli, dtype=np.int64)
+        keys = _row_keys(sums)
+        order = np.argsort(keys, kind="stable")
+        keys, sums, counts = keys[order], sums[order], counts[order]
+        starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        sums, counts = sums[starts], np.add.reduceat(counts, starts)
+    return sums, counts
+
+
+def _dissociated(g: GroupSpec, rows: np.ndarray) -> bool:
+    """Meet in the middle: count the solutions of s1 + s2 = 0 with s1, s2
+    signed sums of the two halves; only eps = 0 may solve it."""
+    t = len(rows)
+    if t > DISSOCIATED_CAP:
+        raise CapExceededError(f"dissociated test capped at {DISSOCIATED_CAP} elements")
+    half = t // 2
+    # a signed sum of the larger half, or a cyclic row plus or minus another, stays in int64
+    if (t - half) * int(np.abs(rows).max(initial=0)) >= 1 << 62:
+        raise CapExceededError("signed sums of these coordinates could leave int64")
+    left, left_counts = _signed_sums(g, rows[:half])
+    right, right_counts = _signed_sums(g, rows[half:])
+    want = _row_keys(as_rows(g, -left))
+    keys = _row_keys(right)
+    at = np.searchsorted(keys, want).clip(max=len(keys) - 1)
+    hit = keys[at] == want
+    return int((left_counts[hit] * right_counts[at[hit]]).sum()) == 1
 
 
 def dissociated_test(l_set: GSet) -> bool:
-    """True iff sum eps_j lam_j = 0 with eps in {-1,0,1} forces eps = 0.
-
-    Meet-in-the-middle over the two halves; counts the solutions of
-    s1 + s2 = 0 and compares with the single trivial one.
-    """
-    elems = list(l_set.elems)
-    t = len(elems)
-    if t == 0:
-        return True
-    if t > DISSOCIATED_CAP:
-        raise CapExceededError(f"dissociated test capped at {DISSOCIATED_CAP} elements")
-    g = l_set.group
-    half = t // 2
-    left = _signed_sum_counts(g, elems[:half])
-    right = _signed_sum_counts(g, elems[half:])
-    solutions = 0
-    for s, c in left.items():
-        other = right.get(groups.op_neg(g, s))
-        if other:
-            solutions += c * other
-            if solutions > 1:
-                return False
-    return solutions == 1
+    """True iff sum eps_j lam_j = 0 with eps in {-1,0,1} forces eps = 0."""
+    return _dissociated(l_set.group, l_set.coords)
 
 
 def dim_exact(q: GSet, cap: int = DIM_EXACT_CAP) -> int:
-    """Size of the largest dissociated subset, by decreasing-size sweep."""
+    """Size of the largest dissociated subset, by depth-first search over
+    dissociated subsets only (a subset of a dissociated set is dissociated),
+    pruned once the rows left cannot beat the best size found."""
     if len(q) > cap:
         raise CapExceededError(f"dim_exact capped at {cap} elements")
-    elems = list(q.elems)
-    for size in range(len(elems), 0, -1):
-        for combo in itertools.combinations(elems, size):
-            if dissociated_test(GSet(q.group, combo)):
-                return size
-    return 0
+    rows, best = q.coords, 0
+
+    def grow(chosen: list[int]) -> None:
+        nonlocal best
+        best = max(best, len(chosen))
+        for i in range(chosen[-1] + 1 if chosen else 0, len(rows)):
+            if len(chosen) + len(rows) - i <= best:
+                return
+            if _dissociated(q.group, rows[chosen + [i]]):
+                grow(chosen + [i])
+
+    grow([])
+    return best
 
 
 def dim_greedy(q: GSet) -> int:
     """Greedy maximal dissociated subset size; never exceeds dim_exact."""
-    kept: list[Elem] = []
-    for e in q.elems:
-        if dissociated_test(GSet(q.group, kept + [e])):
-            kept.append(e)
+    kept: list[int] = []
+    for i in range(len(q)):
+        if _dissociated(q.group, q.coords[kept + [i]]):
+            kept.append(i)
     return len(kept)
-
-
-def spectrum_energy_t_k(l_set: GSet, k: int) -> int:
-    """T_k of a dual subset viewed as a plain set."""
-    if k < 2:
-        raise ValueError("spectral T_k is used with k >= 2")
-    return moments.t_k(l_set, k)
-
-
-def energy_via_spectrum(a: GSet, k: int) -> float:
-    """E_2k by direct summation over zero-sum dual tuples (tiny N only).
-
-    sum over r_1 + ... + r_2k = 0 of prod |A^(r_i)|^2, divided by N^(2k-1).
-    """
-    g = a.group
-    n = g.order
-    if n ** (2 * k - 1) > 4_000_000:
-        raise CapExceededError("zero-sum dual enumeration is desk-scale only")
-    mags2 = np.abs(dft(a).array) ** 2
-    total = 0.0
-    for rs in itertools.product(groups.enumerate_elements(g), repeat=2 * k - 1):
-        last = groups.op_neg(g, _sum_elems(g, rs))
-        prod = mags2[last]
-        for r in rs:
-            prod *= mags2[r]
-        total += prod
-    return total / n ** (2 * k - 1)
-
-
-def _sum_elems(g: GroupSpec, rs: Iterable[Elem]) -> Elem:
-    acc = groups.zero(g)
-    for r in rs:
-        acc = groups.op_add(g, acc, r)
-    return acc

@@ -9,6 +9,7 @@ eigensolver, cross-checks the LAPACK spectra of the pattern Grams.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -29,6 +30,71 @@ def add(mods, x, y):
 
 def sub(mods, x, y):
     return normalize(mods, tuple(a - b for a, b in zip(x, y)))
+
+
+def from_flat(mods, idx):
+    """The element of rank idx in the lexicographic order of a cyclic product."""
+    coords = []
+    for n in reversed(mods):
+        coords.append(idx % n)
+        idx //= n
+    return tuple(reversed(coords))
+
+
+def enumerate_elements(mods):
+    """Every element of a cyclic product, in lexicographic order."""
+    return itertools.product(*(range(n) for n in mods))
+
+
+def character(mods, xi, x):
+    """e(-xi.x) with xi.x = sum_i xi_i x_i / n_i."""
+    phase = sum((a * b) / n for a, b, n in zip(xi, x, mods))
+    return cmath.exp(-2j * math.pi * phase)
+
+
+def energy_via_spectrum(mods, a, k):
+    """E_2k(A) as N^(1 - 2k) times the sum of prod_i |A^(r_i)|^2 over the
+    dual tuples r_1 + ... + r_2k = 0, each A^(r) a character sum (tiny N only)."""
+    dual = list(enumerate_elements(mods))
+    zero = (0,) * len(mods)
+    mags2 = {r: abs(sum(character(mods, r, x) for x in a)) ** 2 for r in dual}
+    total = 0.0
+    for rs in itertools.product(dual, repeat=2 * k - 1):
+        last = zero
+        for r in rs:
+            last = sub(mods, last, r)
+        prod = mags2[last]
+        for r in rs:
+            prod *= mags2[r]
+        total += prod
+    return total / math.prod(mods) ** (2 * k - 1)
+
+
+def zero_sum_supports(mods, elems):
+    """The supports, as bitmasks over the positions, of every nonzero eps in
+    {-1, 0, 1}^t with sum_j eps_j lam_j = 0: all 3^t signed sums are
+    enumerated, one element at a time."""
+    elems = list(elems)
+    sums = [((0,) * len(elems[0]) if elems else (), 0)]
+    for j, lam in enumerate(elems):
+        neg = tuple(-c for c in lam)
+        sums = [entry for s, m in sums
+                for entry in ((s, m), (add(mods, s, lam), m | 1 << j), (add(mods, s, neg), m | 1 << j))]
+    return {m for s, m in sums if m and not any(s)}
+
+
+def dimensions(mods, elems):
+    """(largest dissociated subset size, greedy dissociated size), over every
+    subset: a subset is dissociated iff it holds no zero-sum support.  The
+    greedy pass keeps each element, in the given order, that leaves the kept
+    ones dissociated."""
+    supports = zero_sum_supports(mods, elems)
+    free = [mask for mask in range(1 << len(elems)) if not any(z & ~mask == 0 for z in supports)]
+    kept = 0
+    for j in range(len(elems)):
+        if kept | 1 << j in free:
+            kept |= 1 << j
+    return max(bin(mask).count("1") for mask in free), bin(kept).count("1")
 
 
 def elems_of(a):

@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
-from hienergy import checks, genset, groups, moments, setops
+import oracles
+from hienergy import checks, genset, moments, setops
 from hienergy.checks import Instance, run_check, run_suite
 from hienergy.groups import cyclic, lattice
 from hienergy.gset import GSet, full_group, zset
@@ -127,19 +130,22 @@ def test_pipeline_checks_smoke():
 
 
 def test_c22_c24_gathers_match_pointwise_loops():
-    # reference: the per-point loops over ConvTable.value, in slice_corr_sums' key order
+    # reference: per-point loops over one-row gathers, in slice_corr_sums' key order
+    def value(table, x):
+        return table.values_at(np.array([x], dtype=np.int64))[0]
+
     rng = random.Random(41)
     for g in (cyclic(64), cyclic(4, 8), lattice(1)):
         for _ in range(4):
-            a, b = (GSet(g, [groups.from_flat(g, v) for v in rng.sample(range(32), n)])
+            a, b = (GSet(g, [oracles.from_flat(g.moduli, v) for v in rng.sample(range(32), n)])
                     if g.is_cyclic else GSet(g, rng.sample(range(40), n)) for n in (9, 6))
             corr = moments.correlate(a, a)
-            mass = sum(corr.value(x) for x in b)
+            mass = sum(value(corr, x) for x in b)
             assert run_check("C22", {"a": a, "b": b, "l": 2}).lhs == float(mass ** 8)
             f1 = checks.slice_corr_sums(a, 1)
-            want = sum(v * corr.value(x) ** 2 for x, v in f1.items())
+            want = sum(v * value(corr, x) ** 2 for x, v in f1.items())
             assert run_check("C24", {"a": a, "alpha": 2.0}).lhs == float(want)
-            want = float(sum(v * float(corr.value(x)) ** 1.5 for x, v in f1.items()))
+            want = float(sum(v * float(value(corr, x)) ** 1.5 for x, v in f1.items()))
             assert run_check("C24", {"a": a, "alpha": 1.5}).lhs == want
 
 
@@ -207,3 +213,47 @@ def test_slice_family_checks_report_is_pinned():
     assert len(rep.results) == 32 and not rep.errors
     digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
     assert digest == "bca2e2d6401144892ca80ace2e9afa6a30f9fe8706d2b6fd6566197eec3f00f4"
+
+
+def test_companion_sets_are_pinned():
+    # the suite's sets, companions and subsamples, drawn as flat indices and row
+    # positions, pinned by digest to the sets the per-tuple draws gave
+    h = hashlib.sha256()
+    insts = checks.standard_corpus(seed=7, cyclic_count=12, lattice_count=3)
+    insts.append(Instance("set", "z2", GSet(lattice(2), [(i, i * i % 11 - 5) for i in range(14)])))
+    for inst in insts:
+        h.update(inst.label.encode())
+        family = [inst.a] + [inst.derived(tag) for tag in ("small", "small2", "small3", "b")]
+        family += [checks._subsample(inst.a, size) for size in (3, 7, 8, 10)]
+        for s in family:
+            h.update(str(s.group).encode() + s.coords.tobytes() + b"|")
+    assert h.hexdigest() == "6ab66b465f9dfc11565bea3ddf7405bf0b512650b6e9d8ed7bcc6c2d6e6d342f"
+
+
+def test_c11_eq_tuples_matches_oracle():
+    # |(Y x Z) - Delta(X)| = |(Y x X) - Delta(Z)| counted on int64 blocks, against
+    # the oracle's explicit tuple sets: Y a product of sets, then any tuple set
+    rng = random.Random(53)
+    for g in (cyclic(13), cyclic(4, 8), lattice(1), lattice(2)):
+        mods = g.moduli if g.is_cyclic else None
+
+        def draw(size):
+            if g.is_cyclic:
+                return GSet(g, [oracles.from_flat(mods, v) for v in rng.sample(range(g.order), size)])
+            return GSet(g, [tuple(rng.randint(-6, 6) for _ in range(g.dim)) for _ in range(size)])
+
+        for m in (1, 2, 3):
+            ys = [draw(rng.randint(1, 4)) for _ in range(m)]
+            x, z = draw(rng.randint(1, 4)), draw(rng.randint(1, 4))
+            product = set(itertools.product(*(y.elems for y in ys)))
+            r = run_check("C11", {"sets": {"Yt": product, "X": x, "Z": z}, "variant": "eq_tuples"})
+            assert r.lhs == len(oracles.oracle_delta_sumset(mods, [y.elems for y in ys] + [z.elems],
+                                                            x.elems, "-"))
+            assert r.rhs == len(oracles.oracle_delta_sumset(mods, [y.elems for y in ys] + [x.elems],
+                                                            z.elems, "-"))
+            assert r.passed and r.lhs == r.rhs
+            scattered = list({tuple(rng.choice(draw(3).elems) for _ in range(m)) for _ in range(5)})
+            r = run_check("C11", {"sets": {"Yt": scattered, "X": x, "Z": z}, "variant": "eq_tuples"})
+            want = {tuple(oracles.sub(mods, e, c) for e in tup + (w,))
+                    for tup in scattered for w in z.elems for c in x.elems}
+            assert r.lhs == len(want) and r.passed

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -37,6 +38,10 @@ def test_compute_json_and_csv(tmp_path, capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "compute", "spectrum", "--set", str(qr), "--csv")
     assert code == 0 and out.splitlines()[0] == "xi,re,im,abs"
+    rows = list(csv.reader(out.strip().splitlines()[1:]))
+    assert len(rows) == 13 and all(len(row) == 4 for row in rows)
+    values = [[float(field) for field in row] for row in rows]   # plain numbers, no numpy reprs
+    assert values[0] == [0.0, 6.0, 0.0, 6.0]   # |QR_13| = 6 at xi = 0
 
 
 def test_gen_compute_round_trip_matches_in_process(tmp_path, capsys):

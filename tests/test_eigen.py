@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hienergy import checks, eigen, genset, groups, moments, setops
+from hienergy import checks, eigen, genset, moments, setops
 from hienergy.groups import cyclic, lattice
 from hienergy.gset import GSet, full_group, zset
 from hienergy.eigen import (build_gram, magnification_lower_bounds, singular_spectrum,
@@ -15,7 +15,7 @@ from oracles import jacobi_eigenvalues
 
 def rand_gset(rng, g, size):
     if g.is_cyclic:
-        return GSet(g, [groups.from_flat(g, v) for v in rng.sample(range(g.order), size)])
+        return GSet(g, [oracles.from_flat(g.moduli, v) for v in rng.sample(range(g.order), size)])
     return GSet(g, rng.sample(range(40), size))
 
 

@@ -96,10 +96,10 @@ def test_array_algebra_matches_tuple_algebra():
         mods = g.moduli if g.is_cyclic else None
         a, b = GSet(g, pts), GSet(g, qts)
         t = (1, 5)
-        assert a.translate(t).as_set == {oracles.add(mods, x, t) for x in pts}
-        assert a.negate().as_set == {oracles.sub(mods, (0, 0), x) for x in pts}
-        assert a.intersect(b).as_set == set(pts) & set(qts)
-        assert a.union(b).as_set == set(pts) | set(qts)
+        assert set(a.translate(t).elems) == {oracles.add(mods, x, t) for x in pts}
+        assert set(a.negate().elems) == {oracles.sub(mods, (0, 0), x) for x in pts}
+        assert set(a.intersect(b).elems) == set(pts) & set(qts)
+        assert set(a.union(b).elems) == set(pts) | set(qts)
         assert a.intersect(b).issubset(a) and not a.issubset(b)
         assert hash(a) == hash(GSet(g, a.coords)) and a != b
 

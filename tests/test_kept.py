@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hienergy import checks, eigen, groups, moments, setops
+from hienergy import checks, eigen, moments, setops
 from hienergy.groups import InvariantError, cyclic, lattice
 from hienergy.gset import GSet
 from hienergy.setops import CapExceededError, Caps
@@ -21,7 +21,7 @@ GROUPS = (cyclic(13), cyclic(4, 8), lattice(1), lattice(2))
 
 def rand_gset(rng, g, size):
     if g.is_cyclic:
-        return GSet(g, [groups.from_flat(g, v) for v in rng.sample(range(g.order), size)])
+        return GSet(g, [oracles.from_flat(g.moduli, v) for v in rng.sample(range(g.order), size)])
     if g.dim == 2:
         return GSet(g, [(v // 9 - 4, v % 9 - 4) for v in rng.sample(range(81), size)])
     return GSet(g, rng.sample(range(-20, 20), size))

@@ -1,0 +1,38 @@
+"""The package computes on coordinate rows only: element tuples are parsed
+and formatted in `gset` and `groups`, never computed on elsewhere."""
+
+import ast
+from pathlib import Path
+
+import hienergy
+
+SRC = Path(hienergy.__file__).parent
+TUPLE_VIEWS = {"elems", "as_set"}
+
+
+def tuple_layer_uses(path: Path) -> list[str]:
+    """Every `.elems`/`.as_set` attribute and `groups.op_*` reference in a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in TUPLE_VIEWS:
+            found.append(f"{path.name}:{node.lineno} .{node.attr}")
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("op_")
+              and isinstance(node.value, ast.Name) and node.value.id == "groups"):
+            found.append(f"{path.name}:{node.lineno} groups.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("groups"):
+            found += [f"{path.name}:{node.lineno} import {a.name}" for a in node.names
+                      if a.name.startswith("op_")]
+    return found
+
+
+def test_no_tuple_layer_outside_gset_and_groups():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name not in ("gset.py", "groups.py"))
+    assert len(modules) >= 8
+    assert [use for p in modules for use in tuple_layer_uses(p)] == []
+
+
+def test_guard_sees_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("from .groups import op_add\nx = a.elems\ny = b.as_set\nz = groups.op_sub\n")
+    assert tuple_layer_uses(bad) == ["bad.py:1 import op_add", "bad.py:2 .elems",
+                                     "bad.py:3 .as_set", "bad.py:4 groups.op_sub"]

@@ -4,15 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from hienergy import groups, moments, spectrum
+import oracles
+from hienergy import groups, moments
 from hienergy.groups import cyclic, lattice
 from hienergy.gset import GSet, full_group, zset
-from hienergy.spectrum import (dft, dim_exact, dim_greedy, dissociated_test,
-                               large_spectrum, spectrum_energy_t_k)
+from hienergy.setops import CapExceededError
+from hienergy.spectrum import dft, dim_exact, dim_greedy, dissociated_test, large_spectrum
 
 
 def rand_gset(rng, g, size):
-    return GSet(g, [groups.from_flat(g, v) for v in rng.sample(range(g.order), size)])
+    return GSet(g, [oracles.from_flat(g.moduli, v) for v in rng.sample(range(g.order), size)])
 
 
 def test_dft_examples():
@@ -24,10 +25,10 @@ def test_dft_examples():
         g = cyclic(n)
         b = rand_gset(rng, g, 5)
         s = dft(b)
-        assert s.value((0,)) == pytest.approx(len(b))
+        assert s.array[0] == pytest.approx(len(b))
     g = cyclic(6)
     s = dft(full_group(g))
-    assert abs(s.value(0)) == pytest.approx(6)
+    assert abs(s.array[0]) == pytest.approx(6)
     assert np.abs(s.array.ravel()[1:]).max() < 1e-9
     with pytest.raises(groups.GroupError):
         dft(zset([0, 1]))
@@ -38,9 +39,9 @@ def test_dft_matches_character_sum():
     g = cyclic(3, 4)
     a = rand_gset(rng, g, 5)
     s = dft(a)
-    for xi in groups.enumerate_elements(g):
-        direct = sum(groups.character(g, xi, x) for x in a.elems)
-        assert abs(s.value(xi) - direct) < 1e-9
+    for xi in oracles.enumerate_elements(g.moduli):
+        direct = sum(oracles.character(g.moduli, xi, x) for x in a.elems)
+        assert abs(s.array[xi] - direct) < 1e-9
 
 
 def test_large_spectrum_examples():
@@ -62,11 +63,11 @@ def test_large_spectrum_trivial_bound():
             mags = np.abs(dft(a).array)
             for alpha in (0.3, 0.6, 0.9):
                 r = large_spectrum(a, alpha)
-                assert (0,) * g.dim in r.as_set
+                assert (0,) * g.dim in set(r.elems)
                 assert len(r) <= alpha ** -2 / delta * (1 + 1e-9)
                 # reference: a loop over the dual in lexicographic order
                 thresh = alpha * len(a) - 1e-9 * len(a)
-                assert r.elems == tuple(xi for xi in groups.enumerate_elements(g)
+                assert r.elems == tuple(xi for xi in oracles.enumerate_elements(g.moduli)
                                         if mags[xi] >= thresh)
 
 
@@ -83,25 +84,56 @@ def test_dissociated_examples():
     assert dim_greedy(GSet(g8, [1, 2, 3])) <= 2
 
 
+def random_small_set(rng, g):
+    """1-6 elements; in a cyclic group often with 0 or an element of order 2."""
+    size = rng.randint(1, 6)
+    if g.is_cyclic:
+        pts = [oracles.from_flat(g.moduli, v) for v in rng.sample(range(g.order), min(size, g.order))]
+        if rng.random() < 0.3:
+            pts.append((0,) * g.dim)
+        if rng.random() < 0.3:   # n_i / 2 in an even coordinate: an element of order 2
+            pts.append(tuple(n // 2 if n % 2 == 0 and rng.random() < 0.7 else 0 for n in g.moduli))
+        return GSet(g, pts)
+    span = rng.choice([3, 10, 1000])
+    pts = [tuple(rng.randint(-span, span) for _ in range(g.dim)) for _ in range(size)]
+    if rng.random() < 0.3:
+        pts.append((0,) * g.dim)
+    return GSet(g, pts)
+
+
 def test_dissociated_matches_brute_force():
-    import itertools
-    rng = random.Random(17)
-    for _ in range(25):
-        g = cyclic(rng.choice([12, 16]))
-        size = rng.randint(1, 5)
-        a = rand_gset(rng, g, size)
-        elems = list(a.elems)
-        brute = True
-        for eps in itertools.product((-1, 0, 1), repeat=len(elems)):
-            if all(e == 0 for e in eps):
-                continue
-            acc = groups.zero(g)
-            for e, lam in zip(eps, elems):
-                acc = groups.op_add(g, acc, groups.op_scale(g, e, lam))
-            if acc == groups.zero(g):
-                brute = False
-                break
-        assert dissociated_test(a) == brute
+    # the array meet-in-the-middle and the pruned search against eps
+    # enumeration and every subset, on 1,000 seeded sets
+    rng = random.Random(2024)
+    ambients = [cyclic(8), cyclic(12), cyclic(16), cyclic(64), cyclic(1 << 20), cyclic(4, 8),
+                lattice(1), lattice(2)]
+    seen = {"zero": 0, "order2": 0, "not_dissociated": 0}
+    for i in range(1000):
+        g = ambients[i % len(ambients)]
+        a = random_small_set(rng, g)
+        mods = g.moduli if g.is_cyclic else None
+        pts = list(a.elems)
+        exact, greedy = oracles.dimensions(mods, pts)
+        want = exact == len(pts)
+        assert dissociated_test(a) == want, (g, pts)
+        assert (dim_exact(a), dim_greedy(a)) == (exact, greedy), (g, pts)
+        seen["zero"] += (0,) * g.dim in pts
+        seen["order2"] += g.is_cyclic and any(x != (0,) * g.dim and oracles.add(mods, x, x) == (0,) * g.dim
+                                              for x in pts)
+        seen["not_dissociated"] += not want
+    assert min(seen.values()) >= 100, seen
+
+
+def test_signed_sums_that_could_leave_int64_raise():
+    big = (1 << 62) - 1
+    # two rows per half: a signed sum may reach 2 (2^62 - 1), past the bound
+    for a in (zset([big, 1, 2, 3]), GSet(lattice(2), [(big, 0), (0, 1), (1, 1)])):
+        with pytest.raises(CapExceededError):
+            dissociated_test(a)
+        with pytest.raises(CapExceededError):
+            dim_exact(a)
+    # one row per half stays in range
+    assert dissociated_test(zset([big, -big + 1])) and dim_greedy(zset([big, 1])) == 2
 
 
 def test_dim_greedy_never_exceeds_exact():
@@ -113,9 +145,10 @@ def test_dim_greedy_never_exceeds_exact():
 
 
 def test_spectrum_energy_example():
+    # T_k of a dual subset is T_k of the plain set
     g8 = cyclic(8)
-    assert spectrum_energy_t_k(GSet(g8, [1, 2]), 2) == 6
-    assert spectrum_energy_t_k(GSet(g8, [0]), 2) == 1
+    assert moments.t_k(GSet(g8, [1, 2]), 2) == 6
+    assert moments.t_k(GSet(g8, [0]), 2) == 1
 
 
 def test_large_spectrum_energy_floor():
@@ -131,7 +164,7 @@ def test_large_spectrum_energy_floor():
             if not lam:
                 continue
             for k in (2, 3):
-                lhs = spectrum_energy_t_k(lam, k)
+                lhs = moments.t_k(lam, k)
                 rhs = delta * alpha ** (2 * k) * len(lam) ** (2 * k)
                 assert lhs >= rhs * (1 - 1e-9)
 
@@ -165,8 +198,8 @@ def test_zero_sum_dual_identity():
     for _ in range(5):
         g = cyclic(8)
         a = rand_gset(rng, g, rng.randint(2, 6))
-        assert spectrum.energy_via_spectrum(a, 1) == pytest.approx(moments.energy_k(a, 2))
-        assert spectrum.energy_via_spectrum(a, 2) == pytest.approx(moments.energy_k(a, 4))
+        assert oracles.energy_via_spectrum(g.moduli, a.elems, 1) == pytest.approx(moments.energy_k(a, 2))
+        assert oracles.energy_via_spectrum(g.moduli, a.elems, 2) == pytest.approx(moments.energy_k(a, 4))
 
 
 def test_spectrum_csv():
@@ -174,3 +207,12 @@ def test_spectrum_csv():
     csv = dft(a).to_csv()
     assert csv.splitlines()[0] == "xi,re,im,abs"
     assert len(csv.splitlines()) == 5
+    # one line per dual element in lexicographic order, plain float fields
+    b = GSet(cyclic(2, 3), [(0, 1), (1, 2)])
+    table = dft(b)
+    lines = table.to_csv().splitlines()[1:]
+    for xi, line in zip(oracles.enumerate_elements((2, 3)), lines):
+        head, re_, im, mag = line.split("\",")[0], *line.split("\",")[1].split(",")
+        assert head == '"' + ",".join(map(str, xi))
+        assert complex(float(re_), float(im)) == table.array[xi] and float(mag) == abs(table.array[xi])
+    assert len(lines) == 6

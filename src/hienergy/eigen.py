@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import groups, moments
+from .genset import is_prime
 from .groups import GroupSpec, InvariantError
 from .gset import GSet
 from .setops import CapExceededError, Caps, DEFAULT_CAPS
@@ -28,9 +29,9 @@ EIG_SLACK = 1e-9
 
 @dataclass
 class PatternGram:
-    a: GSet
-    b: GSet
+    """The Gram of (A, B, k), holding no set, so that keeping it on A makes no cycle."""
     k: int
+    b_size: int
     gram: np.ndarray  # |A| x |A| symmetric nonnegative integers
     frobenius_sq: int  # E_(2k+1)(A, B), the exact squared Frobenius norm of gram
 
@@ -52,7 +53,7 @@ def build_gram(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> PatternGr
         raise CapExceededError(f"|A| = {len(a)} exceeds Gram cap {caps.gram}")
     if len(b) ** k >= 1 << 63:   # |B|^k is the largest entry, on the diagonal
         raise OverflowError(f"Gram entries |B|^k = {len(b) ** k} exceed int64")
-    return a.kept(("gram", b, k), lambda: _gram(a, b, k))
+    return a.kept(("gram", a.partner(b), k), lambda: _gram(a, b, k))
 
 
 def _gram(a: GSet, b: GSet, k: int) -> PatternGram:
@@ -68,19 +69,22 @@ def _gram(a: GSet, b: GSet, k: int) -> PatternGram:
     expected = moments.energy_k_pair(a, b, 2 * k + 1)
     if frob != expected:
         raise InvariantError(f"Gram Frobenius^2 {frob} != E_(2k+1)(A,B) = {expected}")
-    return PatternGram(a=a, b=b, k=k, gram=gram, frobenius_sq=expected)
+    return PatternGram(k=k, b_size=len(b), gram=gram, frobenius_sq=expected)
 
 
 def singular_spectrum(pg: PatternGram) -> np.ndarray:
-    """Descending eigenvalues lambda_j^2 of the Gram; invariants re-checked."""
-    lam2 = np.clip(np.linalg.eigvalsh(pg.gram.astype(np.float64))[::-1], 0.0, None)
-    n = len(pg.a)
-    trace = float(n * len(pg.b) ** pg.k)
+    """Descending eigenvalues lambda_j^2 of the Gram; invariants re-checked.
+    The all-ones Rayleigh quotient floors lambda_1^2: the sum of the entries
+    is E_(k+1)(A, B) = sum_x (A o A)(x) (B o B)(x)^k."""
+    gram = pg.gram.astype(np.float64)
+    lam2 = np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
+    n = len(gram)
+    trace = float(n * pg.b_size ** pg.k)
     if not math.isclose(float(lam2.sum()), trace, rel_tol=INVARIANT_RTOL):
         raise InvariantError("sum of lambda^2 drifted from |A||B|^k")
     if not math.isclose(float((lam2 ** 2).sum()), float(pg.frobenius_sq), rel_tol=INVARIANT_RTOL):
         raise InvariantError("sum of lambda^4 drifted from E_(2k+1)(A,B)")
-    floor = float(moments.energy_k_pair(pg.a, pg.b, pg.k + 1)) / n
+    floor = float(gram.sum()) / n
     if lam2[0] < floor * (1 - EIG_SLACK) - EIG_SLACK:
         raise InvariantError(f"lambda_1^2 = {lam2[0]} below E_(k+1)(A,B)/|A| = {floor}")
     return lam2
@@ -90,8 +94,8 @@ def spectrum_report(pg: PatternGram, lam2: np.ndarray | None = None) -> dict:
     if lam2 is None:
         lam2 = singular_spectrum(pg)
     return {
-        "a_size": len(pg.a),
-        "b_size": len(pg.b),
+        "a_size": len(pg.gram),
+        "b_size": pg.b_size,
         "k": pg.k,
         "lambdas_sq": [float(v) for v in lam2],
         "trace_check": float(lam2.sum()) ,
@@ -197,22 +201,13 @@ def bilinear_residual(g: GroupSpec, phi, e_set: GSet, u, v) -> float:
 # multiplicative subgroups
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if n % p == 0:
-            return False
-    return True
-
-
 def multiplicative_order_elements(gamma: GSet) -> tuple[int, int]:
     """Validate that gamma is a multiplicative subgroup of Z/p^*; return (p, t)."""
     g = gamma.group
     if not (g.is_cyclic and len(g.moduli) == 1):
         raise ValueError("multiplicative subgroups live in a single Z/p")
     p = g.moduli[0]
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     vals = gamma.coords[:, 0]
     if 0 in vals or 1 not in vals:

@@ -25,6 +25,9 @@ the set; ``subset`` and every constructor start an empty one.  Its keys:
 - ``("gram", b, k)``: ``eigen.build_gram``, its array read-only;
 - ``("Epair", b, k)``: E_k(A, B) (``moments.energy_k_pair``).
 
+A partner b equal to the set itself is keyed as ``"self"`` (``GSet.partner``),
+and no kept value holds the set, so a set is freed as soon as it is dropped.
+
 Every cap check of a kept function runs before the lookup, so a smaller
 ``Caps`` still refuses a value that is already kept.
 
@@ -169,6 +172,12 @@ class GSet:
         out.coords.flags.writeable = False
         out._kept = {}
         return out
+
+    def partner(self, b: "GSet"):
+        """b as it appears in a key of this set's memo: "self" when b equals
+        this set, so that no kept key refers back to the set it is kept on
+        (the set is then freed by reference counting alone)."""
+        return "self" if b == self else b
 
     def kept(self, key, build: Callable):
         """The value kept under key, else build()'s, kept; nothing is kept

@@ -5,19 +5,29 @@ B = min(|f|_1 |g|_inf, |g|_1 |f|_inf) < 2^62 bounds every entry, Python
 ints above.  Direct pair sums serve a product iff nnz(f) nnz(g) <= max(2^14,
 2 x transform size), capped at 2^22 pairs; else a real FFT on operands split
 into limbs chosen before it runs, so that Percival's a priori error bound
-proves each limb product rounds exactly.  A correlation is the same call:
-the direct path subtracts indices, the FFT conjugates f's spectrum.  A
-self-product (f is g) transforms each limb once, and a chain of convolution
-powers its base once per FFT shape.  Only the exact mass identity and T_k's
-cross-check are validated after the fact.  A o A of a GSet is built once and
-kept on the set (see the gset module), read-only: every E_k, the level
-sequence and the Gram (B o B)^k read that one table, and E_k(A, B) is kept
-on A per (B, k).  Its chain is kept the same way: each level
-A^(*j) is built once per set, by one engine call on the level below, and
-leaves T_j and sigma_j behind; the set keeps only the top level and, on a
-cyclic group, the base's spectra, which T_k's cross-check reuses.  On a
-power-of-two cyclic group, with one limb per operand, T_1..T_k and
-sigma_1..sigma_k together cost 2k - 2 real FFTs per set.
+proves each limb product rounds exactly.  A one-dimensional transform of
+2^m >= 2^15 points (Z/2^m, the padded linear product of another Z/N, a 1-D
+lattice window) runs as a four-step (Bailey, J. Supercomputing 4, 1990):
+n1 = 2^floor(m/2) rows of n2 points, a real FFT down the rows, a twiddle
+multiply w^(k1 j2) from two small tables per length, and an FFT along them;
+its bound counts the m butterfly levels and the two twiddle multiplies.
+Smaller and multi-dimensional shapes use numpy's rfftn/irfftn.  A
+correlation is the same call: the direct path subtracts indices, the FFT
+conjugates f's spectrum.  A self-product (f is g) transforms each limb
+once, and a chain of convolution powers its base once per FFT shape.  Each
+engine call reads an operand's nonzeros and norms once and checks the
+product's mass identity sum(f*g) = sum(f) sum(g) exactly, on either path;
+besides that only T_k's cross-check is validated after the fact.  A o A of a
+GSet is built once and kept on the set (see the gset module), read-only:
+every E_k, the level sequence and the Gram (B o B)^k read that one table,
+and E_k(A, B) is kept on A per (B, k).  Its chain is kept the same way: each
+level A^(*j) is built once per set, by one engine call on the level below,
+and leaves T_j and sigma_j behind; the set keeps only the top level and, on
+a cyclic group, the base's spectra, which T_k's cross-check reuses: the
+nonzero frequencies, weighted for the half-spectrum's layout, must sum to
+N T_k - |A|^(2k).  On a power-of-two cyclic group, with one limb per
+operand, T_1..T_k and sigma_1..sigma_k together cost 2k - 2 real FFTs per
+set.
 
 Moment notation used throughout: (f*g)(x) = sum_y f(y) g(x-y) and
 (f o g)(x) = sum_y f(y) g(y+x); E_k(A) = sum_x (A o A)(x)^k; T_k(A) is the
@@ -27,6 +37,7 @@ zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +52,8 @@ from .gset import GSet
 _DIRECT_MIN = 1 << 14         # support pairs the direct path always serves ...
 _DIRECT_MAX = 1 << 22         # ... and never exceeds
 _WIDE = 1 << 62               # entry bound from which tables hold Python ints
+_FOUR_STEP_MIN = 1 << 15      # one-dimensional power-of-two transforms from here run as a four-step
+_TWIDDLE_ERR = 16 * 2.0 ** -53   # bound on |table entry - w^e| of the four-step's twiddles
 
 
 class ConvTable:
@@ -139,10 +152,32 @@ def _total(x: np.ndarray) -> int:
     return int(x.sum())
 
 
-def _norms(x: np.ndarray) -> tuple[int, int]:
-    """(|x|_1, |x|_inf) as exact Python ints."""
+def _norms(x: np.ndarray) -> tuple[int, int, int]:
+    """(|x|_1, |x|_inf, sum x) as exact Python ints, from one min, one max
+    and one sum (two for a signed x), in int64 where size |x|_inf < 2^63."""
     lo, hi = int(x.min()), int(x.max())
-    return _total(x if lo >= 0 else np.abs(x)), max(hi, -lo)
+    linf = max(hi, -lo)
+    if x.dtype != object and x.size * linf >= 1 << 63:
+        x = x.astype(object)
+    total = int(x.sum())
+    return (total if lo >= 0 else int(np.abs(x).sum())), linf, total
+
+
+def _wide(fn: tuple[int, ...], gn: tuple[int, ...]) -> bool:
+    """Whether the entry bound B = min(|f|_1 |g|_inf, |g|_1 |f|_inf) reaches 2^62."""
+    return min(fn[0] * gn[1], gn[0] * fn[1]) >= _WIDE
+
+
+def _checked(out: np.ndarray, fn: tuple[int, ...], gn: tuple[int, ...], path: str) -> np.ndarray:
+    """out, once its mass identity sum(f*g) = sum(f) sum(g) holds exactly:
+    summed in int64 where |f|_1 |g|_1 < 2^63 bounds every partial sum of a
+    correct product, else in Python ints.  Direct sums are integer
+    arithmetic, so there only a defect breaks it."""
+    mass = out if out.dtype == object or fn[0] * gn[0] < 1 << 63 else out.astype(object)
+    if int(mass.sum()) != fn[2] * gn[2]:
+        raise (InvariantError if path == "direct" else ArithmeticError)(
+            f"{path} convolution broke the mass identity sum(f*g) = sum(f) sum(g)")
+    return out
 
 
 def _direct(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
@@ -150,44 +185,59 @@ def _direct(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = Non
     """Sum over all pairs of support points (at most max(2^14, 2 x FFT size),
     capped at 2^22) at index i + j, or j - i for a correlation.  With moduli
     the window is the group, else the lattice window, where correlation lags
-    start at 1 - (f's extent)."""
+    start at 1 - (f's extent).  The norms are read off the support values."""
     out_shape = moduli or tuple(int(a + b - 1) for a, b in zip(fa.shape, ga.shape))
-    fidx, gidx = np.flatnonzero(fa), np.flatnonzero(ga)
+    fidx = np.flatnonzero(fa)
+    gidx = fidx if fa is ga else np.flatnonzero(ga)
     if len(fidx) == 0 or len(gidx) == 0:
         return np.zeros(out_shape, dtype=np.int64)
     fvals, gvals = fa.ravel()[fidx], ga.ravel()[gidx]
+    fn = _norms(fvals)
+    gn = fn if fa is ga else _norms(gvals)
     unit = bool((fvals == 1).all() and (gvals == 1).all())
-    flat = 0
+    flat = None   # the pairs' flat output index, built in place axis by axis
     for fc, gc, fs, dim in zip(np.unravel_index(fidx, fa.shape), np.unravel_index(gidx, ga.shape),
                                fa.shape, out_shape):
-        s = gc[None, :] - fc[:, None] + (0 if moduli else fs - 1) if corr else fc[:, None] + gc[None, :]
-        flat = flat * dim + (s % dim if moduli else s)
+        s = gc[None, :] - fc[:, None] if corr else fc[:, None] + gc[None, :]
+        if moduli:
+            s %= dim
+        elif corr:
+            s += fs - 1
+        if flat is not None:
+            s += flat * dim
+        flat = s
     size = math.prod(out_shape)
     if unit:  # entries are at most min(|supp f|, |supp g|)
-        return np.bincount(flat.ravel(), minlength=size).reshape(out_shape)
-    fl, gl = (list(map(abs, v.tolist())) for v in (fvals, gvals))
-    dtype = object if min(sum(fl) * max(gl), sum(gl) * max(fl)) >= _WIDE else np.int64
-    out = np.zeros(size, dtype=dtype)
-    np.add.at(out, flat.ravel(), np.multiply.outer(fvals.astype(dtype), gvals.astype(dtype)).ravel())
-    return out.reshape(out_shape)
+        out = np.bincount(flat.ravel(), minlength=size)
+    else:
+        dtype = object if _wide(fn, gn) else np.int64
+        out = np.zeros(size, dtype=dtype)
+        np.add.at(out, flat.ravel(), np.multiply.outer(fvals.astype(dtype), gvals.astype(dtype)).ravel())
+    return _checked(out.reshape(out_shape), fn, gn, "direct")
 
 
-def _percival(size: int) -> float:
+def _percival(size: int, four_step: bool = False) -> float:
     """Percival (Math. Comp. 72, 2003): a radix-2 FFT convolution of length
     2^m errs by less than ||x||_2 ||y||_2 ((1+e)^3m (1+e sqrt5)^(3m+1)
-    (1+e)^3m - 1) per entry, e = 2^-53 (twiddles accurate to e); about 13 m e."""
+    (1+e)^3m - 1) per entry, e = 2^-53 (twiddles accurate to e); about 13 m e.
+    Each of the three transforms of a four-step runs the same m butterfly
+    levels plus two twiddle multiplies, by table entries accurate to
+    _TWIDDLE_ERR: 3 x 2 more factors (1+e sqrt5)(1+_TWIDDLE_ERR)."""
     m, e = max(1, (size - 1).bit_length()), 2.0 ** -53
-    return math.expm1(6 * m * math.log1p(e) + (3 * m + 1) * math.log1p(e * math.sqrt(5)))
+    t = 2 if four_step else 0
+    return math.expm1(6 * m * math.log1p(e) + (3 * (m + t) + 1) * math.log1p(e * math.sqrt(5))
+                      + 3 * t * math.log1p(_TWIDDLE_ERR))
 
 
-def _split(fn: tuple[int, int], gn: tuple[int, int], size: int) -> tuple[int | None, int | None]:
+def _split(fn: tuple[int, ...], gn: tuple[int, ...], size: int,
+           four_step: bool = False) -> tuple[int | None, int | None]:
     """Limb widths for f and g (None: whole) that keep Percival's bound for
     every limb product below 1/4.  A whole x has ||x||_2^2 <= |x|_1 |x|_inf,
     a b-bit limb ||limb||_2^2 <= 4^b size.  The operand with the larger
     maximum is split first; the other only if 1-bit limbs cannot suffice."""
     if fn[1] < gn[1]:
-        return _split(gn, fn, size)[::-1]
-    cap = 1 / (16 * _percival(size) ** 2)   # need ||x||_2^2 ||y||_2^2 < cap
+        return _split(gn, fn, size, four_step)[::-1]
+    cap = 1 / (16 * _percival(size, four_step) ** 2)   # need ||x||_2^2 ||y||_2^2 < cap
     whole_g = gn[0] * gn[1]
     if fn[0] * fn[1] * whole_g < cap:
         return None, None
@@ -222,6 +272,70 @@ def _shape(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None) -> tu
     return moduli if pow2 else tuple(1 << int(a + b - 2).bit_length() for a, b in zip(fa.shape, ga.shape))
 
 
+def _four_step(shape: tuple[int, ...]) -> bool:
+    """Whether a transform of this shape runs as a four-step: one axis of
+    2^m >= _FOUR_STEP_MIN points."""
+    return len(shape) == 1 and shape[0] >= _FOUR_STEP_MIN and shape[0] & (shape[0] - 1) == 0
+
+
+@functools.cache
+def _twiddles(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n1, hi, lo) for the four-step of length n = n1 n2, n1 = 2^floor(m/2):
+    hi[k1, u, 0] lo[k1, 0, v] = w^(k1 j2), w = exp(-2 pi i / n), for k1 <= n1/2
+    and j2 = u s + v < n2, s = 2^floor(log2(n2)/2).  Kept per n, read-only:
+    about n1 sqrt(n2) entries, 0.5 MB at 2^20.  k1 j2 < n/2, so each angle
+    -2 pi k1 j2 / n is one rounding from fl(2 pi) and |angle| < pi; with cos
+    and sin to an ulp, each entry is within 6 e of w^(k1 j2), inside _TWIDDLE_ERR."""
+    n1 = 1 << (n.bit_length() - 1) // 2
+    n2 = n // n1
+    s = 1 << (n2.bit_length() - 1) // 2
+    k1 = np.arange(n1 // 2 + 1)[:, None, None]
+    step = -2j * np.pi / n   # exact: n is a power of two
+    hi = np.exp(step * (k1 * np.arange(0, n2, s)[None, :, None]))
+    lo = np.exp(step * (k1 * np.arange(s)[None, None, :]))
+    hi.flags.writeable = lo.flags.writeable = False
+    return n1, hi, lo
+
+
+def _twiddle(c: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
+    """Multiply the (n1/2 + 1, n2) array c in place by w^(k1 j2), as two broadcast multiplies."""
+    v = c.reshape(hi.shape[0], hi.shape[1], lo.shape[2])
+    v *= hi
+    v *= lo
+
+
+def _rfft(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Spectrum of the real array x zero-padded to shape.  A four-step shape
+    n = n1 n2 reads x as n1 rows of n2, real-transforms down the rows,
+    multiplies by w^(k1 j2) and transforms along them (Bailey, J.
+    Supercomputing 4, 1990): c[k1, k2] = X[k1 + n1 k2] for k1 <= n1/2, every
+    frequency up to conjugation, with bins k1 = 1..n1/2 - 1 standing for
+    their partners too.  Other shapes give numpy's rfftn layout."""
+    if not _four_step(shape):
+        return np.fft.rfftn(x, shape, tuple(range(len(shape))))
+    n1, hi, lo = _twiddles(shape[0])
+    n2 = shape[0] // n1
+    if len(x) % n2:
+        x = np.pad(x, (0, -len(x) % n2))
+    c = np.fft.rfft(x.reshape(-1, n2), n1, axis=0)
+    _twiddle(c, hi, lo)
+    return np.fft.fft(c, axis=1, out=c)
+
+
+def _irfft(c: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The real array of the given shape whose _rfft is c.  A four-step
+    consumes c: it runs the steps backwards, applying the conjugate twiddle
+    in place as conj(conj(b) w)."""
+    if not _four_step(shape):
+        return np.fft.irfftn(c, shape, tuple(range(len(shape))))
+    n1, hi, lo = _twiddles(shape[0])
+    c = np.fft.ifft(c, axis=1, out=c)
+    np.conjugate(c, out=c)
+    _twiddle(c, hi, lo)
+    np.conjugate(c, out=c)
+    return np.fft.irfft(c, n1, axis=0).reshape(shape)
+
+
 def _fft(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
          corr: bool = False, spectra: dict | None = None) -> np.ndarray:
     """Real-FFT convolution, or correlation with f's spectrum conjugated,
@@ -232,31 +346,30 @@ def _fft(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
     spectra (the caller's, for one g) keeps g's whole spectrum per shape."""
     lin = tuple(int(a + b - 1) for a, b in zip(fa.shape, ga.shape))
     shape = _shape(fa, ga, moduli)
-    axes, same = tuple(range(fa.ndim)), fa is ga
+    same = fa is ga
     fn = _norms(fa)
     gn = fn if same else _norms(ga)
-    fbits, gbits = _split(fn, gn, math.prod(shape))
-    wide = min(fn[0] * gn[1], gn[0] * fn[1]) >= _WIDE
+    fbits, gbits = _split(fn, gn, math.prod(shape), _four_step(shape))
+    wide = _wide(fn, gn)
     cache = spectra if spectra is not None and gbits is None else {}
     if (ghat := cache.get(shape)) is None:
-        ghat = cache[shape] = [np.fft.rfftn(p, shape, axes) for p in _limbs(ga, gbits, gn[1])]
+        ghat = cache[shape] = [_rfft(p, shape) for p in _limbs(ga, gbits, gn[1])]
     if fbits is None and gbits is None and not wide:
-        prod = ghat[0].copy() if same else np.fft.rfftn(fa.astype(np.float64), shape, axes)
+        prod = ghat[0].copy() if same else _rfft(fa.astype(np.float64), shape)
         if corr:
             np.conjugate(prod, out=prod)
         prod *= ghat[0]
-        out = np.fft.irfftn(prod, shape, axes)
+        out = _irfft(prod, shape)
         out = np.rint(out, out=out).astype(np.int64)
     else:
         # f's limb spectra are made one at a time, or shared with g's for a self-product
-        fhat = ghat if same and fbits == gbits else (np.fft.rfftn(p, shape, axes)
-                                                     for p in _limbs(fa, fbits, fn[1]))
+        fhat = ghat if same and fbits == gbits else (_rfft(p, shape) for p in _limbs(fa, fbits, fn[1]))
         if corr:
             fhat = (np.conj(h) for h in fhat)
         acc = np.zeros(shape, dtype=object if wide else np.uint64)
         for i, fh in enumerate(fhat):
             for j, gh in enumerate(ghat):
-                part = np.rint(np.fft.irfftn(fh * gh, shape, axes)).astype(np.int64)
+                part = np.rint(_irfft(fh * gh, shape)).astype(np.int64)
                 shift = i * (fbits or 0) + j * (gbits or 0)
                 acc += part.astype(object) << shift if wide else part.view(np.uint64) << shift
         out = acc if wide else acc.view(np.int64)
@@ -264,18 +377,20 @@ def _fft(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
         # a correlation's lag d sits at index d mod size; roll the window's
         # first lag to index 0: 1 - (f's extent) on a lattice, -m for the fold
         if corr:
-            out = np.roll(out, moduli or tuple(s - 1 for s in fa.shape), axes)
+            out = np.roll(out, moduli or tuple(s - 1 for s in fa.shape), tuple(range(fa.ndim)))
         out = _fold(out, moduli) if moduli else out[tuple(slice(0, s) for s in lin)]
-    if (int(out.sum()) - int(fa.sum()) * int(ga.sum())) % (1 << 64):   # checked mod 2^64
-        raise ArithmeticError("FFT convolution broke the mass identity sum(f*g) = sum(f) sum(g)")
-    return out
+    return _checked(out, fn, gn, "FFT")
 
 
 def _conv(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None = None) -> ConvTable:
-    """Direct iff nnz(f) nnz(g) <= max(2^14, 2 x FFT size), capped at 2^22; else the FFT."""
+    """Direct iff nnz(f) nnz(g) <= max(2^14, 2 x FFT size), capped at 2^22;
+    else the FFT.  Each operand's nonzeros are counted once (once in all for
+    a self-product); each path reads the norms once and checks the product's
+    mass identity exactly."""
     grp, fa, ga = tf.group, tf.array, tg.array
     moduli = grp.moduli if grp.is_cyclic else None
-    pairs = np.count_nonzero(fa) * np.count_nonzero(ga)
+    fnz = np.count_nonzero(fa)
+    pairs = fnz * (fnz if fa is ga else np.count_nonzero(ga))
     direct = pairs <= min(_DIRECT_MAX, max(_DIRECT_MIN, 2 * math.prod(_shape(fa, ga, moduli))))
     out = _direct(fa, ga, moduli, corr) if direct else _fft(fa, ga, moduli, corr, spectra)
     if moduli:
@@ -296,18 +411,12 @@ def convolve(f, g, *, corr: bool = False) -> ConvTable:
 
 
 def correlate(f, g) -> ConvTable:
-    """(f o g)(x) = sum_y f(y) g(y + x); for sets, counts of x = b - a.
-    With one GSet passed twice the table is built once and kept on the set."""
+    """(f o g)(x) = sum_y f(y) g(y + x); for sets, counts of x = b - a, whose
+    mass |A||B| the engine's mass identity checks.  With one GSet passed
+    twice the table is built once and kept on the set."""
     if f is g and isinstance(f, GSet):
-        return f.kept("AoA", lambda: _read_only(_correlate(f, f)))
-    return _correlate(f, g)
-
-
-def _correlate(f, g) -> ConvTable:
-    out = convolve(f, g, corr=True)
-    if isinstance(f, GSet) and isinstance(g, GSet) and out.total() != len(f) * len(g):
-        raise InvariantError("correlation mass must equal |A||B|")
-    return out
+        return f.kept("AoA", lambda: _read_only(convolve(f, f, corr=True)))
+    return convolve(f, g, corr=True)
 
 
 def _read_only(t: ConvTable) -> ConvTable:
@@ -373,7 +482,7 @@ class _Chain:
         only): the steps' own where their FFT ran there, else made once."""
         moduli = self.base.group.moduli
         if moduli not in self.spectra:
-            self.spectra[moduli] = [np.fft.rfftn(self.base.array)]
+            self.spectra[moduli] = [_rfft(self.base.array, moduli)]
         return self.spectra[moduli][0]
 
 
@@ -439,7 +548,7 @@ def energy_k_pair(a: GSet, b: GSet, k) -> int | float:
         raise groups.GroupError("energy operands live in different groups")
     if k < 1:
         raise ValueError("energy order must be >= 1")
-    return a.kept(("Epair", b, k), lambda: _energy_k_pair(a, b, k))
+    return a.kept(("Epair", a.partner(b), k), lambda: _energy_k_pair(a, b, k))
 
 
 def _energy_k_pair(a: GSet, b: GSet, k) -> int | float:
@@ -463,12 +572,18 @@ def t_k(a: GSet, k: int) -> int:
     chain = _chain(a).extend(k)
     result = chain.t[k - 1]
     if a.group.is_cyclic and k not in chain.checked:
-        # each last-axis bin of the real half-spectrum but the first and Nyquist counts twice
+        # N T_k = sum |A^(xi)|^(2k) and A^(0) = |A|: the nonzero frequencies
+        # must give N T_k - |A|^(2k), 0 only for the empty set and the group
         spec = np.abs(chain.spectrum()) ** (2 * k)
-        spec[..., 1:(a.group.moduli[-1] + 1) // 2] *= 2
-        fourier = float(spec.sum()) / a.group.order
-        if not math.isclose(fourier, float(result), rel_tol=1e-6):
-            raise InvariantError(f"T_k Fourier cross-check failed: {fourier} vs {result}")
+        spec.flat[0] = 0
+        moduli = a.group.moduli
+        # a bin whose conjugate the half-spectrum omits counts twice: rows
+        # 1..n1/2 - 1 of a four-step, else last-axis bins but the first and Nyquist
+        twice = spec[1:len(spec) - 1] if _four_step(moduli) else spec[..., 1:(moduli[-1] + 1) // 2]
+        twice *= 2
+        fourier, exact = float(spec.sum()), a.group.order * result - len(a) ** (2 * k)
+        if not math.isclose(fourier, exact, rel_tol=1e-6, abs_tol=1e-6):
+            raise InvariantError(f"T_k Fourier cross-check failed off the zero frequency: {fourier} vs {exact}")
         chain.checked.add(k)
     return result
 

@@ -393,7 +393,7 @@ def magnification_k(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> tupl
     if len(a) > caps.subsets:
         raise CapExceededError(f"|A| = {len(a)} exceeds subset cap {caps.subsets}")
     _check_work([b] * k, a, caps)
-    return a.kept(("R", b, k), lambda: _magnification(a, b, k, caps))
+    return a.kept(("R", a.partner(b), k), lambda: _magnification(a, b, k, caps))
 
 
 def _magnification(a: GSet, b: GSet, k: int, caps: Caps) -> tuple[Fraction, GSet]:

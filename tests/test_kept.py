@@ -3,8 +3,10 @@ a second call builds nothing, caps still refuse a kept value, partner sets
 key by value, new sets start empty, kept arrays and mappings are read-only,
 and a build that raises keeps nothing."""
 
+import gc
 import random
 import types
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -160,6 +162,31 @@ def test_partners_key_by_value(monkeypatch):
         assert moments.energy_k_pair(a, c, k + 1) == oracles.oracle_energy_k_pair(
             mods, aset, set(c.elems), k + 1)
     assert counts["_magnification_search"] == 4 and counts["_gram"] == 4
+
+
+def test_self_partners_free_the_set_without_the_collector():
+    # a kept key or value naming its own set would keep the set alive until
+    # the cyclic collector ran; a partner equal to the set keys as "self"
+    g = cyclic(64)
+    a = GSet(g, [0, 1, 5, 12, 33])
+    twin = GSet(g, a.coords)
+    r = setops.magnification(a, a)
+    assert setops.magnification(a, twin) is r
+    e3 = moments.energy_k_pair(a, a, 3)
+    assert e3 == moments.energy_k(a, 3) == moments.energy_k_pair(a, twin, 3)
+    pg = eigen.build_gram(a, a, 2)
+    assert eigen.build_gram(a, twin, 2) is pg and pg.b_size == len(a)
+    eigen.singular_spectrum(pg)
+    moments.t_k(a, 3)
+    setops.d_k(a, 2)
+    assert {("R", "self", 1), ("Epair", "self", 3), ("gram", "self", 2)} <= a._kept.keys()
+    ref = weakref.ref(a)
+    gc.disable()
+    try:
+        del a
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_new_sets_start_with_an_empty_memo():

@@ -521,6 +521,134 @@ def test_limb_plan():
     bits, gbits = moments._split(big, big, 4096)
     assert bits == gbits and 0 < bits < 40
     assert (4 ** bits * 4096 * 4 * moments._percival(4096)) ** 2 < 1
+    # a four-step runs the same m butterfly levels plus two twiddle multiplies
+    # per transform, each by a table entry within _TWIDDLE_ERR
+    e = 2.0 ** -53
+    for size in (1 << 15, 1 << 20, 1 << 25):
+        m = size.bit_length() - 1
+        assert moments._percival(size, True) == math.expm1(
+            6 * m * math.log1p(e) + (3 * (m + 2) + 1) * math.log1p(e * math.sqrt(5))
+            + 6 * math.log1p(moments._TWIDDLE_ERR))
+        assert moments._percival(size) < moments._percival(size, True) < 2 * moments._percival(size)
+    assert moments._split(half, half, n, True) == (None, None)
+    assert moments._percival(n, True) * 2 ** 19 < 2 ** -25
+    # at the edge the extra levels cost a limb: two operands equal to L on all
+    # of Z/2^20, with L just past the four-step's cap, stay whole under the plain bound
+    lv = math.isqrt(math.isqrt(int(1 / (16 * moments._percival(n, True) ** 2)))) // 1024 + 1
+    edge = (n * lv, lv)
+    assert moments._split(edge, edge, n) == (None, None)
+    bits, gbits = moments._split(edge, edge, n, True)
+    assert gbits is None and (lv.bit_length() - 1) // bits == 1   # f in two limbs
+
+
+def recording_twiddles(monkeypatch):
+    """The lengths at which the four-step runs, one per transform."""
+    seen = []
+    real = moments._twiddles
+    monkeypatch.setattr(moments, "_twiddles", lambda n: seen.append(n) or real(n))
+    return seen
+
+
+@pytest.mark.parametrize("g, points, span, bits, size, self_only", [
+    (cyclic(1 << 15), 1 << 14, None, 0, 1 << 15, False),    # dense 0/1 at the group size
+    (cyclic(1 << 15), 3000, None, 40, 1 << 15, False),      # entries to 2^40: a limb split
+    (lattice(1), 3000, 12000, 0, 1 << 16, False),           # a window padded past 2^15
+    (cyclic(20000), 5000, None, 0, 1 << 16, False),         # Z/N padded past 2^15, folded
+    (cyclic(1 << 17), 1 << 16, None, 0, 1 << 17, True),     # dense 0/1, self-correlation
+], ids=["Z2^15-dense", "Z2^15-limbs", "Z-window", "Z20000", "Z2^17-dense"])
+def test_four_step_products_match_oracle(monkeypatch, g, points, span, bits, size, self_only):
+    seen = recording_twiddles(monkeypatch)
+    served = []
+    for name in ("_direct", "_fft"):
+        real = getattr(moments, name)
+        monkeypatch.setattr(moments, name, lambda *args, _r=real, _n=name: served.append(_n) or _r(*args))
+    rng = random.Random(size + bits)
+    mods = g.moduli if g.is_cyclic else None
+    f = weighted(rng, g, points, bits, span)
+    tf = table_of(g, f)
+    if self_only:
+        assert support(correlate(tf, tf)) == oracle_correlate(mods, f, f)
+    else:
+        h = weighted(rng, g, points, bits, span)
+        th = table_of(g, h)
+        limbs = moments._split(moments._norms(tf.array), moments._norms(th.array), size, True)
+        assert (limbs != (None, None)) == bool(bits)
+        assert support(convolve(tf, th)) == oracles.kronecker_convolve(mods, f, h)
+        assert support(correlate(tf, th)) == oracle_correlate(mods, f, h)
+    assert set(served) == {"_fft"} and set(seen) == {size}
+
+
+@pytest.mark.slow
+def test_four_step_at_2_20_matches_oracle(monkeypatch):
+    seen = recording_twiddles(monkeypatch)
+    g = cyclic(1 << 20)
+    a = GSet(g, random.Random(20).sample(range(1 << 20), 1 << 19))
+    assert support(convolve(a, a)) == oracles.kronecker_convolve(g.moduli, {x: 1 for x in a.elems},
+                                                                 {x: 1 for x in a.elems})
+    assert set(seen) == {1 << 20}
+
+
+def test_four_step_serves_only_long_one_dimensional_shapes(monkeypatch):
+    shapes = ((1 << 14,), (1 << 15,), (1 << 20,), (3 << 14,), (128, 256), (1 << 15, 2))
+    assert [moments._four_step(s) for s in shapes] == [False, True, True, False, False, False]
+    seen = recording_twiddles(monkeypatch)
+    rng = random.Random(95)
+    box = [(x, y) for x in range(150) for y in range(150)]
+    # FFT-path products just below the cut, and on shapes of 2^15 points and
+    # more in two dimensions: Z/2^14, Z/128xZ/256, a Z window padded to 2^14,
+    # a Z^2 window padded to 512x512
+    for g, elems in ((cyclic(1 << 14), rng.sample(range(1 << 14), 1 << 13)),
+                     (cyclic(128, 256), [oracles.from_flat((128, 256), v)
+                                         for v in rng.sample(range(1 << 15), 1 << 14)]),
+                     (lattice(1), rng.sample(range(8000), 4000)),
+                     (lattice(2), rng.sample(box, 10000))):
+        a, b = GSet(g, elems), GSet(g, elems[: len(elems) // 2])
+        correlate(a, b)
+        convolve(a, a)
+        t_k(a, 2)
+        assert seen == [], g
+    # Z/2^15 and Z/(3 2^14), whose linear products are padded to 2^17
+    for n, size in ((1 << 15, 1 << 15), (3 << 14, 1 << 17)):
+        t_k(GSet(cyclic(n), rng.sample(range(n), n // 2)), 2)
+        assert set(seen) == {size}
+        seen.clear()
+
+
+def test_four_step_twiddles_within_stated_accuracy():
+    if np.finfo(np.longdouble).nmant <= 52:
+        pytest.skip("needs an extended-precision long double for the reference")
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    for m in (15, 16, 20, 21):
+        n = 1 << m
+        n1, hi, lo = moments._twiddles(n)
+        n2, s, rows = n // n1, lo.shape[2], n1 // 2 + 1
+        assert n1 == 1 << m // 2 and hi.shape == (rows, n2 // s, 1) and lo.shape == (rows, 1, s)
+        assert hi.size + lo.size <= 3 * rows * math.isqrt(n2)   # no n/2-entry table
+        k1 = np.arange(rows)[:, None, None]
+        for table, e in ((hi, k1 * np.arange(0, n2, s)[None, :, None]),
+                         (lo, k1 * np.arange(s)[None, None, :])):
+            angle = -2 * pi * e.astype(np.longdouble) / n
+            err = np.hypot((table.real - np.cos(angle)).astype(np.float64),
+                           (table.imag - np.sin(angle)).astype(np.float64))
+            assert err.max() <= moments._TWIDDLE_ERR
+
+
+@pytest.mark.parametrize("n, size", [(4096, 1500), (1 << 15, 3000)])
+def test_off_zero_corruption_trips_every_t_k(n, size):
+    # |A|^(2k)/N, the zero frequency's share, would swamp a 1.01 scaling of
+    # every other bin at k >= 3 if the check summed the whole spectrum
+    a = GSet(cyclic(n), random.Random(93).sample(range(n), size))
+    t2 = t_k(a, 2)
+    sigma_k(a, 7)   # builds levels 1..6, serves no T_k
+    spec = a._kept["chain"].spectrum()
+    assert spec.ndim == (2 if n >= 1 << 15 else 1)   # the four-step layout
+    zero = spec.flat[0]
+    spec *= 1.01
+    spec.flat[0] = zero
+    assert t_k(a, 2) == t2   # checked before the corruption
+    for k in (1, 3, 4, 5, 6):
+        with pytest.raises(groups.InvariantError, match="cross-check"):
+            t_k(a, k)
 
 
 def test_fft_limb_products_exact():
@@ -596,17 +724,20 @@ def test_table_csv_export():
 
 
 def test_correlation_mass_check_survives_optimize():
-    # `python -O` strips `assert`; the invariant must still raise
+    # `python -O` strips `assert`; the invariant must still raise.  Each engine
+    # path checks its product's mass, so the corruption goes into the direct
+    # path's pair count
     script = "\n".join([
         "import sys",
+        "import numpy as np",
         "from hienergy import moments",
         "from hienergy.gset import zset",
-        "real = moments.convolve",
-        "def corrupt(f, g, **kw):",
-        "    out = real(f, g, **kw)",
-        "    out.array[0] += 1",
+        "real = np.bincount",
+        "def corrupt(*args, **kwargs):",
+        "    out = real(*args, **kwargs)",
+        "    out[0] += 1",
         "    return out",
-        "moments.convolve = corrupt",
+        "np.bincount = corrupt",
         "if not sys.flags.optimize:",
         "    sys.exit('not running under -O')",
         "try:",

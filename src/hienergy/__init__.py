@@ -2,7 +2,7 @@
 finite sets in abelian groups."""
 
 from .groups import GroupSpec, InvariantError, cyclic, lattice, make_group, parse_group
-from .gset import GSet, gset, loads_set, read_set, write_set, zset
+from .gset import GSet, loads_set, read_set, write_set, zset
 from .moments import (ConvTable, EnergyProfile, convolve, correlate, energy_k,
                       energy_k_pair, energy_pair, level_sequence, mult_energy_k,
                       prodset_size, quotset_size, sigma_k, t_k)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import eigen, extract, genset, groups, moments, setops, spectrum
 from .groups import Elem
-from .gset import GSet, _row_keys, as_rows, bounded_rows, full_group
+from .gset import GSet, as_rows, bounded_rows, full_group, row_keys
 from .setops import MINUS, PLUS
 
 REL_TOL = 1e-9
@@ -101,8 +101,8 @@ def _slice_corr_sums(a: GSet, depth: int) -> dict[Elem, int]:
     n = len(a)
     # row u n + v is v - u: the translate A - u lists its points in rows u n .. u n + n - 1
     rows = as_rows(a.group, (a.coords[None, :] - a.coords[:, None]).reshape(n * n, -1))
-    points, first, point = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    point = point.ravel()
+    _, first, point = np.unique(row_keys(a.group, rows), return_index=True, return_inverse=True)
+    points = rows[first]
     holds = np.zeros((len(points), n), dtype=np.int64)   # holds[p, u]: point p lies in A - u
     holds[point, np.repeat(np.arange(n), n)] = 1
     inter = holds.T @ holds                              # |(A-u) n (A-v)|
@@ -236,7 +236,7 @@ def _tuple_delta_size(y: np.ndarray, last: GSet, x: GSet) -> int:
     tuples = np.concatenate([np.repeat(y, len(last), axis=0),
                              np.tile(last.coords, (n, 1))[:, None]], axis=1)
     diffs = as_rows(x.group, (tuples[:, None] - x.coords[None, :, None]).reshape(-1, d))
-    return len(np.unique(_row_keys(diffs.reshape(-1, (m + 1) * d))))
+    return len(np.unique(row_keys(groups.lattice((m + 1) * d), diffs.reshape(-1, (m + 1) * d))))
 
 
 def check_c11(sets: dict, variant: str, m: int = 1) -> CheckResult:
@@ -274,32 +274,21 @@ def check_c11(sets: dict, variant: str, m: int = 1) -> CheckResult:
 
 
 def check_c13(a: GSet, n: int, m: int, variant: str) -> CheckResult:
-    size = len(a)
-    inputs = {**_summary(a), "n": n, "m": m, "variant": variant}
-    if variant == "D_lower":
-        lhs = setops.d_k(a, n) * size ** m
-        return _res("C13", inputs, lhs, setops.d_k(a, n + m), "<=")
-    if variant == "D_upper":
-        lhs = setops.d_k(a, n + m)
-        return _res("C13", inputs, lhs, setops.d_k(a, n) * setops.d_k(a, m), "<=")
-    if variant == "S_lower":
-        lhs = setops.s_k(a, n) * size ** m
-        return _res("C13", inputs, lhs, setops.s_k(a, n + m), "<=")
-    if variant == "S_upper":
-        lhs = setops.s_k(a, n + m)
-        rhs = setops.s_k(a, n) * min(setops.s_k(a, m), setops.d_k(a, m))
-        return _res("C13", inputs, lhs, rhs, "<=")
-    if variant == "DS":
-        if m < 2:
-            raise ValueError("DS chain needs m >= 2")
-        lhs = setops.d_k(a, n) * size ** m
-        return _res("C13", inputs, lhs, setops.s_k(a, n + m), "<=")
-    if variant == "DS2":
-        if n < 2:
-            raise ValueError("DS2 chain needs n >= 2")
-        lhs = setops.d_k(a, n - 1) * size ** 2
-        return _res("C13", inputs, lhs, setops.s_k(a, n + 1), "<=")
-    raise ValueError(f"unknown C13 variant {variant!r}")
+    d, s, size = (lambda j: setops.d_k(a, j)), (lambda j: setops.s_k(a, j)), len(a)
+    if variant == "DS" and m < 2:
+        raise ValueError("DS chain needs m >= 2")
+    if variant == "DS2" and n < 2:
+        raise ValueError("DS2 chain needs n >= 2")
+    sides = {"D_lower": lambda: (d(n) * size ** m, d(n + m)),     # each (lhs, rhs) of lhs <= rhs
+             "D_upper": lambda: (d(n + m), d(n) * d(m)),
+             "S_lower": lambda: (s(n) * size ** m, s(n + m)),
+             "S_upper": lambda: (s(n + m), s(n) * min(s(m), d(m))),
+             "DS": lambda: (d(n) * size ** m, s(n + m)),
+             "DS2": lambda: (d(n - 1) * size ** 2, s(n + 1))}
+    if variant not in sides:
+        raise ValueError(f"unknown C13 variant {variant!r}")
+    lhs, rhs = sides[variant]()
+    return _res("C13", {**_summary(a), "n": n, "m": m, "variant": variant}, lhs, rhs, "<=")
 
 
 def check_c14(b: GSet, a: GSet, k: int, sign: str = MINUS, m: int | None = None) -> CheckResult:
@@ -382,7 +371,7 @@ def check_c18(a: GSet, b: GSet, k: int, variant: str = "order") -> CheckResult:
     if variant == "sign":
         # (B o B) is symmetric, so the Gram of (-A, -B) is the Gram of (A, B)
         # with rows and columns permuted: (-A).coords[i] = -a_p[i]
-        p = np.lexsort(as_rows(a.group, -a.coords).T[::-1])
+        p = np.argsort(row_keys(a.group, as_rows(a.group, -a.coords)))
         neg = eigen.build_gram(a.negate(), b.negate(), k)
         lhs = int((neg.gram != pg.gram[p][:, p]).sum())
         return _res("C18", inputs, lhs, 0, "=")

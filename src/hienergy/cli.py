@@ -19,6 +19,8 @@ from .setops import CapExceededError, Caps
 USAGE_EXIT = 2
 CAP_EXIT = 3
 FAIL_EXIT = 1
+# the order k without --k; only E_k takes a non-integer k
+DEFAULT_K = {"Ek": 2, "Tk": 2, "sigmak": 2, "Dk": 2, "Sk": 2, "magk": 1, "multE": 2}
 
 
 def _load_sets(args) -> list[GSet]:
@@ -42,6 +44,11 @@ def _apply_global_caps(args) -> Caps:
     return saved
 
 
+def _write(path: str, body: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(body)
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if getattr(args, "json", False):
         body = json.dumps(payload, indent=2, sort_keys=True, default=str)
@@ -50,8 +57,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     else:
         body = "\n".join(text_lines)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body if body.endswith("\n") else body + "\n")
+        _write(args.out, body if body.endswith("\n") else body + "\n")
         print(args.out)
     else:
         print(body)
@@ -71,21 +77,21 @@ def cmd_compute(args) -> int:
     elif getattr(args, "pre", "none") == "sum":
         a = setops.sumset(a, a)
     q = args.quantity
-    k = args.k
+    k = DEFAULT_K.get(q) if args.k is None else args.k
     if k is not None and float(k).is_integer():
         k = int(k)
+    elif q in DEFAULT_K and q != "Ek":
+        print(f"{q} needs an integer --k, got {k}", file=sys.stderr)
+        return USAGE_EXIT
     payload: dict = {"quantity": q, "set_size": len(a), "group": str(a.group)}
     lines: list[str] = []
-    if q == "Ek":
-        v = moments.energy_k(a, k if k is not None else 2)
+    if q in ("Ek", "Tk", "sigmak", "Dk", "Sk"):
+        name, fn = {"Ek": ("E", moments.energy_k), "Tk": ("T", moments.t_k),
+                    "sigmak": ("sigma", moments.sigma_k), "Dk": ("D", setops.d_k),
+                    "Sk": ("S", setops.s_k)}[q]
+        v = fn(a, k)
         payload["value"] = v
-        lines = [f"E_{k if k is not None else 2}(A) = {v}"]
-    elif q in ("Tk", "sigmak", "Dk", "Sk"):
-        name, fn = {"Tk": ("T", moments.t_k), "sigmak": ("sigma", moments.sigma_k),
-                    "Dk": ("D", setops.d_k), "Sk": ("S", setops.s_k)}[q]
-        v = fn(a, int(k or 2))
-        payload["value"] = v
-        lines = [f"{name}_{int(k or 2)}(A) = {v}"]
+        lines = [f"{name}_{k}(A) = {v}"]
     elif q == "spectrum":
         table = spectrum.dft(a)
         payload["csv"] = table.to_csv()
@@ -101,27 +107,23 @@ def cmd_compute(args) -> int:
         v = spectrum.dim_greedy(a) if args.greedy else spectrum.dim_exact(a)
         payload["value"] = v
         lines = [f"dim(A) = {v}" + (" (greedy lower bound)" if args.greedy else "")]
-    elif q == "mag":
-        r, z = setops.magnification(a, b)
+    elif q in ("mag", "magk"):
+        r, z = setops.magnification(a, b) if q == "mag" else setops.magnification_k(a, b, k)
         payload["value"] = str(r)
         payload["witness"] = z.coords.tolist()
-        lines = [f"R_B[A] = {r} (= {float(r)}), witness |Z| = {len(z)}"]
-    elif q == "magk":
-        r, z = setops.magnification_k(a, b, int(k or 1))
-        payload["value"] = str(r)
-        payload["witness"] = z.coords.tolist()
-        lines = [f"R^({int(k or 1)})_B[A] = {r} (= {float(r)}), witness |Z| = {len(z)}"]
+        name = "R_B[A]" if q == "mag" else f"R^({k})_B[A]"
+        lines = [f"{name} = {r} (= {float(r)}), witness |Z| = {len(z)}"]
     elif q == "levels":
         v = moments.level_sequence(a)
         payload["value"] = v
         payload["csv"] = "rank,value\n" + "\n".join(f"{i+1},{x}" for i, x in enumerate(v)) + "\n"
         lines = [" ".join(map(str, v))]
     elif q == "multE":
-        v = moments.mult_energy_k(a, int(k or 2))
+        v = moments.mult_energy_k(a, k)
         payload["value"] = v
         payload["prodset"] = moments.prodset_size(a)
         payload["quotset"] = moments.quotset_size(a)
-        lines = [f"E^x_{int(k or 2)}(A) = {v} (|AA| = {payload['prodset']}, |A/A| = {payload['quotset']})"]
+        lines = [f"E^x_{k}(A) = {v} (|AA| = {payload['prodset']}, |A/A| = {payload['quotset']})"]
     else:
         print(f"unknown quantity {q!r}", file=sys.stderr)
         return USAGE_EXIT
@@ -133,8 +135,7 @@ def cmd_gen(args) -> int:
     a = genset.gen(genset.parse_recipe(args.recipe))
     body = dumps_set(a)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        _write(args.out, body)
         print(args.out)
     else:
         print(body, end="")
@@ -163,12 +164,10 @@ def cmd_verify(args) -> int:
         return USAGE_EXIT
     report = checks.run_suite(instances, ids)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        _write(args.report, report.to_json())
         print(args.report)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
+        _write(args.csv, report.to_csv())
     for line in report.to_csv().splitlines():
         print(line)
     return _exit_code(report)
@@ -220,10 +219,8 @@ def cmd_extract(args) -> int:
     else:
         print(f"unknown pipeline {p!r}", file=sys.stderr)
         return USAGE_EXIT
-    body = rep.to_json()
     out = args.out or f"extract_{p}.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(body)
+    _write(out, rep.to_json())
     summary = {"pipeline": rep.pipeline, "claimed": rep.claimed, "measured": rep.measured,
                "ratio": rep.ratio, "ok": rep.ok}
     print(json.dumps(summary, sort_keys=True))
@@ -249,8 +246,7 @@ def cmd_suite(args) -> int:
         return USAGE_EXIT
     report = checks.run_suite(instances, ids)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        _write(args.report, report.to_json())
         print(args.report)
     print(report.to_csv(), end="")
     return _exit_code(report)

@@ -16,7 +16,7 @@ import numpy as np
 from . import groups, moments
 from .genset import is_prime
 from .groups import GroupSpec, InvariantError
-from .gset import GSet
+from .gset import GSet, as_rows, row_keys
 from .setops import CapExceededError, Caps, DEFAULT_CAPS
 
 INVARIANT_RTOL = 1e-8
@@ -175,10 +175,9 @@ def operator_apply(g: GroupSpec, phi, psi, f) -> np.ndarray:
 def restricted_matrix(g: GroupSpec, phi, e_set: GSet) -> np.ndarray:
     """Matrix of the operator restricted to functions supported on E."""
     kernel = _group_fft(g, _reflect_flat(g, _flat_function(g, phi)))
-    idx = e_set.flat_indices()
-    n = g.order
-    diff = (idx[:, None] - idx[None, :]) % n
-    return kernel[diff]
+    rows = e_set.coords   # entry (i, j) is the kernel at x_i - x_j
+    return kernel[row_keys(g, as_rows(g, (rows[:, None] - rows[None]).reshape(-1, g.dim)))
+                  ].reshape(len(rows), len(rows))
 
 
 def bilinear_residual(g: GroupSpec, phi, e_set: GSet, u, v) -> float:

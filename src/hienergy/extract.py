@@ -82,11 +82,9 @@ class ExtractionReport:
 
 
 def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, (Fraction, np.floating)):
         return float(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -172,9 +172,7 @@ def gen(r: SetRecipe) -> GSet:
 
 def _ambient(r: SetRecipe) -> GroupSpec:
     n = r.param("N")
-    if n is not None:
-        return groups.cyclic(int(n))
-    return groups.lattice(1)
+    return groups.lattice(1) if n is None else groups.cyclic(int(n))
 
 
 def _gen_interval(r: SetRecipe) -> GSet:
@@ -188,16 +186,11 @@ def _gen_ap(r: SetRecipe) -> GSet:
     base = int(r.param("base", 0))
     gens = r.param("gens", (1,))
     lens = r.param("lens", (int(r.param("n", 8)),))
-    if isinstance(gens, int):
-        gens = (gens,)
-    if isinstance(lens, int):
-        lens = (lens,)
+    gens, lens = ((v,) if isinstance(v, int) else v for v in (gens, lens))
     if len(gens) != len(lens):
         raise RecipeError("gens and lens must have matching length")
-    pts = []
-    for xs in itertools.product(*(range(l) for l in lens)):
-        pts.append(base + sum(x * d for x, d in zip(xs, gens)))
-    return GSet(_ambient(r), pts)
+    return GSet(_ambient(r), [base + sum(x * d for x, d in zip(xs, gens))
+                              for xs in itertools.product(*(range(l) for l in lens))])
 
 
 def _gen_random_density(r: SetRecipe) -> GSet:
@@ -205,9 +198,7 @@ def _gen_random_density(r: SetRecipe) -> GSet:
     delta = float(r.param("delta", 0.25))
     rng = random.Random(r.seed)
     elems = [x for x in range(n) if rng.random() < delta]
-    if not elems:
-        elems = [0]  # keep generated sets nonempty
-    return GSet(groups.cyclic(n), elems)
+    return GSet(groups.cyclic(n), elems or [0])   # generated sets are nonempty
 
 
 def _gen_subgroup(r: SetRecipe) -> GSet:

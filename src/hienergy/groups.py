@@ -60,6 +60,8 @@ def make_group(kind: str, moduli: Iterable[int] = (), dim: int = 0) -> GroupSpec
             raise GroupError("cyclic product needs at least one modulus")
         if any(n < 2 for n in mods):
             raise GroupError(f"moduli must all be >= 2, got {mods}")
+        if math.prod(mods) >= 1 << 62:   # so each row-major rank (gset.row_keys) fits int64
+            raise GroupError(f"cyclic product order must be below 2^62, got {mods}")
         return GroupSpec(CYCLIC, mods, len(mods))
     if kind == LATTICE:
         if dim < 1:
@@ -105,19 +107,6 @@ def format_group(g: GroupSpec) -> str:
     return "x".join(f"Z/{n}" for n in g.moduli)
 
 
-def as_elem(g: GroupSpec, x) -> Elem:
-    """Normalize ``x`` (int or coordinate sequence) to a reduced element."""
-    if isinstance(x, int):
-        coords = (x,)
-    else:
-        coords = tuple(int(c) for c in x)
-    if len(coords) != g.dim:
-        raise GroupError(f"element {x!r} has {len(coords)} coordinates, group {g} needs {g.dim}")
-    if g.kind == CYCLIC:
-        return tuple(c % n for c, n in zip(coords, g.moduli))
-    return coords
-
-
 def op_add(g: GroupSpec, x: Elem, y: Elem) -> Elem:
     if len(x) != g.dim or len(y) != g.dim:
         raise GroupError("dimension mismatch in op_add")
@@ -135,8 +124,11 @@ def format_elem(x: Elem) -> str:
 
 
 def parse_elem(g: GroupSpec, text: str) -> Elem:
+    """Comma-separated coordinates as an element, reduced in a cyclic product."""
     try:
         coords = tuple(int(c) for c in text.strip().split(","))
     except ValueError:
         raise GroupError(f"bad element literal {text!r}") from None
-    return as_elem(g, coords)
+    if len(coords) != g.dim:
+        raise GroupError(f"element {coords!r} has {len(coords)} coordinates, group {g} needs {g.dim}")
+    return tuple(c % n for c, n in zip(coords, g.moduli)) if g.is_cyclic else coords

@@ -5,11 +5,20 @@ element, rows reduced mod the moduli in a cyclic product, unique and sorted
 lexicographically (the order of the sorted coordinate tuples).  Lattice
 coordinates must satisfy |c| < 2^62, so a sum or difference of two rows
 cannot wrap.  Everything in the package computes on ``coords``; element
-tuples appear only where input is parsed and output is formatted.  The two
-views, ``elems`` (tuples of Python ints, for tests and callers outside the
-package) and ``indicator()``, are derived on first use and cached, and
-``flat_indices()`` reads the indicator.  Membership (``x in a``,
-``isin``) is a binary search of the sorted rows.
+tuples appear only where input is parsed and output is formatted.
+
+``row_keys`` gives each row one key, and every sort, dedup, search and rank
+of element rows reads it: in a cyclic product the row-major rank, one int64
+below the order (``make_group`` refuses orders of 2^62 and more), which
+orders rows as the lexicographic sort does; in Z the coordinate; in Z^d,
+d >= 2, a structured view.  A set is one sort of its keys and a neighbour
+mask, its rows read back from the keys (Z^d alone runs ``np.lexsort``, several
+times faster there than a sort of the structured key).  The sorted keys are
+kept, read-only, as ``keys`` (in one dimension a view of ``coords``):
+``flat_indices()`` returns them, ``indicator()`` is filled from them, and
+membership (``x in a``, ``isin``) is a binary search of them.  ``elems``
+(tuples, for tests and callers outside the package) and ``indicator()`` are
+derived on first use and cached.
 
 Objects computed from a set, and from partner sets compared by value, are
 kept on it in one dict through ``GSet.kept(key, build)``, which runs
@@ -61,9 +70,10 @@ class SetFileError(ValueError):
 
 def as_rows(group: GroupSpec, elems) -> np.ndarray:
     """Elements (ints, coordinate sequences or an int64 matrix) as a
-    len x dim int64 matrix in input order, reduced in a cyclic product."""
+    len x dim int64 matrix in input order, reduced in a cyclic product.  An
+    int64 matrix that needs no reduction is returned itself, not a copy."""
     try:
-        rows = np.array(elems if isinstance(elems, np.ndarray) else list(elems), dtype=np.int64)
+        rows = np.asarray(elems if isinstance(elems, np.ndarray) else list(elems), dtype=np.int64)
     except (OverflowError, TypeError, ValueError):
         raise groups.GroupError(f"elements of {group} must be integer coordinates "
                                 "within int64") from None
@@ -71,7 +81,9 @@ def as_rows(group: GroupSpec, elems) -> np.ndarray:
         rows = rows.reshape(-1, group.dim)
     if rows.ndim != 2 or rows.shape[1] != group.dim:
         raise groups.GroupError(f"elements of {group} need {group.dim} coordinates")
-    return rows % np.array(group.moduli, dtype=np.int64) if group.is_cyclic else rows
+    if group.is_cyclic and (rows.min(initial=0) < 0 or rows.max(initial=0) >= min(group.moduli)):
+        rows = rows % np.array(group.moduli, dtype=np.int64)
+    return rows
 
 
 def bounded_rows(group: GroupSpec, elems) -> np.ndarray:
@@ -84,13 +96,36 @@ def bounded_rows(group: GroupSpec, elems) -> np.ndarray:
     return rows
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One scalar per row that compares as the row does lexicographically:
-    the coordinate itself in one dimension, else a structured view."""
+def row_keys(group: GroupSpec, rows: np.ndarray) -> np.ndarray:
+    """One key per row of a reduced len x dim matrix, ordered as the rows are
+    lexicographically (see the module docstring); on one column, a view."""
     if rows.shape[1] == 1:
         return rows[:, 0]
+    if group.is_cyclic:
+        keys = rows[:, 0] * group.moduli[1]
+        for n, col in zip(group.moduli[2:], rows.T[1:]):
+            keys += col
+            keys *= n
+        keys += rows[:, -1]
+        return keys
     rows = np.ascontiguousarray(rows)
     return rows.view([(f"c{i}", np.int64) for i in range(rows.shape[1])])[:, 0]
+
+
+def _firsts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first of each run of equal keys (or rows) in sorted order."""
+    fresh = np.ones(len(ordered), dtype=bool)
+    differs = ordered[1:] != ordered[:-1]
+    fresh[1:] = differs if ordered.ndim == 1 else differs.any(axis=1)
+    return fresh
+
+
+def _unrank(keys: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
+    """The rows of a product of two or more moduli with these row-major ranks."""
+    rows = np.empty((len(keys), len(moduli)), dtype=np.int64)
+    for j in range(len(moduli) - 1, 0, -1):
+        keys = np.divmod(keys, moduli[j], out=(rows[:, j - 1], rows[:, j]))[0]
+    return rows
 
 
 class GSet:
@@ -98,13 +133,19 @@ class GSet:
 
     def __init__(self, group: GroupSpec, elems: Iterable = ()):  # elems: ints, tuples or rows
         rows = bounded_rows(group, elems)
-        rows = np.sort(rows, axis=0) if group.dim == 1 else rows[np.lexsort(rows.T[::-1])]
-        fresh = np.ones(len(rows), dtype=bool)
-        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        self.group = group
-        self.coords = rows[fresh]
-        self.coords.flags.writeable = False
-        self._kept: dict = {}   # see the module docstring
+        if group.is_cyclic or group.dim == 1:
+            keys = np.sort(row_keys(group, rows))
+            keys = keys[_firsts(keys)]
+            self._store(group, keys[:, None] if group.dim == 1 else _unrank(keys, group.moduli), keys)
+        else:   # Z^d: lexsort, several times faster than a sort of the structured key
+            rows = rows[np.lexsort(rows.T[::-1])]
+            self._store(group, rows[_firsts(rows)])
+
+    def _store(self, group: GroupSpec, coords: np.ndarray, keys: np.ndarray | None = None) -> None:
+        """Take sorted distinct rows, with their keys where known, as the set."""
+        self.group, self.coords, self._kept = group, coords, {}   # _kept: see the module docstring
+        self.keys = row_keys(group, coords) if keys is None else keys
+        coords.flags.writeable = self.keys.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -134,25 +175,24 @@ class GSet:
 
     @cached_property
     def _dense(self) -> np.ndarray:
-        g = self.group
-        if not g.is_cyclic:
-            raise groups.GroupError("dense indicator needs a cyclic product")
-        arr = np.zeros(g.moduli, dtype=np.int64)
-        arr[tuple(self.coords.T)] = 1
+        arr = np.zeros(self.group.order, dtype=np.int64)
+        arr[self.flat_indices()] = 1
         arr.flags.writeable = False
-        return arr
+        return arr.reshape(self.group.moduli)
 
     def indicator(self) -> np.ndarray:
         """Dense 0/1 array shaped by the moduli (cyclic products only)."""
         return self._dense
 
     def flat_indices(self) -> np.ndarray:
-        """Element ranks for a cyclic product, sorted ascending."""
-        return np.flatnonzero(self.indicator())
+        """Row-major element ranks in a cyclic product, ascending: the keys."""
+        if not self.group.is_cyclic:
+            raise groups.GroupError("flat indices and the dense indicator need a cyclic product")
+        return self.keys
 
     def isin(self, rows: np.ndarray) -> np.ndarray:
         """Mask of the rows of a reduced len x dim matrix that are elements."""
-        keys, want = _row_keys(self.coords), _row_keys(rows)
+        keys, want = self.keys, row_keys(self.group, rows)
         at = np.searchsorted(keys, want)
         found = np.zeros(len(want), dtype=bool)
         inside = at < len(keys)
@@ -167,10 +207,7 @@ class GSet:
         if mask.dtype != bool or mask.shape != (len(self),):
             raise ValueError(f"subset needs a boolean mask of length {len(self)}")
         out = GSet.__new__(GSet)
-        out.group = self.group
-        out.coords = self.coords[mask]
-        out.coords.flags.writeable = False
-        out._kept = {}
+        out._store(self.group, self.coords[mask])
         return out
 
     def partner(self, b: "GSet"):
@@ -215,10 +252,6 @@ def full_group(g: GroupSpec) -> GSet:
     if not g.is_cyclic:
         raise groups.GroupError("the lattice is not a finite set")
     return GSet(g, np.argwhere(np.ones(g.moduli, dtype=bool)))
-
-
-def gset(group: GroupSpec, elems: Iterable) -> GSet:
-    return GSet(group, elems)
 
 
 def zset(elems: Iterable[int]) -> GSet:

@@ -572,16 +572,21 @@ def t_k(a: GSet, k: int) -> int:
     chain = _chain(a).extend(k)
     result = chain.t[k - 1]
     if a.group.is_cyclic and k not in chain.checked:
-        # N T_k = sum |A^(xi)|^(2k) and A^(0) = |A|: the nonzero frequencies
-        # must give N T_k - |A|^(2k), 0 only for the empty set and the group
-        spec = np.abs(chain.spectrum()) ** (2 * k)
+        # N T_k = sum |A^(xi)|^(2k) and A^(0) = |A|: the nonzero frequencies must give
+        # N T_k - |A|^(2k), 0 only for the empty set and the group.  |A^(xi)| <= |A|, so only
+        # where |A|^(2k) may overflow are both sides divided by s^(2k), s = max(1, max |A^(xi)|)
+        spec = np.abs(chain.spectrum())
         spec.flat[0] = 0
+        scale = max(1.0, float(spec.max())) if len(a) ** (2 * k) * spec.size >> 1000 else 1.0
+        spec = (spec / scale if scale > 1 else spec) ** (2 * k)
         moduli = a.group.moduli
         # a bin whose conjugate the half-spectrum omits counts twice: rows
         # 1..n1/2 - 1 of a four-step, else last-axis bins but the first and Nyquist
         twice = spec[1:len(spec) - 1] if _four_step(moduli) else spec[..., 1:(moduli[-1] + 1) // 2]
         twice *= 2
-        fourier, exact = float(spec.sum()), a.group.order * result - len(a) ** (2 * k)
+        num, den = scale.as_integer_ratio()
+        fourier = float(spec.sum())
+        exact = (a.group.order * result - len(a) ** (2 * k)) * den ** (2 * k) / num ** (2 * k)
         if not math.isclose(fourier, exact, rel_tol=1e-6, abs_tol=1e-6):
             raise InvariantError(f"T_k Fourier cross-check failed off the zero frequency: {fourier} vs {exact}")
         chain.checked.add(k)

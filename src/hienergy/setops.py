@@ -27,7 +27,7 @@ import numpy as np
 
 from . import groups
 from .groups import Elem, GroupSpec, InvariantError
-from .gset import GSet, _require_same_group, _row_keys, as_rows, bounded_rows, full_group
+from .gset import GSet, _firsts, _require_same_group, as_rows, bounded_rows, full_group, row_keys
 
 MINUS = "-"
 PLUS = "+"
@@ -114,7 +114,7 @@ def family_sumset_sizes(a: GSet, left: np.ndarray, right: np.ndarray,
     at most 2^22 keys."""
     n, d = len(a), a.group.dim
     pairs = a.coords[:, None] - a.coords[None] if sign == MINUS else a.coords[:, None] + a.coords[None]
-    values, ids = np.unique(_row_keys(as_rows(a.group, pairs.reshape(-1, d))), return_inverse=True)
+    values, ids = np.unique(row_keys(a.group, as_rows(a.group, pairs.reshape(-1, d))), return_inverse=True)
     ids, width = ids.reshape(n, n).astype(np.int64), len(right) * len(values)
     r_rows, r_cols = np.nonzero(right)
     sizes = np.zeros((len(left), len(right)), dtype=np.int64)
@@ -291,9 +291,7 @@ def delta_sumset(sets: Sequence[GSet], b: GSet, sign: str = MINUS,
     grid, offsets, radices = _translate_grid(sets, b, sign, caps)
     vals = grid.ravel()
     vals.sort()
-    first = np.ones(len(vals), dtype=bool)
-    first[1:] = vals[1:] != vals[:-1]
-    return TupleSet(b.group, len(sets), vals[first], offsets, radices)
+    return TupleSet(b.group, len(sets), vals[_firsts(vals)], offsets, radices)
 
 
 def d_k(a: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> int:
@@ -307,6 +305,8 @@ def s_k(a: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> int:
 
 
 def _delta_count(a: GSet, k: int, sign: str, caps: Caps) -> int:
+    if k < 1:
+        raise ValueError("D_k and S_k need k >= 1")
     _check_work([a] * k, a, caps)
     return a.kept(("D" if sign == MINUS else "S", k),
                   lambda: len(delta_sumset([a] * k, a, sign, caps)))
@@ -374,11 +374,6 @@ def _magnification_search(grid: np.ndarray) -> tuple[Fraction, tuple[int, ...]]:
 
 def magnification(a: GSet, b: GSet, caps: Caps = DEFAULT_CAPS) -> tuple[Fraction, GSet]:
     """R_B[A] = min over nonempty Z <= A of |B + Z| / |Z|, with a witness Z."""
-    _require_same_group(a, b)
-    if not a:
-        raise ValueError("magnification needs a nonempty A")
-    if not b:
-        raise ValueError("magnification needs a nonempty B")
     return magnification_k(a, b, 1, caps)
 
 

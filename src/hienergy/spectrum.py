@@ -9,7 +9,7 @@ import numpy as np
 
 from . import groups, moments
 from .groups import GroupSpec, InvariantError
-from .gset import GSet, _row_keys, as_rows
+from .gset import GSet, _firsts, as_rows, row_keys
 from .setops import CapExceededError
 
 PARSEVAL_RTOL = 1e-9
@@ -78,10 +78,10 @@ def _signed_sums(g: GroupSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
         sums, counts = np.concatenate([sums, sums + lam, sums - lam]), np.tile(counts, 3)
         if g.is_cyclic:
             sums %= np.array(g.moduli, dtype=np.int64)
-        keys = _row_keys(sums)
+        keys = row_keys(g, sums)
         order = np.argsort(keys, kind="stable")
         keys, sums, counts = keys[order], sums[order], counts[order]
-        starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        starts = np.flatnonzero(_firsts(keys))
         sums, counts = sums[starts], np.add.reduceat(counts, starts)
     return sums, counts
 
@@ -98,8 +98,8 @@ def _dissociated(g: GroupSpec, rows: np.ndarray) -> bool:
         raise CapExceededError("signed sums of these coordinates could leave int64")
     left, left_counts = _signed_sums(g, rows[:half])
     right, right_counts = _signed_sums(g, rows[half:])
-    want = _row_keys(as_rows(g, -left))
-    keys = _row_keys(right)
+    want = row_keys(g, as_rows(g, -left))
+    keys = row_keys(g, right)
     at = np.searchsorted(keys, want).clip(max=len(keys) - 1)
     hit = keys[at] == want
     return int((left_counts[hit] * right_counts[at[hit]]).sum()) == 1

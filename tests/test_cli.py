@@ -57,6 +57,39 @@ def test_gen_compute_round_trip_matches_in_process(tmp_path, capsys):
     assert int(out.strip().rsplit(" ", 1)[1]) == moments.t_k(a_mem, 2)
 
 
+K_RECIPE = "random:N=32,delta=0.3,seed=1"
+
+
+@pytest.mark.parametrize("quantity", ["Tk", "sigmak", "Dk", "Sk", "magk", "multE"])
+def test_compute_refuses_a_non_integer_k(capsys, quantity):
+    code, out, err = run_cli(capsys, "compute", quantity, "--k", "2.5", "--recipe", K_RECIPE)
+    assert code == cli.USAGE_EXIT and out == "" and "integer --k" in err
+
+
+@pytest.mark.parametrize("quantity", ["Ek", "Tk", "sigmak", "Dk", "Sk", "magk", "multE"])
+def test_compute_passes_k_zero_to_the_library(tmp_path, capsys, quantity):
+    path = tmp_path / "a.txt"
+    write_set(zset([1, 2, 3, 5, 8]), path)   # no 0: multE's quotient set exists
+    code, out, err = run_cli(capsys, "compute", quantity, "--k", "0", "--set", str(path))
+    assert code == cli.USAGE_EXIT and out == "" and err.startswith("error: ") and ">= " in err
+
+
+def test_compute_k_defaults_only_when_absent(capsys):
+    a = genset.gen(genset.parse_recipe(K_RECIPE))
+    for quantity, line in (("Tk", f"T_2(A) = {moments.t_k(a, 2)}"),
+                           ("sigmak", f"sigma_2(A) = {moments.sigma_k(a, 2)}"),
+                           ("Dk", f"D_2(A) = {setops.d_k(a, 2)}")):
+        assert run_cli(capsys, "compute", quantity, "--recipe", K_RECIPE) == (0, line + "\n", "")
+    code, out, _ = run_cli(capsys, "compute", "magk", "--recipe", K_RECIPE)
+    assert code == 0 and out.startswith(f"R^(1)_B[A] = {setops.magnification_k(a, a, 1)[0]} ")
+    code, out, _ = run_cli(capsys, "compute", "Tk", "--k", "3.0", "--recipe", K_RECIPE)
+    assert (code, out) == (0, f"T_3(A) = {moments.t_k(a, 3)}\n")
+    code, out, _ = run_cli(capsys, "compute", "Ek", "--k", "2.5", "--recipe", K_RECIPE)
+    assert code == 0 and out.startswith("E_2.5(A) = ")
+    code, out, _ = run_cli(capsys, "compute", "spectrum", "--k", "2.5", "--recipe", K_RECIPE)
+    assert code == 0 and out.startswith("xi,re,im,abs")   # a quantity without k ignores it
+
+
 def test_verify_exit_codes(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--checks", "C1,C4",
                            "--recipe", "random:N=64,delta=0.25,seed=1")

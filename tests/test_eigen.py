@@ -180,6 +180,21 @@ def test_operator_matrix_symmetric_for_symmetric_real_phi():
     assert np.abs(mat - mat.T.conj()).max() < 1e-9
 
 
+def test_restricted_matrix_is_the_operator_on_e_in_every_product():
+    # entry (i, j) is the kernel at x_i - x_j: on Z/4xZ/6 a difference of
+    # row-major ranks mod 24 is not the rank of the difference
+    rng = np.random.default_rng(3)
+    for g in (cyclic(12), cyclic(4, 6), cyclic(2, 3, 4)):
+        n = g.order
+        phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        e_set = GSet(g, np.argwhere(rng.random(g.moduli) < 0.4))
+        idx = e_set.flat_indices()
+        f = np.zeros(n, dtype=np.complex128)
+        f[idx] = rng.standard_normal(len(idx))
+        mat = eigen.restricted_matrix(g, phi, e_set)
+        assert np.abs(mat @ f[idx] - eigen.operator_apply(g, phi, np.ones(n), f)[idx]).max() < 1e-9
+
+
 def test_subgroup_eigencheck_13():
     gamma = genset.mult_subgroup(13, 3)
     rep = subgroup_eigencheck(gamma)

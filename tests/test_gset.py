@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hienergy import groups
-from hienergy.gset import GSet, SetFileError, dumps_set, loads_set, zset
+from hienergy.gset import GSet, SetFileError, dumps_set, loads_set, row_keys, zset
 from hienergy.groups import cyclic, lattice
 
 
@@ -119,3 +123,100 @@ def test_subset_selects_rows_without_a_rebuild():
                 a.subset(bad)
     empty = GSet(cyclic(8), [])
     assert len(empty.subset(np.zeros(0, dtype=bool))) == 0
+
+
+# --- the one element key --------------------------------------------------
+
+KEY_GROUPS = st.one_of(st.sampled_from([cyclic(4, 8), cyclic(3, 5, 7), cyclic(512, 512),
+                                        lattice(1), lattice(2)]),
+                       st.integers(2, 1 << 40).map(cyclic))
+BIG = (1 << 62) - 1
+
+
+@st.composite
+def group_and_rows(draw):
+    """A group and up to 40 rows of it, reduced in a cyclic product; lattice
+    coordinates mix small values (ties in the leading column) with ones up to 2^62."""
+    g = draw(KEY_GROUPS)
+    if g.is_cyclic:
+        cols = [st.integers(0, n - 1) for n in g.moduli]
+    else:
+        cols = [st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))] * g.dim
+    rows = draw(st.lists(st.tuples(*cols), max_size=40))
+    return g, rows + draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else rows
+
+
+def as_matrix(g, rows):
+    return np.array(rows, dtype=np.int64).reshape(-1, g.dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_and_rows())
+def test_key_order_is_lexicographic_order(case):
+    g, rows = case
+    mat = as_matrix(g, rows)
+    keys = row_keys(g, mat)
+    assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(mat.T[::-1]))
+    same = (mat[:, None] == mat[None]).all(axis=2)
+    assert np.array_equal(keys[:, None] == keys[None], same)
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_and_rows(), st.lists(st.integers(-(1 << 41), 1 << 41), min_size=0, max_size=3))
+def test_gset_rows_and_membership_match_python_sets(case, shift):
+    g, rows = case
+    mods = g.moduli if g.is_cyclic else None
+    a = GSet(g, rows)
+    assert a.elems == tuple(sorted(set(rows)))
+    assert not a.keys.flags.writeable and np.array_equal(a.keys, row_keys(g, a.coords))
+    if g.dim == 1 and len(a):
+        assert np.shares_memory(a.keys, a.coords)   # a view: no second copy
+    # probes: the rows themselves and shifted rows, reduced in a cyclic product
+    delta = tuple((shift + [0] * g.dim)[:g.dim])
+    if not g.is_cyclic:
+        delta = tuple(c % 7 for c in delta)   # stay inside (-2^62, 2^62)
+    else:   # the same elements given off their residues build the same set
+        for wrap in ([d % 5 - 2 for d in delta], [1] + [0] * (g.dim - 1)):
+            assert GSet(g, [tuple(c + n * w for c, n, w in zip(r, mods, wrap)) for r in rows]) == a
+    probes = rows + [oracles.add(mods, r, delta) if mods else tuple(x - d for x, d in zip(r, delta))
+                     for r in rows]
+    probes = [p for p in probes if all(abs(c) <= BIG for c in p)]
+    assert a.isin(as_matrix(g, probes)).tolist() == [p in set(rows) for p in probes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_and_rows())
+def test_flat_indices_are_row_major_ranks_without_the_indicator(case):
+    g, rows = case
+    if not g.is_cyclic:
+        with pytest.raises(groups.GroupError):
+            GSet(g, rows).flat_indices()
+        return
+    a = GSet(g, rows)
+    strides = [math.prod(g.moduli[j + 1:]) for j in range(g.dim)]
+    ranks = sorted({sum(c * s for c, s in zip(r, strides)) for r in rows})
+    assert a.flat_indices().tolist() == ranks
+    assert "_dense" not in vars(a)   # the ranks are the kept keys, not the indicator's
+    if g.order <= 1 << 20:
+        assert np.flatnonzero(a.indicator()).tolist() == ranks
+
+
+def test_keys_follow_subset_translate_and_union():
+    g = cyclic(4, 8)
+    a = GSet(g, [(3, 1), (0, 7), (1, 0), (0, 2), (3, 1)])
+    assert a.keys.tolist() == [2, 7, 8, 25]
+    assert a.subset(np.array([True, False, True, True])).keys.tolist() == [2, 8, 25]
+    assert a.translate((1, 1)).keys.tolist() == [2, 8, 11, 17]
+    assert a.union(a.negate()).elems == tuple(sorted(
+        {tuple(r) for r in a.coords.tolist()} | {((-x) % 4, (-y) % 8) for x, y in a.coords.tolist()}))
+
+
+def test_order_bound_on_cyclic_products():
+    with pytest.raises(groups.GroupError, match="2\\^62"):
+        cyclic(1 << 31, 1 << 31)
+    with pytest.raises(groups.GroupError):
+        groups.parse_group(f"Z/{1 << 62}")
+    g = cyclic(1 << 61)
+    a = GSet(g, [(1 << 61) - 1, -1, 5])
+    assert a.flat_indices().tolist() == [5, (1 << 61) - 1]
+    assert cyclic((1 << 31) - 1, 1 << 31).order < 1 << 62

@@ -1,5 +1,6 @@
 """The package computes on coordinate rows only: element tuples are parsed
-and formatted in `gset` and `groups`, never computed on elsewhere."""
+and formatted in `gset` and `groups`, never computed on elsewhere.  Element
+rows are sorted, deduplicated, searched and ranked by `gset.row_keys` alone."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,44 @@ def test_guard_sees_each_form(tmp_path):
     bad.write_text("from .groups import op_add\nx = a.elems\ny = b.as_set\nz = groups.op_sub\n")
     assert tuple_layer_uses(bad) == ["bad.py:1 import op_add", "bad.py:2 .elems",
                                      "bad.py:3 .as_set", "bad.py:4 groups.op_sub"]
+
+
+def row_keying_uses(path: Path) -> list[str]:
+    """Every `np.lexsort`, `.view(...)` to a structured dtype (a list or
+    `np.dtype` argument) and `np.unique(..., axis=...)` in a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            continue
+        name = node.func.attr
+        if name == "lexsort":
+            found.append(f"{path.name}:{node.lineno} lexsort")
+        elif name == "view" and any(
+                isinstance(arg, (ast.List, ast.ListComp, ast.Tuple))
+                or (isinstance(arg, ast.Call) and getattr(arg.func, "attr", None) == "dtype")
+                for arg in node.args):
+            found.append(f"{path.name}:{node.lineno} structured view")
+        elif name == "unique" and any(kw.arg == "axis" for kw in node.keywords):
+            found.append(f"{path.name}:{node.lineno} unique rows")
+    return found
+
+
+def test_row_keys_only_in_gset():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "gset.py")
+    assert len(modules) >= 9
+    assert [use for p in modules for use in row_keying_uses(p)] == []
+    assert row_keying_uses(SRC / "gset.py") != []   # the guard reads the module that keys
+
+
+def test_row_key_guard_sees_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("p = np.lexsort(rows.T)\n"
+                   "k = rows.view([('a', np.int64), ('b', np.int64)])\n"
+                   "k = rows.view(np.dtype([('a', np.int64)]))\n"
+                   "k = rows.view([(f'c{i}', np.int64) for i in range(2)])\n"
+                   "u = np.unique(rows, axis=0)\n"
+                   "ok = acc.view(np.uint64)\n"
+                   "ok = np.unique(keys, return_counts=True)\n")
+    assert row_keying_uses(bad) == ["bad.py:1 lexsort", "bad.py:2 structured view",
+                                    "bad.py:3 structured view", "bad.py:4 structured view",
+                                    "bad.py:5 unique rows"]

@@ -651,6 +651,27 @@ def test_off_zero_corruption_trips_every_t_k(n, size):
             t_k(a, k)
 
 
+def test_t_k_past_the_float_range():
+    # T_110 of the 32 even residues of Z/64 is 32^219 > 1e329: the cross-check
+    # compares scaled sums, so neither side overflows a float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert t_k(GSet(cyclic(64), range(0, 64, 2)), 110) == 32 ** 219
+        a = GSet(cyclic(64), random.Random(5).sample(range(64), 20))
+        level = [int(x in a) for x in range(64)]
+        for _ in range(119):   # the 120-fold convolution power, in Python ints
+            level = [sum(level[(x - y) % 64] for y in a.coords[:, 0].tolist()) for x in range(64)]
+        assert t_k(a, 120) == sum(v * v for v in level)
+    sigma_k(a, 131)   # builds levels 1..130
+    spec = a._kept["chain"].spectrum()
+    zero = spec.flat[0]
+    spec *= 1.01
+    spec.flat[0] = zero
+    for k in (121, 130):
+        with pytest.raises(groups.InvariantError, match="cross-check"):
+            t_k(a, k)
+
+
 def test_fft_limb_products_exact():
     rng = random.Random(73)
     g = cyclic(4096)

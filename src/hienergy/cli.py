@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from fractions import Fraction
 
 from . import checks, extract, genset, groups, moments, setops, spectrum
 from .gset import GSet, SetFileError, dumps_set, loads_set, read_set, write_set

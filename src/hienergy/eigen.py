@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import groups, moments
-from .genset import is_prime
+from .genset import multiplicative_order_elements, primitive_root
 from .groups import GroupSpec, InvariantError
 from .gset import GSet, as_rows, row_keys
 from .setops import CapExceededError, Caps, DEFAULT_CAPS
@@ -200,24 +200,6 @@ def bilinear_residual(g: GroupSpec, phi, e_set: GSet, u, v) -> float:
 # multiplicative subgroups
 
 
-def multiplicative_order_elements(gamma: GSet) -> tuple[int, int]:
-    """Validate that gamma is a multiplicative subgroup of Z/p^*; return (p, t)."""
-    g = gamma.group
-    if not (g.is_cyclic and len(g.moduli) == 1):
-        raise ValueError("multiplicative subgroups live in a single Z/p")
-    p = g.moduli[0]
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    vals = gamma.coords[:, 0]
-    if 0 in vals or 1 not in vals:
-        raise ValueError("subgroup must contain 1 and avoid 0")
-    if p >= 1 << 31:   # keeps every product of two residues inside int64
-        raise ValueError(f"multiplicative subgroups need p < 2^31, got {p}")
-    if not np.isin(np.multiply.outer(vals, vals) % p, vals).all():
-        raise ValueError("set is not multiplicatively closed")
-    return p, len(vals)
-
-
 @dataclass
 class SubgroupEigenReport:
     p: int
@@ -239,8 +221,6 @@ class SubgroupEigenReport:
 
 def subgroup_characters(gamma: GSet) -> np.ndarray:
     """t x N matrix of multiplicative characters chi_alpha supported on Gamma."""
-    from .genset import primitive_root  # late import: genset depends on gset only
-
     p, t = multiplicative_order_elements(gamma)
     g = gamma.group
     root = primitive_root(p)

@@ -16,6 +16,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import groups
 from .groups import GroupSpec, InvariantError
 from .gset import GSet
@@ -135,28 +137,45 @@ def quadratic_residues(p: int) -> GSet:
     return GSet(groups.cyclic(p), [pow(x, 2, p) for x in range(1, p)])
 
 
-def subgroup_cosets(gamma: GSet) -> list[GSet]:
-    """All cosets of a multiplicative subgroup, ordered by smallest member."""
-    p = gamma.group.moduli[0]
-    seen: set[int] = set()
-    cosets = []
-    members = gamma.coords[:, 0].tolist()
-    for x in range(1, p):
-        if x in seen:
-            continue
-        coset = sorted((x * m) % p for m in members)
-        seen.update(coset)
-        cosets.append(GSet(gamma.group, coset))
-    return cosets
+def multiplicative_order_elements(gamma: GSet) -> tuple[int, int]:
+    """Validate that gamma is a multiplicative subgroup of Z/p^*; return (p, t)."""
+    g = gamma.group
+    if not (g.is_cyclic and len(g.moduli) == 1):
+        raise ValueError("multiplicative subgroups live in a single Z/p")
+    p = g.moduli[0]
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    vals = gamma.coords[:, 0]
+    if 0 in vals or 1 not in vals:
+        raise ValueError("subgroup must contain 1 and avoid 0")
+    if p >= 1 << 31:   # keeps every product of two residues inside int64
+        raise ValueError(f"multiplicative subgroups need p < 2^31, got {p}")
+    if not np.isin(np.multiply.outer(vals, vals) % p, vals).all():
+        raise ValueError("set is not multiplicatively closed")
+    return p, len(vals)
+
+
+def subgroup_cosets(gamma: GSet) -> np.ndarray:
+    """The cosets g^j Gamma, j < (p - 1)/t, of the order-t subgroup Gamma of Z/p^*
+    (g a primitive root) as the rows of one read-only int64 matrix, each row
+    sorted, rows ordered by their smallest member; kept on Gamma."""
+    return gamma.kept("cosets", lambda: _cosets(gamma))
+
+
+def _cosets(gamma: GSet) -> np.ndarray:
+    p, t = multiplicative_order_elements(gamma)
+    root = primitive_root(p)
+    steps = np.array([pow(root, j, p) for j in range((p - 1) // t)], dtype=np.int64)
+    rows = np.sort(np.multiply.outer(steps, gamma.coords[:, 0]) % p, axis=1)
+    rows = rows[np.argsort(rows[:, 0])]
+    rows.flags.writeable = False
+    return rows
 
 
 def invariant_union(gamma: GSet, coset_index: tuple[int, ...]) -> GSet:
     """Union of chosen cosets: a Gamma-invariant subset of Z/p^*."""
-    cosets = subgroup_cosets(gamma)
-    out = GSet(gamma.group, [])
-    for i in coset_index:
-        out = out.union(cosets[i % len(cosets)])
-    return out
+    rows = subgroup_cosets(gamma)
+    return GSet(gamma.group, rows[np.asarray(coset_index, dtype=np.int64) % len(rows)].ravel())
 
 
 # ---------------------------------------------------------------------------

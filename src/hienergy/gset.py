@@ -28,6 +28,8 @@ the set; ``subset`` and every constructor start an empty one.  Its keys:
 - ``"AoA"``: the table A o A (``moments.correlate(a, a)``), read-only;
 - ``"chain"``: the convolution powers behind ``moments.t_k``/``sigma_k``;
 - ``"A+A"``, ``"A-A"``: ``setops.sumset(a, a)``, ``setops.diffset(a, a)``;
+- ``"AA"``: the product set ``moments.prodset(a, a)`` of a set of Z;
+- ``"cosets"``: a subgroup's cosets, one read-only matrix (``genset.subgroup_cosets``);
 - ``("D", k)``, ``("S", k)``: the counts D_k(A), S_k(A), never the tuples;
 - ``("R", b, k)``: R^(k)_B[A] and its witness (``setops.magnification_k``);
 - ``("F", depth)``: ``checks.slice_corr_sums``, a read-only mapping;
@@ -81,7 +83,9 @@ def as_rows(group: GroupSpec, elems) -> np.ndarray:
         rows = rows.reshape(-1, group.dim)
     if rows.ndim != 2 or rows.shape[1] != group.dim:
         raise groups.GroupError(f"elements of {group} need {group.dim} coordinates")
-    if group.is_cyclic and (rows.min(initial=0) < 0 or rows.max(initial=0) >= min(group.moduli)):
+    if group.is_cyclic and (rows.min(initial=0) < 0 or (
+            rows.max(initial=0) >= min(group.moduli)   # then each column against its own
+            and (group.dim == 1 or (rows.max(axis=0) >= group.moduli).any()))):
         rows = rows % np.array(group.moduli, dtype=np.int64)
     return rows
 

@@ -40,20 +40,20 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import groups
 from .groups import Elem, GroupSpec, InvariantError
-from .gset import GSet
+from .gset import GSet, zset
 
 _DIRECT_MIN = 1 << 14         # support pairs the direct path always serves ...
 _DIRECT_MAX = 1 << 22         # ... and never exceeds
 _WIDE = 1 << 62               # entry bound from which tables hold Python ints
 _FOUR_STEP_MIN = 1 << 15      # one-dimensional power-of-two transforms from here run as a four-step
 _TWIDDLE_ERR = 16 * 2.0 ** -53   # bound on |table entry - w^e| of the four-step's twiddles
+_INT_BOUND = 1 << 30          # |x| bound on the elements of multiplicative operands
 
 
 class ConvTable:
@@ -617,36 +617,47 @@ def level_sequence(a: GSet) -> list[int]:
 # multiplicative energies of integer sets
 
 
-def _as_int_set(a) -> list[int]:
-    if isinstance(a, GSet):
-        if a.group.dim != 1:
-            raise ValueError("multiplicative energies need 1-dimensional integer sets")
-        return a.coords[:, 0].tolist()
-    return sorted(set(int(x) for x in a))
+def _int_set(a) -> GSet:
+    """a as a set of Z (a Z/N set read as its residues), every |x| < 2^30: so
+    AA, AA + A and A(A + A) lie inside GSet's 2^62 lattice bound and a packed
+    quotient fits in int64 (an operand such as A + A obeys the same bound)."""
+    if not isinstance(a, GSet):
+        a = zset(list(a))
+    elif a.group.dim != 1:
+        raise ValueError("multiplicative energies need 1-dimensional integer sets")
+    z = zset(a.coords[:, 0]) if a.group.is_cyclic else a
+    if len(z) and max(-z.coords[0, 0], z.coords[-1, 0]) >= _INT_BOUND:
+        raise ValueError("multiplicative operands need every |x| < 2^30")
+    return z
 
 
-def quotient_counts(a) -> dict[Fraction, int]:
-    xs = _as_int_set(a)
-    if 0 in xs:
+def prodset(a, b) -> GSet:
+    """AB = {xy : x in A, y in B}, a set of Z; AA is kept on A."""
+    a, b = _int_set(a), _int_set(b)
+    build = lambda: zset(np.multiply.outer(a.coords[:, 0], b.coords[:, 0]).ravel())
+    return a.kept("AA", build) if a is b else build()
+
+
+def quotient_counts(a) -> np.ndarray:
+    """r_{A/A}(q) for every quotient q = x/y of A: reduced by its gcd, sign on
+    the numerator, packed as num 2^30 + den (0 < den < 2^30), counted by one sort."""
+    xs = _int_set(a).coords[:, 0]
+    if (xs == 0).any():
         raise ValueError("quotient set needs 0 not in A")
-    counts: dict[Fraction, int] = {}
-    for x in xs:
-        for y in xs:
-            q = Fraction(x, y)
-            counts[q] = counts.get(q, 0) + 1
-    return counts
+    g = np.gcd.outer(xs, xs)
+    keys = xs[:, None] // g * np.sign(xs) * _INT_BOUND + np.abs(xs) // g
+    return np.unique(keys, return_counts=True)[1]
 
 
 def mult_energy_k(a, k: int = 2) -> int:
     """E^x_k(A) = sum over quotients q of r_{A/A}(q)^k."""
     if k < 2:
         raise ValueError("multiplicative energy order must be >= 2")
-    return sum(c ** k for c in quotient_counts(a).values())
+    return _power_sum(quotient_counts(a), k)
 
 
 def prodset_size(a) -> int:
-    xs = _as_int_set(a)
-    return len({x * y for x in xs for y in xs})
+    return len(prodset(a, a))
 
 
 def quotset_size(a) -> int:

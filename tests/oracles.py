@@ -315,6 +315,64 @@ def kronecker_sum_counts(mods, a, k):
     return counts
 
 
+def oracle_int_set(a):
+    return sorted(set(int(x) for x in a))
+
+
+def oracle_quotient_counts(a):
+    """r_{A/A}(q) for every quotient q, as {Fraction: count}."""
+    xs = oracle_int_set(a)
+    if 0 in xs:
+        raise ValueError("quotient set needs 0 not in A")
+    counts = {}
+    for x in xs:
+        for y in xs:
+            q = Fraction(x, y)
+            counts[q] = counts.get(q, 0) + 1
+    return counts
+
+
+def oracle_mult_energy_k(a, k):
+    return sum(c ** k for c in oracle_quotient_counts(a).values())
+
+
+def oracle_prodset_size(a):
+    xs = oracle_int_set(a)
+    return len({x * y for x in xs for y in xs})
+
+
+def oracle_quotset_size(a):
+    return len(oracle_quotient_counts(a))
+
+
+def oracle_prod_plus_size(a):
+    """|AA + A|."""
+    xs = oracle_int_set(a)
+    prods = sorted({x * y for x in xs for y in xs})
+    return len({p + x for p in prods for x in xs})
+
+
+def oracle_prod_of_sums_size(a):
+    """|A(A + A)|."""
+    xs = oracle_int_set(a)
+    sums = sorted({x + y for x in xs for y in xs})
+    return len({x * s for x in xs for s in sums})
+
+
+def oracle_subgroup_cosets(p, members):
+    """All cosets x Gamma of a multiplicative subgroup of Z/p, each sorted,
+    ordered by smallest member, by a walk over 1..p-1."""
+    seen = set()
+    cosets = []
+    for x in range(1, p):
+        if x in seen:
+            continue
+        coset = sorted((x * m) % p for m in members)
+        seen.update(coset)
+        cosets.append(coset)
+    return cosets
+
+
 class EigenConvergenceError(RuntimeError):
     pass
 

@@ -74,6 +74,13 @@ def test_compute_passes_k_zero_to_the_library(tmp_path, capsys, quantity):
     assert code == cli.USAGE_EXIT and out == "" and err.startswith("error: ") and ">= " in err
 
 
+def test_compute_multe_refuses_elements_past_the_bound(tmp_path, capsys):
+    path = tmp_path / "a.txt"
+    write_set(zset([1, 2, 1 << 30]), path)
+    code, out, err = run_cli(capsys, "compute", "multE", "--set", str(path))
+    assert code == cli.USAGE_EXIT and out == "" and "2^30" in err
+
+
 def test_compute_k_defaults_only_when_absent(capsys):
     a = genset.gen(genset.parse_recipe(K_RECIPE))
     for quantity, line in (("Tk", f"T_2(A) = {moments.t_k(a, 2)}"),

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from hienergy import genset, groups
+import oracles
+from hienergy import checks, genset, groups
 from hienergy.genset import (RecipeError, gen, is_prime, mult_subgroup, parse_recipe,
                              primitive_root, quadratic_residues, recipe)
 from hienergy.gset import GSet
@@ -94,8 +96,30 @@ def test_cosets_partition():
     seen = set()
     for c in cosets:
         assert len(c) == 3
-        seen |= {e[0] for e in c.elems}
+        seen |= set(c.tolist())
     assert seen == set(range(1, 13))
     q = genset.invariant_union(gamma, (0, 2))
     members = {e[0] for e in q.elems}
     assert all((3 * x) % 13 in members for x in members)
+
+
+def test_cosets_match_the_walk_oracle():
+    for inst in checks.subgroup_instances():
+        gamma, p = inst.a, inst.extra["p"]
+        cosets = genset.subgroup_cosets(gamma)
+        assert cosets.dtype == np.int64 and not cosets.flags.writeable
+        assert cosets.tolist() == oracles.oracle_subgroup_cosets(p, gamma.coords[:, 0].tolist())
+        assert genset.subgroup_cosets(gamma) is cosets   # kept on Gamma
+        picks = (1, 0, 5)
+        want = sorted({x for i in picks for x in cosets[i % len(cosets)].tolist()})
+        assert genset.invariant_union(gamma, picks).coords[:, 0].tolist() == want
+
+
+def test_cosets_refuse_a_non_subgroup():
+    for bad in (GSet(groups.cyclic(13), [1, 2, 4]),   # not closed
+                GSet(groups.cyclic(13), []),
+                GSet(groups.cyclic(12), [1, 5]),       # 12 is not prime
+                GSet(groups.cyclic(3, 5), [(1, 1)]),
+                GSet(groups.lattice(1), [1])):
+        with pytest.raises(ValueError):
+            genset.subgroup_cosets(bad)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hienergy import groups
-from hienergy.gset import GSet, SetFileError, dumps_set, loads_set, row_keys, zset
+from hienergy.gset import GSet, SetFileError, as_rows, dumps_set, loads_set, row_keys, zset
 from hienergy.groups import cyclic, lattice
 
 
@@ -21,6 +21,15 @@ def test_int_elements_wrap_to_tuples():
     a = zset([3, 1, 0])
     assert a.elems == ((0,), (1,), (3,))
     assert len(a) == 3
+
+
+def test_as_rows_reduces_only_out_of_range_rows():
+    g = cyclic(4, 8, 8192)
+    rows = np.array([[3, 7, 8191], [0, 0, 5000], [1, 2, 3]], dtype=np.int64)
+    assert as_rows(g, rows) is rows   # every column below its own modulus
+    for bad in ([[4, 0, 0]], [[0, 8, 0]], [[0, 0, 8192]], [[0, -1, 0]]):
+        out = as_rows(g, np.array(bad, dtype=np.int64))
+        assert out.tolist() == [[c % n for c, n in zip(bad[0], g.moduli)]]
 
 
 def test_group_mismatch_rejected():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hienergy import checks, eigen, moments, setops
+from hienergy import checks, eigen, genset, moments, setops
 from hienergy.groups import InvariantError, cyclic, lattice
 from hienergy.gset import GSet
 from hienergy.setops import CapExceededError, Caps
@@ -255,3 +255,13 @@ def test_suite_pass_builds_each_object_once_per_set(monkeypatch):
     assert len(report.results) == 3896 and not report.errors
     assert (counts["_translate_grid"], counts["_magnification_search"],
             counts["_gram"], counts["_slice_corr_sums"]) == (1250, 170, 252, 144)
+
+
+def test_suite_pass_builds_the_cosets_once_per_subgroup(monkeypatch):
+    # each C26 and C27 call makes its own Gamma; C26 built the cosets 3 times, C27 twice
+    built, real = [], genset._cosets
+    monkeypatch.setattr(genset, "_cosets", lambda gamma: built.append(gamma) or real(gamma))
+    report = checks.run_suite(checks.subgroup_instances(), ["C25", "C26", "C27"])
+    assert not report.errors
+    calls = sum(r.check_id in ("C26", "C27") for r in report.results)
+    assert len(built) == calls == len({id(gamma) for gamma in built}) > 0

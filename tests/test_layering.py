@@ -1,6 +1,8 @@
 """The package computes on coordinate rows only: element tuples are parsed
 and formatted in `gset` and `groups`, never computed on elsewhere.  Element
-rows are sorted, deduplicated, searched and ranked by `gset.row_keys` alone."""
+rows are sorted, deduplicated, searched and ranked by `gset.row_keys` alone.
+Python sets of elements are built only by `genset`'s generators, and the
+multiplicative side (`moments`, `checks`) uses no `Fraction`."""
 
 import ast
 from pathlib import Path
@@ -78,3 +80,36 @@ def test_row_key_guard_sees_each_form(tmp_path):
     assert row_keying_uses(bad) == ["bad.py:1 lexsort", "bad.py:2 structured view",
                                     "bad.py:3 structured view", "bad.py:4 structured view",
                                     "bad.py:5 unique rows"]
+
+
+def set_and_fraction_uses(path: Path) -> list[str]:
+    """Every set comprehension and `fractions` import in a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.SetComp):
+            found.append(f"{path.name}:{node.lineno} set comprehension")
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found.append(f"{path.name}:{node.lineno} fractions")
+        elif isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+            found.append(f"{path.name}:{node.lineno} fractions")
+    return found
+
+
+def test_set_comprehensions_only_in_genset():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "genset.py")
+    assert len(modules) >= 9
+    assert [use for p in modules for use in set_and_fraction_uses(p)
+            if use.endswith("set comprehension")] == []
+    assert set_and_fraction_uses(SRC / "moments.py") == []
+    assert set_and_fraction_uses(SRC / "checks.py") == []
+
+
+def test_set_comprehension_guard_sees_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("from fractions import Fraction\n"
+                   "import fractions\n"
+                   "s = {x * y for x in xs for y in xs}\n"
+                   "ok = set(xs)\n"
+                   "ok = {x: 1 for x in xs}\n")
+    assert set_and_fraction_uses(bad) == ["bad.py:1 fractions", "bad.py:2 fractions",
+                                           "bad.py:3 set comprehension"]

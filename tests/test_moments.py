@@ -247,6 +247,43 @@ def test_mult_energy_examples():
         mult_energy_k([0, 1], 2)
 
 
+def test_multiplicative_side_matches_the_oracle():
+    rng = random.Random(83)
+    for trial in range(24):
+        n = rng.randint(1, 40)
+        if trial % 4 == 3:   # a 1-D Z/N set, read as its residues
+            a = GSet(cyclic(97), rng.sample(range(1, 97), n))
+        else:
+            a = zset(rng.sample([x for x in range(-60, 61) if x or trial % 2], n))
+        xs = a.coords[:, 0].tolist()
+        assert prodset_size(a) == prodset_size(xs) == oracles.oracle_prodset_size(xs)
+        z = zset(xs)
+        assert len(setops.sumset(moments.prodset(z, z), z)) == oracles.oracle_prod_plus_size(xs)
+        assert len(moments.prodset(z, setops.sumset(z, z))) == oracles.oracle_prod_of_sums_size(xs)
+        if 0 in xs:
+            with pytest.raises(ValueError):
+                quotset_size(a)
+            continue
+        assert quotset_size(a) == quotset_size(xs) == oracles.oracle_quotset_size(xs)
+        for k in (2, 3, 4):
+            assert mult_energy_k(a, k) == oracles.oracle_mult_energy_k(xs, k)
+
+
+def test_multiplicative_bound():
+    top = (1 << 30) - 1
+    xs = [-top, -top + 1, -3, 2, top - 1, top]
+    a = zset(xs)
+    aa = moments.prodset(a, a)
+    assert aa.coords[:, 0].tolist() == sorted({x * y for x in xs for y in xs})
+    assert moments.prodset(a, a) is aa   # kept on A
+    assert mult_energy_k(a, 2) == oracles.oracle_mult_energy_k(xs, 2)
+    assert quotset_size(a) == oracles.oracle_quotset_size(xs)
+    for bad in ([1, 1 << 30], [-(1 << 30), 5], zset([1 << 30])):
+        for fn in (prodset_size, quotset_size, lambda s: mult_energy_k(s, 2)):
+            with pytest.raises(ValueError):
+                fn(bad)
+
+
 def test_mass_invariant():
     rng = random.Random(47)
     for _ in range(20):

@@ -23,7 +23,7 @@ import numpy as np
 from . import eigen, extract, genset, groups, moments, setops, spectrum
 from .groups import Elem
 from .gset import GSet, as_rows, bounded_rows, full_group, row_keys
-from .setops import MINUS, PLUS
+from .setops import DEFAULT_CAPS, MINUS, PLUS, Caps
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -111,10 +111,10 @@ def _slice_corr_sums(a: GSet, depth: int) -> dict[Elem, int]:
     return {tuple(points[p].tolist()): sums[p] for p in np.argsort(first)}
 
 
-def _pair_energy_materialized(a: GSet, b: GSet, k: int) -> int:
+def _pair_energy_materialized(a: GSet, b: GSet, k: int, caps: Caps) -> int:
     """E(Delta(A), B^k) by materializing both tuple sets and counting
     coincident sums, independent of the correlation-table route."""
-    sums = setops._translate_grid([b] * k, a, PLUS, setops.DEFAULT_CAPS)[0]
+    sums = setops._translate_grid([b] * k, a, PLUS, caps)[0]
     _, counts = np.unique(sums, return_counts=True)
     return int((counts.astype(object) ** 2).sum())
 
@@ -123,28 +123,28 @@ def _pair_energy_materialized(a: GSet, b: GSet, k: int) -> int:
 # basic moment inequalities and identities
 
 
-def check_c1(a: GSet, k: int) -> CheckResult:
+def check_c1(a: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     d = setops.diffset(a, a)
     lhs = len(a) ** (2 * k)
     rhs = moments.energy_k(a, k) * moments.sigma_k(d, k)
     return _res("C1", {**_summary(a), "k": k}, lhs, rhs, "<=")
 
 
-def check_c2(a: GSet, k: int) -> CheckResult:
+def check_c2(a: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     s = setops.sumset(a, a)
     lhs = len(a) ** (4 * k)
     rhs = moments.energy_k(a, 2 * k) * moments.t_k(s, k)
     return _res("C2", {**_summary(a), "k": k}, lhs, rhs, "<=")
 
 
-def check_c3(a: GSet, k: int, sign: str = MINUS) -> CheckResult:
+def check_c3(a: GSet, k: int, sign: str = MINUS, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     side = setops.diffset(a, a) if sign == MINUS else setops.sumset(a, a)
     lhs = len(a) ** (2 * k + 4)
     rhs = moments.energy_k(a, k + 2) * moments.energy_k(side, k)
     return _res("C3", {**_summary(a), "k": k, "sign": sign}, lhs, rhs, "<=")
 
 
-def check_c4(a: GSet, k: int, l: int) -> CheckResult:
+def check_c4(a: GSet, k: int, l: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     fk = slice_corr_sums(a, k - 1)
     fl = fk if l == k else slice_corr_sums(a, l - 1)
     lhs = sum(v * fl.get(x, 0) for x, v in fk.items())
@@ -152,28 +152,28 @@ def check_c4(a: GSet, k: int, l: int) -> CheckResult:
     return _res("C4", {**_summary(a), "k": k, "l": l}, lhs, rhs, "=")
 
 
-def check_c5(a: GSet, b: GSet, k: int) -> CheckResult:
+def check_c5(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     lhs = moments.energy_k_pair(a, b, k + 1)
-    rhs = _pair_energy_materialized(a, b, k)
+    rhs = _pair_energy_materialized(a, b, k, caps)
     return _res("C5", {**_summary(a), **_summary(b, "B"), "k": k}, lhs, rhs, "=")
 
 
-def check_c6(a: GSet, k: int) -> CheckResult:
+def check_c6(a: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     lhs = len(a) ** (2 * k + 2)
-    rhs = setops.d_k(a, k) * moments.energy_k(a, k + 1)
+    rhs = setops.d_k(a, k, caps) * moments.energy_k(a, k + 1)
     return _res("C6", {**_summary(a), "k": k}, lhs, rhs, "<=")
 
 
-def check_c7(sets: Sequence[GSet]) -> CheckResult:
+def check_c7(sets: Sequence[GSet], caps: Caps = DEFAULT_CAPS) -> CheckResult:
     k = len(sets)
-    lhs = len(setops.delta_sumset(list(sets[:-1]), sets[-1], MINUS))
+    lhs = len(setops.delta_sumset(list(sets[:-1]), sets[-1], MINUS, caps))
     bound_a = math.prod(len(s) for s in sets)
     bound_b = math.prod(len(setops.diffset(s, sets[-1])) for s in sets[:-1])
     rhs = min(bound_a, bound_b)
     return _res("C7", {"sizes": [len(s) for s in sets], "k": k}, lhs, rhs, "<=")
 
 
-def check_c8(a: GSet, alpha: float, k: int) -> CheckResult:
+def check_c8(a: GSet, alpha: float, k: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     g = a.group
     lam = GSet(g, spectrum.large_spectrum(a, alpha).coords[1:])   # row 0 is the zero frequency
     lhs = moments.t_k(lam, k) if lam else 0
@@ -183,7 +183,7 @@ def check_c8(a: GSet, alpha: float, k: int) -> CheckResult:
                 lhs, rhs, ">=", tolerance=REL_TOL)
 
 
-def check_c9(a: GSet, alpha: float, k: int) -> CheckResult:
+def check_c9(a: GSet, alpha: float, k: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """|Lambda| <= alpha^-3 delta^-1 (kappa - delta^(2k-1))^(1/(2k)) for the
     nonzero large spectrum Lambda = R_alpha(A) minus 0 (as in C8), where
     kappa = E_2k(A)/|A|^(2k+1).  With h = A o A - delta|A|, h^(r) = |A^(r)|^2
@@ -214,7 +214,7 @@ def _max_nonzero_coeff(a: GSet) -> float:
     return float(mags.max())
 
 
-def check_c10(a: GSet, k: int, primed: bool = False) -> CheckResult:
+def check_c10(a: GSet, k: int, primed: bool = False, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     delta = len(a) / a.group.order
     kap = lambda j: float(moments.energy_k(a, j)) / len(a) ** (j + 1)
     if primed:
@@ -238,24 +238,24 @@ def _tuple_delta_size(y: np.ndarray, last: GSet, x: GSet) -> int:
     return len(np.unique(row_keys(groups.lattice((m + 1) * d), diffs.reshape(-1, (m + 1) * d))))
 
 
-def check_c11(sets: dict, variant: str, m: int = 1) -> CheckResult:
+def check_c11(sets: dict, variant: str, m: int = 1, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     if variant == "tri1":
         w, x, y, z = sets["W"], sets["X"], sets["Y"], sets["Z"]
         lhs = len(w) * len(x) * len(setops.diffset(y, z))
-        rhs = len(setops.delta_sumset([y, w, z], x, MINUS))
+        rhs = len(setops.delta_sumset([y, w, z], x, MINUS, caps))
         inputs = {"variant": variant, "sizes": [len(w), len(x), len(y), len(z)]}
     elif variant == "tri2":
         a1, a2, a3, b = sets["A1"], sets["A2"], sets["A3"], sets["B"]
         chain = [a1, a2, a3]
-        lhs = len(setops.delta_sumset(chain, b, MINUS))
-        left = len(setops.delta_sumset(chain[:m], chain[m], MINUS))
-        right = len(setops.delta_sumset(chain[m:], b, MINUS))
+        lhs = len(setops.delta_sumset(chain, b, MINUS, caps))
+        left = len(setops.delta_sumset(chain[:m], chain[m], MINUS, caps))
+        right = len(setops.delta_sumset(chain[m:], b, MINUS, caps))
         rhs = left * right
         inputs = {"variant": variant, "m": m, "sizes": [len(s) for s in chain + [b]]}
     elif variant == "eq":
         a1, a2, x, z = sets["A1"], sets["A2"], sets["X"], sets["Z"]
-        lhs = len(setops.delta_sumset([a1, a2, z], x, MINUS))
-        rhs = len(setops.delta_sumset([a1, a2, x], z, MINUS))
+        lhs = len(setops.delta_sumset([a1, a2, z], x, MINUS, caps))
+        rhs = len(setops.delta_sumset([a1, a2, x], z, MINUS, caps))
         inputs = {"variant": variant, "sizes": [len(a1), len(a2), len(x), len(z)]}
         return _res("C11", inputs, lhs, rhs, "=")
     elif variant == "eq_tuples":
@@ -272,8 +272,8 @@ def check_c11(sets: dict, variant: str, m: int = 1) -> CheckResult:
     return _res("C11", inputs, lhs, rhs, "<=")
 
 
-def check_c13(a: GSet, n: int, m: int, variant: str) -> CheckResult:
-    d, s, size = (lambda j: setops.d_k(a, j)), (lambda j: setops.s_k(a, j)), len(a)
+def check_c13(a: GSet, n: int, m: int, variant: str, caps: Caps = DEFAULT_CAPS) -> CheckResult:
+    d, s, size = (lambda j: setops.d_k(a, j, caps)), (lambda j: setops.s_k(a, j, caps)), len(a)
     if variant == "DS" and m < 2:
         raise ValueError("DS chain needs m >= 2")
     if variant == "DS2" and n < 2:
@@ -290,10 +290,11 @@ def check_c13(a: GSet, n: int, m: int, variant: str) -> CheckResult:
     return _res("C13", {**_summary(a), "n": n, "m": m, "variant": variant}, lhs, rhs, "<=")
 
 
-def check_c14(b: GSet, a: GSet, k: int, sign: str = MINUS, m: int | None = None) -> CheckResult:
+def check_c14(b: GSet, a: GSet, k: int, sign: str = MINUS, m: int | None = None,
+              caps: Caps = DEFAULT_CAPS) -> CheckResult:
     g = b.group
     n_amb = g.order
-    ok, _ = setops.basis_depth_test(b, k, sign)
+    ok, _ = setops.basis_depth_test(b, k, sign, caps)
     inputs = {**_summary(b, "B"), **_summary(a), "k": k, "sign": sign, "m": m}
     if not ok:
         return _res("C14", inputs, 0, 0, ">=", witness="not a basis of the requested depth")
@@ -309,57 +310,55 @@ def check_c14(b: GSet, a: GSet, k: int, sign: str = MINUS, m: int | None = None)
     return _res("C14", inputs, lhs, rhs, ">=")
 
 
-def check_c15(sets: Sequence[GSet]) -> CheckResult:
+def check_c15(sets: Sequence[GSet], caps: Caps = DEFAULT_CAPS) -> CheckResult:
     g = sets[0].group
     amb = full_group(g)
-    lhs = len(setops.delta_sumset(list(sets), amb, MINUS))
-    rhs = g.order * len(setops.delta_sumset(list(sets[:-1]), sets[-1], MINUS))
+    lhs = len(setops.delta_sumset(list(sets), amb, MINUS, caps))
+    rhs = g.order * len(setops.delta_sumset(list(sets[:-1]), sets[-1], MINUS, caps))
     return _res("C15", {"sizes": [len(s) for s in sets], "group": str(g)}, lhs, rhs, "=")
 
 
-def check_c16(a: GSet, b0: GSet, c: GSet, k: int) -> CheckResult:
-    lhs = len(a) * len(setops.delta_sumset([b0] * k, c, PLUS))
-    rhs = len(setops.delta_sumset([b0] * k, a, PLUS)) * len(setops.sumset(a, c))
+def check_c16(a: GSet, b0: GSet, c: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
+    lhs = len(a) * len(setops.delta_sumset([b0] * k, c, PLUS, caps))
+    rhs = len(setops.delta_sumset([b0] * k, a, PLUS, caps)) * len(setops.sumset(a, c))
     return _res("C16", {**_summary(a), **_summary(b0, "B"), **_summary(c, "C"), "k": k},
                 lhs, rhs, "<=")
 
 
 def check_c17(a: GSet, b: GSet | None = None, c: GSet | None = None,
-              variant: str = "power", n: int = 1, m: int = 1, k: int = 1) -> CheckResult:
+              variant: str = "power", n: int = 1, m: int = 1, k: int = 1,
+              caps: Caps = DEFAULT_CAPS) -> CheckResult:
     inputs = {**_summary(a), "variant": variant, "n": n, "m": m, "k": k}
     if variant == "power":
-        r, _ = setops.magnification(a, a)
+        r, _ = setops.magnification(a, a, caps)
         lhs = len(setops.iterated(a, n, m))
-        rhs = r ** (n + m) * len(a)
-        return _res("C17", inputs, lhs, float(rhs), "<=", tolerance=REL_TOL,
-                    witness={"R": str(r)})
-    if variant == "sum3":
-        r, x = setops.magnification(a, b)
+        rhs, witness = r ** (n + m) * len(a), {"R": str(r)}
+    elif variant == "sum3":
+        r, x = setops.magnification(a, b, caps)
         lhs = len(setops.sumset(setops.sumset(b, c), x))
-        rhs = r * len(setops.sumset(c, x))
-        return _res("C17", inputs, lhs, float(rhs), "<=", tolerance=REL_TOL,
-                    witness={"R": str(r), "X": len(x)})
-    if variant == "delta":
-        r, x = setops.magnification_k(a, b, k)
+        rhs, witness = r * len(setops.sumset(c, x)), {"R": str(r), "X": len(x)}
+    elif variant == "delta":
+        r, x = setops.magnification_k(a, b, k, caps)
         cx = setops.sumset(c, x)
-        lhs = len(setops.delta_sumset([b] * k, cx, PLUS))
-        rhs = r * len(cx)
-        return _res("C17", inputs, lhs, float(rhs), "<=", tolerance=REL_TOL,
-                    witness={"R": str(r), "X": len(x)})
-    raise ValueError(f"unknown C17 variant {variant!r}")
+        lhs = len(setops.delta_sumset([b] * k, cx, PLUS, caps))
+        rhs, witness = r * len(cx), {"R": str(r), "X": len(x)}
+    else:
+        raise ValueError(f"unknown C17 variant {variant!r}")
+    return _res("C17", inputs, lhs, float(rhs), "<=", tolerance=REL_TOL, witness=witness)
 
 
-def check_c18(a: GSet, b: GSet, k: int, variant: str = "order") -> CheckResult:
+def check_c18(a: GSet, b: GSet, k: int, variant: str = "order",
+              caps: Caps = DEFAULT_CAPS) -> CheckResult:
     inputs = {**_summary(a), **_summary(b, "B"), "k": k, "variant": variant}
     if variant in ("order", "exact"):
-        bounds = eigen.magnification_lower_bounds(a, b, k)
+        bounds = eigen.magnification_lower_bounds(a, b, k, caps)
         if variant == "order":
             return _res("C18", inputs, bounds["bound_energy"], bounds["bound_eig"], "<=",
                         tolerance=REL_TOL, witness=bounds)
-        r, _ = setops.magnification_k(a, b, k)
+        r, _ = setops.magnification_k(a, b, k, caps)
         return _res("C18", inputs, bounds["bound_eig"], float(r), "<=",
                     tolerance=REL_TOL, witness={"R_exact": str(r), **bounds})
-    pg = eigen.build_gram(a, b, k)
+    pg = eigen.build_gram(a, b, k, caps)
     if variant == "trace":
         lhs = int(np.trace(pg.gram.astype(object)))
         return _res("C18", inputs, lhs, len(a) * len(b) ** k, "=")
@@ -371,19 +370,19 @@ def check_c18(a: GSet, b: GSet, k: int, variant: str = "order") -> CheckResult:
         # (B o B) is symmetric, so the Gram of (-A, -B) is the Gram of (A, B)
         # with rows and columns permuted: (-A).coords[i] = -a_p[i]
         p = np.argsort(row_keys(a.group, as_rows(a.group, -a.coords)))
-        neg = eigen.build_gram(a.negate(), b.negate(), k)
+        neg = eigen.build_gram(a.negate(), b.negate(), k, caps)
         lhs = int((neg.gram != pg.gram[p][:, p]).sum())
         return _res("C18", inputs, lhs, 0, "=")
     raise ValueError(f"unknown C18 variant {variant!r}")
 
 
-def check_c19(a: GSet, b: GSet, k: int) -> CheckResult:
+def check_c19(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     lhs = len(a) ** (2 * k) * len(b)
     rhs = len(setops.sumset(a, b)) ** k * moments.energy_k(a, k)
     return _res("C19", {**_summary(a), **_summary(b, "B"), "k": k}, lhs, rhs, "<=")
 
 
-def check_c20(a: GSet, sign: str = MINUS) -> CheckResult:
+def check_c20(a: GSet, sign: str = MINUS, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     p_star = extract.popular_set(a)
     member = setops.slice_masks(a, p_star.coords)   # row s: the slice A_s
     mass = int(member.sum())
@@ -395,7 +394,7 @@ def check_c20(a: GSet, sign: str = MINUS) -> CheckResult:
     return _res("C20", {**_summary(a), "sign": sign, "P": len(p_star)}, lhs, rhs, ">=")
 
 
-def check_c21(a: GSet, l: int, variant: str = "diff") -> CheckResult:
+def check_c21(a: GSet, l: int, variant: str = "diff", caps: Caps = DEFAULT_CAPS) -> CheckResult:
     e3 = moments.energy_k(a, 3)
     tl = moments.t_k(a, l)
     inputs = {**_summary(a), "l": l, "variant": variant}
@@ -416,14 +415,14 @@ def check_c21(a: GSet, l: int, variant: str = "diff") -> CheckResult:
     return _res("C21", inputs, lhs, rhs, "<=")
 
 
-def check_c22(a: GSet, b: GSet, l: int) -> CheckResult:
+def check_c22(a: GSet, b: GSet, l: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     mass = sum(moments.correlate(a, a).values_at(b.coords).tolist())
     lhs = mass ** (4 * l)
     rhs = len(a) ** (6 * l - 4) * moments.energy_k(b, l) * moments.energy_k(a, l + 2)
     return _res("C22", {**_summary(a), **_summary(b, "B"), "l": l}, lhs, rhs, "<=")
 
 
-def check_c24(a: GSet, alpha: float) -> CheckResult:
+def check_c24(a: GSet, alpha: float, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     f1 = slice_corr_sums(a, 1)
     points = np.array(list(f1), dtype=np.int64).reshape(-1, a.group.dim)
     pairs = list(zip(f1.values(), moments.correlate(a, a).values_at(points).tolist()))
@@ -441,7 +440,7 @@ def check_c24(a: GSet, alpha: float) -> CheckResult:
 # subgroup checks
 
 
-def check_c25(p: int, t: int, k: int = 1) -> CheckResult:
+def check_c25(p: int, t: int, k: int = 1, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     gamma = genset.mult_subgroup(p, t)
     rep = eigen.subgroup_eigencheck(gamma, base_set=gamma, k=k)
     passed = (max(rep.residuals) < 1e-8 and rep.max_at_trivial
@@ -452,7 +451,8 @@ def check_c25(p: int, t: int, k: int = 1) -> CheckResult:
                                         "eigenvalues": rep.eigenvalues})
 
 
-def check_c26(p: int, t: int, picks: tuple[int, int, int] = (0, 1, 2)) -> CheckResult:
+def check_c26(p: int, t: int, picks: tuple[int, int, int] = (0, 1, 2),
+              caps: Caps = DEFAULT_CAPS) -> CheckResult:
     gamma = genset.mult_subgroup(p, t)
     q, q1, q2 = (genset.invariant_union(gamma, (i,)) for i in picks)
     lhs = sum(moments.correlate(q1, q2).values_at(q.coords).tolist())
@@ -462,7 +462,8 @@ def check_c26(p: int, t: int, picks: tuple[int, int, int] = (0, 1, 2)) -> CheckR
 
 
 def check_c27(p: int, t: int, variant: str = "invariant", coset: int = 0,
-              sub_frac: float = 1.0, q_picks: tuple[int, ...] = (0, 1)) -> CheckResult:
+              sub_frac: float = 1.0, q_picks: tuple[int, ...] = (0, 1),
+              caps: Caps = DEFAULT_CAPS) -> CheckResult:
     gamma = genset.mult_subgroup(p, t)
     gamma_star = genset.invariant_union(gamma, (coset,))
     keep = max(1, int(len(gamma_star) * sub_frac))
@@ -479,22 +480,22 @@ def check_c27(p: int, t: int, variant: str = "invariant", coset: int = 0,
                 lhs, rhs, ">=")
 
 
-def check_c28(x1: GSet, y: GSet, z1: GSet, w: GSet) -> CheckResult:
+def check_c28(x1: GSet, y: GSet, z1: GSet, w: GSet, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     lhs = len(setops.diffset(x1, y)) * len(setops.diffset(z1, w))
     left = setops.diffset(x1, w)
     right = setops.diffset(y, z1)
-    rhs = len(setops.delta_sumset([left, right], setops.diffset(y, w), MINUS))
+    rhs = len(setops.delta_sumset([left, right], setops.diffset(y, w), MINUS, caps))
     return _res("C28", {"sizes": [len(x1), len(y), len(z1), len(w)]}, lhs, rhs, "<=")
 
 
-def check_c29(b: GSet, k: int, m: int) -> CheckResult:
+def check_c29(b: GSet, k: int, m: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     if not (1 <= m < k):
         raise ValueError("needs 1 <= m < k")
-    plus_ok, _ = setops.basis_depth_test(b, k, PLUS)
+    plus_ok, _ = setops.basis_depth_test(b, k, PLUS, caps)
     inputs = {**_summary(b, "B"), "k": k, "m": m}
     if not plus_ok:
         return _res("C29", inputs, 0, 0, ">=", witness="not a plus-basis of depth k")
-    minus_ok, wit = setops.basis_depth_test(b, m, MINUS)
+    minus_ok, wit = setops.basis_depth_test(b, m, MINUS, caps)
     return _res("C29", inputs, int(minus_ok), 1, ">=",
                 witness=None if minus_ok else {"missing": [list(e) for e in wit]})
 
@@ -516,8 +517,8 @@ def cover_threshold(k: int, delta: float) -> int:
     return max(2, math.ceil(bound - 1e-9))
 
 
-def check_c30(b: GSet, k: int) -> CheckResult:
-    ok, _ = setops.basis_depth_test(b, k, MINUS)
+def check_c30(b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
+    ok, _ = setops.basis_depth_test(b, k, MINUS, caps)
     inputs = {**_summary(b, "B"), "k": k}
     if not ok:
         return _res("C30", inputs, 0, 0, ">=", witness="not a basis of depth k")
@@ -535,7 +536,7 @@ def check_c30(b: GSet, k: int) -> CheckResult:
 
 
 def check_c31(a: GSet, b: GSet | None = None, k: int = 4, trials: int = 200,
-              seed: int = 1) -> CheckResult:
+              seed: int = 1, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     b = b if b is not None else a
     rep = extract.cs_period_search(a, b, k, trials=trials, seed=seed)
     rate = rep.stages[0]["rate"]
@@ -547,7 +548,8 @@ def check_c31(a: GSet, b: GSet | None = None, k: int = 4, trials: int = 200,
 
 
 def check_c32(a: GSet, pipeline: str = "bsg1", eps: float = 1.0,
-              nm: tuple[int, int] = (1, 1), seed: int = 1) -> CheckResult:
+              nm: tuple[int, int] = (1, 1), seed: int = 1,
+              caps: Caps = DEFAULT_CAPS) -> CheckResult:
     if pipeline == "bsg1":
         rep = extract.bsg_extract(a, eps)
         implied = rep.stages[-1]["implied_constant"]
@@ -562,7 +564,7 @@ def check_c32(a: GSet, pipeline: str = "bsg1", eps: float = 1.0,
                                         "A_prime": len(a_prime)})
 
 
-def check_c33(a: GSet) -> CheckResult:
+def check_c33(a: GSet, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     rep = extract.small_t4_extract(a)
     cover_ratio = rep.ratio
     b_set = GSet(a.group, [tuple(e) for e in rep.outputs["B"]])
@@ -572,7 +574,7 @@ def check_c33(a: GSet) -> CheckResult:
                 witness={"B": len(b_set), "R": len(rep.outputs["R"])})
 
 
-def check_c34(a: GSet, top: int = 8) -> CheckResult:
+def check_c34(a: GSet, top: int = 8, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Energy dichotomy search over the documented candidate family: A, D,
     the popular set, and the most popular A- and D-slices."""
     d = setops.diffset(a, a)
@@ -600,7 +602,7 @@ def check_c34(a: GSet, top: int = 8) -> CheckResult:
                 passed=passed, witness={"candidate": best_name, "size": best_size})
 
 
-def check_c35(a: GSet, variant: str = "lcon") -> CheckResult:
+def check_c35(a: GSet, variant: str = "lcon", caps: Caps = DEFAULT_CAPS) -> CheckResult:
     if a.group.dim != 1 or a.group.is_cyclic:
         raise ValueError("sum-product reports need integer sets")
     n = len(a)
@@ -639,7 +641,7 @@ def check_c35(a: GSet, variant: str = "lcon") -> CheckResult:
     raise ValueError(f"unknown C35 variant {variant!r}")
 
 
-def check_c36(p: int, t: int) -> CheckResult:
+def check_c36(p: int, t: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     gamma = genset.mult_subgroup(p, t)
     inputs = {"p": p, "t": t, "has_minus_one": p - 1 in gamma}
     six = setops.iterated(gamma, 6, 0)
@@ -648,7 +650,8 @@ def check_c36(p: int, t: int) -> CheckResult:
                 witness={"covers": covered, "six_size": len(six)})
 
 
-def check_c37(a: GSet, coeffs: Sequence[int], sign: str = MINUS) -> CheckResult:
+def check_c37(a: GSet, coeffs: Sequence[int], sign: str = MINUS,
+              caps: Caps = DEFAULT_CAPS) -> CheckResult:
     found = extract.find_configuration(a, coeffs, sign)
     side = setops.diffset(a, a) if sign == MINUS else setops.sumset(a, a)
     inputs = {**_summary(a), "coeffs": list(coeffs), "sign": sign}
@@ -661,13 +664,13 @@ def check_c37(a: GSet, coeffs: Sequence[int], sign: str = MINUS) -> CheckResult:
                 witness={"x": list(x), "d": list(d)})
 
 
-def check_c38(p: int, kmax: int = 3) -> CheckResult:
+def check_c38(p: int, kmax: int = 3, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     qr = genset.quadratic_residues(p)
     depth = 0
     for k in range(1, kmax + 1):
-        if p ** k > setops.DEFAULT_CAPS.tuples:
+        if p ** k > caps.tuples:
             break
-        ok, _ = setops.basis_depth_test(qr, k, MINUS)
+        ok, _ = setops.basis_depth_test(qr, k, MINUS, caps)
         if not ok:
             break
         depth = k
@@ -680,7 +683,7 @@ def check_c38(p: int, kmax: int = 3) -> CheckResult:
 # identity-suite extras
 
 
-def check_ek_slices(a: GSet, k: int) -> CheckResult:
+def check_ek_slices(a: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     lhs = sum(slice_corr_sums(a, k - 1).values())
     rhs = moments.energy_k(a, k)
     return _res("EKS", {**_summary(a), "k": k}, lhs, rhs, "=")
@@ -704,12 +707,13 @@ REGISTRY: dict[str, Callable[..., CheckResult]] = {
     "EKS": check_ek_slices, "EIGTR": lambda **kw: check_c18(variant="trace", **kw),
 }
 
-def run_check(check_id: str, inputs: dict) -> CheckResult:
+def run_check(check_id: str, inputs: dict, caps: Caps = DEFAULT_CAPS) -> CheckResult:
+    """Run one check on its parameters; every check takes `caps` as a keyword."""
     cid = check_id.replace("'", "p")
     fn = REGISTRY.get(cid)
     if fn is None:
         raise KeyError(f"unknown check id {check_id!r}")
-    return fn(**inputs)
+    return fn(caps=caps, **inputs)
 
 
 @dataclass
@@ -867,7 +871,8 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
 
-def run_suite(instances: Sequence[Instance], check_ids: Sequence[str]) -> SuiteReport:
+def run_suite(instances: Sequence[Instance], check_ids: Sequence[str],
+              caps: Caps = DEFAULT_CAPS) -> SuiteReport:
     report = SuiteReport()
     for inst in instances:
         for cid in check_ids:
@@ -878,7 +883,7 @@ def run_suite(instances: Sequence[Instance], check_ids: Sequence[str]) -> SuiteR
                 continue
             for params in grid:
                 try:
-                    result = run_check(cid, params)
+                    result = run_check(cid, params, caps)
                     result.inputs["instance"] = inst.label
                     report.results.append(result)
                 except setops.CapExceededError as exc:

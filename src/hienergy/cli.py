@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 1 hard-check failure, 2 usage error, 3 cap exceeded.
-All commands are deterministic for fixed inputs and seeds.
+All commands are deterministic for fixed inputs and seeds.  `main` builds
+one frozen `Caps` from the --cap-* flags and hands it to the command, which
+passes it down to every capped call: no command changes a module global.
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import checks, extract, genset, groups, moments, setops, spectrum
 from .gset import GSet, SetFileError, dumps_set, loads_set, read_set, write_set
@@ -23,24 +24,16 @@ DEFAULT_K = {"Ek": 2, "Tk": 2, "sigmak": 2, "Dk": 2, "Sk": 2, "magk": 1, "multE"
 
 
 def _load_sets(args) -> list[GSet]:
-    out = []
-    for path in getattr(args, "set", None) or []:
-        out.append(read_set(path))
-    for rec in getattr(args, "recipe", None) or []:
-        out.append(genset.gen(genset.parse_recipe(rec)))
-    return out
+    return ([read_set(path) for path in args.set or []]
+            + [genset.gen(genset.parse_recipe(rec)) for rec in args.recipe or []])
 
 
-def _apply_global_caps(args) -> Caps:
-    """Set the --cap-* flags on the shared default caps, which every command,
-    check and pipeline consults; return the previous values for `main` to
-    restore."""
-    saved = replace(setops.DEFAULT_CAPS)
-    if getattr(args, "cap_tuples", None):
-        setops.DEFAULT_CAPS.tuples = args.cap_tuples
-    if getattr(args, "cap_subsets", None):
-        setops.DEFAULT_CAPS.subsets = args.cap_subsets
-    return saved
+def _cap(text: str) -> int:
+    """The type of the --cap-* flags: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _write(path: str, body: str) -> None:
@@ -62,18 +55,16 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
         print(body)
 
 
-def cmd_compute(args) -> int:
+def cmd_compute(args, caps: Caps) -> int:
     sets = _load_sets(args)
     if not sets:
         print("compute needs --set or --recipe", file=sys.stderr)
         return USAGE_EXIT
     a = sets[0]
-    b = sets[1] if len(sets) > 1 else a
-    if args.b:
-        b = read_set(args.b)
-    if getattr(args, "pre", "none") == "diff":
+    b = read_set(args.b) if args.b else (sets[1] if len(sets) > 1 else a)
+    if args.pre == "diff":
         a = setops.diffset(a, a)
-    elif getattr(args, "pre", "none") == "sum":
+    elif args.pre == "sum":
         a = setops.sumset(a, a)
     q = args.quantity
     k = DEFAULT_K.get(q) if args.k is None else args.k
@@ -88,7 +79,7 @@ def cmd_compute(args) -> int:
         name, fn = {"Ek": ("E", moments.energy_k), "Tk": ("T", moments.t_k),
                     "sigmak": ("sigma", moments.sigma_k), "Dk": ("D", setops.d_k),
                     "Sk": ("S", setops.s_k)}[q]
-        v = fn(a, k)
+        v = fn(a, k, caps) if q in ("Dk", "Sk") else fn(a, k)
         payload["value"] = v
         lines = [f"{name}_{k}(A) = {v}"]
     elif q == "spectrum":
@@ -107,7 +98,7 @@ def cmd_compute(args) -> int:
         payload["value"] = v
         lines = [f"dim(A) = {v}" + (" (greedy lower bound)" if args.greedy else "")]
     elif q in ("mag", "magk"):
-        r, z = setops.magnification(a, b) if q == "mag" else setops.magnification_k(a, b, k)
+        r, z = setops.magnification_k(a, b, 1 if q == "mag" else k, caps)
         payload["value"] = str(r)
         payload["witness"] = z.coords.tolist()
         name = "R_B[A]" if q == "mag" else f"R^({k})_B[A]"
@@ -123,14 +114,11 @@ def cmd_compute(args) -> int:
         payload["prodset"] = moments.prodset_size(a)
         payload["quotset"] = moments.quotset_size(a)
         lines = [f"E^x_{k}(A) = {v} (|AA| = {payload['prodset']}, |A/A| = {payload['quotset']})"]
-    else:
-        print(f"unknown quantity {q!r}", file=sys.stderr)
-        return USAGE_EXIT
     _emit(args, payload, lines)
     return 0
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args, caps: Caps) -> int:
     a = genset.gen(genset.parse_recipe(args.recipe))
     body = dumps_set(a)
     if args.out:
@@ -141,17 +129,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    ids = [c.strip() for c in args.checks.split(",") if c.strip()]
-    for cid in ids:
-        if cid.replace("'", "p") not in checks.REGISTRY:
-            print(f"unknown check id {cid!r}", file=sys.stderr)
-            return USAGE_EXIT
+def cmd_verify(args, caps: Caps) -> int:
     instances = []
     for i, a in enumerate(_load_sets(args)):
-        kind = "set"
-        if not a.group.is_cyclic and a.group.dim == 1 and args.intset:
-            kind = "intset"
+        kind = "intset" if args.intset and a.group == groups.lattice(1) else "set"
         instances.append(checks.Instance(kind, f"cli{i}", a))
     for spec_txt in args.subgroup or []:
         p, t = (int(x) for x in spec_txt.split(","))
@@ -161,14 +142,25 @@ def cmd_verify(args) -> int:
     if not instances:
         print("verify needs --set, --recipe or --subgroup", file=sys.stderr)
         return USAGE_EXIT
-    report = checks.run_suite(instances, ids)
+    return _run_checks(args, instances, caps)
+
+
+def _run_checks(args, instances: list, caps: Caps) -> int:
+    """Run the --checks ids (every id without the flag) on the instances,
+    write --report/--csv, print the CSV summary and return the exit code."""
+    ids = ([c.strip() for c in args.checks.split(",") if c.strip()]
+           if args.checks else sorted(checks.REGISTRY))
+    for cid in ids:
+        if cid.replace("'", "p") not in checks.REGISTRY:
+            print(f"unknown check id {cid!r}", file=sys.stderr)
+            return USAGE_EXIT
+    report = checks.run_suite(instances, ids, caps)
     if args.report:
         _write(args.report, report.to_json())
         print(args.report)
-    if args.csv:
+    if getattr(args, "csv", None):
         _write(args.csv, report.to_csv())
-    for line in report.to_csv().splitlines():
-        print(line)
+    print(report.to_csv(), end="")
     return _exit_code(report)
 
 
@@ -186,7 +178,7 @@ def _exit_code(report: checks.SuiteReport) -> int:
     return CAP_EXIT if capped else 0
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args, caps: Caps) -> int:
     sets = _load_sets(args)
     if not sets:
         print("extract needs --set or --recipe", file=sys.stderr)
@@ -227,9 +219,7 @@ def cmd_extract(args) -> int:
     return 0 if rep.ok else FAIL_EXIT
 
 
-def cmd_suite(args) -> int:
-    ids = ([c.strip() for c in args.checks.split(",") if c.strip()]
-           if args.checks else sorted(checks.REGISTRY))
+def cmd_suite(args, caps: Caps) -> int:
     instances = []
     if args.standard:
         instances += checks.standard_corpus(seed=args.seed,
@@ -243,12 +233,7 @@ def cmd_suite(args) -> int:
     if not instances:
         print("suite needs --standard, --set or --recipe", file=sys.stderr)
         return USAGE_EXIT
-    report = checks.run_suite(instances, ids)
-    if args.report:
-        _write(args.report, report.to_json())
-        print(args.report)
-    print(report.to_csv(), end="")
-    return _exit_code(report)
+    return _run_checks(args, instances, caps)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--recipe", action="append", help="recipe literal (repeatable)")
 
     def add_caps(p):
-        p.add_argument("--cap-tuples", type=int,
+        p.add_argument("--cap-tuples", type=_cap,
                        help="materialized-tuple work bound (default 10^7)")
-        p.add_argument("--cap-subsets", type=int,
+        p.add_argument("--cap-subsets", type=_cap,
                        help="exhaustive-subset size bound (default 20)")
 
     pc = sub.add_parser("compute", help="compute one quantity of a set")
@@ -332,9 +317,10 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
-    saved = _apply_global_caps(args)
+    caps = Caps(**{name: getattr(args, f"cap_{name}") for name in ("tuples", "subsets")
+                   if getattr(args, f"cap_{name}", None) is not None})
     try:
-        return args.fn(args)
+        return args.fn(args, caps)
     except SetFileError as exc:
         print(f"set file error: {exc}", file=sys.stderr)
         return USAGE_EXIT
@@ -344,8 +330,6 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, groups.GroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    finally:
-        vars(setops.DEFAULT_CAPS).update(vars(saved))
 
 
 if __name__ == "__main__":

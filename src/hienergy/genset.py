@@ -138,7 +138,8 @@ def quadratic_residues(p: int) -> GSet:
 
 
 def multiplicative_order_elements(gamma: GSet) -> tuple[int, int]:
-    """Validate that gamma is a multiplicative subgroup of Z/p^*; return (p, t)."""
+    """Validate that gamma is a multiplicative subgroup of Z/p^*; return (p, t).
+    Z/p^* is cyclic: its order-t subgroup is {x : x^t = 1}, for each t | p - 1."""
     g = gamma.group
     if not (g.is_cyclic and len(g.moduli) == 1):
         raise ValueError("multiplicative subgroups live in a single Z/p")
@@ -150,9 +151,10 @@ def multiplicative_order_elements(gamma: GSet) -> tuple[int, int]:
         raise ValueError("subgroup must contain 1 and avoid 0")
     if p >= 1 << 31:   # keeps every product of two residues inside int64
         raise ValueError(f"multiplicative subgroups need p < 2^31, got {p}")
-    if not np.isin(np.multiply.outer(vals, vals) % p, vals).all():
+    t = len(vals)
+    if (p - 1) % t or any(pow(x, t, p) != 1 for x in vals.tolist()):
         raise ValueError("set is not multiplicatively closed")
-    return p, len(vals)
+    return p, t
 
 
 def subgroup_cosets(gamma: GSet) -> np.ndarray:

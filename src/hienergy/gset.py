@@ -29,6 +29,7 @@ the set; ``subset`` and every constructor start an empty one.  Its keys:
 - ``"chain"``: the convolution powers behind ``moments.t_k``/``sigma_k``;
 - ``"A+A"``, ``"A-A"``: ``setops.sumset(a, a)``, ``setops.diffset(a, a)``;
 - ``"AA"``: the product set ``moments.prodset(a, a)`` of a set of Z;
+- ``"A/A"``: its quotient counts (``moments.quotient_counts``), read-only;
 - ``"cosets"``: a subgroup's cosets, one read-only matrix (``genset.subgroup_cosets``);
 - ``("D", k)``, ``("S", k)``: the counts D_k(A), S_k(A), never the tuples;
 - ``("R", b, k)``: R^(k)_B[A] and its witness (``setops.magnification_k``);

@@ -640,13 +640,20 @@ def prodset(a, b) -> GSet:
 
 def quotient_counts(a) -> np.ndarray:
     """r_{A/A}(q) for every quotient q = x/y of A: reduced by its gcd, sign on
-    the numerator, packed as num 2^30 + den (0 < den < 2^30), counted by one sort."""
-    xs = _int_set(a).coords[:, 0]
+    the numerator, packed as num 2^30 + den (0 < den < 2^30), counted by one
+    sort; kept read-only on the set of Z."""
+    a = _int_set(a)
+    return a.kept("A/A", lambda: _quotient_counts(a.coords[:, 0]))
+
+
+def _quotient_counts(xs: np.ndarray) -> np.ndarray:
     if (xs == 0).any():
         raise ValueError("quotient set needs 0 not in A")
     g = np.gcd.outer(xs, xs)
     keys = xs[:, None] // g * np.sign(xs) * _INT_BOUND + np.abs(xs) // g
-    return np.unique(keys, return_counts=True)[1]
+    counts = np.unique(keys, return_counts=True)[1]
+    counts.flags.writeable = False
+    return counts
 
 
 def mult_energy_k(a, k: int = 2) -> int:

@@ -37,7 +37,7 @@ class CapExceededError(RuntimeError):
     """A desk-scale guard (tuple space, subset count, ...) was exceeded."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Caps:
     tuples: int = 10_000_000       # materialized tuple work bound
     subsets: int = 20              # magnification exhaustive |A| bound

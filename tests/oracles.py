@@ -373,6 +373,13 @@ def oracle_subgroup_cosets(p, members):
     return cosets
 
 
+def oracle_is_mult_closed(p, members):
+    """Whether a set of residues mod p is closed under multiplication, by
+    trying every product."""
+    ms = set(members)
+    return all((x * y) % p in ms for x in ms for y in ms)
+
+
 class EigenConvergenceError(RuntimeError):
     pass
 

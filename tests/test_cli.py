@@ -206,6 +206,41 @@ def test_suite_cap_errors_exit_nonzero(capsys):
     assert out.startswith("check_id,")
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "mag", "--recipe", "interval:n=5,N=64", "--cap-subsets", "0"],
+    ["compute", "Dk", "--recipe", "interval:n=5,N=64", "--cap-tuples", "-5"],
+    ["verify", "--checks", "C13", "--recipe", "interval:n=5,N=64", "--cap-tuples", "0"],
+    ["suite", "--checks", "C17", "--recipe", "interval:n=5,N=64", "--cap-subsets", "-1"],
+    ["suite", "--checks", "C17", "--recipe", "interval:n=5,N=64", "--cap-subsets", "two"],
+], ids=["compute-subsets-0", "compute-tuples-neg", "verify-tuples-0", "suite-subsets-neg",
+        "suite-subsets-text"])
+def test_cap_flags_refuse_values_below_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "--cap-" in err
+
+
+def test_suite_refuses_unknown_check_ids_as_verify_does(capsys):
+    for command in ("suite", "verify"):
+        code, out, err = run_cli(capsys, command, "--checks", "C13,C99",
+                                 "--recipe", "interval:n=5,N=64")
+        assert (code, out) == (2, "") and "unknown check id 'C99'" in err
+
+
+@pytest.mark.parametrize("command", ["suite", "verify"])
+def test_cap_flags_reach_the_checks(capsys, command):
+    recipe = ["--recipe", "interval:n=12,N=64"]
+    code, out, err = run_cli(capsys, command, "--checks", "C13", *recipe, "--cap-tuples", "1000")
+    assert code == 3 and out == "check_id,instances,failures,max_ratio\n"
+    assert err.count("cap: tuple work") == 14
+    code, out, err = run_cli(capsys, command, "--checks", "C17", *recipe, "--cap-subsets", "5")
+    assert code == 3 and err.count("exceeds subset cap 5") == 5
+    # the same process without the flags: the default caps again
+    code, out, err = run_cli(capsys, command, "--checks", "C13,C17", *recipe)
+    assert (code, err) == (0, "")
+    assert [row.split(",")[:3] for row in out.splitlines()[1:]] == [["C13", "14", "0"],
+                                                                    ["C17", "5", "0"]]
+
+
 def test_cap_flags_do_not_leak_into_later_calls(capsys):
     before = vars(setops.DEFAULT_CAPS).copy()
     code, _, err = run_cli(capsys, "compute", "Dk", "--recipe", "interval:n=12,N=64",

@@ -123,3 +123,21 @@ def test_cosets_refuse_a_non_subgroup():
                 GSet(groups.lattice(1), [1])):
         with pytest.raises(ValueError):
             genset.subgroup_cosets(bad)
+
+
+def test_subgroup_check_matches_the_closure_oracle():
+    # every subset of Z/p holding 1, p <= 13: accepted exactly when closed and free of 0
+    for p in (2, 3, 5, 7, 11, 13):
+        rest = list(range(p))
+        rest.remove(1)
+        for mask in range(1 << len(rest)):
+            members = [1] + [x for i, x in enumerate(rest) if mask >> i & 1]
+            gamma = GSet(groups.cyclic(p), members)
+            if 0 in members:
+                with pytest.raises(ValueError, match="contain 1 and avoid 0"):
+                    genset.multiplicative_order_elements(gamma)
+            elif oracles.oracle_is_mult_closed(p, members):
+                assert genset.multiplicative_order_elements(gamma) == (p, len(members))
+            else:
+                with pytest.raises(ValueError, match="not multiplicatively closed"):
+                    genset.multiplicative_order_elements(gamma)

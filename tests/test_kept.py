@@ -114,29 +114,23 @@ def test_second_call_builds_nothing(monkeypatch):
         counts.clear()
 
 
-def test_kept_values_still_refused_under_smaller_caps(monkeypatch):
+def test_kept_values_still_refused_under_smaller_caps():
     a, b = GSet(cyclic(64), range(0, 36, 3)), GSet(cyclic(64), [0, 5, 9])
     d2, s2 = setops.d_k(a, 2), setops.s_k(a, 2)
     r = setops.magnification_k(a, b, 2)
     pg = eigen.build_gram(a, b, 1)
     small = Caps(tuples=100, subsets=4, gram=3)
+    # one cap below the work each, the others at their defaults, as the
+    # CLI's --cap-tuples and --cap-subsets build them
     for call in (lambda: setops.d_k(a, 2, small), lambda: setops.s_k(a, 2, small),
                  lambda: setops.magnification_k(a, b, 2, small),
                  lambda: setops.magnification_k(a, b, 2, Caps(tuples=100)),
-                 lambda: eigen.build_gram(a, b, 1, small)):
+                 lambda: eigen.build_gram(a, b, 1, small),
+                 lambda: setops.d_k(a, 2, Caps(tuples=100)),
+                 lambda: setops.s_k(a, 2, Caps(tuples=100)),
+                 lambda: setops.magnification(a, b, Caps(subsets=4))):
         with pytest.raises(CapExceededError):
             call()
-    # the CLI's --cap-tuples and --cap-subsets set the default caps in place
-    monkeypatch.setattr(setops.DEFAULT_CAPS, "tuples", 100)
-    with pytest.raises(CapExceededError):
-        setops.d_k(a, 2)
-    with pytest.raises(CapExceededError):
-        setops.s_k(a, 2)
-    monkeypatch.setattr(setops.DEFAULT_CAPS, "tuples", 10_000_000)
-    monkeypatch.setattr(setops.DEFAULT_CAPS, "subsets", 4)
-    with pytest.raises(CapExceededError):
-        setops.magnification(a, b)
-    monkeypatch.undo()
     assert (setops.d_k(a, 2), setops.s_k(a, 2)) == (d2, s2)
     assert setops.magnification_k(a, b, 2) is r and eigen.build_gram(a, b, 1) is pg
 
@@ -265,3 +259,24 @@ def test_suite_pass_builds_the_cosets_once_per_subgroup(monkeypatch):
     assert not report.errors
     calls = sum(r.check_id in ("C26", "C27") for r in report.results)
     assert len(built) == calls == len({id(gamma) for gamma in built}) > 0
+
+
+def test_balog_builds_the_quotient_counts_once(monkeypatch):
+    # |A/A| and E^x_3(A) both read r_{A/A}; before it was kept, C35 balog built it twice
+    built, real = [], moments._quotient_counts
+    monkeypatch.setattr(moments, "_quotient_counts", lambda xs: built.append(xs) or real(xs))
+    a = GSet(lattice(1), range(1, 17))
+    r = checks.run_check("C35", {"a": a, "variant": "balog"})
+    assert r.passed and len(built) == 1
+    counts = moments.quotient_counts(a)
+    assert len(built) == 1 and not counts.flags.writeable
+    assert moments.quotset_size(a) == len(counts) == oracles.oracle_quotset_size(a.coords[:, 0].tolist())
+
+
+def test_caps_are_frozen():
+    caps = Caps(tuples=100)
+    with pytest.raises(AttributeError):
+        caps.tuples = 10
+    with pytest.raises(AttributeError):
+        setops.DEFAULT_CAPS.subsets = 4
+    assert caps == Caps(tuples=100) and setops.DEFAULT_CAPS == Caps()

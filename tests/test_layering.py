@@ -2,7 +2,8 @@
 and formatted in `gset` and `groups`, never computed on elsewhere.  Element
 rows are sorted, deduplicated, searched and ranked by `gset.row_keys` alone.
 Python sets of elements are built only by `genset`'s generators, and the
-multiplicative side (`moments`, `checks`) uses no `Fraction`."""
+multiplicative side (`moments`, `checks`) uses no `Fraction`.  Caps are
+passed in: no function body reads `DEFAULT_CAPS`."""
 
 import ast
 from pathlib import Path
@@ -113,3 +114,46 @@ def test_set_comprehension_guard_sees_each_form(tmp_path):
                    "ok = {x: 1 for x in xs}\n")
     assert set_and_fraction_uses(bad) == ["bad.py:1 fractions", "bad.py:2 fractions",
                                            "bad.py:3 set comprehension"]
+
+
+def default_caps_reads(path: Path) -> list[str]:
+    """Every `DEFAULT_CAPS` named inside a function or lambda body: as a name,
+    an attribute or a string (`getattr`).  A default argument is read once,
+    where the function is defined, and is allowed."""
+    found = set()
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for stmt in fn.body if isinstance(fn.body, list) else [fn.body]:
+            for node in ast.walk(stmt):
+                if ((isinstance(node, ast.Name) and node.id == "DEFAULT_CAPS")
+                        or (isinstance(node, ast.Attribute) and node.attr == "DEFAULT_CAPS")
+                        or (isinstance(node, ast.Constant) and node.value == "DEFAULT_CAPS")):
+                    found.add((node.lineno, node.col_offset))
+    return [f"{path.name}:{line} DEFAULT_CAPS" for line, _ in sorted(found)]
+
+
+def test_no_function_body_reads_default_caps():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 10
+    assert [use for p in modules for use in default_caps_reads(p)] == []
+    # the defaults themselves are there, and allowed
+    assert "DEFAULT_CAPS" in (SRC / "checks.py").read_text(encoding="utf-8")
+
+
+def test_default_caps_guard_sees_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("def ok(a, caps=DEFAULT_CAPS):\n"
+                   "    return caps.tuples\n"
+                   "def f(a):\n"
+                   "    return g(a, DEFAULT_CAPS)\n"
+                   "def h(a):\n"
+                   "    if a > setops.DEFAULT_CAPS.tuples:\n"
+                   "        return getattr(setops, 'DEFAULT_CAPS')\n"
+                   "    def inner(caps=DEFAULT_CAPS):\n"
+                   "        return caps\n"
+                   "ok2 = lambda caps=DEFAULT_CAPS: caps\n"
+                   "bad2 = lambda: DEFAULT_CAPS\n")
+    assert default_caps_reads(bad) == ["bad.py:4 DEFAULT_CAPS", "bad.py:6 DEFAULT_CAPS",
+                                       "bad.py:7 DEFAULT_CAPS", "bad.py:8 DEFAULT_CAPS",
+                                       "bad.py:11 DEFAULT_CAPS"]

@@ -296,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--sign", choices=["-", "+"], default="-")
     pe.add_argument("--cap", type=int)
     pe.add_argument("--out")
-    add_caps(pe)
     pe.set_defaults(fn=cmd_extract)
 
     ps = sub.add_parser("suite", help="sweep families of sets through checks")

@@ -1,8 +1,25 @@
 """Convolutions, correlations and energy functionals.
 
-Tables are exact integer-valued finitely-supported functions: int64 while
-B = min(|f|_1 |g|_inf, |g|_1 |f|_inf) < 2^62 bounds every entry, Python
-ints above.  Direct pair sums serve a product iff nnz(f) nnz(g) <= max(2^14,
+Tables are exact integer-valued finitely-supported functions, stored as
+int64 digit planes of radix 2^R, R = 32 (Knuth, TAOCP vol. 2, 4.3.1): an
+array of shape (D,) + window with value sum_d planes[d] 2^(R d).  While the
+a priori bound B = min(|f|_1 |g|_inf, |g|_1 |f|_inf) on every entry of a
+product stays below 2^62, D = 1 and the one plane is the value itself.
+From 2^62 on, D is the fewest planes with B < 2^(R D): the low planes lie
+in [0, 2^R), the top one is signed and below 2^R in magnitude.  B bounds
+the entries only, so a table of D >= 2 planes may hold small values, and
+the engine reads an operand through all its planes even where the product
+fits in one.
+So no plane sum wraps: a window holds fewer than 2^(63 - R) = 2^31 entries
+(16 GB a plane), so a per-plane sum stays below 2^63; the engine adds
+pieces below 2^R into the low planes (2^31 of them per entry before one
+carry pass) and only the top plane adds modulo 2^64, which is exact
+because the value it ends with is small.  Digits cut from the planes for
+the FFT's limbs, the direct path's pair products and T_k's square sums
+have widths chosen before any entry is read, so every digit product sum
+stays below 2^63.  Python ints are built only for the public readers of a
+wide table (array, values, support_rows, to_csv, argmax), once, on demand.
+Direct pair sums serve a product iff nnz(f) nnz(g) <= max(2^14,
 2 x transform size), capped at 2^22 pairs; else a real FFT on operands split
 into limbs chosen before it runs, so that Percival's a priori error bound
 proves each limb product rounds exactly.  A one-dimensional transform of
@@ -50,25 +67,39 @@ from .gset import GSet, zset
 
 _DIRECT_MIN = 1 << 14         # support pairs the direct path always serves ...
 _DIRECT_MAX = 1 << 22         # ... and never exceeds
-_WIDE = 1 << 62               # entry bound from which tables hold Python ints
+_WIDE = 1 << 62               # entry bound from which tables are stored as R-bit planes
+_R = 32                       # the planes' radix: value = sum_d planes[d] 2^(R d)
+_MASK = (1 << _R) - 1
 _FOUR_STEP_MIN = 1 << 15      # one-dimensional power-of-two transforms from here run as a four-step
 _TWIDDLE_ERR = 16 * 2.0 ** -53   # bound on |table entry - w^e| of the four-step's twiddles
 _INT_BOUND = 1 << 30          # |x| bound on the elements of multiplicative operands
 
 
 class ConvTable:
-    """Finitely-supported function on a group, stored as a dense window.
+    """Finitely-supported function on a group, stored as a dense window of
+    int64 planes: ``planes`` has shape (D,) + window (see the module
+    docstring).  ``array`` is the window of values: the one plane itself,
+    or, for D >= 2, Python ints built once on first read, read-only.
 
     ``offset`` is the coordinate of the window's [0,...,0] cell; cyclic
     tables use the full fundamental domain with zero offset.
     """
 
-    __slots__ = ("group", "offset", "array")
+    __slots__ = ("group", "offset", "planes", "_ints")
 
     def __init__(self, group: GroupSpec, array: np.ndarray, offset: tuple[int, ...] | None = None):
         self.group = group
-        self.array = array
+        self.planes = _cut(array)
         self.offset = offset if offset is not None else (0,) * group.dim
+        self._ints = None
+
+    @classmethod
+    def of_planes(cls, group: GroupSpec, planes: np.ndarray,
+                  offset: tuple[int, ...] | None = None) -> "ConvTable":
+        t = cls.__new__(cls)
+        t.group, t.planes, t._ints = group, planes, None
+        t.offset = offset if offset is not None else (0,) * group.dim
+        return t
 
     # -- construction -------------------------------------------------
 
@@ -76,24 +107,34 @@ class ConvTable:
     def from_gset(cls, a: GSet) -> "ConvTable":
         g = a.group
         if g.is_cyclic:
-            return cls(g, a.indicator())
+            return cls.of_planes(g, a.indicator()[None])
         mat = a.coords
         if len(mat) == 0:
-            return cls(g, np.zeros((1,) * g.dim, dtype=np.int64))
+            return cls.of_planes(g, np.zeros((1,) * (g.dim + 1), dtype=np.int64))
         lo = mat.min(axis=0)
         shape = tuple(int(h - l + 1) for l, h in zip(lo, mat.max(axis=0)))
         arr = np.zeros(shape, dtype=np.int64)
         arr[tuple((mat - lo).T)] = 1
-        return cls(g, arr, tuple(int(v) for v in lo))
+        return cls.of_planes(g, arr[None], tuple(int(v) for v in lo))
 
     # -- access -------------------------------------------------------
+
+    @property
+    def array(self) -> np.ndarray:
+        if len(self.planes) == 1:
+            return self.planes[0]
+        if self._ints is None:
+            self._ints = _combine(self.planes)
+            self._ints.flags.writeable = False
+        return self._ints
 
     def support_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(points, values) of the nonzero entries: a len x dim coordinate
         matrix in lexicographic order (the window's row-major order), and
         the entries at those points."""
-        idx = np.argwhere(self.array)
-        return idx + np.array(self.offset, dtype=np.int64), self.array[tuple(idx.T)]
+        arr = self.array
+        idx = np.argwhere(arr)
+        return idx + np.array(self.offset, dtype=np.int64), arr[tuple(idx.T)]
 
     def argmax(self) -> tuple[Elem, int]:
         """The first maximum in the lexicographic order of its point, and its value."""
@@ -102,28 +143,37 @@ class ConvTable:
         return tuple(int(p + o) for p, o in zip(point, self.offset)), int(self.array.flat[i])
 
     def total(self) -> int:
-        return _total(self.array)
+        return _total(self.planes)
+
+    def _gather(self, points: np.ndarray) -> np.ndarray:
+        """The planes at the rows of a len x dim coordinate matrix, 0 off the window: D x len."""
+        idx = points % self.group.moduli if self.group.is_cyclic else points - self.offset
+        inside = ((idx >= 0) & (idx < self.planes.shape[1:])).all(axis=1)
+        out = np.zeros((len(self.planes), len(points)), dtype=np.int64)
+        out[:, inside] = self.planes[(slice(None),) + tuple(idx[inside].T)]
+        return out
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
         """Entries at the rows of a len x dim coordinate matrix, 0 off the window."""
-        idx = points % self.group.moduli if self.group.is_cyclic else points - self.offset
-        inside = ((idx >= 0) & (idx < self.array.shape)).all(axis=1)
-        out = np.zeros(len(points), dtype=self.array.dtype)
-        out[inside] = self.array[tuple(idx[inside].T)]
-        return out
+        return _combine(self._gather(points))
 
     def values(self) -> np.ndarray:
         return self.array.ravel()
 
+    def _flat(self) -> np.ndarray:
+        """The planes with the window flattened: D x size."""
+        return self.planes.reshape(len(self.planes), -1)
+
     def trimmed(self) -> "ConvTable":
         if self.group.is_cyclic:
             return self
-        nz = np.nonzero(self.array)
+        nz = np.nonzero(_support(self.planes))
         if len(nz[0]) == 0:
-            return ConvTable(self.group, np.zeros((1,) * self.group.dim, dtype=self.array.dtype))
+            return ConvTable.of_planes(self.group, np.zeros((len(self.planes),) + (1,) * self.group.dim,
+                                                            dtype=np.int64))
         slices = tuple(slice(int(i.min()), int(i.max()) + 1) for i in nz)
         off = tuple(int(s.start + o) for s, o in zip(slices, self.offset))
-        return ConvTable(self.group, self.array[slices].copy(), off)
+        return ConvTable.of_planes(self.group, self.planes[(slice(None),) + slices].copy(), off)
 
     def to_csv(self) -> str:
         lines = ["element,count"]
@@ -142,78 +192,200 @@ def as_table(x) -> ConvTable:
 
 
 # ---------------------------------------------------------------------------
+# planes
+
+
+def _cut(values: np.ndarray) -> np.ndarray:
+    """An integer array as planes: one int64 plane where every entry fits,
+    else the fewest R-bit planes whose top one holds its largest |entry|."""
+    if values.dtype != object:
+        return np.asarray(values, dtype=np.int64)[None]
+    lo, hi = int(values.min(initial=0)), int(values.max(initial=0))
+    if -1 << 63 <= lo and hi < 1 << 63:
+        return values.astype(np.int64)[None]
+    d = -(-max(hi, -lo).bit_length() // _R)
+    return np.stack([values >> _R * i & _MASK for i in range(d - 1)]
+                    + [values >> _R * (d - 1)]).astype(np.int64)
+
+
+def _combine(x: np.ndarray) -> np.ndarray:
+    """Planes as their values: the one int64 plane itself, else Python ints."""
+    if len(x) == 1:
+        return x[0]
+    out = x[-1].astype(object)
+    for plane in x[-2::-1]:
+        out = (out << _R) + plane.astype(object)
+    return out
+
+
+def _support(x: np.ndarray) -> np.ndarray:
+    """A window whose nonzeros are the table's."""
+    return x[0] if len(x) == 1 else x.any(axis=0)
+
+
+def _digits(x: np.ndarray, width: int, count: int) -> list[np.ndarray]:
+    """The values of planes x as count int64 digits, x = sum_j d_j 2^(width j):
+    the low ones in [0, 2^width), the last signed (the caller's count makes
+    it fit).  A digit is floor(x / 2^(width j)), read off the planes from
+    the one holding its lowest bit, modulo 2^64 (int64 arithmetic) and, but
+    for the last, modulo 2^width."""
+    radix = _R if len(x) > 1 else 64
+    out = []
+    for j in range(count):
+        b, last = j * width, j == count - 1
+        p = min(b // radix, len(x) - 1)   # past the top plane: its sign
+        d = x[p] >> b - p * radix
+        for q in range(p + 1, len(x)):
+            if not last and q * radix - b >= width:
+                break
+            d = d + (x[q] << q * radix - b)
+        out.append(d if last else d & (1 << width) - 1)
+    return out
+
+
+def _whole(x: np.ndarray) -> np.ndarray:
+    """The values of planes x as one int64 array, for a caller whose bound
+    shows they fit: plane 0 of one plane, else every plane read through.
+    D follows an a priori bound, so planes may hold small values."""
+    return x[0] if len(x) == 1 else _digits(x, 64, 1)[0]
+
+
+def _deposit(x: np.ndarray, part: np.ndarray, shift: int) -> None:
+    """x += part 2^shift before a carry pass, |part| < 2^63: pieces of part
+    in [0, 2^R) on each plane below the last it reaches (at most three
+    planes), the signed rest on that one.  So a low plane takes 2^31 deposits
+    before it could wrap; the top plane adds modulo 2^64, which is exact
+    because the value it ends with is small.  One plane adds modulo 2^64."""
+    q, o = divmod(shift, _R) if len(x) > 1 else (0, shift)
+    last = min(q + 2, len(x) - 1)
+    while q < last:
+        x[q] += (part & (1 << _R - o) - 1) << o
+        part = part >> _R - o
+        q, o = q + 1, 0
+    x[q] += part << o
+
+
+def _carry(x: np.ndarray) -> np.ndarray:
+    """One carry pass: the low planes into [0, 2^R), the rest up into the top plane."""
+    for d in range(len(x) - 1):
+        x[d + 1] += x[d] >> _R
+        x[d] &= _MASK
+    return x
+
+
+def _count(fn: tuple[int, ...], gn: tuple[int, ...]) -> int:
+    """The product's planes: one while the entry bound B = min(|f|_1 |g|_inf,
+    |g|_1 |f|_inf) < 2^62, else the fewest R-bit planes with B < 2^(R D)."""
+    b = min(fn[0] * gn[1], gn[0] * fn[1])
+    return 1 if b < _WIDE else -(-b.bit_length() // _R)
+
+
+# ---------------------------------------------------------------------------
 # convolution engine
 
 
-def _total(x: np.ndarray) -> int:
-    """Exact sum of an integer array, summed in int64 where that cannot wrap."""
-    if x.dtype != object and x.size * max(int(x.max(initial=0)), -int(x.min(initial=0))) >= 1 << 63:
-        x = x.astype(object)
-    return int(x.sum())
+def _total(x: np.ndarray, bound: int | None = None) -> int:
+    """Exact sum of planes.  One plane is summed in int64 where size |x|_inf,
+    or the caller's bound on every partial sum, is below 2^63, else as two
+    R-bit planes; an R-bit plane of fewer than 2^(63 - R) entries cannot wrap."""
+    if len(x) == 1:
+        if bound is None:
+            bound = x.size * max(int(x.max(initial=0)), -int(x.min(initial=0)))
+        if bound < 1 << 63:
+            return int(x.sum())
+        x = _digits(x, _R, 2)
+    return sum(int(plane.sum()) << _R * d for d, plane in enumerate(x))
 
 
 def _norms(x: np.ndarray) -> tuple[int, int, int]:
-    """(|x|_1, |x|_inf, sum x) as exact Python ints, from one min, one max
-    and one sum (two for a signed x), in int64 where size |x|_inf < 2^63."""
-    lo, hi = int(x.min()), int(x.max())
-    linf = max(hi, -lo)
-    if x.dtype != object and x.size * linf >= 1 << 63:
-        x = x.astype(object)
-    total = int(x.sum())
-    return (total if lo >= 0 else int(np.abs(x).sum())), linf, total
-
-
-def _wide(fn: tuple[int, ...], gn: tuple[int, ...]) -> bool:
-    """Whether the entry bound B = min(|f|_1 |g|_inf, |g|_1 |f|_inf) reaches 2^62."""
-    return min(fn[0] * gn[1], gn[0] * fn[1]) >= _WIDE
+    """(|x|_1, |x|_inf, sum x) of planes as exact Python ints, from one min,
+    one max and one sum per plane (two for a signed x: |x|_1 = sum x - 2 sum
+    min(x, 0), since |-2^63| wraps in int64).  For D >= 2 planes the first
+    two are bounds read off the top plane and per-plane sums."""
+    top = x if len(x) == 1 else x[-1]
+    lo, hi = int(top.min()), int(top.max())
+    if len(x) == 1:
+        linf = max(hi, -lo)
+        total = _total(x, x.size * linf)
+        return (total if lo >= 0 else total - 2 * _total(np.minimum(x, 0), x.size * linf)), linf, total
+    s = _R * (len(x) - 1)
+    total = _total(x)
+    return (total if lo >= 0 else _total(np.abs(x))), max((hi + 1 << s) - 1, -lo << s), total
 
 
 def _checked(out: np.ndarray, fn: tuple[int, ...], gn: tuple[int, ...], path: str) -> np.ndarray:
     """out, once its mass identity sum(f*g) = sum(f) sum(g) holds exactly:
-    summed in int64 where |f|_1 |g|_1 < 2^63 bounds every partial sum of a
-    correct product, else in Python ints.  Direct sums are integer
-    arithmetic, so there only a defect breaks it."""
-    mass = out if out.dtype == object or fn[0] * gn[0] < 1 << 63 else out.astype(object)
-    if int(mass.sum()) != fn[2] * gn[2]:
+    one plane summed in int64 where |f|_1 |g|_1 < 2^63 bounds every partial
+    sum of a correct product, else by _total's R-bit planes.  Direct sums are
+    integer arithmetic, so there only a defect breaks it."""
+    if _total(out, fn[0] * gn[0]) != fn[2] * gn[2]:
         raise (InvariantError if path == "direct" else ArithmeticError)(
             f"{path} convolution broke the mass identity sum(f*g) = sum(f) sum(g)")
     return out
 
 
+def _stack(x: np.ndarray, moduli: tuple[int, ...] | None) -> np.ndarray:
+    """An engine operand as planes: a bare window of a cyclic group (as many
+    axes as moduli) is one plane.  _conv always passes planes; only the
+    tests that compare _fft and _direct on bare windows rely on this."""
+    return x[None] if moduli and x.ndim == len(moduli) else x
+
+
 def _direct(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
             corr: bool = False) -> np.ndarray:
     """Sum over all pairs of support points (at most max(2^14, 2 x FFT size),
-    capped at 2^22) at index i + j, or j - i for a correlation.  With moduli
-    the window is the group, else the lattice window, where correlation lags
-    start at 1 - (f's extent).  The norms are read off the support values."""
-    out_shape = moduli or tuple(int(a + b - 1) for a, b in zip(fa.shape, ga.shape))
-    fidx = np.flatnonzero(fa)
-    gidx = fidx if fa is ga else np.flatnonzero(ga)
+    capped at 2^22) at index i + j, or j - i for a correlation, into the
+    product's planes.  With moduli the window is the group, else the lattice
+    window, where correlation lags start at 1 - (f's extent).  The norms are
+    read off the support values.  A wide product cuts f and g into digits
+    whose products, summed over the at most min(|supp f|, |supp g|) pairs
+    at one index, stay below 2^63, and deposits each digit pair's sums."""
+    same = fa is ga
+    fa = _stack(fa, moduli)
+    ga = fa if same else _stack(ga, moduli)
+    out_shape = moduli or tuple(int(a + b - 1) for a, b in zip(fa.shape[1:], ga.shape[1:]))
+    fidx = np.flatnonzero(_support(fa))
+    gidx = fidx if same else np.flatnonzero(_support(ga))
     if len(fidx) == 0 or len(gidx) == 0:
-        return np.zeros(out_shape, dtype=np.int64)
-    fvals, gvals = fa.ravel()[fidx], ga.ravel()[gidx]
+        return np.zeros((1,) + out_shape, dtype=np.int64)
+    fvals, gvals = fa.reshape(len(fa), -1).take(fidx, 1), ga.reshape(len(ga), -1).take(gidx, 1)
     fn = _norms(fvals)
-    gn = fn if fa is ga else _norms(gvals)
-    unit = bool((fvals == 1).all() and (gvals == 1).all())
+    gn = fn if same else _norms(gvals)
     flat = None   # the pairs' flat output index, built in place axis by axis
-    for fc, gc, fs, dim in zip(np.unravel_index(fidx, fa.shape), np.unravel_index(gidx, ga.shape),
-                               fa.shape, out_shape):
+    for fc, gc, fs, dim in zip(np.unravel_index(fidx, fa.shape[1:]), np.unravel_index(gidx, ga.shape[1:]),
+                               fa.shape[1:], out_shape):
         s = gc[None, :] - fc[:, None] if corr else fc[:, None] + gc[None, :]
-        if moduli:
-            s %= dim
+        if moduli:   # sums lie in [0, 2 dim), lags in (-dim, dim)
+            if corr:
+                np.add(s, dim, out=s, where=s < 0)
+            else:
+                np.subtract(s, dim, out=s, where=s >= dim)
         elif corr:
             s += fs - 1
         if flat is not None:
             s += flat * dim
         flat = s
+    flat = flat.ravel()
     size = math.prod(out_shape)
-    if unit:  # entries are at most min(|supp f|, |supp g|)
-        out = np.bincount(flat.ravel(), minlength=size)
+    planes = _count(fn, gn)
+    if fn[1] == gn[1] == 1 and fn[2] == len(fidx) and gn[2] == len(gidx):   # 0/1: entries <= min(|supp|)
+        out = np.bincount(flat, minlength=size)[None]
+    elif planes == 1:
+        out = np.zeros((1, size), dtype=np.int64)
+        np.add.at(out[0], flat, np.multiply.outer(_whole(fvals), _whole(gvals)).ravel())
     else:
-        dtype = object if _wide(fn, gn) else np.int64
-        out = np.zeros(size, dtype=dtype)
-        np.add.at(out, flat.ravel(), np.multiply.outer(fvals.astype(dtype), gvals.astype(dtype)).ravel())
-    return _checked(out.reshape(out_shape), fn, gn, "direct")
+        room = 63 - min(len(fidx), len(gidx)).bit_length()
+        narrow = min(min(fn[1], gn[1]).bit_length() + 1, room // 2)
+        fw, gw = (room - narrow, narrow) if fn[1] >= gn[1] else (narrow, room - narrow)
+        out = np.zeros((planes, size), dtype=np.int64)
+        gds = _digits(gvals, gw, (gn[1].bit_length() + gw) // gw)
+        for i, fd in enumerate(_digits(fvals, fw, (fn[1].bit_length() + fw) // fw)):
+            for j, gd in enumerate(gds):
+                part = np.zeros(size, dtype=np.int64)
+                np.add.at(part, flat, np.multiply.outer(fd, gd).ravel())
+                _deposit(out, part, i * fw + j * gw)
+        _carry(out)
+    return _checked(out.reshape((len(out),) + out_shape), fn, gn, "direct")
 
 
 def _percival(size: int, four_step: bool = False) -> float:
@@ -249,27 +421,27 @@ def _split(fn: tuple[int, ...], gn: tuple[int, ...], size: int,
 
 
 def _limbs(x: np.ndarray, bits: int | None, linf: int) -> list[np.ndarray]:
-    """x = sum_i limb_i 2^(bits i) as float64 arrays: low limbs in
-    [0, 2^bits), the top one carries the sign."""
+    """Planes x = sum_i limb_i 2^(bits i) as float64 arrays, cut straight
+    from the planes: low limbs in [0, 2^bits), the top one carries the sign;
+    with bits None, x whole (then every entry is below 2^53)."""
     if bits is None:
-        return [x.astype(np.float64)]
-    top = (linf.bit_length() - 1) // bits
-    return [(x >> (bits * i) & (1 << bits) - 1 if i < top else x >> (bits * i)).astype(np.float64)
-            for i in range(top + 1)]
+        return [_whole(x).astype(np.float64)]
+    return [d.astype(np.float64) for d in _digits(x, bits, (linf.bit_length() - 1) // bits + 1)]
 
 
 def _fold(x: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-    """Wrap the first 2m entries per axis of a window onto Z/m."""
-    for ax, m in enumerate(moduli):
+    """Wrap the first 2m entries per trailing axis of a window onto Z/m."""
+    for ax, m in enumerate(moduli, x.ndim - len(moduli)):
         x = x.take(np.arange(2 * m), axis=ax)
         x = x.reshape(x.shape[:ax] + (2, m) + x.shape[ax + 1:]).sum(axis=ax)
     return x
 
 
-def _shape(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None) -> tuple[int, ...]:
-    """The FFT's shape: the group for power-of-two moduli, else powers of two over the linear product."""
+def _shape(fs: tuple[int, ...], gs: tuple[int, ...], moduli: tuple[int, ...] | None) -> tuple[int, ...]:
+    """The FFT's shape for windows fs and gs: the group for power-of-two
+    moduli, else powers of two over the linear product."""
     pow2 = bool(moduli) and all(m & (m - 1) == 0 for m in moduli)
-    return moduli if pow2 else tuple(1 << int(a + b - 2).bit_length() for a, b in zip(fa.shape, ga.shape))
+    return moduli if pow2 else tuple(1 << int(a + b - 2).bit_length() for a, b in zip(fs, gs))
 
 
 def _four_step(shape: tuple[int, ...]) -> bool:
@@ -341,45 +513,48 @@ def _fft(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
     """Real-FFT convolution, or correlation with f's spectrum conjugated,
     exact by the a priori limb split of `_split`: cyclic at the group size
     for power-of-two moduli, else linear at power-of-two sizes (folded if
-    cyclic).  One limb each forms the product in one buffer; more are summed
-    in int64 modulo 2^64, exact while B < 2^62, and in Python ints above.
-    spectra (the caller's, for one g) keeps g's whole spectrum per shape."""
-    lin = tuple(int(a + b - 1) for a, b in zip(fa.shape, ga.shape))
-    shape = _shape(fa, ga, moduli)
+    cyclic).  Operands and product are planes.  One limb each forms the
+    product in one buffer; more are deposited limb pair by limb pair into
+    the product's planes (one plane adds modulo 2^64, exact while B < 2^62)
+    and carried once.  spectra (the caller's, for one g) keeps g's whole
+    spectrum per shape."""
     same = fa is ga
+    fa = _stack(fa, moduli)
+    ga = fa if same else _stack(ga, moduli)
+    fs = fa.shape[1:]
+    lin = tuple(int(a + b - 1) for a, b in zip(fs, ga.shape[1:]))
+    shape = _shape(fs, ga.shape[1:], moduli)
     fn = _norms(fa)
     gn = fn if same else _norms(ga)
     fbits, gbits = _split(fn, gn, math.prod(shape), _four_step(shape))
-    wide = _wide(fn, gn)
+    planes = _count(fn, gn)
     cache = spectra if spectra is not None and gbits is None else {}
     if (ghat := cache.get(shape)) is None:
         ghat = cache[shape] = [_rfft(p, shape) for p in _limbs(ga, gbits, gn[1])]
-    if fbits is None and gbits is None and not wide:
-        prod = ghat[0].copy() if same else _rfft(fa.astype(np.float64), shape)
+    if fbits is None and gbits is None and planes == 1:
+        prod = ghat[0].copy() if same else _rfft(_limbs(fa, None, fn[1])[0], shape)
         if corr:
             np.conjugate(prod, out=prod)
         prod *= ghat[0]
         out = _irfft(prod, shape)
-        out = np.rint(out, out=out).astype(np.int64)
+        out = np.rint(out, out=out).astype(np.int64)[None]
     else:
         # f's limb spectra are made one at a time, or shared with g's for a self-product
         fhat = ghat if same and fbits == gbits else (_rfft(p, shape) for p in _limbs(fa, fbits, fn[1]))
         if corr:
             fhat = (np.conj(h) for h in fhat)
-        acc = np.zeros(shape, dtype=object if wide else np.uint64)
+        out = np.zeros((planes,) + shape, dtype=np.int64)
         for i, fh in enumerate(fhat):
             for j, gh in enumerate(ghat):
                 part = np.rint(_irfft(fh * gh, shape)).astype(np.int64)
-                shift = i * (fbits or 0) + j * (gbits or 0)
-                acc += part.astype(object) << shift if wide else part.view(np.uint64) << shift
-        out = acc if wide else acc.view(np.int64)
+                _deposit(out, part, i * (fbits or 0) + j * (gbits or 0))
     if shape != moduli:
         # a correlation's lag d sits at index d mod size; roll the window's
         # first lag to index 0: 1 - (f's extent) on a lattice, -m for the fold
         if corr:
-            out = np.roll(out, moduli or tuple(s - 1 for s in fa.shape), tuple(range(fa.ndim)))
-        out = _fold(out, moduli) if moduli else out[tuple(slice(0, s) for s in lin)]
-    return _checked(out, fn, gn, "FFT")
+            out = np.roll(out, moduli or tuple(s - 1 for s in fs), tuple(range(1, out.ndim)))
+        out = _fold(out, moduli) if moduli else out[(slice(None),) + tuple(slice(0, s) for s in lin)]
+    return _checked(_carry(out), fn, gn, "FFT")
 
 
 def _conv(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None = None) -> ConvTable:
@@ -387,17 +562,18 @@ def _conv(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None
     else the FFT.  Each operand's nonzeros are counted once (once in all for
     a self-product); each path reads the norms once and checks the product's
     mass identity exactly."""
-    grp, fa, ga = tf.group, tf.array, tg.array
+    grp, fa, ga = tf.group, tf.planes, tg.planes
     moduli = grp.moduli if grp.is_cyclic else None
-    fnz = np.count_nonzero(fa)
-    pairs = fnz * (fnz if fa is ga else np.count_nonzero(ga))
-    direct = pairs <= min(_DIRECT_MAX, max(_DIRECT_MIN, 2 * math.prod(_shape(fa, ga, moduli))))
+    fnz = np.count_nonzero(_support(fa))
+    pairs = fnz * (fnz if fa is ga else np.count_nonzero(_support(ga)))
+    size = math.prod(_shape(fa.shape[1:], ga.shape[1:], moduli))
+    direct = pairs <= min(_DIRECT_MAX, max(_DIRECT_MIN, 2 * size))
     out = _direct(fa, ga, moduli, corr) if direct else _fft(fa, ga, moduli, corr, spectra)
     if moduli:
-        return ConvTable(grp, out)
+        return ConvTable.of_planes(grp, out)
     # a correlation's lags start at g's offset minus the far corner of f's window
-    off = tuple(b - a - s + 1 if corr else a + b for a, b, s in zip(tf.offset, tg.offset, fa.shape))
-    return ConvTable(grp, out, off).trimmed()
+    off = tuple(b - a - s + 1 if corr else a + b for a, b, s in zip(tf.offset, tg.offset, fa.shape[1:]))
+    return ConvTable.of_planes(grp, out, off).trimmed()
 
 
 def convolve(f, g, *, corr: bool = False) -> ConvTable:
@@ -420,7 +596,7 @@ def correlate(f, g) -> ConvTable:
 
 
 def _read_only(t: ConvTable) -> ConvTable:
-    t.array.flags.writeable = False
+    t.planes.flags.writeable = False
     return t
 
 
@@ -444,8 +620,12 @@ def _powers(top: ConvTable, base: ConvTable, spectra: dict, steps: int) -> Itera
 
 
 def _at_zero(t: ConvTable) -> int:
-    """The table's entry at the group's zero."""
-    return int(t.values_at(np.zeros((1, t.group.dim), dtype=np.int64))[0])
+    """The table's entry at the group's zero: the window's cell -offset (a
+    cyclic table's first), 0 off the window."""
+    idx = tuple(-o for o in t.offset)
+    if not all(0 <= i < s for i, s in zip(idx, t.planes.shape[1:])):
+        return 0
+    return sum(int(v) << _R * d for d, v in enumerate(t.planes[(slice(None),) + idx]))
 
 
 class _Chain:
@@ -459,7 +639,7 @@ class _Chain:
 
     def __init__(self, a: GSet):
         self.base = self.top = ConvTable.from_gset(a)
-        self.base.array.flags.writeable = False
+        self.base.planes.flags.writeable = False
         self.spectra = {} if a.group.is_cyclic else None
         self.t, self.sigma = [len(a)], [_at_zero(self.base)]   # level j at index j - 1
         self.checked: set[int] = set()   # k whose T_k passed the Fourier cross-check
@@ -470,8 +650,8 @@ class _Chain:
         the last good level in place."""
         spectra = {} if self.spectra is None else self.spectra
         for top in _powers(self.top, self.base, spectra, k - len(self.t)):
-            t, sigma = _power_sum(top.values(), 2), _at_zero(top)
-            top.array.flags.writeable = False
+            t, sigma = _power_sum(top._flat(), 2), _at_zero(top)
+            top.planes.flags.writeable = False
             self.top = top
             self.t.append(t)
             self.sigma.append(sigma)
@@ -495,19 +675,42 @@ def _chain(a: GSet) -> _Chain:
 # energies
 
 
+def _square_sum(x: np.ndarray) -> int:
+    """sum v^2 over the positive entries of D x n planes: one int64 dot
+    where max^2 n < 2^63, else digit dot products.  Digits have w = (63 -
+    bitlen(n)) // 2 bits, chosen before any is read, so each of the
+    m (m + 1) / 2 dots sums n products below 2^(2w) < 2^63 / n."""
+    top = x[-1]
+    if top.min(initial=0) < 0:   # negative entries add nothing, nor do zeros
+        x = x[:, top > 0 if len(x) == 1 else top >= 0]
+        top = x[-1]
+    n, hi = len(top), int(top.max(initial=0))
+    if len(x) == 1 and hi * hi * n < 1 << 63:
+        return int(np.dot(top, top))
+    w = (63 - n.bit_length()) // 2
+    d = _digits(x, w, -(-(hi.bit_length() + _R * (len(x) - 1)) // w))
+    return sum(int(np.dot(d[i], d[j])) << w * (i + j) + (i < j)
+               for i in range(len(d)) for j in range(i, len(d)))
+
+
 def _power_sum(values: np.ndarray, k) -> int | float:
-    """sum v^k over the positive entries; for integer k >= 1 in int64 over
-    the whole table where it is nonnegative and nothing can wrap (zeros add
-    nothing), else over the positive entries: in int64 where nothing can
-    wrap there, over a bincount where max <= 4 len (every E_k), in int64
-    binomial terms of v = h 2^s + l (h, l < 2^s) where (2^s)^k len < 2^63;
-    else over the distinct values in Python numbers."""
+    """sum v^k over the positive entries of a flat table: int64 values, D x n
+    planes, or Python ints.  k = 2 is _square_sum.  Other integer k >= 1 run
+    in int64 over the whole table where it is nonnegative and nothing can
+    wrap (zeros add nothing), else over the positive entries: in int64 where
+    nothing can wrap there, over a bincount where max <= 4 len (every E_k),
+    in int64 binomial terms of v = h 2^s + l (h, l < 2^s) where (2^s)^k len
+    < 2^63; else over the distinct values in Python numbers."""
     ki = int(k) if float(k).is_integer() else None
+    if ki == 2:
+        return _square_sum(values if values.ndim == 2 else _cut(values))
+    if values.ndim == 2:
+        values = _combine(values)
     exact = ki is not None and values.dtype != object
     if exact:
         top = int(values.max(initial=0))   # also the maximum of the positive entries
         if top ** ki * len(values) < 1 << 63 and values.min(initial=0) >= 0:
-            return int(np.dot(values, values) if ki == 2 else (values ** ki).sum())
+            return int((values ** ki).sum())
     pos = values[values > 0]
     if len(pos) == 0:
         return 0.0 if ki is None else 0
@@ -533,12 +736,12 @@ def energy_k(a: GSet, k) -> int | float:
     """E_k(A) = sum_x (A o A)(x)^k; exact for integer k, E_1(A) = |A|^2."""
     if k < 1:
         raise ValueError("energy order must be >= 1")
-    return _power_sum(correlate(a, a).values(), k)
+    return _power_sum(correlate(a, a)._flat(), k)
 
 
 def energy_pair(a: GSet, b: GSet) -> int:
     """Additive energy E(A, B) = sum_x (A * B)(x)^2."""
-    return _power_sum(convolve(a, b).values(), 2)
+    return _power_sum(convolve(a, b)._flat(), 2)
 
 
 def energy_k_pair(a: GSet, b: GSet, k) -> int | float:
@@ -604,7 +807,7 @@ def sigma_k(a: GSet, k: int) -> int:
     chain = _chain(a)
     if k <= len(chain.sigma):
         return chain.sigma[k - 1]
-    return _total(chain.extend(k - 1).top.values_at(-a.coords))
+    return _total(chain.extend(k - 1).top._gather(-a.coords))
 
 
 def level_sequence(a: GSet) -> list[int]:

@@ -193,6 +193,14 @@ def test_byte_identical_reruns(tmp_path, capsys, pipeline, extra):
     assert (runs[0][1] is None) == (pipeline == "config")
 
 
+def test_extract_offers_no_cap_flags(capsys):
+    # no extraction pipeline reaches a capped call, so a cap flag there is an unknown argument
+    for flag in ("--cap-tuples", "--cap-subsets"):
+        code, out, err = run_cli(capsys, "extract", "smallT4", "--recipe", "interval:n=12,N=64",
+                                 flag, "1")
+        assert (code, out) == (2, "") and f"unrecognized arguments: {flag} 1" in err
+
+
 def test_suite_cli(capsys):
     code, out, _ = run_cli(capsys, "suite", "--checks", "C1,C13",
                            "--recipe", "random:N=64,delta=0.2,seed=2")

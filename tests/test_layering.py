@@ -3,7 +3,9 @@ and formatted in `gset` and `groups`, never computed on elsewhere.  Element
 rows are sorted, deduplicated, searched and ranked by `gset.row_keys` alone.
 Python sets of elements are built only by `genset`'s generators, and the
 multiplicative side (`moments`, `checks`) uses no `Fraction`.  Caps are
-passed in: no function body reads `DEFAULT_CAPS`."""
+passed in: no function body reads `DEFAULT_CAPS`.  The convolution engine
+and the chain compute on int64 planes: none of them builds a Python-int
+(object) array."""
 
 import ast
 from pathlib import Path
@@ -157,3 +159,52 @@ def test_default_caps_guard_sees_each_form(tmp_path):
     assert default_caps_reads(bad) == ["bad.py:4 DEFAULT_CAPS", "bad.py:6 DEFAULT_CAPS",
                                        "bad.py:7 DEFAULT_CAPS", "bad.py:8 DEFAULT_CAPS",
                                        "bad.py:11 DEFAULT_CAPS"]
+
+
+PLANE_ONLY = ("_direct", "_fft", "_limbs", "_norms", "_checked", "_total", "_Chain")
+
+
+def object_array_uses(path: Path, names=PLANE_ONLY) -> list[str]:
+    """Every use of the `object` dtype inside the named top-level functions
+    and classes of a module: the name `object` (as in `dtype=object`,
+    `.astype(object)` or a dtype chosen by a condition) and `np.object_`."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        if getattr(top, "name", None) not in names:
+            continue
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Name) and node.id == "object")
+                    or (isinstance(node, ast.Attribute) and node.attr == "object_")):
+                found.append(f"{top.name}:{node.lineno} object")
+    return found
+
+
+def test_engine_builds_no_python_int_arrays():
+    path = SRC / "moments.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {getattr(node, "name", None) for node in tree.body}
+    assert set(PLANE_ONLY) <= defined   # the guard reads every one of them
+    assert object_array_uses(path) == []
+    # the one place that builds Python ints, for the public readers of a wide table
+    assert object_array_uses(path, ("_combine",)) != []
+
+
+def test_object_array_guard_sees_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("def _total(x):\n"
+                   "    return int(x.astype(object).sum())\n"
+                   "def _fft(f, g, wide):\n"
+                   "    acc = np.zeros(f.shape, dtype=object if wide else np.uint64)\n"
+                   "    return acc\n"
+                   "class _Chain:\n"
+                   "    def extend(self, k):\n"
+                   "        return self.top.array.astype(dtype=np.object_)\n"
+                   "def _direct(f, g, wide):\n"
+                   "    dtype = object if wide else np.int64\n"
+                   "    return np.zeros(3, dtype=dtype)\n"
+                   "def _combine(x):\n"
+                   "    return x.astype(object)\n"
+                   "def _norms(x):\n"
+                   "    return x.astype(np.int64), np.zeros(3, dtype=np.int64)\n")
+    assert object_array_uses(bad) == ["_total:2 object", "_fft:4 object", "_Chain:8 object",
+                                      "_direct:10 object"]

@@ -530,17 +530,207 @@ def test_entry_bound_boundaries_match_oracle():
 
 
 def test_power_sum_matches_python_ints_on_every_branch():
-    # near 2^10 with max <= 4 len: int64 to k = 5, the bincount loop at k = 6;
-    # near 2^20: int64 at k = 2, the h 2^s + l split at k = 3, 4, the Python loop
-    # beyond; near 2^37: the split at k = 2, the Python loop beyond
+    # k = 2 is one int64 dot where max^2 len < 2^63 (near 2^10 and 2^20), else
+    # digit dots (near 2^37, and every plane input).  k >= 3: near 2^10 with
+    # max <= 4 len, int64 to k = 5 and the bincount loop at k = 6; near 2^20 the
+    # h 2^s + l split at k = 3, 4 and the Python loop beyond; near 2^37 the
+    # Python loop.  Plane inputs (the same values times 2^60, past 2^63, with
+    # their negative entries) give k >= 3 to the Python loop
     rng = np.random.default_rng(101)
     for bits, n in ((10, 1024), (20, 1000), (37, 1000)):
         values = np.concatenate([(1 << bits) + rng.integers(-64, 64, n), [0, -5, (1 << bits) - 1]])
         top, n = int(values.max()), int((values > 0).sum())
         if bits == 10:
             assert top ** 6 * n >= 1 << 63 and top <= 4 * n
+        planes = moments._cut(values.astype(object) << 60)
+        assert len(planes) > 1
         for k in range(2, 7):
             assert moments._power_sum(values, k) == sum(int(v) ** k for v in values.tolist() if v > 0)
+            assert moments._power_sum(planes, k) == sum((int(v) << 60) ** k for v in values.tolist() if v > 0)
+
+
+BOUNDARY_VALUES = [0, 1, -1, 5, -7, (1 << 31) - 1, 1 << 31, 3037000499, 3037000500, (1 << 32) - 1,
+                   (1 << 62) - 1, 1 << 62, -(1 << 62), (1 << 63) - 1, -(1 << 63), 1 << 63,
+                   (1 << 63) + 1, -(1 << 63) - 1, (1 << 64) - 1, 1 << 64, -(1 << 64) - 3,
+                   3 ** 60, -(5 ** 40), 1 << 100]
+
+
+def test_planes_round_trip_python_ints():
+    # int64 where every entry fits (2^62 - 1, 2^62, -2^63 included), else R-bit
+    # planes, the low ones in [0, 2^R), the top signed; every reader hands out
+    # the same Python ints
+    for values in (BOUNDARY_VALUES[:15], BOUNDARY_VALUES):
+        g = cyclic(len(values))
+        t = ConvTable(g, np.array(values, dtype=object))
+        wide = not all(-(1 << 63) <= v < 1 << 63 for v in values)
+        assert (len(t.planes) > 1) == wide and t.planes.dtype == np.int64
+        if wide:
+            assert ((t.planes[:-1] >= 0) & (t.planes[:-1] < 1 << moments._R)).all()
+            assert abs(t.planes[-1]).max() < 1 << moments._R
+        assert t.array.tolist() == values and t.values().tolist() == values
+        assert all(type(v) is int for v in t.array.tolist())
+        points = np.arange(len(values)).reshape(-1, 1)
+        assert t.values_at(points).tolist() == values
+        assert moments._total(t._gather(points[::-1])) == sum(values)
+        assert t.total() == sum(values)
+        assert support(t) == {(x,): v for x, v in enumerate(values) if v}
+        assert t.argmax() == ((values.index(max(values)),), max(values))
+        assert t.to_csv().splitlines()[1:] == [f'"{x}",{v}' for x, v in enumerate(values) if v]
+        assert [moments._power_sum(t._flat(), k) for k in (2, 3)] == \
+            [sum(v ** k for v in values if v > 0) for k in (2, 3)]
+        # a product with the unit at 0 hands the same values back, in either order
+        unit = table_of(g, {(0,): 1})
+        assert convolve(t, unit).array.tolist() == values
+        assert convolve(unit, t).array.tolist() == values
+    one = ConvTable(cyclic(15), np.array(BOUNDARY_VALUES[:15], dtype=object))
+    assert one.array.dtype == np.int64 and np.shares_memory(one.array, one.planes)   # no copy
+
+
+def test_limbs_and_digits_cut_straight_from_planes():
+    # three planes whose values (-3, 5, 2^40, -2^70) are read whole where they
+    # fit, and as limbs of any width, signed on top, reaching the sign bits
+    # of planes the last digit does not start in
+    values = [-3, 5, 1 << 40, -(1 << 70)]
+    x = moments._cut(np.array(values, dtype=object))
+    assert len(x) == 3 and x.dtype == np.int64
+    assert moments._limbs(x[:, :3], None, 1 << 40)[0].tolist() == [-3.0, 5.0, 2.0 ** 40]
+    for bits in (1, 7, 13, 31, 32, 33, 50):
+        limbs = moments._limbs(x, bits, 1 << 70)
+        assert all(limb.dtype == np.float64 for limb in limbs)
+        assert [sum(int(limb[i]) << bits * j for j, limb in enumerate(limbs))
+                for i in range(4)] == values
+        assert all(((0 <= limb) & (limb < 2 ** bits)).all() for limb in limbs[:-1])
+    for width, count in ((8, 1), (20, 2), (40, 1)):   # small values, every plane signs the last digit
+        d = moments._digits(x[:, :2], width, count)
+        assert [sum(int(dj[i]) << width * j for j, dj in enumerate(d)) for i in range(2)] == [-3, 5]
+
+
+def test_square_sums_at_the_boundaries():
+    # one int64 dot below max^2 len < 2^63, digit dots from there on; planes too
+    rng = np.random.default_rng(103)
+    for top in (3037000499, 3037000500, (1 << 62) - 1, 1 << 62, (1 << 63) - 1):
+        for n in (1, 2, 1000):
+            values = np.minimum(top - rng.integers(0, 3, n), top).astype(np.int64)
+            values[0] = top
+            want = sum(int(v) ** 2 for v in values.tolist() if v > 0)
+            assert moments._power_sum(values, 2) == want
+            assert moments._power_sum(np.concatenate([values, [-top, 0]]), 2) == want
+    for values in (BOUNDARY_VALUES, [v for v in BOUNDARY_VALUES if v >= 0] * 50):
+        planes = moments._cut(np.array(values, dtype=object))
+        want = sum(v * v for v in values if v > 0)
+        assert moments._power_sum(planes, 2) == want
+        assert moments._power_sum(np.array(values, dtype=object), 2) == want
+
+
+def wide_chains():
+    """Sets whose chains cross 2^62 within a few levels: on the direct path
+    (Z/64), the four-step (Z/2^15), and windows of Z and Z^2."""
+    rng = random.Random(107)
+    box = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+    return [GSet(cyclic(64), rng.sample(range(64), 40)),
+            GSet(cyclic(1 << 15), rng.sample(range(1 << 15), 1 << 13)),
+            GSet(lattice(1), rng.sample(range(-200, 200), 300)),
+            GSet(lattice(2), rng.sample(box, 60))]
+
+
+@pytest.mark.parametrize("index", range(4), ids=["Z64-direct", "Z2^15-four-step", "Z", "Z2"])
+def test_wide_chains_match_the_oracle(monkeypatch, index):
+    # every level up to the first past 2^63, and one more on a wide operand
+    a = wide_chains()[index]
+    served = []
+    for name in ("_direct", "_fft"):
+        real = getattr(moments, name)
+        monkeypatch.setattr(moments, name, lambda *args, _r=real, _n=name: served.append(_n) or _r(*args))
+    mods = a.group.moduli if a.group.is_cyclic else None
+    zero = (0,) * a.group.dim
+    counts, top, wide = {x: 1 for x in a.elems}, 1, 0
+    while wide < 2:
+        counts = oracles.kronecker_convolve(mods, counts, {x: 1 for x in a.elems})
+        top += 1
+        wide += max(counts.values()) >= 1 << 63
+        assert t_k(a, top) == sum(c * c for c in counts.values()), top
+        assert sigma_k(a, top) == counts.get(zero, 0), top
+    assert sigma_k(GSet(a.group, a.coords), top + 1) == \
+        oracles.kronecker_convolve(mods, counts, {x: 1 for x in a.elems}).get(zero, 0)
+    power = conv_power(a, top)
+    assert len(power.planes) > 1 and max(counts.values()) >= 1 << 62
+    assert support(power) == counts
+    assert set(served) == {"_direct"} if index == 0 else "_fft" in served
+
+
+def test_signed_wide_products_match_python_ints():
+    # signed planes on both paths: entries of either sign past 2^63 against a
+    # small signed g, and against g itself
+    rng = random.Random(109)
+    for g, points in ((cyclic(64), 20), (cyclic(1024), 1024), (lattice(1), 300)):
+        box = range(g.order) if g.is_cyclic else range(-400, 400)
+        f = {(x,): rng.choice((-1, 1)) * rng.randrange(1 << 90) for x in rng.sample(box, points)}
+        h = {(x,): rng.randrange(-3, 4) or 1 for x in rng.sample(box, points)}
+        for u, w in ((f, h), (f, f)):
+            want = {}
+            for (x,), v in u.items():
+                for (y,), c in w.items():
+                    z = ((x + y) % g.order,) if g.is_cyclic else (x + y,)
+                    want[z] = want.get(z, 0) + v * c
+            got = convolve(table_of(g, u, dtype=object), table_of(g, w, dtype=object))
+            assert support(got) == {z: v for z, v in want.items() if v}
+            assert got.total() == sum(u.values()) * sum(w.values())
+
+
+def test_small_entries_on_wide_planes_are_read_whole(monkeypatch):
+    # p = u * v has entries in {0, +-2^32} but, as its a priori bound passes
+    # 2^62, two planes: plane 0 holds only the low digits (all 0).  A product
+    # of p with a unit or a small 0/1 table fits one plane; it must read p
+    # through both planes, on the direct path (Z/64) and the FFT's one-limb
+    # path (Z/1024), as a convolution and as a correlation
+    rng = random.Random(113)
+    splits, served = [], []
+    real_split = moments._split
+    monkeypatch.setattr(moments, "_split", lambda *a: splits.append(real_split(*a)) or splits[-1])
+    for name in ("_direct", "_fft"):
+        real = getattr(moments, name)
+        monkeypatch.setattr(moments, name, lambda *args, _r=real, _n=name: served.append(_n) or _r(*args))
+    for n, path in ((2, "_direct"), (64, "_direct"), (1024, "_fft")):
+        g = cyclic(n)
+        u = {(0,): 1 << 31, (1,): -(1 << 31)}
+        v = {(x,): (1 << 31) + 2 * rng.randrange(2) for x in range(n)}
+        v[(0,)] = 1 << 31
+        v[(1 % n,)] = (1 << 31) + 2
+        def brute(f, w, corr=False):   # Python ints, signed entries
+            want = {}
+            for (x,), c in f.items():
+                for (y,), d in w.items():
+                    z = ((y - x) % n,) if corr else ((x + y) % n,)
+                    want[z] = want.get(z, 0) + c * d
+            return {z: c for z, c in want.items() if c}
+
+        p = convolve(table_of(g, u), table_of(g, v))
+        want_p = brute(u, v)
+        assert len(p.planes) == 2 and not p.planes[0].any() and support(p) == want_p
+        unit = {(0,): 1}
+        h = {(x,): 1 for x in rng.sample(range(n), max(1, n // 2))}
+        for w in (unit, h):
+            for corr in (False, True):
+                served.clear()
+                got = convolve(p, table_of(g, w), corr=corr)
+                assert len(got.planes) == 1
+                assert support(got) == brute(want_p, w, corr), (n, corr, len(w))
+                if w is h:
+                    assert served == [path]
+                    assert path == "_direct" or splits[-1] == (None, None)
+
+
+def test_minimum_int64_entry_times_two():
+    # |x|_1 of a table holding -2^63 is 2^63, not int64's wrapped abs
+    g = cyclic(4)
+    t = ConvTable(g, np.array([-(1 << 63), 0, 5, 0], dtype=np.int64))
+    assert len(t.planes) == 1
+    assert moments._norms(t.planes.reshape(1, -1)) == (5 + (1 << 63), 1 << 63, 5 - (1 << 63))
+    got = convolve(t, table_of(g, {(0,): 2}))
+    assert got.array.tolist() == [-(1 << 64), 0, 10, 0]
+    got = convolve(t, table_of(g, {(1,): 2, (2,): -3}))
+    assert got.array.tolist() == [-15, -(1 << 64), 3 << 63, 10]
+    assert got.total() == (5 - (1 << 63)) * -1
 
 
 def test_limb_plan():
@@ -608,7 +798,7 @@ def test_four_step_products_match_oracle(monkeypatch, g, points, span, bits, siz
     else:
         h = weighted(rng, g, points, bits, span)
         th = table_of(g, h)
-        limbs = moments._split(moments._norms(tf.array), moments._norms(th.array), size, True)
+        limbs = moments._split(moments._norms(tf.planes), moments._norms(th.planes), size, True)
         assert (limbs != (None, None)) == bool(bits)
         assert support(convolve(tf, th)) == oracles.kronecker_convolve(mods, f, h)
         assert support(correlate(tf, th)) == oracle_correlate(mods, f, h)

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 1 hard-check failure, 2 usage error, 3 cap exceeded.
+Exit codes: 0 ok, 1 hard-check or extraction failure, 2 usage error, 3 cap
+exceeded.
 All commands are deterministic for fixed inputs and seeds.  `main` builds
 one frozen `Caps` from the --cap-* flags and hands it to the command, which
 passes it down to every capped call: no command changes a module global.
@@ -13,7 +14,7 @@ import json
 import sys
 
 from . import checks, extract, genset, groups, moments, setops, spectrum
-from .gset import GSet, SetFileError, dumps_set, loads_set, read_set, write_set
+from .gset import GSet, SetFileError, dumps_set, read_set, write_set
 from .setops import CapExceededError, Caps
 
 USAGE_EXIT = 2
@@ -28,8 +29,9 @@ def _load_sets(args) -> list[GSet]:
             + [genset.gen(genset.parse_recipe(rec)) for rec in args.recipe or []])
 
 
-def _cap(text: str) -> int:
-    """The type of the --cap-* flags: an integer of at least 1."""
+def _positive(text: str) -> int:
+    """The type of the flags that take an integer of at least 1: --cap-*
+    and extract's --k, --trials and --cap."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -120,12 +122,11 @@ def cmd_compute(args, caps: Caps) -> int:
 
 def cmd_gen(args, caps: Caps) -> int:
     a = genset.gen(genset.parse_recipe(args.recipe))
-    body = dumps_set(a)
     if args.out:
-        _write(args.out, body)
+        write_set(a, args.out)
         print(args.out)
     else:
-        print(body, end="")
+        print(dumps_set(a), end="")
     return 0
 
 
@@ -194,7 +195,7 @@ def cmd_extract(args, caps: Caps) -> int:
     elif p == "smallT4":
         rep = extract.small_t4_extract(a)
     elif p == "cs":
-        rep = extract.cs_period_search(a, b, args.k or 4, trials=args.trials, seed=args.seed)
+        rep = extract.cs_period_search(a, b, args.k, trials=args.trials, seed=args.seed)
     elif p == "config":
         coeffs = [int(x) for x in (args.c or "0,1,2").split(",")]
         found = extract.find_configuration(a, coeffs, args.sign)
@@ -204,7 +205,7 @@ def cmd_extract(args, caps: Caps) -> int:
             print(f"x={','.join(map(str, found[0]))} d={','.join(map(str, found[1]))}")
         return 0
     elif p == "cover":
-        n = extract.nb_cover(a, cap=args.cap or 64)
+        n = extract.nb_cover(a, cap=args.cap)
         print("none" if n is None else str(n))
         return 0
     else:
@@ -246,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--recipe", action="append", help="recipe literal (repeatable)")
 
     def add_caps(p):
-        p.add_argument("--cap-tuples", type=_cap,
+        p.add_argument("--cap-tuples", type=_positive,
                        help="materialized-tuple work bound (default 10^7)")
-        p.add_argument("--cap-subsets", type=_cap,
+        p.add_argument("--cap-subsets", type=_positive,
                        help="exhaustive-subset size bound (default 20)")
 
     pc = sub.add_parser("compute", help="compute one quantity of a set")
@@ -288,13 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_set_sources(pe)
     pe.add_argument("--b")
     pe.add_argument("--eps", type=float, default=1.0)
-    pe.add_argument("--k", type=int)
-    pe.add_argument("--trials", type=int, default=200)
+    pe.add_argument("--k", type=_positive, default=4)
+    pe.add_argument("--trials", type=_positive, default=200)
     pe.add_argument("--seed", type=int, default=1)
     pe.add_argument("--nm", action="append", help="n,m pair (repeatable)")
     pe.add_argument("--c", help="configuration coefficients, comma-separated")
     pe.add_argument("--sign", choices=["-", "+"], default="-")
-    pe.add_argument("--cap", type=int)
+    pe.add_argument("--cap", type=_positive, default=64)
     pe.add_argument("--out")
     pe.set_defaults(fn=cmd_extract)
 
@@ -326,6 +327,9 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return CAP_EXIT
+    except extract.ExtractionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return FAIL_EXIT
     except (ValueError, KeyError, groups.GroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

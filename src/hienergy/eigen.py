@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,19 +89,6 @@ def singular_spectrum(pg: PatternGram) -> np.ndarray:
     return lam2
 
 
-def spectrum_report(pg: PatternGram, lam2: np.ndarray | None = None) -> dict:
-    if lam2 is None:
-        lam2 = singular_spectrum(pg)
-    return {
-        "a_size": len(pg.gram),
-        "b_size": pg.b_size,
-        "k": pg.k,
-        "lambdas_sq": [float(v) for v in lam2],
-        "trace_check": float(lam2.sum()) ,
-        "frobenius_check": float((lam2 ** 2).sum()),
-    }
-
-
 def magnification_lower_bounds(a: GSet, b: GSet, k: int,
                                caps: Caps = DEFAULT_CAPS) -> dict[str, float]:
     """|B|^2k / lambda_1^2 and |B|^2k / sqrt(E_(2k+1)(A,B)); the first
@@ -115,19 +101,6 @@ def magnification_lower_bounds(a: GSet, b: GSet, k: int,
     if bound_eig < bound_energy * (1 - EIG_SLACK):
         raise InvariantError(f"eigenvalue bound {bound_eig} below energy bound {bound_energy}")
     return {"bound_eig": bound_eig, "bound_energy": bound_energy}
-
-
-def union_family_lower_bound(a1: GSet, family_sizes: Sequence[int], a: GSet, b: GSet,
-                             k: int) -> float:
-    """(sum_y |B^(y)|)^2 / E_(k+1)(A, B), a lower bound for the union of the
-    diagonal translates B^(y) +- Delta(y) over y in A1 <= A."""
-    if not a1.issubset(a):
-        raise ValueError("A1 must be a subset of A")
-    if len(family_sizes) != len(a1):
-        raise ValueError("need one family size per element of A1")
-    total = float(sum(family_sizes))
-    denom = float(moments.energy_k_pair(a, b, k + 1))
-    return total ** 2 / denom
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Constructive procedures: popular differences, the difference-set transfer
-A - A_s <= D n (D+s), intersection/robust-core selection, both structured
-subset extraction pipelines, small-T_3 covering, almost-period search, and
-configuration / covering sweeps.
+"""Constructive procedures: popular differences, intersection/robust-core
+selection, both structured subset extraction pipelines (the second checks
+its difference-set transfer on sampled shifts), small-T_3 covering,
+almost-period search, and configuration / covering sweeps.
 
 Everything runs on the sorted int64 rows of ``GSet.coords`` and on
 ``ConvTable`` arrays.  Two identities turn the L2 defects of the
@@ -90,7 +90,7 @@ def _json_default(obj):
 
 
 # ---------------------------------------------------------------------------
-# popular differences and the difference-set transfer
+# popular differences
 
 
 def popular_set(a: GSet, threshold: Fraction | float | None = None) -> GSet:
@@ -113,20 +113,6 @@ def popular_set(a: GSet, threshold: Fraction | float | None = None) -> GSet:
     return GSet(a.group, points[keep])
 
 
-def katz_koester(a: GSet, s, sign: str = setops.MINUS) -> tuple[GSet, bool]:
-    """A -+ A_s together with the verified containment inside D n (D +- s),
-    where D = A -+ A.  The containment is unconditional; the flag records the
-    explicit re-check."""
-    s = as_rows(a.group, [s])[0]
-    a_s = setops.stabilizer_slice(a, [s])
-    if not a_s:
-        return a_s, True
-    op, t = (setops.diffset, s) if sign == setops.MINUS else (setops.sumset, -s)
-    moved, d = op(a, a_s), op(a, a)
-    window = d.intersect(d.translate(t))
-    return moved, moved.issubset(window)
-
-
 # ---------------------------------------------------------------------------
 # intersection selection machinery
 
@@ -138,22 +124,6 @@ def _intersections(member: np.ndarray) -> np.ndarray:
         raise ValueError("need a nonempty family and universe as a boolean matrix")
     dense = member.astype(np.float64)
     return (dense @ dense.T).astype(np.int64)
-
-
-def intersection_select(member: np.ndarray, universe: GSet, delta: float,
-                        eta: float) -> tuple[list[int], Elem]:
-    """Pick J = K_alpha = {i : alpha in S_i} for the first alpha in universe
-    order with |K_alpha| >= delta n / sqrt(2) and pair density
-    |{(i,j) in J^2 : |S_i n S_j| >= eta delta^2 m / 2}| >= (1 - eta)|J|^2.
-    The family S_1..S_n is given as its n x m membership matrix over the
-    rows of the universe: member[i, j] iff u_j in S_i.
-
-    The pair threshold uses m = |universe| (the counting in the selection
-    argument runs over the universe, not the index set)."""
-    if member.shape[1:] != (len(universe),):
-        raise ValueError(f"membership matrix needs one column per universe row ({len(universe)})")
-    j_set, column = _select(member, _intersections(member), delta, eta)
-    return j_set, tuple(universe.coords[column].tolist())
 
 
 def _select(member: np.ndarray, inter: np.ndarray, delta: float,
@@ -298,7 +268,7 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
         incidence = int(both.sum())
         union = GSet(g, u[both])
         contained = union.issubset(p_set.subset(p_row))
-        e_pair = moments.energy_pair(a_s, a) if a_s else 1
+        e_pair = moments.energy_k_pair(a_s, a, 2) if a_s else 1
         cs_ok = len(union) * e_pair >= incidence ** 2
         # (P o P)(s) = |P n (P - s)|
         pp_ok = int(moments.correlate(p_set, p_set).values_at(s_row)[0]) >= len(union)
@@ -392,7 +362,7 @@ def small_t4_extract(a: GSet) -> ExtractionReport:
     rep.store_set("B", b)
 
     target = n / m_val ** 1.5
-    threshold = moments.energy_pair(a, b) / (2 * n * len(b))
+    threshold = moments.energy_k_pair(a, b, 2) / (2 * n * len(b))
     remaining = a
     chosen: list[Elem] = []
     covered = 0
@@ -474,7 +444,7 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200, seed: int = 1,
     n, nb = len(a), len(b)
     rng = random.Random(seed)
     base = moments.convolve(a, b)
-    d_sq = moments.energy_pair(a, b)
+    d_sq = moments.energy_k_pair(a, b, 2)
     bb, bd = moments.correlate(b, b), moments.correlate(b, base)
     corr = moments.correlate(a, a)   # its support is A - A
     profile = EnergyProfile.from_set(a, ks=(2,))

@@ -39,8 +39,8 @@ GSet is built once and kept on the set (see the gset module), read-only:
 every E_k, the level sequence and the Gram (B o B)^k read that one table,
 and E_k(A, B) is kept on A per (B, k).  Its chain is kept the same way: each
 level A^(*j) is built once per set, by one engine call on the level below,
-and leaves T_j and sigma_j behind; the set keeps only the top level and, on
-a cyclic group, the base's spectra, which T_k's cross-check reuses: the
+and leaves T_j and sigma_j behind; the set keeps only the top level and
+the base's spectra, which on a cyclic group T_k's cross-check reuses: the
 nonzero frequencies, weighted for the half-spectrum's layout, must sum to
 N T_k - |A|^(2k).  On a power-of-two cyclic group, with one limb per
 operand, T_1..T_k and sigma_1..sigma_k together cost 2k - 2 real FFTs per
@@ -324,13 +324,6 @@ def _checked(out: np.ndarray, fn: tuple[int, ...], gn: tuple[int, ...], path: st
     return out
 
 
-def _stack(x: np.ndarray, moduli: tuple[int, ...] | None) -> np.ndarray:
-    """An engine operand as planes: a bare window of a cyclic group (as many
-    axes as moduli) is one plane.  _conv always passes planes; only the
-    tests that compare _fft and _direct on bare windows rely on this."""
-    return x[None] if moduli and x.ndim == len(moduli) else x
-
-
 def _direct(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
             corr: bool = False) -> np.ndarray:
     """Sum over all pairs of support points (at most max(2^14, 2 x FFT size),
@@ -341,8 +334,6 @@ def _direct(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = Non
     whose products, summed over the at most min(|supp f|, |supp g|) pairs
     at one index, stay below 2^63, and deposits each digit pair's sums."""
     same = fa is ga
-    fa = _stack(fa, moduli)
-    ga = fa if same else _stack(ga, moduli)
     out_shape = moduli or tuple(int(a + b - 1) for a, b in zip(fa.shape[1:], ga.shape[1:]))
     fidx = np.flatnonzero(_support(fa))
     gidx = fidx if same else np.flatnonzero(_support(ga))
@@ -519,8 +510,6 @@ def _fft(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
     and carried once.  spectra (the caller's, for one g) keeps g's whole
     spectrum per shape."""
     same = fa is ga
-    fa = _stack(fa, moduli)
-    ga = fa if same else _stack(ga, moduli)
     fs = fa.shape[1:]
     lin = tuple(int(a + b - 1) for a, b in zip(fs, ga.shape[1:]))
     shape = _shape(fs, ga.shape[1:], moduli)
@@ -631,16 +620,17 @@ def _at_zero(t: ConvTable) -> int:
 class _Chain:
     """The convolution powers of one set, kept on it under "chain": the top
     level A^(*L), read-only, and T_j = sum (A^(*j))^2 and sigma_j = A^(*j)(0)
-    for every j <= L.  A cyclic chain keeps the base's spectra for its steps
-    and T_k's cross-check; a lattice window grows at every level, so there a
-    spectrum serves one extension only."""
+    for every j <= L.  It keeps the base's spectra per FFT shape for its
+    steps, and on a cyclic group for T_k's cross-check.  A lattice window
+    grows at every level, but its padded power-of-two shape repeats: the
+    levels 4 to 6 of a base in [-18, 18]^2 all run at 256 x 256."""
 
     __slots__ = ("base", "top", "spectra", "t", "sigma", "checked")
 
     def __init__(self, a: GSet):
         self.base = self.top = ConvTable.from_gset(a)
         self.base.planes.flags.writeable = False
-        self.spectra = {} if a.group.is_cyclic else None
+        self.spectra = {}
         self.t, self.sigma = [len(a)], [_at_zero(self.base)]   # level j at index j - 1
         self.checked: set[int] = set()   # k whose T_k passed the Fourier cross-check
 
@@ -648,8 +638,7 @@ class _Chain:
         """Build the levels up to k.  A level's table, T_j and sigma_j are
         committed together once all three exist, so a step that raises leaves
         the last good level in place."""
-        spectra = {} if self.spectra is None else self.spectra
-        for top in _powers(self.top, self.base, spectra, k - len(self.t)):
+        for top in _powers(self.top, self.base, self.spectra, k - len(self.t)):
             t, sigma = _power_sum(top._flat(), 2), _at_zero(top)
             top.planes.flags.writeable = False
             self.top = top
@@ -698,9 +687,10 @@ def _power_sum(values: np.ndarray, k) -> int | float:
     planes, or Python ints.  k = 2 is _square_sum.  Other integer k >= 1 run
     in int64 over the whole table where it is nonnegative and nothing can
     wrap (zeros add nothing), else over the positive entries: in int64 where
-    nothing can wrap there, over a bincount where max <= 4 len (every E_k),
-    in int64 binomial terms of v = h 2^s + l (h, l < 2^s) where (2^s)^k len
-    < 2^63; else over the distinct values in Python numbers."""
+    nothing can wrap there, over a bincount where max <= 4 len, else over
+    the distinct values in Python numbers.  Every table the library sums at
+    such k has max <= len: A o A (max |A|, |A - A| positive entries) and the
+    quotient counts (max |A| <= |A/A|), so the bincount serves them all."""
     ki = int(k) if float(k).is_integer() else None
     if ki == 2:
         return _square_sum(values if values.ndim == 2 else _cut(values))
@@ -721,11 +711,6 @@ def _power_sum(values: np.ndarray, k) -> int | float:
         if top <= 4 * n:
             vals = np.flatnonzero(cnts := np.bincount(pos))
             return sum(c * v ** ki for v, c in zip(vals.tolist(), cnts[vals].tolist()))
-        s = (top.bit_length() + 1) // 2
-        if (1 << s * ki) * n < 1 << 63:
-            h, l = pos >> s, pos & (1 << s) - 1
-            return sum(math.comb(ki, j) * int((h ** j * l ** (ki - j)).sum()) << s * j
-                       for j in range(ki + 1))
     vals, cnts = (v.tolist() for v in np.unique(pos, return_counts=True))
     if ki is not None:
         return sum(c * v ** ki for v, c in zip(vals, cnts))
@@ -739,14 +724,9 @@ def energy_k(a: GSet, k) -> int | float:
     return _power_sum(correlate(a, a)._flat(), k)
 
 
-def energy_pair(a: GSet, b: GSet) -> int:
-    """Additive energy E(A, B) = sum_x (A * B)(x)^2."""
-    return _power_sum(convolve(a, b)._flat(), 2)
-
-
 def energy_k_pair(a: GSet, b: GSet, k) -> int | float:
-    """E_k(A, B) = sum_x (A o A)(x) (B o B)(x)^(k-1); E_2(A, B) = E(A, B).
-    Kept on A per (B, k)."""
+    """E_k(A, B) = sum_x (A o A)(x) (B o B)(x)^(k-1); E_2(A, B) is the
+    additive energy E(A, B) = sum_x (A * B)(x)^2.  Kept on A per (B, k)."""
     if a.group != b.group:
         raise groups.GroupError("energy operands live in different groups")
     if k < 1:

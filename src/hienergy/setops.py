@@ -1,5 +1,5 @@
 """Set algebra: sumsets, stabilizer slices, higher-dimensional delta-sumsets,
-greedy completions, basis-depth tests and exact magnification ratios.
+basis-depth tests and exact magnification ratios.
 
 The k-dimensional objects A_1 x ... x A_k -+ Delta(C) are materialized by
 one kernel, `_translate_grid`.  A tuple packs into one int64 in slot-major
@@ -21,13 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import groups
-from .groups import Elem, GroupSpec, InvariantError
-from .gset import GSet, _firsts, _require_same_group, as_rows, bounded_rows, full_group, row_keys
+from .groups import Elem, GroupSpec
+from .gset import GSet, _firsts, _require_same_group, as_rows, bounded_rows, row_keys
 
 MINUS = "-"
 PLUS = "+"
@@ -85,7 +85,8 @@ def slice_masks(a: GSet, shifts) -> np.ndarray:
     membership matrix, M[i, j] = 1_A(a_j + s_i): one membership test over
     the translated rows, in blocks of whole rows of at most 2^22 entries.
     Shifts are elements (ints, coordinate sequences or an int64 matrix),
-    reduced in a cyclic product; repeats give repeated rows."""
+    reduced in a cyclic product; repeats give repeated rows.  The AND of the
+    rows is the stabilizer slice A n (A - s_1) n ... n (A - s_j)."""
     shifts = bounded_rows(a.group, shifts)
     n, d = len(a), a.group.dim
     member = np.empty((len(shifts), n), dtype=bool)
@@ -95,12 +96,6 @@ def slice_masks(a: GSet, shifts) -> np.ndarray:
         moved = as_rows(a.group, (block[:, None] + a.coords[None]).reshape(-1, d))
         member[lo:lo + step] = a.isin(moved).reshape(len(block), n)
     return member
-
-
-def stabilizer_slice(a: GSet, s: Sequence) -> GSet:
-    """A_s = A n (A - s_1) n ... n (A - s_j), the x in A with every x + s_i
-    in A.  Empty s gives A itself."""
-    return a.subset(slice_masks(a, s).all(axis=0))
 
 
 def family_sumset_sizes(a: GSet, left: np.ndarray, right: np.ndarray,
@@ -129,49 +124,6 @@ def family_sumset_sizes(a: GSet, left: np.ndarray, right: np.ndarray,
                              minlength=len(block) * len(right))
         sizes[lo:lo + step] = counts.reshape(len(block), len(right))
     return sizes
-
-
-def restricted_sum(a: GSet, b: GSet, edges: Iterable[tuple], sign: str = MINUS) -> GSet:
-    """{a - b : (a, b) in edges} (or a + b); edges must lie inside A x B."""
-    _require_same_group(a, b)
-    g = a.group
-    edges = list(edges)
-    x = as_rows(g, [e[0] for e in edges])
-    y = as_rows(g, [e[1] for e in edges])
-    inside = a.isin(x) & b.isin(y)
-    if not inside.all():
-        i = int(np.argmin(inside))
-        raise ValueError(f"edge ({tuple(x[i].tolist())}, {tuple(y[i].tolist())}) leaves A x B")
-    return GSet(g, x - y if sign == MINUS else x + y)
-
-
-def greedy_completion(a: GSet) -> GSet:
-    """Greedy X with A + X = G; |X| <= ceil((N/|A|)(ln N + 1)) by set cover."""
-    g = a.group
-    if not g.is_cyclic:
-        raise groups.GroupError("completion needs a finite ambient group")
-    if not a:
-        raise ValueError("cannot complete the empty set")
-    n = g.order
-    if len(a) == 1:
-        return GSet(g, full_group(g).coords - a.coords[0])
-    from .moments import ConvTable, correlate  # late import, avoids a cycle
-
-    ind = a.indicator()
-    uncovered = np.ones(g.moduli, dtype=np.int64)
-    chosen: list[int] = []
-    while uncovered.any():
-        # gain(x) = |(A + x) n U| = sum_y A(y) U(y + x) = (A o U)(x)
-        gains = correlate(ConvTable(g, ind), ConvTable(g, uncovered)).array.ravel()
-        x = int(np.argmax(gains))  # argmax takes the smallest index on ties
-        if gains[x] <= 0:
-            raise InvariantError("greedy cover stalled")  # unreachable: translates cover G
-        chosen.append(x)
-        uncovered[np.roll(ind, np.unravel_index(x, g.moduli), axis=tuple(range(g.dim))) == 1] = 0
-    bound = math.ceil((n / len(a)) * (math.log(n) + 1))
-    if len(chosen) > bound:
-        raise InvariantError(f"greedy cover guarantee violated: {len(chosen)} > {bound}")
-    return GSet(g, np.stack(np.unravel_index(chosen, g.moduli), axis=1))
 
 
 # ---------------------------------------------------------------------------

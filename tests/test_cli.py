@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hienergy import checks, cli, genset, moments, setops, spectrum
+from hienergy import checks, cli, extract, genset, moments, setops, spectrum
 from hienergy.gset import loads_set, read_set, write_set, zset
 
 
@@ -225,6 +225,26 @@ def test_suite_cap_errors_exit_nonzero(capsys):
 def test_cap_flags_refuse_values_below_one(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "--cap-" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "cs", "--recipe", "interval:n=12,N=64", "--k", "0"],
+    ["extract", "cover", "--recipe", "interval:n=12,N=64", "--cap", "0"],
+    ["extract", "cover", "--recipe", "interval:n=12,N=64", "--cap", "-1"],
+    ["extract", "cs", "--recipe", "interval:n=12,N=64", "--trials", "0"],
+], ids=["cs-k-0", "cover-cap-0", "cover-cap-neg", "cs-trials-0"])
+def test_extract_flags_refuse_values_below_one(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "r.json"))
+    assert code == 2 and out == "" and f"{argv[-2]}: must be at least 1" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_extraction_error_is_one_line_and_exit_1(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise extract.ExtractionError("no approximating sample in 1 trials")
+    monkeypatch.setattr(extract, "cs_period_search", fail)
+    code, out, err = run_cli(capsys, "extract", "cs", "--recipe", "interval:n=12,N=64")
+    assert (code, out, err) == (1, "", "error: no approximating sample in 1 trials\n")
 
 
 def test_suite_refuses_unknown_check_ids_as_verify_does(capsys):

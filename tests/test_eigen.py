@@ -9,7 +9,7 @@ from hienergy import checks, eigen, genset, moments, setops
 from hienergy.groups import cyclic, lattice
 from hienergy.gset import GSet, full_group, zset
 from hienergy.eigen import (build_gram, magnification_lower_bounds, singular_spectrum,
-                            subgroup_eigencheck, union_family_lower_bound)
+                            subgroup_eigencheck)
 from oracles import jacobi_eigenvalues
 
 
@@ -125,27 +125,6 @@ def test_bounds_below_exact_magnification():
             assert bounds["bound_energy"] <= bounds["bound_eig"] * (1 + 1e-9)
 
 
-def test_union_family_examples():
-    a = zset([0, 1, 3])
-    bound = union_family_lower_bound(a, [9, 9, 9], a, a, 2)
-    assert bound == pytest.approx(729 / 33)
-    assert setops.d_k(a, 2) >= bound
-    with pytest.raises(ValueError):
-        union_family_lower_bound(zset([7]), [1], a, a, 1)
-
-
-def test_union_family_vs_materialized():
-    rng = random.Random(17)
-    for _ in range(10):
-        g = rng.choice([cyclic(16), lattice(1)])
-        a = rand_gset(rng, g, rng.randint(2, 5))
-        b = rand_gset(rng, g, rng.randint(2, 4))
-        k = rng.choice([1, 2])
-        union = len(setops.delta_sumset([b] * k, a, setops.MINUS))
-        bound = union_family_lower_bound(a, [len(b) ** k] * len(a), a, b, k)
-        assert union >= bound * (1 - 1e-9)
-
-
 def test_operator_identity_and_bilinear_form():
     rng = np.random.default_rng(19)
     g = cyclic(8)
@@ -228,15 +207,6 @@ def test_subgroup_equality_of_lambda1():
         lam2 = singular_spectrum(pg)
         expect = float(moments.energy_k_pair(gamma, q, 2)) / t
         assert lam2[0] == pytest.approx(expect, rel=1e-9)
-
-
-def test_spectrum_report_shape():
-    b = zset([0, 1])
-    pg = build_gram(b, b, 1)
-    rep = eigen.spectrum_report(pg)
-    assert set(rep) == {"a_size", "b_size", "k", "lambdas_sq", "trace_check",
-                        "frobenius_check"}
-    assert rep["lambdas_sq"] == pytest.approx([3, 1])
 
 
 def _c18_grams():

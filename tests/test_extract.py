@@ -7,10 +7,10 @@ import pytest
 
 import oracles
 from hienergy import extract, moments, setops
-from hienergy.extract import (ExtractionError, almost_period_check, bsg_extract,
-                              bsg_extract_v2, cs_period_search, find_configuration,
-                              intersection_select, katz_koester, nb_cover,
-                              popular_set, robust_core, small_t4_extract)
+from hienergy.extract import (ExtractionError, _intersections, _select, almost_period_check,
+                              bsg_extract, bsg_extract_v2, cs_period_search,
+                              find_configuration, nb_cover, popular_set, robust_core,
+                              small_t4_extract)
 from hienergy.groups import cyclic, lattice
 from hienergy.gset import GSet, full_group, zset
 
@@ -52,33 +52,10 @@ def test_popular_mass_guarantee():
         assert 2 * sum(corr.values_at(p.coords).tolist()) >= len(a) ** 2
 
 
-def test_katz_koester_examples():
-    a = zset([0, 1, 3])
-    moved, ok = katz_koester(a, 1, "-")
-    assert moved == a and ok
-    moved0, ok0 = katz_koester(a, 0, "-")
-    assert ok0 and moved0 == setops.diffset(a, a)
-    # s outside A - A gives an empty slice; the flag stays true
-    empty_moved, empty_ok = katz_koester(a, 5, "-")
-    assert empty_ok and len(empty_moved) == 0
-
-
-def test_katz_koester_unconditional():
-    rng = random.Random(5)
-    for _ in range(30):
-        g = rng.choice([cyclic(24), lattice(1)])
-        a = rand_gset(rng, g, rng.randint(2, 8))
-        d = setops.diffset(a, a)
-        for s in list(d.elems)[: 6]:
-            for sign in ("-", "+"):
-                _, ok = katz_koester(a, s, sign)
-                assert ok
-
-
 def test_intersection_select_identical_family():
     fam = member_of([zset([0, 1, 2])] * 5, zset([0, 1, 2]))
-    j, alpha = intersection_select(fam, zset([0, 1, 2]), 1.0, 1 / 8)
-    assert j == [0, 1, 2, 3, 4] and alpha == (0,)
+    j, column = _select(fam, _intersections(fam), 1.0, 1 / 8)
+    assert j == [0, 1, 2, 3, 4] and column == 0   # the universe's first row, (0,)
     core = robust_core(fam, 1.0)
     assert core == [0, 1, 2, 3, 4]
 
@@ -87,7 +64,7 @@ def test_intersection_select_validates_precondition():
     # pairwise disjoint family: sum |S_i n S_j| = sum |S_i|, far below delta^2 m n^2
     fam = np.eye(3, dtype=bool)
     with pytest.raises(ExtractionError):
-        intersection_select(fam, zset([0, 1, 2]), 0.9, 1 / 8)
+        _select(fam, _intersections(fam), 0.9, 1 / 8)
 
 
 def test_intersection_select_matches_exhaustive_alpha_sweep():
@@ -97,12 +74,14 @@ def test_intersection_select_matches_exhaustive_alpha_sweep():
     fam = []
     for x in a.elems:
         members = [s for s in universe.elems
-                   if set(setops.stabilizer_slice(a, [s]).elems) and x in set(a.elems)]
+                   if setops.slice_masks(a, [s]).any() and x in set(a.elems)]
         fam.append(GSet(a.group, members))
     n, m = len(fam), len(universe)
     total = sum(len(si.intersect(sj)) for si in fam for sj in fam)
     delta = math.sqrt(total / (m * n * n))
-    j, alpha = intersection_select(member_of(fam, universe), universe, delta, 1 / 8)
+    member = member_of(fam, universe)
+    j, column = _select(member, _intersections(member), delta, 1 / 8)
+    alpha = tuple(universe.coords[column].tolist())
     # exhaustive sweep oracle: first alpha passing both bounds
     masks = [set(s.elems) for s in fam]
     floor = delta * n / math.sqrt(2)
@@ -130,8 +109,6 @@ def test_membership_table_matches_per_member_search():
         for bad in (member[:0], member[:, :0], member.astype(np.int64)):
             with pytest.raises(ValueError):
                 robust_core(bad, 0.5)
-        with pytest.raises(ValueError, match="one column per universe row"):
-            intersection_select(member[:, 1:], universe, 0.5, 1 / 8)
 
 
 def test_robust_core_postconditions_random():
@@ -279,7 +256,7 @@ def test_small_t4_examples():
 
 
 def test_small_t4_family_energies_and_choice_match_per_slice_loop():
-    # every candidate's E(A, A_s) from one gather equals energy_pair on the built slice,
+    # every candidate's E(A, A_s) from one gather equals energy_k_pair on the built slice,
     # and the chosen slice is the first maximum of the per-slice beta loop
     rng = random.Random(37)
     for g in (cyclic(64), cyclic(4, 8), lattice(1), lattice(2)):
@@ -291,10 +268,10 @@ def test_small_t4_family_energies_and_choice_match_per_slice_loop():
             member = setops.slice_masks(a, shifts)
             energies = extract._slice_energies(a, member).tolist()
             slices = [a.subset(row) for row in member]
-            assert energies == [moments.energy_pair(a, x) for x in slices]
+            assert energies == [moments.energy_k_pair(a, x, 2) for x in slices]
             best, best_beta = None, -1.0
             for s, x in zip(shifts.tolist(), slices):
-                beta = moments.energy_pair(a, x) / (n * len(x) ** 2)
+                beta = moments.energy_k_pair(a, x, 2) / (n * len(x) ** 2)
                 if beta > best_beta:
                     best, best_beta = (s, x), beta
             stage = next(st for st in small_t4_extract(a).stages if st["stage"] == "slice")

@@ -5,7 +5,9 @@ Python sets of elements are built only by `genset`'s generators, and the
 multiplicative side (`moments`, `checks`) uses no `Fraction`.  Caps are
 passed in: no function body reads `DEFAULT_CAPS`.  The convolution engine
 and the chain compute on int64 planes: none of them builds a Python-int
-(object) array."""
+(object) array.  Every top-level function and class in the package has a
+caller in another part of it, bar a short allow-list with reasons, and no
+module imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -208,3 +210,94 @@ def test_object_array_guard_sees_each_form(tmp_path):
                    "    return x.astype(np.int64), np.zeros(3, dtype=np.int64)\n")
     assert object_array_uses(bad) == ["_total:2 object", "_fft:4 object", "_Chain:8 object",
                                       "_direct:10 object"]
+
+
+# Top-level names that no code in the package reaches, each kept for a reason.
+UNREACHED_BY_DESIGN = {
+    "groups.op_add": "the tuple form of the group law; the benchmark's brute-force oracle",
+    "extract.almost_period_check": "the exact shift defect that acceptance criterion 6 checks",
+    "eigen.bilinear_residual": "the bilinear-form identity that acceptance criterion 4 checks",
+    "genset.is_convex": "the convex generator's oracle",
+    "moments.conv_power": "the paper's k-fold convolution A^(*k), with nothing kept",
+    "spectrum.dissociated_test": "the paper's dissociativity, beside dim_exact and dim_greedy",
+}
+
+
+def unreached(paths) -> list[str]:
+    """Every top-level `def`/`class` of the given modules, as `module.name`,
+    whose name no code of those modules mentions outside its own definition:
+    as a name, an attribute or a `from ... import` name."""
+    defined, mentioned = [], set()
+    for path in paths:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.stem, own))
+            for node in ast.walk(top):
+                names = ([node.id] if isinstance(node, ast.Name)
+                         else [node.attr] if isinstance(node, ast.Attribute)
+                         else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                         else [])
+                mentioned.update(n for n in names if n != own)
+    return [f"{module}.{name}" for module, name in defined if name not in mentioned]
+
+
+def test_every_function_has_a_caller():
+    # the package's own re-exports in __init__ are no caller
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 10
+    assert sorted(unreached(modules)) == sorted(UNREACHED_BY_DESIGN)
+
+
+def test_reachability_guard_sees_each_form(tmp_path):
+    (tmp_path / "a.py").write_text("def used():\n"
+                                   "    return _helper()\n"
+                                   "def dead(n):\n"
+                                   "    return dead(n - 1) if n else 0\n"
+                                   "class Dead:\n"
+                                   "    def used(self):\n"
+                                   "        return 1\n"
+                                   "def _helper():\n"
+                                   "    return 2\n"
+                                   "def by_attribute():\n"
+                                   "    return 3\n")
+    (tmp_path / "b.py").write_text("from .a import used\n"
+                                   "from . import a\n"
+                                   "x = used() + a.by_attribute()\n")
+    (tmp_path / "__init__.py").write_text("from .a import dead, Dead\n")
+    modules = sorted(p for p in tmp_path.glob("*.py") if p.name != "__init__.py")
+    assert unreached(modules) == ["a.dead", "a.Dead"]
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Every name a module imports (`from __future__` aside) that no `Name`
+    node of it reads; `np.zeros` reads `np`, an annotation reads its names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            found += [f"{path.name}:{node.lineno} {bound}" for a in node.names
+                      if (bound := (a.asname or a.name).split(".")[0]) not in read]
+    return found
+
+
+def test_no_unused_imports():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 10
+    assert [use for p in modules for use in unused_imports(p)] == []
+
+
+def test_unused_import_guard_sees_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("from __future__ import annotations\n"
+                   "import os\n"
+                   "import numpy as np\n"
+                   "from typing import Callable, Sequence\n"
+                   "from .gset import GSet as G, read_set\n"
+                   "import os.path\n"
+                   "x = np.zeros(3)\n"
+                   "def f(s: Sequence) -> G:\n"
+                   "    return s\n")
+    assert unused_imports(bad) == ["bad.py:2 os", "bad.py:4 Callable", "bad.py:5 read_set",
+                                   "bad.py:6 os"]

@@ -13,9 +13,8 @@ from hienergy import extract, groups, moments, setops
 from hienergy.groups import cyclic, lattice
 from hienergy.gset import GSet, full_group, zset
 from hienergy.moments import (ConvTable, EnergyProfile, convolve, correlate,
-                              conv_power, energy_k, energy_k_pair, energy_pair,
-                              level_sequence, mult_energy_k, prodset_size,
-                              quotset_size, sigma_k, t_k)
+                              conv_power, energy_k, energy_k_pair, level_sequence,
+                              mult_energy_k, prodset_size, quotset_size, sigma_k, t_k)
 
 
 def value(table, x):
@@ -119,7 +118,7 @@ def test_energy_pair_matches_oracle():
         for k in (2, 3):
             assert energy_k_pair(a, b, k) == \
                 oracles.oracle_energy_k_pair(mods, set(a.elems), set(b.elems), k)
-        assert energy_pair(a, b) == oracles.oracle_energy_pair(mods, set(a.elems), set(b.elems))
+        assert energy_k_pair(a, b, 2) == oracles.oracle_energy_pair(mods, set(a.elems), set(b.elems))
 
 
 def test_t_k_examples():
@@ -305,8 +304,8 @@ def test_fft_equals_direct_500_instances():
         b = GSet(g, rng.sample(range(n), rng.randint(2, 48)))
         fa = ConvTable.from_gset(a).array
         fb = ConvTable.from_gset(b).array
-        fft = moments._fft(fa, fb, g.moduli)
-        direct = moments._direct(fa, fb, g.moduli)
+        fft = moments._fft(fa[None], fb[None], g.moduli)
+        direct = moments._direct(fa[None], fb[None], g.moduli)
         assert fft is not None
         assert (fft == direct).all(), f"instance {i} diverged"
 
@@ -317,8 +316,8 @@ def test_fft_multidim_and_lattice_paths():
     a = GSet(g, [oracles.from_flat(g.moduli, v) for v in rng.sample(range(1024), 40)])
     b = GSet(g, [oracles.from_flat(g.moduli, v) for v in rng.sample(range(1024), 40)])
     fa, fb = ConvTable.from_gset(a).array, ConvTable.from_gset(b).array
-    assert (moments._fft(fa, fb, g.moduli) ==
-            moments._direct(fa, fb, g.moduli)).all()
+    assert (moments._fft(fa[None], fb[None], g.moduli) ==
+            moments._direct(fa[None], fb[None], g.moduli)).all()
     # lattice windows: shift far from the origin, exactness preserved
     z = lattice(1)
     a = GSet(z, [x + 1000 for x in rng.sample(range(100), 20)])
@@ -532,10 +531,10 @@ def test_entry_bound_boundaries_match_oracle():
 def test_power_sum_matches_python_ints_on_every_branch():
     # k = 2 is one int64 dot where max^2 len < 2^63 (near 2^10 and 2^20), else
     # digit dots (near 2^37, and every plane input).  k >= 3: near 2^10 with
-    # max <= 4 len, int64 to k = 5 and the bincount loop at k = 6; near 2^20 the
-    # h 2^s + l split at k = 3, 4 and the Python loop beyond; near 2^37 the
-    # Python loop.  Plane inputs (the same values times 2^60, past 2^63, with
-    # their negative entries) give k >= 3 to the Python loop
+    # max <= 4 len, int64 to k = 5 and the bincount loop at k = 6; near 2^20
+    # and 2^37 the loop over distinct values.  Plane inputs (the same values
+    # times 2^60, past 2^63, with their negative entries) give k >= 3 to that
+    # loop too
     rng = np.random.default_rng(101)
     for bits, n in ((10, 1024), (20, 1000), (37, 1000)):
         values = np.concatenate([(1 << bits) + rng.integers(-64, 64, n), [0, -5, (1 << bits) - 1]])

@@ -30,8 +30,8 @@ def _load_sets(args) -> list[GSet]:
 
 
 def _positive(text: str) -> int:
-    """The type of the flags that take an integer of at least 1: --cap-*
-    and extract's --k, --trials and --cap."""
+    """The type of the flags that take an integer of at least 1: --cap-*,
+    extract's --k, --trials and --cap, and suite's --count."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_set_sources(ps)
     ps.add_argument("--standard", action="store_true", help="use the standard corpora")
     ps.add_argument("--seed", type=int, default=2024)
-    ps.add_argument("--count", type=int, default=30)
+    ps.add_argument("--count", type=_positive, default=30)
     ps.add_argument("--report")
     add_caps(ps)
     ps.set_defaults(fn=cmd_suite)

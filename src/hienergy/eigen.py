@@ -2,11 +2,12 @@
 eigenvalues (LAPACK `eigvalsh`, certified against the Gram's exact integer
 trace and Frobenius norm), lower bounds for magnification ratios, and the
 convolution operator whose eigenfunctions on a multiplicative subgroup are
-the multiplicative characters."""
+the multiplicative characters.  On a subgroup Gamma that operator's matrix
+is the pattern Gram of (Gamma, B, k), built in integers; the float
+transform runs only where the kernel is not an integer table."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .setops import CapExceededError, Caps, DEFAULT_CAPS
 
 INVARIANT_RTOL = 1e-8
 EIG_SLACK = 1e-9
+RESIDUAL_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +65,7 @@ def _gram(a: GSet, b: GSet, k: int) -> PatternGram:
     trace = int(np.trace(gram.astype(object)))
     if trace != n * top:
         raise InvariantError(f"Gram trace {trace} != |A||B|^k = {n * top}")
-    flat = gram.ravel()   # n^2 entries of at most |B|^k
-    frob = int(flat @ flat) if n * n * top * top < 1 << 63 else sum(int(v) ** 2 for v in flat.tolist())
+    frob = moments._square_sum(gram.reshape(1, -1))
     expected = moments.energy_k_pair(a, b, 2 * k + 1)
     if frob != expected:
         raise InvariantError(f"Gram Frobenius^2 {frob} != E_(2k+1)(A,B) = {expected}")
@@ -108,12 +109,10 @@ def magnification_lower_bounds(a: GSet, b: GSet, k: int,
 
 
 def _flat_function(g: GroupSpec, f) -> np.ndarray:
-    """Coerce a GSet / ConvTable / array to a dense complex vector."""
+    """Coerce a GSet / array to a dense complex vector."""
     n = g.order
     if isinstance(f, GSet):
         return f.indicator().astype(np.complex128).ravel()
-    if isinstance(f, moments.ConvTable):
-        return f.array.astype(np.complex128).ravel()
     arr = np.asarray(f, dtype=np.complex128).ravel()
     if arr.size != n:
         raise ValueError(f"dense function must have {n} entries")
@@ -181,118 +180,71 @@ class SubgroupEigenReport:
     eigenvalues: list[float]
     residuals: list[float]
     max_at_trivial: bool
-    kernel_transform_nonneg: bool
     measured_max: float
     claimed_max: float | None
     claimed_ratio: float | None
     connected_ok: bool
-    connected_equality_at_indicator: bool
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
-def subgroup_characters(gamma: GSet) -> np.ndarray:
-    """t x N matrix of multiplicative characters chi_alpha supported on Gamma."""
-    p, t = multiplicative_order_elements(gamma)
-    g = gamma.group
-    root = primitive_root(p)
-    h = pow(root, (p - 1) // t, p)
-    order = [pow(h, l, p) for l in range(t)]
-    if sorted(order) != gamma.coords[:, 0].tolist():
-        raise ValueError("set is not the subgroup generated by a primitive-root power")
-    chars = np.zeros((t, p), dtype=np.complex128)
+def subgroup_characters(p: int, t: int, h: int) -> np.ndarray:
+    """t x t matrix of the multiplicative characters chi_alpha(h^l) = e(alpha l / t)
+    of the order-t subgroup <h> of Z/p^*, its columns in the order of the
+    subgroup's sorted elements."""
     steps = np.arange(t)
     # the phase 2 pi alpha l / t, rounded step by step in that order
-    chars[:, order] = np.exp(1j * ((2 * np.pi * steps)[:, None] * steps / t))
-    return chars
+    phases = np.exp(1j * ((2 * np.pi * steps)[:, None] * steps / t))
+    return phases[:, np.argsort([pow(h, l, p) for l in range(t)])]
 
 
-def subgroup_eigencheck(gamma: GSet, phi=None, k: int = 1, base_set: GSet | None = None,
-                        seed: int = 7, residual_tol: float = 1e-8) -> SubgroupEigenReport:
-    """Verify the character eigenfunction structure of the restricted operator.
+def subgroup_eigencheck(gamma: GSet, k: int = 1, base_set: GSet | None = None) -> SubgroupEigenReport:
+    """Verify that the multiplicative characters are eigenfunctions of the
+    operator restricted to Gamma, that the trivial one carries the top
+    eigenvalue, and the connected quadratic-form inequality.
 
-    phi defaults to Gamma o Gamma.  When base_set B is given instead, phi is
-    the kernel whose convolution transform is (B o B)^k, and the maximal
-    eigenvalue is compared against E_(k+1)(Gamma, B)/|Gamma|.
+    The kernel is built on the integer table B o B, B = base_set or Gamma,
+    and must be invariant under the generator h of Gamma.  With a base_set
+    the restricted matrix is the exact pattern Gram (B o B)(y' - y)^k on
+    Gamma, and the top eigenvalue is compared against E_(k+1)(Gamma, B)/|Gamma|;
+    without one it is the float transform |Gamma^(xi)|^2 read at the
+    differences of Gamma.  The connected forms u^T G u, G the Gram of
+    (Gamma, Gamma, 1), are decided in integers: G is positive semidefinite
+    with 1_Gamma as an eigenvector, so t^2 u^T G u >= (sum u)^2 sum G.
     """
     p, t = multiplicative_order_elements(gamma)
-    g = gamma.group
-    n = g.order
+    h = pow(primitive_root(p), (p - 1) // t, p)
+    b = gamma if base_set is None else base_set
+    if b.group != gamma.group:
+        raise groups.GroupError("the base set lives in another group")
+    table = moments.correlate(b, b).array
+    if not np.array_equal(table[h * np.arange(p) % p], table):
+        raise ValueError("the kernel is not Gamma-invariant")
+    caps = Caps(gram=t)   # the character loop is dense in t anyway
     claimed = None
-    if base_set is not None:
-        corr = moments.correlate(base_set, base_set).array.astype(np.float64).ravel() ** k
-        phi_v = _group_fft(g, corr.astype(np.complex128)) / n
-        if np.abs(phi_v.imag).max() > 1e-9:
-            raise InvariantError("kernel transform of a symmetric table must be real")
-        phi_v = phi_v.real.astype(np.complex128)
-        claimed = float(moments.energy_k_pair(gamma, base_set, k + 1)) / t
-    elif phi is None:
-        phi_v = _flat_function(g, moments.correlate(gamma, gamma))
+    if base_set is None:
+        mat = restricted_matrix(gamma.group, table, gamma)
     else:
-        phi_v = _flat_function(g, phi)
+        mat = build_gram(gamma, base_set, k, caps).gram.astype(np.complex128)
+        claimed = float(moments.energy_k_pair(gamma, base_set, k + 1)) / t
 
-    # Gamma-invariance of phi
-    for gam in gamma.coords[:, 0].tolist():
-        perm = (gam * np.arange(p, dtype=np.int64)) % p
-        if np.abs(phi_v[perm] - phi_v).max() > 1e-9 * max(1.0, np.abs(phi_v).max()):
-            raise ValueError("phi is not Gamma-invariant")
-
-    mat = restricted_matrix(g, phi_v, gamma)
-    idx = gamma.flat_indices()
-    chars = subgroup_characters(gamma)[:, :]
     eigenvalues: list[float] = []
     residuals: list[float] = []
-    for alpha in range(t):
-        chi = chars[alpha][idx]
+    for chi in subgroup_characters(p, t, h):
         w = mat @ chi
         mu = complex(np.vdot(chi, w)) / t
-        res = float(np.linalg.norm(w - mu * chi) / (1.0 + np.linalg.norm(w)))
+        residuals.append(float(np.linalg.norm(w - mu * chi) / (1.0 + np.linalg.norm(w))))
         eigenvalues.append(float(mu.real))
-        residuals.append(res)
-
-    kernel_ft = _group_fft(g, phi_v)
-    nonneg = bool(kernel_ft.real.min() > -1e-6 * max(1.0, np.abs(kernel_ft).max())
-                  and np.abs(kernel_ft.imag).max() < 1e-6 * max(1.0, np.abs(kernel_ft).max()))
+    if max(residuals) >= RESIDUAL_TOL:
+        raise InvariantError(f"character eigenfunction residual too large: {max(residuals)}")
     measured_max = max(eigenvalues)
     max_at_trivial = eigenvalues[0] >= measured_max - 1e-8 * max(1.0, abs(measured_max))
 
-    # the quadratic-form inequality for kernels with nonnegative transform
-    rng = np.random.default_rng(seed)
-    psi_v = _flat_function(g, moments.correlate(gamma, gamma))
-    connected_ok = True
-    for trial in range(8):
-        u = np.zeros(n)
-        u[idx] = rng.integers(-3, 4, size=t).astype(np.float64)
-        lhs = _quadratic_form(g, psi_v, u)
-        corr_g = _quadratic_form(g, psi_v, _flat_function(g, gamma).real)
-        rhs = (u[idx].sum() ** 2 / t ** 2) * corr_g
-        if lhs < rhs - 1e-6 * max(1.0, abs(rhs)):
-            connected_ok = False
-    u0 = _flat_function(g, gamma).real
-    lhs0 = _quadratic_form(g, psi_v, u0)
-    rhs0 = (u0[idx].sum() ** 2 / t ** 2) * _quadratic_form(g, psi_v, u0)
-    connected_equality = math.isclose(lhs0, rhs0, rel_tol=1e-9, abs_tol=1e-9)
-
-    if max(residuals) >= residual_tol:
-        raise InvariantError(f"character eigenfunction residual too large: {max(residuals)}")
-
+    gram = build_gram(gamma, gamma, 1, caps).gram
+    total = int(gram.sum())
+    rng = np.random.default_rng(7)
+    draws = [rng.integers(-3, 4, size=t) for _ in range(8)]
+    connected_ok = all(t * t * int(u @ gram @ u) >= int(u.sum()) ** 2 * total for u in draws)
     return SubgroupEigenReport(
-        p=p, t=t, k=k,
-        eigenvalues=eigenvalues,
-        residuals=residuals,
-        max_at_trivial=bool(max_at_trivial),
-        kernel_transform_nonneg=nonneg,
-        measured_max=float(measured_max),
-        claimed_max=claimed,
-        claimed_ratio=(float(measured_max) / claimed if claimed else None),
-        connected_ok=connected_ok,
-        connected_equality_at_indicator=connected_equality,
-    )
-
-
-def _quadratic_form(g: GroupSpec, psi_v: np.ndarray, u: np.ndarray) -> float:
-    """sum_x psi(x) (u o u)(x) for a real vector u."""
-    spec = _group_fft(g, u.astype(np.complex128))
-    corr = _group_ifft(g, np.conj(spec) * spec).real  # (u o u) by inversion
-    return float((psi_v.real * corr).sum())
+        p=p, t=t, k=k, eigenvalues=eigenvalues, residuals=residuals,
+        max_at_trivial=bool(max_at_trivial), measured_max=float(measured_max),
+        claimed_max=claimed, claimed_ratio=(float(measured_max) / claimed if claimed else None),
+        connected_ok=connected_ok)

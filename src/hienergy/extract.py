@@ -53,6 +53,8 @@ from .groups import Elem, InvariantError
 from .gset import GSet, as_rows, full_group
 from .moments import EnergyProfile
 
+SHIFT_SAMPLES = 24   # the shift sequences cs_period_search draws from its good samples
+
 
 class ExtractionError(RuntimeError):
     pass
@@ -425,8 +427,8 @@ def _overlaps(seqs: np.ndarray, bd: moments.ConvTable, points: np.ndarray) -> np
     return bd.values_at((seqs + points[:, None]).reshape(-1, d)).reshape(m, k).sum(axis=1)
 
 
-def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200, seed: int = 1,
-                     shift_samples: int = 24) -> ExtractionReport:
+def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200,
+                     seed: int = 1) -> ExtractionReport:
     """Randomized almost-period search with exact final validation.
 
     Samples k-element sequences from A, tracks the empirical approximation
@@ -464,7 +466,7 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200, seed: int = 1,
         raise ExtractionError(f"no approximating sample in {trials} trials")
 
     drawn: dict[bytes, np.ndarray] = {}   # distinct shift sequences in the order drawn
-    for _ in range(shift_samples):
+    for _ in range(SHIFT_SAMPLES):
         seq = good[rng.randrange(len(good))]
         s = as_rows(g, seq - a.coords[rng.choice(range(n))])
         drawn.setdefault(s.tobytes(), s)

@@ -263,18 +263,12 @@ def _gen_sidon(r: SetRecipe) -> GSet:
 
 _BUILDERS = {
     "interval": _gen_interval,
-    "gap": _gen_ap,
     "ap": _gen_ap,
     "random": _gen_random_density,
-    "random-density": _gen_random_density,
     "subgroup": _gen_subgroup,
-    "mult-subgroup": _gen_subgroup,
     "qr": _gen_qr,
-    "quadratic-residues": _gen_qr,
     "convex": _gen_convex,
-    "convex-integer": _gen_convex,
     "sidon": _gen_sidon,
-    "sidon-greedy": _gen_sidon,
 }
 
 

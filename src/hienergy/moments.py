@@ -719,8 +719,8 @@ def _power_sum(values: np.ndarray, k) -> int | float:
 
 def energy_k(a: GSet, k) -> int | float:
     """E_k(A) = sum_x (A o A)(x)^k; exact for integer k, E_1(A) = |A|^2."""
-    if k < 1:
-        raise ValueError("energy order must be >= 1")
+    if not 1 <= k < math.inf:   # NaN fails both comparisons
+        raise ValueError(f"energy order must be >= 1 and finite, got {k}")
     return _power_sum(correlate(a, a)._flat(), k)
 
 
@@ -729,8 +729,8 @@ def energy_k_pair(a: GSet, b: GSet, k) -> int | float:
     additive energy E(A, B) = sum_x (A * B)(x)^2.  Kept on A per (B, k)."""
     if a.group != b.group:
         raise groups.GroupError("energy operands live in different groups")
-    if k < 1:
-        raise ValueError("energy order must be >= 1")
+    if not 1 <= k < math.inf:   # NaN fails both comparisons
+        raise ValueError(f"energy order must be >= 1 and finite, got {k}")
     return a.kept(("Epair", a.partner(b), k), lambda: _energy_k_pair(a, b, k))
 
 

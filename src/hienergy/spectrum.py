@@ -110,12 +110,12 @@ def dissociated_test(l_set: GSet) -> bool:
     return _dissociated(l_set.group, l_set.coords)
 
 
-def dim_exact(q: GSet, cap: int = DIM_EXACT_CAP) -> int:
+def dim_exact(q: GSet) -> int:
     """Size of the largest dissociated subset, by depth-first search over
     dissociated subsets only (a subset of a dissociated set is dissociated),
     pruned once the rows left cannot beat the best size found."""
-    if len(q) > cap:
-        raise CapExceededError(f"dim_exact capped at {cap} elements")
+    if len(q) > DIM_EXACT_CAP:
+        raise CapExceededError(f"dim_exact capped at {DIM_EXACT_CAP} elements")
     rows, best = q.coords, 0
 
     def grow(chosen: list[int]) -> None:

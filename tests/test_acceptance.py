@@ -111,8 +111,7 @@ def test_criterion_5_subgroup_checks():
     assert [e[0] for e in gamma.elems] == [1, 3, 9]
     rep = eigen.subgroup_eigencheck(gamma)
     eig_ok = (len(rep.residuals) == 3 and max(rep.residuals) < 1e-8
-              and rep.max_at_trivial and rep.connected_ok
-              and rep.connected_equality_at_indicator)
+              and rep.max_at_trivial and rep.connected_ok)
     qr_ok = setops.basis_depth_test(genset.quadratic_residues(13), 1, setops.MINUS)[0]
     six_hits = []
     for p in (7, 11, 13, 17, 29, 31, 41, 61, 101):

@@ -74,6 +74,12 @@ def test_compute_passes_k_zero_to_the_library(tmp_path, capsys, quantity):
     assert code == cli.USAGE_EXIT and out == "" and err.startswith("error: ") and ">= " in err
 
 
+@pytest.mark.parametrize("k", ["nan", "inf", "1e400"])
+def test_compute_ek_refuses_a_non_finite_k(capsys, k):
+    code, out, err = run_cli(capsys, "compute", "Ek", "--recipe", "interval:n=5,N=16", "--k", k)
+    assert code == cli.USAGE_EXIT and out == "" and err.startswith("error: energy order")
+
+
 def test_compute_multe_refuses_elements_past_the_bound(tmp_path, capsys):
     path = tmp_path / "a.txt"
     write_set(zset([1, 2, 1 << 30]), path)
@@ -225,6 +231,12 @@ def test_suite_cap_errors_exit_nonzero(capsys):
 def test_cap_flags_refuse_values_below_one(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "--cap-" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_suite_count_refuses_values_below_one(capsys, count):
+    code, out, err = run_cli(capsys, "suite", "--standard", "--checks", "C1", "--count", count)
+    assert code == 2 and out == "" and f"--count: must be at least 1, got {count}" in err
 
 
 @pytest.mark.parametrize("argv", [

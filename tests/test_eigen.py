@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hienergy import checks, eigen, genset, moments, setops
+from hienergy import checks, eigen, genset, groups, moments, setops
 from hienergy.groups import cyclic, lattice
 from hienergy.gset import GSet, full_group, zset
 from hienergy.eigen import (build_gram, magnification_lower_bounds, singular_spectrum,
@@ -179,8 +179,7 @@ def test_subgroup_eigencheck_13():
     rep = subgroup_eigencheck(gamma)
     assert rep.t == 3 and len(rep.eigenvalues) == 3
     assert max(rep.residuals) < 1e-8
-    assert rep.max_at_trivial and rep.kernel_transform_nonneg
-    assert rep.connected_ok and rep.connected_equality_at_indicator
+    assert rep.max_at_trivial and rep.connected_ok
     rep2 = subgroup_eigencheck(gamma, base_set=gamma, k=1)
     assert rep2.claimed_ratio == pytest.approx(1.0, abs=1e-9)
     trivial = subgroup_eigencheck(genset.mult_subgroup(13, 1))
@@ -193,9 +192,67 @@ def test_subgroup_eigencheck_rejects_bad_inputs():
     with pytest.raises(ValueError):
         subgroup_eigencheck(GSet(cyclic(12), [1, 5]))  # 12 not prime
     gamma = genset.mult_subgroup(13, 3)
-    bad_phi = np.arange(13, dtype=np.complex128)
     with pytest.raises(ValueError):
-        subgroup_eigencheck(gamma, phi=bad_phi)  # not invariant
+        subgroup_eigencheck(gamma, base_set=GSet(cyclic(13), [1, 2]))  # not invariant
+
+
+def test_subgroup_characters_are_multiplicative_on_sorted_elements():
+    for p, t in [(13, 4), (31, 6), (101, 20)]:
+        gamma = genset.mult_subgroup(p, t)
+        h = pow(genset.primitive_root(p), (p - 1) // t, p)
+        chars = eigen.subgroup_characters(p, t, h)
+        elems = gamma.coords[:, 0].tolist()
+        at = {x: j for j, x in enumerate(elems)}
+        assert chars.shape == (t, t) and np.abs(chars[0] - 1).max() == 0
+        for x in elems:
+            for y in elems:
+                assert np.abs(chars[:, at[x * y % p]] - chars[:, at[x]] * chars[:, at[y]]).max() < 1e-12
+        assert np.abs(chars @ chars.conj().T - t * np.eye(t)).max() < 1e-9
+
+
+def test_c25_top_eigenvalue_is_exact_on_every_subgroup():
+    # the restricted matrix is the integer Gram: the trivial character's
+    # Rayleigh quotient sums its entries, E_2(Gamma) exactly
+    report = checks.run_suite(checks.subgroup_instances(), ["C25"])
+    rows = [r for r in report.results if r.check_id == "C25"]
+    assert len(rows) == 17 and not report.errors
+    assert all(r.passed and r.lhs == r.rhs for r in rows)
+
+
+def test_subgroup_eigencheck_on_a_base_set_runs_no_group_fft(monkeypatch):
+    calls = []
+    for name in ("_group_fft", "_group_ifft"):
+        real = getattr(eigen, name)
+        monkeypatch.setattr(eigen, name, lambda g, flat, _real=real, _name=name:
+                            calls.append(_name) or _real(g, flat))
+    for p, t in [(13, 3), (31, 5), (61, 12)]:
+        gamma = genset.mult_subgroup(p, t)
+        rep = subgroup_eigencheck(gamma, base_set=gamma)
+        assert rep.connected_ok and rep.max_at_trivial and max(rep.residuals) < 1e-8
+    assert calls == []
+    subgroup_eigencheck(genset.mult_subgroup(13, 3))   # the float kernel |Gamma^|^2
+    assert calls == ["_group_fft"]
+
+
+def test_connected_forms_are_decided_in_integers(monkeypatch):
+    # a Gram that is not positive semidefinite fails the exact comparison
+    gamma = genset.mult_subgroup(31, 5)
+    real = eigen.build_gram
+
+    def negated(a, b, k, caps):
+        pg = real(a, b, k, caps)
+        return eigen.PatternGram(pg.k, pg.b_size, -pg.gram, pg.frobenius_sq)
+
+    assert subgroup_eigencheck(gamma).connected_ok
+    monkeypatch.setattr(eigen, "build_gram", negated)
+    assert not subgroup_eigencheck(gamma).connected_ok
+
+
+def test_subgroup_eigencheck_refuses_a_base_set_in_another_group():
+    gamma = genset.mult_subgroup(13, 3)
+    for b in (GSet(cyclic(7), [1, 2]), zset([1, 3, 9]), GSet(cyclic(26), [1, 3, 9])):
+        with pytest.raises(groups.GroupError):
+            subgroup_eigencheck(gamma, base_set=b)
 
 
 def test_subgroup_equality_of_lambda1():

@@ -7,7 +7,8 @@ passed in: no function body reads `DEFAULT_CAPS`.  The convolution engine
 and the chain compute on int64 planes: none of them builds a Python-int
 (object) array.  Every top-level function and class in the package has a
 caller in another part of it, bar a short allow-list with reasons, and no
-module imports a name it never reads."""
+module imports a name it never reads.  The float FFT runs only in the
+engine's transforms, `spectrum.dft` and the complex operator's own."""
 
 import ast
 from pathlib import Path
@@ -301,3 +302,67 @@ def test_unused_import_guard_sees_each_form(tmp_path):
                    "    return s\n")
     assert unused_imports(bad) == ["bad.py:2 os", "bad.py:4 Callable", "bad.py:5 read_set",
                                    "bad.py:6 os"]
+
+
+# The float FFT runs only in the engine's bounded transforms, the spectrum
+# table and the complex operator; the operator's transforms serve its three
+# readers and no exact count.
+FFT_HOMES = {"moments._rfft", "moments._irfft", "spectrum.dft",
+             "eigen._group_fft", "eigen._group_ifft"}
+GROUP_FFT = {"_group_fft", "_group_ifft"}
+GROUP_FFT_READERS = {"eigen.operator_apply", "eigen.restricted_matrix", "eigen.bilinear_residual"}
+
+
+def fft_uses(path: Path) -> list[tuple[str, str]]:
+    """(module.top, form) for every `np.fft`/`numpy.fft` attribute, every
+    import from or of a `*.fft` module and every `_group_fft`/`_group_ifft`
+    name in a module, by the top-level definition it sits in."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                found.append((where, "np.fft"))
+            elif isinstance(node, ast.ImportFrom) and ((node.module or "").endswith(".fft")
+                                                       or any(a.name == "fft" for a in node.names)):
+                found.append((where, "import fft"))
+            elif isinstance(node, ast.Import) and any(a.name.endswith(".fft") for a in node.names):
+                found.append((where, "import fft"))
+            elif ((isinstance(node, ast.Name) and node.id in GROUP_FFT)
+                  or (isinstance(node, ast.Attribute) and node.attr in GROUP_FFT)):
+                found.append((where, "group fft"))
+    return found
+
+
+def misplaced_fft(uses: list[tuple[str, str]]) -> list[str]:
+    return [f"{where} {form}" for where, form in uses
+            if (form == "group fft" and where not in GROUP_FFT_READERS)
+            or (form != "group fft" and where not in FFT_HOMES)]
+
+
+def test_float_fft_runs_only_where_its_object_is_not_an_integer():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 10
+    uses = [use for p in modules for use in fft_uses(p)]
+    assert misplaced_fft(uses) == []
+    # the guard reads every home and every reader it allows
+    assert {where for where, _ in uses} == FFT_HOMES | GROUP_FFT_READERS
+
+
+def test_fft_guard_sees_each_form(tmp_path):
+    bad = tmp_path / "eigen.py"
+    bad.write_text("import numpy.fft\n"
+                   "from numpy import fft\n"
+                   "from scipy.fft import rfft\n"
+                   "def _group_fft(g, flat):\n"
+                   "    return np.fft.fftn(flat)\n"
+                   "def restricted_matrix(g, phi, e):\n"
+                   "    return _group_fft(g, phi)\n"
+                   "def subgroup_eigencheck(gamma):\n"
+                   "    w = numpy.fft.ifft(gamma)\n"
+                   "    return eigen._group_ifft(g, _group_fft(g, w))\n")
+    assert sorted(misplaced_fft(fft_uses(bad))) == [
+        "eigen.<module> import fft", "eigen.<module> import fft", "eigen.<module> import fft",
+        "eigen.subgroup_eigencheck group fft", "eigen.subgroup_eigencheck group fft",
+        "eigen.subgroup_eigencheck np.fft"]

@@ -237,6 +237,15 @@ def test_level_sequence_examples():
     assert levels == sorted(want.values(), reverse=True)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, float("1e400"), 0, 0.5, -math.inf])
+def test_energy_orders_outside_one_to_infinity_are_refused(k):
+    a, b = zset([0, 1, 3]), zset([0, 2])
+    with pytest.raises(ValueError, match="energy order"):
+        moments.energy_k(a, k)
+    with pytest.raises(ValueError, match="energy order"):
+        moments.energy_k_pair(a, b, k)
+
+
 def test_mult_energy_examples():
     assert mult_energy_k([1, 2, 4], 2) == 19
     assert prodset_size([1, 2, 4]) == 5

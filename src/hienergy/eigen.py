@@ -1,6 +1,6 @@
 """Spectral machinery: the pattern Gram |(B-y) n (B-y')|^k on A x A, its
 eigenvalues (LAPACK `eigvalsh`, certified against the Gram's exact integer
-trace and Frobenius norm), lower bounds for magnification ratios, and the
+diagonal and Frobenius norm), lower bounds for magnification ratios, and the
 convolution operator whose eigenfunctions on a multiplicative subgroup are
 the multiplicative characters.  On a subgroup Gamma that operator's matrix
 is the pattern Gram of (Gamma, B, k), built in integers; the float
@@ -41,8 +41,8 @@ def build_gram(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> PatternGr
     """Gram(y, y') = |(B-y) n (B-y')|^k = (B o B)(y'-y)^k on A x A, kept on
     A per (B, k) with its array read-only.
 
-    Validates trace = |A||B|^k and squared Frobenius norm = E_{2k+1}(A, B)
-    at construction.
+    Validates every diagonal entry = |B|^k and squared Frobenius norm =
+    E_{2k+1}(A, B) at construction.
     """
     if a.group != b.group:
         raise groups.GroupError("pattern Gram needs sets in one group")
@@ -62,9 +62,8 @@ def _gram(a: GSet, b: GSet, k: int) -> PatternGram:
     diffs = (a.coords[None, :] - a.coords[:, None]).reshape(n * n, -1)   # row i n + j: y_j - y_i
     gram = moments.correlate(b, b).values_at(diffs).reshape(n, n) ** k
     gram.flags.writeable = False
-    trace = int(np.trace(gram.astype(object)))
-    if trace != n * top:
-        raise InvariantError(f"Gram trace {trace} != |A||B|^k = {n * top}")
+    if (np.diagonal(gram) != top).any():   # so the trace is |A||B|^k
+        raise InvariantError(f"Gram diagonal values {np.unique(np.diagonal(gram)).tolist()} != |B|^k = {top}")
     frob = moments._square_sum(gram.reshape(1, -1))
     expected = moments.energy_k_pair(a, b, 2 * k + 1)
     if frob != expected:

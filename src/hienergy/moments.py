@@ -31,7 +31,10 @@ its bound counts the m butterfly levels and the two twiddle multiplies.
 Smaller and multi-dimensional shapes use numpy's rfftn/irfftn.  A
 correlation is the same call: the direct path subtracts indices, the FFT
 conjugates f's spectrum.  A self-product (f is g) transforms each limb
-once, and a chain of convolution powers its base once per FFT shape.  Each
+once, and a chain of convolution powers its base once per FFT shape.  A
+one-limb self-product whose spectrum no chain keeps forms the product in
+that spectrum's own buffer, so a fresh A o A holds one half-spectrum, and
+none once the inverse is cast to int64.  Each
 engine call reads an operand's nonzeros and norms once and checks the
 product's mass identity sum(f*g) = sum(f) sum(g) exactly, on either path;
 besides that only T_k's cross-check is validated after the fact.  A o A of a
@@ -72,6 +75,7 @@ _R = 32                       # the planes' radix: value = sum_d planes[d] 2^(R 
 _MASK = (1 << _R) - 1
 _FOUR_STEP_MIN = 1 << 15      # one-dimensional power-of-two transforms from here run as a four-step
 _TWIDDLE_ERR = 16 * 2.0 ** -53   # bound on |table entry - w^e| of the four-step's twiddles
+_BLOCK = 1 << 14              # entries of a spectrum squared in place per step (256 KB)
 _INT_BOUND = 1 << 30          # |x| bound on the elements of multiplicative operands
 
 
@@ -499,16 +503,26 @@ def _irfft(c: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.fft.irfft(c, n1, axis=0).reshape(shape)
 
 
+def _abs_squared(c: np.ndarray) -> None:
+    """c = conj(c) c in place on a fresh spectrum, _BLOCK entries at a time."""
+    flat = c.reshape(-1)
+    for s in range(0, len(flat), _BLOCK):
+        block = flat[s:s + _BLOCK]
+        np.multiply(np.conjugate(block), block, out=block)
+
+
 def _fft(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
          corr: bool = False, spectra: dict | None = None) -> np.ndarray:
     """Real-FFT convolution, or correlation with f's spectrum conjugated,
     exact by the a priori limb split of `_split`: cyclic at the group size
     for power-of-two moduli, else linear at power-of-two sizes (folded if
     cyclic).  Operands and product are planes.  One limb each forms the
-    product in one buffer; more are deposited limb pair by limb pair into
-    the product's planes (one plane adds modulo 2^64, exact while B < 2^62)
-    and carried once.  spectra (the caller's, for one g) keeps g's whole
-    spectrum per shape."""
+    product in f's spectrum, or in g's own for a self-product that spectra
+    does not keep (by _abs_squared for a correlation), and drops every
+    spectrum before the inverse's int64 cast; more are deposited limb pair by
+    limb pair into the product's planes (one plane adds modulo 2^64, exact
+    while B < 2^62) and carried once.  spectra (the caller's, for one g)
+    keeps g's whole spectrum per shape."""
     same = fa is ga
     fs = fa.shape[1:]
     lin = tuple(int(a + b - 1) for a, b in zip(fs, ga.shape[1:]))
@@ -521,11 +535,16 @@ def _fft(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
     if (ghat := cache.get(shape)) is None:
         ghat = cache[shape] = [_rfft(p, shape) for p in _limbs(ga, gbits, gn[1])]
     if fbits is None and gbits is None and planes == 1:
-        prod = ghat[0].copy() if same else _rfft(_limbs(fa, None, fn[1])[0], shape)
-        if corr:
-            np.conjugate(prod, out=prod)
-        prod *= ghat[0]
+        own = same and cache is not spectra   # nothing keeps g's spectrum: the product takes its buffer
+        gh, ghat, cache = ghat[0], None, None
+        prod = gh if own else gh.copy() if same else _rfft(_limbs(fa, None, fn[1])[0], shape)
+        if own and corr:
+            _abs_squared(prod)
+        else:
+            np.multiply(np.conjugate(prod, out=prod) if corr else prod, gh, out=prod)
+        gh = None
         out = _irfft(prod, shape)
+        prod = None   # no spectrum outlives the inverse
         out = np.rint(out, out=out).astype(np.int64)[None]
     else:
         # f's limb spectra are made one at a time, or shared with g's for a self-product
@@ -761,7 +780,7 @@ def t_k(a: GSet, k: int) -> int:
         spec = np.abs(chain.spectrum())
         spec.flat[0] = 0
         scale = max(1.0, float(spec.max())) if len(a) ** (2 * k) * spec.size >> 1000 else 1.0
-        spec = (spec / scale if scale > 1 else spec) ** (2 * k)
+        np.power(np.divide(spec, scale, out=spec) if scale > 1 else spec, 2 * k, out=spec)
         moduli = a.group.moduli
         # a bin whose conjugate the half-spectrum omits counts twice: rows
         # 1..n1/2 - 1 of a four-step, else last-axis bins but the first and Nyquist
@@ -791,9 +810,14 @@ def sigma_k(a: GSet, k: int) -> int:
 
 
 def level_sequence(a: GSet) -> list[int]:
-    """Positive values of A o A sorted descending; length |A - A|."""
+    """Positive values of A o A sorted descending; length |A - A|.  Equal
+    levels share one int: one object per distinct value, repeated by its count."""
     vals = correlate(a, a).values()
-    return np.sort(vals[vals > 0])[::-1].tolist()
+    levels, counts = np.unique(vals[vals > 0], return_counts=True)
+    out = []
+    for v, c in zip(levels[::-1].tolist(), counts[::-1].tolist()):
+        out += [v] * c
+    return out
 
 
 # ---------------------------------------------------------------------------

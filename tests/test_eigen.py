@@ -255,6 +255,40 @@ def test_subgroup_eigencheck_refuses_a_base_set_in_another_group():
             subgroup_eigencheck(gamma, base_set=b)
 
 
+def test_gram_diagonal_is_checked_entry_by_entry(monkeypatch):
+    # +1 on one diagonal entry and -1 on another keep the trace; the entrywise
+    # check of the diagonal raises before the Frobenius norm is read
+    real = moments.ConvTable.values_at
+
+    def planted(self, points):
+        out = real(self, points).copy()
+        n = math.isqrt(len(points))
+        out[0] += 1
+        out[n + 1] -= 1
+        return out
+
+    monkeypatch.setattr(moments.ConvTable, "values_at", planted)
+    a = zset([0, 1, 3])
+    with pytest.raises(groups.InvariantError, match="Gram diagonal"):
+        build_gram(a, a, 1)
+
+
+def test_residual_at_the_tolerance_raises(monkeypatch):
+    # check_c25's verdict leaves the residual out: subgroup_eigencheck raises
+    # once the largest residual reaches eigen.RESIDUAL_TOL, and C25 with it
+    gamma = genset.mult_subgroup(61, 12)
+    top = max(subgroup_eigencheck(gamma, base_set=gamma).residuals)
+    assert 0 < top < eigen.RESIDUAL_TOL
+    monkeypatch.setattr(eigen, "RESIDUAL_TOL", float(np.nextafter(top, math.inf)))
+    assert max(subgroup_eigencheck(gamma, base_set=gamma).residuals) == top
+    assert checks.check_c25(61, 12).passed
+    monkeypatch.setattr(eigen, "RESIDUAL_TOL", top)
+    with pytest.raises(groups.InvariantError, match="residual"):
+        subgroup_eigencheck(gamma, base_set=gamma)
+    with pytest.raises(groups.InvariantError, match="residual"):
+        checks.check_c25(61, 12)
+
+
 def test_subgroup_equality_of_lambda1():
     # for invariant data the top eigenvalue is exactly E_2(Gamma, Q)/|Gamma|
     for p, t in [(13, 3), (13, 4), (31, 5)]:

@@ -165,6 +165,7 @@ def test_default_caps_guard_sees_each_form(tmp_path):
 
 
 PLANE_ONLY = ("_direct", "_fft", "_limbs", "_norms", "_checked", "_total", "_Chain")
+GRAM_ONLY = ("_gram",)   # eigen's Gram: int64 entries below 2^63, checked without Python ints
 
 
 def object_array_uses(path: Path, names=PLANE_ONLY) -> list[str]:
@@ -190,6 +191,8 @@ def test_engine_builds_no_python_int_arrays():
     assert object_array_uses(path) == []
     # the one place that builds Python ints, for the public readers of a wide table
     assert object_array_uses(path, ("_combine",)) != []
+    assert "def _gram(" in (SRC / "eigen.py").read_text(encoding="utf-8")
+    assert object_array_uses(SRC / "eigen.py", GRAM_ONLY) == []
 
 
 def test_object_array_guard_sees_each_form(tmp_path):
@@ -208,9 +211,13 @@ def test_object_array_guard_sees_each_form(tmp_path):
                    "def _combine(x):\n"
                    "    return x.astype(object)\n"
                    "def _norms(x):\n"
-                   "    return x.astype(np.int64), np.zeros(3, dtype=np.int64)\n")
+                   "    return x.astype(np.int64), np.zeros(3, dtype=np.int64)\n"
+                   "def _gram(a, b, k):\n"
+                   "    gram = correlate(b, b).values_at(diffs) ** k\n"
+                   "    return int(np.trace(gram.astype(object)))\n")
     assert object_array_uses(bad) == ["_total:2 object", "_fft:4 object", "_Chain:8 object",
                                       "_direct:10 object"]
+    assert object_array_uses(bad, GRAM_ONLY) == ["_gram:18 object"]
 
 
 # Top-level names that no code in the package reaches, each kept for a reason.

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -235,6 +236,55 @@ def test_level_sequence_examples():
     assert all(type(v) is int for v in levels)
     want = oracles.corr_counts((2048,), set(a.elems), set(a.elems))
     assert levels == sorted(want.values(), reverse=True)
+
+
+def test_equal_levels_share_one_int():
+    # levels above 256, past CPython's small-int cache, repeat: r(x) = r(-x)
+    a = GSet(cyclic(1 << 16), list(range(512)) + random.Random(31).sample(range(512, 1 << 16), 100))
+    levels = level_sequence(a)
+    big = [v for v in levels if v > 256]
+    assert len(big) > len(set(big))
+    assert all(type(v) is int for v in levels)
+    assert len({id(v) for v in levels}) == len(set(levels))
+    want = oracles.corr_counts((1 << 16,), set(a.elems), set(a.elems))
+    assert levels == sorted(want.values(), reverse=True)
+
+
+def fresh_set(m, inv_density, seed):
+    """A random set of Z/2^m with 2^m / inv_density elements, its indicator built."""
+    n = 1 << m
+    a = GSet(cyclic(n), np.random.default_rng(seed).choice(n, n // inv_density, replace=False)[:, None])
+    a.indicator()
+    return a
+
+
+def traced_peak(call, a) -> float:
+    """The traced peak of call(a) above the memory traced before it, in int64
+    tables of the group: units of 8N bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call(a)
+        return (tracemalloc.get_traced_memory()[1] - before) / (8 * a.group.order)
+    finally:
+        tracemalloc.stop()
+
+
+SELF_CORRELATIONS = [(2, lambda a: correlate(a, a)), (8, lambda a: energy_k(a, 3))]
+
+
+@pytest.mark.parametrize("inv_density, call", SELF_CORRELATIONS, ids=["correlate", "energy_k"])
+def test_fresh_self_correlation_peaks_below_two_and_a_half_tables(inv_density, call):
+    # one half-spectrum of 8N bytes, squared in its own buffer and dropped
+    # before the inverse's floats are cast to the int64 table: about 2.2
+    # tables, where a copied spectrum kept through the cast makes about 4
+    assert traced_peak(call, fresh_set(18, inv_density, 18)) <= 2.5
+
+
+@pytest.mark.slow
+def test_fresh_self_correlation_peak_at_2_20():
+    assert traced_peak(SELF_CORRELATIONS[0][1], fresh_set(20, 2, 20)) <= 2.5
 
 
 @pytest.mark.parametrize("k", [math.nan, math.inf, float("1e400"), 0, 0.5, -math.inf])

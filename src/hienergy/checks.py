@@ -347,28 +347,17 @@ def check_c17(a: GSet, b: GSet | None = None, c: GSet | None = None,
     return _res("C17", inputs, lhs, float(rhs), "<=", tolerance=REL_TOL, witness=witness)
 
 
-def check_c18(a: GSet, b: GSet, k: int, variant: str = "order",
+def check_c18(a: GSet, b: GSet, k: int, variant: str = "exact",
               caps: Caps = DEFAULT_CAPS) -> CheckResult:
     inputs = {**_summary(a), **_summary(b, "B"), "k": k, "variant": variant}
-    if variant in ("order", "exact"):
+    if variant == "exact":
         bounds = eigen.magnification_lower_bounds(a, b, k, caps)
-        if variant == "order":
-            return _res("C18", inputs, bounds["bound_energy"], bounds["bound_eig"], "<=",
-                        tolerance=REL_TOL, witness=bounds)
         r, _ = setops.magnification_k(a, b, k, caps)
         return _res("C18", inputs, bounds["bound_eig"], float(r), "<=",
                     tolerance=REL_TOL, witness={"R_exact": str(r), **bounds})
-    pg = eigen.build_gram(a, b, k, caps)
-    if variant == "trace":
-        lhs = int(np.trace(pg.gram.astype(object)))
-        return _res("C18", inputs, lhs, len(a) * len(b) ** k, "=")
-    if variant == "frobenius":
-        lam2 = eigen.singular_spectrum(pg)
-        lhs = float((lam2 ** 2).sum())
-        return _res("C18", inputs, lhs, float(pg.frobenius_sq), "=", tolerance=1e-8)
     if variant == "sign":
-        # (B o B) is symmetric, so the Gram of (-A, -B) is the Gram of (A, B)
-        # with rows and columns permuted: (-A).coords[i] = -a_p[i]
+        # (B o B) is symmetric, so Gram(-A, -B) is Gram(A, B) permuted: (-A).coords[i] = -a_p[i]
+        pg = eigen.build_gram(a, b, k, caps)
         p = np.argsort(row_keys(a.group, as_rows(a.group, -a.coords)))
         neg = eigen.build_gram(a.negate(), b.negate(), k, caps)
         lhs = int((neg.gram != pg.gram[p][:, p]).sum())
@@ -702,17 +691,19 @@ REGISTRY: dict[str, Callable[..., CheckResult]] = {
     "C25": check_c25, "C26": check_c26, "C27": check_c27, "C28": check_c28,
     "C29": check_c29, "C30": check_c30, "C31": check_c31, "C32": check_c32,
     "C33": check_c33, "C34": check_c34, "C35": check_c35, "C36": check_c36,
-    "C37": check_c37, "C38": check_c38,
-    "EKS": check_ek_slices, "EIGTR": lambda **kw: check_c18(variant="trace", **kw),
+    "C37": check_c37, "C38": check_c38, "EKS": check_ek_slices,
 }
+
+def _registered(check_id: str) -> Callable[..., CheckResult]:
+    fn = REGISTRY.get(check_id.replace("'", "p"))
+    if fn is None:
+        raise KeyError(f"unknown check id {check_id!r}")
+    return fn
+
 
 def run_check(check_id: str, inputs: dict, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Run one check on its parameters; every check takes `caps` as a keyword."""
-    cid = check_id.replace("'", "p")
-    fn = REGISTRY.get(cid)
-    if fn is None:
-        raise KeyError(f"unknown check id {check_id!r}")
-    return fn(caps=caps, **inputs)
+    return _registered(check_id)(caps=caps, **inputs)
 
 
 @dataclass
@@ -796,10 +787,8 @@ class Instance:
                            {"a": _subsample(a, 7), "b": small3, "c": small2,
                             "variant": "delta", "k": 2}])
         sub8 = _subsample(a, 8)
-        grids["C18"] = ([{"a": a, "b": b, "k": k, "variant": v}
-                         for k in (1, 2) for v in ("trace", "frobenius", "order", "sign")]
+        grids["C18"] = ([{"a": a, "b": b, "k": k, "variant": "sign"} for k in (1, 2)]
                         + [{"a": sub8, "b": small, "k": k, "variant": "exact"} for k in (1, 2)])
-        grids["EIGTR"] = [{"a": a, "b": b, "k": k} for k in (1, 2, 3)]
         if a.group.is_cyclic:
             grids["C8"] = [{"a": a, "alpha": al, "k": k} for al in (0.3, 0.6) for k in (2, 3)]
             grids["C9"] = [{"a": a, "alpha": al, "k": k} for al in (0.3, 0.5, 0.75)
@@ -872,6 +861,9 @@ class SuiteReport:
 
 def run_suite(instances: Sequence[Instance], check_ids: Sequence[str],
               caps: Caps = DEFAULT_CAPS) -> SuiteReport:
+    """Each id's default grid on each instance; an unknown id raises KeyError first."""
+    for cid in check_ids:
+        _registered(cid)
     report = SuiteReport()
     for inst in instances:
         for cid in check_ids:

@@ -151,11 +151,11 @@ def _run_checks(args, instances: list, caps: Caps) -> int:
     write --report/--csv, print the CSV summary and return the exit code."""
     ids = ([c.strip() for c in args.checks.split(",") if c.strip()]
            if args.checks else sorted(checks.REGISTRY))
-    for cid in ids:
-        if cid.replace("'", "p") not in checks.REGISTRY:
-            print(f"unknown check id {cid!r}", file=sys.stderr)
-            return USAGE_EXIT
-    report = checks.run_suite(instances, ids, caps)
+    try:
+        report = checks.run_suite(instances, ids, caps)
+    except KeyError as exc:   # an unknown check id, refused before any check runs
+        print(exc.args[0], file=sys.stderr)
+        return USAGE_EXIT
     if args.report:
         _write(args.report, report.to_json())
         print(args.report)

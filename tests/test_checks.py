@@ -29,6 +29,27 @@ def test_unknown_id_rejected():
         run_check("C999", {})
 
 
+def test_suite_refuses_unknown_ids_before_running(monkeypatch):
+    ran = []
+    monkeypatch.setattr(checks, "run_check", lambda *args: ran.append(args))
+    insts = checks.standard_corpus(seed=3, cyclic_count=1, lattice_count=0)
+    for ids in (["C1", "C99"], ["EIGTR"]):
+        with pytest.raises(KeyError, match=f"unknown check id {ids[-1]!r}"):
+            run_suite(insts, ids)
+    assert ran == []
+
+
+def test_every_id_reports_under_its_own_id():
+    # an alias whose rows carry another id hides them in that id's summary line
+    insts = (checks.standard_corpus(seed=7, cyclic_count=3, lattice_count=1)
+             + checks.basis_instances()[1:2] + checks.subgroup_instances(p_max=7)
+             + checks.intset_instances()[:1])
+    for cid in sorted(checks.REGISTRY):
+        rep = run_suite(insts, [cid])
+        assert rep.results and not rep.errors, cid
+        assert {r.check_id for r in rep.results} == {cid}, cid
+
+
 def test_prime_alias():
     a = GSet(cyclic(64), range(12))
     r = run_check("C10'", {"a": a, "k": 2})

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -365,9 +366,73 @@ def test_c18_builds_and_solves_per_variant(monkeypatch):
     monkeypatch.setattr(eigen, "build_gram", build)
     monkeypatch.setattr(np.linalg, "eigvalsh", solve)
     a, b = zset([0, 1, 3, 7]), zset([0, 2, 3])
-    want = {"trace": (1, 0), "frobenius": (1, 1), "order": (1, 1), "exact": (1, 1),
-            "sign": (2, 0)}
+    want = {"exact": (1, 1), "sign": (2, 0)}
     for variant, (builds, solves) in want.items():
         counts.update(build=0, solve=0)
         assert checks.check_c18(a, b, 2, variant=variant).passed
         assert (counts["build"], counts["solve"]) == (builds, solves), variant
+
+
+# Where the deleted C18 rows `trace`, `frobenius` and `order` went: each of
+# their guarantees raises in eigen, and C18 `exact` is a verdict that can fail.
+
+
+def _spectrum_pair():
+    return GSet(cyclic(64), [0, 1, 3, 7, 12, 20, 33]), GSet(cyclic(64), [0, 2, 3, 9, 17])
+
+
+def test_spectrum_rechecks_the_trace(monkeypatch):
+    a, b = _spectrum_pair()
+    pg = build_gram(a, b, 2)
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: real(m) * (1 + 2e-8))
+    with pytest.raises(groups.InvariantError, match="lambda\\^2"):
+        singular_spectrum(pg)
+
+
+def test_spectrum_rechecks_the_frobenius_norm(monkeypatch):
+    # the top eigenvalue gains what the second loses: sum lambda^2 stays, sum lambda^4 grows
+    a, b = _spectrum_pair()
+    pg = build_gram(a, b, 2)
+    real = np.linalg.eigvalsh
+
+    def moved(m):
+        mu = real(m).copy()   # ascending
+        d = mu[-2] / 2
+        mu[-1] += d
+        mu[-2] -= d
+        return mu
+
+    assert real(pg.gram.astype(np.float64))[-2] > 0
+    monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+    with pytest.raises(groups.InvariantError, match="lambda\\^4"):
+        singular_spectrum(pg)
+
+
+def test_bounds_refuse_a_top_eigenvalue_past_the_frobenius_norm(monkeypatch):
+    # lambda_1^2 <= sqrt(sum lambda^4) = sqrt(E_(2k+1)(A, B)); at equality the bounds agree
+    a, b = _spectrum_pair()
+    root = math.sqrt(build_gram(a, b, 2).frobenius_sq)
+    real = eigen.singular_spectrum
+
+    def top_at(top):
+        monkeypatch.setattr(eigen, "singular_spectrum",
+                            lambda pg: np.concatenate(([top], real(pg)[1:])))
+
+    top_at(root)
+    bounds = magnification_lower_bounds(a, b, 2)
+    assert bounds["bound_eig"] == bounds["bound_energy"]
+    top_at(root * (1 + 1e-6))
+    with pytest.raises(groups.InvariantError, match="eigenvalue bound"):
+        magnification_lower_bounds(a, b, 2)
+
+
+def test_c18_exact_can_fail(monkeypatch):
+    a, b = _spectrum_pair()
+    assert checks.check_c18(a, b, 1).passed
+    bound = magnification_lower_bounds(a, b, 1)["bound_eig"]
+    real = setops.magnification_k
+    monkeypatch.setattr(setops, "magnification_k",
+                        lambda a, b, k, caps: (Fraction(bound) / 2, real(a, b, k, caps)[1]))
+    res = checks.check_c18(a, b, 1)
+    assert res.passed is False and res.lhs == bound and res.rhs == bound / 2

@@ -80,15 +80,7 @@ class ExtractionReport:
         self.outputs[name] = a.coords.tolist()
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True, default=_json_default)
-
-
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, (Fraction, np.floating)):
-        return float(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ kept on it in one dict through ``GSet.kept(key, build)``, which runs
 the set; ``subset`` and every constructor start an empty one.  Its keys:
 
 - ``"AoA"``: the table A o A (``moments.correlate(a, a)``), read-only;
+- ``"levels"``: the histogram of its values, read-only arrays (levels,
+  counts), behind every ``moments.energy_k``, ``level_sequence`` and |A - A|;
 - ``"chain"``: the convolution powers behind ``moments.t_k``/``sigma_k``;
 - ``"A+A"``, ``"A-A"``: ``setops.sumset(a, a)``, ``setops.diffset(a, a)``;
 - ``"AA"``: the product set ``moments.prodset(a, a)`` of a set of Z;

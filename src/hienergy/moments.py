@@ -38,16 +38,17 @@ none once the inverse is cast to int64.  Each
 engine call reads an operand's nonzeros and norms once and checks the
 product's mass identity sum(f*g) = sum(f) sum(g) exactly, on either path;
 besides that only T_k's cross-check is validated after the fact.  A o A of a
-GSet is built once and kept on the set (see the gset module), read-only:
-every E_k, the level sequence and the Gram (B o B)^k read that one table,
-and E_k(A, B) is kept on A per (B, k).  Its chain is kept the same way: each
-level A^(*j) is built once per set, by one engine call on the level below,
-and leaves T_j and sigma_j behind; the set keeps only the top level and
-the base's spectra, which on a cyclic group T_k's cross-check reuses: the
-nonzero frequencies, weighted for the half-spectrum's layout, must sum to
-N T_k - |A|^(2k).  On a power-of-two cyclic group, with one limb per
-operand, T_1..T_k and sigma_1..sigma_k together cost 2k - 2 real FFTs per
-set.
+GSet is built once and kept on the set (see the gset module), read-only, and
+so is the histogram of its values, from one bincount: every E_k (its k-th
+moment), the level sequence and |A - A| read the histogram, the Gram
+(B o B)^k reads the table, and E_k(A, B) is kept on A per (B, k).  Its chain
+is kept the same way: each level A^(*j) is built once per set, by one engine
+call on the level below, and leaves T_j and sigma_j behind; the set keeps
+only the top level and the base's spectra, which on a cyclic group T_k's
+cross-check reuses: the nonzero frequencies, weighted for the half-spectrum's
+layout, must sum to N T_k - |A|^(2k).  On a power-of-two cyclic group, with
+one limb per operand, T_1..T_k and sigma_1..sigma_k together cost 2k - 2
+real FFTs per set.
 
 Moment notation used throughout: (f*g)(x) = sum_y f(y) g(x-y) and
 (f o g)(x) = sum_y f(y) g(y+x); E_k(A) = sum_x (A o A)(x)^k; T_k(A) is the
@@ -658,7 +659,7 @@ class _Chain:
         committed together once all three exist, so a step that raises leaves
         the last good level in place."""
         for top in _powers(self.top, self.base, self.spectra, k - len(self.t)):
-            t, sigma = _power_sum(top._flat(), 2), _at_zero(top)
+            t, sigma = _square_sum(top._flat()), _at_zero(top)
             top.planes.flags.writeable = False
             self.top = top
             self.t.append(t)
@@ -684,14 +685,11 @@ def _chain(a: GSet) -> _Chain:
 
 
 def _square_sum(x: np.ndarray) -> int:
-    """sum v^2 over the positive entries of D x n planes: one int64 dot
-    where max^2 n < 2^63, else digit dot products.  Digits have w = (63 -
-    bitlen(n)) // 2 bits, chosen before any is read, so each of the
-    m (m + 1) / 2 dots sums n products below 2^(2w) < 2^63 / n."""
+    """sum v^2 over nonnegative D x n planes: one int64 dot where max^2 n
+    < 2^63, else digit dot products.  Digits have w = (63 - bitlen(n)) // 2
+    bits, chosen before any is read, so each of the m (m + 1) / 2 dots sums
+    n products below 2^(2w) < 2^63 / n."""
     top = x[-1]
-    if top.min(initial=0) < 0:   # negative entries add nothing, nor do zeros
-        x = x[:, top > 0 if len(x) == 1 else top >= 0]
-        top = x[-1]
     n, hi = len(top), int(top.max(initial=0))
     if len(x) == 1 and hi * hi * n < 1 << 63:
         return int(np.dot(top, top))
@@ -701,46 +699,44 @@ def _square_sum(x: np.ndarray) -> int:
                for i in range(len(d)) for j in range(i, len(d)))
 
 
-def _power_sum(values: np.ndarray, k) -> int | float:
-    """sum v^k over the positive entries of a flat table: int64 values, D x n
-    planes, or Python ints.  k = 2 is _square_sum.  Other integer k >= 1 run
-    in int64 over the whole table where it is nonnegative and nothing can
-    wrap (zeros add nothing), else over the positive entries: in int64 where
-    nothing can wrap there, over a bincount where max <= 4 len, else over
-    the distinct values in Python numbers.  Every table the library sums at
-    such k has max <= len: A o A (max |A|, |A - A| positive entries) and the
-    quotient counts (max |A| <= |A/A|), so the bincount serves them all."""
-    ki = int(k) if float(k).is_integer() else None
-    if ki == 2:
-        return _square_sum(values if values.ndim == 2 else _cut(values))
-    if values.ndim == 2:
-        values = _combine(values)
-    exact = ki is not None and values.dtype != object
-    if exact:
-        top = int(values.max(initial=0))   # also the maximum of the positive entries
-        if top ** ki * len(values) < 1 << 63 and values.min(initial=0) >= 0:
-            return int((values ** ki).sum())
-    pos = values[values > 0]
-    if len(pos) == 0:
-        return 0.0 if ki is None else 0
-    if exact:
-        n = len(pos)
-        if top ** ki * n < 1 << 63:
-            return int((pos ** ki).sum())
-        if top <= 4 * n:
-            vals = np.flatnonzero(cnts := np.bincount(pos))
-            return sum(c * v ** ki for v, c in zip(vals.tolist(), cnts[vals].tolist()))
-    vals, cnts = (v.tolist() for v in np.unique(pos, return_counts=True))
-    if ki is not None:
-        return sum(c * v ** ki for v, c in zip(vals, cnts))
-    return float(sum(float(c) * float(v) ** k for v, c in zip(vals, cnts)))
+def _histogram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, counts), read-only: the distinct positive entries of a flat
+    int64 table in ascending order and their multiplicities, from one
+    bincount.  It is short: every table passed here, A o A and the quotient
+    counts, has entries in [0, |A|].  An object (wide) table or a negative
+    entry raises."""
+    bins = np.bincount(values)
+    levels = np.flatnonzero(bins[1:]) + 1
+    counts = bins[levels]
+    levels.flags.writeable = counts.flags.writeable = False
+    return levels, counts
+
+
+def _moment(hist: tuple[np.ndarray, np.ndarray], k) -> int | float:
+    """sum c v^k over a histogram's levels v and counts c: one int64 dot
+    while (sum c) max^k < 2^63, else Python ints; for a non-integer k,
+    Python floats summed in ascending level order."""
+    levels, counts = hist
+    if not float(k).is_integer():
+        return float(sum(float(c) * float(v) ** k for v, c in zip(levels.tolist(), counts.tolist())))
+    k = int(k)
+    if int(counts.sum()) * int(levels.max(initial=0)) ** k < 1 << 63:
+        return int(np.dot(counts, levels ** k))
+    return sum(c * v ** k for v, c in zip(levels.tolist(), counts.tolist()))
+
+
+def _levels(a: GSet) -> tuple[np.ndarray, np.ndarray]:
+    """The histogram of the kept A o A's values, kept on the set under "levels"."""
+    t = correlate(a, a)
+    return a.kept("levels", lambda: _histogram(t.values()))
 
 
 def energy_k(a: GSet, k) -> int | float:
-    """E_k(A) = sum_x (A o A)(x)^k; exact for integer k, E_1(A) = |A|^2."""
+    """E_k(A) = sum_x (A o A)(x)^k, the k-th moment of the set's kept
+    histogram; exact for integer k, E_1(A) = |A|^2."""
     if not 1 <= k < math.inf:   # NaN fails both comparisons
         raise ValueError(f"energy order must be >= 1 and finite, got {k}")
-    return _power_sum(correlate(a, a)._flat(), k)
+    return _moment(_levels(a), k)
 
 
 def energy_k_pair(a: GSet, b: GSet, k) -> int | float:
@@ -810,10 +806,10 @@ def sigma_k(a: GSet, k: int) -> int:
 
 
 def level_sequence(a: GSet) -> list[int]:
-    """Positive values of A o A sorted descending; length |A - A|.  Equal
-    levels share one int: one object per distinct value, repeated by its count."""
-    vals = correlate(a, a).values()
-    levels, counts = np.unique(vals[vals > 0], return_counts=True)
+    """Positive values of A o A sorted descending, read off the set's kept
+    histogram; length |A - A|.  Equal levels share one int: one object per
+    distinct value, repeated by its count."""
+    levels, counts = _levels(a)
     out = []
     for v, c in zip(levels[::-1].tolist(), counts[::-1].tolist()):
         out += [v] * c
@@ -867,7 +863,7 @@ def mult_energy_k(a, k: int = 2) -> int:
     """E^x_k(A) = sum over quotients q of r_{A/A}(q)^k."""
     if k < 2:
         raise ValueError("multiplicative energy order must be >= 2")
-    return _power_sum(quotient_counts(a), k)
+    return _moment(_histogram(quotient_counts(a)), k)
 
 
 def prodset_size(a) -> int:
@@ -896,15 +892,15 @@ class EnergyProfile:
 
     @classmethod
     def from_set(cls, a: GSet, ks: Iterable[int] = (2, 3, 4), set_id: str = "") -> "EnergyProfile":
-        """Every E_k and |A - A| (its support) from the set's A o A;
-        |A + A| is the support of A * A."""
+        """Every E_k and |A - A| (the sum of its counts) from the set's
+        histogram of A o A; |A + A| is the support of A * A."""
         if not a:
             raise ValueError("profile needs a nonempty set")
         n = len(a)
         kappa = {int(k): float(energy_k(a, int(k))) / n ** (k + 1) for k in ks}
         delta = n / a.group.order if a.group.is_cyclic else None
         return cls(set_id=set_id, size=n, kappa=kappa, delta=delta,
-                   doubling_minus=np.count_nonzero(correlate(a, a).array) / n,
+                   doubling_minus=int(_levels(a)[1].sum()) / n,
                    doubling_plus=np.count_nonzero(convolve(a, a).array) / n)
 
     def as_dict(self) -> dict:

@@ -44,7 +44,7 @@ def counting(monkeypatch):
     counts = Counter()
     for mod, name in ((setops, "_translate_grid"), (setops, "_magnification_search"),
                       (eigen, "_gram"), (checks, "_slice_corr_sums"),
-                      (moments, "_energy_k_pair")):
+                      (moments, "_energy_k_pair"), (moments, "_histogram")):
         def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
@@ -111,6 +111,15 @@ def test_second_call_builds_nothing(monkeypatch):
         second = [call() for call in calls]
         assert counts == built
         assert all(x is y for x, y in zip(first, second))
+        # every E_k, the level sequence and |A - A| read one kept histogram
+        moments.energy_k(a, 2)
+        assert counts["_histogram"] == built["_histogram"] + 1
+        built = counts.copy()
+        moments.energy_k(a, 3)
+        moments.energy_k(a, 2.5)
+        moments.level_sequence(a)
+        moments.EnergyProfile.from_set(a)
+        assert counts == built
         counts.clear()
 
 
@@ -208,6 +217,11 @@ def test_kept_arrays_and_mappings_are_read_only():
     with pytest.raises(TypeError):
         f[(0, 0)] = 0
     assert checks.slice_corr_sums(GSet(cyclic(8), []), 1) == {}
+    moments.energy_k(a, 2)
+    for arr in a._kept["levels"]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 def test_build_that_raises_keeps_nothing(monkeypatch):
@@ -249,6 +263,9 @@ def test_suite_pass_builds_each_object_once_per_set(monkeypatch):
     assert len(report.results) == 3572 and not report.errors
     assert (counts["_translate_grid"], counts["_magnification_search"],
             counts["_gram"], counts["_slice_corr_sums"]) == (1250, 170, 233, 144)
+    # one A o A histogram for each of the 739 sets that read E_k, the level
+    # sequence or |A - A|, and one of the quotient counts per E^x_3 (8)
+    assert counts["_histogram"] == 739 + 8
 
 
 def test_suite_pass_builds_the_cosets_once_per_subgroup(monkeypatch):

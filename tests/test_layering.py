@@ -164,7 +164,8 @@ def test_default_caps_guard_sees_each_form(tmp_path):
                                        "bad.py:11 DEFAULT_CAPS"]
 
 
-PLANE_ONLY = ("_direct", "_fft", "_limbs", "_norms", "_checked", "_total", "_Chain")
+PLANE_ONLY = ("_direct", "_fft", "_limbs", "_norms", "_checked", "_total", "_Chain",
+              "_square_sum", "_histogram", "_moment")
 GRAM_ONLY = ("_gram",)   # eigen's Gram: int64 entries below 2^63, checked without Python ints
 
 

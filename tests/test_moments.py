@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -587,24 +588,28 @@ def test_entry_bound_boundaries_match_oracle():
         assert max(want.values()) == sum(f.values())
 
 
-def test_power_sum_matches_python_ints_on_every_branch():
-    # k = 2 is one int64 dot where max^2 len < 2^63 (near 2^10 and 2^20), else
-    # digit dots (near 2^37, and every plane input).  k >= 3: near 2^10 with
-    # max <= 4 len, int64 to k = 5 and the bincount loop at k = 6; near 2^20
-    # and 2^37 the loop over distinct values.  Plane inputs (the same values
-    # times 2^60, past 2^63, with their negative entries) give k >= 3 to that
-    # loop too
-    rng = np.random.default_rng(101)
-    for bits, n in ((10, 1024), (20, 1000), (37, 1000)):
-        values = np.concatenate([(1 << bits) + rng.integers(-64, 64, n), [0, -5, (1 << bits) - 1]])
-        top, n = int(values.max()), int((values > 0).sum())
-        if bits == 10:
-            assert top ** 6 * n >= 1 << 63 and top <= 4 * n
-        planes = moments._cut(values.astype(object) << 60)
-        assert len(planes) > 1
-        for k in range(2, 7):
-            assert moments._power_sum(values, k) == sum(int(v) ** k for v in values.tolist() if v > 0)
-            assert moments._power_sum(planes, k) == sum((int(v) << 60) ** k for v in values.tolist() if v > 0)
+def test_moment_matches_python_ints_on_every_branch():
+    # integer k: one int64 dot while (sum c) max^k < 2^63, Python ints from
+    # that bound on, where the sum itself passes 2^63; non-integer k: Python
+    # floats summed in ascending level order, the same sum to the bit
+    for k in range(1, 7):
+        top = int(2 ** (60 / k)) + 1
+        n = ((1 << 63) - 1) // top ** k
+        for counts, wide in (([1, 1, n - 2], False), ([n], False), ([1, 1, n - 1], True), ([n + 1], True)):
+            levels = [1, 2, top][-len(counts):]
+            assert (sum(counts) * top ** k >= 1 << 63) == wide
+            hist = np.array(levels, dtype=np.int64), np.array(counts, dtype=np.int64)
+            got = moments._moment(hist, k)
+            assert type(got) is int and got == sum(c * v ** k for v, c in zip(levels, counts))
+            assert moments._moment(hist, float(k)) == got
+    values = np.random.default_rng(101).integers(0, 300, 5000)
+    hist = moments._histogram(values)
+    ascending = sorted(Counter(values[values > 0].tolist()).items())
+    for k in (1.5, 2.5, 3.5, 7.25):
+        want = float(sum(float(c) * float(v) ** k for v, c in ascending))
+        assert moments._moment(hist, k) == want
+    empty = moments._histogram(np.zeros(4, dtype=np.int64))
+    assert moments._moment(empty, 3) == 0 and moments._moment(empty, 2.5) == 0.0
 
 
 BOUNDARY_VALUES = [0, 1, -1, 5, -7, (1 << 31) - 1, 1 << 31, 3037000499, 3037000500, (1 << 32) - 1,
@@ -634,8 +639,8 @@ def test_planes_round_trip_python_ints():
         assert support(t) == {(x,): v for x, v in enumerate(values) if v}
         assert t.argmax() == ((values.index(max(values)),), max(values))
         assert t.to_csv().splitlines()[1:] == [f'"{x}",{v}' for x, v in enumerate(values) if v]
-        assert [moments._power_sum(t._flat(), k) for k in (2, 3)] == \
-            [sum(v ** k for v in values if v > 0) for k in (2, 3)]
+        nonneg = moments._cut(np.array([max(v, 0) for v in values], dtype=object))
+        assert moments._square_sum(nonneg) == sum(v * v for v in values if v > 0)
         # a product with the unit at 0 hands the same values back, in either order
         unit = table_of(g, {(0,): 1})
         assert convolve(t, unit).array.tolist() == values
@@ -670,14 +675,11 @@ def test_square_sums_at_the_boundaries():
         for n in (1, 2, 1000):
             values = np.minimum(top - rng.integers(0, 3, n), top).astype(np.int64)
             values[0] = top
-            want = sum(int(v) ** 2 for v in values.tolist() if v > 0)
-            assert moments._power_sum(values, 2) == want
-            assert moments._power_sum(np.concatenate([values, [-top, 0]]), 2) == want
-    for values in (BOUNDARY_VALUES, [v for v in BOUNDARY_VALUES if v >= 0] * 50):
+            assert moments._square_sum(values[None]) == sum(int(v) ** 2 for v in values.tolist())
+    nonneg = [v for v in BOUNDARY_VALUES if v >= 0]
+    for values in (nonneg, nonneg * 50):
         planes = moments._cut(np.array(values, dtype=object))
-        want = sum(v * v for v in values if v > 0)
-        assert moments._power_sum(planes, 2) == want
-        assert moments._power_sum(np.array(values, dtype=object), 2) == want
+        assert moments._square_sum(planes) == sum(v * v for v in values)
 
 
 def wide_chains():
@@ -1008,7 +1010,6 @@ def test_wide_tables_stay_exact(monkeypatch):
     assert value(wide, 0) == 3 * s and value(wide, 1) == 0
     assert wide.total() == 4 * s
     assert support(wide) == {(0,): 3 * s, (2,): s}
-    assert moments._power_sum(wide.values(), 3) == 28 * s ** 3
     narrow = moments.correlate
 
     def scaled(f, g):
@@ -1017,9 +1018,19 @@ def test_wide_tables_stay_exact(monkeypatch):
 
     monkeypatch.setattr(moments, "correlate", scaled)
     a = zset([0, 1, 3])
-    assert level_sequence(a) == [3 * s] + [s] * 6
     assert energy_k_pair(a, a, 3) == 33 * s ** 3
-    assert energy_k(a, 4) == 87 * s ** 4
+
+
+def test_histogram_refuses_wide_and_negative_tables():
+    # A o A of a set has entries in [0, |A|], so its histogram is one short
+    # bincount; a table outside that range fails loudly, not silently wrong
+    levels, counts = moments._histogram(np.array([0, 2, 5, 2, 0, 1]))
+    assert levels.tolist() == [1, 2, 5] and counts.tolist() == [1, 2, 1]
+    wide = table_of(lattice(1), {(0,): 3 << 70, (2,): 1 << 70}, dtype=object)
+    with pytest.raises(TypeError):
+        moments._histogram(wide.values())
+    with pytest.raises(ValueError):
+        moments._histogram(np.array([0, 2, -1, 2]))
 
 
 def test_table_csv_export():

@@ -3,8 +3,8 @@ finite sets in abelian groups."""
 
 from .groups import GroupSpec, InvariantError, cyclic, lattice, make_group, parse_group
 from .gset import GSet, loads_set, read_set, write_set, zset
-from .moments import (ConvTable, EnergyProfile, convolve, correlate, energy_k,
-                      energy_k_pair, level_sequence, mult_energy_k, prodset_size,
+from .moments import (ConvTable, convolve, correlate, energy_k, energy_k_pair,
+                      energy_profile, level_sequence, mult_energy_k, prodset_size,
                       quotset_size, sigma_k, t_k)
 from .setops import (Caps, CapExceededError, TupleSet, basis_depth_test, d_k,
                      delta_sumset, diffset, iterated, family_sumset_sizes,

@@ -43,10 +43,7 @@ class CheckResult:
     tolerance: float = 0.0
 
     def as_dict(self) -> dict:
-        out = dict(self.__dict__)
-        if isinstance(out.get("witness"), (set, frozenset)):
-            out["witness"] = sorted(out["witness"])
-        return out
+        return dict(self.__dict__)
 
 
 def _ratio(lhs, rhs) -> float:
@@ -512,9 +509,9 @@ def check_c30(b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
         return _res("C30", inputs, 0, 0, ">=", witness="not a basis of depth k")
     n_amb = b.group.order
     n0 = cover_threshold(k, len(b) / n_amb)
-    cover = setops.iterated(b, n0, 0)
+    # nb_cover's partial sums of B shifted to contain 0 grow, so n_star <= n0 gives |n0 B| = N
     n_star = extract.nb_cover(b, cap=max(n0, 8))
-    passed = len(cover) == n_amb and n_star is not None and n_star <= n0
+    passed = n_star is not None and n_star <= n0
     return _res("C30", inputs, float(n_star if n_star else math.inf), n0, "<=",
                 passed=passed, witness={"threshold": n0, "n_star": n_star})
 

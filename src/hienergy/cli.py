@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 1 hard-check or extraction failure, 2 usage error, 3 cap
-exceeded.
+Exit codes: 0 ok, 1 hard-check or extraction failure or a refused
+allocation, 2 usage error, 3 cap exceeded.
 All commands are deterministic for fixed inputs and seeds.  `main` builds
 one frozen `Caps` from the --cap-* flags and hands it to the command, which
 passes it down to every capped call: no command changes a module global.
@@ -327,7 +327,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return CAP_EXIT
-    except extract.ExtractionError as exc:
+    except (extract.ExtractionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL_EXIT
     except (ValueError, KeyError, groups.GroupError) as exc:

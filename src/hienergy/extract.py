@@ -51,7 +51,6 @@ import numpy as np
 from . import groups, moments, setops
 from .groups import Elem, InvariantError
 from .gset import GSet, as_rows, full_group
-from .moments import EnergyProfile
 
 SHIFT_SAMPLES = 24   # the shift sequences cs_period_search draws from its good samples
 
@@ -188,8 +187,7 @@ def bsg_extract(a: GSet, eps: float = 1.0) -> ExtractionReport:
     k_val = float(Fraction(n ** 3, e2))
     e2e = moments.energy_k(a, 2 + eps)
     m_val = float(e2e) * k_val ** (1 + eps) / n ** (3 + eps)
-    profile = EnergyProfile.from_set(a, ks=(2, 3))
-    rep = ExtractionReport("bsg1", profile.as_dict(), {"eps": eps})
+    rep = ExtractionReport("bsg1", moments.energy_profile(a, (2, 3)), {"eps": eps})
     rep.add_stage("normalize", K=k_val, M=m_val, E2=e2, E2_eps=float(e2e))
 
     g = a.group
@@ -232,8 +230,8 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
     k_val = float(Fraction(n ** 3, e2))
     e3e = moments.energy_k(a, 3 + eps)
     m_val = float(e3e) * k_val ** (2 + eps) / n ** (4 + eps)
-    profile = EnergyProfile.from_set(a, ks=(2, 3, 4))
-    rep = ExtractionReport("bsg2", profile.as_dict(), {"eps": eps, "nm": list(map(list, nm)), "seed": seed})
+    rep = ExtractionReport("bsg2", moments.energy_profile(a, (2, 3, 4)),
+                           {"eps": eps, "nm": list(map(list, nm)), "seed": seed})
     rep.add_stage("normalize", K=k_val, M=m_val, E2=e2, E3_eps=float(e3e))
 
     # popular differences at level |A|/(2K) = E_2/(2|A|^2)
@@ -332,12 +330,12 @@ def small_t4_extract(a: GSet) -> ExtractionReport:
     n = len(a)
     g = a.group
     corr = moments.correlate(a, a)
-    k_val = np.count_nonzero(corr.array) / n   # |A - A| / |A|
+    profile = moments.energy_profile(a, (2, 3))
+    k_val = profile["K"]   # |A - A| / |A|
     t3 = moments.t_k(a, 3)
     m_val = float(t3) * k_val ** 2 / n ** 5
     e3 = moments.energy_k(a, 3)
-    profile = EnergyProfile.from_set(a, ks=(2, 3))
-    rep = ExtractionReport("smallT4", profile.as_dict(), {})
+    rep = ExtractionReport("smallT4", profile, {})
     rep.add_stage("normalize", K=k_val, M=m_val, T3=t3, gamma=float(e3) / n ** 4)
 
     points, values = corr.support_rows()
@@ -441,9 +439,8 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200,
     d_sq = moments.energy_k_pair(a, b, 2)
     bb, bd = moments.correlate(b, b), moments.correlate(b, base)
     corr = moments.correlate(a, a)   # its support is A - A
-    profile = EnergyProfile.from_set(a, ks=(2,))
-    rep = ExtractionReport("cs", profile.as_dict(),
-                           {"k": k, "trials": trials, "seed": seed})
+    profile = moments.energy_profile(a, (2,))
+    rep = ExtractionReport("cs", profile, {"k": k, "trials": trials, "seed": seed})
 
     # every trial's sequence first: choice over range(n) takes the draws choice over A would
     picks = np.array([rng.choice(range(n)) for _ in range(trials * k)], dtype=np.int64)
@@ -492,7 +489,7 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200,
         rep.notes.append(f"{len(violations)} members exceeded the almost-period budget")
         rep.add_stage("violations", members=violations)
 
-    k_doub = np.count_nonzero(corr.array) / n
+    k_doub = profile["K"]
     e_high = float(moments.energy_k(a, 2 * k + 2))
     m_val = e_high * k_doub ** (2 * k + 1) / n ** (2 * k + 3)
     claimed = k_doub * n / (16 * m_val)

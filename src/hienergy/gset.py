@@ -36,8 +36,7 @@ the set; ``subset`` and every constructor start an empty one.  Its keys:
 - ``("D", k)``, ``("S", k)``: the counts D_k(A), S_k(A), never the tuples;
 - ``("R", b, k)``: R^(k)_B[A] and its witness (``setops.magnification_k``);
 - ``("F", depth)``: ``checks.slice_corr_sums``, a read-only mapping;
-- ``("gram", b, k)``: ``eigen.build_gram``, its array read-only;
-- ``("Epair", b, k)``: E_k(A, B) (``moments.energy_k_pair``).
+- ``("gram", b, k)``: ``eigen.build_gram``, its array read-only.
 
 A partner b equal to the set itself is keyed as ``"self"`` (``GSet.partner``),
 and no kept value holds the set, so a set is freed as soon as it is dropped.

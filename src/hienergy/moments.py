@@ -41,14 +41,14 @@ besides that only T_k's cross-check is validated after the fact.  A o A of a
 GSet is built once and kept on the set (see the gset module), read-only, and
 so is the histogram of its values, from one bincount: every E_k (its k-th
 moment), the level sequence and |A - A| read the histogram, the Gram
-(B o B)^k reads the table, and E_k(A, B) is kept on A per (B, k).  Its chain
-is kept the same way: each level A^(*j) is built once per set, by one engine
-call on the level below, and leaves T_j and sigma_j behind; the set keeps
-only the top level and the base's spectra, which on a cyclic group T_k's
-cross-check reuses: the nonzero frequencies, weighted for the half-spectrum's
-layout, must sum to N T_k - |A|^(2k).  On a power-of-two cyclic group, with
-one limb per operand, T_1..T_k and sigma_1..sigma_k together cost 2k - 2
-real FFTs per set.
+(B o B)^k reads the table, and E_k(A, B) is a moment of the two kept
+tables, taken on every call.  Its chain is kept the same way: each level
+A^(*j) is built once per set, by one engine call on the level below, and
+leaves T_j and sigma_j behind; the set keeps only the top level and the
+base's spectra, which on a cyclic group T_k's cross-check reuses: the
+nonzero frequencies, weighted for the half-spectrum's layout, must sum to
+N T_k - |A|^(2k).  On a power-of-two cyclic group, with one limb per
+operand, T_1..T_k and sigma_1..sigma_k together cost 2k - 2 real FFTs per set.
 
 Moment notation used throughout: (f*g)(x) = sum_y f(y) g(x-y) and
 (f o g)(x) = sum_y f(y) g(y+x); E_k(A) = sum_x (A o A)(x)^k; T_k(A) is the
@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -713,9 +712,10 @@ def _histogram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _moment(hist: tuple[np.ndarray, np.ndarray], k) -> int | float:
-    """sum c v^k over a histogram's levels v and counts c: one int64 dot
-    while (sum c) max^k < 2^63, else Python ints; for a non-integer k,
-    Python floats summed in ascending level order."""
+    """sum c v^k over paired nonnegative int64 arrays (v, c), zeros and
+    repeats allowed: one int64 dot while (sum c) max^k < 2^63, else Python
+    ints; for a non-integer k, Python floats summed in the arrays' order (a
+    histogram's ascending levels)."""
     levels, counts = hist
     if not float(k).is_integer():
         return float(sum(float(c) * float(v) ** k for v, c in zip(levels.tolist(), counts.tolist())))
@@ -740,26 +740,15 @@ def energy_k(a: GSet, k) -> int | float:
 
 
 def energy_k_pair(a: GSet, b: GSet, k) -> int | float:
-    """E_k(A, B) = sum_x (A o A)(x) (B o B)(x)^(k-1); E_2(A, B) is the
-    additive energy E(A, B) = sum_x (A * B)(x)^2.  Kept on A per (B, k)."""
+    """E_k(A, B) = sum_x (A o A)(x) (B o B)(x)^(k-1), the (k-1)-th moment of
+    B o B's values weighted by A o A's, over A o A's support; E_2(A, B) is
+    the additive energy E(A, B) = sum_x (A * B)(x)^2."""
     if a.group != b.group:
         raise groups.GroupError("energy operands live in different groups")
     if not 1 <= k < math.inf:   # NaN fails both comparisons
         raise ValueError(f"energy order must be >= 1 and finite, got {k}")
-    return a.kept(("Epair", a.partner(b), k), lambda: _energy_k_pair(a, b, k))
-
-
-def _energy_k_pair(a: GSet, b: GSet, k) -> int | float:
-    """For integer k summed in int64 where |supp| max v max w^(k-1) < 2^63,
-    else in Python numbers."""
     points, v = correlate(a, a).support_rows()
-    w = correlate(b, b).values_at(points)
-    if float(k).is_integer():
-        e = int(k) - 1
-        if len(v) * int(v.max(initial=0)) * int(w.max(initial=0)) ** e < 1 << 63:
-            return int((v * w ** e).sum())
-        return sum(x * y ** e for x, y in zip(v.tolist(), w.tolist()))
-    return sum((float(x) * float(y) ** (k - 1) for x, y in zip(v.tolist(), w.tolist()) if y), 0.0)
+    return _moment((correlate(b, b).values_at(points), v), k - 1)
 
 
 def t_k(a: GSet, k: int) -> int:
@@ -878,37 +867,18 @@ def quotset_size(a) -> int:
 # normalized profile
 
 
-@dataclass
-class EnergyProfile:
+def energy_profile(a: GSet, ks: Iterable[int]) -> dict:
     """Normalized invariants: kappa_k = E_k/|A|^(k+1), delta = |A|/N,
-    K = |A-A|/|A|, L = |A+A|/|A|."""
-
-    set_id: str
-    size: int
-    kappa: dict[int, float]
-    delta: float | None
-    doubling_minus: float
-    doubling_plus: float
-
-    @classmethod
-    def from_set(cls, a: GSet, ks: Iterable[int] = (2, 3, 4), set_id: str = "") -> "EnergyProfile":
-        """Every E_k and |A - A| (the sum of its counts) from the set's
-        histogram of A o A; |A + A| is the support of A * A."""
-        if not a:
-            raise ValueError("profile needs a nonempty set")
-        n = len(a)
-        kappa = {int(k): float(energy_k(a, int(k))) / n ** (k + 1) for k in ks}
-        delta = n / a.group.order if a.group.is_cyclic else None
-        return cls(set_id=set_id, size=n, kappa=kappa, delta=delta,
-                   doubling_minus=int(_levels(a)[1].sum()) / n,
-                   doubling_plus=np.count_nonzero(convolve(a, a).array) / n)
-
-    def as_dict(self) -> dict:
-        return {
-            "set_id": self.set_id,
-            "size": self.size,
-            "kappa": {str(k): v for k, v in sorted(self.kappa.items())},
-            "delta": self.delta,
-            "K": self.doubling_minus,
-            "L": self.doubling_plus,
-        }
+    K = |A-A|/|A| (the sum of the counts of the set's histogram of A o A),
+    L = |A+A|/|A| (the support of A * A)."""
+    if not a:
+        raise ValueError("profile needs a nonempty set")
+    n = len(a)
+    return {
+        "set_id": "",
+        "size": n,
+        "kappa": {str(k): float(energy_k(a, k)) / n ** (k + 1) for k in sorted(map(int, ks))},
+        "delta": n / a.group.order if a.group.is_cyclic else None,
+        "K": int(_levels(a)[1].sum()) / n,
+        "L": np.count_nonzero(convolve(a, a).array) / n,
+    }

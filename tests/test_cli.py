@@ -87,6 +87,16 @@ def test_compute_multe_refuses_elements_past_the_bound(tmp_path, capsys):
     assert code == cli.USAGE_EXIT and out == "" and "2^30" in err
 
 
+def test_refused_allocation_is_one_error_line(monkeypatch, capsys):
+    # a difference set of 2^15 elements asks for an 8 GiB pair matrix
+    def refuse(a, b):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+    monkeypatch.setattr(setops, "diffset", refuse)
+    code, out, err = run_cli(capsys, "compute", "Ek", "--recipe", K_RECIPE, "--pre", "diff")
+    assert code == cli.FAIL_EXIT and out == ""
+    assert err == "error: Unable to allocate 8.00 GiB for an array\n"
+
+
 def test_compute_k_defaults_only_when_absent(capsys):
     a = genset.gen(genset.parse_recipe(K_RECIPE))
     for quantity, line in (("Tk", f"T_2(A) = {moments.t_k(a, 2)}"),

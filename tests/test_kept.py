@@ -40,11 +40,12 @@ def gram_oracle(mods, a, b, k):
 
 
 def counting(monkeypatch):
-    """Count the builds of every kept object that has a build of its own."""
+    """Count the builds of every kept object that has a build of its own,
+    and every engine call (`moments._conv`)."""
     counts = Counter()
     for mod, name in ((setops, "_translate_grid"), (setops, "_magnification_search"),
                       (eigen, "_gram"), (checks, "_slice_corr_sums"),
-                      (moments, "_energy_k_pair"), (moments, "_histogram")):
+                      (moments, "_histogram"), (moments, "_conv")):
         def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
@@ -102,13 +103,15 @@ def test_second_call_builds_nothing(monkeypatch):
         calls = [lambda: setops.d_k(a, 2), lambda: setops.s_k(a, 2),
                  lambda: setops.magnification_k(a, b, 2), lambda: setops.magnification(a, a),
                  lambda: eigen.build_gram(a, b, 2), lambda: checks.slice_corr_sums(a, 2),
-                 lambda: moments.energy_k_pair(a, b, 3), lambda: setops.sumset(a, a),
-                 lambda: setops.diffset(a, a)]
+                 lambda: setops.sumset(a, a), lambda: setops.diffset(a, a)]
         first = [call() for call in calls]
+        e3 = moments.energy_k_pair(a, b, 3)
         built = counts.copy()
         assert built["_translate_grid"] == 4 and built["_magnification_search"] == 2
         assert built["_gram"] == 1 and built["_slice_corr_sums"] == 1
         second = [call() for call in calls]
+        # E_k(A, B) is a moment taken on every call over the two kept tables
+        assert moments.energy_k_pair(a, b, 3) == e3
         assert counts == built
         assert all(x is y for x, y in zip(first, second))
         # every E_k, the level sequence and |A - A| read one kept histogram
@@ -118,8 +121,8 @@ def test_second_call_builds_nothing(monkeypatch):
         moments.energy_k(a, 3)
         moments.energy_k(a, 2.5)
         moments.level_sequence(a)
-        moments.EnergyProfile.from_set(a)
-        assert counts == built
+        moments.energy_profile(a, (2, 3, 4))
+        assert counts == built + Counter(_conv=1)   # A * A, which no set keeps
         counts.clear()
 
 
@@ -182,7 +185,7 @@ def test_self_partners_free_the_set_without_the_collector():
     eigen.singular_spectrum(pg)
     moments.t_k(a, 3)
     setops.d_k(a, 2)
-    assert {("R", "self", 1), ("Epair", "self", 3), ("gram", "self", 2)} <= a._kept.keys()
+    assert {("R", "self", 1), ("gram", "self", 2)} <= a._kept.keys()
     ref = weakref.ref(a)
     gc.disable()
     try:

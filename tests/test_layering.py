@@ -165,7 +165,7 @@ def test_default_caps_guard_sees_each_form(tmp_path):
 
 
 PLANE_ONLY = ("_direct", "_fft", "_limbs", "_norms", "_checked", "_total", "_Chain",
-              "_square_sum", "_histogram", "_moment")
+              "_square_sum", "_histogram", "_moment", "energy_k_pair", "energy_profile")
 GRAM_ONLY = ("_gram",)   # eigen's Gram: int64 entries below 2^63, checked without Python ints
 
 

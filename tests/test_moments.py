@@ -14,8 +14,8 @@ import oracles
 from hienergy import extract, groups, moments, setops
 from hienergy.groups import cyclic, lattice
 from hienergy.gset import GSet, full_group, zset
-from hienergy.moments import (ConvTable, EnergyProfile, convolve, correlate,
-                              conv_power, energy_k, energy_k_pair, level_sequence,
+from hienergy.moments import (ConvTable, convolve, correlate, conv_power, energy_k,
+                              energy_k_pair, energy_profile, level_sequence,
                               mult_energy_k, prodset_size, quotset_size, sigma_k, t_k)
 
 
@@ -67,7 +67,7 @@ def test_self_correlation_built_once_and_kept(monkeypatch):
         energy_k(a, 2)
         energy_k(a, 3)
         level_sequence(a)
-        EnergyProfile.from_set(a)
+        energy_profile(a, (2, 3, 4))
         extract.popular_set(a)
         assert builds.count(True) == 1
         kept = correlate(a, a)
@@ -220,10 +220,10 @@ def test_fractional_energy_monotone_chain():
     rng = random.Random(43)
     for _ in range(10):
         a = rand_gset(rng, cyclic(32), rng.randint(3, 10))
-        prof = EnergyProfile.from_set(a, ks=(2, 3, 4, 5))
+        kappa = energy_profile(a, (2, 3, 4, 5))["kappa"]
         for k in (4, 5):
-            lo = prof.kappa[k - 1] ** ((k - 1) / (k - 2))
-            assert prof.kappa[k] >= lo * (1 - 1e-9)
+            lo = kappa[str(k - 1)] ** ((k - 1) / (k - 2))
+            assert kappa[str(k)] >= lo * (1 - 1e-9)
 
 
 def test_level_sequence_examples():
@@ -610,6 +610,24 @@ def test_moment_matches_python_ints_on_every_branch():
         assert moments._moment(hist, k) == want
     empty = moments._histogram(np.zeros(4, dtype=np.int64))
     assert moments._moment(empty, 3) == 0 and moments._moment(empty, 2.5) == 0.0
+    # paired arrays, as E_k(A, B) passes (B o B, A o A) on A o A's support:
+    # unsorted, with repeated levels, a zero level and a zero count
+    for k in range(1, 7):
+        top = int(2 ** (60 / k)) + 1
+        n = ((1 << 63) - 1) // top ** k
+        levels = [top, 0, 2, top, 3, 2]
+        for rest, wide in ((n - 8, False), (n - 7, True)):
+            counts = [rest - 1, 4, 3, 1, 0, 1]
+            assert (sum(counts) * top ** k >= 1 << 63) == wide
+            pair = np.array(levels, dtype=np.int64), np.array(counts, dtype=np.int64)
+            got = moments._moment(pair, k)
+            assert type(got) is int and got == sum(c * v ** k for v, c in zip(levels, counts))
+            assert moments._moment(pair, 0) == sum(counts)
+    rng = np.random.default_rng(103)
+    w, v = rng.integers(0, 40, 500), rng.integers(0, 9, 500)
+    for k in (0.5, 1.5, 2.5):
+        want = float(sum(float(c) * float(x) ** k for x, c in zip(w.tolist(), v.tolist())))
+        assert moments._moment((w, v), k) == want
 
 
 BOUNDARY_VALUES = [0, 1, -1, 5, -7, (1 << 31) - 1, 1 << 31, 3037000499, 3037000500, (1 << 32) - 1,

@@ -9,8 +9,7 @@ from .moments import (ConvTable, convolve, correlate, energy_k, energy_k_pair,
 from .setops import (Caps, CapExceededError, TupleSet, basis_depth_test, d_k,
                      delta_sumset, diffset, iterated, family_sumset_sizes,
                      magnification, magnification_k, s_k, slice_masks, sumset)
-from .spectrum import (SpectrumTable, dft, dim_exact, dim_greedy, dissociated_test,
-                       large_spectrum)
+from .spectrum import dft, dim_exact, dim_greedy, dissociated_test, large_spectrum
 from .eigen import (PatternGram, build_gram, magnification_lower_bounds,
                     singular_spectrum, subgroup_eigencheck)
 from .genset import SetRecipe, gen, mult_subgroup, parse_recipe, quadratic_residues, recipe

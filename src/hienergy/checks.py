@@ -206,9 +206,7 @@ def check_c9(a: GSet, alpha: float, k: int, caps: Caps = DEFAULT_CAPS) -> CheckR
 
 
 def _max_nonzero_coeff(a: GSet) -> float:
-    mags = np.abs(spectrum.dft(a).array).ravel().copy()
-    mags[0] = 0.0
-    return float(mags.max())
+    return float(np.abs(spectrum.dft(a)).ravel()[1:].max())   # entry 0 is xi = 0
 
 
 def check_c10(a: GSet, k: int, primed: bool = False, caps: Caps = DEFAULT_CAPS) -> CheckResult:
@@ -436,10 +434,9 @@ def check_c25(p: int, t: int, k: int = 1, caps: Caps = DEFAULT_CAPS) -> CheckRes
                                         "eigenvalues": rep.eigenvalues})
 
 
-def check_c26(p: int, t: int, picks: tuple[int, int, int] = (0, 1, 2),
-              caps: Caps = DEFAULT_CAPS) -> CheckResult:
+def check_c26(p: int, t: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     gamma = genset.mult_subgroup(p, t)
-    q, q1, q2 = (genset.invariant_union(gamma, (i,)) for i in picks)
+    q, q1, q2 = (genset.invariant_union(gamma, (i,)) for i in (0, 1, 2))
     lhs = sum(moments.correlate(q1, q2).values_at(q.coords).tolist())
     rhs = t ** (-1 / 3) * (len(q) * len(q1) * len(q2)) ** (2 / 3)
     return _res("C26", {"p": p, "t": t}, lhs, rhs, "<=", hard=False,
@@ -447,8 +444,7 @@ def check_c26(p: int, t: int, picks: tuple[int, int, int] = (0, 1, 2),
 
 
 def check_c27(p: int, t: int, variant: str = "invariant", coset: int = 0,
-              sub_frac: float = 1.0, q_picks: tuple[int, ...] = (0, 1),
-              caps: Caps = DEFAULT_CAPS) -> CheckResult:
+              sub_frac: float = 1.0, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     gamma = genset.mult_subgroup(p, t)
     gamma_star = genset.invariant_union(gamma, (coset,))
     keep = max(1, int(len(gamma_star) * sub_frac))
@@ -458,7 +454,7 @@ def check_c27(p: int, t: int, variant: str = "invariant", coset: int = 0,
         rhs = len(gamma_prime) * math.sqrt(t / max(1.0, math.log2(t)))
         return _res("C27", {"p": p, "t": t, "variant": variant}, lhs, rhs, ">=",
                     hard=False, passed=math.isfinite(_ratio(lhs, rhs)))
-    q = genset.invariant_union(gamma, q_picks)
+    q = genset.invariant_union(gamma, (0, 1))
     lhs = len(setops.sumset(q, gamma_prime)) * moments.energy_k_pair(gamma_star, q, 2)
     rhs = len(gamma_prime) * t * len(q) ** 2
     return _res("C27", {"p": p, "t": t, "variant": variant, "coset": coset},
@@ -520,10 +516,9 @@ def check_c30(b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
 # pipeline conclusion checks
 
 
-def check_c31(a: GSet, b: GSet | None = None, k: int = 4, trials: int = 200,
-              seed: int = 1, caps: Caps = DEFAULT_CAPS) -> CheckResult:
-    b = b if b is not None else a
-    rep = extract.cs_period_search(a, b, k, trials=trials, seed=seed)
+def check_c31(a: GSet, k: int = 4, trials: int = 200, seed: int = 1,
+              caps: Caps = DEFAULT_CAPS) -> CheckResult:
+    rep = extract.cs_period_search(a, a, k, trials=trials, seed=seed)
     rate = rep.stages[0]["rate"]
     floor = 0.5 - rep.stages[0]["three_sigma"]
     passed = rep.ok and len(rep.outputs["T"]) > 0 and rate >= floor
@@ -559,7 +554,7 @@ def check_c33(a: GSet, caps: Caps = DEFAULT_CAPS) -> CheckResult:
                 witness={"B": len(b_set), "R": len(rep.outputs["R"])})
 
 
-def check_c34(a: GSet, top: int = 8, caps: Caps = DEFAULT_CAPS) -> CheckResult:
+def check_c34(a: GSet, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Energy dichotomy search over the documented candidate family: A, D,
     the popular set, and the most popular A- and D-slices."""
     d = setops.diffset(a, a)
@@ -570,7 +565,7 @@ def check_c34(a: GSet, top: int = 8, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     for name, base in (("A", a), ("D", d)):
         # the top values, ties in lexicographic order of the point
         points, values = moments.correlate(base, base).support_rows()
-        top_points = points[np.argsort(-values, kind="stable")[:top]]
+        top_points = points[np.argsort(-values, kind="stable")[:8]]
         for s, row in zip(top_points.tolist(), setops.slice_masks(base, top_points)):
             candidates.append((f"{name}_s{s}", base.subset(row)))
     best_name, best_ratio, best_size = None, -1.0, 0

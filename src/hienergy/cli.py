@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 1 hard-check or extraction failure or a refused
-allocation, 2 usage error, 3 cap exceeded.
+allocation, 2 usage error or a path the OS refuses (a set file, --b, --out,
+--report or --csv), 3 cap exceeded.
 All commands are deterministic for fixed inputs and seeds.  `main` builds
 one frozen `Caps` from the --cap-* flags and hands it to the command, which
 passes it down to every capped call: no command changes a module global.
@@ -14,7 +15,7 @@ import json
 import sys
 
 from . import checks, extract, genset, groups, moments, setops, spectrum
-from .gset import GSet, SetFileError, dumps_set, read_set, write_set
+from .gset import GSet, SetFileError, dumps_set, full_group, read_set, write_set
 from .setops import CapExceededError, Caps
 
 USAGE_EXIT = 2
@@ -85,10 +86,11 @@ def cmd_compute(args, caps: Caps) -> int:
         payload["value"] = v
         lines = [f"{name}_{k}(A) = {v}"]
     elif q == "spectrum":
-        table = spectrum.dft(a)
-        payload["csv"] = table.to_csv()
-        payload["values"] = [[str(tuple(xi)), abs(v)] for xi, v in
-                             zip(table.dual_rows().tolist(), table.array.ravel().tolist())]
+        arr = spectrum.dft(a)   # first: it refuses a lattice set in its own words
+        rows = list(zip(full_group(a.group).coords.tolist(), arr.ravel().tolist()))
+        payload["csv"] = "xi,re,im,abs\n" + "".join(
+            f"\"{groups.format_elem(xi)}\",{v.real!r},{v.imag!r},{abs(v)!r}\n" for xi, v in rows)
+        payload["values"] = [[str(tuple(xi)), abs(v)] for xi, v in rows]
         lines = payload["csv"].splitlines()
     elif q == "Ralpha":
         r = spectrum.large_spectrum(a, args.alpha)
@@ -323,6 +325,11 @@ def main(argv=None) -> int:
         return args.fn(args, caps)
     except SetFileError as exc:
         print(f"set file error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except OSError as exc:   # a path the user named: missing, a directory, unwritable
+        if exc.filename is None:   # no path, such as a closed pipe: not a usage error
+            raise
+        print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

@@ -33,6 +33,7 @@ the set; ``subset`` and every constructor start an empty one.  Its keys:
 - ``"AA"``: the product set ``moments.prodset(a, a)`` of a set of Z;
 - ``"A/A"``: its quotient counts (``moments.quotient_counts``), read-only;
 - ``"cosets"``: a subgroup's cosets, one read-only matrix (``genset.subgroup_cosets``);
+- ``"dft"``: the spectrum of a set of a cyclic product (``spectrum.dft``), read-only;
 - ``("D", k)``, ``("S", k)``: the counts D_k(A), S_k(A), never the tuples;
 - ``("R", b, k)``: R^(k)_B[A] and its witness (``setops.magnification_k``);
 - ``("F", depth)``: ``checks.slice_corr_sums``, a read-only mapping;

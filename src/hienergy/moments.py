@@ -64,7 +64,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import groups
+from . import groups, setops
 from .groups import Elem, GroupSpec, InvariantError
 from .gset import GSet, zset
 
@@ -870,7 +870,7 @@ def quotset_size(a) -> int:
 def energy_profile(a: GSet, ks: Iterable[int]) -> dict:
     """Normalized invariants: kappa_k = E_k/|A|^(k+1), delta = |A|/N,
     K = |A-A|/|A| (the sum of the counts of the set's histogram of A o A),
-    L = |A+A|/|A| (the support of A * A)."""
+    L = |A+A|/|A| (the kept ``setops.sumset(a, a)``)."""
     if not a:
         raise ValueError("profile needs a nonempty set")
     n = len(a)
@@ -880,5 +880,5 @@ def energy_profile(a: GSet, ks: Iterable[int]) -> dict:
         "kappa": {str(k): float(energy_k(a, k)) / n ** (k + 1) for k in sorted(map(int, ks))},
         "delta": n / a.group.order if a.group.is_cyclic else None,
         "K": int(_levels(a)[1].sum()) / n,
-        "L": np.count_nonzero(convolve(a, a).array) / n,
+        "L": len(setops.sumset(a, a)) / n,
     }

@@ -1,5 +1,5 @@
-"""Discrete Fourier analysis on cyclic products: spectra, large-spectrum
-sets, dissociativity and dimension."""
+"""Discrete Fourier analysis on cyclic products: spectra (built once per set and
+kept on it as ``"dft"``, read-only), large-spectrum sets, dissociativity and dimension."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from . import groups, moments
+from . import groups
 from .groups import GroupSpec, InvariantError
 from .gset import GSet, _firsts, as_rows, row_keys
 from .setops import CapExceededError
@@ -17,40 +17,23 @@ DISSOCIATED_CAP = 26
 DIM_EXACT_CAP = 20
 
 
-class SpectrumTable:
-    """Complex DFT values indexed by dual elements (dual identified with G)."""
-
-    __slots__ = ("group", "array")
-
-    def __init__(self, group: GroupSpec, array: np.ndarray):
-        self.group = group
-        self.array = array
-
-    def dual_rows(self) -> np.ndarray:
-        """Every dual element as a row, in lexicographic (the array's row-major) order."""
-        return np.argwhere(np.ones(self.array.shape, dtype=bool))
-
-    def to_csv(self) -> str:
-        lines = ["xi,re,im,abs"]
-        for xi, v in zip(self.dual_rows().tolist(), self.array.ravel().tolist()):
-            lines.append(f"\"{groups.format_elem(xi)}\",{v.real!r},{v.imag!r},{abs(v)!r}")
-        return "\n".join(lines) + "\n"
-
-
-def dft(f) -> SpectrumTable:
-    """f^(xi) = sum_x f(x) e(-xi.x); FFT-factorized over the moduli."""
-    table = moments.as_table(f)
-    g = table.group
-    if not g.is_cyclic:
+def dft(a: GSet) -> np.ndarray:
+    """1_A^(xi) = sum_{x in A} e(-xi.x) over the dual (identified with G), as
+    the complex array shaped by the moduli; kept on the set, read-only."""
+    if not a.group.is_cyclic:
         raise groups.GroupError("the DFT needs a finite cyclic product")
-    arr = np.fft.fftn(table.array.astype(np.float64))
-    spec = SpectrumTable(g, arr)
-    # Parseval consistency against the source table
-    lhs = float((table.array.astype(np.float64) ** 2).sum())
-    rhs = float((np.abs(arr) ** 2).sum()) / g.order
+    return a.kept("dft", lambda: _dft(a))
+
+
+def _dft(a: GSet) -> np.ndarray:
+    """``dft``'s build: FFT-factorized over the moduli, checked against Parseval."""
+    arr = np.fft.fftn(a.indicator().astype(np.float64))
+    lhs = float(len(a))   # sum of the indicator's squares, exact in float64
+    rhs = float((np.abs(arr) ** 2).sum()) / a.group.order
     if not math.isclose(lhs, rhs, rel_tol=PARSEVAL_RTOL, abs_tol=1e-12):
         raise InvariantError(f"Parseval check failed: {lhs} vs {rhs}")
-    return spec
+    arr.flags.writeable = False
+    return arr
 
 
 def large_spectrum(a: GSet, alpha: float) -> GSet:
@@ -58,7 +41,7 @@ def large_spectrum(a: GSet, alpha: float) -> GSet:
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
     g = a.group
-    mags = np.abs(dft(a).array)
+    mags = np.abs(dft(a))
     thresh = alpha * len(a) - 1e-9 * max(1, len(a))
     out = GSet(g, np.argwhere(mags >= thresh))   # row-major is lexicographic
     if len(out) == 0 or out.coords[0].any():

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+import oracles
 from hienergy import checks, cli, extract, genset, moments, setops, spectrum
-from hienergy.gset import loads_set, read_set, write_set, zset
+from hienergy.groups import cyclic
+from hienergy.gset import GSet, loads_set, read_set, write_set, zset
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +97,48 @@ def test_refused_allocation_is_one_error_line(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "compute", "Ek", "--recipe", K_RECIPE, "--pre", "diff")
     assert code == cli.FAIL_EXIT and out == ""
     assert err == "error: Unable to allocate 8.00 GiB for an array\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--checks", "C1", "--set", "{tmp}/missing.txt"),
+    ("suite", "--set", "{tmp}"),                                   # a directory
+    ("compute", "Ek", "--recipe", "interval:n=5", "--b", "{tmp}/missing.txt"),
+    ("gen", "interval:n=4", "--out", "{tmp}/missing/x.txt"),
+])
+def test_a_path_the_os_refuses_is_one_error_line(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == cli.USAGE_EXIT and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+
+
+def test_an_os_error_without_a_path_is_not_a_usage_error(monkeypatch, capsys):
+    def closed(*args):
+        raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(cli, "cmd_gen", closed)
+    with pytest.raises(BrokenPipeError):
+        cli.main(["gen", "interval:n=4"])
+
+
+def test_compute_spectrum_csv(tmp_path, capsys):
+    path = tmp_path / "a.txt"
+    write_set(GSet(cyclic(4), [0, 2]), path)
+    code, out, _ = run_cli(capsys, "compute", "spectrum", "--set", str(path), "--csv")
+    assert code == 0 and out.splitlines()[0] == "xi,re,im,abs"
+    assert len(out.strip().splitlines()) == 5
+    # one line per dual element in lexicographic order, plain float fields
+    b = GSet(cyclic(2, 3), [(0, 1), (1, 2)])
+    write_set(b, path)
+    code, out, _ = run_cli(capsys, "compute", "spectrum", "--set", str(path), "--csv")
+    lines, table = out.strip().splitlines()[1:], spectrum.dft(b)
+    for xi, line in zip(oracles.enumerate_elements((2, 3)), lines):
+        head, re_, im, mag = line.split("\",")[0], *line.split("\",")[1].split(",")
+        assert head == '"' + ",".join(map(str, xi))
+        assert complex(float(re_), float(im)) == table[xi] and float(mag) == abs(table[xi])
+    assert code == 0 and len(lines) == 6
+    # a lattice set is refused by the transform itself
+    write_set(zset([0, 1]), path)
+    code, out, err = run_cli(capsys, "compute", "spectrum", "--set", str(path), "--csv")
+    assert (code, out, err) == (cli.USAGE_EXIT, "", "error: the DFT needs a finite cyclic product\n")
 
 
 def test_compute_k_defaults_only_when_absent(capsys):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hienergy import checks, eigen, genset, moments, setops
+from hienergy import checks, eigen, genset, moments, setops, spectrum
 from hienergy.groups import InvariantError, cyclic, lattice
 from hienergy.gset import GSet
 from hienergy.setops import CapExceededError, Caps
@@ -45,7 +45,7 @@ def counting(monkeypatch):
     counts = Counter()
     for mod, name in ((setops, "_translate_grid"), (setops, "_magnification_search"),
                       (eigen, "_gram"), (checks, "_slice_corr_sums"),
-                      (moments, "_histogram"), (moments, "_conv")):
+                      (moments, "_histogram"), (spectrum, "_dft"), (moments, "_conv")):
         def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
@@ -104,11 +104,14 @@ def test_second_call_builds_nothing(monkeypatch):
                  lambda: setops.magnification_k(a, b, 2), lambda: setops.magnification(a, a),
                  lambda: eigen.build_gram(a, b, 2), lambda: checks.slice_corr_sums(a, 2),
                  lambda: setops.sumset(a, a), lambda: setops.diffset(a, a)]
+        if g.is_cyclic:
+            calls.append(lambda: spectrum.dft(a))
         first = [call() for call in calls]
         e3 = moments.energy_k_pair(a, b, 3)
         built = counts.copy()
         assert built["_translate_grid"] == 4 and built["_magnification_search"] == 2
         assert built["_gram"] == 1 and built["_slice_corr_sums"] == 1
+        assert built["_dft"] == g.is_cyclic
         second = [call() for call in calls]
         # E_k(A, B) is a moment taken on every call over the two kept tables
         assert moments.energy_k_pair(a, b, 3) == e3
@@ -122,7 +125,7 @@ def test_second_call_builds_nothing(monkeypatch):
         moments.energy_k(a, 2.5)
         moments.level_sequence(a)
         moments.energy_profile(a, (2, 3, 4))
-        assert counts == built + Counter(_conv=1)   # A * A, which no set keeps
+        assert counts == built   # |A + A| is the kept A + A
         counts.clear()
 
 
@@ -221,7 +224,7 @@ def test_kept_arrays_and_mappings_are_read_only():
         f[(0, 0)] = 0
     assert checks.slice_corr_sums(GSet(cyclic(8), []), 1) == {}
     moments.energy_k(a, 2)
-    for arr in a._kept["levels"]:
+    for arr in (*a._kept["levels"], spectrum.dft(a)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
@@ -269,6 +272,9 @@ def test_suite_pass_builds_each_object_once_per_set(monkeypatch):
     # one A o A histogram for each of the 739 sets that read E_k, the level
     # sequence or |A - A|, and one of the quotient counts per E^x_3 (8)
     assert counts["_histogram"] == 739 + 8
+    # one spectrum for each of the 33 sets that C8, C9, C10 and C10p read;
+    # before it was kept, the pass made 462 transforms
+    assert counts["_dft"] == 33
 
 
 def test_suite_pass_builds_the_cosets_once_per_subgroup(monkeypatch):

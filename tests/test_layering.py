@@ -8,7 +8,8 @@ and the chain compute on int64 planes: none of them builds a Python-int
 (object) array.  Every top-level function and class in the package has a
 caller in another part of it, bar a short allow-list with reasons, and no
 module imports a name it never reads.  The float FFT runs only in the
-engine's transforms, `spectrum.dft` and the complex operator's own."""
+engine's transforms, a set's kept spectrum (`spectrum._dft`) and the complex
+operator's own."""
 
 import ast
 from pathlib import Path
@@ -312,10 +313,10 @@ def test_unused_import_guard_sees_each_form(tmp_path):
                                    "bad.py:6 os"]
 
 
-# The float FFT runs only in the engine's bounded transforms, the spectrum
-# table and the complex operator; the operator's transforms serve its three
-# readers and no exact count.
-FFT_HOMES = {"moments._rfft", "moments._irfft", "spectrum.dft",
+# The float FFT runs only in the engine's bounded transforms, the build of a
+# set's kept spectrum and the complex operator; the operator's transforms
+# serve its three readers and no exact count.
+FFT_HOMES = {"moments._rfft", "moments._irfft", "spectrum._dft",
              "eigen._group_fft", "eigen._group_ifft"}
 GROUP_FFT = {"_group_fft", "_group_ifft"}
 GROUP_FFT_READERS = {"eigen.operator_apply", "eigen.restricted_matrix", "eigen.bilinear_residual"}

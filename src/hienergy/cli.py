@@ -44,18 +44,21 @@ def _write(path: str, body: str) -> None:
         fh.write(body)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines: list[str], table: str | None = None) -> None:
+    """One body, ending in one newline, to stdout or to --out (then the path
+    is printed): the payload under --json, the CSV table under --csv where
+    the quantity has one, else the text lines."""
     if getattr(args, "json", False):
-        body = json.dumps(payload, indent=2, sort_keys=True, default=str)
-    elif getattr(args, "csv", False) and "csv" in payload:
-        body = payload["csv"]
+        body = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+    elif getattr(args, "csv", False) and table is not None:
+        body = table
     else:
-        body = "\n".join(text_lines)
+        body = "\n".join(text_lines) + "\n"
     if getattr(args, "out", None):
-        _write(args.out, body if body.endswith("\n") else body + "\n")
+        _write(args.out, body)
         print(args.out)
     else:
-        print(body)
+        sys.stdout.write(body)
 
 
 def cmd_compute(args, caps: Caps) -> int:
@@ -78,6 +81,7 @@ def cmd_compute(args, caps: Caps) -> int:
         return USAGE_EXIT
     payload: dict = {"quantity": q, "set_size": len(a), "group": str(a.group)}
     lines: list[str] = []
+    table = None   # the CSV text of spectrum and levels
     if q in ("Ek", "Tk", "sigmak", "Dk", "Sk"):
         name, fn = {"Ek": ("E", moments.energy_k), "Tk": ("T", moments.t_k),
                     "sigmak": ("sigma", moments.sigma_k), "Dk": ("D", setops.d_k),
@@ -88,10 +92,10 @@ def cmd_compute(args, caps: Caps) -> int:
     elif q == "spectrum":
         arr = spectrum.dft(a)   # first: it refuses a lattice set in its own words
         rows = list(zip(full_group(a.group).coords.tolist(), arr.ravel().tolist()))
-        payload["csv"] = "xi,re,im,abs\n" + "".join(
+        table = "xi,re,im,abs\n" + "".join(
             f"\"{groups.format_elem(xi)}\",{v.real!r},{v.imag!r},{abs(v)!r}\n" for xi, v in rows)
         payload["values"] = [[str(tuple(xi)), abs(v)] for xi, v in rows]
-        lines = payload["csv"].splitlines()
+        lines = table.splitlines()
     elif q == "Ralpha":
         r = spectrum.large_spectrum(a, args.alpha)
         payload["value"] = r.coords.tolist()
@@ -110,7 +114,7 @@ def cmd_compute(args, caps: Caps) -> int:
     elif q == "levels":
         v = moments.level_sequence(a)
         payload["value"] = v
-        payload["csv"] = "rank,value\n" + "\n".join(f"{i+1},{x}" for i, x in enumerate(v)) + "\n"
+        table = "rank,value\n" + "".join(f"{i+1},{x}\n" for i, x in enumerate(v))
         lines = [" ".join(map(str, v))]
     elif q == "multE":
         v = moments.mult_energy_k(a, k)
@@ -118,7 +122,7 @@ def cmd_compute(args, caps: Caps) -> int:
         payload["prodset"] = moments.prodset_size(a)
         payload["quotset"] = moments.quotset_size(a)
         lines = [f"E^x_{k}(A) = {v} (|AA| = {payload['prodset']}, |A/A| = {payload['quotset']})"]
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, table)
     return 0
 
 

@@ -64,7 +64,7 @@ def _gram(a: GSet, b: GSet, k: int) -> PatternGram:
     gram.flags.writeable = False
     if (np.diagonal(gram) != top).any():   # so the trace is |A||B|^k
         raise InvariantError(f"Gram diagonal values {np.unique(np.diagonal(gram)).tolist()} != |B|^k = {top}")
-    frob = moments._square_sum(gram.reshape(1, -1))
+    frob = moments._square_sum(gram.reshape(1, -1), top)
     expected = moments.energy_k_pair(a, b, 2 * k + 1)
     if frob != expected:
         raise InvariantError(f"Gram Frobenius^2 {frob} != E_(2k+1)(A,B) = {expected}")

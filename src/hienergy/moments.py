@@ -26,7 +26,7 @@ proves each limb product rounds exactly.  A one-dimensional transform of
 2^m >= 2^15 points (Z/2^m, the padded linear product of another Z/N, a 1-D
 lattice window) runs as a four-step (Bailey, J. Supercomputing 4, 1990):
 n1 = 2^floor(m/2) rows of n2 points, a real FFT down the rows, a twiddle
-multiply w^(k1 j2) from two small tables per length, and an FFT along them;
+multiply w^(k1 j2) from two tables of whole rows per length, and an FFT along them;
 its bound counts the m butterfly levels and the two twiddle multiplies.
 Smaller and multi-dimensional shapes use numpy's rfftn/irfftn.  A
 correlation is the same call: the direct path subtracts indices, the FFT
@@ -34,15 +34,17 @@ conjugates f's spectrum.  A self-product (f is g) transforms each limb
 once, and a chain of convolution powers its base once per FFT shape.  A
 one-limb self-product whose spectrum no chain keeps forms the product in
 that spectrum's own buffer, so a fresh A o A holds one half-spectrum, and
-none once the inverse is cast to int64.  Each
-engine call reads an operand's nonzeros and norms once and checks the
-product's mass identity sum(f*g) = sum(f) sum(g) exactly, on either path;
-besides that only T_k's cross-check is validated after the fact.  A o A of a
-GSet is built once and kept on the set (see the gset module), read-only, and
-so is the histogram of its values, from one bincount: every E_k (its k-th
-moment), the level sequence and |A - A| read the histogram, the Gram
-(B o B)^k reads the table, and E_k(A, B) is a moment of the two kept
-tables, taken on every call.  Its chain is kept the same way: each level
+none once the inverse is cast to int64.  A table's nonzero count and norms
+are its facts, derived once per table (a set's table is born with them)
+and read by every engine call it enters; each call checks the product's
+mass identity sum(f*g) = sum(f) sum(g) exactly, on either path, and
+besides that only T_k's cross-check is validated after the fact.  The limb
+thresholds are planned once per transform size.  A o A of a GSet is built
+once and kept on the set (see the gset module), read-only, and so is the
+histogram of its values, from one bincount, with its count total and top
+level: every E_k (its k-th moment), the level sequence and |A - A| read
+the histogram, the Gram (B o B)^k reads the table, and E_k(A, B) is a
+moment of the two kept tables, taken on every call.  Its chain is kept the same way: each level
 A^(*j) is built once per set, by one engine call on the level below, and
 leaves T_j and sigma_j behind; the set keeps only the top level and the
 base's spectra, which on a cyclic group T_k's cross-check reuses: the
@@ -58,6 +60,7 @@ zero.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from typing import Iterable, Iterator
@@ -87,21 +90,24 @@ class ConvTable:
 
     ``offset`` is the coordinate of the window's [0,...,0] cell; cyclic
     tables use the full fundamental domain with zero offset.
+
+    ``facts()`` are the table's nonzero count and norms, derived from the
+    planes at most once; the planes are not written after construction.
     """
 
-    __slots__ = ("group", "offset", "planes", "_ints")
+    __slots__ = ("group", "offset", "planes", "_ints", "_facts")
 
     def __init__(self, group: GroupSpec, array: np.ndarray, offset: tuple[int, ...] | None = None):
         self.group = group
         self.planes = _cut(array)
         self.offset = offset if offset is not None else (0,) * group.dim
-        self._ints = None
+        self._ints = self._facts = None
 
     @classmethod
-    def of_planes(cls, group: GroupSpec, planes: np.ndarray,
-                  offset: tuple[int, ...] | None = None) -> "ConvTable":
+    def of_planes(cls, group: GroupSpec, planes: np.ndarray, offset: tuple[int, ...] | None = None,
+                  facts: tuple[int, tuple[int, int, int]] | None = None) -> "ConvTable":
         t = cls.__new__(cls)
-        t.group, t.planes, t._ints = group, planes, None
+        t.group, t.planes, t._ints, t._facts = group, planes, None, facts
         t.offset = offset if offset is not None else (0,) * group.dim
         return t
 
@@ -109,17 +115,26 @@ class ConvTable:
 
     @classmethod
     def from_gset(cls, a: GSet) -> "ConvTable":
-        g = a.group
+        """The indicator of a, born with its facts: |A| nonzeros, all 1."""
+        g, n = a.group, len(a)
+        facts = n, (n, min(n, 1), n)
         if g.is_cyclic:
-            return cls.of_planes(g, a.indicator()[None])
+            return cls.of_planes(g, a.indicator()[None], facts=facts)
         mat = a.coords
         if len(mat) == 0:
-            return cls.of_planes(g, np.zeros((1,) * (g.dim + 1), dtype=np.int64))
+            return cls.of_planes(g, np.zeros((1,) * (g.dim + 1), dtype=np.int64), facts=facts)
         lo = mat.min(axis=0)
         shape = tuple(int(h - l + 1) for l, h in zip(lo, mat.max(axis=0)))
         arr = np.zeros(shape, dtype=np.int64)
         arr[tuple((mat - lo).T)] = 1
-        return cls.of_planes(g, arr[None], tuple(int(v) for v in lo))
+        return cls.of_planes(g, arr[None], tuple(int(v) for v in lo), facts)
+
+    def facts(self) -> tuple[int, tuple[int, int, int]]:
+        """(nonzero count, (|x|_1, |x|_inf, sum x) as `_norms` gives them),
+        derived from the planes on the first read and kept."""
+        if self._facts is None:
+            self._facts = int(np.count_nonzero(_support(self.planes))), _norms(self.planes)
+        return self._facts
 
     # -- access -------------------------------------------------------
 
@@ -328,24 +343,26 @@ def _checked(out: np.ndarray, fn: tuple[int, ...], gn: tuple[int, ...], path: st
     return out
 
 
-def _direct(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
-            corr: bool = False) -> np.ndarray:
+def _moduli(t: ConvTable) -> tuple[int, ...] | None:
+    return t.group.moduli if t.group.is_cyclic else None
+
+
+def _direct(tf: ConvTable, tg: ConvTable, corr: bool = False) -> np.ndarray:
     """Sum over all pairs of support points (at most max(2^14, 2 x FFT size),
     capped at 2^22) at index i + j, or j - i for a correlation, into the
-    product's planes.  With moduli the window is the group, else the lattice
-    window, where correlation lags start at 1 - (f's extent).  The norms are
-    read off the support values.  A wide product cuts f and g into digits
+    product's planes.  On a cyclic group the window is the group, else the
+    lattice window, where correlation lags start at 1 - (f's extent).  The
+    norms are the tables' facts.  A wide product cuts f and g into digits
     whose products, summed over the at most min(|supp f|, |supp g|) pairs
     at one index, stay below 2^63, and deposits each digit pair's sums."""
-    same = fa is ga
+    fa, ga, moduli, same = tf.planes, tg.planes, _moduli(tf), tf is tg
+    (_, fn), (_, gn) = tf.facts(), tg.facts()
     out_shape = moduli or tuple(int(a + b - 1) for a, b in zip(fa.shape[1:], ga.shape[1:]))
     fidx = np.flatnonzero(_support(fa))
     gidx = fidx if same else np.flatnonzero(_support(ga))
     if len(fidx) == 0 or len(gidx) == 0:
         return np.zeros((1,) + out_shape, dtype=np.int64)
     fvals, gvals = fa.reshape(len(fa), -1).take(fidx, 1), ga.reshape(len(ga), -1).take(gidx, 1)
-    fn = _norms(fvals)
-    gn = fn if same else _norms(gvals)
     flat = None   # the pairs' flat output index, built in place axis by axis
     for fc, gc, fs, dim in zip(np.unravel_index(fidx, fa.shape[1:]), np.unravel_index(gidx, ga.shape[1:]),
                                fa.shape[1:], out_shape):
@@ -396,22 +413,39 @@ def _percival(size: int, four_step: bool = False) -> float:
                       + 3 * t * math.log1p(_TWIDDLE_ERR))
 
 
+@functools.cache
+def _limb_caps(size: int, four_step: bool) -> tuple[int, int]:
+    """The limb plan of one transform size and kind, built once: integers C
+    and S such that an integer product of squared norms is below Percival's
+    cap = 1 / (16 bound^2) iff it is below C = ceil(cap), and one below
+    sqrt(cap) iff below S = ceil(sqrt(cap))."""
+    cap = 1 / (16 * _percival(size, four_step) ** 2)
+    return math.ceil(cap), math.ceil(math.sqrt(cap))
+
+
+def _log4(q: int) -> int:
+    """The largest b with 4^b <= q, 0 for q < 4."""
+    return max(q.bit_length() - 1, 0) // 2
+
+
 def _split(fn: tuple[int, ...], gn: tuple[int, ...], size: int,
            four_step: bool = False) -> tuple[int | None, int | None]:
     """Limb widths for f and g (None: whole) that keep Percival's bound for
-    every limb product below 1/4.  A whole x has ||x||_2^2 <= |x|_1 |x|_inf,
-    a b-bit limb ||limb||_2^2 <= 4^b size.  The operand with the larger
-    maximum is split first; the other only if 1-bit limbs cannot suffice."""
+    every limb product below 1/4, i.e. ||x||_2^2 ||y||_2^2 < cap.  A whole x
+    has ||x||_2^2 <= |x|_1 |x|_inf, a b-bit limb ||limb||_2^2 <= 4^b size.
+    The operand with the larger maximum is split first, into the widest b
+    with 4^b size |g|_1 |g|_inf < cap; the other only if no b >= 1 fits,
+    both then into the widest b with 4^b size < sqrt(cap)."""
     if fn[1] < gn[1]:
         return _split(gn, fn, size, four_step)[::-1]
-    cap = 1 / (16 * _percival(size, four_step) ** 2)   # need ||x||_2^2 ||y||_2^2 < cap
+    whole, limb = _limb_caps(size, four_step)
     whole_g = gn[0] * gn[1]
-    if fn[0] * fn[1] * whole_g < cap:
+    if fn[0] * fn[1] * whole_g < whole:
         return None, None
-    bits = max((b for b in range(1, 64) if 4 ** b * whole_g * size < cap), default=0)
+    bits = _log4((whole - 1) // (whole_g * size))
     if bits:
         return bits, None
-    bits = max(b for b in range(1, 64) if 4 ** b * size < math.sqrt(cap))
+    bits = _log4((limb - 1) // size)
     return bits, bits
 
 
@@ -448,27 +482,35 @@ def _four_step(shape: tuple[int, ...]) -> bool:
 @functools.cache
 def _twiddles(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(n1, hi, lo) for the four-step of length n = n1 n2, n1 = 2^floor(m/2):
-    hi[k1, u, 0] lo[k1, 0, v] = w^(k1 j2), w = exp(-2 pi i / n), for k1 <= n1/2
-    and j2 = u s + v < n2, s = 2^floor(log2(n2)/2).  Kept per n, read-only:
-    about n1 sqrt(n2) entries, 0.5 MB at 2^20.  k1 j2 < n/2, so each angle
-    -2 pi k1 j2 / n is one rounding from fl(2 pi) and |angle| < pi; with cos
-    and sin to an ulp, each entry is within 6 e of w^(k1 j2), inside _TWIDDLE_ERR."""
+    hi[a, j2] lo[b, j2] = w^(k1 j2), w = exp(-2 pi i / n), for k1 = a t + b
+    <= n1/2 (b < t) and j2 < n2, t = 2^floor(log2(n1/2)/2): rows of n2
+    points, hi[a] = w^(a t j2) for a t <= n1/2, lo[b] = w^(b j2).  Kept per
+    n, read-only: about 2 sqrt(n1/2) n2 entries, 0.8 MB at 2^20.  Every
+    exponent e = a t j2 or b j2 is below (n1/2) n2 = n/2, so each angle
+    -2 pi e / n is one rounding from fl(2 pi) and |angle| < pi; with cos and
+    sin to an ulp, each entry is within 6 e of w^e, inside _TWIDDLE_ERR.  So
+    w^(k1 j2) is applied as two multiplies, each by one entry within
+    _TWIDDLE_ERR of its power of w, which is what _percival counts."""
     n1 = 1 << (n.bit_length() - 1) // 2
-    n2 = n // n1
-    s = 1 << (n2.bit_length() - 1) // 2
-    k1 = np.arange(n1 // 2 + 1)[:, None, None]
+    n2, half = n // n1, n1 // 2
+    t = 1 << (half.bit_length() - 1) // 2
+    j2 = np.arange(n2)[None, :]
     step = -2j * np.pi / n   # exact: n is a power of two
-    hi = np.exp(step * (k1 * np.arange(0, n2, s)[None, :, None]))
-    lo = np.exp(step * (k1 * np.arange(s)[None, None, :]))
+    hi = np.exp(step * (np.arange(0, half + 1, t)[:, None] * j2))
+    lo = np.exp(step * (np.arange(t)[:, None] * j2))
     hi.flags.writeable = lo.flags.writeable = False
     return n1, hi, lo
 
 
 def _twiddle(c: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
-    """Multiply the (n1/2 + 1, n2) array c in place by w^(k1 j2), as two broadcast multiplies."""
-    v = c.reshape(hi.shape[0], hi.shape[1], lo.shape[2])
-    v *= hi
+    """Multiply the (n1/2 + 1, n2) array c in place by w^(k1 j2), row k1 =
+    a t + b by hi[a] and lo[b]: broadcast multiplies over whole rows.  Row
+    n1/2 = a t takes hi[a] alone (lo[0] = 1)."""
+    t = len(lo)
+    v = c[:-1].reshape(len(hi) - 1, t, c.shape[1])
+    v *= hi[:-1, None]
     v *= lo
+    c[-1] *= hi[-1]
 
 
 def _rfft(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -511,24 +553,22 @@ def _abs_squared(c: np.ndarray) -> None:
         np.multiply(np.conjugate(block), block, out=block)
 
 
-def _fft(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
-         corr: bool = False, spectra: dict | None = None) -> np.ndarray:
+def _fft(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None = None) -> np.ndarray:
     """Real-FFT convolution, or correlation with f's spectrum conjugated,
-    exact by the a priori limb split of `_split`: cyclic at the group size
-    for power-of-two moduli, else linear at power-of-two sizes (folded if
-    cyclic).  Operands and product are planes.  One limb each forms the
-    product in f's spectrum, or in g's own for a self-product that spectra
-    does not keep (by _abs_squared for a correlation), and drops every
-    spectrum before the inverse's int64 cast; more are deposited limb pair by
-    limb pair into the product's planes (one plane adds modulo 2^64, exact
-    while B < 2^62) and carried once.  spectra (the caller's, for one g)
-    keeps g's whole spectrum per shape."""
-    same = fa is ga
+    exact by the a priori limb split of `_split` on the tables' norms (their
+    facts): cyclic at the group size for power-of-two moduli, else linear at
+    power-of-two sizes (folded if cyclic).  Operands and product are
+    planes.  One limb each forms the product in f's spectrum, or in g's own
+    for a self-product that spectra does not keep (by _abs_squared for a
+    correlation), and drops every spectrum before the inverse's int64 cast;
+    more are deposited limb pair by limb pair into the product's planes (one
+    plane adds modulo 2^64, exact while B < 2^62) and carried once.  spectra
+    (the caller's, for one g) keeps g's whole spectrum per shape."""
+    fa, ga, moduli, same = tf.planes, tg.planes, _moduli(tf), tf is tg
+    (_, fn), (_, gn) = tf.facts(), tg.facts()
     fs = fa.shape[1:]
     lin = tuple(int(a + b - 1) for a, b in zip(fs, ga.shape[1:]))
     shape = _shape(fs, ga.shape[1:], moduli)
-    fn = _norms(fa)
-    gn = fn if same else _norms(ga)
     fbits, gbits = _split(fn, gn, math.prod(shape), _four_step(shape))
     planes = _count(fn, gn)
     cache = spectra if spectra is not None and gbits is None else {}
@@ -567,16 +607,13 @@ def _fft(fa: np.ndarray, ga: np.ndarray, moduli: tuple[int, ...] | None = None,
 
 def _conv(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None = None) -> ConvTable:
     """Direct iff nnz(f) nnz(g) <= max(2^14, 2 x FFT size), capped at 2^22;
-    else the FFT.  Each operand's nonzeros are counted once (once in all for
-    a self-product); each path reads the norms once and checks the product's
-    mass identity exactly."""
-    grp, fa, ga = tf.group, tf.planes, tg.planes
-    moduli = grp.moduli if grp.is_cyclic else None
-    fnz = np.count_nonzero(_support(fa))
-    pairs = fnz * (fnz if fa is ga else np.count_nonzero(_support(ga)))
+    else the FFT.  Both read the operands' kept facts, so no table's
+    nonzeros or norms are derived twice, and check the product's mass
+    identity exactly."""
+    grp, fa, ga, moduli = tf.group, tf.planes, tg.planes, _moduli(tf)
     size = math.prod(_shape(fa.shape[1:], ga.shape[1:], moduli))
-    direct = pairs <= min(_DIRECT_MAX, max(_DIRECT_MIN, 2 * size))
-    out = _direct(fa, ga, moduli, corr) if direct else _fft(fa, ga, moduli, corr, spectra)
+    direct = tf.facts()[0] * tg.facts()[0] <= min(_DIRECT_MAX, max(_DIRECT_MIN, 2 * size))
+    out = _direct(tf, tg, corr) if direct else _fft(tf, tg, corr, spectra)
     if moduli:
         return ConvTable.of_planes(grp, out)
     # a correlation's lags start at g's offset minus the far corner of f's window
@@ -628,12 +665,16 @@ def _powers(top: ConvTable, base: ConvTable, spectra: dict, steps: int) -> Itera
 
 
 def _at_zero(t: ConvTable) -> int:
-    """The table's entry at the group's zero: the window's cell -offset (a
-    cyclic table's first), 0 off the window."""
-    idx = tuple(-o for o in t.offset)
-    if not all(0 <= i < s for i, s in zip(idx, t.planes.shape[1:])):
-        return 0
-    return sum(int(v) << _R * d for d, v in enumerate(t.planes[(slice(None),) + idx]))
+    """The table's entry at the group's zero: a cyclic table's first, else
+    the window's cell -offset, 0 off the window."""
+    if t.group.is_cyclic:
+        cell = t._flat()[:, 0]
+    else:
+        idx = tuple(-o for o in t.offset)
+        if not all(0 <= i < s for i, s in zip(idx, t.planes.shape[1:])):
+            return 0
+        cell = t.planes[(slice(None),) + idx]
+    return int(cell[0]) if len(cell) == 1 else sum(v << _R * d for d, v in enumerate(cell.tolist()))
 
 
 class _Chain:
@@ -658,7 +699,7 @@ class _Chain:
         committed together once all three exist, so a step that raises leaves
         the last good level in place."""
         for top in _powers(self.top, self.base, self.spectra, k - len(self.t)):
-            t, sigma = _square_sum(top._flat()), _at_zero(top)
+            t, sigma = _square_sum(top._flat(), top.facts()[1][1]), _at_zero(top)
             top.planes.flags.writeable = False
             self.top = top
             self.t.append(t)
@@ -683,49 +724,66 @@ def _chain(a: GSet) -> _Chain:
 # energies
 
 
-def _square_sum(x: np.ndarray) -> int:
-    """sum v^2 over nonnegative D x n planes: one int64 dot where max^2 n
-    < 2^63, else digit dot products.  Digits have w = (63 - bitlen(n)) // 2
-    bits, chosen before any is read, so each of the m (m + 1) / 2 dots sums
-    n products below 2^(2w) < 2^63 / n."""
+def _square_sum(x: np.ndarray, linf: int) -> int:
+    """sum v^2 over nonnegative D x n planes whose entries are at most linf:
+    one int64 dot where linf^2 n < 2^63, else digit dot products.  Digits
+    have w = (63 - bitlen(n)) // 2 bits, chosen before any is read, so each
+    of the m (m + 1) / 2 dots sums n products below 2^(2w) < 2^63 / n."""
     top = x[-1]
-    n, hi = len(top), int(top.max(initial=0))
-    if len(x) == 1 and hi * hi * n < 1 << 63:
+    n = len(top)
+    if len(x) == 1 and linf * linf * n < 1 << 63:
         return int(np.dot(top, top))
     w = (63 - n.bit_length()) // 2
-    d = _digits(x, w, -(-(hi.bit_length() + _R * (len(x) - 1)) // w))
+    d = _digits(x, w, -(-linf.bit_length() // w))
     return sum(int(np.dot(d[i], d[j])) << w * (i + j) + (i < j)
                for i in range(len(d)) for j in range(i, len(d)))
 
 
-def _histogram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(levels, counts), read-only: the distinct positive entries of a flat
-    int64 table in ascending order and their multiplicities, from one
-    bincount.  It is short: every table passed here, A o A and the quotient
-    counts, has entries in [0, |A|].  An object (wide) table or a negative
-    entry raises."""
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Histogram:
+    """Paired nonnegative int64 arrays (levels, counts), zeros and repeats
+    allowed, with their count total and top level taken once: immutable,
+    and it unpacks as (levels, counts)."""
+
+    levels: np.ndarray
+    counts: np.ndarray
+    total: int   # sum of the counts
+    top: int     # the largest level, 0 if none
+
+    @classmethod
+    def of(cls, levels: np.ndarray, counts: np.ndarray) -> "_Histogram":
+        return cls(levels, counts, int(counts.sum()), int(levels.max(initial=0)))
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter((self.levels, self.counts))
+
+
+def _histogram(values: np.ndarray) -> _Histogram:
+    """The distinct positive entries of a flat int64 table in ascending
+    order and their multiplicities, read-only, from one bincount.  It is
+    short: every table passed here, A o A and the quotient counts, has
+    entries in [0, |A|].  An object (wide) table or a negative entry raises."""
     bins = np.bincount(values)
     levels = np.flatnonzero(bins[1:]) + 1
     counts = bins[levels]
     levels.flags.writeable = counts.flags.writeable = False
-    return levels, counts
+    return _Histogram.of(levels, counts)
 
 
-def _moment(hist: tuple[np.ndarray, np.ndarray], k) -> int | float:
-    """sum c v^k over paired nonnegative int64 arrays (v, c), zeros and
-    repeats allowed: one int64 dot while (sum c) max^k < 2^63, else Python
-    ints; for a non-integer k, Python floats summed in the arrays' order (a
-    histogram's ascending levels)."""
+def _moment(hist: _Histogram, k) -> int | float:
+    """sum c v^k over the histogram's pairs (v, c): one int64 dot while
+    total top^k < 2^63, else Python ints; for a non-integer k, Python floats
+    summed in the arrays' order (a histogram's ascending levels)."""
     levels, counts = hist
     if not float(k).is_integer():
         return float(sum(float(c) * float(v) ** k for v, c in zip(levels.tolist(), counts.tolist())))
     k = int(k)
-    if int(counts.sum()) * int(levels.max(initial=0)) ** k < 1 << 63:
+    if hist.total * hist.top ** k < 1 << 63:
         return int(np.dot(counts, levels ** k))
     return sum(c * v ** k for v, c in zip(levels.tolist(), counts.tolist()))
 
 
-def _levels(a: GSet) -> tuple[np.ndarray, np.ndarray]:
+def _levels(a: GSet) -> _Histogram:
     """The histogram of the kept A o A's values, kept on the set under "levels"."""
     t = correlate(a, a)
     return a.kept("levels", lambda: _histogram(t.values()))
@@ -748,7 +806,7 @@ def energy_k_pair(a: GSet, b: GSet, k) -> int | float:
     if not 1 <= k < math.inf:   # NaN fails both comparisons
         raise ValueError(f"energy order must be >= 1 and finite, got {k}")
     points, v = correlate(a, a).support_rows()
-    return _moment((correlate(b, b).values_at(points), v), k - 1)
+    return _moment(_Histogram.of(correlate(b, b).values_at(points), v), k - 1)
 
 
 def t_k(a: GSet, k: int) -> int:
@@ -879,6 +937,6 @@ def energy_profile(a: GSet, ks: Iterable[int]) -> dict:
         "size": n,
         "kappa": {str(k): float(energy_k(a, k)) / n ** (k + 1) for k in sorted(map(int, ks))},
         "delta": n / a.group.order if a.group.is_cyclic else None,
-        "K": int(_levels(a)[1].sum()) / n,
+        "K": _levels(a).total / n,
         "L": len(setops.sumset(a, a)) / n,
     }

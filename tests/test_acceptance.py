@@ -227,14 +227,13 @@ def test_criterion_8_performance():
         r = random.Random(seed)
         x = GSet(g4k, [v for v in range(4096) if r.random() < 0.5])
         y = GSet(g4k, [v for v in range(4096) if r.random() < 0.5])
-        fa = moments.ConvTable.from_gset(x).array
-        fb = moments.ConvTable.from_gset(y).array
-        fft = moments._fft(fa[None], fb[None], g4k.moduli)
-        direct = moments._direct(fa[None], fb[None], g4k.moduli)
+        tx, ty = moments.ConvTable.from_gset(x), moments.ConvTable.from_gset(y)
+        fft = moments._fft(tx, ty)
+        direct = moments._direct(tx, ty)
         spot_ok &= fft is not None and bool((fft == direct).all())
         # the engine's correlation against direct pair sums on the reflected table
-        reflected = np.roll(fa[::-1], 1)   # index -i mod 4096
-        spot_ok &= bool((moments.correlate(x, y).array == moments._direct(reflected[None], fb[None], g4k.moduli)).all())
+        reflected = moments.ConvTable(g4k, np.roll(tx.array[::-1], 1))   # index -i mod 4096
+        spot_ok &= bool((moments.correlate(x, y).array == moments._direct(reflected, ty)).all())
     ok = fft_ok and spot_ok
     _line("criterion 8 (performance)", ok,
           f"GSet + E_2 on Z/65536 density 1/2 in {elapsed:.3f}s (< 2s), "

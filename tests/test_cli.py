@@ -141,6 +141,35 @@ def test_compute_spectrum_csv(tmp_path, capsys):
     assert (code, out, err) == (cli.USAGE_EXIT, "", "error: the DFT needs a finite cyclic product\n")
 
 
+def test_compute_levels_and_spectrum_bodies_byte_for_byte(tmp_path, capsys):
+    # one body, ending in one newline, on stdout and in --out alike; the JSON
+    # carries the values once, with no CSV text beside them
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_set(zset([0, 1, 3]), a)
+    write_set(GSet(cyclic(4), [0, 2]), b)
+    want = {
+        ("levels", a, "--csv"): "rank,value\n1,3\n2,1\n3,1\n4,1\n5,1\n6,1\n7,1\n",
+        ("levels", a, "--json"): ('{\n  "group": "Z",\n  "quantity": "levels",\n  "set_size": 3,\n'
+                                  '  "value": [\n' + ",\n".join(["    3"] + ["    1"] * 6) + "\n  ]\n}\n"),
+        ("spectrum", b, "--csv"): ('xi,re,im,abs\n"0",2.0,0.0,2.0\n"1",0.0,0.0,0.0\n'
+                                   '"2",2.0,0.0,2.0\n"3",0.0,0.0,0.0\n'),
+        ("spectrum", b, "--json"): ('{\n  "group": "Z/4",\n  "quantity": "spectrum",\n  "set_size": 2,\n'
+                                    '  "values": [\n' + ",\n".join(
+                                        f'    [\n      "({x},)",\n      {v}\n    ]'
+                                        for x, v in enumerate((2.0, 0.0, 2.0, 0.0))) + "\n  ]\n}\n"),
+    }
+    for (quantity, path, flag), body in want.items():
+        assert run_cli(capsys, "compute", quantity, "--set", str(path), flag) == (0, body, "")
+        out = tmp_path / "out.txt"
+        assert run_cli(capsys, "compute", quantity, "--set", str(path), flag, "--out", str(out)) == (
+            0, f"{out}\n", "")
+        assert out.read_text(encoding="utf-8") == body
+    # the empty set's level sequence is the header alone
+    empty = tmp_path / "e.txt"
+    write_set(GSet(cyclic(4), []), empty)
+    assert run_cli(capsys, "compute", "levels", "--set", str(empty), "--csv") == (0, "rank,value\n", "")
+
+
 def test_compute_k_defaults_only_when_absent(capsys):
     a = genset.gen(genset.parse_recipe(K_RECIPE))
     for quantity, line in (("Tk", f"T_2(A) = {moments.t_k(a, 2)}"),

@@ -9,7 +9,8 @@ and the chain compute on int64 planes: none of them builds a Python-int
 caller in another part of it, bar a short allow-list with reasons, and no
 module imports a name it never reads.  The float FFT runs only in the
 engine's transforms, a set's kept spectrum (`spectrum._dft`) and the complex
-operator's own."""
+operator's own.  A table's nonzero count and norms are derived in one place,
+`ConvTable.facts`, at most once per table."""
 
 import ast
 from pathlib import Path
@@ -220,6 +221,53 @@ def test_object_array_guard_sees_each_form(tmp_path):
     assert object_array_uses(bad) == ["_total:2 object", "_fft:4 object", "_Chain:8 object",
                                       "_direct:10 object"]
     assert object_array_uses(bad, GRAM_ONLY) == ["_gram:18 object"]
+
+
+FACT_HOME = "ConvTable.facts"   # where a table's nonzero count and norms are first derived
+
+
+def fact_derivations(path: Path) -> list[str]:
+    """Every call of `_norms` or `count_nonzero` in a module, as
+    `where:line name`, where is the top-level function or `Class.method` it
+    sits in (a nested function or lambda counts as its owner's)."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owners = ([(f"{top.name}.{m.name}", m) for m in top.body if isinstance(m, ast.FunctionDef)]
+                  if isinstance(top, ast.ClassDef) else [(getattr(top, "name", "<module>"), top)])
+        for where, owner in owners:
+            for node in ast.walk(owner):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in ("_norms", "count_nonzero"):
+                    found.append(f"{where}:{node.lineno} {name}")
+    return found
+
+
+def test_table_facts_are_derived_in_one_place():
+    uses = fact_derivations(SRC / "moments.py")
+    assert [use for use in uses if not use.startswith(FACT_HOME + ":")] == []
+    # the guard reads the one home: a nonzero count and the norms
+    assert sorted(use.rsplit(" ", 1)[1] for use in uses) == ["_norms", "count_nonzero"]
+
+
+def test_fact_guard_sees_each_form(tmp_path):
+    bad = tmp_path / "moments.py"
+    bad.write_text("class ConvTable:\n"
+                   "    def facts(self):\n"
+                   "        return np.count_nonzero(self.planes), _norms(self.planes)\n"
+                   "    def trimmed(self):\n"
+                   "        return _norms(self.planes)\n"
+                   "def _fft(f, g):\n"
+                   "    fn = _norms(f)\n"
+                   "    return numpy.count_nonzero(g)\n"
+                   "def _conv(tf, tg):\n"
+                   "    nz = lambda t: count_nonzero(_support(t.planes))\n"
+                   "    return moments._norms(tg.planes), nz(tf)\n"
+                   "ok = np.flatnonzero(x)\n")
+    assert fact_derivations(bad) == [
+        "ConvTable.facts:3 count_nonzero", "ConvTable.facts:3 _norms", "ConvTable.trimmed:5 _norms",
+        "_fft:7 _norms", "_fft:8 count_nonzero", "_conv:10 count_nonzero", "_conv:11 _norms"]
 
 
 # Top-level names that no code in the package reaches, each kept for a reason.

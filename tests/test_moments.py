@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -362,10 +363,9 @@ def test_fft_equals_direct_500_instances():
         g = cyclic(n)
         a = GSet(g, rng.sample(range(n), rng.randint(2, 48)))
         b = GSet(g, rng.sample(range(n), rng.randint(2, 48)))
-        fa = ConvTable.from_gset(a).array
-        fb = ConvTable.from_gset(b).array
-        fft = moments._fft(fa[None], fb[None], g.moduli)
-        direct = moments._direct(fa[None], fb[None], g.moduli)
+        ta, tb = ConvTable.from_gset(a), ConvTable.from_gset(b)
+        fft = moments._fft(ta, tb)
+        direct = moments._direct(ta, tb)
         assert fft is not None
         assert (fft == direct).all(), f"instance {i} diverged"
 
@@ -375,9 +375,8 @@ def test_fft_multidim_and_lattice_paths():
     g = cyclic(32, 32)  # order 1024 >= threshold
     a = GSet(g, [oracles.from_flat(g.moduli, v) for v in rng.sample(range(1024), 40)])
     b = GSet(g, [oracles.from_flat(g.moduli, v) for v in rng.sample(range(1024), 40)])
-    fa, fb = ConvTable.from_gset(a).array, ConvTable.from_gset(b).array
-    assert (moments._fft(fa[None], fb[None], g.moduli) ==
-            moments._direct(fa[None], fb[None], g.moduli)).all()
+    ta, tb = ConvTable.from_gset(a), ConvTable.from_gset(b)
+    assert (moments._fft(ta, tb) == moments._direct(ta, tb)).all()
     # lattice windows: shift far from the origin, exactness preserved
     z = lattice(1)
     a = GSet(z, [x + 1000 for x in rng.sample(range(100), 20)])
@@ -598,7 +597,7 @@ def test_moment_matches_python_ints_on_every_branch():
         for counts, wide in (([1, 1, n - 2], False), ([n], False), ([1, 1, n - 1], True), ([n + 1], True)):
             levels = [1, 2, top][-len(counts):]
             assert (sum(counts) * top ** k >= 1 << 63) == wide
-            hist = np.array(levels, dtype=np.int64), np.array(counts, dtype=np.int64)
+            hist = moments._Histogram.of(np.array(levels, dtype=np.int64), np.array(counts, dtype=np.int64))
             got = moments._moment(hist, k)
             assert type(got) is int and got == sum(c * v ** k for v, c in zip(levels, counts))
             assert moments._moment(hist, float(k)) == got
@@ -619,7 +618,7 @@ def test_moment_matches_python_ints_on_every_branch():
         for rest, wide in ((n - 8, False), (n - 7, True)):
             counts = [rest - 1, 4, 3, 1, 0, 1]
             assert (sum(counts) * top ** k >= 1 << 63) == wide
-            pair = np.array(levels, dtype=np.int64), np.array(counts, dtype=np.int64)
+            pair = moments._Histogram.of(np.array(levels, dtype=np.int64), np.array(counts, dtype=np.int64))
             got = moments._moment(pair, k)
             assert type(got) is int and got == sum(c * v ** k for v, c in zip(levels, counts))
             assert moments._moment(pair, 0) == sum(counts)
@@ -627,7 +626,7 @@ def test_moment_matches_python_ints_on_every_branch():
     w, v = rng.integers(0, 40, 500), rng.integers(0, 9, 500)
     for k in (0.5, 1.5, 2.5):
         want = float(sum(float(c) * float(x) ** k for x, c in zip(w.tolist(), v.tolist())))
-        assert moments._moment((w, v), k) == want
+        assert moments._moment(moments._Histogram.of(w, v), k) == want
 
 
 BOUNDARY_VALUES = [0, 1, -1, 5, -7, (1 << 31) - 1, 1 << 31, 3037000499, 3037000500, (1 << 32) - 1,
@@ -658,7 +657,7 @@ def test_planes_round_trip_python_ints():
         assert t.argmax() == ((values.index(max(values)),), max(values))
         assert t.to_csv().splitlines()[1:] == [f'"{x}",{v}' for x, v in enumerate(values) if v]
         nonneg = moments._cut(np.array([max(v, 0) for v in values], dtype=object))
-        assert moments._square_sum(nonneg) == sum(v * v for v in values if v > 0)
+        assert moments._square_sum(nonneg, max(values)) == sum(v * v for v in values if v > 0)
         # a product with the unit at 0 hands the same values back, in either order
         unit = table_of(g, {(0,): 1})
         assert convolve(t, unit).array.tolist() == values
@@ -693,11 +692,11 @@ def test_square_sums_at_the_boundaries():
         for n in (1, 2, 1000):
             values = np.minimum(top - rng.integers(0, 3, n), top).astype(np.int64)
             values[0] = top
-            assert moments._square_sum(values[None]) == sum(int(v) ** 2 for v in values.tolist())
+            assert moments._square_sum(values[None], top) == sum(int(v) ** 2 for v in values.tolist())
     nonneg = [v for v in BOUNDARY_VALUES if v >= 0]
     for values in (nonneg, nonneg * 50):
         planes = moments._cut(np.array(values, dtype=object))
-        assert moments._square_sum(planes) == sum(v * v for v in values)
+        assert moments._square_sum(planes, max(values)) == sum(v * v for v in values)
 
 
 def wide_chains():
@@ -846,6 +845,48 @@ def test_limb_plan():
     assert gbits is None and (lv.bit_length() - 1) // bits == 1   # f in two limbs
 
 
+def scan_split(fn, gn, size, four_step=False):
+    """The limb widths by a scan over b = 1..63 against the float cap: the
+    reference for `_split`'s bit arithmetic."""
+    if fn[1] < gn[1]:
+        return scan_split(gn, fn, size, four_step)[::-1]
+    cap = 1 / (16 * moments._percival(size, four_step) ** 2)
+    whole_g = gn[0] * gn[1]
+    if fn[0] * fn[1] * whole_g < cap:
+        return None, None
+    bits = max((b for b in range(1, 64) if 4 ** b * whole_g * size < cap), default=0)
+    if bits:
+        return bits, None
+    bits = max(b for b in range(1, 64) if 4 ** b * size < math.sqrt(cap))
+    return bits, bits
+
+
+def test_split_by_bit_arithmetic_matches_the_scan():
+    # sizes 2^4..2^22, four-step on and off, operand maxima of 1 to 62 bits
+    # with norms |x|_1 up to size |x|_inf; and products that sit one below
+    # and at each integer threshold
+    rng = random.Random(139)
+    for m in range(4, 23):
+        size = 1 << m
+        for four_step in (False, True):
+            norms = []
+            for b in range(1, 63):
+                linf = rng.randrange(1 << b - 1, 1 << b)
+                l1 = linf * rng.randrange(1, size + 1)
+                norms.append((l1, linf, l1))
+            cases = [(f, g) for f in norms for g in rng.sample(norms, 3)]
+            whole, limb = moments._limb_caps(size, four_step)
+            for w in (whole - 1, whole):   # fn[0] fn[1] |g|_1 |g|_inf against the cap
+                cases.append(((w, 1, w), (1, 1, 1)))
+            for b in (1, 7, 20, 35):       # 4^b size |g|_1 |g|_inf against the cap
+                g1 = (whole - 1) // (4 ** b * size)
+                for g in (g1, g1 + 1):
+                    if g:
+                        cases.append(((1 << 62, 1 << 62, 1 << 62), (g, 1, g)))
+            for f, g in cases:
+                assert moments._split(f, g, size, four_step) == scan_split(f, g, size, four_step), (m, f, g)
+
+
 def recording_twiddles(monkeypatch):
     """The lengths at which the four-step runs, one per transform."""
     seen = []
@@ -926,16 +967,22 @@ def test_four_step_twiddles_within_stated_accuracy():
     for m in (15, 16, 20, 21):
         n = 1 << m
         n1, hi, lo = moments._twiddles(n)
-        n2, s, rows = n // n1, lo.shape[2], n1 // 2 + 1
-        assert n1 == 1 << m // 2 and hi.shape == (rows, n2 // s, 1) and lo.shape == (rows, 1, s)
-        assert hi.size + lo.size <= 3 * rows * math.isqrt(n2)   # no n/2-entry table
-        k1 = np.arange(rows)[:, None, None]
-        for table, e in ((hi, k1 * np.arange(0, n2, s)[None, :, None]),
-                         (lo, k1 * np.arange(s)[None, None, :])):
+        n2, half, t = n // n1, n1 // 2, len(lo)
+        assert n1 == 1 << m // 2 and hi.shape == (half // t + 1, n2) and lo.shape == (t, n2)
+        assert len(hi) + len(lo) <= 3 * math.isqrt(n1)   # rows of n2 points, no n/2-entry table
+        j2 = np.arange(n2)[None, :]
+        for table, e in ((hi, np.arange(0, half + 1, t)[:, None] * j2), (lo, np.arange(t)[:, None] * j2)):
+            assert e.max() < n // 2
             angle = -2 * pi * e.astype(np.longdouble) / n
             err = np.hypot((table.real - np.cos(angle)).astype(np.float64),
                            (table.imag - np.sin(angle)).astype(np.float64))
             assert err.max() <= moments._TWIDDLE_ERR
+        # every row k1 <= n1/2 is multiplied by w^(k1 j2): by two entries, or one for k1 = n1/2
+        c = np.ones((half + 1, n2), dtype=np.complex128)
+        moments._twiddle(c, hi, lo)
+        angle = -2 * pi * (np.arange(half + 1)[:, None] * j2).astype(np.longdouble) / n
+        err = np.hypot((c.real - np.cos(angle)).astype(np.float64), (c.imag - np.sin(angle)).astype(np.float64))
+        assert err.max() <= 2 * moments._TWIDDLE_ERR + 2 ** -52
 
 
 @pytest.mark.parametrize("n, size", [(4096, 1500), (1 << 15, 3000)])
@@ -1049,6 +1096,95 @@ def test_histogram_refuses_wide_and_negative_tables():
         moments._histogram(wide.values())
     with pytest.raises(ValueError):
         moments._histogram(np.array([0, 2, -1, 2]))
+
+
+def test_kept_histogram_carries_its_total_and_top():
+    # the count total is |A - A| and the top level max (A o A) = |A|, taken
+    # once when the histogram is built; the summary cannot be rebound
+    rng = random.Random(137)
+    for a in (zset([0, 1, 3]), GSet(cyclic(2048), rng.sample(range(2048), 300)),
+              GSet(lattice(2), [(0, 0), (1, 2), (3, 1), (-2, 5)])):
+        h = moments._levels(a)
+        assert (h.total, h.top) == (int(h.counts.sum()), int(h.levels.max())) == (
+            len(setops.diffset(a, a)), len(a))
+        assert moments._levels(a) is h
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.total = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.levels = h.levels.copy()
+        assert not h.levels.flags.writeable and not h.counts.flags.writeable
+    empty = moments._histogram(np.zeros(3, dtype=np.int64))
+    assert (empty.total, empty.top) == (0, 0)
+
+
+def fresh_facts(t):
+    """A table's nonzero count and norms, derived from its planes now."""
+    return int(np.count_nonzero(moments._support(t.planes))), moments._norms(t.planes)
+
+
+def test_carried_facts_equal_the_planes_on_every_path(monkeypatch):
+    # every operand an engine path reads carries facts equal to a fresh
+    # derivation from its planes, and so does every product
+    seen = []
+    for name in ("_direct", "_fft"):
+        real = getattr(moments, name)
+        monkeypatch.setattr(moments, name, lambda tf, tg, *rest, _r=real, _n=name:
+                            seen.append((_n, tf, tg)) or _r(tf, tg, *rest))
+    rng = random.Random(127)
+    z64, z1024, z4096 = cyclic(64), cyclic(1024), cyclic(4096)
+    ones = lambda g, points, span=None: GSet(g, list(weighted(rng, g, points, 0, span)))
+    wide = {p: rng.choice((-1, 1)) * rng.randrange(1 << 64, 1 << 66) for p in weighted(rng, z1024, 300, 0)}
+    cases = [
+        ("direct 0/1", "_direct", lambda: convolve(ones(z64, 10), ones(z64, 12))),
+        ("direct weighted", "_direct", lambda: convolve(table_of(z64, weighted(rng, z64, 10, 20)),
+                                                        ones(z64, 12))),
+        ("direct wide", "_direct", lambda: convolve(table_of(z64, {(0,): 1 << 70, (5,): -3}, dtype=object),
+                                                    table_of(z64, weighted(rng, z64, 12, 30)))),
+        ("FFT one limb", "_fft", lambda: convolve(ones(z1024, 300), ones(z1024, 300))),
+        ("FFT limbs", "_fft", lambda: convolve(table_of(z4096, weighted(rng, z4096, 3000, 40)),
+                                               table_of(z4096, weighted(rng, z4096, 3000, 38)))),
+        ("wide planes", "_fft", lambda: convolve(table_of(z1024, wide, dtype=object), ones(z1024, 300))),
+        ("lattice window", "_fft", lambda: conv_power(ones(lattice(2), 240, 20), 3)),
+        ("lattice direct", "_direct", lambda: conv_power(ones(lattice(1), 40, 30), 3)),
+        ("correlation", "_fft", lambda: correlate(ones(z1024, 300), table_of(z1024, weighted(rng, z1024, 300, 20)))),
+        ("lattice correlation", "_direct", lambda: correlate(ones(lattice(1), 40, 30), ones(lattice(1), 30, 30))),
+    ]
+    for name, path, product in cases:
+        seen.clear()
+        out = product()
+        assert seen and {p for p, _, _ in seen} == {path}, name
+        if name == "wide planes":
+            assert len(seen[0][1].planes) == 3
+        for t in [x for _, tf, tg in seen for x in (tf, tg)]:
+            assert t._facts is not None and t.facts() == fresh_facts(t), name
+        assert out.facts() == fresh_facts(out), name
+    # a set's table is born with (|A|, (|A|, 1, |A|)), the empty set's with zeros
+    for g in (z64, cyclic(4, 8), lattice(1), lattice(2)):
+        for a in (ones(g, 9, 5), GSet(g, [])):
+            t = ConvTable.from_gset(a)
+            assert t._facts == fresh_facts(t) == (len(a), (len(a), min(len(a), 1), len(a)))
+
+
+def test_chain_steps_derive_each_table_fact_once(monkeypatch):
+    # level j's table is the only one whose norms a step to level j derives:
+    # the base's are known from the set, the top's were derived with its T_j;
+    # the limb plan is built once per transform size
+    derived, plans = [], []
+    real_norms, real_percival = moments._norms, moments._percival
+    monkeypatch.setattr(moments, "_norms", lambda x: derived.append(x) or real_norms(x))
+    monkeypatch.setattr(moments, "_percival", lambda *a: plans.append(a) or real_percival(*a))
+    moments._limb_caps.cache_clear()
+    rng = random.Random(131)
+    for n in (1024, 1024, 4096, 1 << 15):
+        a = GSet(cyclic(n), rng.sample(range(n), n // 2))
+        derived.clear()
+        chain = moments._chain(a)
+        for k in range(2, 7):
+            assert t_k(a, k) == chain.t[k - 1]
+            assert len(derived) == k - 1 and derived[-1] is chain.top.planes
+        assert all(x is not chain.base.planes for x in derived)
+        assert len({id(x) for x in derived}) == len(derived)
+    assert plans == [(1024, False), (4096, False), (1 << 15, True)]
 
 
 def test_table_csv_export():

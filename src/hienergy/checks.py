@@ -10,7 +10,6 @@ integers (cross-multiplied where the statement divides)."""
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -41,9 +40,6 @@ class CheckResult:
     hard: bool = True
     witness: object = None
     tolerance: float = 0.0
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def _ratio(lhs, rhs) -> float:
@@ -838,10 +834,17 @@ class SuiteReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps({"results": [r.as_dict() for r in self.results],
-                           "errors": self.errors,
-                           "summary": self.summary()},
-                          indent=2, sort_keys=True, default=str)
+        """The text json.dumps({"results", "errors", "summary"}, indent=2,
+        sort_keys=True, default=str) gives, with one string per result row
+        (groups.dumps_json on the row's own fields at depth 2) and one join."""
+        pieces = ['{\n  "errors": ' + groups.dumps_json(self.errors, 1) + ',\n  "results": [']
+        sep = "\n    "
+        for r in self.results:
+            pieces.append(sep + groups.dumps_json(r.__dict__, 2))
+            sep = ",\n    "
+        pieces.append(("\n  ]" if self.results else "]")
+                      + ',\n  "summary": ' + groups.dumps_json(self.summary(), 1) + "\n}")
+        return "".join(pieces)
 
     def to_csv(self) -> str:
         lines = ["check_id,instances,failures,max_ratio"]

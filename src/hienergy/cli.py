@@ -49,7 +49,7 @@ def _emit(args, payload: dict, text_lines: list[str], table: str | None = None) 
     is printed): the payload under --json, the CSV table under --csv where
     the quantity has one, else the text lines."""
     if getattr(args, "json", False):
-        body = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+        body = groups.dumps_json(payload) + "\n"
     elif getattr(args, "csv", False) and table is not None:
         body = table
     else:
@@ -165,9 +165,10 @@ def _run_checks(args, instances: list, caps: Caps) -> int:
     if args.report:
         _write(args.report, report.to_json())
         print(args.report)
+    csv = report.to_csv()
     if getattr(args, "csv", None):
-        _write(args.csv, report.to_csv())
-    print(report.to_csv(), end="")
+        _write(args.csv, csv)
+    print(csv, end="")
     return _exit_code(report)
 
 

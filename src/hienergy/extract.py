@@ -39,7 +39,6 @@ turns the small-T_3 slice scores into one gather, with
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -79,7 +78,7 @@ class ExtractionReport:
         self.outputs[name] = a.coords.tolist()
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True)
+        return groups.dumps_json(self.__dict__)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +148,9 @@ def robust_core(member: np.ndarray, delta: float) -> list[int]:
     n, m = member.shape
     j_set, _ = _select(member, inter, delta, eta=1 / 8)
     strong = inter >= delta * delta * m / 16  # 2^-4 delta^2 m
-    need = 0.75 * len(j_set)
-    core = [i for i in j_set if strong[i, j_set].sum() >= need]
+    # each member's strong partners inside J
+    partners = strong[np.ix_(j_set, j_set)].sum(axis=1)
+    core = np.array(j_set)[partners >= 0.75 * len(j_set)].tolist()
     if len(core) < delta * n / 32 * (1 - 1e-12):
         raise InvariantError("robust core fell below 2^-5 delta n")
     partner_floor = delta * n / 4
@@ -251,7 +251,10 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
     shifts = p_set.coords[order[:6]]
     # the slices A_s and P_s = P n (P - s) of every sampled shift, one family each
     a_family, p_family = setops.slice_masks(a, shifts), setops.slice_masks(p_set, shifts)
-    for s, s_row, a_row, p_row in zip(shifts.tolist(), shifts[:, None], a_family, p_family):
+    # E(A_s, A) for every shift, one gather of the kept A o A
+    e_pairs = _slice_energies(a, a_family).tolist()
+    for s, s_row, a_row, p_row, e_pair in zip(shifts.tolist(), shifts[:, None], a_family,
+                                              p_family, e_pairs):
         a_s = a.subset(a_row)
         # x in A_s puts x + s in A; with u = x - y (y in A), y lies in
         # S_x n S_(x+s) iff u and u + s are in P, so every such u is in P n (P - s)
@@ -260,8 +263,7 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
         incidence = int(both.sum())
         union = GSet(g, u[both])
         contained = union.issubset(p_set.subset(p_row))
-        e_pair = moments.energy_k_pair(a_s, a, 2) if a_s else 1
-        cs_ok = len(union) * e_pair >= incidence ** 2
+        cs_ok = len(union) * (e_pair if a_s else 1) >= incidence ** 2
         # (P o P)(s) = |P n (P - s)|
         pp_ok = int(moments.correlate(p_set, p_set).values_at(s_row)[0]) >= len(union)
         checks.append({"s": list(s), "contained": contained, "cs_ok": cs_ok, "pp_ok": pp_ok,
@@ -466,17 +468,16 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200,
     seq_ids, xs = np.nonzero(member)
     floors = _approximation_floors(shifts, bb, n, nb, d_sq)
     member[seq_ids, xs] = _overlaps(shifts[seq_ids], bd, a.coords[xs]) >= floors[seq_ids]
-    sets = [a.subset(row) for row in member]
     sizes = setops.family_sumset_sizes(a, member, member)   # |A'_s - A'_t| for every pair
     if not sizes.any():
         raise ExtractionError("all sampled shift slices were empty")
-    i0, j0 = divmod(int(np.argmax(sizes)), len(sets))   # the first maximum in (i, j) order
-    t_raw = setops.diffset(sets[i0], sets[j0])
+    i0, j0 = divmod(int(np.argmax(sizes)), len(member))   # the first maximum in (i, j) order
+    t_raw = setops.diffset(a.subset(member[i0]), a.subset(member[j0]))
     if not corr.values_at(t_raw.coords).all():
         raise InvariantError("periods must come from A - A")
     rep.add_stage("shifts", sampled=len(shifts), pair=[i0, j0],
                   shift_s0=shifts[i0].tolist(), shift_t0=shifts[j0].tolist(),
-                  slice_sizes=[len(s) for s in sets])
+                  slice_sizes=member.sum(axis=1).tolist())
 
     # every member of T against the 32|A|^2|B|/k budget, from one correlation of A*B
     budget = 32 * n * n * nb

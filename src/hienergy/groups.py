@@ -4,7 +4,8 @@ The package computes on elements as the rows of an int64 matrix (see
 gset); this module describes the ambient group and parses and formats
 single elements as coordinate tuples, for input and output.  ``zero`` is
 the tuple zero and ``op_add`` the tuple form of the group law, kept for
-callers outside the package.  For a cyclic product Z/n_1 x ... x Z/n_d
+callers outside the package.  ``dumps_json`` writes every pretty JSON
+output of the package.  For a cyclic product Z/n_1 x ... x Z/n_d
 coordinates are kept reduced into [0, n_i); for the lattice Z^d they are
 arbitrary integers.  The dual of a cyclic product is identified with the
 group itself through the pairing xi.x = sum_i xi_i x_i / n_i.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 Elem = tuple[int, ...]
@@ -132,3 +134,64 @@ def parse_elem(g: GroupSpec, text: str) -> Elem:
     if len(coords) != g.dim:
         raise GroupError(f"element {coords!r} has {len(coords)} coordinates, group {g} needs {g.dim}")
     return tuple(c % n for c, n in zip(coords, g.moduli)) if g.is_cyclic else coords
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        return '"' + _json_float(key) + '"'
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def dumps_json(value, level: int = 0) -> str:
+    """The text json.dumps(value, indent=2, sort_keys=True, default=str)
+    gives, for a value nested `level` containers deep: the same tests in the
+    same order (str, None, bool, int, float, list or tuple, dict, else
+    str(value)), the same escapes and number texts, and the TypeError of
+    unsortable or non-scalar keys.  Each container's text is built as one
+    string from its items' texts, with no generator or chunk per value.  It
+    does not detect a reference cycle."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        pad = "\n" + "  " * (level + 1)
+        items = [dumps_json(v, level + 1) for v in value]
+        return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        pad = "\n" + "  " * (level + 1)
+        items = [_json_key(k) + ": " + dumps_json(v, level + 1) for k, v in sorted(value.items())]
+        return "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
+    return dumps_json(str(value), level)

@@ -42,12 +42,14 @@ besides that only T_k's cross-check is validated after the fact.  The limb
 thresholds are planned once per transform size.  A o A of a GSet is built
 once and kept on the set (see the gset module), read-only, and so is the
 histogram of its values, from one bincount, with its count total and top
-level: every E_k (its k-th moment), the level sequence and |A - A| read
-the histogram, the Gram (B o B)^k reads the table, and E_k(A, B) is a
-moment of the two kept tables, taken on every call.  Its chain is kept the same way: each level
-A^(*j) is built once per set, by one engine call on the level below, and
-leaves T_j and sigma_j behind; the set keeps only the top level and the
-base's spectra, which on a cyclic group T_k's cross-check reuses: the
+level, and its square sum E_2 from the first read of an order k >= 2
+(top^(k-2) E_2 bounds E_k): every E_k (its k-th moment), the level
+sequence and |A - A| read the histogram, the Gram (B o B)^k reads the
+table, and E_k(A, B) is a moment of the two kept tables, taken on every
+call.  Its chain is kept the same way: each level A^(*j) is built once per
+set, by one engine call on the level below, and leaves T_j and sigma_j
+behind; the set keeps only the top level and the base's spectra, which on
+a cyclic group T_k's cross-check reuses: the
 nonzero frequencies, weighted for the half-spectrum's layout, must sum to
 N T_k - |A|^(2k).  On a power-of-two cyclic group, with one limb per
 operand, T_1..T_k and sigma_1..sigma_k together cost 2k - 2 real FFTs per set.
@@ -743,7 +745,8 @@ def _square_sum(x: np.ndarray, linf: int) -> int:
 class _Histogram:
     """Paired nonnegative int64 arrays (levels, counts), zeros and repeats
     allowed, with their count total and top level taken once: immutable,
-    and it unpacks as (levels, counts)."""
+    and it unpacks as (levels, counts).  Its square sum is taken at most
+    once, on first read."""
 
     levels: np.ndarray
     counts: np.ndarray
@@ -756,6 +759,16 @@ class _Histogram:
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter((self.levels, self.counts))
+
+    @property
+    def square(self) -> int:
+        """sum c v^2, at most total top^2, kept from its first read in a
+        plain dict entry (a cached_property's first read costs about as
+        much as the dot on a short histogram)."""
+        kept = self.__dict__
+        if "_square" not in kept:
+            kept["_square"] = _power_dot(self, 2, self.total * self.top ** 2)
+        return kept["_square"]
 
 
 def _histogram(values: np.ndarray) -> _Histogram:
@@ -770,17 +783,32 @@ def _histogram(values: np.ndarray) -> _Histogram:
     return _Histogram.of(levels, counts)
 
 
+def _power_dot(hist: _Histogram, k: int, bound: int) -> int:
+    """sum c v^k for an integer k >= 0, given a bound on the sum: one int64
+    dot below 2^63, else Python ints.  A level whose count is 0 may wrap in
+    levels^k; its product is 0 all the same, and every other term and
+    partial sum is at most the sum."""
+    if bound < 1 << 63:
+        return int(np.dot(hist.counts, hist.levels ** k))
+    return sum(c * v ** k for v, c in zip(hist.levels.tolist(), hist.counts.tolist()))
+
+
 def _moment(hist: _Histogram, k) -> int | float:
-    """sum c v^k over the histogram's pairs (v, c): one int64 dot while
-    total top^k < 2^63, else Python ints; for a non-integer k, Python floats
-    summed in the arrays' order (a histogram's ascending levels)."""
-    levels, counts = hist
+    """sum c v^k over the histogram's pairs (v, c): one int64 dot while the
+    sum is bounded below 2^63, by total top^k or, for k > 2 where that
+    bound fails, by top^(k-2) sum c v^2 (as v <= top), else Python ints;
+    for a non-integer k, Python floats summed in the arrays' order (a
+    histogram's ascending levels)."""
     if not float(k).is_integer():
+        levels, counts = hist
         return float(sum(float(c) * float(v) ** k for v, c in zip(levels.tolist(), counts.tolist())))
     k = int(k)
-    if hist.total * hist.top ** k < 1 << 63:
-        return int(np.dot(counts, levels ** k))
-    return sum(c * v ** k for v, c in zip(levels.tolist(), counts.tolist()))
+    if k == 2:
+        return hist.square
+    bound = hist.total * hist.top ** k
+    if k > 2 and bound >= 1 << 63:
+        bound = hist.top ** (k - 2) * hist.square
+    return _power_dot(hist, k, bound)
 
 
 def _levels(a: GSet) -> _Histogram:

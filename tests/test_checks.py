@@ -1,7 +1,9 @@
 import hashlib
 import itertools
+import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,11 +215,47 @@ def test_suite_report_formats():
     rep = run_suite(insts, ["C1", "C4"])
     csv = rep.to_csv()
     assert csv.splitlines()[0] == "check_id,instances,failures,max_ratio"
-    import json
-
     parsed = json.loads(rep.to_json())
     assert set(parsed) == {"results", "errors", "summary"}
     assert parsed["summary"]["C4"]["failures"] == 0
+
+
+def _stdlib_report(rep) -> str:
+    return json.dumps({"results": [dict(r.__dict__) for r in rep.results], "errors": rep.errors,
+                       "summary": rep.summary()}, indent=2, sort_keys=True, default=str)
+
+
+def test_suite_report_json_is_the_stdlib_text():
+    # one string per row at depth 2, joined once, gives the bytes json.dumps gave,
+    # with rows, errors and the summary each empty or not
+    insts = checks.standard_corpus(seed=3, cyclic_count=2, lattice_count=1)
+    rep = run_suite(insts, ["C1", "C4", "C18"])
+    assert rep.results and rep.to_json() == _stdlib_report(rep)
+    rep.errors.append({"check": "C1", "instance": "x", "error": "cap: \u00e9"})
+    assert rep.to_json() == _stdlib_report(rep)
+    for part in (checks.SuiteReport(errors=rep.errors), checks.SuiteReport(results=rep.results[:1]),
+                 checks.SuiteReport()):
+        assert part.to_json() == _stdlib_report(part)
+
+
+def test_suite_report_json_peaks_near_its_length():
+    # the standard suite's report: the rows' strings and one join, at most 2.5 times
+    # the text (json.dumps over copied rows peaked at 8.2 times)
+    instances = (checks.standard_corpus(seed=2024, cyclic_count=30, lattice_count=3)
+                 + checks.basis_instances() + checks.subgroup_instances()
+                 + checks.intset_instances())
+    rep = run_suite(instances, sorted(checks.REGISTRY))
+    assert len(rep.results) == 3572
+    tracemalloc.start()
+    try:
+        text = rep.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.isascii() and peak <= 2.5 * len(text)
+    # the bytes of `hienergy suite --standard --count 30 --report`
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "6cd7a6a705cab1b6a157534dee1346f6aece0deda2669452f233f22f7c4045b3")
 
 
 def test_standard_corpus_deterministic():

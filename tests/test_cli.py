@@ -219,6 +219,16 @@ def test_verify_report_files(tmp_path, capsys):
     assert summary.read_text().startswith("check_id,")
 
 
+def test_verify_renders_the_csv_summary_once(tmp_path, capsys, monkeypatch):
+    rendered, real = [], checks.SuiteReport.to_csv
+    monkeypatch.setattr(checks.SuiteReport, "to_csv", lambda rep: rendered.append(rep) or real(rep))
+    summary = tmp_path / "rep.csv"
+    code, out, _ = run_cli(capsys, "verify", "--checks", "C1,C4",
+                           "--recipe", "random:N=64,delta=0.2,seed=3", "--csv", str(summary))
+    assert code == 0 and len(rendered) == 1
+    assert out == summary.read_text() == real(rendered[0])
+
+
 def test_extract_cli(tmp_path, capsys):
     ap = tmp_path / "ap.txt"
     run_cli(capsys, "gen", "interval:n=16,N=64", "--out", str(ap))

@@ -130,6 +130,22 @@ def test_robust_core_postconditions_random():
                 assert partners >= delta * n / 4 * (1 - 1e-9)
 
 
+def test_robust_core_matches_the_per_row_loop():
+    # one block sum over J x J gives the core the per-member loop gave, in J's order
+    rng = random.Random(13)
+    for trial in range(12):
+        m = rng.randint(8, 20)
+        fam = [zset(rng.sample(range(m), rng.randint(m // 2, m))) for _ in range(rng.randint(4, 18))]
+        member = member_of(fam, zset(range(m)))
+        n = len(fam)
+        delta = math.sqrt(int((member.sum(axis=0) ** 2).sum()) / (m * n * n))
+        inter = _intersections(member)
+        j_set, _ = _select(member, inter, delta, eta=1 / 8)
+        strong = inter >= delta * delta * m / 16
+        want = [i for i in j_set if strong[i, j_set].sum() >= 0.75 * len(j_set)]
+        assert robust_core(member, delta) == want
+
+
 def test_robust_core_two_cluster_family():
     # two far-apart clusters: the core must stay inside one of them
     universe = zset(range(20))
@@ -219,6 +235,25 @@ def test_bsg_v2_transfer_samples_are_not_vacuous():
                        and oracles.sub(mods, oracles.add(mods, x, s), y) in p)
             assert smp["incidence"] == want > 0
             assert smp["contained"] and smp["cs_ok"] and smp["pp_ok"]
+
+
+def test_bsg_v2_transfer_energies_come_from_one_gather(monkeypatch):
+    # E(A_s, A) for every sampled shift is one _slice_energies call, equal to
+    # energy_k_pair on each built slice; no pair energy is built per shift
+    rng = random.Random(67)
+    for a in (zset(range(16)), GSet(cyclic(64), rng.sample(range(64), 16)),
+              GSet(lattice(2), [(x, y) for x in range(4) for y in range(3)])):
+        gathered, real = [], extract._slice_energies
+        monkeypatch.setattr(extract, "_slice_energies",
+                            lambda b, member: gathered.append((b, member)) or real(b, member))
+        monkeypatch.setattr(moments, "energy_k_pair", None)
+        rep = bsg_extract_v2(a, 1.0)
+        monkeypatch.undo()
+        assert len(gathered) == 1 and gathered[0][0] is a
+        member = gathered[0][1]
+        samples = next(s for s in rep.stages if s["stage"] == "transfer_checks")["samples"]
+        assert len(member) == len(samples) > 0
+        assert real(a, member).tolist() == [moments.energy_k_pair(a.subset(row), a, 2) for row in member]
 
 
 def test_find_configuration_matches_brute_force():

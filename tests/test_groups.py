@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,3 +106,78 @@ def test_character_orthogonality(g):
         total = sum(character(g.moduli, xi, x) for x in oracles.enumerate_elements(g.moduli))
         expected = n if xi == groups.zero(g) else 0
         assert abs(total - expected) <= 1e-9 * n
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    def __repr__(self):
+        return "_Int!"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "_Float!"
+
+
+def _stdlib_or_error(write, value):
+    try:
+        return write(value)
+    except TypeError as exc:
+        return ("TypeError", str(exc))
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2 ** 64).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e16, 1e-7, 1e22, 5e-324]),
+    st.text(), st.text(st.characters(max_codepoint=0x1f)),
+    st.text(st.characters(min_codepoint=0x7f)),
+    st.text().map(_Str), st.integers().map(_Int), st.floats().map(_Float),
+    st.floats().map(np.float64), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_), st.fractions())
+# keys of one kind per dict, so most dicts sort; mixed kinds raise in both writers
+_JSON_KEYS = st.sampled_from([
+    st.text(), st.text().map(_Str), st.integers(), st.floats(), st.floats().map(np.float64),
+    st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans()), st.none(),
+    st.one_of(st.text(), st.integers()), st.integers(-9, 9).map(np.int64), st.fractions()])
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            _JSON_KEYS.flatmap(lambda keys: st.dictionaries(keys, inner, max_size=4))),
+    max_leaves=24)
+
+
+def _stdlib_json(value):
+    return json.dumps(value, indent=2, sort_keys=True, default=str)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+def test_dumps_json_is_the_stdlib_text(value):
+    assert _stdlib_or_error(groups.dumps_json, value) == _stdlib_or_error(_stdlib_json, value)
+
+
+def test_dumps_json_examples():
+    # each case the property test draws, once by name, alone and nested; keys
+    # that do not sort or are not scalars raise the same TypeError
+    cases = [math.inf, -math.inf, math.nan, -0.0, 1e16, 1e-7, 2 ** 64 + 1, -(2 ** 70), "é\x00\n\"\\\x1f😀",
+             _Str("s"), _Int(3), _Float(2.5), np.float64(0.1), np.int64(-7), np.bool_(True),
+             Fraction(-1, 3), (), [], {}, (1, [2, ()]), {None: 1}, {True: [], False: {}},
+             {1: "a", 2.5: "b", -3: "c"}, {math.nan: 1, math.inf: 2}, {_Str("k"): {"n": [{}]}},
+             {np.float64(1.5): 0}]
+    bad = [{1: 0, "a": 0}, {np.int64(1): 0}, {(1, 2): 0}, {Fraction(1, 2): 0}]
+    for value in cases + [cases, {"all": cases}]:
+        assert groups.dumps_json(value) == _stdlib_json(value)
+    for value in bad:
+        assert _stdlib_or_error(groups.dumps_json, value) == _stdlib_or_error(_stdlib_json, value)
+        assert isinstance(_stdlib_or_error(_stdlib_json, value), tuple)
+    value = {"a": [1, {}, ()], "b": {"c": None}}
+    for level in range(4):   # a value written at depth `level`, as the suite report writes its rows
+        wrapped = value
+        for _ in range(level):
+            wrapped = [wrapped]
+        lines = _stdlib_json(wrapped).split("\n")
+        assert "  " * level + groups.dumps_json(value, level) == "\n".join(lines[level:len(lines) - level])

@@ -10,7 +10,8 @@ caller in another part of it, bar a short allow-list with reasons, and no
 module imports a name it never reads.  The float FFT runs only in the
 engine's transforms, a set's kept spectrum (`spectrum._dft`) and the complex
 operator's own.  A table's nonzero count and norms are derived in one place,
-`ConvTable.facts`, at most once per table."""
+`ConvTable.facts`, at most once per table.  Pretty JSON is written by one
+writer, `groups.dumps_json`: no module indents JSON through the stdlib."""
 
 import ast
 from pathlib import Path
@@ -423,3 +424,52 @@ def test_fft_guard_sees_each_form(tmp_path):
         "eigen.<module> import fft", "eigen.<module> import fft", "eigen.<module> import fft",
         "eigen.subgroup_eigencheck group fft", "eigen.subgroup_eigencheck group fft",
         "eigen.subgroup_eigencheck np.fft"]
+
+
+JSON_WRITERS = {"dump", "dumps", "JSONEncoder"}
+
+
+def stdlib_pretty_json(path: Path) -> list[str]:
+    """Every call of `json.dump`, `json.dumps` or `json.JSONEncoder` (as an
+    attribute, or by a name imported from `json`, aliases included) that
+    passes `indent` other than None."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json"
+                for a in node.names if a.name in JSON_WRITERS}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if not ((isinstance(func, ast.Attribute) and func.attr in JSON_WRITERS)
+                or (isinstance(func, ast.Name) and func.id in imported)):
+            continue
+        if any(kw.arg == "indent" and not (isinstance(kw.value, ast.Constant) and kw.value.value is None)
+               for kw in node.keywords):
+            found.append(f"{path.name}:{node.lineno} {ast.unparse(func)}")
+    return found
+
+
+def test_pretty_json_has_one_writer():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 10
+    assert [use for p in modules for use in stdlib_pretty_json(p)] == []
+    assert "def dumps_json(" in (SRC / "groups.py").read_text(encoding="utf-8")
+
+
+def test_pretty_json_guard_sees_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import json\n"
+                   "from json import dumps as to_text, dump\n"
+                   "a = json.dumps(x, indent=2, sort_keys=True)\n"
+                   "json.dump(x, fh, indent=4)\n"
+                   "b = to_text(x, indent='  ')\n"
+                   "dump(x, fh, indent=width)\n"
+                   "enc = json.JSONEncoder(indent=1)\n"
+                   "ok = json.dumps(x, sort_keys=True)\n"
+                   "ok = json.dumps(x, indent=None)\n"
+                   "ok = other.format(x, indent=2)\n")
+    assert stdlib_pretty_json(bad) == ["bad.py:3 json.dumps", "bad.py:4 json.dump",
+                                       "bad.py:5 to_text", "bad.py:6 dump",
+                                       "bad.py:7 json.JSONEncoder"]

@@ -629,6 +629,51 @@ def test_moment_matches_python_ints_on_every_branch():
         assert moments._moment(moments._Histogram.of(w, v), k) == want
 
 
+class _NoList(np.ndarray):
+    """Levels whose Python-int loop raises: a read that succeeds took the int64 dot."""
+
+    def tolist(self):
+        raise AssertionError("took the Python-int loop")
+
+
+def test_moment_bounds_orders_past_two_by_the_square_sum():
+    # k >= 2: the int64 dot while top^(k-2) sum c v^2 < 2^63, which bounds sum c v^k
+    # (v <= top) far nearer than total top^k; Python ints from that bound on.  One
+    # level carries the top, so at the edge the sum itself is within n of the bound
+    for k in range(3, 7):
+        top = int(2 ** (60 / k)) + 1
+        edge = ((1 << 63) - 1 - top ** k) // top ** (k - 2)   # most unit-level counts below the bound
+        for n, dot in ((edge, True), (edge + 1, False)):
+            levels, counts = np.array([1, top], dtype=np.int64), np.array([n, 1], dtype=np.int64)
+            hist = moments._Histogram.of(levels, counts)
+            assert hist.square == n + top * top
+            assert (hist.top ** (k - 2) * hist.square < 1 << 63) == dot
+            assert hist.total * hist.top ** k >= 1 << 63   # the old bound took Python ints on both
+            want = n + top ** k
+            assert moments._moment(hist, k) == want
+            probe = moments._Histogram.of(levels.view(_NoList), counts)
+            probe.__dict__["_square"] = hist.square   # kept as read on the plain arrays
+            if dot:
+                assert moments._moment(probe, k) == want
+            else:
+                with pytest.raises(AssertionError, match="Python-int loop"):
+                    moments._moment(probe, k)
+        # the square sum itself falls back to Python ints where total top^2 reaches 2^63
+        wide = moments._Histogram.of(np.array([1 << 31], dtype=np.int64), np.array([3], dtype=np.int64))
+        assert wide.square == 3 << 62 and moments._moment(wide, k) == 3 << 31 * k
+    # E_6 of a symmetric set of Z/1024 (0 and half of the pairs {x, -x}): 2^64 by
+    # the old bound, 62 bits by the new, and an int64 dot
+    rng = np.random.default_rng(5)
+    half = rng.choice(np.arange(1, 512), 255, replace=False)
+    a = GSet(cyclic(1024), np.concatenate([[0], half, 1024 - half])[:, None])
+    hist = moments._levels(a)
+    assert hist.top ** 4 * hist.square < 1 << 63 <= hist.total * hist.top ** 6
+    want = sum(c * v ** 6 for v, c in zip(hist.levels.tolist(), hist.counts.tolist()))
+    assert energy_k(a, 6) == want == oracles.oracle_energy_k((1024,), set(a.elems), 6)
+    probe = moments._Histogram.of(hist.levels.view(_NoList), hist.counts)
+    assert moments._moment(probe, 6) == want
+
+
 BOUNDARY_VALUES = [0, 1, -1, 5, -7, (1 << 31) - 1, 1 << 31, 3037000499, 3037000500, (1 << 32) - 1,
                    (1 << 62) - 1, 1 << 62, -(1 << 62), (1 << 63) - 1, -(1 << 63), 1 << 63,
                    (1 << 63) + 1, -(1 << 63) - 1, (1 << 64) - 1, 1 << 64, -(1 << 64) - 3,

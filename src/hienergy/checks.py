@@ -514,6 +514,12 @@ def check_c30(b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
 
 def check_c31(a: GSet, k: int = 4, trials: int = 200, seed: int = 1,
               caps: Caps = DEFAULT_CAPS) -> CheckResult:
+    """Almost periods (Croot-Sisask type): the size of the period set T that
+    `extract.cs_period_search(A, A, k)` returns, every member re-checked
+    against the exact 32|A|^3/k budget, against its claimed floor
+    K|A|/(16 M) with M from E_(2k+2).  Soft: it passes when no member
+    violated the budget, T is nonempty and the sampled approximation rate is
+    at least 1/2 - 3 sigma."""
     rep = extract.cs_period_search(a, a, k, trials=trials, seed=seed)
     rate = rep.stages[0]["rate"]
     floor = 0.5 - rep.stages[0]["three_sigma"]
@@ -526,6 +532,11 @@ def check_c31(a: GSet, k: int = 4, trials: int = 200, seed: int = 1,
 def check_c32(a: GSet, pipeline: str = "bsg1", eps: float = 1.0,
               nm: tuple[int, int] = (1, 1), seed: int = 1,
               caps: Caps = DEFAULT_CAPS) -> CheckResult:
+    """Balog-Szemeredi-Gowers-type extraction driven by E_(2+eps) (`bsg1`:
+    |A' - A'| for the robust core A') or by E_(3+eps) (`bsg2`: |nA' - mA'|
+    for the pulled-back A'), against the pipeline's claimed bound.  Soft: it
+    passes when A' is a nonempty subset of A and the implied constant is
+    finite; the pipelines raise on a violated invariant."""
     if pipeline == "bsg1":
         rep = extract.bsg_extract(a, eps)
         implied = rep.stages[-1]["implied_constant"]
@@ -541,6 +552,10 @@ def check_c32(a: GSet, pipeline: str = "bsg1", eps: float = 1.0,
 
 
 def check_c33(a: GSet, caps: Caps = DEFAULT_CAPS) -> CheckResult:
+    """Small-T_3 covering: how much of A the translates of the best slice
+    B = A_s cover (`extract.small_t4_extract`), against the target
+    |A| / M^(3/2) with M from T_3.  Soft: it passes when B is a subset of A
+    and the coverage ratio is finite."""
     rep = extract.small_t4_extract(a)
     cover_ratio = rep.ratio
     b_set = GSet(a.group, [tuple(e) for e in rep.outputs["B"]])
@@ -551,28 +566,42 @@ def check_c33(a: GSet, caps: Caps = DEFAULT_CAPS) -> CheckResult:
 
 
 def check_c34(a: GSet, caps: Caps = DEFAULT_CAPS) -> CheckResult:
-    """Energy dichotomy search over the documented candidate family: A, D,
-    the popular set, and the most popular A- and D-slices."""
+    """Energy dichotomy (Schoen-Shkredov): the largest E_2(C) /
+    (|C|^3 / (K^(21/22) log^(4/11) K)), K = |A - A| / |A|, over the
+    documented candidate family of sizes at least |A| / (K^(25/22) log K):
+    A, D = A - A, the popular set P and the eight most popular A- and
+    D-slices.  Every candidate is a subset of A or of D, so each base's
+    candidates take their energies from one family count
+    (`moments.family_energies`).  Soft: it passes when some candidate has a
+    finite positive ratio."""
     d = setops.diffset(a, a)
     k_val = len(d) / len(a)
     logk = max(1.0, math.log2(max(2.0, k_val)))
     size_floor = len(a) / (k_val ** (25 / 22) * logk)
-    candidates: list[tuple[str, GSet]] = [("A", a), ("D", d), ("P", extract.popular_set(a))]
-    for name, base in (("A", a), ("D", d)):
+    bases = (a, d)
+    # (name, base index, mask over the base's rows), in the family's order
+    candidates = [("A", 0, np.ones(len(a), dtype=bool)), ("D", 1, np.ones(len(d), dtype=bool)),
+                  ("P", 1, extract.popular_set(a).isin(d.coords))]
+    for i, (name, base) in enumerate(zip("AD", bases)):
         # the top values, ties in lexicographic order of the point
         points, values = moments.correlate(base, base).support_rows()
         top_points = points[np.argsort(-values, kind="stable")[:8]]
-        for s, row in zip(top_points.tolist(), setops.slice_masks(base, top_points)):
-            candidates.append((f"{name}_s{s}", base.subset(row)))
+        candidates += [(f"{name}_s{s}", i, row)
+                       for s, row in zip(top_points.tolist(), setops.slice_masks(base, top_points))]
+    sizes = [int(row.sum()) for _, _, row in candidates]
+    kept = [j for j, size in enumerate(sizes) if size >= max(2, size_floor)]
+    energies = {}
+    for i, base in enumerate(bases):
+        own = [j for j in kept if candidates[j][1] == i]
+        if own:
+            member = np.array([candidates[j][2] for j in own])
+            energies.update(zip(own, moments.family_energies(base, member)))
     best_name, best_ratio, best_size = None, -1.0, 0
-    for name, cand in candidates:
-        if len(cand) < max(2, size_floor):
-            continue
-        e2 = moments.energy_k(cand, 2)
-        denom = len(cand) ** 3 / (k_val ** (21 / 22) * logk ** (4 / 11))
-        ratio = float(e2) / denom
+    for j in kept:
+        denom = sizes[j] ** 3 / (k_val ** (21 / 22) * logk ** (4 / 11))
+        ratio = float(energies[j]) / denom
         if ratio > best_ratio:
-            best_name, best_ratio, best_size = name, ratio, len(cand)
+            best_name, best_ratio, best_size = candidates[j][0], ratio, sizes[j]
     passed = best_name is not None and math.isfinite(best_ratio) and best_ratio > 0
     return _res("C34", {**_summary(a), "K": k_val}, best_ratio, 1.0, ">=", hard=False,
                 passed=passed, witness={"candidate": best_name, "size": best_size})

@@ -5,8 +5,9 @@ almost-period search, and configuration / covering sweeps.
 
 Everything runs on the sorted int64 rows of ``GSet.coords`` and on
 ``ConvTable`` arrays.  Two identities turn the L2 defects of the
-almost-period search into one entry of a correlation each, and a third
-turns the small-T_3 slice scores into one gather, with
+almost-period search into one entry of a correlation each, a third
+turns the small-T_3 slice scores into one gather, and two more let a
+family of subsets or of shifts be read in one pass, with
 (f o g)(x) = sum_y f(y) g(y + x):
 
 * Shift defect.  For a finitely supported c (here c = A*B),
@@ -35,6 +36,19 @@ turns the small-T_3 slice scores into one gather, with
   are counted by a - a' = v - u.  With m_s the mask of A_s over the rows
   of A and Q[u, v] = (A o A)(a_v - a_u), one gather of the kept A o A,
   every candidate's energy is the exact integer m_s^T Q m_s <= |A|^3.
+
+* Family energies.  For subsets B_i of one base set A, E_2(B_i) =
+  sum_d r_i(d)^2 with r_i(d) the number of pairs (x, y) in B_i x B_i with
+  a_x - a_y = d.  Give the |A|^2 differences ids once (`setops.pair_ids`);
+  then r_i is one bincount of the ids of row i's pairs, and no B_i needs a
+  set or a correlation of its own (`moments.family_energies`, which C34
+  reads for every candidate inside A and inside A - A).
+
+* Shared differences.  bsg2's transfer sample at a shift s reads u = x - y
+  for x in A_s and y in A, and u + s.  The matrix u[x, y] = a_x - a_y does
+  not depend on s, so every sampled shift reads the one matrix and its
+  membership in P: P is searched once for u and once for the u + s of all
+  shifts, and each |U_s| is a count of distinct ids of the incident u.
 """
 
 from __future__ import annotations
@@ -49,7 +63,7 @@ import numpy as np
 
 from . import groups, moments, setops
 from .groups import Elem, InvariantError
-from .gset import GSet, as_rows, full_group
+from .gset import GSet, as_rows, full_group, row_keys
 
 SHIFT_SAMPLES = 24   # the shift sequences cs_period_search draws from its good samples
 
@@ -248,28 +262,10 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
     order = list(range(len(p_set)))
     rng.shuffle(order)   # the permutation a shuffle of the elements takes
     checks = []
-    shifts = p_set.coords[order[:6]]
-    # the slices A_s and P_s = P n (P - s) of every sampled shift, one family each
-    a_family, p_family = setops.slice_masks(a, shifts), setops.slice_masks(p_set, shifts)
-    # E(A_s, A) for every shift, one gather of the kept A o A
-    e_pairs = _slice_energies(a, a_family).tolist()
-    for s, s_row, a_row, p_row, e_pair in zip(shifts.tolist(), shifts[:, None], a_family,
-                                              p_family, e_pairs):
-        a_s = a.subset(a_row)
-        # x in A_s puts x + s in A; with u = x - y (y in A), y lies in
-        # S_x n S_(x+s) iff u and u + s are in P, so every such u is in P n (P - s)
-        u = as_rows(g, (a_s.coords[:, None] - a.coords[None]).reshape(-1, g.dim))
-        both = p_set.isin(u) & p_set.isin(as_rows(g, u + s_row))
-        incidence = int(both.sum())
-        union = GSet(g, u[both])
-        contained = union.issubset(p_set.subset(p_row))
-        cs_ok = len(union) * (e_pair if a_s else 1) >= incidence ** 2
-        # (P o P)(s) = |P n (P - s)|
-        pp_ok = int(moments.correlate(p_set, p_set).values_at(s_row)[0]) >= len(union)
-        checks.append({"s": list(s), "contained": contained, "cs_ok": cs_ok, "pp_ok": pp_ok,
-                       "incidence": incidence})
-        if not (contained and cs_ok and pp_ok):
-            raise InvariantError(f"difference-set transfer failed at shift {s}")
+    for sample in _transfer_samples(a, p_set, p_set.coords[order[:6]]):
+        checks.append(sample)
+        if not (sample["contained"] and sample["cs_ok"] and sample["pp_ok"]):
+            raise InvariantError(f"difference-set transfer failed at shift {sample['s']}")
     rep.add_stage("transfer_checks", samples=checks)
 
     # selection machinery on the popular set itself
@@ -305,6 +301,54 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
     rep.claimed = ratios[0]["claimed"] if ratios else None
     rep.ratio = ratios[0]["ratio"] if ratios else None
     return rep
+
+
+def _transfer_samples(a: GSet, p_set: GSet, shifts: np.ndarray) -> list[dict]:
+    """The difference-set transfer sample of each shift s, a row of an int64
+    matrix, in order.  For x in A_s (so x + s is in A) and y in A, with
+    u = x - y, y lies in S_x n S_(x+s) iff u and u + s are in P; such u make
+    the union U_s, each u must lie in P_s = P n (P - s) (`contained`), and
+    Cauchy-Schwarz gives |U_s| E(A_s, A) >= incidence^2 (`cs_ok`) and
+    (P o P)(s) = |P_s| >= |U_s| (`pp_ok`).
+
+    Every shift shares A's difference matrix u[x, y] = a_x - a_y, built for
+    the x in some A_s: P is searched once for u, and once for the u + s of
+    every x in every A_s, in blocks of whole shifts of at most 2^22 rows;
+    the incident u get ids from one sort, so |U_s| is a count of distinct
+    ids per shift (`setops.distinct_counts`); `contained` is one gather of
+    the P_s masks at u's place in P; and E(A_s, A) for every s is one
+    `_slice_energies` gather."""
+    g, n, d = a.group, len(a), a.group.dim
+    a_family, p_family = setops.slice_masks(a, shifts), setops.slice_masks(p_set, shifts)
+    e_pairs = _slice_energies(a, a_family).tolist()
+    rows = np.flatnonzero(a_family.any(axis=0))   # the x in some A_s
+    u = as_rows(g, (a.coords[rows, None] - a.coords[None]).reshape(-1, d))   # row r n + y
+    in_p = p_set.isin(u).reshape(len(rows), n)
+    which, xs = np.nonzero(a_family[:, rows])   # (shift, x in A_s as an index of rows)
+    sizes = a_family.sum(axis=1)
+    ends = np.cumsum(sizes)
+    moved_in = np.empty((len(xs), n), dtype=bool)
+    lo = 0
+    for i in range(len(shifts)):   # close a block before the next shift passes 2^22 rows
+        if i + 1 == len(shifts) or (ends[i + 1] - lo) * n > setops._BLOCK:
+            part = slice(lo, ends[i])
+            moved = u.reshape(len(rows), n, d)[xs[part]] + shifts[which[part]][:, None]
+            moved_in[part] = p_set.isin(as_rows(g, moved.reshape(-1, d))).reshape(-1, n)
+            lo = ends[i]
+    entry, ys = np.nonzero(in_p[xs] & moved_in)
+    shift_of = which[entry]
+    keys = row_keys(g, u)[xs[entry] * n + ys]   # the incident u
+    values, ids = np.unique(keys, return_inverse=True)
+    union = setops.distinct_counts(shift_of, ids, len(shifts), len(values))
+    place = np.searchsorted(p_set.keys, values)[ids]
+    contained = np.bincount(shift_of[~p_family[shift_of, place]], minlength=len(shifts)) == 0
+    pp = moments.correlate(p_set, p_set).values_at(shifts).tolist()
+    incidence = np.bincount(shift_of, minlength=len(shifts)).tolist()
+    return [{"s": s, "contained": inside, "cs_ok": size * (e_pair if a_s else 1) >= hits ** 2,
+             "pp_ok": p_s >= size, "incidence": hits}
+            for s, inside, size, e_pair, a_s, p_s, hits in zip(
+                shifts.tolist(), contained.tolist(), union.tolist(), e_pairs, sizes.tolist(), pp,
+                incidence)]
 
 
 def _slice_energies(a: GSet, member: np.ndarray) -> np.ndarray:
@@ -383,11 +427,10 @@ def small_t4_extract(a: GSet) -> ExtractionReport:
 # almost periods
 
 
-def _shift_defects(c: moments.ConvTable, shifts: np.ndarray) -> list[int]:
-    """sum_x (c(x) - c(x+t))^2 for each row t of shifts, read off one
-    correlation as 2((c o c)(0) - (c o c)(t)) (module docstring)."""
-    cc = moments.correlate(c, c)
-    at_zero = int(cc.values_at(np.zeros((1, c.group.dim), dtype=np.int64))[0])
+def _shift_defects(cc: moments.ConvTable, shifts: np.ndarray) -> list[int]:
+    """sum_x (c(x) - c(x+t))^2 for each row t of shifts, read off the
+    correlation cc = c o c as 2((c o c)(0) - (c o c)(t)) (module docstring)."""
+    at_zero = int(cc.values_at(np.zeros((1, cc.group.dim), dtype=np.int64))[0])
     return [2 * (at_zero - v) for v in cc.values_at(shifts).tolist()]
 
 
@@ -395,7 +438,8 @@ def almost_period_check(a: GSet, b: GSet, t) -> int:
     """Exact squared L2 shift defect sum_x ((A*B)(x) - (A*B)(x+t))^2."""
     if a.group != b.group:
         raise groups.GroupError("almost-period operands live in different groups")
-    return _shift_defects(moments.convolve(a, b), as_rows(a.group, [t]))[0]
+    c = moments.convolve(a, b)
+    return _shift_defects(moments.correlate(c, c), as_rows(a.group, [t]))[0]
 
 
 def _approximation_floors(seqs: np.ndarray, bb: moments.ConvTable, n: int, nb: int,
@@ -403,12 +447,15 @@ def _approximation_floors(seqs: np.ndarray, bb: moments.ConvTable, n: int, nb: i
     """Least (c o d)(x) at which X + x approximates, for each sequence X of
     an m x k x dim stack, c = mu_X * B, bb = B o B and d_sq = |A*B|^2
     (module docstring).  |c|^2 = sum_(i,j) (B o B)(s_i - s_j) <= k^2 |B|
-    comes from one gather for the whole stack; the floor is formed in
+    comes from one gather for the whole stack; the floor is formed in int64
+    while every numerator is bounded below 2^63 (d_sq <= |A|^2 |B|), else in
     Python ints."""
     m, k, d = seqs.shape
-    c_sq = bb.values_at((seqs[:, :, None] - seqs[:, None]).reshape(-1, d)).reshape(m, k * k)
-    return np.array([-(-(n * n * (c - 2 * nb * k) + k * k * d_sq) // (2 * n * k))   # ceiling
-                     for c in c_sq.sum(axis=1).tolist()], dtype=np.int64)
+    c_sq = bb.values_at((seqs[:, :, None] - seqs[:, None]).reshape(-1, d)).reshape(m, k * k).sum(axis=1)
+    if n * n * nb * k * (k + 2) + k * k * d_sq < 1 << 63:
+        return -(-(n * n * (c_sq - 2 * nb * k) + k * k * d_sq) // (2 * n * k))   # ceiling
+    return np.array([-(-(n * n * (c - 2 * nb * k) + k * k * d_sq) // (2 * n * k))
+                     for c in c_sq.tolist()], dtype=np.int64)
 
 
 def _overlaps(seqs: np.ndarray, bd: moments.ConvTable, points: np.ndarray) -> np.ndarray:
@@ -417,6 +464,22 @@ def _overlaps(seqs: np.ndarray, bd: moments.ConvTable, points: np.ndarray) -> np
     sum is at most k |B| |A|."""
     m, k, d = seqs.shape
     return bd.values_at((seqs + points[:, None]).reshape(-1, d)).reshape(m, k).sum(axis=1)
+
+
+def _draw_shifts(rng: random.Random, good: np.ndarray, a: GSet) -> np.ndarray:
+    """The distinct shift sequences X - x, in the order first drawn, of
+    SHIFT_SAMPLES draws of a sequence X from the m x k x dim stack `good`,
+    each followed by a draw of x from A (randrange takes the one draw that
+    choice takes), reduced by one `as_rows` for all draws."""
+    picks = [(rng.randrange(len(good)), rng.randrange(len(a))) for _ in range(SHIFT_SAMPLES)]
+    seqs, xs = np.array(picks, dtype=np.int64).T
+    _, k, d = good.shape
+    drawn = as_rows(a.group, (good[seqs] - a.coords[xs][:, None]).reshape(-1, d))
+    drawn = drawn.reshape(len(picks), k, d)
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(drawn):
+        first.setdefault(row.tobytes(), i)
+    return drawn[list(first.values())]
 
 
 def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200,
@@ -438,14 +501,16 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200,
     n, nb = len(a), len(b)
     rng = random.Random(seed)
     base = moments.convolve(a, b)
-    d_sq = moments.energy_k_pair(a, b, 2)
+    cc = moments.correlate(base, base)
+    # E(A, B) = |A*B|^2 = (c o c)(0) for c = A*B
+    d_sq = int(cc.values_at(np.zeros((1, g.dim), dtype=np.int64))[0])
     bb, bd = moments.correlate(b, b), moments.correlate(b, base)
     corr = moments.correlate(a, a)   # its support is A - A
     profile = moments.energy_profile(a, (2,))
     rep = ExtractionReport("cs", profile, {"k": k, "trials": trials, "seed": seed})
 
-    # every trial's sequence first: choice over range(n) takes the draws choice over A would
-    picks = np.array([rng.choice(range(n)) for _ in range(trials * k)], dtype=np.int64)
+    # every trial's sequence first: randrange(n) takes the one draw choice over A would
+    picks = np.array([rng.randrange(n) for _ in range(trials * k)], dtype=np.int64)
     seqs = a.coords[picks.reshape(trials, k)]
     # the defect of X itself: the identity at x = 0
     origins = np.zeros((trials, g.dim), dtype=np.int64)
@@ -456,12 +521,7 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200,
     if not len(good):
         raise ExtractionError(f"no approximating sample in {trials} trials")
 
-    drawn: dict[bytes, np.ndarray] = {}   # distinct shift sequences in the order drawn
-    for _ in range(SHIFT_SAMPLES):
-        seq = good[rng.randrange(len(good))]
-        s = as_rows(g, seq - a.coords[rng.choice(range(n))])
-        drawn.setdefault(s.tobytes(), s)
-    shifts = np.stack(list(drawn.values()))
+    shifts = _draw_shifts(rng, good, a)
     # A'_s: the x in A with every x + s_i in A (the family of all shift rows,
     # ANDed per sequence) whose translate X = s + x approximates
     member = setops.slice_masks(a, shifts.reshape(-1, g.dim)).reshape(len(shifts), k, n).all(axis=1)
@@ -481,7 +541,7 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200,
 
     # every member of T against the 32|A|^2|B|/k budget, from one correlation of A*B
     budget = 32 * n * n * nb
-    within = np.array([k * v <= budget for v in _shift_defects(base, t_raw.coords)], dtype=bool)
+    within = np.array([k * v <= budget for v in _shift_defects(cc, t_raw.coords)], dtype=bool)
     t_set = t_raw.subset(within)
     violations = t_raw.coords[~within].tolist()
     rep.store_set("T", t_set)

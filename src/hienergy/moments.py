@@ -168,7 +168,9 @@ class ConvTable:
 
     def _gather(self, points: np.ndarray) -> np.ndarray:
         """The planes at the rows of a len x dim coordinate matrix, 0 off the window: D x len."""
-        idx = points % self.group.moduli if self.group.is_cyclic else points - self.offset
+        if self.group.is_cyclic:   # the window is the group: every reduced point is inside
+            return self.planes[(slice(None),) + tuple((points % self.group.moduli).T)]
+        idx = points - self.offset
         inside = ((idx >= 0) & (idx < self.planes.shape[1:])).all(axis=1)
         out = np.zeros((len(self.planes), len(points)), dtype=np.int64)
         out[:, inside] = self.planes[(slice(None),) + tuple(idx[inside].T)]
@@ -785,11 +787,16 @@ def _histogram(values: np.ndarray) -> _Histogram:
 
 def _power_dot(hist: _Histogram, k: int, bound: int) -> int:
     """sum c v^k for an integer k >= 0, given a bound on the sum: one int64
-    dot below 2^63, else Python ints.  A level whose count is 0 may wrap in
-    levels^k; its product is 0 all the same, and every other term and
-    partial sum is at most the sum."""
+    dot below 2^63 (a level whose count is 0 may wrap in levels^k; its
+    product is 0 all the same, and every other term and partial sum is at
+    most the sum); else, while top^k < 2^63 and the counts total below 2^31,
+    two int64 dots over the R-bit halves of v^k, whose sums stay below
+    2^31 2^R = 2^63; else Python ints."""
     if bound < 1 << 63:
         return int(np.dot(hist.counts, hist.levels ** k))
+    if hist.top ** k < 1 << 63 and hist.total < 1 << 31:
+        powers = hist.levels ** k
+        return (int(np.dot(hist.counts, powers >> _R)) << _R) + int(np.dot(hist.counts, powers & _MASK))
     return sum(c * v ** k for v, c in zip(hist.levels.tolist(), hist.counts.tolist()))
 
 
@@ -823,6 +830,27 @@ def energy_k(a: GSet, k) -> int | float:
     if not 1 <= k < math.inf:   # NaN fails both comparisons
         raise ValueError(f"energy order must be >= 1 and finite, got {k}")
     return _moment(_levels(a), k)
+
+
+def family_energies(a: GSet, member: np.ndarray) -> list[int]:
+    """E_2(B_i) for B_i the rows of A that row i of a boolean matrix over the
+    rows of A selects.  A full row reads E_2(A) off the kept A o A.  The
+    other rows take their pairs' counts from A's difference ids
+    (`setops.family_energies`) while |A|^2 and the sum of their |B_i|^2
+    stay within 2^22, the path chosen a priori as `_conv` chooses its own;
+    above that, each row's subset calls `energy_k`, so large sets keep the
+    FFT."""
+    sizes = member.sum(axis=1).tolist()
+    part = [i for i, s in enumerate(sizes) if s < len(a)]
+    if max(len(a) ** 2, sum(sizes[i] ** 2 for i in part)) <= _DIRECT_MAX:
+        found = dict(zip(part, setops.family_energies(a, member[part])))
+    else:
+        found = {i: energy_k(a.subset(member[i]), 2) for i in part}
+    whole = None
+    if len(part) < len(sizes):   # E_2(A) = sum (A o A)^2; no histogram is kept
+        t = correlate(a, a)
+        whole = _square_sum(t._flat(), t.facts()[1][1])
+    return [found.get(i, whole) for i in range(len(sizes))]
 
 
 def energy_k_pair(a: GSet, b: GSet, k) -> int | float:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,8 @@ from hienergy.extract import (ExtractionError, _intersections, _select, almost_p
                               bsg_extract, bsg_extract_v2, cs_period_search,
                               find_configuration, nb_cover, popular_set, robust_core,
                               small_t4_extract)
-from hienergy.groups import cyclic, lattice
-from hienergy.gset import GSet, full_group, zset
+from hienergy.groups import InvariantError, cyclic, lattice
+from hienergy.gset import GSet, as_rows, full_group, zset
 
 
 def rand_gset(rng, g, size):
@@ -256,6 +257,99 @@ def test_bsg_v2_transfer_energies_come_from_one_gather(monkeypatch):
         assert real(a, member).tolist() == [moments.energy_k_pair(a.subset(row), a, 2) for row in member]
 
 
+def transfer_loop(a, p_set, shifts):
+    """The transfer samples of a per-shift loop, each shift paying its own
+    membership searches and union set: the reference for the batched pass."""
+    g = a.group
+    a_family, p_family = setops.slice_masks(a, shifts), setops.slice_masks(p_set, shifts)
+    e_pairs = extract._slice_energies(a, a_family).tolist()
+    samples = []
+    for s, s_row, a_row, p_row, e_pair in zip(shifts.tolist(), shifts[:, None], a_family,
+                                              p_family, e_pairs):
+        a_s = a.subset(a_row)
+        u = as_rows(g, (a_s.coords[:, None] - a.coords[None]).reshape(-1, g.dim))
+        both = p_set.isin(u) & p_set.isin(as_rows(g, u + s_row))
+        incidence = int(both.sum())
+        union = GSet(g, u[both])
+        contained = union.issubset(p_set.subset(p_row))
+        cs_ok = len(union) * (e_pair if a_s else 1) >= incidence ** 2
+        pp_ok = int(moments.correlate(p_set, p_set).values_at(s_row)[0]) >= len(union)
+        samples.append({"s": s, "contained": contained, "cs_ok": cs_ok, "pp_ok": pp_ok,
+                        "incidence": incidence})
+    return samples
+
+
+def same_samples(got, want):
+    return got == want and all(type(x[key]) is type(y[key]) for x, y in zip(got, want) for key in x)
+
+
+def test_bsg_v2_transfer_samples_match_the_per_shift_loop(monkeypatch):
+    # the shared difference matrix gives the per-shift loop's samples, in order and
+    # with its Python types: the pipeline's six shifts, every element of P, shifts
+    # outside A - A (empty A_s) and repeats
+    rng = random.Random(71)
+    cases = [zset(range(16)), GSet(cyclic(64), rng.sample(range(64), 12)),
+             GSet(cyclic(4, 8), [(x, y) for x in range(4) for y in range(8) if (x * y) % 3 == 1]),
+             GSet(lattice(2), [(x, y) for x in range(4) for y in range(3)]), zset([0, 1, 5, 11])]
+    for a in cases:
+        n = len(a)
+        p_set = popular_set(a, Fraction(moments.energy_k(a, 2), 2 * n * n))
+        rep = bsg_extract_v2(a, 1.0)
+        samples = next(s for s in rep.stages if s["stage"] == "transfer_checks")["samples"]
+        shifts = as_rows(a.group, [tuple(smp["s"]) for smp in samples])
+        assert same_samples(samples, transfer_loop(a, p_set, shifts))
+        far = setops.diffset(a, a).coords.max(axis=0) + 1   # outside A - A on a lattice
+        outside = [far] if not a.group.is_cyclic else [
+            x for x in full_group(a.group).coords if x not in setops.diffset(a, a)][:2]
+        shifts = np.concatenate([p_set.coords, p_set.coords[:2], np.array(outside).reshape(-1, a.group.dim)])
+        got = extract._transfer_samples(a, p_set, shifts)
+        assert same_samples(got, transfer_loop(a, p_set, shifts))
+        assert outside and [smp["incidence"] for smp in got[-len(outside):]] == [0] * len(outside)
+    # a failure planted at two shifts raises at the first of them, as the loop finds it
+    a = GSet(cyclic(64), rng.sample(range(64), 14))
+    real = extract._slice_energies
+    monkeypatch.setattr(extract, "_slice_energies",
+                        lambda b, member: real(b, member) * np.array([1, 1, 0, 1, 0, 1][:len(member)]))
+    n = len(a)
+    p_set = popular_set(a, Fraction(moments.energy_k(a, 2), 2 * n * n))
+    order = list(range(len(p_set)))
+    random.Random(1).shuffle(order)
+    want = transfer_loop(a, p_set, p_set.coords[order[:6]])
+    first = next(smp["s"] for smp in want if not (smp["contained"] and smp["cs_ok"] and smp["pp_ok"]))
+    assert first == want[2]["s"]
+    with pytest.raises(InvariantError, match=re.escape(f"transfer failed at shift {first}")):
+        bsg_extract_v2(a, 1.0)
+
+
+def draws_loop(rng, good, a):
+    """The shift sequences of SHIFT_SAMPLES draws, one draw at a time: the
+    reference for the batched draws."""
+    drawn = {}
+    for _ in range(extract.SHIFT_SAMPLES):
+        seq = good[rng.randrange(len(good))]
+        s = as_rows(a.group, seq - a.coords[rng.choice(range(len(a)))])
+        drawn.setdefault(s.tobytes(), s)
+    return np.stack(list(drawn.values()))
+
+
+def test_cs_batched_draws_match_the_per_draw_loop():
+    # the same shifts in the order first drawn, repeats dropped, and the generator left
+    # in the same state; few good sequences over a small A force repeats
+    rng = random.Random(73)
+    for g, size, m, k in ((cyclic(16), 3, 1, 1), (cyclic(64), 10, 7, 3), (cyclic(4, 8), 6, 2, 2),
+                          (cyclic(4, 8), 12, 40, 4)):
+        a = rand_gset(rng, g, size)
+        good = a.coords[np.array([[rng.randrange(size) for _ in range(k)] for _ in range(m)])]
+        for seed in range(4):
+            batched, looped = random.Random(seed), random.Random(seed)
+            got = extract._draw_shifts(batched, good, a)
+            want = draws_loop(looped, good, a)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert batched.getstate() == looped.getstate()
+            if m <= 2:
+                assert len(got) < extract.SHIFT_SAMPLES   # repeats were drawn and dropped
+
+
 def test_find_configuration_matches_brute_force():
     rng = random.Random(43)
     outcomes = set()
@@ -434,6 +528,24 @@ def test_cs_batched_sampling_matches_per_trial_loop():
                      for x in xs)
                  for shift in shifts]
         assert st["slice_sizes"] == sizes
+
+
+def test_approximation_floors_in_int64_and_python_ints():
+    # the ceiling of (n^2 (c - 2|B|k) + k^2 d_sq) / (2nk), in int64 below the bound and
+    # in Python ints past it, equal to the formula term by term
+    b = GSet(cyclic(32), [0, 3, 4, 9, 17])
+    bb = moments.correlate(b, b)
+    rng = np.random.default_rng(3)
+    for k in (1, 3, 5):
+        seqs = b.coords[rng.integers(0, 5, (40, k))]
+        c_sq = [sum(oracles.corr_counts((32,), set(b.elems), set(b.elems)).get(
+            oracles.sub((32,), tuple(y), tuple(x)), 0) for x in seq for y in seq) for seq in seqs.tolist()]
+        for n, d_sq in ((7, 123), (3 << 29, 5 << 30), (1 << 40, (1 << 20) + 1)):
+            wide = n * n * 5 * k * (k + 2) + k * k * d_sq >= 1 << 63
+            want = [-(-(n * n * (c - 10 * k) + k * k * d_sq) // (2 * n * k)) for c in c_sq]
+            got = extract._approximation_floors(seqs, bb, n, 5, d_sq)
+            assert got.dtype == np.int64 and got.tolist() == want
+            assert wide == (n > 7)
 
 
 def test_cs_no_sample_error():

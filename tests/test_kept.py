@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hienergy import checks, eigen, genset, moments, setops, spectrum
+from hienergy import checks, eigen, extract, genset, moments, setops, spectrum
 from hienergy.groups import InvariantError, cyclic, lattice
 from hienergy.gset import GSet
 from hienergy.setops import CapExceededError, Caps
@@ -269,12 +269,42 @@ def test_suite_pass_builds_each_object_once_per_set(monkeypatch):
     assert len(report.results) == 3572 and not report.errors
     assert (counts["_translate_grid"], counts["_magnification_search"],
             counts["_gram"], counts["_slice_corr_sums"]) == (1250, 170, 233, 144)
-    # one A o A histogram for each of the 739 sets that read E_k, the level
-    # sequence or |A - A|, and one of the quotient counts per E^x_3 (8)
-    assert counts["_histogram"] == 739 + 8
+    # one A o A histogram for each of the 218 sets that read E_k, the level
+    # sequence or |A - A|, and one of the quotient counts per E^x_3 (8); C34's
+    # 521 candidate sets built one each before their E_2 came from family counts
+    assert counts["_histogram"] == 218 + 8
     # one spectrum for each of the 33 sets that C8, C9, C10 and C10p read;
     # before it was kept, the pass made 462 transforms
     assert counts["_dft"] == 33
+
+
+def test_extraction_checks_read_their_families_in_fixed_passes(monkeypatch):
+    # C34 on a fresh cyclic set makes its two engine calls, A o A and D o D, whatever
+    # its candidate count (each candidate made its own before); bsg2's transfer pass
+    # searches sets a fixed number of times whatever its shift count; C31's shift
+    # draws reduce their rows in one as_rows call
+    counts = counting(monkeypatch)
+    rng = random.Random(83)
+    for g, size in ((cyclic(13), 4), (cyclic(64), 9), (cyclic(128), 15), (cyclic(4, 8), 12)):
+        a = rand_gset(rng, g, size)
+        counts.clear()
+        assert checks.run_check("C34", {"a": a}).passed
+        assert counts["_conv"] == 2
+    a = rand_gset(rng, cyclic(64), 12)
+    p_set = extract.popular_set(a)
+    searches, real_isin = [], GSet.isin
+    monkeypatch.setattr(GSet, "isin", lambda self, rows: searches.append(len(rows)) or real_isin(self, rows))
+    per_count = set()
+    for m in (1, 2, 6, 12, len(p_set)):
+        searches.clear()
+        assert len(extract._transfer_samples(a, p_set, p_set.coords[:m])) == m
+        per_count.add(len(searches))
+    assert per_count == {4}   # both slice families, u and the shifted u
+    reduced, real_rows = [], extract.as_rows
+    monkeypatch.setattr(extract, "as_rows", lambda g, rows: reduced.append(len(rows)) or real_rows(g, rows))
+    good = a.coords[np.array([[0, 1, 2], [3, 4, 5]])]
+    shifts = extract._draw_shifts(random.Random(5), good, a)
+    assert reduced == [extract.SHIFT_SAMPLES * 3] and 0 < len(shifts) <= extract.SHIFT_SAMPLES
 
 
 def test_suite_pass_builds_the_cosets_once_per_subgroup(monkeypatch):

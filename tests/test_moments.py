@@ -653,7 +653,9 @@ def test_moment_bounds_orders_past_two_by_the_square_sum():
             assert moments._moment(hist, k) == want
             probe = moments._Histogram.of(levels.view(_NoList), counts)
             probe.__dict__["_square"] = hist.square   # kept as read on the plain arrays
-            if dot:
+            # past the bound, two dots over the halves of v^k while top^k < 2^63 and the
+            # counts total below 2^31 (k = 5, 6 here); Python ints past those (k = 3, 4)
+            if dot or (top ** k < 1 << 63 and hist.total < 1 << 31):
                 assert moments._moment(probe, k) == want
             else:
                 with pytest.raises(AssertionError, match="Python-int loop"):
@@ -672,6 +674,72 @@ def test_moment_bounds_orders_past_two_by_the_square_sum():
     assert energy_k(a, 6) == want == oracles.oracle_energy_k((1024,), set(a.elems), 6)
     probe = moments._Histogram.of(hist.levels.view(_NoList), hist.counts)
     assert moments._moment(probe, 6) == want
+
+
+def test_power_dot_takes_the_halves_of_powers_below_2_63():
+    # past the sum's bound, sum c v^k is two int64 dots over the 32-bit halves of
+    # v^k while top^k < 2^63 and the counts total below 2^31, else Python ints;
+    # every read equals the Python-int sum
+    rng = np.random.default_rng(11)
+    for k in range(2, 7):
+        top = int(round((1 << 63) ** (1 / k)))
+        top -= top ** k >= 1 << 63
+        assert top ** k < 1 << 63 <= (top + 1) ** k
+        for t, total, halves in ((top, (1 << 31) - 1, True), (top, 1 << 31, False),
+                                 (top + 1, (1 << 31) - 1, False)):
+            levels = np.unique(np.concatenate([rng.integers(1, t, 40), [t]])).astype(np.int64)
+            counts = rng.multinomial(total - len(levels), np.full(len(levels), 1 / len(levels))) + 1
+            hist = moments._Histogram.of(levels, counts.astype(np.int64))
+            assert hist.total == total and hist.top == t
+            want = sum(c * v ** k for v, c in zip(levels.tolist(), counts.tolist()))
+            assert want >= 1 << 63 and moments._power_dot(hist, k, want) == want
+            probe = moments._Histogram.of(levels.view(_NoList), hist.counts)
+            if halves:
+                assert moments._power_dot(probe, k, want) == want
+            else:
+                with pytest.raises(AssertionError, match="Python-int loop"):
+                    moments._power_dot(probe, k, want)
+    # the high_moments reads that took the Python-int loop: E_5 of a symmetric set of
+    # Z/4096 (bound 2^67, sum 2^63) and E_6 of one of Z^2 in [-18, 18]^2 (2^69, 2^59)
+    half = rng.choice(np.arange(1, 2048), 1023, replace=False)
+    cyc = GSet(cyclic(4096), np.concatenate([[0], half, 4096 - half])[:, None])
+    pos = [(x, y) for x in range(-18, 19) for y in range(-18, 19) if (x, y) > (0, 0)]
+    pick = [pos[i] for i in rng.choice(len(pos), 342, replace=False)]
+    z2 = GSet(lattice(2), [(0, 0)] + pick + [(-x, -y) for x, y in pick])
+    for a, k in ((cyc, 5), (z2, 6)):
+        hist = moments._levels(a)
+        assert hist.top ** (k - 2) * hist.square >= 1 << 63 and hist.top ** k < 1 << 63
+        want = sum(c * v ** k for v, c in zip(hist.levels.tolist(), hist.counts.tolist()))
+        assert energy_k(a, k) == want
+        probe = moments._Histogram.of(hist.levels.view(_NoList), hist.counts)
+        probe.__dict__["_square"] = hist.square
+        assert moments._moment(probe, k) == want
+
+
+def test_family_energies_pick_the_path_by_the_pair_budget(monkeypatch):
+    # the id count serves while |A|^2 and the partial rows' sum |B_i|^2 stay within the
+    # pair budget (patched down to 20^2), energy_k of each partial row past either; a
+    # full row reads E_2(A) off the kept A o A on both sides
+    monkeypatch.setattr(moments, "_DIRECT_MAX", 400)
+    counts, subsets = [], []
+    real_count, real_energy = setops.family_energies, moments.energy_k
+    monkeypatch.setattr(setops, "family_energies",
+                        lambda a, m: counts.append(len(m)) or real_count(a, m))
+    monkeypatch.setattr(moments, "energy_k", lambda a, k: subsets.append(len(a)) or real_energy(a, k))
+    rng = np.random.default_rng(13)
+    for g in (cyclic(64), lattice(2)):
+        for n, sizes, counted in ((20, [10, 10, 10, 10], True), (20, [10, 10, 10, 10, 1], False),
+                                  (21, [2], False)):
+            elems = rng.choice(64 if g.is_cyclic else 81, n, replace=False)
+            a = GSet(g, elems[:, None] if g.is_cyclic else np.column_stack([elems // 9, elems % 9]))
+            member = np.array([rng.permutation(n) < s for s in sizes + [n]])
+            counts.clear()
+            subsets.clear()
+            mods = g.moduli if g.is_cyclic else None
+            want = [oracles.oracle_energy_k(mods, set(a.subset(row).elems), 2) for row in member]
+            assert moments.family_energies(a, member) == want
+            assert counts == ([len(sizes)] if counted else [])
+            assert subsets == ([] if counted else sizes)
 
 
 BOUNDARY_VALUES = [0, 1, -1, 5, -7, (1 << 31) - 1, 1 << 31, 3037000499, 3037000500, (1 << 32) - 1,

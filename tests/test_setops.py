@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hienergy import setops
+from hienergy import moments, setops
 from hienergy.groups import cyclic, lattice
 from hienergy.gset import GSet, full_group, zset
 from hienergy.setops import (CapExceededError, Caps, MINUS, PLUS, basis_depth_test,
-                             delta_sumset, diffset, d_k, iterated, family_sumset_sizes,
-                             magnification, magnification_k, s_k, slice_masks, sumset)
+                             delta_sumset, diffset, d_k, iterated, family_energies,
+                             family_sumset_sizes, magnification, magnification_k, pair_ids, s_k,
+                             slice_masks, sumset)
 
 
 def stabilizer_slice(a, s):
@@ -130,6 +131,46 @@ def test_family_sumset_sizes_match_pairwise_sumsets():
                                np.zeros((2, 0), dtype=bool)).tolist() == [[0, 0]] * 3
     a = zset([0, 1, 3])
     assert family_sumset_sizes(a, np.ones((2, 3), dtype=bool), np.zeros((0, 3), dtype=bool)).shape == (2, 0)
+
+
+def test_pair_ids_name_equal_values_alike():
+    # flat ranks in a cyclic product of at most max(|A|^2, 2^12) elements, compact ids
+    # from a sort elsewhere (Z/8192 with |A| = 9, and the lattices); either way equal ids
+    # exactly for equal values a_x -+ a_y, below a bound of at most max(|A|^2, 2^12)
+    rng = random.Random(37)
+    for g in (cyclic(13), cyclic(4, 8), cyclic(8192), lattice(1), lattice(2)):
+        a = rand_gset(rng, g, 9)
+        mods = g.moduli if g.is_cyclic else None
+        for sign, op in ((MINUS, oracles.sub), (PLUS, oracles.add)):
+            ids, bound = pair_ids(a, sign)
+            assert ids.shape == (9, 9) and ids.dtype == np.int64
+            assert 0 <= ids.min() and ids.max() < bound <= max(81, 1 << 12)
+            assert (bound == g.order) == (g.is_cyclic and g.order <= 1 << 12)
+            values = [[op(mods, x, y) for y in a.elems] for x in a.elems]
+            pairs = [(i, j) for i in range(9) for j in range(9)]
+            for p, q in itertools.combinations(pairs, 2):
+                assert (ids[p] == ids[q]) == (values[p[0]][p[1]] == values[q[0]][q[1]])
+
+
+def test_family_energies_match_the_oracle():
+    # every row's E_2 is the brute-force E_2 of the subset it selects, through the
+    # id count and through moments' path choice: random, empty, one-element, full
+    # and repeated rows, on both kinds of ids
+    rng = random.Random(43)
+    for g in (cyclic(13), cyclic(4, 8), cyclic(8192), lattice(1), lattice(2)):
+        mods = g.moduli if g.is_cyclic else None
+        for size in (1, 2, 7, 12):
+            a = rand_gset(rng, g, size)
+            rows = [[rng.random() < 0.5 for _ in range(size)] for _ in range(4)]
+            j = rng.randrange(size)
+            one = [i == j for i in range(size)]
+            rows += [[False] * size, one, [True] * size, rows[0], one]
+            member = np.array(rows, dtype=bool).reshape(len(rows), size)
+            want = [oracles.oracle_energy_k(mods, set(a.subset(row).elems), 2) for row in member]
+            assert want[4:7] == [0, 1, oracles.oracle_energy_k(mods, set(a.elems), 2)]
+            assert family_energies(a, member) == want
+            assert moments.family_energies(a, member) == want
+    assert family_energies(GSet(cyclic(8), []), np.zeros((2, 0), dtype=bool)) == [0, 0]
 
 
 def test_slice_family_blocks_give_the_unblocked_results(monkeypatch):

@@ -501,9 +501,10 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200,
     n, nb = len(a), len(b)
     rng = random.Random(seed)
     base = moments.convolve(a, b)
-    cc = moments.correlate(base, base)
-    # E(A, B) = |A*B|^2 = (c o c)(0) for c = A*B
-    d_sq = int(cc.values_at(np.zeros((1, g.dim), dtype=np.int64))[0])
+    # E(A, B) = sum_x (A*B)(x)^2, one square sum of the table; A*B's own
+    # correlation waits for the budget step, its only reader, so the search
+    # does not hold it
+    d_sq = moments._square_sum(base._flat(), base.facts()[1][1])
     bb, bd = moments.correlate(b, b), moments.correlate(b, base)
     corr = moments.correlate(a, a)   # its support is A - A
     profile = moments.energy_profile(a, (2,))
@@ -541,7 +542,8 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200,
 
     # every member of T against the 32|A|^2|B|/k budget, from one correlation of A*B
     budget = 32 * n * n * nb
-    within = np.array([k * v <= budget for v in _shift_defects(cc, t_raw.coords)], dtype=bool)
+    defects = _shift_defects(moments.correlate(base, base), t_raw.coords)
+    within = np.array([k * v <= budget for v in defects], dtype=bool)
     t_set = t_raw.subset(within)
     violations = t_raw.coords[~within].tolist()
     rep.store_set("T", t_set)

@@ -834,18 +834,25 @@ def energy_k(a: GSet, k) -> int | float:
 
 def family_energies(a: GSet, member: np.ndarray) -> list[int]:
     """E_2(B_i) for B_i the rows of A that row i of a boolean matrix over the
-    rows of A selects.  A full row reads E_2(A) off the kept A o A.  The
-    other rows take their pairs' counts from A's difference ids
-    (`setops.family_energies`) while |A|^2 and the sum of their |B_i|^2
+    rows of A selects.  A full row reads E_2(A) off the kept A o A.  For the
+    other rows, E_2(B) = sum_d r_B(d)^2 with r_B(d) the number of pairs
+    (x, y) in B x B with a_x - a_y = d, so row i's energy is the square sum
+    of one bincount of the ids (`setops.pair_ids`) of its |B_i|^2 pairs, an
+    exact int of at most |B_i|^3, with A's id matrix built once for the
+    family.  That count serves while |A|^2 and the sum of the rows' |B_i|^2
     stay within 2^22, the path chosen a priori as `_conv` chooses its own;
     above that, each row's subset calls `energy_k`, so large sets keep the
     FFT."""
     sizes = member.sum(axis=1).tolist()
     part = [i for i, s in enumerate(sizes) if s < len(a)]
-    if max(len(a) ** 2, sum(sizes[i] ** 2 for i in part)) <= _DIRECT_MAX:
-        found = dict(zip(part, setops.family_energies(a, member[part])))
-    else:
+    found = {}
+    if max(len(a) ** 2, sum(sizes[i] ** 2 for i in part)) > _DIRECT_MAX:
         found = {i: energy_k(a.subset(member[i]), 2) for i in part}
+    elif part:
+        ids, _ = setops.pair_ids(a, setops.MINUS)
+        for i in part:
+            counts = np.bincount(ids[member[i]][:, member[i]].ravel())
+            found[i] = int(np.dot(counts, counts))
     whole = None
     if len(part) < len(sizes):   # E_2(A) = sum (A o A)^2; no histogram is kept
         t = correlate(a, a)

@@ -101,32 +101,17 @@ def slice_masks(a: GSet, shifts) -> np.ndarray:
 def pair_ids(a: GSet, sign: str = MINUS) -> tuple[np.ndarray, int]:
     """Ids of the |A|^2 values a_x -+ a_y as an |A| x |A| int64 matrix, equal
     ids for equal values, and a bound above every id.  In a cyclic product of
-    at most max(|A|^2, 2^12) elements the id is the flat rank of the value,
-    read with no sort, and the bound the order; else the ids are compact, from
-    one sort of the values, and the bound is |A -+ A|.  Either way a table
-    over the ids has at most max(|A|^2, 2^12) entries."""
+    at most |A|^2 elements the id is the flat rank of the value, read with no
+    sort, and the bound the order; else the ids are compact, from one sort of
+    the values, and the bound is |A -+ A|.  Either way the bound is at most
+    |A|^2."""
     n, g = len(a), a.group
     pairs = a.coords[:, None] - a.coords[None] if sign == MINUS else a.coords[:, None] + a.coords[None]
     keys = row_keys(g, as_rows(g, pairs.reshape(-1, g.dim)))
-    if g.is_cyclic and g.order <= max(n * n, 1 << 12):
+    if g.is_cyclic and g.order <= n * n:
         return keys.reshape(n, n), g.order
     values, ids = np.unique(keys, return_inverse=True)
     return ids.reshape(n, n).astype(np.int64, copy=False), len(values)
-
-
-def family_energies(a: GSet, member: np.ndarray) -> list[int]:
-    """E_2(B_i) for B_i the rows of A that row i of a boolean matrix over
-    the rows of A selects.  E_2(B) = sum_d r_B(d)^2 with r_B(d) the number
-    of pairs (x, y) in B x B with a_x - a_y = d, so row i's energy is the
-    square sum of one bincount of the ids (`pair_ids`) of its |B_i|^2
-    pairs, an exact int of at most |B_i|^3; A's id matrix is built once for
-    the family."""
-    ids, _ = pair_ids(a, MINUS)
-    energies = []
-    for row in member:
-        counts = np.bincount(ids[row][:, row].ravel())
-        energies.append(int(np.dot(counts, counts)))
-    return energies
 
 
 def family_sumset_sizes(a: GSet, left: np.ndarray, right: np.ndarray,
@@ -136,11 +121,11 @@ def family_sumset_sizes(a: GSet, left: np.ndarray, right: np.ndarray,
     the rows of A, slice families from `slice_masks`, say).  With the ids of
     `pair_ids`, |B_i -+ C_j| is the count of distinct ids of a_x -+ a_y over
     x in B_i and y in C_j (`distinct_counts`), taken in blocks of whole rows
-    of `left` whose keys and table each hold at most 2^22 entries."""
+    of `left` of at most 2^22 keys."""
     ids, width = pair_ids(a, sign)
     r_rows, r_cols = np.nonzero(right)
     sizes = np.zeros((len(left), len(right)), dtype=np.int64)
-    step = max(1, _BLOCK // max(1, len(a) * len(r_rows), len(right) * width))
+    step = max(1, _BLOCK // max(1, len(a) * len(r_rows)))
     for lo in range(0, len(left), step):
         block = left[lo:lo + step]
         l_rows, l_cols = np.nonzero(block)
@@ -153,11 +138,18 @@ def family_sumset_sizes(a: GSet, left: np.ndarray, right: np.ndarray,
 
 def distinct_counts(rows: np.ndarray, ids: np.ndarray, count: int, width: int) -> np.ndarray:
     """For each row r < count, the number of distinct ids in [0, width)
-    paired with r in the two equal-length arrays: one scatter into a
-    count x width boolean table and one sum per row."""
-    seen = np.zeros(count * width, dtype=bool)
-    seen[rows * width + ids] = True
-    return seen.reshape(count, width).sum(axis=1)
+    paired with r in the two equal-length arrays, from the keys r width + id.
+    Where the count x width boolean table has no more entries than there are
+    keys, one scatter into it and one sum per row; else one sort of the keys
+    and a count per row of the first key of each run.  Either way no array
+    outgrows the keys."""
+    keys = rows * width + ids
+    if count * width <= len(keys):
+        seen = np.zeros(count * width, dtype=bool)
+        seen[keys] = True
+        return seen.reshape(count, width).sum(axis=1)
+    keys.sort()
+    return np.bincount(keys[np.diff(keys, prepend=-1) != 0] // width, minlength=count)
 
 
 # ---------------------------------------------------------------------------

@@ -719,26 +719,26 @@ def test_power_dot_takes_the_halves_of_powers_below_2_63():
 def test_family_energies_pick_the_path_by_the_pair_budget(monkeypatch):
     # the id count serves while |A|^2 and the partial rows' sum |B_i|^2 stay within the
     # pair budget (patched down to 20^2), energy_k of each partial row past either; a
-    # full row reads E_2(A) off the kept A o A on both sides
+    # full row reads E_2(A) off the kept A o A on both sides, and a family of full rows
+    # alone builds no ids
     monkeypatch.setattr(moments, "_DIRECT_MAX", 400)
-    counts, subsets = [], []
-    real_count, real_energy = setops.family_energies, moments.energy_k
-    monkeypatch.setattr(setops, "family_energies",
-                        lambda a, m: counts.append(len(m)) or real_count(a, m))
+    builds, subsets = [], []
+    real_ids, real_energy = setops.pair_ids, moments.energy_k
+    monkeypatch.setattr(setops, "pair_ids", lambda a, sign: builds.append(len(a)) or real_ids(a, sign))
     monkeypatch.setattr(moments, "energy_k", lambda a, k: subsets.append(len(a)) or real_energy(a, k))
     rng = np.random.default_rng(13)
     for g in (cyclic(64), lattice(2)):
         for n, sizes, counted in ((20, [10, 10, 10, 10], True), (20, [10, 10, 10, 10, 1], False),
-                                  (21, [2], False)):
+                                  (21, [2], False), (20, [], False)):
             elems = rng.choice(64 if g.is_cyclic else 81, n, replace=False)
             a = GSet(g, elems[:, None] if g.is_cyclic else np.column_stack([elems // 9, elems % 9]))
-            member = np.array([rng.permutation(n) < s for s in sizes + [n]])
-            counts.clear()
+            member = np.array([rng.permutation(n) < s for s in sizes + [n, n]])
+            builds.clear()
             subsets.clear()
             mods = g.moduli if g.is_cyclic else None
             want = [oracles.oracle_energy_k(mods, set(a.subset(row).elems), 2) for row in member]
             assert moments.family_energies(a, member) == want
-            assert counts == ([len(sizes)] if counted else [])
+            assert builds == ([n] if counted else [])
             assert subsets == ([] if counted else sizes)
 
 

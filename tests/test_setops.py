@@ -12,7 +12,7 @@ from hienergy import moments, setops
 from hienergy.groups import cyclic, lattice
 from hienergy.gset import GSet, full_group, zset
 from hienergy.setops import (CapExceededError, Caps, MINUS, PLUS, basis_depth_test,
-                             delta_sumset, diffset, d_k, iterated, family_energies,
+                             delta_sumset, diffset, d_k, distinct_counts, iterated,
                              family_sumset_sizes, magnification, magnification_k, pair_ids, s_k,
                              slice_masks, sumset)
 
@@ -134,28 +134,44 @@ def test_family_sumset_sizes_match_pairwise_sumsets():
 
 
 def test_pair_ids_name_equal_values_alike():
-    # flat ranks in a cyclic product of at most max(|A|^2, 2^12) elements, compact ids
-    # from a sort elsewhere (Z/8192 with |A| = 9, and the lattices); either way equal ids
-    # exactly for equal values a_x -+ a_y, below a bound of at most max(|A|^2, 2^12)
+    # flat ranks in a cyclic product of at most |A|^2 elements, compact ids from a sort
+    # elsewhere (Z/128 and Z/8192 with |A| = 9, and the lattices); either way equal ids
+    # exactly for equal values a_x -+ a_y, below a bound of at most |A|^2
     rng = random.Random(37)
-    for g in (cyclic(13), cyclic(4, 8), cyclic(8192), lattice(1), lattice(2)):
+    for g in (cyclic(13), cyclic(4, 8), cyclic(81), cyclic(128), cyclic(8192), lattice(1), lattice(2)):
         a = rand_gset(rng, g, 9)
         mods = g.moduli if g.is_cyclic else None
         for sign, op in ((MINUS, oracles.sub), (PLUS, oracles.add)):
             ids, bound = pair_ids(a, sign)
             assert ids.shape == (9, 9) and ids.dtype == np.int64
-            assert 0 <= ids.min() and ids.max() < bound <= max(81, 1 << 12)
-            assert (bound == g.order) == (g.is_cyclic and g.order <= 1 << 12)
+            assert 0 <= ids.min() and ids.max() < bound <= 81
+            assert (bound == g.order) == (g.is_cyclic and g.order <= 81)
             values = [[op(mods, x, y) for y in a.elems] for x in a.elems]
             pairs = [(i, j) for i in range(9) for j in range(9)]
             for p, q in itertools.combinations(pairs, 2):
                 assert (ids[p] == ids[q]) == (values[p[0]][p[1]] == values[q[0]][q[1]])
+    assert pair_ids(GSet(cyclic(8), []))[0].shape == (0, 0)
+
+
+def test_distinct_counts_take_the_table_or_the_sort_by_size():
+    # the table where count x width is within the key count, the sort past it: the same
+    # counts either way, against a Python set per row, with repeated, absent and empty
+    # rows; a width of 2^40 over three keys allocates no table
+    rng = random.Random(47)
+    for count, width, size in ((3, 4, 40), (3, 4, 12), (3, 4, 11), (5, 1000, 30), (4, 7, 0)):
+        rows = np.array([rng.randrange(count - 1) for _ in range(size)], dtype=np.int64)
+        ids = np.array([rng.randrange(width) for _ in range(size)], dtype=np.int64)
+        want = [len({i for r, i in zip(rows.tolist(), ids.tolist()) if r == row})
+                for row in range(count)]
+        got = distinct_counts(rows, ids, count, width)
+        assert got.tolist() == want and want[-1] == 0 and got.dtype == np.int64
+    big = distinct_counts(np.array([0, 2, 2]), np.array([5, 1 << 39, 5]), 3, 1 << 40)
+    assert big.tolist() == [1, 0, 2]
 
 
 def test_family_energies_match_the_oracle():
     # every row's E_2 is the brute-force E_2 of the subset it selects, through the
-    # id count and through moments' path choice: random, empty, one-element, full
-    # and repeated rows, on both kinds of ids
+    # id count: random, empty, one-element, full and repeated rows, on both kinds of ids
     rng = random.Random(43)
     for g in (cyclic(13), cyclic(4, 8), cyclic(8192), lattice(1), lattice(2)):
         mods = g.moduli if g.is_cyclic else None
@@ -168,9 +184,8 @@ def test_family_energies_match_the_oracle():
             member = np.array(rows, dtype=bool).reshape(len(rows), size)
             want = [oracles.oracle_energy_k(mods, set(a.subset(row).elems), 2) for row in member]
             assert want[4:7] == [0, 1, oracles.oracle_energy_k(mods, set(a.elems), 2)]
-            assert family_energies(a, member) == want
             assert moments.family_energies(a, member) == want
-    assert family_energies(GSet(cyclic(8), []), np.zeros((2, 0), dtype=bool)) == [0, 0]
+    assert moments.family_energies(GSet(cyclic(8), []), np.zeros((2, 0), dtype=bool)) == [0, 0]
 
 
 def test_slice_family_blocks_give_the_unblocked_results(monkeypatch):

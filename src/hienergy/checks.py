@@ -95,9 +95,9 @@ def _slice_corr_sums(a: GSet, depth: int) -> dict[Elem, int]:
     rows = as_rows(a.group, (a.coords[None, :] - a.coords[:, None]).reshape(n * n, -1))
     _, first, point = np.unique(row_keys(a.group, rows), return_index=True, return_inverse=True)
     points = rows[first]
-    holds = np.zeros((len(points), n), dtype=np.int64)   # holds[p, u]: point p lies in A - u
-    holds[point, np.repeat(np.arange(n), n)] = 1
-    inter = holds.T @ holds                              # |(A-u) n (A-v)|
+    holds = np.zeros((len(points), n), dtype=bool)   # holds[p, u]: point p lies in A - u
+    holds[point, np.repeat(np.arange(n), n)] = True
+    inter = moments._exact_product(holds.T, holds, n)   # |(A-u) n (A-v)| <= |A|
     sums = np.zeros(len(points), dtype=object)
     np.add.at(sums, point, inter.ravel().astype(object) ** depth)
     # keys in the order a loop over pairs (u, v) meets them: float sums over the dict follow it
@@ -201,10 +201,6 @@ def check_c9(a: GSet, alpha: float, k: int, caps: Caps = DEFAULT_CAPS) -> CheckR
                 tolerance=REL_TOL)
 
 
-def _max_nonzero_coeff(a: GSet) -> float:
-    return float(np.abs(spectrum.dft(a)).ravel()[1:].max())   # entry 0 is xi = 0
-
-
 def check_c10(a: GSet, k: int, primed: bool = False, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     delta = len(a) / a.group.order
     kap = lambda j: float(moments.energy_k(a, j)) / len(a) ** (j + 1)
@@ -213,7 +209,7 @@ def check_c10(a: GSet, k: int, primed: bool = False, caps: Caps = DEFAULT_CAPS) 
     else:
         inner = max(0.0, kap(k) - delta ** (k - 1)) / k
     rhs = math.sqrt(inner) * len(a)
-    lhs = _max_nonzero_coeff(a)
+    lhs = float(np.abs(spectrum.dft(a)).ravel()[1:].max())   # entry 0 is xi = 0
     cid = "C10p" if primed else "C10"
     return _res(cid, {**_summary(a), "k": k}, lhs, rhs, ">=", tolerance=REL_TOL)
 
@@ -543,7 +539,7 @@ def check_c32(a: GSet, pipeline: str = "bsg1", eps: float = 1.0,
     else:
         rep = extract.bsg_extract_v2(a, eps, nm=[nm], seed=seed)
         implied = rep.stages[-1]["ratios"][0]["implied_constant"]
-    a_prime = GSet(a.group, [tuple(e) for e in rep.outputs["A_prime"]])
+    a_prime = GSet(a.group, rep.outputs["A_prime"])
     passed = a_prime.issubset(a) and math.isfinite(implied) and len(a_prime) > 0
     return _res("C32", {**_summary(a), "pipeline": pipeline, "eps": eps, "nm": list(nm)},
                 rep.measured or 0.0, rep.claimed or 1.0, "<=", hard=False,
@@ -558,7 +554,7 @@ def check_c33(a: GSet, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     and the coverage ratio is finite."""
     rep = extract.small_t4_extract(a)
     cover_ratio = rep.ratio
-    b_set = GSet(a.group, [tuple(e) for e in rep.outputs["B"]])
+    b_set = GSet(a.group, rep.outputs["B"])
     passed = b_set.issubset(a) and math.isfinite(cover_ratio)
     return _res("C33", _summary(a), rep.measured or 0.0, rep.claimed or 1.0, ">=",
                 hard=False, passed=passed,

@@ -240,8 +240,9 @@ def subgroup_eigencheck(gamma: GSet, k: int = 1, base_set: GSet | None = None) -
     gram = build_gram(gamma, gamma, 1, caps).gram
     total = int(gram.sum())
     rng = np.random.default_rng(7)
-    draws = [rng.integers(-3, 4, size=t) for _ in range(8)]
-    connected_ok = all(t * t * int(u @ gram @ u) >= int(u.sum()) ** 2 * total for u in draws)
+    draws = np.array([rng.integers(-3, 4, size=t) for _ in range(8)])
+    forms = moments._exact_product(draws, gram, 9 * t ** 3) * draws   # |u| <= 3, G <= t: sums <= 9 t^3
+    connected_ok = all(t * t * int(f.sum()) >= int(u.sum()) ** 2 * total for f, u in zip(forms, draws))
     return SubgroupEigenReport(
         p=p, t=t, k=k, eigenvalues=eigenvalues, residuals=residuals,
         max_at_trivial=bool(max_at_trivial), measured_max=float(measured_max),

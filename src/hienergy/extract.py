@@ -4,8 +4,12 @@ its difference-set transfer on sampled shifts), small-T_3 covering,
 almost-period search, and configuration / covering sweeps.
 
 Everything runs on the sorted int64 rows of ``GSet.coords`` and on
-``ConvTable`` arrays.  Two identities turn the L2 defects of the
-almost-period search into one entry of a correlation each, a third
+``ConvTable`` arrays.  Every integer matrix product is
+`moments._exact_product` on an a priori bound of its partial sums, float64
+BLAS below 2^53 and int64 below 2^63: m for the intersections |S_i n S_j|
+of an n x m membership matrix, n for `robust_core`'s partner counts and
+|A|^2 for the slice energies' m_s^T Q.  Two identities turn the L2 defects
+of the almost-period search into one entry of a correlation each, a third
 turns the small-T_3 slice scores into one gather, and two more let a
 family of subsets or of shifts be read in one pass, with
 (f o g)(x) = sum_y f(y) g(y + x):
@@ -123,15 +127,6 @@ def popular_set(a: GSet, threshold: Fraction | float | None = None) -> GSet:
 # intersection selection machinery
 
 
-def _intersections(member: np.ndarray) -> np.ndarray:
-    """The n x n table of |S_i n S_j| for the rows of an n x m membership
-    matrix, from one float64 product, exact while m < 2^53."""
-    if member.ndim != 2 or member.dtype != bool or 0 in member.shape:
-        raise ValueError("need a nonempty family and universe as a boolean matrix")
-    dense = member.astype(np.float64)
-    return (dense @ dense.T).astype(np.int64)
-
-
 def _select(member: np.ndarray, inter: np.ndarray, delta: float,
             eta: float) -> tuple[list[int], int]:
     n, m = member.shape
@@ -158,8 +153,10 @@ def robust_core(member: np.ndarray, delta: float) -> list[int]:
     n x m membership matrix: every i, j in J' share, over the whole index
     set, at least 2^-2 delta n partners k with |S_i n S_k|, |S_j n S_k| >=
     2^-4 delta^2 m.  Verified before returning."""
-    inter = _intersections(member)
+    if member.ndim != 2 or member.dtype != bool or 0 in member.shape:
+        raise ValueError("need a nonempty family and universe as a boolean matrix")
     n, m = member.shape
+    inter = moments._exact_product(member, member.T, m)   # |S_i n S_j|
     j_set, _ = _select(member, inter, delta, eta=1 / 8)
     strong = inter >= delta * delta * m / 16  # 2^-4 delta^2 m
     # each member's strong partners inside J
@@ -169,8 +166,8 @@ def robust_core(member: np.ndarray, delta: float) -> list[int]:
         raise InvariantError("robust core fell below 2^-5 delta n")
     partner_floor = delta * n / 4
     # the partners shared by i and j: entry (i, j) of strong strong^T
-    rows = strong[core].astype(np.float64)
-    if (rows @ rows.T < partner_floor * (1 - 1e-12)).any():
+    rows = strong[core]
+    if (moments._exact_product(rows, rows.T, n) < partner_floor * (1 - 1e-12)).any():
         raise InvariantError("two-step connectivity failed on the core")
     return core
 
@@ -352,19 +349,17 @@ def _transfer_samples(a: GSet, p_set: GSet, shifts: np.ndarray) -> list[dict]:
 
 
 def _slice_energies(a: GSet, member: np.ndarray) -> np.ndarray:
-    """E(A, B_i) for each row i of a boolean matrix over the rows of A, B_i
-    the rows it selects.  E(A, B) = sum over u, v in B of (A o A)(v - u),
-    so row i's energy is m_i^T Q m_i with Q[u, v] = (A o A)(a_v - a_u),
-    gathered from the kept A o A in blocks of at most 2^22 entries.  Each
-    sum is an exact integer of at most |A|^3."""
+    """E(A, B_i) = m_i^T Q m_i (module docstring) for each row m_i of a
+    boolean matrix over the rows of A, with Q gathered from the kept A o A
+    in blocks of at most 2^22 entries."""
     n, d = len(a), a.group.dim
-    corr, rows = moments.correlate(a, a), member.astype(np.int64)
+    corr = moments.correlate(a, a)
     energies = np.zeros(len(member), dtype=np.int64)
     step = max(1, setops._BLOCK // max(1, n))
     for lo in range(0, n, step):
         cols = a.coords[lo:lo + step]
         q = corr.values_at((cols[None] - a.coords[:, None]).reshape(-1, d)).reshape(n, len(cols))
-        energies += ((rows @ q) * rows[:, lo:lo + step]).sum(axis=1)
+        energies += (moments._exact_product(member, q, n * n) * member[:, lo:lo + step]).sum(axis=1)
     return energies
 
 

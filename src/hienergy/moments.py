@@ -18,7 +18,7 @@ because the value it ends with is small.  Digits cut from the planes for
 the FFT's limbs, the direct path's pair products and T_k's square sums
 have widths chosen before any entry is read, so every digit product sum
 stays below 2^63.  Python ints are built only for the public readers of a
-wide table (array, values, support_rows, to_csv, argmax), once, on demand.
+wide table (array, values, support_rows, argmax), once, on demand.
 Direct pair sums serve a product iff nnz(f) nnz(g) <= max(2^14,
 2 x transform size), capped at 2^22 pairs; else a real FFT on operands split
 into limbs chosen before it runs, so that Percival's a priori error bound
@@ -197,13 +197,6 @@ class ConvTable:
         slices = tuple(slice(int(i.min()), int(i.max()) + 1) for i in nz)
         off = tuple(int(s.start + o) for s, o in zip(slices, self.offset))
         return ConvTable.of_planes(self.group, self.planes[(slice(None),) + slices].copy(), off)
-
-    def to_csv(self) -> str:
-        lines = ["element,count"]
-        points, values = self.support_rows()
-        for elem, v in zip(points.tolist(), values.tolist()):
-            lines.append(f"\"{groups.format_elem(elem)}\",{v}")
-        return "\n".join(lines) + "\n"
 
 
 def as_table(x) -> ConvTable:
@@ -741,6 +734,20 @@ def _square_sum(x: np.ndarray, linf: int) -> int:
     d = _digits(x, w, -(-linf.bit_length() // w))
     return sum(int(np.dot(d[i], d[j])) << w * (i + j) + (i < j)
                for i in range(len(d)) for j in range(i, len(d)))
+
+
+def _exact_product(x: np.ndarray, y: np.ndarray, bound: int) -> np.ndarray:
+    """x @ y as int64 for integer or boolean x, y, given a bound on every
+    partial sum of every entry (max sum_k |x_ik| |y_kj| is one): in float64
+    BLAS below 2^53, where each such sum is an integer held exactly in any
+    order of addition; in int64 below 2^63; from 2^63 on, int64 could wrap."""
+    if bound < 1 << 53:   # one float copy of x, shared by y = x^T (BLAS's symmetric product) ...
+        f = x.astype(np.float64)
+        f = f @ (f.T if x.T.__array_interface__ == y.__array_interface__ else y.astype(np.float64))
+        return f.astype(np.int64)   # ... gone, with y's, before the int64 cast
+    if bound < 1 << 63:
+        return x.astype(np.int64, copy=False) @ y.astype(np.int64, copy=False)
+    raise OverflowError(f"product bound {bound} reaches 2^63")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -119,15 +119,16 @@ def family_sumset_sizes(a: GSet, left: np.ndarray, right: np.ndarray,
     """The |L| x |R| table of |B_i -+ C_j|, for B_i and C_j the rows of A
     that row i of `left` and row j of `right` select (boolean matrices over
     the rows of A, slice families from `slice_masks`, say).  With the ids of
-    `pair_ids`, |B_i -+ C_j| is the count of distinct ids of a_x -+ a_y over
-    x in B_i and y in C_j (`distinct_counts`), taken in blocks of whole rows
-    of `left` of at most 2^22 keys."""
-    ids, width = pair_ids(a, sign)
-    r_rows, r_cols = np.nonzero(right)
+    `pair_ids` over the rows some B_i or C_j selects, |B_i -+ C_j| is the
+    count of distinct ids of a_x -+ a_y over x in B_i and y in C_j
+    (`distinct_counts`), in blocks of whole rows of `left` of at most 2^22 keys."""
+    used = left.any(axis=0) | right.any(axis=0)
+    ids, width = pair_ids(a.subset(used), sign)
+    r_rows, r_cols = np.nonzero(right[:, used])
     sizes = np.zeros((len(left), len(right)), dtype=np.int64)
-    step = max(1, _BLOCK // max(1, len(a) * len(r_rows)))
+    step = max(1, _BLOCK // max(1, len(ids) * len(r_rows)))
     for lo in range(0, len(left), step):
-        block = left[lo:lo + step]
+        block = left[lo:lo + step, used]
         l_rows, l_cols = np.nonzero(block)
         pair = l_rows[:, None] * len(right) + r_rows[None]   # the (i, j) of each (x, y)
         counts = distinct_counts(pair.ravel(), ids[l_cols][:, r_cols].ravel(),

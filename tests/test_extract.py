@@ -1,14 +1,16 @@
+import hashlib
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
-from hienergy import extract, moments, setops
-from hienergy.extract import (ExtractionError, _intersections, _select, almost_period_check,
+from hienergy import checks, eigen, extract, genset, moments, setops
+from hienergy.extract import (ExtractionError, _select, almost_period_check,
                               bsg_extract, bsg_extract_v2, cs_period_search,
                               find_configuration, nb_cover, popular_set, robust_core,
                               small_t4_extract)
@@ -22,6 +24,12 @@ def rand_gset(rng, g, size):
     if g.dim == 2:
         return GSet(g, [(v // 9 - 4, v % 9 - 4) for v in rng.sample(range(81), size)])
     return GSet(g, rng.sample(range(40), size))
+
+
+def intersections(member):
+    """The table of |S_i n S_j| for the rows of a membership matrix, as
+    `robust_core` takes it."""
+    return moments._exact_product(member, member.T, member.shape[1])
 
 
 def member_of(fam, universe):
@@ -55,7 +63,7 @@ def test_popular_mass_guarantee():
 
 def test_intersection_select_identical_family():
     fam = member_of([zset([0, 1, 2])] * 5, zset([0, 1, 2]))
-    j, column = _select(fam, _intersections(fam), 1.0, 1 / 8)
+    j, column = _select(fam, intersections(fam), 1.0, 1 / 8)
     assert j == [0, 1, 2, 3, 4] and column == 0   # the universe's first row, (0,)
     core = robust_core(fam, 1.0)
     assert core == [0, 1, 2, 3, 4]
@@ -65,7 +73,7 @@ def test_intersection_select_validates_precondition():
     # pairwise disjoint family: sum |S_i n S_j| = sum |S_i|, far below delta^2 m n^2
     fam = np.eye(3, dtype=bool)
     with pytest.raises(ExtractionError):
-        _select(fam, _intersections(fam), 0.9, 1 / 8)
+        _select(fam, intersections(fam), 0.9, 1 / 8)
 
 
 def test_intersection_select_matches_exhaustive_alpha_sweep():
@@ -81,7 +89,7 @@ def test_intersection_select_matches_exhaustive_alpha_sweep():
     total = sum(len(si.intersect(sj)) for si in fam for sj in fam)
     delta = math.sqrt(total / (m * n * n))
     member = member_of(fam, universe)
-    j, column = _select(member, _intersections(member), delta, 1 / 8)
+    j, column = _select(member, intersections(member), delta, 1 / 8)
     alpha = tuple(universe.coords[column].tolist())
     # exhaustive sweep oracle: first alpha passing both bounds
     masks = [set(s.elems) for s in fam]
@@ -105,7 +113,7 @@ def test_membership_table_matches_per_member_search():
         fam = [GSet(g, rng.sample(universe.elems, rng.randint(0, 14))) for _ in range(9)]
         member = member_of(fam, universe)
         assert [universe.subset(row) for row in member] == fam
-        inter = extract._intersections(member)
+        inter = intersections(member)
         assert inter.tolist() == [[len(si.intersect(sj)) for sj in fam] for si in fam]
         for bad in (member[:0], member[:, :0], member.astype(np.int64)):
             with pytest.raises(ValueError):
@@ -140,7 +148,7 @@ def test_robust_core_matches_the_per_row_loop():
         member = member_of(fam, zset(range(m)))
         n = len(fam)
         delta = math.sqrt(int((member.sum(axis=0) ** 2).sum()) / (m * n * n))
-        inter = _intersections(member)
+        inter = intersections(member)
         j_set, _ = _select(member, inter, delta, eta=1 / 8)
         strong = inter >= delta * delta * m / 16
         want = [i for i in j_set if strong[i, j_set].sum() >= 0.75 * len(j_set)]
@@ -406,6 +414,61 @@ def test_small_t4_family_energies_and_choice_match_per_slice_loop():
             stage = next(st for st in small_t4_extract(a).stages if st["stage"] == "slice")
             assert (stage["s"], stage["beta"], stage["size"]) == (best[0], best_beta, len(best[1]))
     assert extract._slice_energies(zset([0, 1, 3]), np.zeros((0, 3), dtype=bool)).shape == (0,)
+
+
+def test_every_integer_product_is_exact_within_its_callers_bound(monkeypatch):
+    # robust_core's intersections and partner counts, the slice energies, the slice
+    # correlation sums and the connected forms: each product equals the Python-int
+    # product, and each caller's bound covers every sum_k |x_ik| |y_kj|
+    real, seen = moments._exact_product, []
+
+    def checked(x, y, bound):
+        got = real(x, y, bound)
+        xs, ys = (np.asarray(v, dtype=np.int64).astype(object) for v in (x, y))
+        assert got.dtype == np.int64 and got.tolist() == (xs @ ys).tolist()
+        assert (abs(xs) @ abs(ys)).max(initial=0) <= bound
+        seen.append((sys._getframe(1).f_code.co_name, 0 in x.shape + y.shape))
+        return got
+
+    monkeypatch.setattr(moments, "_exact_product", checked)
+    rng = random.Random(79)
+    for _ in range(6):
+        m = rng.randint(8, 20)
+        fam = [zset(rng.sample(range(m), rng.randint(m // 2, m))) for _ in range(rng.randint(4, 18))]
+        member = member_of(fam, zset(range(m)))
+        n = len(fam)
+        robust_core(member, math.sqrt(int((member.sum(axis=0) ** 2).sum()) / (m * n * n)))
+    for g in (cyclic(64), cyclic(4, 8), lattice(1), lattice(2)):
+        a = rand_gset(rng, g, rng.randint(2, 14))
+        member = setops.slice_masks(a, setops.diffset(a, a).coords)
+        want = [moments.energy_k_pair(a, a.subset(row), 2) for row in member]
+        assert extract._slice_energies(a, member).tolist() == want
+        assert extract._slice_energies(a, member[:0]).shape == (0,)
+        checks._slice_corr_sums(a, 2)
+    for p, t in [(13, 3), (31, 5), (61, 12)]:
+        assert eigen.subgroup_eigencheck(genset.mult_subgroup(p, t)).connected_ok
+    assert {name for name, _ in seen} == {"robust_core", "_slice_energies", "_slice_corr_sums",
+                                          "subgroup_eigencheck"}
+    assert ("_slice_energies", True) in seen
+    assert sum(name == "robust_core" for name, _ in seen) == 12   # intersections and partner counts
+
+
+def small_t4_digest(n: int) -> str:
+    """sha256 of the smallT4 report of random:N=n,delta=0.05,seed=3, as the
+    extract command writes it."""
+    a = genset.gen(genset.parse_recipe(f"random:N={n},delta=0.05,seed=3"))
+    return hashlib.sha256(small_t4_extract(a).to_json().encode()).hexdigest()
+
+
+def test_small_t4_report_is_pinned_at_scale():
+    # |A| = 395: slice energies of every candidate above the gamma floor, byte for byte
+    assert small_t4_digest(8192) == "3f880be9cef17fb9bf2ad9abb5982682cb815a27953962d4e1c9bc8f318e0163"
+
+
+@pytest.mark.slow
+def test_small_t4_report_is_pinned_at_n_16384():
+    # |A| = 813
+    assert small_t4_digest(16384) == "445494250228d644df9b0bc324294d0ecb7f5ac972a9b6eb66617c8dfcbd9287"
 
 
 def test_almost_period_examples():

@@ -10,8 +10,10 @@ caller in another part of it, bar a short allow-list with reasons, and no
 module imports a name it never reads.  The float FFT runs only in the
 engine's transforms, a set's kept spectrum (`spectrum._dft`) and the complex
 operator's own.  A table's nonzero count and norms are derived in one place,
-`ConvTable.facts`, at most once per table.  Pretty JSON is written by one
-writer, `groups.dumps_json`: no module indents JSON through the stdlib."""
+`ConvTable.facts`, at most once per table.  Every integer matrix product
+runs through `moments._exact_product`, on its caller's a priori bound.
+Pretty JSON is written by one writer, `groups.dumps_json`: no module
+indents JSON through the stdlib."""
 
 import ast
 from pathlib import Path
@@ -473,3 +475,58 @@ def test_pretty_json_guard_sees_each_form(tmp_path):
     assert stdlib_pretty_json(bad) == ["bad.py:3 json.dumps", "bad.py:4 json.dump",
                                        "bad.py:5 to_text", "bad.py:6 dump",
                                        "bad.py:7 json.JSONEncoder"]
+
+
+# Every `@` and `np.matmul` in the package, by where it sits, one entry per use.
+MATMUL_ALLOWED = [
+    "moments._exact_product @",   # the float64 product, below 2^53 ...
+    "moments._exact_product @",   # ... and the int64 one, below 2^63
+    # the complex mat @ chi of the character residuals: float by nature, it counts nothing
+    "eigen.subgroup_eigencheck @",
+]
+
+
+def matmul_uses(path: Path) -> list[str]:
+    """`module.top form` for every `@`, `@=`, `np.matmul`/`numpy.matmul` and
+    name `matmul` imports from numpy (aliases included) in a module, by the
+    top-level definition it sits in.  The int64 1-D `np.dot` reductions of
+    `moments` (`_square_sum`, `_power_dot`, `family_energies`) are no matrix
+    product: each is bounded on its own, in its docstring."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                for a in node.names if a.name == "matmul"}
+    found = []
+    for top in tree.body:
+        where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for node in ast.walk(top):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{where} @")
+            elif (isinstance(node, ast.Attribute) and node.attr == "matmul"
+                  and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                found.append(f"{where} np.matmul")
+            elif isinstance(node, ast.Name) and node.id in imported:
+                found.append(f"{where} matmul")
+    return found
+
+
+def test_integer_products_go_through_one_helper():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 10
+    assert sorted(use for p in modules for use in matmul_uses(p)) == sorted(MATMUL_ALLOWED)
+
+
+def test_matmul_guard_sees_each_form(tmp_path):
+    bad = tmp_path / "extract.py"
+    bad.write_text("from numpy import matmul, matmul as mm\n"
+                   "def robust_core(member):\n"
+                   "    inter = member @ member.T\n"
+                   "    inter @= member\n"
+                   "    return np.matmul(inter, numpy.matmul(member, member))\n"
+                   "class Report:\n"
+                   "    def gram(self, x):\n"
+                   "        return matmul(x, mm(x, x.T))\n"
+                   "ok = np.dot(x, x) + x * y\n")
+    assert sorted(matmul_uses(bad)) == [
+        "extract.Report matmul", "extract.Report matmul", "extract.robust_core @",
+        "extract.robust_core @", "extract.robust_core np.matmul", "extract.robust_core np.matmul"]

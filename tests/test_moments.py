@@ -768,7 +768,6 @@ def test_planes_round_trip_python_ints():
         assert t.total() == sum(values)
         assert support(t) == {(x,): v for x, v in enumerate(values) if v}
         assert t.argmax() == ((values.index(max(values)),), max(values))
-        assert t.to_csv().splitlines()[1:] == [f'"{x}",{v}' for x, v in enumerate(values) if v]
         nonneg = moments._cut(np.array([max(v, 0) for v in values], dtype=object))
         assert moments._square_sum(nonneg, max(values)) == sum(v * v for v in values if v > 0)
         # a product with the unit at 0 hands the same values back, in either order
@@ -810,6 +809,34 @@ def test_square_sums_at_the_boundaries():
     for values in (nonneg, nonneg * 50):
         planes = moments._cut(np.array(values, dtype=object))
         assert moments._square_sum(planes, max(values)) == sum(v * v for v in values)
+
+
+def test_exact_product_takes_float64_only_below_2_53():
+    # 2^53 + 1 rounds to 2^53 in float64, so a product of that value, bounded by
+    # it, comes back exact only if the bound sends it to int64; a bound of 2^63 raises
+    x = np.array([[1 << 53, 1]], dtype=np.int64)
+    y = np.ones((2, 1), dtype=np.int64)
+    assert (x.astype(np.float64) @ y.astype(np.float64))[0, 0] == 1 << 53
+    for bound in ((1 << 53) + 1, (1 << 63) - 1):
+        got = moments._exact_product(x, y, bound)
+        assert got.dtype == np.int64 and got.tolist() == [[(1 << 53) + 1]]
+    for bound in (1 << 63, 1 << 70):
+        with pytest.raises(OverflowError):
+            moments._exact_product(x, y, bound)
+    # signed and boolean operands, a matrix against its own transpose either way
+    # round and against the transpose of its first row, empty shapes among them,
+    # on both paths
+    rng = np.random.default_rng(109)
+    for m, k, n in ((3, 4, 5), (1, 7, 1), (0, 3, 2), (2, 0, 3), (3, 2, 0)):
+        signed = rng.integers(-9, 10, size=(m, k)), rng.integers(-9, 10, size=(k, n))
+        flags = rng.random((m, k)) < 0.5, rng.random((k, n)) < 0.5
+        mine = flags[0], flags[0].T
+        cases = (signed, 81 * k), (flags, k), (mine, k), (mine[::-1], m), ((mine[0], mine[0][:1].T), k)
+        for (a, b), top in cases:
+            want = (a.astype(np.int64).astype(object) @ b.astype(np.int64).astype(object)).tolist()
+            for bound in (top, (1 << 53) - 1, 1 << 53, (1 << 63) - 1):
+                got = moments._exact_product(a, b, bound)
+                assert got.dtype == np.int64 and got.shape == (len(a), b.shape[1]) and got.tolist() == want
 
 
 def wide_chains():
@@ -1298,13 +1325,6 @@ def test_chain_steps_derive_each_table_fact_once(monkeypatch):
         assert all(x is not chain.base.planes for x in derived)
         assert len({id(x) for x in derived}) == len(derived)
     assert plans == [(1024, False), (4096, False), (1 << 15, True)]
-
-
-def test_table_csv_export():
-    a = zset([0, 1, 3])
-    csv = correlate(a, a).to_csv()
-    assert csv.splitlines()[0] == "element,count"
-    assert '"0",3' in csv
 
 
 def test_correlation_mass_check_survives_optimize():

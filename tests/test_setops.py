@@ -133,6 +133,29 @@ def test_family_sumset_sizes_match_pairwise_sumsets():
     assert family_sumset_sizes(a, np.ones((2, 3), dtype=bool), np.zeros((0, 3), dtype=bool)).shape == (2, 0)
 
 
+def test_family_sumset_sizes_build_ids_over_the_selected_rows(monkeypatch):
+    # a family of a few rows of a 12-element set hands pair_ids only the rows some
+    # B_i or C_j selects, and the sizes are the pairwise sumsets'; a family of whole
+    # rows, as C20's, still hands it every row
+    received, real = [], setops.pair_ids
+    monkeypatch.setattr(setops, "pair_ids", lambda a, sign=MINUS: received.append(len(a)) or real(a, sign))
+    rng = random.Random(53)
+    left = np.zeros((2, 12), dtype=bool)
+    left[0, [1, 4]] = left[1, 4] = True
+    right = np.zeros((3, 12), dtype=bool)
+    right[0, 7] = right[2, [4, 9]] = True
+    whole = np.ones((1, 12), dtype=bool)
+    for g in (cyclic(64), cyclic(4, 8), lattice(1), lattice(2)):
+        a = rand_gset(rng, g, 12)
+        for sign, op in ((MINUS, diffset), (PLUS, sumset)):
+            received.clear()
+            want = [[len(op(a.subset(x), a.subset(y))) for y in right] for x in left]
+            assert family_sumset_sizes(a, left, right, sign).tolist() == want
+            assert (family_sumset_sizes(a, left, whole, sign)[:, 0].tolist()
+                    == [len(op(a.subset(x), a)) for x in left])
+            assert received == [4, 12]
+
+
 def test_pair_ids_name_equal_values_alike():
     # flat ranks in a cyclic product of at most |A|^2 elements, compact ids from a sort
     # elsewhere (Z/128 and Z/8192 with |A| = 9, and the lattices); either way equal ids

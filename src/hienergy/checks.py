@@ -21,7 +21,7 @@ import numpy as np
 
 from . import eigen, extract, genset, groups, moments, setops, spectrum
 from .groups import Elem
-from .gset import GSet, as_rows, bounded_rows, full_group, row_keys
+from .gset import GSet, as_rows, bounded_rows, full_group, row_keys, sum_rows
 from .setops import DEFAULT_CAPS, MINUS, PLUS, Caps
 
 REL_TOL = 1e-9
@@ -92,7 +92,7 @@ def _slice_corr_sums(a: GSet, depth: int) -> dict[Elem, int]:
         return {}
     n = len(a)
     # row u n + v is v - u: the translate A - u lists its points in rows u n .. u n + n - 1
-    rows = as_rows(a.group, (a.coords[None, :] - a.coords[:, None]).reshape(n * n, -1))
+    rows = sum_rows(a.group, a.coords[None, :], a.coords[:, None], minus=True)
     _, first, point = np.unique(row_keys(a.group, rows), return_index=True, return_inverse=True)
     points = rows[first]
     holds = np.zeros((len(points), n), dtype=bool)   # holds[p, u]: point p lies in A - u
@@ -843,6 +843,7 @@ def _subsample(a: GSet, size: int) -> GSet:
 class SuiteReport:
     results: list[CheckResult] = field(default_factory=list)
     errors: list[dict] = field(default_factory=list)
+    capped: int = 0   # how many of the errors a CapExceededError raised
 
     @property
     def hard_failures(self) -> list[CheckResult]:
@@ -899,6 +900,7 @@ def run_suite(instances: Sequence[Instance], check_ids: Sequence[str],
                 except setops.CapExceededError as exc:
                     report.errors.append({"check": cid, "instance": inst.label,
                                           "error": f"cap: {exc}"})
+                    report.capped += 1
                 except Exception as exc:
                     report.errors.append({"check": cid, "instance": inst.label,
                                           "error": str(exc)})

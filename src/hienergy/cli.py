@@ -180,10 +180,9 @@ def _exit_code(report: checks.SuiteReport) -> int:
     for r in report.hard_failures:
         print(f"HARD FAIL {r.check_id}: lhs={r.lhs} rhs={r.rhs} inputs={r.inputs}",
               file=sys.stderr)
-    capped = [e for e in report.errors if str(e.get("error", "")).startswith("cap")]
-    if report.hard_failures or len(capped) < len(report.errors):
+    if report.hard_failures or report.capped < len(report.errors):
         return FAIL_EXIT
-    return CAP_EXIT if capped else 0
+    return CAP_EXIT if report.capped else 0
 
 
 def cmd_extract(args, caps: Caps) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 from . import groups, moments
 from .genset import multiplicative_order_elements, primitive_root
 from .groups import GroupSpec, InvariantError
-from .gset import GSet, as_rows, row_keys
+from .gset import GSet, row_keys, sum_rows
 from .setops import CapExceededError, Caps, DEFAULT_CAPS
 
 INVARIANT_RTOL = 1e-8
@@ -147,7 +147,7 @@ def restricted_matrix(g: GroupSpec, phi, e_set: GSet) -> np.ndarray:
     """Matrix of the operator restricted to functions supported on E."""
     kernel = _group_fft(g, _reflect_flat(g, _flat_function(g, phi)))
     rows = e_set.coords   # entry (i, j) is the kernel at x_i - x_j
-    return kernel[row_keys(g, as_rows(g, (rows[:, None] - rows[None]).reshape(-1, g.dim)))
+    return kernel[row_keys(g, sum_rows(g, rows[:, None], rows[None], minus=True))
                   ].reshape(len(rows), len(rows))
 
 

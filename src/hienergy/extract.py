@@ -67,7 +67,7 @@ import numpy as np
 
 from . import groups, moments, setops
 from .groups import Elem, InvariantError
-from .gset import GSet, as_rows, full_group, row_keys
+from .gset import GSet, as_rows, full_group, row_keys, sum_rows
 
 SHIFT_SAMPLES = 24   # the shift sequences cs_period_search draws from its good samples
 
@@ -319,7 +319,7 @@ def _transfer_samples(a: GSet, p_set: GSet, shifts: np.ndarray) -> list[dict]:
     a_family, p_family = setops.slice_masks(a, shifts), setops.slice_masks(p_set, shifts)
     e_pairs = _slice_energies(a, a_family).tolist()
     rows = np.flatnonzero(a_family.any(axis=0))   # the x in some A_s
-    u = as_rows(g, (a.coords[rows, None] - a.coords[None]).reshape(-1, d))   # row r n + y
+    u = sum_rows(g, a.coords[rows, None], a.coords[None], minus=True)   # row r n + y
     in_p = p_set.isin(u).reshape(len(rows), n)
     which, xs = np.nonzero(a_family[:, rows])   # (shift, x in A_s as an index of rows)
     sizes = a_family.sum(axis=1)
@@ -329,8 +329,8 @@ def _transfer_samples(a: GSet, p_set: GSet, shifts: np.ndarray) -> list[dict]:
     for i in range(len(shifts)):   # close a block before the next shift passes 2^22 rows
         if i + 1 == len(shifts) or (ends[i + 1] - lo) * n > setops._BLOCK:
             part = slice(lo, ends[i])
-            moved = u.reshape(len(rows), n, d)[xs[part]] + shifts[which[part]][:, None]
-            moved_in[part] = p_set.isin(as_rows(g, moved.reshape(-1, d))).reshape(-1, n)
+            moved = sum_rows(g, u.reshape(len(rows), n, d)[xs[part]], shifts[which[part]][:, None])
+            moved_in[part] = p_set.isin(moved).reshape(-1, n)
             lo = ends[i]
     entry, ys = np.nonzero(in_p[xs] & moved_in)
     shift_of = which[entry]

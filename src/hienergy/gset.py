@@ -27,7 +27,8 @@ the set; ``subset`` and every constructor start an empty one.  Its keys:
 
 - ``"AoA"``: the table A o A (``moments.correlate(a, a)``), read-only;
 - ``"levels"``: the histogram of its values, read-only arrays (levels,
-  counts), behind every ``moments.energy_k``, ``level_sequence`` and |A - A|;
+  counts), and the integer power sums E_0..E_k read off it so far, behind
+  every ``moments.energy_k``, ``level_sequence`` and |A - A|;
 - ``"chain"``: the convolution powers behind ``moments.t_k``/``sigma_k``;
 - ``"A+A"``, ``"A-A"``: ``setops.sumset(a, a)``, ``setops.diffset(a, a)``;
 - ``"AA"``: the product set ``moments.prodset(a, a)`` of a set of Z;
@@ -91,6 +92,23 @@ def as_rows(group: GroupSpec, elems) -> np.ndarray:
             and (group.dim == 1 or (rows.max(axis=0) >= group.moduli).any()))):
         rows = rows % np.array(group.moduli, dtype=np.int64)
     return rows
+
+
+def sum_rows(group: GroupSpec, x: np.ndarray, y: np.ndarray, minus: bool = False) -> np.ndarray:
+    """The rows x + y, or x - y with ``minus``, of two int64 arrays of
+    reduced rows that broadcast against each other (``x[:, None]`` and
+    ``y[None]`` give row i len(y) + j for x_i -+ y_j), as one reduced
+    len x dim matrix.  In a cyclic product each coordinate of a sum lies in
+    [0, 2m) and of a difference in (-m, m), so one conditional subtract or
+    add of the modulus per column reduces it; lattice rows pass through."""
+    out = (np.subtract(x, y) if minus else np.add(x, y)).reshape(-1, group.dim)
+    if group.is_cyclic:
+        for col, m in zip(out.T, group.moduli):
+            if minus:
+                np.add(col, m, out=col, where=col < 0)
+            else:
+                np.subtract(col, m, out=col, where=col >= m)
+    return out
 
 
 def bounded_rows(group: GroupSpec, elems) -> np.ndarray:

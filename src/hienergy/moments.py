@@ -42,14 +42,16 @@ besides that only T_k's cross-check is validated after the fact.  The limb
 thresholds are planned once per transform size.  A o A of a GSet is built
 once and kept on the set (see the gset module), read-only, and so is the
 histogram of its values, from one bincount, with its count total and top
-level, and its square sum E_2 from the first read of an order k >= 2
-(top^(k-2) E_2 bounds E_k): every E_k (its k-th moment), the level
-sequence and |A - A| read the histogram, the Gram (B o B)^k reads the
+level, and its integer power sums: a read of E_k keeps every order up to
+k, each missing order j one `_power_dot` under the a priori bound
+top E_(j-1) (v^j <= top v^(j-1) for every level v), so a read of a kept
+order is a list lookup.  The level
+sequence and |A - A| read the histogram too, the Gram (B o B)^k reads the
 table, and E_k(A, B) is a moment of the two kept tables, taken on every
-call.  Its chain is kept the same way: each level A^(*j) is built once per
-set, by one engine call on the level below, and leaves T_j and sigma_j
-behind; the set keeps only the top level and the base's spectra, which on
-a cyclic group T_k's cross-check reuses: the
+call for the one order asked.  Its chain is kept the same way: each level
+A^(*j) is built once per set, by one engine call on the level below, and
+leaves T_j and sigma_j behind; the set keeps only the top level and the
+base's spectra, which on a cyclic group T_k's cross-check reuses: the
 nonzero frequencies, weighted for the half-spectrum's layout, must sum to
 N T_k - |A|^(2k).  On a power-of-two cyclic group, with one limb per
 operand, T_1..T_k and sigma_1..sigma_k together cost 2k - 2 real FFTs per set.
@@ -188,13 +190,16 @@ class ConvTable:
         return self.planes.reshape(len(self.planes), -1)
 
     def trimmed(self) -> "ConvTable":
+        """The table on the bounding box of its support, found by one `any`
+        reduction over the other axes per axis; a cyclic table as it is."""
         if self.group.is_cyclic:
             return self
-        nz = np.nonzero(_support(self.planes))
-        if len(nz[0]) == 0:
+        support, axes = _support(self.planes), range(self.group.dim)
+        spans = [np.flatnonzero(support.any(axis=tuple(j for j in axes if j != i))) for i in axes]
+        if len(spans[0]) == 0:
             return ConvTable.of_planes(self.group, np.zeros((len(self.planes),) + (1,) * self.group.dim,
                                                             dtype=np.int64))
-        slices = tuple(slice(int(i.min()), int(i.max()) + 1) for i in nz)
+        slices = tuple(slice(int(span[0]), int(span[-1]) + 1) for span in spans)
         off = tuple(int(s.start + o) for s, o in zip(slices, self.offset))
         return ConvTable.of_planes(self.group, self.planes[(slice(None),) + slices].copy(), off)
 
@@ -753,31 +758,33 @@ def _exact_product(x: np.ndarray, y: np.ndarray, bound: int) -> np.ndarray:
 @dataclasses.dataclass(frozen=True, eq=False)
 class _Histogram:
     """Paired nonnegative int64 arrays (levels, counts), zeros and repeats
-    allowed, with their count total and top level taken once: immutable,
-    and it unpacks as (levels, counts).  Its square sum is taken at most
-    once, on first read."""
+    allowed, with their count total and top level taken once: immutable
+    but for ``sums``, and it unpacks as (levels, counts).  ``sums`` keeps its integer power
+    sums [E_0 = total, E_1, ..., E_m], E_j = sum c v^j, as `power_sum`
+    reads them."""
 
     levels: np.ndarray
     counts: np.ndarray
     total: int   # sum of the counts
     top: int     # the largest level, 0 if none
+    sums: list   # the power sums read so far, E_j at index j
 
     @classmethod
     def of(cls, levels: np.ndarray, counts: np.ndarray) -> "_Histogram":
-        return cls(levels, counts, int(counts.sum()), int(levels.max(initial=0)))
+        total = int(counts.sum())
+        return cls(levels, counts, total, int(levels.max(initial=0)), [total])
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter((self.levels, self.counts))
 
-    @property
-    def square(self) -> int:
-        """sum c v^2, at most total top^2, kept from its first read in a
-        plain dict entry (a cached_property's first read costs about as
-        much as the dot on a short histogram)."""
-        kept = self.__dict__
-        if "_square" not in kept:
-            kept["_square"] = _power_dot(self, 2, self.total * self.top ** 2)
-        return kept["_square"]
+    def power_sum(self, k: int) -> int:
+        """E_k for an integer k >= 0, kept with every order below it: a
+        missing order j is one `_power_dot` bounded by top E_(j-1), as
+        v^j <= top v^(j-1) for every level v."""
+        sums = self.sums
+        while len(sums) <= k:
+            sums.append(_power_dot(self, len(sums), self.top * sums[-1]))
+        return sums[k]
 
 
 def _histogram(values: np.ndarray) -> _Histogram:
@@ -808,21 +815,14 @@ def _power_dot(hist: _Histogram, k: int, bound: int) -> int:
 
 
 def _moment(hist: _Histogram, k) -> int | float:
-    """sum c v^k over the histogram's pairs (v, c): one int64 dot while the
-    sum is bounded below 2^63, by total top^k or, for k > 2 where that
-    bound fails, by top^(k-2) sum c v^2 (as v <= top), else Python ints;
+    """sum c v^k over the histogram's pairs (v, c), for a histogram read
+    once: for an integer k, the one order asked, bounded by total top^k;
     for a non-integer k, Python floats summed in the arrays' order (a
     histogram's ascending levels)."""
-    if not float(k).is_integer():
-        levels, counts = hist
-        return float(sum(float(c) * float(v) ** k for v, c in zip(levels.tolist(), counts.tolist())))
-    k = int(k)
-    if k == 2:
-        return hist.square
-    bound = hist.total * hist.top ** k
-    if k > 2 and bound >= 1 << 63:
-        bound = hist.top ** (k - 2) * hist.square
-    return _power_dot(hist, k, bound)
+    if float(k).is_integer():
+        return _power_dot(hist, int(k), hist.total * hist.top ** int(k))
+    levels, counts = hist
+    return float(sum(float(c) * float(v) ** k for v, c in zip(levels.tolist(), counts.tolist())))
 
 
 def _levels(a: GSet) -> _Histogram:
@@ -833,10 +833,12 @@ def _levels(a: GSet) -> _Histogram:
 
 def energy_k(a: GSet, k) -> int | float:
     """E_k(A) = sum_x (A o A)(x)^k, the k-th moment of the set's kept
-    histogram; exact for integer k, E_1(A) = |A|^2."""
+    histogram; exact for integer k, and then kept there with every order
+    below it; E_1(A) = |A|^2."""
     if not 1 <= k < math.inf:   # NaN fails both comparisons
         raise ValueError(f"energy order must be >= 1 and finite, got {k}")
-    return _moment(_levels(a), k)
+    hist = _levels(a)
+    return hist.power_sum(int(k)) if float(k).is_integer() else _moment(hist, k)
 
 
 def family_energies(a: GSet, member: np.ndarray) -> list[int]:

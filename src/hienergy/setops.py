@@ -27,7 +27,7 @@ import numpy as np
 
 from . import groups
 from .groups import Elem, GroupSpec
-from .gset import GSet, _firsts, _require_same_group, as_rows, bounded_rows, row_keys
+from .gset import GSet, _firsts, _require_same_group, as_rows, bounded_rows, row_keys, sum_rows
 
 MINUS = "-"
 PLUS = "+"
@@ -88,12 +88,12 @@ def slice_masks(a: GSet, shifts) -> np.ndarray:
     reduced in a cyclic product; repeats give repeated rows.  The AND of the
     rows is the stabilizer slice A n (A - s_1) n ... n (A - s_j)."""
     shifts = bounded_rows(a.group, shifts)
-    n, d = len(a), a.group.dim
+    n = len(a)
     member = np.empty((len(shifts), n), dtype=bool)
     step = max(1, _BLOCK // max(1, n))
     for lo in range(0, len(shifts), step):
         block = shifts[lo:lo + step]
-        moved = as_rows(a.group, (block[:, None] + a.coords[None]).reshape(-1, d))
+        moved = sum_rows(a.group, block[:, None], a.coords[None])
         member[lo:lo + step] = a.isin(moved).reshape(len(block), n)
     return member
 
@@ -106,8 +106,7 @@ def pair_ids(a: GSet, sign: str = MINUS) -> tuple[np.ndarray, int]:
     the values, and the bound is |A -+ A|.  Either way the bound is at most
     |A|^2."""
     n, g = len(a), a.group
-    pairs = a.coords[:, None] - a.coords[None] if sign == MINUS else a.coords[:, None] + a.coords[None]
-    keys = row_keys(g, as_rows(g, pairs.reshape(-1, g.dim)))
+    keys = row_keys(g, sum_rows(g, a.coords[:, None], a.coords[None], sign == MINUS))
     if g.is_cyclic and g.order <= n * n:
         return keys.reshape(n, n), g.order
     values, ids = np.unique(keys, return_inverse=True)
@@ -121,14 +120,18 @@ def family_sumset_sizes(a: GSet, left: np.ndarray, right: np.ndarray,
     the rows of A, slice families from `slice_masks`, say).  With the ids of
     `pair_ids` over the rows some B_i or C_j selects, |B_i -+ C_j| is the
     count of distinct ids of a_x -+ a_y over x in B_i and y in C_j
-    (`distinct_counts`), in blocks of whole rows of `left` of at most 2^22 keys."""
+    (`distinct_counts`), in blocks of whole rows of `left` of at most 2^22 keys.
+    Where some row of A is in no B_i and no C_j, the ids cover the used rows
+    only; a family that uses every row, as C20's whole rows, takes A as it is."""
     used = left.any(axis=0) | right.any(axis=0)
-    ids, width = pair_ids(a.subset(used), sign)
-    r_rows, r_cols = np.nonzero(right[:, used])
+    if not used.all():
+        a, left, right = a.subset(used), left[:, used], right[:, used]
+    ids, width = pair_ids(a, sign)
+    r_rows, r_cols = np.nonzero(right)
     sizes = np.zeros((len(left), len(right)), dtype=np.int64)
     step = max(1, _BLOCK // max(1, len(ids) * len(r_rows)))
     for lo in range(0, len(left), step):
-        block = left[lo:lo + step, used]
+        block = left[lo:lo + step]
         l_rows, l_cols = np.nonzero(block)
         pair = l_rows[:, None] * len(right) + r_rows[None]   # the (i, j) of each (x, y)
         counts = distinct_counts(pair.ravel(), ids[l_cols][:, r_cols].ravel(),

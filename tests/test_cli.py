@@ -272,6 +272,23 @@ def test_cap_exit_code(tmp_path, capsys):
     assert code == 3 and "cap" in err.lower()
 
 
+def test_suite_exit_code_counts_caps_not_their_text(capsys, monkeypatch):
+    # a real cap exits 3, each one counted on the report; an error whose text starts
+    # with "cap" but is no CapExceededError exits 1
+    args = ("verify", "--checks", "C5", "--recipe", "random:N=64,delta=0.25,seed=1")
+    code, out, err = run_cli(capsys, *args, "--cap-tuples", "1")
+    assert code == cli.CAP_EXIT and "'error': 'cap: tuple work" in err
+    report = checks.run_suite([checks.Instance("set", "s", zset(range(6)))], ["C5"], setops.Caps(tuples=1))
+    assert report.capped == len(report.errors) > 0
+
+    def not_a_cap(cid, params, caps):
+        raise ValueError("cap: no cap")
+
+    monkeypatch.setattr(checks, "run_check", not_a_cap)
+    code, out, err = run_cli(capsys, *args)
+    assert code == cli.FAIL_EXIT and "'error': 'cap: no cap'" in err
+
+
 @pytest.mark.parametrize("pipeline, extra", [
     ("cs", ["--k", "3", "--trials", "80", "--seed", "5"]),
     ("bsg2", ["--nm", "1,1", "--nm", "2,1", "--seed", "3"]),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hienergy import groups
-from hienergy.gset import GSet, SetFileError, as_rows, dumps_set, loads_set, row_keys, zset
+from hienergy.gset import GSet, SetFileError, as_rows, dumps_set, loads_set, row_keys, sum_rows, zset
 from hienergy.groups import cyclic, lattice
 
 
@@ -30,6 +30,31 @@ def test_as_rows_reduces_only_out_of_range_rows():
     for bad in ([[4, 0, 0]], [[0, 8, 0]], [[0, 0, 8192]], [[0, -1, 0]]):
         out = as_rows(g, np.array(bad, dtype=np.int64))
         assert out.tolist() == [[c % n for c, n in zip(bad[0], g.moduli)]]
+
+
+def test_sum_rows_match_as_rows_on_reduced_rows():
+    # sums and differences of reduced rows, outer (x_i -+ y_j at row i len(y) + j) and
+    # paired, reduce as as_rows reduces them, extremes 0 and m - 1 included; a lattice
+    # sum is the plain sum, unreduced
+    rng = np.random.default_rng(23)
+    for g in (cyclic(13), cyclic(4, 8), cyclic(2, 3, 8192), cyclic(1 << 40)):
+        mods = np.array(g.moduli, dtype=np.int64)
+        x = np.concatenate([rng.integers(0, mods, (30, g.dim)), [mods - 1, mods * 0]])
+        y = np.concatenate([rng.integers(0, mods, (20, g.dim)), [mods * 0, mods - 1]])
+        for minus in (False, True):
+            raw = x[:, None] - y[None] if minus else x[:, None] + y[None]
+            got = sum_rows(g, x[:, None], y[None], minus)
+            assert got.shape == (32 * 22, g.dim) and got.dtype == np.int64
+            assert np.array_equal(got, as_rows(g, raw.reshape(-1, g.dim)))
+            assert ((got >= 0) & (got < mods)).all()
+            paired = sum_rows(g, x[:22], y, minus)
+            assert np.array_equal(paired, as_rows(g, (x[:22] - y if minus else x[:22] + y)))
+    for g in (lattice(1), lattice(2)):
+        x = rng.integers(-(1 << 61), 1 << 61, (9, g.dim))
+        y = rng.integers(-(1 << 61), 1 << 61, (7, g.dim))
+        for minus in (False, True):
+            raw = x[:, None] - y[None] if minus else x[:, None] + y[None]
+            assert np.array_equal(sum_rows(g, x[:, None], y[None], minus), raw.reshape(-1, g.dim))
 
 
 def test_group_mismatch_rejected():

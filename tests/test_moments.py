@@ -542,6 +542,36 @@ def table_of(g, counts, dtype=np.int64):
     return ConvTable(g, arr, None if g.is_cyclic else lo)
 
 
+def old_trim(t):
+    """The bounding box of a lattice table's support by np.nonzero over the window."""
+    nz = np.nonzero(moments._support(t.planes))
+    if len(nz[0]) == 0:
+        return np.zeros((len(t.planes),) + (1,) * t.group.dim, dtype=np.int64), (0,) * t.group.dim
+    slices = tuple(slice(int(i.min()), int(i.max()) + 1) for i in nz)
+    return t.planes[(slice(None),) + slices], tuple(s.start + o for s, o in zip(slices, t.offset))
+
+
+def test_trimmed_box_matches_the_nonzero_rule():
+    # random sparse 1-, 2- and 3-dimensional windows, wide ones whose box edge is a
+    # value with a zero low plane, a 1 x 300 window, and all-zero windows: the same
+    # planes and offset as np.nonzero's box
+    rng = np.random.default_rng(29)
+    cases = []
+    for dim, shape in ((1, (40,)), (2, (9, 13)), (3, (5, 6, 7)), (2, (1, 300)), (3, (4, 1, 9))):
+        for density in (0.0, 0.02, 0.3):
+            arr = rng.integers(1, 9, shape) * (rng.random(shape) < density)
+            cases.append(ConvTable(lattice(dim), arr, tuple(rng.integers(-50, 50, dim).tolist())))
+        wide = arr.astype(object) * (1 << 64)
+        wide[(0,) * dim] = 1 << 70
+        cases.append(ConvTable(lattice(dim), wide, (-3,) * dim))
+    for t in cases:
+        got, (planes, offset) = t.trimmed(), old_trim(t)
+        assert np.array_equal(got.planes, planes) and got.planes.shape == planes.shape
+        assert got.offset == offset and all(type(o) is int for o in got.offset)
+    assert sum(len(t.planes) > 1 for t in cases) == 5
+    assert sum(not np.any(t.planes) for t in cases) >= 5
+
+
 def roadmap_repro():
     rng = random.Random(5)
     return GSet(cyclic(16384), [x for x in range(16384) if rng.random() < 0.5])
@@ -636,50 +666,52 @@ class _NoList(np.ndarray):
         raise AssertionError("took the Python-int loop")
 
 
-def test_moment_bounds_orders_past_two_by_the_square_sum():
-    # k >= 2: the int64 dot while top^(k-2) sum c v^2 < 2^63, which bounds sum c v^k
-    # (v <= top) far nearer than total top^k; Python ints from that bound on.  One
-    # level carries the top, so at the edge the sum itself is within n of the bound
-    for k in range(3, 7):
-        top = int(2 ** (60 / k)) + 1
-        edge = ((1 << 63) - 1 - top ** k) // top ** (k - 2)   # most unit-level counts below the bound
-        for n, dot in ((edge, True), (edge + 1, False)):
+def test_power_sums_bound_each_order_by_the_one_below():
+    # a kept E_k is one int64 dot while top E_(k-1) < 2^63, which bounds sum c v^k
+    # (v <= top) at least as near as total top^k and, for k > 2, top^(k-2) E_2; past
+    # it, the halves of v^k or Python ints.  Levels {1, top}, one count at the top:
+    # E_j = n + top^j, and top E_(k-1) is 2^63 - 1 at top = 127 (2^7 - 1 divides
+    # 2^63 - 1), 2^63 at top = 128
+    for k in range(2, 7):
+        for top, bound, dot in ((127, (1 << 63) - 1, True), (128, 1 << 63, False)):
+            n = bound // top - top ** (k - 1)
             levels, counts = np.array([1, top], dtype=np.int64), np.array([n, 1], dtype=np.int64)
             hist = moments._Histogram.of(levels, counts)
-            assert hist.square == n + top * top
-            assert (hist.top ** (k - 2) * hist.square < 1 << 63) == dot
-            assert hist.total * hist.top ** k >= 1 << 63   # the old bound took Python ints on both
+            assert hist.power_sum(2) == n + top * top
+            assert hist.power_sum(k - 1) == n + top ** (k - 1) and top * hist.power_sum(k - 1) == bound
+            assert hist.total * hist.top ** k >= 1 << 63   # the one-order bound takes Python ints on both
             want = n + top ** k
-            assert moments._moment(hist, k) == want
+            assert hist.power_sum(k) == want and hist.sums == [n + top ** j for j in range(k + 1)]
+            # every order below k is within its bound on both sides; past the bound at k,
+            # the counts total above 2^31, so Python ints, not the halves
             probe = moments._Histogram.of(levels.view(_NoList), counts)
-            probe.__dict__["_square"] = hist.square   # kept as read on the plain arrays
-            # past the bound, two dots over the halves of v^k while top^k < 2^63 and the
-            # counts total below 2^31 (k = 5, 6 here); Python ints past those (k = 3, 4)
-            if dot or (top ** k < 1 << 63 and hist.total < 1 << 31):
-                assert moments._moment(probe, k) == want
+            if dot:
+                assert probe.power_sum(k) == want
             else:
                 with pytest.raises(AssertionError, match="Python-int loop"):
-                    moments._moment(probe, k)
-        # the square sum itself falls back to Python ints where total top^2 reaches 2^63
+                    probe.power_sum(k)
+                assert probe.sums == hist.sums[:k]
+        # E_2 itself falls back past the dot where top E_1 reaches 2^63
         wide = moments._Histogram.of(np.array([1 << 31], dtype=np.int64), np.array([3], dtype=np.int64))
-        assert wide.square == 3 << 62 and moments._moment(wide, k) == 3 << 31 * k
+        assert wide.power_sum(2) == 3 << 62 and wide.power_sum(k) == 3 << 31 * k
     # E_6 of a symmetric set of Z/1024 (0 and half of the pairs {x, -x}): 2^64 by
-    # the old bound, 62 bits by the new, and an int64 dot
+    # total top^6, 60 bits by top E_5, and an int64 dot
     rng = np.random.default_rng(5)
     half = rng.choice(np.arange(1, 512), 255, replace=False)
     a = GSet(cyclic(1024), np.concatenate([[0], half, 1024 - half])[:, None])
     hist = moments._levels(a)
-    assert hist.top ** 4 * hist.square < 1 << 63 <= hist.total * hist.top ** 6
+    assert hist.top * hist.power_sum(5) < 1 << 63 <= hist.total * hist.top ** 6
     want = sum(c * v ** 6 for v, c in zip(hist.levels.tolist(), hist.counts.tolist()))
     assert energy_k(a, 6) == want == oracles.oracle_energy_k((1024,), set(a.elems), 6)
     probe = moments._Histogram.of(hist.levels.view(_NoList), hist.counts)
-    assert moments._moment(probe, 6) == want
+    assert probe.power_sum(6) == want
 
 
 def test_power_dot_takes_the_halves_of_powers_below_2_63():
-    # past the sum's bound, sum c v^k is two int64 dots over the 32-bit halves of
-    # v^k while top^k < 2^63 and the counts total below 2^31, else Python ints;
-    # every read equals the Python-int sum
+    # past top E_(k-1), a kept E_k is two int64 dots over the 32-bit halves of v^k
+    # while top^k < 2^63 and the counts total below 2^31, else Python ints; every
+    # read equals the Python-int sum.  The probe is handed the orders below k, so
+    # its read of E_k is the one dot that decides
     rng = np.random.default_rng(11)
     for k in range(2, 7):
         top = int(round((1 << 63) ** (1 / k)))
@@ -692,28 +724,72 @@ def test_power_dot_takes_the_halves_of_powers_below_2_63():
             hist = moments._Histogram.of(levels, counts.astype(np.int64))
             assert hist.total == total and hist.top == t
             want = sum(c * v ** k for v, c in zip(levels.tolist(), counts.tolist()))
-            assert want >= 1 << 63 and moments._power_dot(hist, k, want) == want
+            assert want >= 1 << 63 and hist.power_sum(k) == want
+            assert hist.top * hist.power_sum(k - 1) >= 1 << 63
             probe = moments._Histogram.of(levels.view(_NoList), hist.counts)
+            probe.sums[1:] = hist.sums[1:k]
             if halves:
-                assert moments._power_dot(probe, k, want) == want
+                assert probe.power_sum(k) == want
             else:
                 with pytest.raises(AssertionError, match="Python-int loop"):
-                    moments._power_dot(probe, k, want)
-    # the high_moments reads that took the Python-int loop: E_5 of a symmetric set of
-    # Z/4096 (bound 2^67, sum 2^63) and E_6 of one of Z^2 in [-18, 18]^2 (2^69, 2^59)
+                    probe.power_sum(k)
+    # the high_moments reads that took the Python-int loop under total top^k: E_5 of a
+    # symmetric set of Z/4096 (top E_4 2^64, sum 2^63) takes the halves, and E_6 of one
+    # of Z^2 in [-18, 18]^2 (top E_5 60 bits, sum 59) one int64 dot
     half = rng.choice(np.arange(1, 2048), 1023, replace=False)
     cyc = GSet(cyclic(4096), np.concatenate([[0], half, 4096 - half])[:, None])
     pos = [(x, y) for x in range(-18, 19) for y in range(-18, 19) if (x, y) > (0, 0)]
     pick = [pos[i] for i in rng.choice(len(pos), 342, replace=False)]
     z2 = GSet(lattice(2), [(0, 0)] + pick + [(-x, -y) for x, y in pick])
-    for a, k in ((cyc, 5), (z2, 6)):
+    for a, k, dot in ((cyc, 5, False), (z2, 6, True)):
         hist = moments._levels(a)
-        assert hist.top ** (k - 2) * hist.square >= 1 << 63 and hist.top ** k < 1 << 63
+        assert (hist.top * hist.power_sum(k - 1) < 1 << 63) == dot and hist.top ** k < 1 << 63
         want = sum(c * v ** k for v, c in zip(hist.levels.tolist(), hist.counts.tolist()))
         assert energy_k(a, k) == want
         probe = moments._Histogram.of(hist.levels.view(_NoList), hist.counts)
-        probe.__dict__["_square"] = hist.square
-        assert moments._moment(probe, k) == want
+        assert probe.power_sum(k) == want
+
+
+def test_kept_power_sums_equal_python_ints_on_random_histograms():
+    # levels up to 2^10, 2^20, 2^40 and 2^62, read in a random order of 0..8: every
+    # kept E_j is the Python-int sum, whichever of the three paths served it
+    rng = np.random.default_rng(17)
+    for bits in (10, 20, 40, 62):
+        for _ in range(4):
+            size = int(rng.integers(1, 60))
+            levels = np.unique(rng.integers(0, 1 << bits, size, dtype=np.int64))
+            counts = rng.integers(0, 1 << int(rng.integers(1, 40)), len(levels), dtype=np.int64)
+            hist = moments._Histogram.of(levels, counts)
+            for k in rng.permutation(9).tolist():
+                assert hist.power_sum(k) == sum(c * v ** k for v, c in zip(levels.tolist(), counts.tolist()))
+            assert len(hist.sums) == 9
+
+
+def test_kept_power_sums_take_one_dot_per_order(monkeypatch):
+    # E_2..E_6 of one set read in any order: one _power_dot per order 1..6, none on a
+    # repeated read; histograms built per call take the one order asked, every time
+    calls = []
+    real = moments._power_dot
+    monkeypatch.setattr(moments, "_power_dot", lambda hist, k, bound: calls.append(k) or real(hist, k, bound))
+    rng = random.Random(19)
+    for g, pool in ((cyclic(64), range(64)), (lattice(1), range(-30, 30)),
+                    (lattice(2), [(x, y) for x in range(-4, 5) for y in range(-4, 5)])):
+        mods = g.moduli if g.is_cyclic else None
+        for order in ([2, 3, 4, 5, 6], [6, 5, 4, 3, 2], rng.sample(range(2, 7), 5)):
+            a = GSet(g, rng.sample(list(pool), 20))
+            calls.clear()
+            got = [energy_k(a, k) for k in order]
+            assert got == [oracles.oracle_energy_k(mods, set(a.elems), k) for k in order]
+            assert sorted(calls) == [1, 2, 3, 4, 5, 6]
+            calls.clear()
+            assert [energy_k(a, k) for k in order] == got and energy_k(a, 2.5) > 0 and calls == []
+            for k in order:
+                energy_k_pair(a, a, k)
+            assert calls == [k - 1 for k in order]
+    calls.clear()
+    moments.mult_energy_k([1, 2, 3, 4, 6], 3)
+    moments.mult_energy_k([1, 2, 3, 4, 6], 3)
+    assert calls == [3, 3]
 
 
 def test_family_energies_pick_the_path_by_the_pair_budget(monkeypatch):

@@ -156,6 +156,31 @@ def test_family_sumset_sizes_build_ids_over_the_selected_rows(monkeypatch):
             assert received == [4, 12]
 
 
+def test_family_sumset_sizes_take_the_set_itself_when_every_row_is_used(monkeypatch):
+    # a family that uses every row builds no subset and selects no columns; its sizes
+    # equal the pairwise sumsets' on Z/N, Z/4xZ/8, Z and Z^2, and a family that leaves
+    # a row out still takes one subset
+    subsets, real = [], GSet.subset
+    monkeypatch.setattr(GSet, "subset", lambda self, mask: subsets.append(int(mask.sum())) or real(self, mask))
+    rng = random.Random(59)
+    for g in (cyclic(64), cyclic(4, 8), lattice(1), lattice(2)):
+        a = rand_gset(rng, g, 10)
+        member = np.array([[rng.random() < 0.5 for _ in range(10)] for _ in range(5)] + [[True] * 10])
+        rows = [real(a, x) for x in member]
+        for sign, op in ((MINUS, diffset), (PLUS, sumset)):
+            want = [[len(op(x, y)) for y in rows] for x in rows]
+            subsets.clear()
+            assert family_sumset_sizes(a, member, member, sign).tolist() == want
+            assert family_sumset_sizes(a, member[:5], member[-1:], sign).tolist() == [r[-1:] for r in want[:5]]
+            assert subsets == []
+            some = member.copy()
+            some[:, -1] = False   # the last row of A in no family row
+            rows_some = [real(a, x) for x in some]
+            assert (family_sumset_sizes(a, some, some, sign).tolist()
+                    == [[len(op(x, y)) for y in rows_some] for x in rows_some])
+            assert subsets == [9]
+
+
 def test_pair_ids_name_equal_values_alike():
     # flat ranks in a cyclic product of at most |A|^2 elements, compact ids from a sort
     # elsewhere (Z/128 and Z/8192 with |A| = 9, and the lattices); either way equal ids

@@ -18,7 +18,9 @@ kept, read-only, as ``keys`` (in one dimension a view of ``coords``):
 ``flat_indices()`` returns them, ``indicator()`` is filled from them, and
 membership (``x in a``, ``isin``) is a binary search of them.  ``elems``
 (tuples, for tests and callers outside the package) and ``indicator()`` are
-derived on first use and cached.
+derived on first use and cached.  The indicator is one read-only ``uint8``
+0/1 plane, a byte per group element, and the convolution engine reads it as
+the set's table (``moments.ConvTable.from_gset``) without a wider copy.
 
 Objects computed from a set, and from partner sets compared by value, are
 kept on it in one dict through ``GSet.kept(key, build)``, which runs
@@ -200,13 +202,14 @@ class GSet:
 
     @cached_property
     def _dense(self) -> np.ndarray:
-        arr = np.zeros(self.group.order, dtype=np.int64)
+        arr = np.zeros(self.group.order, dtype=np.uint8)
         arr[self.flat_indices()] = 1
         arr.flags.writeable = False
         return arr.reshape(self.group.moduli)
 
     def indicator(self) -> np.ndarray:
-        """Dense 0/1 array shaped by the moduli (cyclic products only)."""
+        """Dense read-only 0/1 ``uint8`` array shaped by the moduli, one byte
+        per group element (cyclic products only)."""
         return self._dense
 
     def flat_indices(self) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Tables are exact integer-valued finitely-supported functions, stored as
 int64 digit planes of radix 2^R, R = 32 (Knuth, TAOCP vol. 2, 4.3.1): an
-array of shape (D,) + window with value sum_d planes[d] 2^(R d).  While the
+array of shape (D,) + window with value sum_d planes[d] 2^(R d).  A set's
+table is the one exception: one read-only uint8 0/1 plane, the set's own
+indicator on a cyclic group, which every reader of a table takes as it
+is (a product of it is int64), and which no square sum reads.  While the
 a priori bound B = min(|f|_1 |g|_inf, |g|_1 |f|_inf) on every entry of a
 product stays below 2^62, D = 1 and the one plane is the value itself.
 From 2^62 on, D is the fewest planes with B < 2^(R D): the low planes lie
@@ -34,7 +37,11 @@ conjugates f's spectrum.  A self-product (f is g) transforms each limb
 once, and a chain of convolution powers its base once per FFT shape.  A
 one-limb self-product whose spectrum no chain keeps forms the product in
 that spectrum's own buffer, so a fresh A o A holds one half-spectrum, and
-none once the inverse is cast to int64.  A table's nonzero count and norms
+none once the inverse is cast to int64; a chain's first step squares its
+kept spectrum into one fresh buffer, and T_k's square sums cut their
+digits _BLOCK entries at a time, so a chain step peaks near its working
+set of four tables (the kept spectrum, the level below, the product's
+spectrum and the inverse's output).  A table's nonzero count and norms
 are its facts, derived once per table (a set's table is born with them)
 and read by every engine call it enters; each call checks the product's
 mass identity sum(f*g) = sum(f) sum(g) exactly, on either path, and
@@ -44,8 +51,9 @@ once and kept on the set (see the gset module), read-only, and so is the
 histogram of its values, from one bincount, with its count total and top
 level, and its integer power sums: a read of E_k keeps every order up to
 k, each missing order j one `_power_dot` under the a priori bound
-top E_(j-1) (v^j <= top v^(j-1) for every level v), so a read of a kept
-order is a list lookup.  The level
+top E_(j-1) (v^j <= top v^(j-1) for every level v), and every order from
+the first that needs Python ints in one walk over the levels, so a read of
+a kept order is a list lookup.  The level
 sequence and |A - A| read the histogram too, the Gram (B o B)^k reads the
 table, and E_k(A, B) is a moment of the two kept tables, taken on every
 call for the one order asked.  Its chain is kept the same way: each level
@@ -82,14 +90,15 @@ _R = 32                       # the planes' radix: value = sum_d planes[d] 2^(R 
 _MASK = (1 << _R) - 1
 _FOUR_STEP_MIN = 1 << 15      # one-dimensional power-of-two transforms from here run as a four-step
 _TWIDDLE_ERR = 16 * 2.0 ** -53   # bound on |table entry - w^e| of the four-step's twiddles
-_BLOCK = 1 << 14              # entries of a spectrum squared in place per step (256 KB)
+_BLOCK = 1 << 14              # entries per block of a spectrum squared in place and of square-sum digits
 _INT_BOUND = 1 << 30          # |x| bound on the elements of multiplicative operands
 
 
 class ConvTable:
     """Finitely-supported function on a group, stored as a dense window of
     int64 planes: ``planes`` has shape (D,) + window (see the module
-    docstring).  ``array`` is the window of values: the one plane itself,
+    docstring); a set's table (``from_gset``) is one read-only uint8 0/1
+    plane.  ``array`` is the window of values: the one plane itself,
     or, for D >= 2, Python ints built once on first read, read-only.
 
     ``offset`` is the coordinate of the window's [0,...,0] cell; cyclic
@@ -119,19 +128,19 @@ class ConvTable:
 
     @classmethod
     def from_gset(cls, a: GSet) -> "ConvTable":
-        """The indicator of a, born with its facts: |A| nonzeros, all 1."""
+        """The indicator of a as one read-only uint8 plane (the set's own on a
+        cyclic group, else its lattice window), born with its facts: |A|
+        nonzeros, all 1."""
         g, n = a.group, len(a)
         facts = n, (n, min(n, 1), n)
         if g.is_cyclic:
             return cls.of_planes(g, a.indicator()[None], facts=facts)
-        mat = a.coords
-        if len(mat) == 0:
-            return cls.of_planes(g, np.zeros((1,) * (g.dim + 1), dtype=np.int64), facts=facts)
-        lo = mat.min(axis=0)
-        shape = tuple(int(h - l + 1) for l, h in zip(lo, mat.max(axis=0)))
-        arr = np.zeros(shape, dtype=np.int64)
-        arr[tuple((mat - lo).T)] = 1
-        return cls.of_planes(g, arr[None], tuple(int(v) for v in lo), facts)
+        mat = a.coords   # the empty set's window is one cell at 0
+        lo, hi = (mat.min(axis=0), mat.max(axis=0)) if n else ((0,) * g.dim,) * 2
+        arr = np.zeros((1,) + tuple(int(h - l + 1) for l, h in zip(lo, hi)), dtype=np.uint8)
+        arr[(0,) + tuple((mat - lo).T)] = 1
+        arr.flags.writeable = False
+        return cls.of_planes(g, arr, tuple(int(v) for v in lo), facts)
 
     def facts(self) -> tuple[int, tuple[int, int, int]]:
         """(nonzero count, (|x|_1, |x|_inf, sum x) as `_norms` gives them),
@@ -562,7 +571,9 @@ def _fft(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None 
     power-of-two sizes (folded if cyclic).  Operands and product are
     planes.  One limb each forms the product in f's spectrum, or in g's own
     for a self-product that spectra does not keep (by _abs_squared for a
-    correlation), and drops every spectrum before the inverse's int64 cast;
+    correlation), or, for a self-product on a kept spectrum, in one fresh
+    buffer by one multiply, and drops every spectrum but the kept one
+    before the inverse's int64 cast;
     more are deposited limb pair by limb pair into the product's planes (one
     plane adds modulo 2^64, exact while B < 2^62) and carried once.  spectra
     (the caller's, for one g) keeps g's whole spectrum per shape."""
@@ -579,10 +590,13 @@ def _fft(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None 
     if fbits is None and gbits is None and planes == 1:
         own = same and cache is not spectra   # nothing keeps g's spectrum: the product takes its buffer
         gh, ghat, cache = ghat[0], None, None
-        prod = gh if own else gh.copy() if same else _rfft(_limbs(fa, None, fn[1])[0], shape)
         if own and corr:
+            prod = gh
             _abs_squared(prod)
+        elif same:   # a kept spectrum's square goes to a fresh buffer, in one pass
+            prod = np.multiply(np.conjugate(gh) if corr else gh, gh, out=gh if own else None)
         else:
+            prod = _rfft(_limbs(fa, None, fn[1])[0], shape)
             np.multiply(np.conjugate(prod, out=prod) if corr else prod, gh, out=prod)
         gh = None
         out = _irfft(prod, shape)
@@ -648,8 +662,9 @@ def _read_only(t: ConvTable) -> ConvTable:
 
 
 def conv_power(a, k: int) -> ConvTable:
-    """k-fold convolution power (k factors); k = 1 returns the table itself.
-    Nothing is kept: t_k and sigma_k read a set's kept chain instead."""
+    """k-fold convolution power (k factors); k = 1 returns the table itself,
+    for a set its read-only uint8 plane.  Nothing is kept: t_k and sigma_k
+    read a set's kept chain instead."""
     if k < 1:
         raise ValueError("conv_power needs k >= 1")
     out = t = as_table(a)
@@ -727,18 +742,23 @@ def _chain(a: GSet) -> _Chain:
 
 
 def _square_sum(x: np.ndarray, linf: int) -> int:
-    """sum v^2 over nonnegative D x n planes whose entries are at most linf:
-    one int64 dot where linf^2 n < 2^63, else digit dot products.  Digits
-    have w = (63 - bitlen(n)) // 2 bits, chosen before any is read, so each
-    of the m (m + 1) / 2 dots sums n products below 2^(2w) < 2^63 / n."""
+    """sum v^2 over nonnegative int64 D x n planes whose entries are at most
+    linf: one int64 dot where linf^2 n < 2^63, else digit dot products taken
+    over blocks of _BLOCK entries, so no digit outgrows a block.  Digits
+    have w = (63 - bitlen(n)) // 2 bits, chosen from the whole length before
+    any is read, so each of a block's m (m + 1) / 2 dots sums at most n
+    products below 2^(2w) < 2^63 / n.  A set's uint8 table never comes here
+    (T_1 = |A|): a dot of uint8 arrays would wrap."""
     top = x[-1]
     n = len(top)
     if len(x) == 1 and linf * linf * n < 1 << 63:
         return int(np.dot(top, top))
     w = (63 - n.bit_length()) // 2
-    d = _digits(x, w, -(-linf.bit_length() // w))
-    return sum(int(np.dot(d[i], d[j])) << w * (i + j) + (i < j)
-               for i in range(len(d)) for j in range(i, len(d)))
+    m, total = -(-linf.bit_length() // w), 0
+    for s in range(0, n, _BLOCK):
+        d = _digits(x[:, s:s + _BLOCK], w, m)
+        total += sum(int(np.dot(d[i], d[j])) << w * (i + j) + (i < j) for i in range(m) for j in range(i, m))
+    return total
 
 
 def _exact_product(x: np.ndarray, y: np.ndarray, bound: int) -> np.ndarray:
@@ -780,10 +800,16 @@ class _Histogram:
     def power_sum(self, k: int) -> int:
         """E_k for an integer k >= 0, kept with every order below it: a
         missing order j is one `_power_dot` bounded by top E_(j-1), as
-        v^j <= top v^(j-1) for every level v."""
+        v^j <= top v^(j-1) for every level v.  From the first order whose
+        bound sends it to Python ints, every order up to k is filled in one
+        walk over the levels (`_int_power_sums`)."""
         sums = self.sums
         while len(sums) <= k:
-            sums.append(_power_dot(self, len(sums), self.top * sums[-1]))
+            j, bound = len(sums), self.top * sums[-1]
+            if _needs_ints(self, j, bound):
+                sums += _int_power_sums(self, j, k)
+            else:
+                sums.append(_power_dot(self, j, bound))
         return sums[k]
 
 
@@ -799,6 +825,11 @@ def _histogram(values: np.ndarray) -> _Histogram:
     return _Histogram.of(levels, counts)
 
 
+def _needs_ints(hist: _Histogram, k: int, bound: int) -> bool:
+    """Whether `_power_dot` takes sum c v^k in Python ints under this bound."""
+    return bound >= 1 << 63 and (hist.top ** k >= 1 << 63 or hist.total >= 1 << 31)
+
+
 def _power_dot(hist: _Histogram, k: int, bound: int) -> int:
     """sum c v^k for an integer k >= 0, given a bound on the sum: one int64
     dot below 2^63 (a level whose count is 0 may wrap in levels^k; its
@@ -806,12 +837,24 @@ def _power_dot(hist: _Histogram, k: int, bound: int) -> int:
     most the sum); else, while top^k < 2^63 and the counts total below 2^31,
     two int64 dots over the R-bit halves of v^k, whose sums stay below
     2^31 2^R = 2^63; else Python ints."""
+    if _needs_ints(hist, k, bound):
+        return _int_power_sums(hist, k, k)[0]
     if bound < 1 << 63:
         return int(np.dot(hist.counts, hist.levels ** k))
-    if hist.top ** k < 1 << 63 and hist.total < 1 << 31:
-        powers = hist.levels ** k
-        return (int(np.dot(hist.counts, powers >> _R)) << _R) + int(np.dot(hist.counts, powers & _MASK))
-    return sum(c * v ** k for v, c in zip(hist.levels.tolist(), hist.counts.tolist()))
+    powers = hist.levels ** k
+    return (int(np.dot(hist.counts, powers >> _R)) << _R) + int(np.dot(hist.counts, powers & _MASK))
+
+
+def _int_power_sums(hist: _Histogram, lo: int, hi: int) -> list[int]:
+    """[sum c v^j for j = lo..hi] in Python ints, from one walk over the
+    levels that carries each term c v^j on to order j + 1."""
+    sums = [0] * (hi - lo + 1)
+    for v, c in zip(hist.levels.tolist(), hist.counts.tolist()):
+        term = c * v ** lo
+        for j in range(len(sums)):
+            sums[j] += term
+            term *= v
+    return sums
 
 
 def _moment(hist: _Histogram, k) -> int | float:

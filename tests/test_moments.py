@@ -262,7 +262,10 @@ def fresh_set(m, inv_density, seed):
 
 def traced_peak(call, a) -> float:
     """The traced peak of call(a) above the memory traced before it, in int64
-    tables of the group: units of 8N bytes."""
+    tables of the group: units of 8N bytes.  call first runs untraced on an
+    equal set built apart, so the twiddle tables and FFT plans that a first
+    transform at this size builds (about 0.4 of a table at 2^16) stay out."""
+    call(GSet(a.group, a.coords))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -287,6 +290,34 @@ def test_fresh_self_correlation_peaks_below_two_and_a_half_tables(inv_density, c
 @pytest.mark.slow
 def test_fresh_self_correlation_peak_at_2_20():
     assert traced_peak(SELF_CORRELATIONS[0][1], fresh_set(20, 2, 20)) <= 2.5
+
+
+@pytest.mark.parametrize("m", [16, 18])
+@pytest.mark.parametrize("inv_density", [2, 64])
+def test_fresh_chain_to_t3_peaks_below_four_and_a_half_tables(m, inv_density):
+    # a step holds the kept base spectrum, the level below, the product
+    # spectrum and the inverse's output, about 4.1 tables; the set's table is
+    # its one-byte indicator, and T_3's digits are cut a block at a time
+    assert traced_peak(lambda a: t_k(a, 3), fresh_set(m, inv_density, m + inv_density)) <= 4.5
+
+
+def test_indicator_is_one_read_only_byte_per_element():
+    n = 1 << 16
+    a = GSet(cyclic(n), np.random.default_rng(16).choice(n, n // 2, replace=False)[:, None])
+    peak = traced_peak(lambda s: s.indicator(), a)
+    ind = a.indicator()
+    assert ind.dtype == np.uint8 and ind.nbytes == n and not ind.flags.writeable
+    assert peak <= 1 / 8 + 1 / 1024   # the plane and its array headers
+    assert np.shares_memory(ConvTable.from_gset(a).planes, ind)   # the engine reads the same bytes
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("size", [1 << 10, 1 << 19])
+def test_chain_to_t3_at_2_20_peaks_below_four_and_a_half_tables(size):
+    # the indicator's build is counted: the set's is not built before the trace
+    n = 1 << 20
+    a = GSet(cyclic(n), np.random.default_rng(size).choice(n, size, replace=False)[:, None])
+    assert traced_peak(lambda a: t_k(a, 3), a) <= 4.5
 
 
 @pytest.mark.parametrize("k", [math.nan, math.inf, float("1e400"), 0, 0.5, -math.inf])
@@ -763,6 +794,46 @@ def test_kept_power_sums_equal_python_ints_on_random_histograms():
             for k in rng.permutation(9).tolist():
                 assert hist.power_sum(k) == sum(c * v ** k for v, c in zip(levels.tolist(), counts.tolist()))
             assert len(hist.sums) == 9
+
+
+class _CountedList(np.ndarray):
+    """Levels that count the walks of the Python-int loop over them."""
+
+    walks = 0
+
+    def tolist(self):
+        type(self).walks += 1
+        return super().tolist()
+
+
+def test_power_sums_past_int64_fill_in_one_walk():
+    # from the first order whose bound sends it to Python ints, every order up
+    # to the one read is filled in one walk over the levels, and every sum is
+    # the Python-int sum, across the edges top^k = 2^63 and total = 2^31
+    rng = np.random.default_rng(23)
+    for k in range(2, 7):
+        top = int(round((1 << 63) ** (1 / k)))
+        top -= top ** k >= 1 << 63
+        for t, total in ((top, (1 << 31) - 1), (top, 1 << 31), (top + 1, (1 << 31) - 1), (top + 1, 1 << 31)):
+            levels = np.unique(np.concatenate([rng.integers(1, t, 40), [t]])).astype(np.int64)
+            counts = rng.multinomial(total - len(levels), np.full(len(levels), 1 / len(levels))) + 1
+            hist = moments._Histogram.of(levels.view(_CountedList), counts.astype(np.int64))
+            _CountedList.walks = 0
+            assert hist.power_sum(8) == sum(c * v ** 8 for v, c in zip(levels.tolist(), counts.tolist()))
+            assert hist.sums == [sum(c * v ** j for v, c in zip(levels.tolist(), counts.tolist()))
+                                 for j in range(9)]
+            assert _CountedList.walks == 1   # orders 0..8 cannot all fit int64
+    # a symmetric set of Z/16384 of the high_moments kind: E_5 and E_6 both pass
+    # top^j >= 2^63, and a first read of E_6 walks its levels once
+    half = rng.choice(np.arange(1, 8192), 4096, replace=False)
+    a = GSet(cyclic(16384), np.concatenate([[0], half, 16384 - half])[:, None])
+    kept = moments._levels(a)
+    assert kept.top ** 4 < 1 << 63 <= kept.top ** 5 and kept.top * kept.power_sum(4) >= 1 << 63
+    hist = moments._Histogram.of(kept.levels.view(_CountedList), kept.counts)
+    _CountedList.walks = 0
+    want = sum(c * v ** 6 for v, c in zip(kept.levels.tolist(), kept.counts.tolist()))
+    assert hist.power_sum(6) == want == energy_k(a, 6) and _CountedList.walks == 1
+    assert hist.sums == kept.sums
 
 
 def test_kept_power_sums_take_one_dot_per_order(monkeypatch):
@@ -1379,6 +1450,75 @@ def test_carried_facts_equal_the_planes_on_every_path(monkeypatch):
         for a in (ones(g, 9, 5), GSet(g, [])):
             t = ConvTable.from_gset(a)
             assert t._facts == fresh_facts(t) == (len(a), (len(a), min(len(a), 1), len(a)))
+
+
+def int64_copy(a):
+    """An int64 copy of a set's table, with facts derived from the copy."""
+    t = ConvTable.from_gset(a)
+    return ConvTable(a.group, t.array.astype(np.int64), t.offset)
+
+
+def test_narrow_set_plane_reads_as_its_int64_copy_on_every_path(monkeypatch):
+    # a set's table is one read-only uint8 plane; on every engine path a set
+    # operand and an int64 copy of its table give the same int64 planes,
+    # offset and facts, and so do the plane's other readers
+    seen = []
+    for name in ("_direct", "_fft"):
+        real = getattr(moments, name)
+        monkeypatch.setattr(moments, name, lambda tf, tg, *rest, _r=real, _n=name:
+                            seen.append(_n) or _r(tf, tg, *rest))
+    rng = random.Random(139)
+    z64, z1000, z1024, z4096, z15 = cyclic(64), cyclic(1000), cyclic(1024), cyclic(4096), cyclic(1 << 15)
+    ones = lambda g, points, span=None: GSet(g, list(weighted(rng, g, points, 0, span)))
+    wide = {p: rng.choice((-1, 1)) * rng.randrange(1 << 64, 1 << 66) for p in weighted(rng, z1024, 300, 0)}
+    heavy = table_of(z4096, weighted(rng, z4096, 3000, 40))
+    cases = [   # (name, path, f, g, corr, steps): g None is f itself; steps > 1 a power of f
+        ("direct 0/1", "_direct", ones(z64, 10), ones(z64, 12), False, 1),
+        ("direct weighted", "_direct", table_of(z64, weighted(rng, z64, 10, 20)), ones(z64, 12), True, 1),
+        ("direct wide", "_direct", table_of(z64, {(0,): 1 << 70, (5,): -3}, dtype=object), ones(z64, 12),
+         False, 1),
+        ("FFT one limb", "_fft", ones(z1024, 300), ones(z1024, 300), True, 1),
+        ("FFT self-product", "_fft", ones(z1024, 300), None, True, 1),
+        ("FFT limbs", "_fft", heavy, ones(z4096, 3000), False, 1),
+        ("four-step", "_fft", ones(z15, 1000), ones(z15, 900), True, 1),
+        ("four-step self-product", "_fft", ones(z15, 1000), None, False, 1),
+        ("wide planes", "_fft", table_of(z1024, wide, dtype=object), ones(z1024, 300), False, 1),
+        ("padded and folded Z/N", "_fft", ones(z1000, 400), ones(z1000, 300), True, 1),
+        ("lattice window", "_fft", ones(lattice(2), 240, 20), None, False, 3),
+        ("lattice direct", "_direct", ones(lattice(1), 40, 30), ones(lattice(1), 30, 30), True, 1),
+    ]
+    for name, path, f, g, corr, steps in cases:
+        tables = [int64_copy(x) if isinstance(x, GSet) else x for x in (f, g)]
+        if g is None:
+            g, tables[1] = f, tables[0]
+        if name == "FFT limbs":
+            assert moments._split(heavy.facts()[1], tables[1].facts()[1], 4096) != (None, None)
+        seen.clear()
+        got = conv_power(f, steps) if steps > 1 else convolve(f, g, corr=corr)
+        assert set(seen) == {path}, name
+        want = conv_power(tables[0], steps) if steps > 1 else convolve(*tables, corr=corr)
+        assert got.planes.dtype == want.planes.dtype == np.int64, name
+        assert np.array_equal(got.planes, want.planes) and got.offset == want.offset, name
+        assert got.facts() == want.facts(), name
+    # the plane's own readers: whole and limb digits, the values, the zero cell,
+    # the trimmed window, the gather behind sigma_2 (read from level 1)
+    for a in (ones(z1000, 400), ones(cyclic(4, 8), 9), ones(lattice(1), 40, 30), ones(lattice(2), 60, 6)):
+        t, c = ConvTable.from_gset(a), int64_copy(a)
+        assert t.planes.dtype == np.uint8 and not t.planes.flags.writeable and t.facts() == c.facts()
+        assert np.array_equal(t.array, c.array) and t.offset == c.offset
+        for bits in (None, 1, 7, 30):
+            assert all(np.array_equal(x, y) for x, y in zip(moments._limbs(t.planes, bits, 1),
+                                                            moments._limbs(c.planes, bits, 1), strict=True))
+        assert [d.tolist() for d in moments._digits(t.planes, 2, 1)] == [c.planes[0].tolist()]
+        assert moments._at_zero(t) == moments._at_zero(c) == int(a.isin(np.zeros((1, a.group.dim),
+                                                                                     dtype=np.int64))[0])
+        trimmed = t.trimmed()
+        assert np.array_equal(trimmed.planes, c.trimmed().planes) and trimmed.offset == c.trimmed().offset
+        points = -a.coords
+        assert np.array_equal(t._gather(points), c._gather(points))
+        mods = a.group.moduli if a.group.is_cyclic else None
+        assert sigma_k(a, 2) == moments._total(c._gather(points)) == oracles.oracle_sigma_k(
+            mods, set(a.elems), 2)
 
 
 def test_chain_steps_derive_each_table_fact_once(monkeypatch):

@@ -30,7 +30,7 @@ RESIDUAL_TOL = 1e-8
 
 @dataclass
 class PatternGram:
-    """The Gram of (A, B, k), holding no set, so that keeping it on A makes no cycle."""
+    """The Gram of (A, B, k)."""
     k: int
     b_size: int
     gram: np.ndarray  # |A| x |A| symmetric nonnegative integers
@@ -38,8 +38,8 @@ class PatternGram:
 
 
 def build_gram(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> PatternGram:
-    """Gram(y, y') = |(B-y) n (B-y')|^k = (B o B)(y'-y)^k on A x A, kept on
-    A per (B, k) with its array read-only.
+    """Gram(y, y') = |(B-y) n (B-y')|^k = (B o B)(y'-y)^k on A x A, built on
+    every call from the kept B o B, its array read-only.
 
     Validates every diagonal entry = |B|^k and squared Frobenius norm =
     E_{2k+1}(A, B) at construction.
@@ -54,7 +54,7 @@ def build_gram(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> PatternGr
         raise CapExceededError(f"|A| = {len(a)} exceeds Gram cap {caps.gram}")
     if len(b) ** k >= 1 << 63:   # |B|^k is the largest entry, on the diagonal
         raise OverflowError(f"Gram entries |B|^k = {len(b) ** k} exceed int64")
-    return a.kept(("gram", a.partner(b), k), lambda: _gram(a, b, k))
+    return _gram(a, b, k)
 
 
 def _gram(a: GSet, b: GSet, k: int) -> PatternGram:
@@ -218,11 +218,12 @@ def subgroup_eigencheck(gamma: GSet, k: int = 1, base_set: GSet | None = None) -
     if not np.array_equal(table[h * np.arange(p) % p], table):
         raise ValueError("the kernel is not Gamma-invariant")
     caps = Caps(gram=t)   # the character loop is dense in t anyway
-    claimed = None
+    claimed = pg = None
     if base_set is None:
         mat = restricted_matrix(gamma.group, table, gamma)
     else:
-        mat = build_gram(gamma, base_set, k, caps).gram.astype(np.complex128)
+        pg = build_gram(gamma, base_set, k, caps)
+        mat = pg.gram.astype(np.complex128)
         claimed = float(moments.energy_k_pair(gamma, base_set, k + 1)) / t
 
     eigenvalues: list[float] = []
@@ -237,7 +238,8 @@ def subgroup_eigencheck(gamma: GSet, k: int = 1, base_set: GSet | None = None) -
     measured_max = max(eigenvalues)
     max_at_trivial = eigenvalues[0] >= measured_max - 1e-8 * max(1.0, abs(measured_max))
 
-    gram = build_gram(gamma, gamma, 1, caps).gram
+    # against Gamma itself at k = 1, mat's own Gram is the Gram of (Gamma, Gamma, 1)
+    gram = (pg if base_set == gamma and k == 1 else build_gram(gamma, gamma, 1, caps)).gram
     total = int(gram.sum())
     rng = np.random.default_rng(7)
     draws = np.array([rng.integers(-3, 4, size=t) for _ in range(8)])

@@ -499,7 +499,7 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200,
     # E(A, B) = sum_x (A*B)(x)^2, one square sum of the table; A*B's own
     # correlation waits for the budget step, its only reader, so the search
     # does not hold it
-    d_sq = moments._square_sum(base._flat(), base.facts()[1][1])
+    d_sq = base.square_sum()
     bb, bd = moments.correlate(b, b), moments.correlate(b, base)
     corr = moments.correlate(a, a)   # its support is A - A
     profile = moments.energy_profile(a, (2,))

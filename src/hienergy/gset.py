@@ -39,8 +39,7 @@ the set; ``subset`` and every constructor start an empty one.  Its keys:
 - ``"dft"``: the spectrum of a set of a cyclic product (``spectrum.dft``), read-only;
 - ``("D", k)``, ``("S", k)``: the counts D_k(A), S_k(A), never the tuples;
 - ``("R", b, k)``: R^(k)_B[A] and its witness (``setops.magnification_k``);
-- ``("F", depth)``: ``checks.slice_corr_sums``, a read-only mapping;
-- ``("gram", b, k)``: ``eigen.build_gram``, its array read-only.
+- ``("F", depth)``: ``checks.slice_corr_sums``, a read-only mapping.
 
 A partner b equal to the set itself is keyed as ``"self"`` (``GSet.partner``),
 and no kept value holds the set, so a set is freed as soon as it is dropped.
@@ -79,9 +78,11 @@ class SetFileError(ValueError):
 def as_rows(group: GroupSpec, elems) -> np.ndarray:
     """Elements (ints, coordinate sequences or an int64 matrix) as a
     len x dim int64 matrix in input order, reduced in a cyclic product.  An
-    int64 matrix that needs no reduction is returned itself, not a copy."""
+    int64 matrix that needs no reduction is returned itself, not a copy; an
+    iterable other than an array, list, tuple or range is read as one list."""
     try:
-        rows = np.asarray(elems if isinstance(elems, np.ndarray) else list(elems), dtype=np.int64)
+        rows = np.asarray(elems if isinstance(elems, (np.ndarray, list, tuple, range)) else list(elems),
+                          dtype=np.int64)
     except (OverflowError, TypeError, ValueError):
         raise groups.GroupError(f"elements of {group} must be integer coordinates "
                                 "within int64") from None

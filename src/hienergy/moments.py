@@ -5,9 +5,9 @@ int64 digit planes of radix 2^R, R = 32 (Knuth, TAOCP vol. 2, 4.3.1): an
 array of shape (D,) + window with value sum_d planes[d] 2^(R d).  A set's
 table is the one exception: one read-only uint8 0/1 plane, the set's own
 indicator on a cyclic group, which every reader of a table takes as it
-is (a product of it is int64), and which no square sum reads.  While the
-a priori bound B = min(|f|_1 |g|_inf, |g|_1 |f|_inf) on every entry of a
-product stays below 2^62, D = 1 and the one plane is the value itself.
+is (a product of it is int64; its square sum is its nonzero count).  While
+the a priori bound B = min(|f|_1 |g|_inf, |g|_1 |f|_inf) on every entry of
+a product stays below 2^62, D = 1 and the one plane is the value itself.
 From 2^62 on, D is the fewest planes with B < 2^(R D): the low planes lie
 in [0, 2^R), the top one is signed and below 2^R in magnitude.  B bounds
 the entries only, so a table of D >= 2 planes may hold small values, and
@@ -176,6 +176,12 @@ class ConvTable:
 
     def total(self) -> int:
         return _total(self.planes)
+
+    def square_sum(self) -> int:
+        """sum v^2 over the entries: a set's uint8 0/1 plane's nonzero count
+        (a uint8 dot would wrap), else `_square_sum` under the |x|_inf fact."""
+        nnz, (_, linf, _) = self.facts()
+        return nnz if self.planes.dtype == np.uint8 else _square_sum(self._flat(), linf)
 
     def _gather(self, points: np.ndarray) -> np.ndarray:
         """The planes at the rows of a len x dim coordinate matrix, 0 off the window: D x len."""
@@ -668,17 +674,10 @@ def conv_power(a, k: int) -> ConvTable:
     if k < 1:
         raise ValueError("conv_power needs k >= 1")
     out = t = as_table(a)
-    for out in _powers(t, t, {}, k - 1):
-        pass
+    spectra = {}   # t's spectrum per FFT shape, made once for every step
+    for _ in range(k - 1):
+        out = _conv(out, t, False, spectra)
     return out
-
-
-def _powers(top: ConvTable, base: ConvTable, spectra: dict, steps: int) -> Iterator[ConvTable]:
-    """top * base, top * base * base, ...: one engine call per step, each
-    transforming base at most once per FFT shape (spectra keeps its spectrum)."""
-    for _ in range(steps):
-        top = _conv(top, base, False, spectra)
-        yield top
 
 
 def _at_zero(t: ConvTable) -> int:
@@ -705,8 +704,7 @@ class _Chain:
     __slots__ = ("base", "top", "spectra", "t", "sigma", "checked")
 
     def __init__(self, a: GSet):
-        self.base = self.top = ConvTable.from_gset(a)
-        self.base.planes.flags.writeable = False
+        self.base = self.top = ConvTable.from_gset(a)   # read-only, as from_gset makes it
         self.spectra = {}
         self.t, self.sigma = [len(a)], [_at_zero(self.base)]   # level j at index j - 1
         self.checked: set[int] = set()   # k whose T_k passed the Fourier cross-check
@@ -715,9 +713,9 @@ class _Chain:
         """Build the levels up to k.  A level's table, T_j and sigma_j are
         committed together once all three exist, so a step that raises leaves
         the last good level in place."""
-        for top in _powers(self.top, self.base, self.spectra, k - len(self.t)):
-            t, sigma = _square_sum(top._flat(), top.facts()[1][1]), _at_zero(top)
-            top.planes.flags.writeable = False
+        while len(self.t) < k:
+            top = _read_only(_conv(self.top, self.base, False, self.spectra))
+            t, sigma = top.square_sum(), _at_zero(top)
             self.top = top
             self.t.append(t)
             self.sigma.append(sigma)
@@ -748,7 +746,7 @@ def _square_sum(x: np.ndarray, linf: int) -> int:
     have w = (63 - bitlen(n)) // 2 bits, chosen from the whole length before
     any is read, so each of a block's m (m + 1) / 2 dots sums at most n
     products below 2^(2w) < 2^63 / n.  A set's uint8 table never comes here
-    (T_1 = |A|): a dot of uint8 arrays would wrap."""
+    (`ConvTable.square_sum`): a dot of uint8 arrays would wrap."""
     top = x[-1]
     n = len(top)
     if len(x) == 1 and linf * linf * n < 1 << 63:
@@ -907,8 +905,7 @@ def family_energies(a: GSet, member: np.ndarray) -> list[int]:
             found[i] = int(np.dot(counts, counts))
     whole = None
     if len(part) < len(sizes):   # E_2(A) = sum (A o A)^2; no histogram is kept
-        t = correlate(a, a)
-        whole = _square_sum(t._flat(), t.facts()[1][1])
+        whole = correlate(a, a).square_sum()
     return [found.get(i, whole) for i in range(len(sizes))]
 
 
@@ -959,8 +956,6 @@ def sigma_k(a: GSet, k: int) -> int:
     to its top level, gathered from the top above it."""
     if k < 1:
         raise ValueError("sigma_k needs k >= 1")
-    if k == 1:
-        return int(a.isin(np.zeros((1, a.group.dim), dtype=np.int64))[0])
     chain = _chain(a)
     if k <= len(chain.sigma):
         return chain.sigma[k - 1]

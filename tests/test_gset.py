@@ -115,6 +115,14 @@ def test_array_input_matches_list_input():
     assert GSet(lattice(2), np.array(rows, dtype=np.int64)) == GSet(lattice(2), rows)
     assert GSet(cyclic(12), np.array([13, -1, 5])) == GSet(cyclic(12), [13, -1, 5])
     assert len(GSet(lattice(3), np.zeros((0, 3), dtype=np.int64))) == 0
+    # a list, tuple, range or array goes to NumPy as it is, a generator through one list
+    r = range(-3, 70, 7)
+    for g in (cyclic(64), lattice(1)):
+        sets = [GSet(g, form) for form in (list(r), tuple(r), r, (x for x in r), np.array(r, dtype=np.int64))]
+        want = sorted({x % 64 for x in r}) if g.is_cyclic else list(r)
+        assert all(s == sets[0] for s in sets) and sets[0].coords[:, 0].tolist() == want
+    sets = [GSet(lattice(2), form) for form in (rows, tuple(rows), iter(rows))]
+    assert all(s == GSet(lattice(2), np.array(rows, dtype=np.int64)) for s in sets)
 
 
 def test_coordinates_that_could_wrap_are_rejected():

@@ -1,7 +1,8 @@
 """The per-set memo `GSet.kept`: kept values equal the brute-force oracles,
 a second call builds nothing, caps still refuse a kept value, partner sets
 key by value, new sets start empty, kept arrays and mappings are read-only,
-and a build that raises keeps nothing."""
+and a build that raises keeps nothing.  A Gram is kept nowhere: each call
+builds its own, equal to the oracle's."""
 
 import gc
 import random
@@ -102,11 +103,12 @@ def test_second_call_builds_nothing(monkeypatch):
         a, b = rand_gset(rng, g, 6), rand_gset(rng, g, 3)
         calls = [lambda: setops.d_k(a, 2), lambda: setops.s_k(a, 2),
                  lambda: setops.magnification_k(a, b, 2), lambda: setops.magnification(a, a),
-                 lambda: eigen.build_gram(a, b, 2), lambda: checks.slice_corr_sums(a, 2),
+                 lambda: checks.slice_corr_sums(a, 2),
                  lambda: setops.sumset(a, a), lambda: setops.diffset(a, a)]
         if g.is_cyclic:
             calls.append(lambda: spectrum.dft(a))
         first = [call() for call in calls]
+        pg = eigen.build_gram(a, b, 2)
         e3 = moments.energy_k_pair(a, b, 3)
         built = counts.copy()
         assert built["_translate_grid"] == 4 and built["_magnification_search"] == 2
@@ -117,6 +119,10 @@ def test_second_call_builds_nothing(monkeypatch):
         assert moments.energy_k_pair(a, b, 3) == e3
         assert counts == built
         assert all(x is y for x, y in zip(first, second))
+        # a Gram is kept nowhere: a second call builds its own, equal to the first
+        assert eigen.build_gram(a, b, 2).gram.tolist() == pg.gram.tolist() == gram_oracle(
+            mods_of(g), set(a.elems), set(b.elems), 2)
+        assert counts["_gram"] == 2
         # every E_k, the level sequence and |A - A| read one kept histogram
         moments.energy_k(a, 2)
         assert counts["_histogram"] == built["_histogram"] + 1
@@ -147,7 +153,9 @@ def test_kept_values_still_refused_under_smaller_caps():
         with pytest.raises(CapExceededError):
             call()
     assert (setops.d_k(a, 2), setops.s_k(a, 2)) == (d2, s2)
-    assert setops.magnification_k(a, b, 2) is r and eigen.build_gram(a, b, 1) is pg
+    assert setops.magnification_k(a, b, 2) is r
+    assert eigen.build_gram(a, b, 1).gram.tolist() == pg.gram.tolist() == gram_oracle(
+        (64,), set(a.elems), set(b.elems), 1)
 
 
 def test_partners_key_by_value(monkeypatch):
@@ -160,9 +168,11 @@ def test_partners_key_by_value(monkeypatch):
     mods, aset = mods_of(g), set(a.elems)
     for k in (1, 2):
         assert setops.magnification_k(a, twin, k) is setops.magnification_k(a, b, k)
-        assert eigen.build_gram(a, twin, k) is eigen.build_gram(a, b, k)
+        assert eigen.build_gram(a, twin, k).gram.tolist() == eigen.build_gram(a, b, k).gram.tolist() \
+            == gram_oracle(mods, aset, set(b.elems), k)
         assert moments.energy_k_pair(a, twin, k + 1) == moments.energy_k_pair(a, b, k + 1)
-    assert counts["_magnification_search"] == 2 and counts["_gram"] == 2
+    # a Gram is kept nowhere: each call above built its own
+    assert counts["_magnification_search"] == 2 and counts["_gram"] == 4
     assert len([key for key in a._kept if isinstance(key, tuple) and key[0] == "R"]) == 2
     for k in (1, 2):
         r, _ = setops.magnification_k(a, c, k)
@@ -170,7 +180,7 @@ def test_partners_key_by_value(monkeypatch):
         assert eigen.build_gram(a, c, k).gram.tolist() == gram_oracle(mods, aset, set(c.elems), k)
         assert moments.energy_k_pair(a, c, k + 1) == oracles.oracle_energy_k_pair(
             mods, aset, set(c.elems), k + 1)
-    assert counts["_magnification_search"] == 4 and counts["_gram"] == 4
+    assert counts["_magnification_search"] == 4 and counts["_gram"] == 6
 
 
 def test_self_partners_free_the_set_without_the_collector():
@@ -184,11 +194,12 @@ def test_self_partners_free_the_set_without_the_collector():
     e3 = moments.energy_k_pair(a, a, 3)
     assert e3 == moments.energy_k(a, 3) == moments.energy_k_pair(a, twin, 3)
     pg = eigen.build_gram(a, a, 2)
-    assert eigen.build_gram(a, twin, 2) is pg and pg.b_size == len(a)
+    assert eigen.build_gram(a, twin, 2).gram.tolist() == pg.gram.tolist() == gram_oracle(
+        (64,), set(a.elems), set(a.elems), 2) and pg.b_size == len(a)
     eigen.singular_spectrum(pg)
     moments.t_k(a, 3)
     setops.d_k(a, 2)
-    assert {("R", "self", 1), ("gram", "self", 2)} <= a._kept.keys()
+    assert ("R", "self", 1) in a._kept
     ref = weakref.ref(a)
     gc.disable()
     try:
@@ -248,14 +259,28 @@ def test_build_that_raises_keeps_nothing(monkeypatch):
     mods = (16,)
     want = oracles.oracle_magnification(mods, set(a.elems), set(b.elems), 1)[0]
     assert setops.magnification_k(a, b, 1)[0] == want
-    # a Gram whose Frobenius check trips is not kept either
+    # a Gram whose Frobenius check trips leaves nothing behind: the next call builds its own
+    counts = counting(monkeypatch)
     real_pair = moments.energy_k_pair
     monkeypatch.setattr(moments, "energy_k_pair", lambda a, b, k: real_pair(a, b, k) + 1)
     with pytest.raises(InvariantError, match="Frobenius"):
         eigen.build_gram(a, b, 1)
-    assert ("gram", b, 1) not in a._kept
+    assert counts["_gram"] == 1
     monkeypatch.setattr(moments, "energy_k_pair", real_pair)
     assert eigen.build_gram(a, b, 1).gram.tolist() == gram_oracle(mods, set(a.elems), set(b.elems), 1)
+    assert counts["_gram"] == 2
+
+
+def test_subgroup_eigencheck_against_itself_builds_one_gram(monkeypatch):
+    # at k = 1 the character matrix of Gamma against itself, or an equal set,
+    # is the Gram of (Gamma, Gamma, 1) that the connected forms read
+    counts = counting(monkeypatch)
+    gamma = genset.mult_subgroup(13, 4)
+    for base, k, grams in ((gamma, 1, 1), (GSet(gamma.group, gamma.coords), 1, 1), (gamma, 2, 2),
+                           (None, 1, 1)):
+        counts.clear()
+        assert eigen.subgroup_eigencheck(gamma, k=k, base_set=base).connected_ok
+        assert counts["_gram"] == grams, (base, k)
 
 
 def test_suite_pass_builds_each_object_once_per_set(monkeypatch):

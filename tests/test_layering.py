@@ -10,7 +10,10 @@ caller in another part of it, bar a short allow-list with reasons, and no
 module imports a name it never reads.  The float FFT runs only in the
 engine's transforms, a set's kept spectrum (`spectrum._dft`) and the complex
 operator's own.  A table's nonzero count and norms are derived in one place,
-`ConvTable.facts`, at most once per table.  Every integer matrix product
+`ConvTable.facts`, at most once per table, and outside `moments` a table
+is read through its methods: no module reads its planes, `_flat()` or
+`facts()`, and `moments._square_sum` is named only by `eigen._gram`, on its
+plain int64 Gram.  Every integer matrix product
 runs through `moments._exact_product`, on its caller's a priori bound.
 Pretty JSON is written by one writer, `groups.dumps_json`: no module
 indents JSON through the stdlib."""
@@ -271,6 +274,52 @@ def test_fact_guard_sees_each_form(tmp_path):
     assert fact_derivations(bad) == [
         "ConvTable.facts:3 count_nonzero", "ConvTable.facts:3 _norms", "ConvTable.trimmed:5 _norms",
         "_fft:7 _norms", "_fft:8 count_nonzero", "_conv:10 count_nonzero", "_conv:11 _norms"]
+
+
+TABLE_INSIDES = ("planes", "_flat", "facts")   # a table's storage and facts, read in moments only
+SQUARE_SUM_READERS = ["eigen._gram _square_sum"]   # its Gram is int64, never a set's uint8 plane
+
+
+def table_internals(path: Path) -> list[str]:
+    """`module.top form` for every `.planes`, `._flat` and `.facts`
+    attribute and every `_square_sum` name, attribute or import in a
+    module, by the top-level definition it sits in."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in TABLE_INSIDES:
+                found.append(f"{where} .{node.attr}")
+            elif ((isinstance(node, ast.Attribute) and node.attr == "_square_sum")
+                  or (isinstance(node, ast.Name) and node.id == "_square_sum")
+                  or (isinstance(node, ast.ImportFrom) and any(a.name == "_square_sum" for a in node.names))):
+                found.append(f"{where} _square_sum")
+    return found
+
+
+def test_tables_are_read_through_their_methods_outside_moments():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "moments.py")
+    assert len(modules) >= 10
+    assert [use for p in modules for use in table_internals(p)] == SQUARE_SUM_READERS
+    # the guard reads the module that owns them
+    assert {use.rsplit(" ", 1)[1] for use in table_internals(SRC / "moments.py")} == {
+        ".planes", "._flat", ".facts", "_square_sum"}
+
+
+def test_table_guard_sees_each_form(tmp_path):
+    bad = tmp_path / "extract.py"
+    bad.write_text("from .moments import _square_sum\n"
+                   "def cs_period_search(a, b):\n"
+                   "    base = moments.convolve(a, b)\n"
+                   "    return moments._square_sum(base._flat(), base.facts()[1][1])\n"
+                   "class Report:\n"
+                   "    def energy(self, t):\n"
+                   "        return _square_sum(t.planes.reshape(1, -1), 1)\n"
+                   "ok = base.square_sum() + t.total() + np.dot(x, x) + t.array.sum()\n")
+    assert sorted(table_internals(bad)) == [
+        "extract.<module> _square_sum", "extract.Report .planes", "extract.Report _square_sum",
+        "extract.cs_period_search ._flat", "extract.cs_period_search .facts",
+        "extract.cs_period_search _square_sum"]
 
 
 # Top-level names that no code in the package reaches, each kept for a reason.

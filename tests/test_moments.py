@@ -958,6 +958,22 @@ def test_square_sums_at_the_boundaries():
         assert moments._square_sum(planes, max(values)) == sum(v * v for v in values)
 
 
+def test_square_sum_of_a_sets_one_byte_table_is_its_size(monkeypatch):
+    # a uint8 dot of a 300-element set's table wraps modulo 256, to 44; its
+    # square sum is its nonzero count, with no dot taken
+    dots = []
+    monkeypatch.setattr(moments, "_square_sum", lambda *args: dots.append(args))
+    for a in (GSet(cyclic(1024), random.Random(107).sample(range(1024), 300)), zset(range(0, 900, 3))):
+        t = conv_power(a, 1)
+        assert t.planes.dtype == np.uint8
+        if a.group.is_cyclic:
+            assert int(np.dot(t.array, t.array)) == 44
+        assert t.square_sum() == moments.as_table(a).square_sum() == 300 and dots == []
+    monkeypatch.undo()
+    a = GSet(cyclic(1024), random.Random(108).sample(range(1024), 300))
+    assert correlate(a, a).square_sum() == energy_k(a, 2) == oracles.oracle_energy_k((1024,), set(a.elems), 2)
+
+
 def test_exact_product_takes_float64_only_below_2_53():
     # 2^53 + 1 rounds to 2^53 in float64, so a product of that value, bounded by
     # it, comes back exact only if the bound sends it to int64; a bound of 2^63 raises

@@ -383,19 +383,19 @@ def small_t4_extract(a: GSet) -> ExtractionReport:
     # needs |A_s| > gamma |A| / 2 strictly: 2|A|^3 v > E_3, for integer v
     shifts = points[values > e3 // (2 * n ** 3)]
     member = setops.slice_masks(a, shifts)
-    betas = [e / (n * m * m) for e, m in zip(_slice_energies(a, member).tolist(),
-                                             member.sum(axis=1).tolist())]
+    e_pairs = _slice_energies(a, member).tolist()   # E(A, A_s) per shift
+    betas = [e / (n * m * m) for e, m in zip(e_pairs, member.sum(axis=1).tolist())]
     if not betas:
-        b = a
+        b, e_ab = a, moments.energy_k(a, 2)
         rep.notes.append("no slice above the gamma floor; degenerate covering with B = A")
     else:
         i = betas.index(max(betas))   # the first maximum in the order of the shifts
-        b = a.subset(member[i])
+        b, e_ab = a.subset(member[i]), e_pairs[i]
         rep.add_stage("slice", s=shifts[i].tolist(), beta=betas[i], size=len(b))
     rep.store_set("B", b)
 
     target = n / m_val ** 1.5
-    threshold = moments.energy_k_pair(a, b, 2) / (2 * n * len(b))
+    threshold = e_ab / (2 * n * len(b))
     remaining = a
     chosen: list[Elem] = []
     covered = 0

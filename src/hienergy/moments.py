@@ -18,19 +18,21 @@ So no plane sum wraps: a window holds fewer than 2^(63 - R) = 2^31 entries
 pieces below 2^R into the low planes (2^31 of them per entry before one
 carry pass) and only the top plane adds modulo 2^64, which is exact
 because the value it ends with is small.  Digits cut from the planes for
-the FFT's limbs, the direct path's pair products and T_k's square sums
-have widths chosen before any entry is read, so every digit product sum
-stays below 2^63.  Python ints are built only for the public readers of a
-wide table (array, values, support_rows, argmax), once, on demand.
-Direct pair sums serve a product iff nnz(f) nnz(g) <= max(2^14,
-2 x transform size), capped at 2^22 pairs; else a real FFT on operands split
-into limbs chosen before it runs, so that Percival's a priori error bound
-proves each limb product rounds exactly.  A one-dimensional transform of
-2^m >= 2^15 points (Z/2^m, the padded linear product of another Z/N, a 1-D
-lattice window) runs as a four-step (Bailey, J. Supercomputing 4, 1990):
-n1 = 2^floor(m/2) rows of n2 points, a real FFT down the rows, a twiddle
-multiply w^(k1 j2) from two tables of whole rows per length, and an FFT along them;
-its bound counts the m butterfly levels and the two twiddle multiplies.
+the FFT's limbs and T_k's square sums have widths chosen before any entry
+is read, so every digit product sum stays below 2^63; the direct path's
+pair products are whole int64s, as it sums one-plane products only.  Python
+ints are built only for the public readers of a wide table (array, values,
+support_rows, argmax), once, on demand.  Direct pair sums serve a product
+iff it fits one plane (B < 2^62) and nnz(f) nnz(g) <= max(2^14, 2 x
+transform size), capped at 2^22 pairs; else, so for every wide product, a
+real FFT on operands split into limbs chosen before it runs, so that
+Percival's a priori error bound proves each limb product rounds exactly.
+A one-dimensional transform of 2^m >= 2^15 points (Z/2^m, the padded linear
+product of another Z/N, a 1-D lattice window) runs as a four-step (Bailey,
+J. Supercomputing 4, 1990): n1 = 2^floor(m/2) rows of n2 points, a real
+FFT down the rows, a twiddle multiply w^(k1 j2) from two tables of whole
+rows per length, and an FFT along them; its bound counts the m butterfly
+levels and the two twiddle multiplies.
 Smaller and multi-dimensional shapes use numpy's rfftn/irfftn.  A
 correlation is the same call: the direct path subtracts indices, the FFT
 conjugates f's spectrum.  A self-product (f is g) transforms each limb
@@ -83,7 +85,7 @@ from . import groups, setops
 from .groups import Elem, GroupSpec, InvariantError
 from .gset import GSet, zset
 
-_DIRECT_MIN = 1 << 14         # support pairs the direct path always serves ...
+_DIRECT_MIN = 1 << 14         # support pairs the direct path serves for a one-plane product ...
 _DIRECT_MAX = 1 << 22         # ... and never exceeds
 _WIDE = 1 << 62               # entry bound from which tables are stored as R-bit planes
 _R = 32                       # the planes' radix: value = sum_d planes[d] 2^(R d)
@@ -353,10 +355,10 @@ def _checked(out: np.ndarray, fn: tuple[int, ...], gn: tuple[int, ...], path: st
     """out, once its mass identity sum(f*g) = sum(f) sum(g) holds exactly:
     one plane summed in int64 where |f|_1 |g|_1 < 2^63 bounds every partial
     sum of a correct product, else by _total's R-bit planes.  Direct sums are
-    integer arithmetic, so there only a defect breaks it."""
+    integer arithmetic and the FFT's limbs are exact by an a priori bound, so
+    on either path only a defect breaks it."""
     if _total(out, fn[0] * gn[0]) != fn[2] * gn[2]:
-        raise (InvariantError if path == "direct" else ArithmeticError)(
-            f"{path} convolution broke the mass identity sum(f*g) = sum(f) sum(g)")
+        raise InvariantError(f"{path} convolution broke the mass identity sum(f*g) = sum(f) sum(g)")
     return out
 
 
@@ -366,12 +368,12 @@ def _moduli(t: ConvTable) -> tuple[int, ...] | None:
 
 def _direct(tf: ConvTable, tg: ConvTable, corr: bool = False) -> np.ndarray:
     """Sum over all pairs of support points (at most max(2^14, 2 x FFT size),
-    capped at 2^22) at index i + j, or j - i for a correlation, into the
-    product's planes.  On a cyclic group the window is the group, else the
-    lattice window, where correlation lags start at 1 - (f's extent).  The
-    norms are the tables' facts.  A wide product cuts f and g into digits
-    whose products, summed over the at most min(|supp f|, |supp g|) pairs
-    at one index, stay below 2^63, and deposits each digit pair's sums."""
+    capped at 2^22) at index i + j, or j - i for a correlation, into one
+    int64 plane: `_conv` sends only products whose entry bound is below
+    2^62, so every pair product and partial sum fits.  On a cyclic group the
+    window is the group, else the lattice window, where correlation lags
+    start at 1 - (f's extent).  The norms are the tables' facts; operands of
+    several planes are read whole."""
     fa, ga, moduli, same = tf.planes, tg.planes, _moduli(tf), tf is tg
     (_, fn), (_, gn) = tf.facts(), tg.facts()
     out_shape = moduli or tuple(int(a + b - 1) for a, b in zip(fa.shape[1:], ga.shape[1:]))
@@ -396,25 +398,12 @@ def _direct(tf: ConvTable, tg: ConvTable, corr: bool = False) -> np.ndarray:
         flat = s
     flat = flat.ravel()
     size = math.prod(out_shape)
-    planes = _count(fn, gn)
     if fn[1] == gn[1] == 1 and fn[2] == len(fidx) and gn[2] == len(gidx):   # 0/1: entries <= min(|supp|)
-        out = np.bincount(flat, minlength=size)[None]
-    elif planes == 1:
-        out = np.zeros((1, size), dtype=np.int64)
-        np.add.at(out[0], flat, np.multiply.outer(_whole(fvals), _whole(gvals)).ravel())
+        out = np.bincount(flat, minlength=size)
     else:
-        room = 63 - min(len(fidx), len(gidx)).bit_length()
-        narrow = min(min(fn[1], gn[1]).bit_length() + 1, room // 2)
-        fw, gw = (room - narrow, narrow) if fn[1] >= gn[1] else (narrow, room - narrow)
-        out = np.zeros((planes, size), dtype=np.int64)
-        gds = _digits(gvals, gw, (gn[1].bit_length() + gw) // gw)
-        for i, fd in enumerate(_digits(fvals, fw, (fn[1].bit_length() + fw) // fw)):
-            for j, gd in enumerate(gds):
-                part = np.zeros(size, dtype=np.int64)
-                np.add.at(part, flat, np.multiply.outer(fd, gd).ravel())
-                _deposit(out, part, i * fw + j * gw)
-        _carry(out)
-    return _checked(out.reshape((len(out),) + out_shape), fn, gn, "direct")
+        out = np.zeros(size, dtype=np.int64)
+        np.add.at(out, flat, np.multiply.outer(_whole(fvals), _whole(gvals)).ravel())
+    return _checked(out.reshape((1,) + out_shape), fn, gn, "direct")
 
 
 def _percival(size: int, four_step: bool = False) -> float:
@@ -628,13 +617,15 @@ def _fft(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None 
 
 
 def _conv(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None = None) -> ConvTable:
-    """Direct iff nnz(f) nnz(g) <= max(2^14, 2 x FFT size), capped at 2^22;
-    else the FFT.  Both read the operands' kept facts, so no table's
-    nonzeros or norms are derived twice, and check the product's mass
-    identity exactly."""
+    """Direct iff the product fits one plane (entry bound below 2^62) and
+    nnz(f) nnz(g) <= max(2^14, 2 x FFT size), capped at 2^22; else the FFT,
+    whose limbs serve every wide product.  Both read the operands' kept
+    facts, so no table's nonzeros or norms are derived twice, and check the
+    product's mass identity exactly."""
     grp, fa, ga, moduli = tf.group, tf.planes, tg.planes, _moduli(tf)
+    (fnnz, fn), (gnnz, gn) = tf.facts(), tg.facts()
     size = math.prod(_shape(fa.shape[1:], ga.shape[1:], moduli))
-    direct = tf.facts()[0] * tg.facts()[0] <= min(_DIRECT_MAX, max(_DIRECT_MIN, 2 * size))
+    direct = _count(fn, gn) == 1 and fnnz * gnnz <= min(_DIRECT_MAX, max(_DIRECT_MIN, 2 * size))
     out = _direct(tf, tg, corr) if direct else _fft(tf, tg, corr, spectra)
     if moduli:
         return ConvTable.of_planes(grp, out)
@@ -706,7 +697,7 @@ class _Chain:
     def __init__(self, a: GSet):
         self.base = self.top = ConvTable.from_gset(a)   # read-only, as from_gset makes it
         self.spectra = {}
-        self.t, self.sigma = [len(a)], [_at_zero(self.base)]   # level j at index j - 1
+        self.t, self.sigma = [len(a)], [sigma_k(a, 1)]   # level j at index j - 1
         self.checked: set[int] = set()   # k whose T_k passed the Fourier cross-check
 
     def extend(self, k: int) -> "_Chain":
@@ -956,6 +947,8 @@ def sigma_k(a: GSet, k: int) -> int:
     to its top level, gathered from the top above it."""
     if k < 1:
         raise ValueError("sigma_k needs k >= 1")
+    if k == 1:   # [0 in A]: one search of the set's keys, without the chain
+        return int(a.isin(np.zeros((1, a.group.dim), dtype=np.int64))[0])
     chain = _chain(a)
     if k <= len(chain.sigma):
         return chain.sigma[k - 1]

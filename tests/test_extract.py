@@ -416,6 +416,19 @@ def test_small_t4_family_energies_and_choice_match_per_slice_loop():
     assert extract._slice_energies(zset([0, 1, 3]), np.zeros((0, 3), dtype=bool)).shape == (0,)
 
 
+def test_small_t4_reads_the_chosen_slice_energy_off_its_row(monkeypatch):
+    # E(A, B) of the chosen slice, the cover threshold's numerator, is its
+    # row of the one slice-energy gather: no pair energy is built
+    calls, real = [], moments.energy_k_pair
+    monkeypatch.setattr(moments, "energy_k_pair", lambda *args: calls.append(args) or real(*args))
+    rng = random.Random(151)
+    for g in (cyclic(64), cyclic(4, 8), lattice(1), lattice(2)):
+        for _ in range(4):
+            rep = small_t4_extract(rand_gset(rng, g, rng.randint(1, 14)))
+            assert any(st["stage"] == "slice" for st in rep.stages)
+    assert calls == []
+
+
 def test_every_integer_product_is_exact_within_its_callers_bound(monkeypatch):
     # robust_core's intersections and partner counts, the slice energies, the slice
     # correlation sums and the connected forms: each product equals the Python-int

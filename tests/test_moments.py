@@ -182,6 +182,20 @@ def test_kept_chain_matches_oracle_in_any_order():
             assert a.subset(np.ones(len(a), dtype=bool))._kept == {}
 
 
+def test_sigma_1_reads_the_keys_without_the_chain():
+    # sigma_1(A) = [0 in A], by one search of the set's keys: a fresh set keeps
+    # no chain and builds no indicator
+    rng = random.Random(157)
+    for g, points in ((cyclic(1 << 20), 1024), (cyclic(4, 8), 9), (lattice(1), 9), (lattice(2), 9)):
+        zero = (0,) * g.dim
+        for with_zero in (False, True):
+            a = GSet(g, [p for p in weighted(rng, g, points, 0, 8) if p != zero] + [zero] * with_zero)
+            mods = g.moduli if g.is_cyclic else None
+            assert sigma_k(a, 1) == oracles.oracle_sigma_k(mods, set(a.elems), 1) == with_zero
+            assert "chain" not in a._kept and "_dense" not in a.__dict__
+            assert moments._chain(a).sigma == [with_zero]   # the chain records the same read
+
+
 def test_chain_step_that_raises_keeps_the_last_good_level(monkeypatch):
     a = GSet(cyclic(4096), random.Random(91).sample(range(4096), 1500))
     want = chain_oracle(a, 5)
@@ -195,7 +209,7 @@ def test_chain_step_that_raises_keeps_the_last_good_level(monkeypatch):
         out.flat[7] += 1
         return out
     monkeypatch.setattr(np.fft, "irfftn", corrupt)
-    with pytest.raises(ArithmeticError, match="mass identity"):
+    with pytest.raises(groups.InvariantError, match="mass identity"):
         t_k(a, 5)
     assert chain.top is top and len(chain.t) == len(chain.sigma) == 3
     monkeypatch.setattr(np.fft, "irfftn", real)
@@ -438,6 +452,21 @@ def weighted(rng, g, points, bits, span=None):
     return {p: rng.randrange(1, 1 << bits) if bits else 1 for p in pts}
 
 
+def record_paths(monkeypatch):
+    """Route the engine's two paths through a recorder: the list it returns
+    gets (path, wide) per product, wide when the product's entry bound
+    reaches 2^62, so that it needs more than one plane."""
+    served = []
+    for name in ("_direct", "_fft"):
+        real = getattr(moments, name)
+
+        def call(tf, tg, *rest, _r=real, _n=name):
+            served.append((_n, moments._count(tf.facts()[1], tg.facts()[1]) > 1))
+            return _r(tf, tg, *rest)
+        monkeypatch.setattr(moments, name, call)
+    return served
+
+
 @pytest.mark.parametrize("g, points, span, cap, path", [
     (cyclic(16), 12, None, None, "_direct"),
     (cyclic(4, 4), 12, None, None, "_direct"),
@@ -455,10 +484,7 @@ def weighted(rng, g, points, bits, span=None):
 def test_correlate_matches_oracle_on_every_path(monkeypatch, g, points, span, cap, path):
     if cap is not None:
         monkeypatch.setattr(moments, "_DIRECT_MAX", cap)
-    served = []
-    for name in ("_direct", "_fft"):
-        real = getattr(moments, name)
-        monkeypatch.setattr(moments, name, lambda *args, _r=real, _n=name: served.append(_n) or _r(*args))
+    served = record_paths(monkeypatch)
     rng = random.Random(83)
     mods = g.moduli if g.is_cyclic else None
     # 0/1, then entries to 2^40 that force a limb split, with either operand the wider
@@ -471,7 +497,9 @@ def test_correlate_matches_oracle_on_every_path(monkeypatch, g, points, span, ca
     a, b = (GSet(g, list(weighted(rng, g, points, 0, span))) for _ in range(2))
     assert support(correlate(a, b)) == oracles.corr_counts(mods, set(a.elems), set(b.elems))
     assert support(correlate(a, a)) == oracles.corr_counts(mods, set(a.elems), set(a.elems))
-    assert set(served) == {path}
+    # the 40-bit passes make wide products, which only the FFT's limbs serve
+    assert {p for p, wide in served if not wide} == {path}
+    assert {p for p, wide in served if wide} == {"_fft"}
 
 
 def test_self_products_transform_once(monkeypatch):
@@ -512,7 +540,7 @@ def test_single_limb_product_keeps_mass_check(monkeypatch):
     monkeypatch.setattr(np.fft, "irfftn", corrupt)
     for f, g in ((a, a), (a, b)):
         for product in (correlate, convolve):
-            with pytest.raises(ArithmeticError, match="mass identity"):
+            with pytest.raises(groups.InvariantError, match="mass identity"):
                 product(f, g)
 
 
@@ -1003,8 +1031,9 @@ def test_exact_product_takes_float64_only_below_2_53():
 
 
 def wide_chains():
-    """Sets whose chains cross 2^62 within a few levels: on the direct path
-    (Z/64), the four-step (Z/2^15), and windows of Z and Z^2."""
+    """Sets whose chains cross 2^62 within a few levels: in Z/64, whose narrow
+    levels take the direct path, the four-step (Z/2^15), and windows of Z
+    and Z^2."""
     rng = random.Random(107)
     box = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
     return [GSet(cyclic(64), rng.sample(range(64), 40)),
@@ -1017,10 +1046,7 @@ def wide_chains():
 def test_wide_chains_match_the_oracle(monkeypatch, index):
     # every level up to the first past 2^63, and one more on a wide operand
     a = wide_chains()[index]
-    served = []
-    for name in ("_direct", "_fft"):
-        real = getattr(moments, name)
-        monkeypatch.setattr(moments, name, lambda *args, _r=real, _n=name: served.append(_n) or _r(*args))
+    served = record_paths(monkeypatch)
     mods = a.group.moduli if a.group.is_cyclic else None
     zero = (0,) * a.group.dim
     counts, top, wide = {x: 1 for x in a.elems}, 1, 0
@@ -1035,7 +1061,9 @@ def test_wide_chains_match_the_oracle(monkeypatch, index):
     power = conv_power(a, top)
     assert len(power.planes) > 1 and max(counts.values()) >= 1 << 62
     assert support(power) == counts
-    assert set(served) == {"_direct"} if index == 0 else "_fft" in served
+    assert {p for p, wide in served if wide} == {"_fft"}
+    if index == 0:
+        assert {p for p, wide in served if not wide} == {"_direct"}
 
 
 def test_signed_wide_products_match_python_ints():
@@ -1055,6 +1083,52 @@ def test_signed_wide_products_match_python_ints():
             got = convolve(table_of(g, u, dtype=object), table_of(g, w, dtype=object))
             assert support(got) == {z: v for z, v in want.items() if v}
             assert got.total() == sum(u.values()) * sum(w.values())
+
+
+def pair_sums(mods, f, h, corr=False):
+    """(f * h)(x), or (f o h)(x) with corr, in Python ints over all pairs of
+    support points, signed entries allowed; zeros dropped."""
+    want = {}
+    for x, v in f.items():
+        for y, c in h.items():
+            z = oracles.sub(mods, y, x) if corr else oracles.add(mods, x, y)
+            want[z] = want.get(z, 0) + v * c
+    return {z: v for z, v in want.items() if v}
+
+
+def test_wide_products_with_few_pairs_take_the_fft(monkeypatch):
+    # a product whose entry bound reaches 2^62 goes to the FFT's limbs however
+    # few its support pairs: signed and unsigned entries, operands of one
+    # plane (entries below 2^63) and of several, convolutions, correlations
+    # (the FFT conjugates every limb of f) and the chains behind T_k and sigma_k
+    served = record_paths(monkeypatch)
+    rng = random.Random(149)
+    for g in (cyclic(64), cyclic(4, 8), lattice(1), lattice(2)):
+        mods = g.moduli if g.is_cyclic else None
+        for fbits, hbits in ((40, 30), (50, 50), (90, 3), (70, 70)):
+            for signed in (False, True):
+                sign = (lambda: rng.choice((-1, 1))) if signed else (lambda: 1)
+                f, h = ({p: sign() * v for p, v in weighted(rng, g, points, bits, 6).items()}
+                        for points, bits in ((5, fbits), (4, hbits)))
+                tf, th = table_of(g, f, dtype=object), table_of(g, h, dtype=object)
+                assert [len(t.planes) > 1 for t in (tf, th)] == [fbits > 63, hbits > 63]
+                served.clear()
+                for u, w, tu, tw in ((f, h, tf, th), (h, f, th, tf), (f, f, tf, tf)):
+                    assert support(convolve(tu, tw)) == pair_sums(mods, u, w), (g, fbits, signed)
+                    assert support(correlate(tu, tw)) == pair_sums(mods, u, w, corr=True), (g, fbits, signed)
+                assert served and all(p == "_fft" and wide for p, wide in served), (g, fbits, signed)
+        # chains of a few points, walked to the first level past 2^63 and one more
+        a = GSet(g, list(weighted(rng, g, 5, 0, 3)))
+        served.clear()
+        counts, top, wide = {x: 1 for x in a.elems}, 1, 0
+        while wide < 2:
+            counts = oracles.kronecker_convolve(mods, counts, {x: 1 for x in a.elems})
+            top += 1
+            wide += max(counts.values()) >= 1 << 63
+            assert t_k(a, top) == sum(c * c for c in counts.values()), (g, top)
+            assert sigma_k(a, top) == counts.get((0,) * g.dim, 0), (g, top)
+        assert any(wide for _, wide in served)
+        assert all(p == "_fft" for p, wide in served if wide), g
 
 
 def test_small_entries_on_wide_planes_are_read_whole(monkeypatch):
@@ -1441,7 +1515,7 @@ def test_carried_facts_equal_the_planes_on_every_path(monkeypatch):
         ("direct 0/1", "_direct", lambda: convolve(ones(z64, 10), ones(z64, 12))),
         ("direct weighted", "_direct", lambda: convolve(table_of(z64, weighted(rng, z64, 10, 20)),
                                                         ones(z64, 12))),
-        ("direct wide", "_direct", lambda: convolve(table_of(z64, {(0,): 1 << 70, (5,): -3}, dtype=object),
+        ("wide few pairs", "_fft", lambda: convolve(table_of(z64, {(0,): 1 << 70, (5,): -3}, dtype=object),
                                                     table_of(z64, weighted(rng, z64, 12, 30)))),
         ("FFT one limb", "_fft", lambda: convolve(ones(z1024, 300), ones(z1024, 300))),
         ("FFT limbs", "_fft", lambda: convolve(table_of(z4096, weighted(rng, z4096, 3000, 40)),
@@ -1491,7 +1565,7 @@ def test_narrow_set_plane_reads_as_its_int64_copy_on_every_path(monkeypatch):
     cases = [   # (name, path, f, g, corr, steps): g None is f itself; steps > 1 a power of f
         ("direct 0/1", "_direct", ones(z64, 10), ones(z64, 12), False, 1),
         ("direct weighted", "_direct", table_of(z64, weighted(rng, z64, 10, 20)), ones(z64, 12), True, 1),
-        ("direct wide", "_direct", table_of(z64, {(0,): 1 << 70, (5,): -3}, dtype=object), ones(z64, 12),
+        ("wide few pairs", "_fft", table_of(z64, {(0,): 1 << 70, (5,): -3}, dtype=object), ones(z64, 12),
          False, 1),
         ("FFT one limb", "_fft", ones(z1024, 300), ones(z1024, 300), True, 1),
         ("FFT self-product", "_fft", ones(z1024, 300), None, True, 1),

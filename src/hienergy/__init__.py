@@ -6,9 +6,9 @@ from .gset import GSet, loads_set, read_set, write_set, zset
 from .moments import (ConvTable, convolve, correlate, energy_k, energy_k_pair,
                       energy_profile, level_sequence, mult_energy_k, prodset_size,
                       quotset_size, sigma_k, t_k)
-from .setops import (Caps, CapExceededError, TupleSet, basis_depth_test, d_k,
-                     delta_sumset, diffset, iterated, family_sumset_sizes,
-                     magnification, magnification_k, s_k, slice_masks, sumset)
+from .setops import (Caps, CapExceededError, basis_depth_test, d_k, delta_sumset,
+                     diffset, iterated, family_sumset_sizes, magnification,
+                     magnification_k, s_k, slice_masks, sumset)
 from .spectrum import dft, dim_exact, dim_greedy, dissociated_test, large_spectrum
 from .eigen import (PatternGram, build_gram, magnification_lower_bounds,
                     singular_spectrum, subgroup_eigencheck)

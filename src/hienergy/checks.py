@@ -107,7 +107,7 @@ def _slice_corr_sums(a: GSet, depth: int) -> dict[Elem, int]:
 def _pair_energy_materialized(a: GSet, b: GSet, k: int, caps: Caps) -> int:
     """E(Delta(A), B^k) by materializing both tuple sets and counting
     coincident sums, independent of the correlation-table route."""
-    sums = setops._translate_grid([b] * k, a, PLUS, caps)[0]
+    sums = setops._translate_grid([b] * k, a, PLUS, caps)
     _, counts = np.unique(sums, return_counts=True)
     return int((counts.astype(object) ** 2).sum())
 
@@ -159,7 +159,7 @@ def check_c6(a: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
 
 def check_c7(sets: Sequence[GSet], caps: Caps = DEFAULT_CAPS) -> CheckResult:
     k = len(sets)
-    lhs = len(setops.delta_sumset(list(sets[:-1]), sets[-1], MINUS, caps))
+    lhs = setops.delta_sumset(list(sets[:-1]), sets[-1], MINUS, caps)
     bound_a = math.prod(len(s) for s in sets)
     bound_b = math.prod(len(setops.diffset(s, sets[-1])) for s in sets[:-1])
     rhs = min(bound_a, bound_b)
@@ -229,20 +229,20 @@ def check_c11(sets: dict, variant: str, m: int = 1, caps: Caps = DEFAULT_CAPS) -
     if variant == "tri1":
         w, x, y, z = sets["W"], sets["X"], sets["Y"], sets["Z"]
         lhs = len(w) * len(x) * len(setops.diffset(y, z))
-        rhs = len(setops.delta_sumset([y, w, z], x, MINUS, caps))
+        rhs = setops.delta_sumset([y, w, z], x, MINUS, caps)
         inputs = {"variant": variant, "sizes": [len(w), len(x), len(y), len(z)]}
     elif variant == "tri2":
         a1, a2, a3, b = sets["A1"], sets["A2"], sets["A3"], sets["B"]
         chain = [a1, a2, a3]
-        lhs = len(setops.delta_sumset(chain, b, MINUS, caps))
-        left = len(setops.delta_sumset(chain[:m], chain[m], MINUS, caps))
-        right = len(setops.delta_sumset(chain[m:], b, MINUS, caps))
+        lhs = setops.delta_sumset(chain, b, MINUS, caps)
+        left = setops.delta_sumset(chain[:m], chain[m], MINUS, caps)
+        right = setops.delta_sumset(chain[m:], b, MINUS, caps)
         rhs = left * right
         inputs = {"variant": variant, "m": m, "sizes": [len(s) for s in chain + [b]]}
     elif variant == "eq":
         a1, a2, x, z = sets["A1"], sets["A2"], sets["X"], sets["Z"]
-        lhs = len(setops.delta_sumset([a1, a2, z], x, MINUS, caps))
-        rhs = len(setops.delta_sumset([a1, a2, x], z, MINUS, caps))
+        lhs = setops.delta_sumset([a1, a2, z], x, MINUS, caps)
+        rhs = setops.delta_sumset([a1, a2, x], z, MINUS, caps)
         inputs = {"variant": variant, "sizes": [len(a1), len(a2), len(x), len(z)]}
         return _res("C11", inputs, lhs, rhs, "=")
     elif variant == "eq_tuples":
@@ -300,14 +300,14 @@ def check_c14(b: GSet, a: GSet, k: int, sign: str = MINUS, m: int | None = None,
 def check_c15(sets: Sequence[GSet], caps: Caps = DEFAULT_CAPS) -> CheckResult:
     g = sets[0].group
     amb = full_group(g)
-    lhs = len(setops.delta_sumset(list(sets), amb, MINUS, caps))
-    rhs = g.order * len(setops.delta_sumset(list(sets[:-1]), sets[-1], MINUS, caps))
+    lhs = setops.delta_sumset(list(sets), amb, MINUS, caps)
+    rhs = g.order * setops.delta_sumset(list(sets[:-1]), sets[-1], MINUS, caps)
     return _res("C15", {"sizes": [len(s) for s in sets], "group": str(g)}, lhs, rhs, "=")
 
 
 def check_c16(a: GSet, b0: GSet, c: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> CheckResult:
-    lhs = len(a) * len(setops.delta_sumset([b0] * k, c, PLUS, caps))
-    rhs = len(setops.delta_sumset([b0] * k, a, PLUS, caps)) * len(setops.sumset(a, c))
+    lhs = len(a) * setops.delta_sumset([b0] * k, c, PLUS, caps)
+    rhs = setops.delta_sumset([b0] * k, a, PLUS, caps) * len(setops.sumset(a, c))
     return _res("C16", {**_summary(a), **_summary(b0, "B"), **_summary(c, "C"), "k": k},
                 lhs, rhs, "<=")
 
@@ -327,7 +327,7 @@ def check_c17(a: GSet, b: GSet | None = None, c: GSet | None = None,
     elif variant == "delta":
         r, x = setops.magnification_k(a, b, k, caps)
         cx = setops.sumset(c, x)
-        lhs = len(setops.delta_sumset([b] * k, cx, PLUS, caps))
+        lhs = setops.delta_sumset([b] * k, cx, PLUS, caps)
         rhs, witness = r * len(cx), {"R": str(r), "X": len(x)}
     else:
         raise ValueError(f"unknown C17 variant {variant!r}")
@@ -418,10 +418,10 @@ def check_c24(a: GSet, alpha: float, caps: Caps = DEFAULT_CAPS) -> CheckResult:
 
 def check_c25(p: int, t: int, k: int = 1, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     gamma = genset.mult_subgroup(p, t)
-    rep = eigen.subgroup_eigencheck(gamma, base_set=gamma, k=k)
+    rep = eigen.subgroup_eigencheck(gamma, k=k)
     passed = rep.max_at_trivial and rep.connected_ok   # subgroup_eigencheck raises at RESIDUAL_TOL
     return _res("C25", {"p": p, "t": t, "k": k}, rep.measured_max,
-                rep.claimed_max or 0.0, "=", tolerance=1e-8,
+                rep.claimed_max, "=", tolerance=1e-8,
                 passed=passed, witness={"residual": max(rep.residuals),
                                         "eigenvalues": rep.eigenvalues})
 
@@ -457,7 +457,7 @@ def check_c28(x1: GSet, y: GSet, z1: GSet, w: GSet, caps: Caps = DEFAULT_CAPS) -
     lhs = len(setops.diffset(x1, y)) * len(setops.diffset(z1, w))
     left = setops.diffset(x1, w)
     right = setops.diffset(y, z1)
-    rhs = len(setops.delta_sumset([left, right], setops.diffset(y, w), MINUS, caps))
+    rhs = setops.delta_sumset([left, right], setops.diffset(y, w), MINUS, caps)
     return _res("C28", {"sizes": [len(x1), len(y), len(z1), len(w)]}, lhs, rhs, "<=")
 
 

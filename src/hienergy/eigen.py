@@ -1,10 +1,10 @@
 """Spectral machinery: the pattern Gram |(B-y) n (B-y')|^k on A x A, its
 eigenvalues (LAPACK `eigvalsh`, certified against the Gram's exact integer
 diagonal and Frobenius norm), lower bounds for magnification ratios, and the
-convolution operator whose eigenfunctions on a multiplicative subgroup are
+restricted operator whose eigenfunctions on a multiplicative subgroup are
 the multiplicative characters.  On a subgroup Gamma that operator's matrix
-is the pattern Gram of (Gamma, B, k), built in integers; the float
-transform runs only where the kernel is not an integer table."""
+is the pattern Gram of (Gamma, B, k), built in integers: no float transform
+runs here."""
 
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ import numpy as np
 
 from . import groups, moments
 from .genset import multiplicative_order_elements, primitive_root
-from .groups import GroupSpec, InvariantError
-from .gset import GSet, row_keys, sum_rows
+from .groups import InvariantError
+from .gset import GSet
 from .setops import CapExceededError, Caps, DEFAULT_CAPS
 
 INVARIANT_RTOL = 1e-8
@@ -104,70 +104,6 @@ def magnification_lower_bounds(a: GSet, b: GSet, k: int,
 
 
 # ---------------------------------------------------------------------------
-# the operator f -> psi . (phi^c^ * f)
-
-
-def _flat_function(g: GroupSpec, f) -> np.ndarray:
-    """Coerce a GSet / array to a dense complex vector."""
-    n = g.order
-    if isinstance(f, GSet):
-        return f.indicator().astype(np.complex128).ravel()
-    arr = np.asarray(f, dtype=np.complex128).ravel()
-    if arr.size != n:
-        raise ValueError(f"dense function must have {n} entries")
-    return arr
-
-
-def _group_fft(g: GroupSpec, flat: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(flat.reshape(g.moduli)).ravel()
-
-
-def _group_ifft(g: GroupSpec, flat: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(flat.reshape(g.moduli)).ravel()
-
-
-def _reflect_flat(g: GroupSpec, flat: np.ndarray) -> np.ndarray:
-    """x -> flat(-x) on the group."""
-    return np.roll(np.flip(flat.reshape(g.moduli)), 1, axis=tuple(range(g.dim))).ravel()   # -i mod n
-
-
-def operator_apply(g: GroupSpec, phi, psi, f) -> np.ndarray:
-    """(T^phi_psi f)(x) = psi(x) (phi^c^ * f)(x) as a dense vector."""
-    if not g.is_cyclic:
-        raise groups.GroupError("operator needs a finite cyclic product")
-    phi_v = _flat_function(g, phi)
-    psi_v = _flat_function(g, psi)
-    f_v = _flat_function(g, f)
-    kernel = _group_fft(g, _reflect_flat(g, phi_v))  # phi^c^
-    conv = _group_ifft(g, _group_fft(g, kernel) * _group_fft(g, f_v))
-    return psi_v * conv
-
-
-def restricted_matrix(g: GroupSpec, phi, e_set: GSet) -> np.ndarray:
-    """Matrix of the operator restricted to functions supported on E."""
-    kernel = _group_fft(g, _reflect_flat(g, _flat_function(g, phi)))
-    rows = e_set.coords   # entry (i, j) is the kernel at x_i - x_j
-    return kernel[row_keys(g, sum_rows(g, rows[:, None], rows[None], minus=True))
-                  ].reshape(len(rows), len(rows))
-
-
-def bilinear_residual(g: GroupSpec, phi, e_set: GSet, u, v) -> float:
-    """Relative residual of <T^phi_E u, v> = sum_x phi(x) u^(x) conj(v^(x))
-    for u, v supported on E."""
-    u_v = _flat_function(g, u)
-    v_v = _flat_function(g, v)
-    mask = np.ones(g.order, dtype=bool)
-    mask[e_set.flat_indices()] = False
-    if np.abs(u_v[mask]).max(initial=0.0) > 0 or np.abs(v_v[mask]).max(initial=0.0) > 0:
-        raise ValueError("u and v must be supported on E")
-    lhs = complex(np.vdot(v_v, operator_apply(g, phi, e_set, u_v)))
-    phi_v = _flat_function(g, phi)
-    rhs = complex((phi_v * _group_fft(g, u_v) * np.conj(_group_fft(g, v_v))).sum())
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return abs(lhs - rhs) / scale
-
-
-# ---------------------------------------------------------------------------
 # multiplicative subgroups
 
 
@@ -180,8 +116,8 @@ class SubgroupEigenReport:
     residuals: list[float]
     max_at_trivial: bool
     measured_max: float
-    claimed_max: float | None
-    claimed_ratio: float | None
+    claimed_max: float
+    claimed_ratio: float
     connected_ok: bool
 
 
@@ -201,13 +137,12 @@ def subgroup_eigencheck(gamma: GSet, k: int = 1, base_set: GSet | None = None) -
     eigenvalue, and the connected quadratic-form inequality.
 
     The kernel is built on the integer table B o B, B = base_set or Gamma,
-    and must be invariant under the generator h of Gamma.  With a base_set
-    the restricted matrix is the exact pattern Gram (B o B)(y' - y)^k on
-    Gamma, and the top eigenvalue is compared against E_(k+1)(Gamma, B)/|Gamma|;
-    without one it is the float transform |Gamma^(xi)|^2 read at the
-    differences of Gamma.  The connected forms u^T G u, G the Gram of
-    (Gamma, Gamma, 1), are decided in integers: G is positive semidefinite
-    with 1_Gamma as an eigenvector, so t^2 u^T G u >= (sum u)^2 sum G.
+    and must be invariant under the generator h of Gamma.  The restricted
+    matrix is the exact pattern Gram (B o B)(y' - y)^k on Gamma, and the top
+    eigenvalue is compared against E_(k+1)(Gamma, B)/|Gamma|.  The connected
+    forms u^T G u, G the Gram of (Gamma, Gamma, 1), are decided in integers:
+    G is positive semidefinite with 1_Gamma as an eigenvector, so
+    t^2 u^T G u >= (sum u)^2 sum G.
     """
     p, t = multiplicative_order_elements(gamma)
     h = pow(primitive_root(p), (p - 1) // t, p)
@@ -218,13 +153,9 @@ def subgroup_eigencheck(gamma: GSet, k: int = 1, base_set: GSet | None = None) -
     if not np.array_equal(table[h * np.arange(p) % p], table):
         raise ValueError("the kernel is not Gamma-invariant")
     caps = Caps(gram=t)   # the character loop is dense in t anyway
-    claimed = pg = None
-    if base_set is None:
-        mat = restricted_matrix(gamma.group, table, gamma)
-    else:
-        pg = build_gram(gamma, base_set, k, caps)
-        mat = pg.gram.astype(np.complex128)
-        claimed = float(moments.energy_k_pair(gamma, base_set, k + 1)) / t
+    pg = build_gram(gamma, b, k, caps)
+    mat = pg.gram.astype(np.complex128)
+    claimed = float(moments.energy_k_pair(gamma, b, k + 1)) / t
 
     eigenvalues: list[float] = []
     residuals: list[float] = []
@@ -239,7 +170,7 @@ def subgroup_eigencheck(gamma: GSet, k: int = 1, base_set: GSet | None = None) -
     max_at_trivial = eigenvalues[0] >= measured_max - 1e-8 * max(1.0, abs(measured_max))
 
     # against Gamma itself at k = 1, mat's own Gram is the Gram of (Gamma, Gamma, 1)
-    gram = (pg if base_set == gamma and k == 1 else build_gram(gamma, gamma, 1, caps)).gram
+    gram = (pg if b == gamma and k == 1 else build_gram(gamma, gamma, 1, caps)).gram
     total = int(gram.sum())
     rng = np.random.default_rng(7)
     draws = np.array([rng.integers(-3, 4, size=t) for _ in range(8)])
@@ -248,5 +179,5 @@ def subgroup_eigencheck(gamma: GSet, k: int = 1, base_set: GSet | None = None) -
     return SubgroupEigenReport(
         p=p, t=t, k=k, eigenvalues=eigenvalues, residuals=residuals,
         max_at_trivial=bool(max_at_trivial), measured_max=float(measured_max),
-        claimed_max=claimed, claimed_ratio=(float(measured_max) / claimed if claimed else None),
+        claimed_max=claimed, claimed_ratio=float(measured_max) / claimed,
         connected_ok=connected_ok)

@@ -380,18 +380,15 @@ def small_t4_extract(a: GSet) -> ExtractionReport:
     rep.add_stage("normalize", K=k_val, M=m_val, T3=t3, gamma=float(e3) / n ** 4)
 
     points, values = corr.support_rows()
-    # needs |A_s| > gamma |A| / 2 strictly: 2|A|^3 v > E_3, for integer v
+    # needs |A_s| > gamma |A| / 2 strictly: 2|A|^3 v > E_3, for integer v; shift 0
+    # always passes, (A o A)(0) = |A| > |A| / 2 >= E_3 // (2|A|^3), so B is a slice of A
     shifts = points[values > e3 // (2 * n ** 3)]
     member = setops.slice_masks(a, shifts)
     e_pairs = _slice_energies(a, member).tolist()   # E(A, A_s) per shift
     betas = [e / (n * m * m) for e, m in zip(e_pairs, member.sum(axis=1).tolist())]
-    if not betas:
-        b, e_ab = a, moments.energy_k(a, 2)
-        rep.notes.append("no slice above the gamma floor; degenerate covering with B = A")
-    else:
-        i = betas.index(max(betas))   # the first maximum in the order of the shifts
-        b, e_ab = a.subset(member[i]), e_pairs[i]
-        rep.add_stage("slice", s=shifts[i].tolist(), beta=betas[i], size=len(b))
+    i = betas.index(max(betas))   # the first maximum in the order of the shifts
+    b, e_ab = a.subset(member[i]), e_pairs[i]
+    rep.add_stage("slice", s=shifts[i].tolist(), beta=betas[i], size=len(b))
     rep.store_set("B", b)
 
     target = n / m_val ** 1.5
@@ -408,7 +405,7 @@ def small_t4_extract(a: GSet) -> ExtractionReport:
         remaining = remaining.subset(~b.translate(best_r).isin(remaining.coords))
         covered = n - len(remaining)
     r_set = GSet(g, chosen or [(0,) * g.dim])
-    coverage = len(a) - len(remaining) if chosen else len(a.intersect(b))
+    coverage = len(a) - len(remaining) if chosen else len(b)
     rep.store_set("R", r_set)
     rep.add_stage("cover", coverage=coverage, target=target, translates=len(r_set),
                   eb_ratio=float(moments.energy_k(b, 2)) / (len(b) ** 3 / m_val ** 4.5))

@@ -271,10 +271,3 @@ _BUILDERS = {
     "sidon": _gen_sidon,
 }
 
-
-def is_convex(a: GSet) -> bool:
-    if a.group.dim != 1 or len(a) < 3:
-        return True
-    xs = a.coords[:, 0].tolist()
-    gaps = [b - a for a, b in zip(xs, xs[1:])]
-    return all(g2 > g1 for g1, g2 in zip(gaps, gaps[1:]))

@@ -7,10 +7,11 @@ mixed radix (slot 1's coordinates are the most significant), inside one
 window shared by every translate: the fundamental domain of a cyclic group,
 the box of the A_i -+ C on a lattice.  Each slot packs A_i -+ c for all c at
 once, and one broadcast per slot folds it in, giving a |C| x prod |A_i| grid
-with a row per c.  `delta_sumset` dedups the grid with an in-place sort and
-a neighbour comparison: sorted output is what `TupleSet` stores anyway, and
-the sort needs no hash table.  D_k and S_k are its cardinalities when all
-A_i = C; the rows themselves are the id sets of the magnification search.
+with a row per c.  `delta_sumset` counts the distinct values of the grid
+with an in-place sort and a neighbour comparison, which needs no hash table;
+`basis_depth_test` marks them in a table of the whole tuple space.  D_k and
+S_k are the counts when all A_i = C; the rows themselves are the id sets of
+the magnification search.
 A + A, A - A, the counts D_k and S_k and the ratios R^(k)_B[A] are kept on
 the set (see the gset module), each behind its cap checks: `_check_work`
 bounds the grid's size before any lookup or build.
@@ -26,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from . import groups
-from .groups import Elem, GroupSpec
-from .gset import GSet, _firsts, _require_same_group, as_rows, bounded_rows, row_keys, sum_rows
+from .groups import Elem
+from .gset import GSet, _firsts, _require_same_group, bounded_rows, row_keys, sum_rows
 
 MINUS = "-"
 PLUS = "+"
@@ -157,53 +158,12 @@ def distinct_counts(rows: np.ndarray, ids: np.ndarray, count: int, width: int) -
 
 
 # ---------------------------------------------------------------------------
-# packed tuple sets
+# packed tuple grids
 
 
 def _pack(rel: np.ndarray, radices: np.ndarray) -> np.ndarray:
     """Mixed-radix value of the window-relative coordinates on the last axis."""
     return np.ravel_multi_index(np.moveaxis(rel, -1, 0), radices)
-
-
-class TupleSet:
-    """A finite set of k-tuples of group elements, stored packed.
-
-    Packing maps a tuple (x_1, ..., x_k) with d-dimensional coordinates to an
-    integer in mixed radix; `offsets`/`radices` describe the per-slot ranges.
-    """
-
-    __slots__ = ("group", "arity", "packed", "offsets", "radices")
-
-    def __init__(self, group: GroupSpec, arity: int, packed: np.ndarray,
-                 offsets: np.ndarray, radices: np.ndarray):
-        self.group = group
-        self.arity = arity
-        self.packed = packed            # sorted unique int64
-        self.offsets = offsets          # per flat coordinate slot (arity*dim)
-        self.radices = radices
-
-    def __len__(self) -> int:
-        return len(self.packed)
-
-    def __contains__(self, tup) -> bool:
-        rows = as_rows(self.group, tup)
-        if len(rows) != self.arity:
-            return False
-        rel = rows.ravel() - self.offsets
-        if (rel < 0).any() or (rel >= self.radices).any():
-            return False  # outside the window
-        val = _pack(rel, self.radices)
-        i = np.searchsorted(self.packed, val)
-        return i < len(self.packed) and self.packed[i] == val
-
-    def decode(self, value: int) -> tuple[Elem, ...]:
-        coords = np.array(np.unravel_index(value, self.radices)) + self.offsets
-        d = self.group.dim
-        return tuple(tuple(int(c) for c in coords[i * d:(i + 1) * d]) for i in range(self.arity))
-
-    def __iter__(self):
-        for v in self.packed:
-            yield self.decode(int(v))
 
 
 def _box(rows: np.ndarray) -> np.ndarray:
@@ -223,14 +183,15 @@ def _check_work(sets: Sequence[GSet], c: GSet, caps: Caps) -> None:
         raise CapExceededError(f"tuple work {work} exceeds cap {caps.tuples}")
 
 
-def _translate_grid(sets: Sequence[GSet], c: GSet, sign: str,
-                    caps: Caps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _translate_grid(sets: Sequence[GSet], c: GSet, sign: str, caps: Caps) -> np.ndarray:
     """Packed values of A_1 x ... x A_k -+ Delta(c) for every c in C.
 
-    Returns (grid, offsets, radices): row j of the |C| x prod |A_i| int64
-    grid packs the translate by the j-th element of C, all rows in one
-    window (the fundamental domain of a cyclic group, the box of the
-    A_i -+ C on a lattice), so values of different rows compare directly.
+    Row j of the |C| x prod |A_i| int64 grid packs the translate by the j-th
+    element of C, all rows in one window (the fundamental domain of a cyclic
+    group, the box of the A_i -+ C on a lattice), so values of different rows
+    compare directly.  In a cyclic group the window starts at 0 and its
+    radices are the moduli, slot after slot: the values of the whole tuple
+    space are 0 .. |G|^k - 1, in the order of `np.unravel_index`.
     """
     if not sets:
         raise ValueError("need at least one factor set")
@@ -259,21 +220,20 @@ def _translate_grid(sets: Sequence[GSet], c: GSet, sign: str,
         slot_radix = int(np.prod(radices[window]))
         grid = (grid[:, :, None] * slot_radix + part[:, None, :]).reshape(
             len(c), grid.shape[1] * len(a))
-    return grid, offsets, radices
+    return grid
 
 
 def delta_sumset(sets: Sequence[GSet], b: GSet, sign: str = MINUS,
-                 caps: Caps = DEFAULT_CAPS) -> TupleSet:
-    """A_1 x ... x A_k -+ Delta(B) as a union of translated boxes.
+                 caps: Caps = DEFAULT_CAPS) -> int:
+    """|A_1 x ... x A_k -+ Delta(B)|, the size of a union of translated boxes.
 
     With the minus sign a tuple x belongs iff B n (A_1 - x_1) n ... n
     (A_k - x_k) is nonempty; with plus iff B n (x_1 - A_1) n ... is.
-    Cardinalities give D_k(A) / S_k(A) when every set equals B.
+    The counts are D_k(A) / S_k(A) when every set equals B.
     """
-    grid, offsets, radices = _translate_grid(sets, b, sign, caps)
-    vals = grid.ravel()
+    vals = _translate_grid(sets, b, sign, caps).ravel()
     vals.sort()
-    return TupleSet(b.group, len(sets), vals[_firsts(vals)], offsets, radices)
+    return int(np.count_nonzero(_firsts(vals)))
 
 
 def d_k(a: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> int:
@@ -291,7 +251,7 @@ def _delta_count(a: GSet, k: int, sign: str, caps: Caps) -> int:
         raise ValueError("D_k and S_k need k >= 1")
     _check_work([a] * k, a, caps)
     return a.kept(("D" if sign == MINUS else "S", k),
-                  lambda: len(delta_sumset([a] * k, a, sign, caps)))
+                  lambda: delta_sumset([a] * k, a, sign, caps))
 
 
 def basis_depth_test(b: GSet, k: int, sign: str = MINUS,
@@ -309,13 +269,13 @@ def basis_depth_test(b: GSet, k: int, sign: str = MINUS,
         raise CapExceededError(f"G^k has {n ** k} tuples, cap is {caps.tuples}")
     if not b:
         return False, tuple(groups.zero(g) for _ in range(k))
-    t = delta_sumset([b] * k, b, sign, caps)
-    if len(t) == n ** k:
+    seen = np.zeros(n ** k, dtype=bool)   # the packed tuple space, 0 .. n^k - 1
+    seen[_translate_grid([b] * k, b, sign, caps)] = True
+    if seen.all():
         return True, None
-    # packed values of a full cyclic tuple space are exactly 0..n^k - 1
-    gaps = np.flatnonzero(t.packed != np.arange(len(t.packed), dtype=np.int64))
-    missing = int(gaps[0]) if len(gaps) else len(t.packed)
-    return False, t.decode(missing)
+    coords = [int(c) for c in np.unravel_index(int(np.argmin(seen)), g.moduli * k)]
+    d = g.dim
+    return False, tuple(tuple(coords[i * d:(i + 1) * d]) for i in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +334,6 @@ def magnification_k(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> tupl
 
 
 def _magnification(a: GSet, b: GSet, k: int, caps: Caps) -> tuple[Fraction, GSet]:
-    grid, _, _ = _translate_grid([b] * k, a, PLUS, caps)   # row z: B^k + Delta(z)
+    grid = _translate_grid([b] * k, a, PLUS, caps)   # row z: B^k + Delta(z)
     ratio, chosen = _magnification_search(grid)
     return ratio, GSet(a.group, a.coords[list(chosen)])

@@ -1,10 +1,12 @@
 """Brute-force oracles, independent of the package internals.
 
 Everything here works on plain python tuples with explicit loops over
-tuples of elements; no convolution tables, no FFT, no packed arrays.  The
-pinned acceptance values are recomputed through these before the main
-implementation is trusted.  The one numeric oracle, a cyclic Jacobi
-eigensolver, cross-checks the LAPACK spectra of the pattern Grams.
+tuples of elements; no convolution tables, no packed arrays.  The pinned
+acceptance values are recomputed through these before the main
+implementation is trusted.  Two oracles are numeric: a cyclic Jacobi
+eigensolver cross-checks the LAPACK spectra of the pattern Grams, and the
+float operator f -> psi . (phi^c^ * f) on a cyclic product, a dense complex
+FFT, holds the bilinear-form identity of acceptance criterion 4.
 """
 
 from __future__ import annotations
@@ -313,6 +315,59 @@ def kronecker_sum_counts(mods, a, k):
     for _ in range(k - 1):
         counts = kronecker_convolve(mods, counts, ind)
     return counts
+
+
+def is_convex(xs):
+    """Whether the sorted integers xs have strictly increasing gaps (at most
+    two points always do): the convex generator's oracle."""
+    gaps = [y - x for x, y in zip(xs, xs[1:])]
+    return all(g2 > g1 for g1, g2 in zip(gaps, gaps[1:]))
+
+
+# The operator (T^phi_psi f)(x) = psi(x) (phi^c^ * f)(x) on a cyclic product
+# with the given moduli.  Every function is a dense vector of the product's
+# elements in row-major (lexicographic) order, and a set E is the list of
+# its elements' ranks in that order.
+
+
+def _group_fft(mods, f):
+    return np.fft.fftn(np.reshape(np.asarray(f, dtype=np.complex128), mods)).ravel()
+
+
+def _reflect(mods, f):
+    """x -> f(-x) on the cyclic product."""
+    return np.roll(np.flip(np.reshape(f, mods)), 1, axis=tuple(range(len(mods)))).ravel()
+
+
+def operator_apply(mods, phi, psi, f):
+    """psi . (phi^c^ * f) as a dense complex vector."""
+    kernel = _group_fft(mods, _reflect(mods, phi))   # phi^c^
+    conv = np.fft.ifftn(np.reshape(_group_fft(mods, kernel) * _group_fft(mods, f), mods)).ravel()
+    return np.asarray(psi) * conv
+
+
+def restricted_matrix(mods, phi, e_idx):
+    """Matrix of the operator restricted to functions supported on E: entry
+    (i, j) is the kernel phi^c^ at x_i - x_j, the difference taken in the
+    product, coordinate by coordinate."""
+    kernel = _group_fft(mods, _reflect(mods, phi))
+    x = np.array(np.unravel_index(np.asarray(e_idx, dtype=np.int64), mods)).reshape(len(mods), -1)
+    diffs = (x[:, :, None] - x[:, None, :]) % np.array(mods).reshape(-1, 1, 1)
+    return kernel[np.ravel_multi_index(tuple(diffs), mods)]
+
+
+def bilinear_residual(mods, phi, e_idx, u, v):
+    """Relative residual of <T^phi_E u, v> = sum_x phi(x) u^(x) conj(v^(x))
+    for u, v supported on E, psi the indicator of E."""
+    u = np.asarray(u, dtype=np.complex128)
+    v = np.asarray(v, dtype=np.complex128)
+    psi = np.zeros(math.prod(mods))
+    psi[list(e_idx)] = 1.0
+    if np.abs(u[psi == 0]).max(initial=0.0) > 0 or np.abs(v[psi == 0]).max(initial=0.0) > 0:
+        raise ValueError("u and v must be supported on E")
+    lhs = complex(np.vdot(v, operator_apply(mods, phi, psi, u)))
+    rhs = complex((np.asarray(phi) * _group_fft(mods, u) * np.conj(_group_fft(mods, v))).sum())
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
 def oracle_int_set(a):

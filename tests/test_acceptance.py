@@ -98,12 +98,11 @@ def test_criterion_4_fourier_eigen_tolerances():
         worst_parseval = max(worst_parseval, abs(lhs - rhs) / max(1.0, abs(lhs)))
         phi = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         idx = sorted(int(i) for i in rng.choice(256, size=12, replace=False))
-        e_set = GSet(g, idx)
         u = np.zeros(256, dtype=np.complex128)
         v = np.zeros(256, dtype=np.complex128)
         u[idx] = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         v[idx] = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        worst_bilinear = max(worst_bilinear, eigen.bilinear_residual(g, phi, e_set, u, v))
+        worst_bilinear = max(worst_bilinear, oracles.bilinear_residual(g.moduli, phi, idx, u, v))
     ok = worst_parseval < 1e-8 and worst_bilinear < 1e-8
     _line("criterion 4 (Fourier/operator residuals)", ok,
           f"Parseval {worst_parseval:.2e}, bilinear {worst_bilinear:.2e} over 100 runs in Z/256")

@@ -126,37 +126,37 @@ def test_bounds_below_exact_magnification():
             assert bounds["bound_energy"] <= bounds["bound_eig"] * (1 + 1e-9)
 
 
+# The float operator f -> psi . (phi^c^ * f) is an oracle (tests/oracles.py):
+# the package's restricted operator on a subgroup is the integer pattern Gram.
+
+
 def test_operator_identity_and_bilinear_form():
     rng = np.random.default_rng(19)
-    g = cyclic(8)
     n = 8
     # phi with phi^c^ = delta_0 makes T the identity: phi == 1/N constant
     phi = np.full(n, 1.0 / n, dtype=np.complex128)
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    out = eigen.operator_apply(g, phi, np.ones(n), f)
+    out = oracles.operator_apply((n,), phi, np.ones(n), f)
     assert np.abs(out - f).max() < 1e-9
     for _ in range(20):
         phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         e_idx = sorted(rng.choice(n, size=5, replace=False).tolist())
-        e_set = GSet(g, [int(i) for i in e_idx])
         u = np.zeros(n, dtype=np.complex128)
         v = np.zeros(n, dtype=np.complex128)
         u[e_idx] = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         v[e_idx] = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        assert eigen.bilinear_residual(g, phi, e_set, u, v) < 1e-8
+        assert oracles.bilinear_residual((n,), phi, e_idx, u, v) < 1e-8
 
 
 def test_operator_matrix_symmetric_for_symmetric_real_phi():
     rng = np.random.default_rng(23)
-    g = cyclic(12)
     half = rng.standard_normal(7)
     phi = np.zeros(12)
     phi[0] = half[0]
     for i in range(1, 7):
         phi[i] = half[i]
         phi[-i] = half[i]
-    e_set = GSet(g, [0, 2, 5, 7])
-    mat = eigen.restricted_matrix(g, phi.astype(np.complex128), e_set)
+    mat = oracles.restricted_matrix((12,), phi.astype(np.complex128), [0, 2, 5, 7])
     assert np.abs(mat - mat.T.conj()).max() < 1e-9
 
 
@@ -164,15 +164,14 @@ def test_restricted_matrix_is_the_operator_on_e_in_every_product():
     # entry (i, j) is the kernel at x_i - x_j: on Z/4xZ/6 a difference of
     # row-major ranks mod 24 is not the rank of the difference
     rng = np.random.default_rng(3)
-    for g in (cyclic(12), cyclic(4, 6), cyclic(2, 3, 4)):
-        n = g.order
+    for mods in ((12,), (4, 6), (2, 3, 4)):
+        n = math.prod(mods)
         phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        e_set = GSet(g, np.argwhere(rng.random(g.moduli) < 0.4))
-        idx = e_set.flat_indices()
+        idx = np.flatnonzero(rng.random(mods) < 0.4)
         f = np.zeros(n, dtype=np.complex128)
         f[idx] = rng.standard_normal(len(idx))
-        mat = eigen.restricted_matrix(g, phi, e_set)
-        assert np.abs(mat @ f[idx] - eigen.operator_apply(g, phi, np.ones(n), f)[idx]).max() < 1e-9
+        mat = oracles.restricted_matrix(mods, phi, idx)
+        assert np.abs(mat @ f[idx] - oracles.operator_apply(mods, phi, np.ones(n), f)[idx]).max() < 1e-9
 
 
 def test_subgroup_eigencheck_13():
@@ -220,19 +219,15 @@ def test_c25_top_eigenvalue_is_exact_on_every_subgroup():
     assert all(r.passed and r.lhs == r.rhs for r in rows)
 
 
-def test_subgroup_eigencheck_on_a_base_set_runs_no_group_fft(monkeypatch):
-    calls = []
-    for name in ("_group_fft", "_group_ifft"):
-        real = getattr(eigen, name)
-        monkeypatch.setattr(eigen, name, lambda g, flat, _real=real, _name=name:
-                            calls.append(_name) or _real(g, flat))
+def test_subgroup_eigencheck_without_a_base_set_takes_gamma():
+    # one operator: with no base set the restricted matrix is the Gram of (Gamma, Gamma, k)
     for p, t in [(13, 3), (31, 5), (61, 12)]:
         gamma = genset.mult_subgroup(p, t)
-        rep = subgroup_eigencheck(gamma, base_set=gamma)
-        assert rep.connected_ok and rep.max_at_trivial and max(rep.residuals) < 1e-8
-    assert calls == []
-    subgroup_eigencheck(genset.mult_subgroup(13, 3))   # the float kernel |Gamma^|^2
-    assert calls == ["_group_fft"]
+        for k in (1, 2):
+            rep = subgroup_eigencheck(gamma, k=k)
+            assert rep == subgroup_eigencheck(gamma, k=k, base_set=gamma)
+            assert rep.measured_max == pytest.approx(rep.claimed_max, rel=1e-9)
+            assert rep.claimed_max == moments.energy_k(gamma, k + 1) / t
 
 
 def test_connected_forms_are_decided_in_integers(monkeypatch):

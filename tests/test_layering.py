@@ -8,8 +8,7 @@ and the chain compute on int64 planes: none of them builds a Python-int
 (object) array.  Every top-level function and class in the package has a
 caller in another part of it, bar a short allow-list with reasons, and no
 module imports a name it never reads.  The float FFT runs only in the
-engine's transforms, a set's kept spectrum (`spectrum._dft`) and the complex
-operator's own.  A table's nonzero count and norms are derived in one place,
+engine's transforms and a set's kept spectrum (`spectrum._dft`).  A table's nonzero count and norms are derived in one place,
 `ConvTable.facts`, at most once per table, and outside `moments` a table
 is read through its methods: no module reads its planes, `_flat()` or
 `facts()`, and `moments._square_sum` is named only by `eigen._gram`, on its
@@ -326,8 +325,6 @@ def test_table_guard_sees_each_form(tmp_path):
 UNREACHED_BY_DESIGN = {
     "groups.op_add": "the tuple form of the group law; the benchmark's brute-force oracle",
     "extract.almost_period_check": "the exact shift defect that acceptance criterion 6 checks",
-    "eigen.bilinear_residual": "the bilinear-form identity that acceptance criterion 4 checks",
-    "genset.is_convex": "the convex generator's oracle",
     "moments.conv_power": "the paper's k-fold convolution A^(*k), with nothing kept",
     "spectrum.dissociated_test": "the paper's dissociativity, beside dim_exact and dim_greedy",
 }
@@ -413,19 +410,16 @@ def test_unused_import_guard_sees_each_form(tmp_path):
                                    "bad.py:6 os"]
 
 
-# The float FFT runs only in the engine's bounded transforms, the build of a
-# set's kept spectrum and the complex operator; the operator's transforms
-# serve its three readers and no exact count.
-FFT_HOMES = {"moments._rfft", "moments._irfft", "spectrum._dft",
-             "eigen._group_fft", "eigen._group_ifft"}
-GROUP_FFT = {"_group_fft", "_group_ifft"}
-GROUP_FFT_READERS = {"eigen.operator_apply", "eigen.restricted_matrix", "eigen.bilinear_residual"}
+# The float FFT runs only in the engine's bounded transforms and the build of
+# a set's kept spectrum: the restricted operator on a subgroup is the integer
+# pattern Gram, and its float twin is an oracle in tests/oracles.py.
+FFT_HOMES = {"moments._rfft", "moments._irfft", "spectrum._dft"}
 
 
 def fft_uses(path: Path) -> list[tuple[str, str]]:
-    """(module.top, form) for every `np.fft`/`numpy.fft` attribute, every
-    import from or of a `*.fft` module and every `_group_fft`/`_group_ifft`
-    name in a module, by the top-level definition it sits in."""
+    """(module.top, form) for every `np.fft`/`numpy.fft` attribute and every
+    import from or of a `*.fft` module in a module, by the top-level
+    definition it sits in."""
     found = []
     for top in ast.parse(path.read_text(encoding="utf-8")).body:
         where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
@@ -438,16 +432,11 @@ def fft_uses(path: Path) -> list[tuple[str, str]]:
                 found.append((where, "import fft"))
             elif isinstance(node, ast.Import) and any(a.name.endswith(".fft") for a in node.names):
                 found.append((where, "import fft"))
-            elif ((isinstance(node, ast.Name) and node.id in GROUP_FFT)
-                  or (isinstance(node, ast.Attribute) and node.attr in GROUP_FFT)):
-                found.append((where, "group fft"))
     return found
 
 
 def misplaced_fft(uses: list[tuple[str, str]]) -> list[str]:
-    return [f"{where} {form}" for where, form in uses
-            if (form == "group fft" and where not in GROUP_FFT_READERS)
-            or (form != "group fft" and where not in FFT_HOMES)]
+    return [f"{where} {form}" for where, form in uses if where not in FFT_HOMES]
 
 
 def test_float_fft_runs_only_where_its_object_is_not_an_integer():
@@ -455,26 +444,24 @@ def test_float_fft_runs_only_where_its_object_is_not_an_integer():
     assert len(modules) >= 10
     uses = [use for p in modules for use in fft_uses(p)]
     assert misplaced_fft(uses) == []
-    # the guard reads every home and every reader it allows
-    assert {where for where, _ in uses} == FFT_HOMES | GROUP_FFT_READERS
+    # the guard reads every home it allows
+    assert {where for where, _ in uses} == FFT_HOMES
 
 
 def test_fft_guard_sees_each_form(tmp_path):
+    # a home is named with its module: spectrum's _dft, not a _dft planted in eigen
     bad = tmp_path / "eigen.py"
     bad.write_text("import numpy.fft\n"
                    "from numpy import fft\n"
                    "from scipy.fft import rfft\n"
-                   "def _group_fft(g, flat):\n"
+                   "def _dft(flat):\n"
                    "    return np.fft.fftn(flat)\n"
-                   "def restricted_matrix(g, phi, e):\n"
-                   "    return _group_fft(g, phi)\n"
                    "def subgroup_eigencheck(gamma):\n"
                    "    w = numpy.fft.ifft(gamma)\n"
-                   "    return eigen._group_ifft(g, _group_fft(g, w))\n")
+                   "    return np.fft.fft(w)\n")
     assert sorted(misplaced_fft(fft_uses(bad))) == [
         "eigen.<module> import fft", "eigen.<module> import fft", "eigen.<module> import fft",
-        "eigen.subgroup_eigencheck group fft", "eigen.subgroup_eigencheck group fft",
-        "eigen.subgroup_eigencheck np.fft"]
+        "eigen._dft np.fft", "eigen.subgroup_eigencheck np.fft", "eigen.subgroup_eigencheck np.fft"]
 
 
 JSON_WRITERS = {"dump", "dumps", "JSONEncoder"}

@@ -271,9 +271,9 @@ def test_row_algebra_matches_brute_force():
 
 def test_delta_sumset_examples():
     a = zset([0, 1, 3])
-    assert len(delta_sumset([a, a], a, MINUS)) == 25
-    assert len(delta_sumset([a, a], a, PLUS)) == 24
-    assert len(delta_sumset([a], a, MINUS)) == 7
+    assert delta_sumset([a, a], a, MINUS) == 25
+    assert delta_sumset([a, a], a, PLUS) == 24
+    assert delta_sumset([a], a, MINUS) == 7
 
 
 def test_delta_sumset_against_oracle():
@@ -284,11 +284,9 @@ def test_delta_sumset_against_oracle():
         sets = [rand_gset(rng, g, rng.randint(1, 4)) for _ in range(k)]
         b = rand_gset(rng, g, rng.randint(1, 4))
         sign = rng.choice([MINUS, PLUS])
-        t = delta_sumset(sets, b, sign)
         want = oracles.oracle_delta_sumset(g.moduli if g.is_cyclic else None,
                                            [set(s.elems) for s in sets], set(b.elems), sign)
-        assert len(t) == len(want)
-        assert set(t) == want  # decode round-trip
+        assert delta_sumset(sets, b, sign) == len(want)
 
 
 def test_dk_sk_slice_identity():
@@ -311,23 +309,8 @@ def test_delta_sumset_k1_agrees_with_diffset_sumset():
         g = rng.choice([cyclic(32), cyclic(4, 8), lattice(1)])
         a = rand_gset(rng, g, rng.randint(1, 8))
         b = rand_gset(rng, g, rng.randint(1, 8))
-        t_minus = delta_sumset([a], b, MINUS)
-        t_plus = delta_sumset([a], b, PLUS)
-        assert len(t_minus) == len(diffset(a, b))
-        assert len(t_plus) == len(sumset(a, b))
-
-
-def test_tupleset_membership_and_decode():
-    a = zset([0, 1, 3])
-    t = delta_sumset([a, a], a, MINUS)
-    assert ((0,), (0,)) in t
-    listed = set(t)
-    assert len(listed) == len(t)
-    assert all(tup in t for tup in listed)
-    # (3, -3) lies in the window [-3, 3]^2 but needs 3 - x and -3 - x both in {0, 1, 3}
-    assert ((3,), (-3,)) not in t and ((-3,), (-3,)) in t
-    assert ((7,), (0,)) not in t and ((0,), (-4,)) not in t   # outside the window
-    assert ((0,),) not in t                                     # wrong arity
+        assert delta_sumset([a], b, MINUS) == len(diffset(a, b))
+        assert delta_sumset([a], b, PLUS) == len(sumset(a, b))
 
 
 def test_basis_depth_examples():
@@ -340,9 +323,11 @@ def test_basis_depth_examples():
 
 
 def test_basis_depth_matches_membership_definition():
+    # the products put the slot layout of a multi-dimensional witness under the oracle
     rng = random.Random(3)
-    for _ in range(20):
-        g = cyclic(rng.choice([5, 6, 7]))
+    products = [cyclic(2, 3), cyclic(2, 4), cyclic(3, 3)]
+    for i in range(60):
+        g = cyclic(rng.choice([5, 6, 7])) if i < 20 else products[i % 3]
         b = rand_gset(rng, g, rng.randint(2, g.order))
         for sign in (MINUS, PLUS):
             ok, witness = basis_depth_test(b, 2, sign)
@@ -449,13 +434,13 @@ def test_g_bases_identity_and_swap():
         a1 = rand_gset(rng, g, rng.randint(1, 4))
         a2 = rand_gset(rng, g, rng.randint(1, 4))
         amb = full_group(g)
-        lhs = len(delta_sumset([a1, a2], amb, MINUS))
-        rhs = g.order * len(delta_sumset([a1], a2, MINUS))
+        lhs = delta_sumset([a1, a2], amb, MINUS)
+        rhs = g.order * delta_sumset([a1], a2, MINUS)
         assert lhs == rhs
         # coordinate swap |Y x Z - D(X)| = |Y x X - D(Z)|
         x = rand_gset(rng, g, rng.randint(1, 4))
         z = rand_gset(rng, g, rng.randint(1, 4))
-        assert len(delta_sumset([a1, z], x, MINUS)) == len(delta_sumset([a1, x], z, MINUS))
+        assert delta_sumset([a1, z], x, MINUS) == delta_sumset([a1, x], z, MINUS)
 
 
 def test_integer_sumset_lower_bound():

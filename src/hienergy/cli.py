@@ -113,7 +113,7 @@ def cmd_compute(args, caps: Caps) -> int:
         lines = [f"{name} = {r} (= {float(r)}), witness |Z| = {len(z)}"]
     elif q == "levels":
         v = moments.level_sequence(a)
-        payload["value"] = v
+        payload["value"] = list(v)
         table = "rank,value\n" + "".join(f"{i+1},{x}\n" for i, x in enumerate(v))
         lines = [" ".join(map(str, v))]
     elif q == "multE":

@@ -30,7 +30,8 @@ the set; ``subset`` and every constructor start an empty one.  Its keys:
 - ``"AoA"``: the table A o A (``moments.correlate(a, a)``), read-only;
 - ``"levels"``: the histogram of its values, read-only arrays (levels,
   counts), and the integer power sums E_0..E_k read off it so far, behind
-  every ``moments.energy_k``, ``level_sequence`` and |A - A|;
+  every ``moments.energy_k`` and |A - A|; ``level_sequence`` is runs over
+  it (``moments.LevelSequence``), one int per distinct level;
 - ``"chain"``: the convolution powers behind ``moments.t_k``/``sigma_k``;
 - ``"A+A"``, ``"A-A"``: ``setops.sumset(a, a)``, ``setops.diffset(a, a)``;
 - ``"AA"``: the product set ``moments.prodset(a, a)`` of a set of Z;

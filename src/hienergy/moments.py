@@ -50,13 +50,14 @@ mass identity sum(f*g) = sum(f) sum(g) exactly, on either path, and
 besides that only T_k's cross-check is validated after the fact.  The limb
 thresholds are planned once per transform size.  A o A of a GSet is built
 once and kept on the set (see the gset module), read-only, and so is the
-histogram of its values, from one bincount, with its count total and top
-level, and its integer power sums: a read of E_k keeps every order up to
-k, each missing order j one `_power_dot` under the a priori bound
+histogram of its values, from bincounts of blocks, with its count total
+and top level, and its integer power sums: a read of E_k keeps every order
+up to k, each missing order j one `_power_dot` under the a priori bound
 top E_(j-1) (v^j <= top v^(j-1) for every level v), and every order from
 the first that needs Python ints in one walk over the levels, so a read of
-a kept order is a list lookup.  The level
-sequence and |A - A| read the histogram too, the Gram (B o B)^k reads the
+a kept order is a list lookup.  |A - A| reads
+the histogram too, and the level sequence is runs over it
+(`LevelSequence`), O(distinct levels) in size; the Gram (B o B)^k reads the
 table, and E_k(A, B) is a moment of the two kept tables, taken on every
 call for the one order asked.  Its chain is kept the same way: each level
 A^(*j) is built once per set, by one engine call on the level below, and
@@ -74,9 +75,13 @@ zero.
 
 from __future__ import annotations
 
+import bisect
+import collections.abc
 import dataclasses
 import functools
+import itertools
 import math
+import operator
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -93,6 +98,7 @@ _MASK = (1 << _R) - 1
 _FOUR_STEP_MIN = 1 << 15      # one-dimensional power-of-two transforms from here run as a four-step
 _TWIDDLE_ERR = 16 * 2.0 ** -53   # bound on |table entry - w^e| of the four-step's twiddles
 _BLOCK = 1 << 14              # entries per block of a spectrum squared in place and of square-sum digits
+_COUNT_BLOCK = 1 << 16        # entries per bincount of a histogram: np.bincount copies a read-only input
 _INT_BOUND = 1 << 30          # |x| bound on the elements of multiplicative operands
 
 
@@ -804,10 +810,17 @@ class _Histogram:
 
 def _histogram(values: np.ndarray) -> _Histogram:
     """The distinct positive entries of a flat int64 table in ascending
-    order and their multiplicities, read-only, from one bincount.  It is
+    order and their multiplicities, read-only, from bincounts of blocks of
+    _COUNT_BLOCK entries summed: np.bincount copies a read-only input, as
+    the kept A o A is, so a block is the most it copies.  The bins are
     short: every table passed here, A o A and the quotient counts, has
     entries in [0, |A|].  An object (wide) table or a negative entry raises."""
-    bins = np.bincount(values)
+    bins = np.zeros(1, dtype=np.int64)
+    for s in range(0, len(values), _COUNT_BLOCK):
+        part = np.bincount(values[s:s + _COUNT_BLOCK])
+        if len(part) > len(bins):
+            bins, part = part, bins
+        bins[:len(part)] += part
     levels = np.flatnonzero(bins[1:]) + 1
     counts = bins[levels]
     levels.flags.writeable = counts.flags.writeable = False
@@ -955,15 +968,60 @@ def sigma_k(a: GSet, k: int) -> int:
     return _total(chain.extend(k - 1).top._gather(-a.coords))
 
 
-def level_sequence(a: GSet) -> list[int]:
-    """Positive values of A o A sorted descending, read off the set's kept
-    histogram; length |A - A|.  Equal levels share one int: one object per
-    distinct value, repeated by its count."""
-    levels, counts = _levels(a)
-    out = []
-    for v, c in zip(levels[::-1].tolist(), counts[::-1].tolist()):
-        out += [v] * c
-    return out
+class LevelSequence(collections.abc.Sequence):
+    """The positive values of A o A sorted descending, read-only, held as
+    runs: the distinct levels, descending, each one Python int, and their
+    counts, so it costs O(distinct levels), not O(|A - A|).  Its length is
+    the counts' total; an index bisects the cumulative counts, and a slice
+    is a list.  Iteration repeats each level's one int object by its count.
+    It equals another LevelSequence, a list or a tuple of the same values,
+    compared run by run; it is unhashable, as a list is."""
+
+    __slots__ = ("_levels", "_counts", "_ends")
+    __hash__ = None
+
+    def __init__(self, hist: _Histogram):
+        levels, counts = hist
+        self._levels = levels[::-1].tolist()
+        self._counts = counts[::-1].tolist()
+        self._ends = list(itertools.accumulate(self._counts))   # run r covers [ends[r-1], ends[r])
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        j = operator.index(i)
+        j += len(self) if j < 0 else 0
+        if not 0 <= j < len(self):
+            raise IndexError("level sequence index out of range")
+        return self._levels[bisect.bisect_right(self._ends, j)]
+
+    def __iter__(self) -> Iterator[int]:
+        for v, c in zip(self._levels, self._counts):
+            yield from itertools.repeat(v, c)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LevelSequence):
+            return self._levels == other._levels and self._counts == other._counts
+        if not isinstance(other, (list, tuple)):
+            return NotImplemented
+        if len(other) != len(self):
+            return False
+        start = 0
+        for v, end in zip(self._levels, self._ends):
+            if other[start:end].count(v) != end - start:
+                return False
+            start = end
+        return True
+
+
+def level_sequence(a: GSet) -> LevelSequence:
+    """Positive values of A o A sorted descending, length |A - A|, as runs
+    over the set's kept histogram: one int per distinct level, repeated by
+    its count (`LevelSequence`)."""
+    return LevelSequence(_levels(a))
 
 
 # ---------------------------------------------------------------------------

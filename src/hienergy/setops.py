@@ -6,7 +6,9 @@ one kernel, `_translate_grid`.  A tuple packs into one int64 in slot-major
 mixed radix (slot 1's coordinates are the most significant), inside one
 window shared by every translate: the fundamental domain of a cyclic group,
 the box of the A_i -+ C on a lattice.  Each slot packs A_i -+ c for all c at
-once, and one broadcast per slot folds it in, giving a |C| x prod |A_i| grid
+once, by its row keys on a cyclic group (`gset.row_keys`, radix |G|) and by
+a multiply-add over the box-relative coordinates on a lattice, and one
+broadcast per slot folds it in, giving a |C| x prod |A_i| grid
 with a row per c.  `delta_sumset` counts the distinct values of the grid
 with an in-place sort and a neighbour comparison, which needs no hash table;
 `basis_depth_test` marks them in a table of the whole tuple space.  D_k and
@@ -161,9 +163,13 @@ def distinct_counts(rows: np.ndarray, ids: np.ndarray, count: int, width: int) -
 # packed tuple grids
 
 
-def _pack(rel: np.ndarray, radices: np.ndarray) -> np.ndarray:
-    """Mixed-radix value of the window-relative coordinates on the last axis."""
-    return np.ravel_multi_index(np.moveaxis(rel, -1, 0), radices)
+def _pack(rel: np.ndarray, radices: list[int]) -> np.ndarray:
+    """Mixed-radix value of the rows of a len x dim window-relative matrix,
+    by one multiply-add per further column."""
+    keys = rel[:, 0]
+    for r, col in zip(radices[1:], rel.T[1:]):
+        keys = keys * r + col
+    return keys
 
 
 def _box(rows: np.ndarray) -> np.ndarray:
@@ -198,27 +204,25 @@ def _translate_grid(sets: Sequence[GSet], c: GSet, sign: str, caps: Caps) -> np.
     _check_work(sets, c, caps)
     g = c.group
     d = g.dim
-    shift = -c.coords if sign == MINUS else c.coords
     if g.is_cyclic:
-        offsets = np.zeros(len(sets) * d, dtype=np.int64)
         radices = list(g.moduli) * len(sets)
-    else:  # slot i spans the box of A_i + shift
+    else:  # slot i spans the box of A_i -+ C
+        shift = -c.coords if sign == MINUS else c.coords
         boxes = np.concatenate([_box(a.coords) + _box(shift) for a in sets], axis=1)
         offsets = boxes[0]
         # in Python ints: a radix may pass 2^63 before the bit count rejects it
         radices = [hi - lo + 1 for lo, hi in boxes.T.tolist()]
     if sum(r.bit_length() for r in radices) > 62:
         raise CapExceededError("packed tuple space exceeds 62 bits")
-    radices = np.array(radices, dtype=np.int64)
     grid = np.zeros((len(c), 1), dtype=np.int64)
     for i, a in enumerate(sets):
         window = slice(i * d, (i + 1) * d)
-        rel = a.coords[None] + shift[:, None]                 # |C| x |A_i| x d
+        rows = sum_rows(g, a.coords[None], c.coords[:, None], sign == MINUS)   # row j |A_i| + x: a_x -+ c_j
         if g.is_cyclic:
-            rel %= radices[window]
-        part = _pack(rel - offsets[window], radices[window])  # |C| x |A_i|
-        slot_radix = int(np.prod(radices[window]))
-        grid = (grid[:, :, None] * slot_radix + part[:, None, :]).reshape(
+            part, slot_radix = row_keys(g, rows), g.order
+        else:
+            part, slot_radix = _pack(rows - offsets[window], radices[window]), math.prod(radices[window])
+        grid = (grid[:, :, None] * slot_radix + part.reshape(len(c), 1, len(a))).reshape(
             len(c), grid.shape[1] * len(a))
     return grid
 
@@ -287,8 +291,13 @@ def _magnification_search(grid: np.ndarray) -> tuple[Fraction, tuple[int, ...]]:
 
     Each row's ids become one Python-int bitmask over the compacted ids,
     so a union is an OR and its size a popcount; ratios are compared by
-    integer cross-multiplication.  Supersets are pruned once |B+Z|/|A|
-    already exceeds the incumbent ratio.
+    integer cross-multiplication.  The search walks Z in index order; a
+    node's supersets hold at most size + n_elems - j elements, j its last
+    index, and their unions only grow, so they are pruned once |union| over
+    that size is no better than the incumbent.  A pruned set is never
+    strictly better than the incumbent that pruned it, and the incumbent
+    changes only on a strict gain, so the ratio and witness are those of
+    the full search.
     """
     n_elems = len(grid)
     ids, compact = np.unique(grid, return_inverse=True)
@@ -306,7 +315,7 @@ def _magnification_search(grid: np.ndarray) -> tuple[Fraction, tuple[int, ...]]:
             chosen.append(j)
             if best[1] == 0 or count * best[1] < best[0] * (size + 1):
                 best[:] = [count, size + 1, tuple(chosen)]
-            if count * best[1] < best[0] * n_elems:
+            if count * best[1] < best[0] * (size + n_elems - j):
                 rec(j + 1, size + 1, union2, chosen)
             chosen.pop()
 

@@ -266,6 +266,81 @@ def test_equal_levels_share_one_int():
     assert levels == sorted(want.values(), reverse=True)
 
 
+def test_level_sequence_is_runs_that_read_as_the_sorted_list():
+    # A o A of {0, 1, 3, 7} in Z: 4 at 0, 1 at each of the other 12 differences
+    seq = level_sequence(zset([0, 1, 3, 7]))
+    want = [4] + [1] * 12
+    assert isinstance(seq, moments.LevelSequence) and len(seq) == 13
+    assert [seq[i] for i in range(13)] == want
+    assert (seq[0], seq[1], seq[-1], seq[-13]) == (4, 1, 1, 4)
+    for i in (13, 100, -14):
+        with pytest.raises(IndexError):
+            seq[i]
+    with pytest.raises(TypeError):
+        seq[1.0]
+    for sl in (slice(None), slice(0, 3), slice(5, 1, -1), slice(None, None, -3), slice(20, 30)):
+        assert type(seq[sl]) is list and seq[sl] == want[sl]
+    assert list(seq) == want and tuple(seq) == tuple(want)
+    assert seq == want and want == seq and seq == tuple(want) and tuple(want) == seq
+    assert seq == seq and seq == level_sequence(zset([0, 1, 3, 7]))
+    assert not seq != want
+    for i in (0, 5, 12):
+        other = list(want)
+        other[i] += 1
+        assert seq != other and other != seq and seq != tuple(other)
+    assert seq != want[:-1] and seq != want + [1] and seq != level_sequence(zset([0, 1, 3]))
+    assert seq != [4, 1] and seq != "x" and seq != 4
+    with pytest.raises(TypeError):
+        hash(seq)
+    # iteration repeats each level's one int object
+    a = GSet(cyclic(1 << 16), list(range(512)) + random.Random(37).sample(range(512, 1 << 16), 100))
+    seq = level_sequence(a)
+    assert len({id(v) for v in seq}) == len(set(seq)) < len(seq) == moments._levels(a).total
+    assert seq.count(seq[0]) == 1 and seq.index(seq[-1]) < len(seq)
+    empty = level_sequence(GSet(cyclic(8), []))
+    assert len(empty) == 0 and list(empty) == [] and empty == [] and empty[:] == []
+
+
+def test_level_sequence_holds_its_distinct_levels_only():
+    # the list it replaces held one pointer per difference: 8 |A - A| bytes
+    a = fresh_set(16, 8, 53)
+    energy_k(a, 2)   # the histogram is kept; only the sequence is measured
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        seq = level_sequence(a)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < sys.getsizeof(list(seq)) / 8
+    assert len(seq) == len(setops.diffset(a, a)) and list(seq) == sorted(list(seq), reverse=True)
+
+
+def test_histogram_of_a_read_only_table_copies_a_block_at_most():
+    # np.bincount copies a read-only input whole; counted in blocks, the
+    # copy is one block
+    values = np.random.default_rng(59).integers(0, 300, 1 << 18)
+    values.flags.writeable = False
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        hist = moments._histogram(values)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * values.nbytes
+    bins = np.bincount(values)
+    assert hist.levels.tolist() == (np.flatnonzero(bins[1:]) + 1).tolist()
+    assert hist.counts.tolist() == bins[hist.levels].tolist()
+    # a later block with a larger top than the first, and one with a smaller
+    for values in (np.arange(3 << 16) // 4, np.arange(3 << 16)[::-1] // 4, np.array([0, 7, 7])):
+        levels, counts = moments._histogram(values)
+        bins = np.bincount(values)
+        assert levels.tolist() == (np.flatnonzero(bins[1:]) + 1).tolist()
+        assert counts.tolist() == bins[levels].tolist()
+
+
 def fresh_set(m, inv_density, seed):
     """A random set of Z/2^m with 2^m / inv_density elements, its indicator built."""
     n = 1 << m

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -289,6 +290,43 @@ def test_delta_sumset_against_oracle():
         assert delta_sumset(sets, b, sign) == len(want)
 
 
+def ravel_reference_grid(sets, c, sign):
+    """The |C| x prod |A_i| grid of A_1 x ... x A_k -+ Delta(C), each tuple
+    raveled whole by np.ravel_multi_index: coordinates reduced mod the
+    moduli in a cyclic group, else taken relative to the box of each A_i -+ C."""
+    g, d = c.group, c.group.dim
+    shift = -c.coords if sign == MINUS else c.coords
+    rels = [a.coords[None] + shift[:, None] for a in sets]   # |C| x |A_i| x d
+    if g.is_cyclic:
+        rels = [r % g.moduli for r in rels]
+        offsets, radices = [np.zeros(d, dtype=np.int64)] * len(sets), list(g.moduli) * len(sets)
+    else:
+        offsets = [r.reshape(-1, d).min(axis=0) for r in rels]
+        radices = [int(v) for r, lo in zip(rels, offsets) for v in r.reshape(-1, d).max(axis=0) - lo + 1]
+    grid = []
+    for j in range(len(c)):
+        cols = [np.concatenate([r[j, x] - lo for r, x, lo in zip(rels, xs, offsets)])
+                for xs in itertools.product(*(range(len(a)) for a in sets))]
+        grid.append(np.ravel_multi_index(np.array(cols).T, radices))
+    return np.array(grid).reshape(len(c), -1)
+
+
+def test_translate_grid_matches_the_raveled_reference():
+    rng = random.Random(61)
+    for g in (cyclic(64), cyclic(4, 8), lattice(1), lattice(2)):
+        for k in (1, 2, 3):
+            for sign in (MINUS, PLUS):
+                for _ in range(3):
+                    sets = [rand_gset(rng, g, rng.randint(1, 5)) for _ in range(k)]
+                    c = rand_gset(rng, g, rng.randint(1, 5))
+                    got = setops._translate_grid(sets, c, sign, Caps())
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, ravel_reference_grid(sets, c, sign))
+    far = GSet(lattice(2), [(0, 0), (1 << 40, 1 << 40)])
+    with pytest.raises(CapExceededError, match="62 bits"):
+        setops._translate_grid([far], far, MINUS, Caps())
+
+
 def test_dk_sk_slice_identity():
     # D_k(A) = sum over s in (A-A)^(k-1) of |A - A_s| and S_k(A) = sum_s |A + A_s|: the
     # right sides run through stabilizer_slice and diffset/sumset, the left through the kernel
@@ -399,6 +437,66 @@ def test_magnification_matches_oracle():
                 plus = {tuple(oracles.add(mods, x, y) for x in xs)
                         for xs in itertools.product(b.elems, repeat=k) for y in z.elems}
                 assert z and z.issubset(a) and Fraction(len(plus), len(z)) == r
+
+
+def whole_bound_search(grid):
+    """The magnification search pruning a node's supersets against all
+    n_elems rows rather than the rows still reachable from it, with the
+    number of calls of its `rec`."""
+    n_elems = len(grid)
+    rows = [set(r) for r in grid.tolist()]
+    best, calls = [0, 0, ()], []
+
+    def rec(start, size, union, chosen):
+        calls.append(1)
+        for j in range(start, n_elems):
+            union2 = union | rows[j]
+            count = len(union2)
+            chosen.append(j)
+            if best[1] == 0 or count * best[1] < best[0] * (size + 1):
+                best[:] = [count, size + 1, tuple(chosen)]
+            if count * best[1] < best[0] * n_elems:
+                rec(j + 1, size + 1, union2, chosen)
+            chosen.pop()
+
+    rec(0, 0, set(), [])
+    return (Fraction(best[0], best[1]), best[2]), len(calls)
+
+
+def counted_search(grid):
+    """setops._magnification_search(grid) and the number of calls of its `rec`."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "rec" and frame.f_code.co_filename == setops.__file__:
+            calls.append(1)
+    sys.setprofile(profile)
+    try:
+        found = setops._magnification_search(grid)
+    finally:
+        sys.setprofile(None)
+    return found, len(calls)
+
+
+def test_magnification_prunes_by_the_reachable_size():
+    # each node's supersets reach at most size + n_elems - j elements: the
+    # bound prunes more than one over all n_elems, and finds the same
+    # ratio and witness as the whole-size bound and the oracle's ratio
+    rng = random.Random(67)
+    fewer = 0
+    for g in (cyclic(32), cyclic(4, 8), lattice(1), lattice(2)):
+        mods = g.moduli if g.is_cyclic else None
+        for _ in range(8):
+            a = rand_gset(rng, g, rng.randint(1, 10))
+            b = rand_gset(rng, g, rng.randint(1, 4))
+            for k in (1, 2):
+                grid = setops._translate_grid([b] * k, a, PLUS, Caps())
+                (ratio, chosen), calls = counted_search(grid)
+                found, whole_calls = whole_bound_search(grid)
+                assert (ratio, chosen) == found and calls <= whole_calls
+                assert ratio == oracles.oracle_magnification(mods, a.elems, b.elems, k)[0]
+                fewer += calls < whole_calls
+    assert fewer > 0
 
 
 def test_petridis_iterated_bound():

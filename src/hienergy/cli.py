@@ -157,6 +157,9 @@ def _run_checks(args, instances: list, caps: Caps) -> int:
     write --report/--csv, print the CSV summary and return the exit code."""
     ids = ([c.strip() for c in args.checks.split(",") if c.strip()]
            if args.checks else sorted(checks.REGISTRY))
+    if not ids:   # the flag named only separators and blanks
+        print("no check ids in --checks", file=sys.stderr)
+        return USAGE_EXIT
     try:
         report = checks.run_suite(instances, ids, caps)
     except KeyError as exc:   # an unknown check id, refused before any check runs

@@ -15,12 +15,13 @@ d >= 2, a structured view.  A set is one sort of its keys and a neighbour
 mask, its rows read back from the keys (Z^d alone runs ``np.lexsort``, several
 times faster there than a sort of the structured key).  The sorted keys are
 kept, read-only, as ``keys`` (in one dimension a view of ``coords``):
-``flat_indices()`` returns them, ``indicator()`` is filled from them, and
-membership (``x in a``, ``isin``) is a binary search of them.  ``elems``
-(tuples, for tests and callers outside the package) and ``indicator()`` are
-derived on first use and cached.  The indicator is one read-only ``uint8``
-0/1 plane, a byte per group element, and the convolution engine reads it as
-the set's table (``moments.ConvTable.from_gset``) without a wider copy.
+``flat_indices()`` returns them, ``indicator()`` is filled from them,
+membership (``x in a``, ``isin``) is a binary search of them, and an
+intersection is ``subset`` of an ``isin`` mask.  ``elems`` (tuples, for tests
+and callers outside the package) and ``indicator()`` are derived on first
+use and cached.  The indicator is one read-only ``uint8`` 0/1 plane, a byte
+per group element, and the convolution engine reads it as the set's table
+(``moments.ConvTable.from_gset``) without a wider copy.
 
 Objects computed from a set, and from partner sets compared by value, are
 kept on it in one dict through ``GSet.kept(key, build)``, which runs
@@ -259,14 +260,6 @@ class GSet:
 
     def negate(self) -> "GSet":
         return GSet(self.group, -self.coords)
-
-    def intersect(self, other: "GSet") -> "GSet":
-        _require_same_group(self, other)
-        return self.subset(other.isin(self.coords))
-
-    def union(self, other: "GSet") -> "GSet":
-        _require_same_group(self, other)
-        return GSet(self.group, np.concatenate([self.coords, other.coords]))
 
     def issubset(self, other: "GSet") -> bool:
         _require_same_group(self, other)

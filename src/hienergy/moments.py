@@ -55,11 +55,11 @@ and top level, and its integer power sums: a read of E_k keeps every order
 up to k, each missing order j one `_power_dot` under the a priori bound
 top E_(j-1) (v^j <= top v^(j-1) for every level v), and every order from
 the first that needs Python ints in one walk over the levels, so a read of
-a kept order is a list lookup.  |A - A| reads
-the histogram too, and the level sequence is runs over it
-(`LevelSequence`), O(distinct levels) in size; the Gram (B o B)^k reads the
-table, and E_k(A, B) is a moment of the two kept tables, taken on every
-call for the one order asked.  Its chain is kept the same way: each level
+a kept order is a list lookup.  |A - A| reads the histogram too, and the
+level sequence is runs over it (`LevelSequence`), O(distinct levels) in
+size; the Gram (B o B)^k reads the table, and E_k(A, B) is a power sum of
+a histogram of the two kept tables, built on every call and read as the
+kept one is.  A set's chain is kept the same way: each level
 A^(*j) is built once per set, by one engine call on the level below, and
 leaves T_j and sigma_j behind; the set keeps only the top level and the
 base's spectra, which on a cyclic group T_k's cross-check reuses: the
@@ -108,9 +108,11 @@ class ConvTable:
     docstring); a set's table (``from_gset``) is one read-only uint8 0/1
     plane.  ``array`` is the window of values: the one plane itself,
     or, for D >= 2, Python ints built once on first read, read-only.
+    Tables are built by ``from_gset`` and ``of_planes``.
 
     ``offset`` is the coordinate of the window's [0,...,0] cell; cyclic
-    tables use the full fundamental domain with zero offset.
+    tables use the full fundamental domain with zero offset.  A lattice
+    product's window is the linear product's, tight for nonnegative operands.
 
     ``facts()`` are the table's nonzero count and norms, derived from the
     planes at most once; the planes are not written after construction.
@@ -118,21 +120,16 @@ class ConvTable:
 
     __slots__ = ("group", "offset", "planes", "_ints", "_facts")
 
-    def __init__(self, group: GroupSpec, array: np.ndarray, offset: tuple[int, ...] | None = None):
-        self.group = group
-        self.planes = _cut(array)
-        self.offset = offset if offset is not None else (0,) * group.dim
-        self._ints = self._facts = None
+    # -- construction -------------------------------------------------
 
     @classmethod
     def of_planes(cls, group: GroupSpec, planes: np.ndarray, offset: tuple[int, ...] | None = None,
                   facts: tuple[int, tuple[int, int, int]] | None = None) -> "ConvTable":
-        t = cls.__new__(cls)
+        """The table of planes as they are, no copy, with its facts where known."""
+        t = cls()
         t.group, t.planes, t._ints, t._facts = group, planes, None, facts
         t.offset = offset if offset is not None else (0,) * group.dim
         return t
-
-    # -- construction -------------------------------------------------
 
     @classmethod
     def from_gset(cls, a: GSet) -> "ConvTable":
@@ -182,9 +179,6 @@ class ConvTable:
         point = np.unravel_index(i, self.array.shape)
         return tuple(int(p + o) for p, o in zip(point, self.offset)), int(self.array.flat[i])
 
-    def total(self) -> int:
-        return _total(self.planes)
-
     def square_sum(self) -> int:
         """sum v^2 over the entries: a set's uint8 0/1 plane's nonzero count
         (a uint8 dot would wrap), else `_square_sum` under the |x|_inf fact."""
@@ -212,20 +206,6 @@ class ConvTable:
         """The planes with the window flattened: D x size."""
         return self.planes.reshape(len(self.planes), -1)
 
-    def trimmed(self) -> "ConvTable":
-        """The table on the bounding box of its support, found by one `any`
-        reduction over the other axes per axis; a cyclic table as it is."""
-        if self.group.is_cyclic:
-            return self
-        support, axes = _support(self.planes), range(self.group.dim)
-        spans = [np.flatnonzero(support.any(axis=tuple(j for j in axes if j != i))) for i in axes]
-        if len(spans[0]) == 0:
-            return ConvTable.of_planes(self.group, np.zeros((len(self.planes),) + (1,) * self.group.dim,
-                                                            dtype=np.int64))
-        slices = tuple(slice(int(span[0]), int(span[-1]) + 1) for span in spans)
-        off = tuple(int(s.start + o) for s, o in zip(slices, self.offset))
-        return ConvTable.of_planes(self.group, self.planes[(slice(None),) + slices].copy(), off)
-
 
 def as_table(x) -> ConvTable:
     if isinstance(x, ConvTable):
@@ -237,19 +217,6 @@ def as_table(x) -> ConvTable:
 
 # ---------------------------------------------------------------------------
 # planes
-
-
-def _cut(values: np.ndarray) -> np.ndarray:
-    """An integer array as planes: one int64 plane where every entry fits,
-    else the fewest R-bit planes whose top one holds its largest |entry|."""
-    if values.dtype != object:
-        return np.asarray(values, dtype=np.int64)[None]
-    lo, hi = int(values.min(initial=0)), int(values.max(initial=0))
-    if -1 << 63 <= lo and hi < 1 << 63:
-        return values.astype(np.int64)[None]
-    d = -(-max(hi, -lo).bit_length() // _R)
-    return np.stack([values >> _R * i & _MASK for i in range(d - 1)]
-                    + [values >> _R * (d - 1)]).astype(np.int64)
 
 
 def _combine(x: np.ndarray) -> np.ndarray:
@@ -569,9 +536,10 @@ def _fft(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None 
     """Real-FFT convolution, or correlation with f's spectrum conjugated,
     exact by the a priori limb split of `_split` on the tables' norms (their
     facts): cyclic at the group size for power-of-two moduli, else linear at
-    power-of-two sizes (folded if cyclic).  Operands and product are
-    planes.  One limb each forms the product in f's spectrum, or in g's own
-    for a self-product that spectra does not keep (by _abs_squared for a
+    power-of-two sizes, folded if cyclic, else its linear slice copied out of
+    the padded transform, so that no kept table holds padding.  Operands and
+    product are planes.  One limb each forms the product in f's spectrum, or
+    in g's own for a self-product that spectra does not keep (by _abs_squared for a
     correlation), or, for a self-product on a kept spectrum, in one fresh
     buffer by one multiply, and drops every spectrum but the kept one
     before the inverse's int64 cast;
@@ -618,7 +586,10 @@ def _fft(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None 
         # first lag to index 0: 1 - (f's extent) on a lattice, -m for the fold
         if corr:
             out = np.roll(out, moduli or tuple(s - 1 for s in fs), tuple(range(1, out.ndim)))
-        out = _fold(out, moduli) if moduli else out[(slice(None),) + tuple(slice(0, s) for s in lin)]
+        if moduli:
+            out = _fold(out, moduli)
+        elif lin != shape:   # a kept table holds no padding: the linear slice is copied out
+            out = out[(slice(None),) + tuple(slice(0, s) for s in lin)].copy()
     return _checked(_carry(out), fn, gn, "FFT")
 
 
@@ -637,7 +608,7 @@ def _conv(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None
         return ConvTable.of_planes(grp, out)
     # a correlation's lags start at g's offset minus the far corner of f's window
     off = tuple(b - a - s + 1 if corr else a + b for a, b, s in zip(tf.offset, tg.offset, fa.shape[1:]))
-    return ConvTable.of_planes(grp, out, off).trimmed()
+    return ConvTable.of_planes(grp, out, off)
 
 
 def convolve(f, g, *, corr: bool = False) -> ConvTable:
@@ -662,19 +633,6 @@ def correlate(f, g) -> ConvTable:
 def _read_only(t: ConvTable) -> ConvTable:
     t.planes.flags.writeable = False
     return t
-
-
-def conv_power(a, k: int) -> ConvTable:
-    """k-fold convolution power (k factors); k = 1 returns the table itself,
-    for a set its read-only uint8 plane.  Nothing is kept: t_k and sigma_k
-    read a set's kept chain instead."""
-    if k < 1:
-        raise ValueError("conv_power needs k >= 1")
-    out = t = as_table(a)
-    spectra = {}   # t's spectrum per FFT shape, made once for every step
-    for _ in range(k - 1):
-        out = _conv(out, t, False, spectra)
-    return out
 
 
 def _at_zero(t: ConvTable) -> int:
@@ -828,19 +786,17 @@ def _histogram(values: np.ndarray) -> _Histogram:
 
 
 def _needs_ints(hist: _Histogram, k: int, bound: int) -> bool:
-    """Whether `_power_dot` takes sum c v^k in Python ints under this bound."""
+    """Whether sum c v^k under this bound takes Python ints, not `_power_dot`."""
     return bound >= 1 << 63 and (hist.top ** k >= 1 << 63 or hist.total >= 1 << 31)
 
 
 def _power_dot(hist: _Histogram, k: int, bound: int) -> int:
-    """sum c v^k for an integer k >= 0, given a bound on the sum: one int64
-    dot below 2^63 (a level whose count is 0 may wrap in levels^k; its
-    product is 0 all the same, and every other term and partial sum is at
-    most the sum); else, while top^k < 2^63 and the counts total below 2^31,
-    two int64 dots over the R-bit halves of v^k, whose sums stay below
-    2^31 2^R = 2^63; else Python ints."""
-    if _needs_ints(hist, k, bound):
-        return _int_power_sums(hist, k, k)[0]
+    """sum c v^k for an integer k >= 0, given a bound on the sum that
+    `_needs_ints` passed: one int64 dot below 2^63 (a level whose count is 0
+    may wrap in levels^k; its product is 0 all the same, and every other
+    term and partial sum is at most the sum); else, as top^k < 2^63 and the
+    counts total below 2^31, two int64 dots over the R-bit halves of v^k,
+    whose sums stay below 2^31 2^R = 2^63."""
     if bound < 1 << 63:
         return int(np.dot(hist.counts, hist.levels ** k))
     powers = hist.levels ** k
@@ -859,13 +815,10 @@ def _int_power_sums(hist: _Histogram, lo: int, hi: int) -> list[int]:
     return sums
 
 
-def _moment(hist: _Histogram, k) -> int | float:
-    """sum c v^k over the histogram's pairs (v, c), for a histogram read
-    once: for an integer k, the one order asked, bounded by total top^k;
-    for a non-integer k, Python floats summed in the arrays' order (a
-    histogram's ascending levels)."""
-    if float(k).is_integer():
-        return _power_dot(hist, int(k), hist.total * hist.top ** int(k))
+def _moment(hist: _Histogram, k: float) -> float:
+    """sum c v^k over the histogram's pairs (v, c) for a non-integer k:
+    Python floats summed in the arrays' order (a histogram's ascending
+    levels).  An integer order is `_Histogram.power_sum`'s."""
     levels, counts = hist
     return float(sum(float(c) * float(v) ** k for v, c in zip(levels.tolist(), counts.tolist())))
 
@@ -922,7 +875,8 @@ def energy_k_pair(a: GSet, b: GSet, k) -> int | float:
     if not 1 <= k < math.inf:   # NaN fails both comparisons
         raise ValueError(f"energy order must be >= 1 and finite, got {k}")
     points, v = correlate(a, a).support_rows()
-    return _moment(_Histogram.of(correlate(b, b).values_at(points), v), k - 1)
+    hist = _Histogram.of(correlate(b, b).values_at(points), v)
+    return hist.power_sum(int(k) - 1) if float(k).is_integer() else _moment(hist, k - 1)
 
 
 def t_k(a: GSet, k: int) -> int:
@@ -1068,10 +1022,10 @@ def _quotient_counts(xs: np.ndarray) -> np.ndarray:
 
 
 def mult_energy_k(a, k: int = 2) -> int:
-    """E^x_k(A) = sum over quotients q of r_{A/A}(q)^k."""
+    """E^x_k(A) = sum over quotients q of r_{A/A}(q)^k, for an integer k >= 2."""
     if k < 2:
         raise ValueError("multiplicative energy order must be >= 2")
-    return _moment(_histogram(quotient_counts(a)), k)
+    return _histogram(quotient_counts(a)).power_sum(k)
 
 
 def prodset_size(a) -> int:

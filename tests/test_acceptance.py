@@ -231,7 +231,8 @@ def test_criterion_8_performance():
         direct = moments._direct(tx, ty)
         spot_ok &= fft is not None and bool((fft == direct).all())
         # the engine's correlation against direct pair sums on the reflected table
-        reflected = moments.ConvTable(g4k, np.roll(tx.array[::-1], 1))   # index -i mod 4096
+        reflected = moments.ConvTable.of_planes(   # index -i mod 4096
+            g4k, np.roll(tx.array[::-1], 1).astype(np.int64)[None])
         spot_ok &= bool((moments.correlate(x, y).array == moments._direct(reflected, ty)).all())
     ok = fft_ok and spot_ok
     _line("criterion 8 (performance)", ok,

@@ -376,6 +376,15 @@ def test_suite_refuses_unknown_check_ids_as_verify_does(capsys):
         assert (code, out, err) == (2, "", "unknown check id 'C99'\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--checks", ",", "--recipe", "interval:n=5,N=64"],
+    ["suite", "--standard", "--checks", " , "],
+], ids=["verify-comma", "suite-blank-ids"])
+def test_checks_flag_without_ids_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (cli.USAGE_EXIT, "", "no check ids in --checks\n")
+
+
 @pytest.mark.parametrize("command", ["suite", "verify"])
 def test_cap_flags_reach_the_checks(capsys, command):
     recipe = ["--recipe", "interval:n=12,N=64"]

@@ -61,7 +61,7 @@ def test_group_mismatch_rejected():
     a = zset([0, 1])
     b = GSet(cyclic(4), [0, 1])
     with pytest.raises(groups.GroupError):
-        a.intersect(b)
+        a.issubset(b)
 
 
 def test_file_round_trip_bit_exact(tmp_path):
@@ -144,9 +144,10 @@ def test_array_algebra_matches_tuple_algebra():
         t = (1, 5)
         assert set(a.translate(t).elems) == {oracles.add(mods, x, t) for x in pts}
         assert set(a.negate().elems) == {oracles.sub(mods, (0, 0), x) for x in pts}
-        assert set(a.intersect(b).elems) == set(pts) & set(qts)
-        assert set(a.union(b).elems) == set(pts) | set(qts)
-        assert a.intersect(b).issubset(a) and not a.issubset(b)
+        common = a.subset(b.isin(a.coords))
+        assert set(common.elems) == set(pts) & set(qts)
+        assert set(GSet(g, np.concatenate([a.coords, b.coords])).elems) == set(pts) | set(qts)
+        assert common.issubset(a) and not a.issubset(b)
         assert hash(a) == hash(GSet(g, a.coords)) and a != b
 
 
@@ -249,7 +250,7 @@ def test_keys_follow_subset_translate_and_union():
     assert a.keys.tolist() == [2, 7, 8, 25]
     assert a.subset(np.array([True, False, True, True])).keys.tolist() == [2, 8, 25]
     assert a.translate((1, 1)).keys.tolist() == [2, 8, 11, 17]
-    assert a.union(a.negate()).elems == tuple(sorted(
+    assert GSet(g, np.concatenate([a.coords, a.negate().coords])).elems == tuple(sorted(
         {tuple(r) for r in a.coords.tolist()} | {((-x) % 4, (-y) % 8) for x, y in a.coords.tolist()}))
 
 

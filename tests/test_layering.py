@@ -261,7 +261,7 @@ def test_fact_guard_sees_each_form(tmp_path):
     bad.write_text("class ConvTable:\n"
                    "    def facts(self):\n"
                    "        return np.count_nonzero(self.planes), _norms(self.planes)\n"
-                   "    def trimmed(self):\n"
+                   "    def square_sum(self):\n"
                    "        return _norms(self.planes)\n"
                    "def _fft(f, g):\n"
                    "    fn = _norms(f)\n"
@@ -271,7 +271,7 @@ def test_fact_guard_sees_each_form(tmp_path):
                    "    return moments._norms(tg.planes), nz(tf)\n"
                    "ok = np.flatnonzero(x)\n")
     assert fact_derivations(bad) == [
-        "ConvTable.facts:3 count_nonzero", "ConvTable.facts:3 _norms", "ConvTable.trimmed:5 _norms",
+        "ConvTable.facts:3 count_nonzero", "ConvTable.facts:3 _norms", "ConvTable.square_sum:5 _norms",
         "_fft:7 _norms", "_fft:8 count_nonzero", "_conv:10 count_nonzero", "_conv:11 _norms"]
 
 
@@ -314,39 +314,53 @@ def test_table_guard_sees_each_form(tmp_path):
                    "class Report:\n"
                    "    def energy(self, t):\n"
                    "        return _square_sum(t.planes.reshape(1, -1), 1)\n"
-                   "ok = base.square_sum() + t.total() + np.dot(x, x) + t.array.sum()\n")
+                   "ok = base.square_sum() + t.values().sum() + np.dot(x, x) + t.array.sum()\n")
     assert sorted(table_internals(bad)) == [
         "extract.<module> _square_sum", "extract.Report .planes", "extract.Report _square_sum",
         "extract.cs_period_search ._flat", "extract.cs_period_search .facts",
         "extract.cs_period_search _square_sum"]
 
 
-# Top-level names that no code in the package reaches, each kept for a reason.
+# Names that no code in the package reaches, each kept for what calls it.
 UNREACHED_BY_DESIGN = {
-    "groups.op_add": "the tuple form of the group law; the benchmark's brute-force oracle",
-    "extract.almost_period_check": "the exact shift defect that acceptance criterion 6 checks",
-    "moments.conv_power": "the paper's k-fold convolution A^(*k), with nothing kept",
-    "spectrum.dissociated_test": "the paper's dissociativity, beside dim_exact and dim_greedy",
+    "groups.op_add": "the tuple group law: the benchmark's test (ROADMAP item 1) calls it",
+    "extract.almost_period_check": "the exact shift defect: acceptance criterion 6 calls it",
+    "spectrum.dissociated_test": "the paper's dissociativity: ROADMAP item 21's check is to call it",
 }
 
 
 def unreached(paths) -> list[str]:
     """Every top-level `def`/`class` of the given modules, as `module.name`,
-    whose name no code of those modules mentions outside its own definition:
-    as a name, an attribute or a `from ... import` name."""
-    defined, mentioned = [], set()
+    whose name no code of those modules mentions outside its own definition,
+    as a name, an attribute or a `from ... import` name; and every method,
+    property or classmethod (a non-dunder `def` in a class body), as
+    `module.Class.name`, whose name no code mentions as an attribute
+    outside its own body.  Its blind spot: a method whose name is also a
+    field or a method of another type that some code reads (`total`,
+    `values` of a dict) counts as reached."""
+    defined, names, attrs = [], set(), set()
     for path in paths:
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             own = getattr(top, "name", None)
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((path.stem, own))
-            for node in ast.walk(top):
-                names = ([node.id] if isinstance(node, ast.Name)
-                         else [node.attr] if isinstance(node, ast.Attribute)
-                         else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
-                         else [])
-                mentioned.update(n for n in names if n != own)
-    return [f"{module}.{name}" for module, name in defined if name not in mentioned]
+                defined.append((f"{path.stem}.{own}", own, False))
+            methods = [m for m in (top.body if isinstance(top, ast.ClassDef) else [])
+                       if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and not (m.name.startswith("__") and m.name.endswith("__"))]
+            defined += [(f"{path.stem}.{own}.{m.name}", m.name, True) for m in methods]
+            for part in ast.iter_child_nodes(top) if methods else [top]:
+                skip = {own, part.name if part in methods else None}
+                seen_names, seen_attrs = set(), set()
+                for node in ast.walk(part):
+                    if isinstance(node, ast.Name):
+                        seen_names.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        seen_attrs.add(node.attr)
+                    elif isinstance(node, ast.ImportFrom):
+                        seen_names.update(a.name for a in node.names)
+                names |= seen_names - skip
+                attrs |= seen_attrs - skip
+    return [where for where, name, method in defined if name not in (attrs if method else names | attrs)]
 
 
 def test_every_function_has_a_caller():
@@ -367,13 +381,33 @@ def test_reachability_guard_sees_each_form(tmp_path):
                                    "def _helper():\n"
                                    "    return 2\n"
                                    "def by_attribute():\n"
-                                   "    return 3\n")
-    (tmp_path / "b.py").write_text("from .a import used\n"
+                                   "    return 3\n"
+                                   "class Table:\n"
+                                   "    def __len__(self):\n"
+                                   "        return 0\n"
+                                   "    @property\n"
+                                   "    def size(self):\n"
+                                   "        return self.count()\n"
+                                   "    @classmethod\n"
+                                   "    def empty(cls):\n"
+                                   "        return cls()\n"
+                                   "    def count(self):\n"
+                                   "        return 0\n"
+                                   "    def planted(self):\n"
+                                   "        return self.planted()\n"
+                                   "    @property\n"
+                                   "    def dead_view(self):\n"
+                                   "        return 1\n"
+                                   "    def named(self):\n"
+                                   "        return 2\n")
+    (tmp_path / "b.py").write_text("from .a import used, Table\n"
                                    "from . import a\n"
-                                   "x = used() + a.by_attribute()\n")
-    (tmp_path / "__init__.py").write_text("from .a import dead, Dead\n")
+                                   "x = used() + a.by_attribute() + Table.empty().size\n"
+                                   "named = 1\n")
+    (tmp_path / "__init__.py").write_text("from .a import dead, Dead\nTable().planted()\n")
     modules = sorted(p for p in tmp_path.glob("*.py") if p.name != "__init__.py")
-    assert unreached(modules) == ["a.dead", "a.Dead"]
+    assert unreached(modules) == ["a.dead", "a.Dead", "a.Dead.used", "a.Table.planted",
+                                  "a.Table.dead_view", "a.Table.named"]
 
 
 def unused_imports(path: Path) -> list[str]:

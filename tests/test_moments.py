@@ -15,7 +15,7 @@ import oracles
 from hienergy import extract, groups, moments, setops
 from hienergy.groups import cyclic, lattice
 from hienergy.gset import GSet, full_group, zset
-from hienergy.moments import (ConvTable, convolve, correlate, conv_power, energy_k,
+from hienergy.moments import (ConvTable, convolve, correlate, energy_k,
                               energy_k_pair, energy_profile, level_sequence,
                               mult_energy_k, prodset_size, quotset_size, sigma_k, t_k)
 
@@ -31,6 +31,39 @@ def support(table):
     return dict(zip(map(tuple, points.tolist()), values.tolist()))
 
 
+def total(table):
+    """The sum of a table's entries."""
+    return moments._total(table.planes)
+
+
+def cut_planes(values):
+    """An integer array (Python ints allowed) as table planes: one int64
+    plane where every entry fits, else the fewest R-bit planes whose top one
+    holds its largest |entry|, the low ones in [0, 2^R), the top one signed."""
+    values = np.asarray(values)
+    if values.dtype != object:
+        return values.astype(np.int64, copy=False)[None]
+    lo, hi = int(values.min(initial=0)), int(values.max(initial=0))
+    if -1 << 63 <= lo and hi < 1 << 63:
+        return values.astype(np.int64)[None]
+    r, d = moments._R, -(-max(hi, -lo).bit_length() // moments._R)
+    return np.stack([values >> r * i & (1 << r) - 1 for i in range(d - 1)]
+                    + [values >> r * (d - 1)]).astype(np.int64)
+
+
+def table_at(g, values, offset=None):
+    """The table of an integer array on its window at offset (0 on a cyclic group)."""
+    return ConvTable.of_planes(g, cut_planes(values), offset)
+
+
+def power(f, k):
+    """The k-fold convolution power (k >= 2) of a set or table, by a convolve loop."""
+    out = f
+    for _ in range(k - 1):
+        out = convolve(out, f)
+    return out
+
+
 def rand_gset(rng, g, size):
     if g.is_cyclic:
         return GSet(g, [oracles.from_flat(g.moduli, v) for v in rng.sample(range(g.order), size)])
@@ -43,13 +76,13 @@ def test_correlate_example():
     assert value(t, 0) == 3
     for x in (1, -1, 2, -2, 3, -3):
         assert value(t, x) == 1
-    assert t.total() == 9
+    assert total(t) == 9
 
 
 def test_correlate_degenerate():
     single = zset([0])
     t = correlate(single, single)
-    assert value(t, 0) == 1 and t.total() == 1
+    assert value(t, 0) == 1 and total(t) == 1
     g = cyclic(6)
     t2 = correlate(full_group(g), full_group(g))
     assert all(value(t2, x) == 6 for x in oracles.enumerate_elements(g.moduli))
@@ -470,8 +503,8 @@ def test_mass_invariant():
         g = rng.choice([cyclic(20), cyclic(4, 4), lattice(1)])
         a = rand_gset(rng, g, rng.randint(1, 8))
         b = rand_gset(rng, g, rng.randint(1, 8))
-        assert correlate(a, b).total() == len(a) * len(b)
-        assert convolve(a, b).total() == len(a) * len(b)
+        assert total(correlate(a, b)) == len(a) * len(b)
+        assert total(convolve(a, b)) == len(a) * len(b)
         assert (correlate(a, b).values() >= 0).all()
 
 
@@ -621,9 +654,9 @@ def test_single_limb_product_keeps_mass_check(monkeypatch):
 
 def test_conv_power_chain_exact():
     a = GSet(cyclic(4), [0, 2])
-    assert value(conv_power(a, 1), 0) == 1
-    t3 = conv_power(a, 3)
-    assert t3.total() == 8
+    assert value(moments._chain(a).top, 0) == 1
+    t3 = moments._chain(a).extend(3).top
+    assert total(t3) == 8
 
 
 def test_parseval_and_convolution_transform():
@@ -673,37 +706,7 @@ def table_of(g, counts, dtype=np.int64):
         arr = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)), dtype=dtype)
     for p, v in counts.items():
         arr[tuple(c - l for c, l in zip(p, lo))] = v
-    return ConvTable(g, arr, None if g.is_cyclic else lo)
-
-
-def old_trim(t):
-    """The bounding box of a lattice table's support by np.nonzero over the window."""
-    nz = np.nonzero(moments._support(t.planes))
-    if len(nz[0]) == 0:
-        return np.zeros((len(t.planes),) + (1,) * t.group.dim, dtype=np.int64), (0,) * t.group.dim
-    slices = tuple(slice(int(i.min()), int(i.max()) + 1) for i in nz)
-    return t.planes[(slice(None),) + slices], tuple(s.start + o for s, o in zip(slices, t.offset))
-
-
-def test_trimmed_box_matches_the_nonzero_rule():
-    # random sparse 1-, 2- and 3-dimensional windows, wide ones whose box edge is a
-    # value with a zero low plane, a 1 x 300 window, and all-zero windows: the same
-    # planes and offset as np.nonzero's box
-    rng = np.random.default_rng(29)
-    cases = []
-    for dim, shape in ((1, (40,)), (2, (9, 13)), (3, (5, 6, 7)), (2, (1, 300)), (3, (4, 1, 9))):
-        for density in (0.0, 0.02, 0.3):
-            arr = rng.integers(1, 9, shape) * (rng.random(shape) < density)
-            cases.append(ConvTable(lattice(dim), arr, tuple(rng.integers(-50, 50, dim).tolist())))
-        wide = arr.astype(object) * (1 << 64)
-        wide[(0,) * dim] = 1 << 70
-        cases.append(ConvTable(lattice(dim), wide, (-3,) * dim))
-    for t in cases:
-        got, (planes, offset) = t.trimmed(), old_trim(t)
-        assert np.array_equal(got.planes, planes) and got.planes.shape == planes.shape
-        assert got.offset == offset and all(type(o) is int for o in got.offset)
-    assert sum(len(t.planes) > 1 for t in cases) == 5
-    assert sum(not np.any(t.planes) for t in cases) >= 5
+    return table_at(g, arr, None if g.is_cyclic else lo)
 
 
 def roadmap_repro():
@@ -752,9 +755,9 @@ def test_entry_bound_boundaries_match_oracle():
 
 
 def test_moment_matches_python_ints_on_every_branch():
-    # integer k: one int64 dot while (sum c) max^k < 2^63, Python ints from
-    # that bound on, where the sum itself passes 2^63; non-integer k: Python
-    # floats summed in ascending level order, the same sum to the bit
+    # integer k, the power sums: exact on either side of (sum c) max^k = 2^63,
+    # where the sum itself passes 2^63, kept with every order below; non-integer
+    # k, `_moment`: Python floats summed in ascending level order, the same sum to the bit
     for k in range(1, 7):
         top = int(2 ** (60 / k)) + 1
         n = ((1 << 63) - 1) // top ** k
@@ -762,9 +765,9 @@ def test_moment_matches_python_ints_on_every_branch():
             levels = [1, 2, top][-len(counts):]
             assert (sum(counts) * top ** k >= 1 << 63) == wide
             hist = moments._Histogram.of(np.array(levels, dtype=np.int64), np.array(counts, dtype=np.int64))
-            got = moments._moment(hist, k)
+            got = hist.power_sum(k)
             assert type(got) is int and got == sum(c * v ** k for v, c in zip(levels, counts))
-            assert moments._moment(hist, float(k)) == got
+            assert hist.sums == [sum(c * v ** j for v, c in zip(levels, counts)) for j in range(k + 1)]
     values = np.random.default_rng(101).integers(0, 300, 5000)
     hist = moments._histogram(values)
     ascending = sorted(Counter(values[values > 0].tolist()).items())
@@ -772,7 +775,7 @@ def test_moment_matches_python_ints_on_every_branch():
         want = float(sum(float(c) * float(v) ** k for v, c in ascending))
         assert moments._moment(hist, k) == want
     empty = moments._histogram(np.zeros(4, dtype=np.int64))
-    assert moments._moment(empty, 3) == 0 and moments._moment(empty, 2.5) == 0.0
+    assert empty.power_sum(3) == 0 and moments._moment(empty, 2.5) == 0.0
     # paired arrays, as E_k(A, B) passes (B o B, A o A) on A o A's support:
     # unsorted, with repeated levels, a zero level and a zero count
     for k in range(1, 7):
@@ -783,9 +786,9 @@ def test_moment_matches_python_ints_on_every_branch():
             counts = [rest - 1, 4, 3, 1, 0, 1]
             assert (sum(counts) * top ** k >= 1 << 63) == wide
             pair = moments._Histogram.of(np.array(levels, dtype=np.int64), np.array(counts, dtype=np.int64))
-            got = moments._moment(pair, k)
+            got = pair.power_sum(k)
             assert type(got) is int and got == sum(c * v ** k for v, c in zip(levels, counts))
-            assert moments._moment(pair, 0) == sum(counts)
+            assert pair.power_sum(0) == sum(counts)
     rng = np.random.default_rng(103)
     w, v = rng.integers(0, 40, 500), rng.integers(0, 9, 500)
     for k in (0.5, 1.5, 2.5):
@@ -941,7 +944,7 @@ def test_power_sums_past_int64_fill_in_one_walk():
 
 def test_kept_power_sums_take_one_dot_per_order(monkeypatch):
     # E_2..E_6 of one set read in any order: one _power_dot per order 1..6, none on a
-    # repeated read; histograms built per call take the one order asked, every time
+    # repeated read; a histogram built per call fills every order up to the one asked
     calls = []
     real = moments._power_dot
     monkeypatch.setattr(moments, "_power_dot", lambda hist, k, bound: calls.append(k) or real(hist, k, bound))
@@ -959,11 +962,11 @@ def test_kept_power_sums_take_one_dot_per_order(monkeypatch):
             assert [energy_k(a, k) for k in order] == got and energy_k(a, 2.5) > 0 and calls == []
             for k in order:
                 energy_k_pair(a, a, k)
-            assert calls == [k - 1 for k in order]
+            assert calls == [j for k in order for j in range(1, k)]
     calls.clear()
     moments.mult_energy_k([1, 2, 3, 4, 6], 3)
     moments.mult_energy_k([1, 2, 3, 4, 6], 3)
-    assert calls == [3, 3]
+    assert calls == [1, 2, 3, 1, 2, 3]
 
 
 def test_family_energies_pick_the_path_by_the_pair_budget(monkeypatch):
@@ -1004,7 +1007,7 @@ def test_planes_round_trip_python_ints():
     # the same Python ints
     for values in (BOUNDARY_VALUES[:15], BOUNDARY_VALUES):
         g = cyclic(len(values))
-        t = ConvTable(g, np.array(values, dtype=object))
+        t = table_at(g, np.array(values, dtype=object))
         wide = not all(-(1 << 63) <= v < 1 << 63 for v in values)
         assert (len(t.planes) > 1) == wide and t.planes.dtype == np.int64
         if wide:
@@ -1015,16 +1018,16 @@ def test_planes_round_trip_python_ints():
         points = np.arange(len(values)).reshape(-1, 1)
         assert t.values_at(points).tolist() == values
         assert moments._total(t._gather(points[::-1])) == sum(values)
-        assert t.total() == sum(values)
+        assert total(t) == sum(values)
         assert support(t) == {(x,): v for x, v in enumerate(values) if v}
         assert t.argmax() == ((values.index(max(values)),), max(values))
-        nonneg = moments._cut(np.array([max(v, 0) for v in values], dtype=object))
+        nonneg = cut_planes(np.array([max(v, 0) for v in values], dtype=object))
         assert moments._square_sum(nonneg, max(values)) == sum(v * v for v in values if v > 0)
         # a product with the unit at 0 hands the same values back, in either order
         unit = table_of(g, {(0,): 1})
         assert convolve(t, unit).array.tolist() == values
         assert convolve(unit, t).array.tolist() == values
-    one = ConvTable(cyclic(15), np.array(BOUNDARY_VALUES[:15], dtype=object))
+    one = table_at(cyclic(15), np.array(BOUNDARY_VALUES[:15], dtype=object))
     assert one.array.dtype == np.int64 and np.shares_memory(one.array, one.planes)   # no copy
 
 
@@ -1033,7 +1036,7 @@ def test_limbs_and_digits_cut_straight_from_planes():
     # fit, and as limbs of any width, signed on top, reaching the sign bits
     # of planes the last digit does not start in
     values = [-3, 5, 1 << 40, -(1 << 70)]
-    x = moments._cut(np.array(values, dtype=object))
+    x = cut_planes(np.array(values, dtype=object))
     assert len(x) == 3 and x.dtype == np.int64
     assert moments._limbs(x[:, :3], None, 1 << 40)[0].tolist() == [-3.0, 5.0, 2.0 ** 40]
     for bits in (1, 7, 13, 31, 32, 33, 50):
@@ -1057,7 +1060,7 @@ def test_square_sums_at_the_boundaries():
             assert moments._square_sum(values[None], top) == sum(int(v) ** 2 for v in values.tolist())
     nonneg = [v for v in BOUNDARY_VALUES if v >= 0]
     for values in (nonneg, nonneg * 50):
-        planes = moments._cut(np.array(values, dtype=object))
+        planes = cut_planes(np.array(values, dtype=object))
         assert moments._square_sum(planes, max(values)) == sum(v * v for v in values)
 
 
@@ -1067,7 +1070,7 @@ def test_square_sum_of_a_sets_one_byte_table_is_its_size(monkeypatch):
     dots = []
     monkeypatch.setattr(moments, "_square_sum", lambda *args: dots.append(args))
     for a in (GSet(cyclic(1024), random.Random(107).sample(range(1024), 300)), zset(range(0, 900, 3))):
-        t = conv_power(a, 1)
+        t = ConvTable.from_gset(a)
         assert t.planes.dtype == np.uint8
         if a.group.is_cyclic:
             assert int(np.dot(t.array, t.array)) == 44
@@ -1133,9 +1136,9 @@ def test_wide_chains_match_the_oracle(monkeypatch, index):
         assert sigma_k(a, top) == counts.get(zero, 0), top
     assert sigma_k(GSet(a.group, a.coords), top + 1) == \
         oracles.kronecker_convolve(mods, counts, {x: 1 for x in a.elems}).get(zero, 0)
-    power = conv_power(a, top)
-    assert len(power.planes) > 1 and max(counts.values()) >= 1 << 62
-    assert support(power) == counts
+    top_level = moments._chain(a).extend(top).top
+    assert len(top_level.planes) > 1 and max(counts.values()) >= 1 << 62
+    assert support(top_level) == counts
     assert {p for p, wide in served if wide} == {"_fft"}
     if index == 0:
         assert {p for p, wide in served if not wide} == {"_direct"}
@@ -1157,7 +1160,7 @@ def test_signed_wide_products_match_python_ints():
                     want[z] = want.get(z, 0) + v * c
             got = convolve(table_of(g, u, dtype=object), table_of(g, w, dtype=object))
             assert support(got) == {z: v for z, v in want.items() if v}
-            assert got.total() == sum(u.values()) * sum(w.values())
+            assert total(got) == sum(u.values()) * sum(w.values())
 
 
 def pair_sums(mods, f, h, corr=False):
@@ -1252,14 +1255,14 @@ def test_small_entries_on_wide_planes_are_read_whole(monkeypatch):
 def test_minimum_int64_entry_times_two():
     # |x|_1 of a table holding -2^63 is 2^63, not int64's wrapped abs
     g = cyclic(4)
-    t = ConvTable(g, np.array([-(1 << 63), 0, 5, 0], dtype=np.int64))
+    t = table_at(g, np.array([-(1 << 63), 0, 5, 0], dtype=np.int64))
     assert len(t.planes) == 1
     assert moments._norms(t.planes.reshape(1, -1)) == (5 + (1 << 63), 1 << 63, 5 - (1 << 63))
     got = convolve(t, table_of(g, {(0,): 2}))
     assert got.array.tolist() == [-(1 << 64), 0, 10, 0]
     got = convolve(t, table_of(g, {(1,): 2, (2,): -3}))
     assert got.array.tolist() == [-15, -(1 << 64), 3 << 63, 10]
-    assert got.total() == (5 - (1 << 63)) * -1
+    assert total(got) == (5 - (1 << 63)) * -1
 
 
 def test_limb_plan():
@@ -1505,7 +1508,7 @@ def test_padded_folded_and_lattice_powers_match_oracle():
         a = GSet(g, elems)
         mods = g.moduli if g.is_cyclic else None
         counts = oracles.kronecker_sum_counts(mods, set(a.elems), 4)
-        assert support(conv_power(a, 4)) == counts
+        assert support(power(a, 4)) == counts
         assert sigma_k(a, 4) == counts.get((0,) * g.dim, 0)
         assert t_k(a, 3) == sum(c * c for c in
                                 oracles.kronecker_sum_counts(mods, set(a.elems), 3).values())
@@ -1525,13 +1528,13 @@ def test_wide_tables_stay_exact(monkeypatch):
     s = 1 << 70
     wide = table_of(lattice(1), {(0,): 3 * s, (2,): s}, dtype=object)
     assert value(wide, 0) == 3 * s and value(wide, 1) == 0
-    assert wide.total() == 4 * s
+    assert total(wide) == 4 * s
     assert support(wide) == {(0,): 3 * s, (2,): s}
     narrow = moments.correlate
 
     def scaled(f, g):
         t = narrow(f, g)
-        return ConvTable(t.group, t.array.astype(object) * s, t.offset)
+        return table_at(t.group, t.array.astype(object) * s, t.offset)
 
     monkeypatch.setattr(moments, "correlate", scaled)
     a = zset([0, 1, 3])
@@ -1596,8 +1599,8 @@ def test_carried_facts_equal_the_planes_on_every_path(monkeypatch):
         ("FFT limbs", "_fft", lambda: convolve(table_of(z4096, weighted(rng, z4096, 3000, 40)),
                                                table_of(z4096, weighted(rng, z4096, 3000, 38)))),
         ("wide planes", "_fft", lambda: convolve(table_of(z1024, wide, dtype=object), ones(z1024, 300))),
-        ("lattice window", "_fft", lambda: conv_power(ones(lattice(2), 240, 20), 3)),
-        ("lattice direct", "_direct", lambda: conv_power(ones(lattice(1), 40, 30), 3)),
+        ("lattice window", "_fft", lambda: power(ones(lattice(2), 240, 20), 3)),
+        ("lattice direct", "_direct", lambda: power(ones(lattice(1), 40, 30), 3)),
         ("correlation", "_fft", lambda: correlate(ones(z1024, 300), table_of(z1024, weighted(rng, z1024, 300, 20)))),
         ("lattice correlation", "_direct", lambda: correlate(ones(lattice(1), 40, 30), ones(lattice(1), 30, 30))),
     ]
@@ -1620,7 +1623,7 @@ def test_carried_facts_equal_the_planes_on_every_path(monkeypatch):
 def int64_copy(a):
     """An int64 copy of a set's table, with facts derived from the copy."""
     t = ConvTable.from_gset(a)
-    return ConvTable(a.group, t.array.astype(np.int64), t.offset)
+    return table_at(a.group, t.array.astype(np.int64), t.offset)
 
 
 def test_narrow_set_plane_reads_as_its_int64_copy_on_every_path(monkeypatch):
@@ -1659,14 +1662,14 @@ def test_narrow_set_plane_reads_as_its_int64_copy_on_every_path(monkeypatch):
         if name == "FFT limbs":
             assert moments._split(heavy.facts()[1], tables[1].facts()[1], 4096) != (None, None)
         seen.clear()
-        got = conv_power(f, steps) if steps > 1 else convolve(f, g, corr=corr)
+        got = power(f, steps) if steps > 1 else convolve(f, g, corr=corr)
         assert set(seen) == {path}, name
-        want = conv_power(tables[0], steps) if steps > 1 else convolve(*tables, corr=corr)
+        want = power(tables[0], steps) if steps > 1 else convolve(*tables, corr=corr)
         assert got.planes.dtype == want.planes.dtype == np.int64, name
         assert np.array_equal(got.planes, want.planes) and got.offset == want.offset, name
         assert got.facts() == want.facts(), name
     # the plane's own readers: whole and limb digits, the values, the zero cell,
-    # the trimmed window, the gather behind sigma_2 (read from level 1)
+    # the gather behind sigma_2 (read from level 1)
     for a in (ones(z1000, 400), ones(cyclic(4, 8), 9), ones(lattice(1), 40, 30), ones(lattice(2), 60, 6)):
         t, c = ConvTable.from_gset(a), int64_copy(a)
         assert t.planes.dtype == np.uint8 and not t.planes.flags.writeable and t.facts() == c.facts()
@@ -1677,8 +1680,6 @@ def test_narrow_set_plane_reads_as_its_int64_copy_on_every_path(monkeypatch):
         assert [d.tolist() for d in moments._digits(t.planes, 2, 1)] == [c.planes[0].tolist()]
         assert moments._at_zero(t) == moments._at_zero(c) == int(a.isin(np.zeros((1, a.group.dim),
                                                                                      dtype=np.int64))[0])
-        trimmed = t.trimmed()
-        assert np.array_equal(trimmed.planes, c.trimmed().planes) and trimmed.offset == c.trimmed().offset
         points = -a.coords
         assert np.array_equal(t._gather(points), c._gather(points))
         mods = a.group.moduli if a.group.is_cyclic else None
@@ -1736,3 +1737,88 @@ def test_correlation_mass_check_survives_optimize():
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "InvariantError"
+
+
+def tight_and_own(t):
+    """Whether a table's window has a nonzero entry on every face and its
+    planes own their memory: no view into a larger (padded) buffer."""
+    nonzero = moments._support(t.planes)
+    faces = all(np.take(nonzero, end, axis=axis).any() for axis in range(nonzero.ndim) for end in (0, -1))
+    root = t.planes
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    return faces and root.nbytes == t.planes.nbytes
+
+
+def test_lattice_products_keep_tight_windows(monkeypatch):
+    # a set's window is its bounding box, and a product of two tight
+    # nonnegative windows is tight: convolve and correlate of two sets, A o A
+    # and every chain level to T_6 in Z, Z^2 and Z^3, on the direct path and
+    # the FFT's with one limb and with several, each hold a nonzero entry on
+    # every face and own their planes
+    events = []
+    for name in ("_direct", "_fft"):
+        real = getattr(moments, name)
+        monkeypatch.setattr(moments, name, lambda *args, _r=real, _n=name: events.append(_n) or _r(*args))
+    real_limbs = moments._limbs
+    monkeypatch.setattr(moments, "_limbs", lambda x, bits, linf: (events.append("limbs") if bits else None)
+                        or real_limbs(x, bits, linf))
+    rng = random.Random(149)
+    for dim, small, large in ((1, (12, 20), (2000, 3000)), (2, (12, 6), (2000, 30)), (3, (10, 3), (700, 5))):
+        g, kinds = lattice(dim), set()
+        for points, span in (small, large):
+            a, b = (GSet(g, list(weighted(rng, g, points, 0, span))) for _ in range(2))
+            chain = moments._chain(a)
+            products = [lambda: convolve(a, b), lambda: correlate(a, b), lambda: correlate(a, a)]
+            products += [lambda j=j: chain.extend(j).top for j in range(2, 7)]
+            for product in products:
+                events.clear()
+                t = product()
+                assert tight_and_own(t), (dim, points, len(kinds))
+                kinds.add("direct" if "_direct" in events else "FFT limbs" if "limbs" in events else "FFT")
+            assert tight_and_own(ConvTable.from_gset(a))
+        assert kinds == {"direct", "FFT", "FFT limbs"}, dim
+
+
+def test_signed_products_with_zero_faces_read_as_the_oracle():
+    # signed lattice tables padded with zero faces: the product's window is the
+    # linear product's, zero faces kept, and every reader gives the oracle's values
+    rng = random.Random(151)
+    for dim in (1, 2, 3):
+        g = lattice(dim)
+        for corr in (False, True):
+            f, h = ({p: rng.choice((-3, -2, -1, 1, 2, 3)) for p in weighted(rng, g, 12, 0, 3)} for _ in range(2))
+            padded = [table_at(g, np.pad(u.array, 1), tuple(o - 1 for o in u.offset))
+                      for u in (table_of(g, f), table_of(g, h))]
+            t = convolve(*padded, corr=corr)
+            want = pair_sums(None, f, h, corr)
+            assert not tight_and_own(t)   # the operands' zero faces carry over
+            assert support(t) == want
+            points = np.array(list(want) + [(0,) * dim, (40,) * dim], dtype=np.int64)
+            assert t.values_at(points).tolist() == [want.get(tuple(p), 0) for p in points.tolist()]
+            assert t.square_sum() == sum(v * v for v in want.values())
+
+
+def test_integer_moments_read_the_power_sums():
+    # E_k(A, B) for k = 1..6 and E^x_k(A) for k = 2..6 equal the oracles, read
+    # through one histogram's power sums, which also hold a weighted histogram
+    # whose sums pass 2^63, on the int64 dot, the halves and Python ints alike
+    rng = random.Random(157)
+    for g in (cyclic(64), lattice(1), lattice(2)):
+        mods = g.moduli if g.is_cyclic else None
+        for _ in range(3):
+            a, b = (rand_gset(rng, g, rng.randint(1, 9)) if g.dim == 1
+                    else GSet(g, list(weighted(rng, g, rng.randint(1, 9), 0, 4))) for _ in range(2))
+            for k in range(1, 7):
+                assert energy_k_pair(a, b, k) == oracles.oracle_energy_k_pair(mods, set(a.elems),
+                                                                              set(b.elems), k)
+    for xs in ([1, 2, 3, 4, 6], [-5, -1, 2, 3, 10, 15, 30], rng.sample(range(1, 200), 25)):
+        for k in range(2, 7):
+            assert mult_energy_k(xs, k) == oracles.oracle_mult_energy_k(xs, k)
+    levels = np.array([0, 1, 7, 1000, 1 << 20, 3 << 19], dtype=np.int64)
+    counts = np.array([5, 1 << 20, 3, 1 << 25, 1 << 30, 7], dtype=np.int64)
+    hist = moments._Histogram.of(levels, counts)
+    sums = [hist.power_sum(k) for k in range(7)]
+    assert sums == [sum(c * v ** k for v, c in zip(levels.tolist(), counts.tolist())) for k in range(7)]
+    # E_1 one dot; E_2, E_3 past 2^63 on the halves (counts total < 2^31, top^3 < 2^63); E_4.. ints
+    assert sums[1] < 1 << 63 <= sums[2] and hist.total < 1 << 31 and hist.top ** 3 < 1 << 63 <= hist.top ** 4

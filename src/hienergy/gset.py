@@ -150,6 +150,13 @@ def _firsts(ordered: np.ndarray) -> np.ndarray:
     return fresh
 
 
+def _distinct(ordered: np.ndarray) -> np.ndarray:
+    """The first of each run of equal keys (or rows) in sorted order: ordered
+    itself where no run repeats, so a set of distinct elements is not copied."""
+    fresh = _firsts(ordered)
+    return ordered if fresh.all() else ordered[fresh]
+
+
 def _unrank(keys: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
     """The rows of a product of two or more moduli with these row-major ranks."""
     rows = np.empty((len(keys), len(moduli)), dtype=np.int64)
@@ -164,12 +171,11 @@ class GSet:
     def __init__(self, group: GroupSpec, elems: Iterable = ()):  # elems: ints, tuples or rows
         rows = bounded_rows(group, elems)
         if group.is_cyclic or group.dim == 1:
-            keys = np.sort(row_keys(group, rows))
-            keys = keys[_firsts(keys)]
+            keys = _distinct(np.sort(row_keys(group, rows)))
             self._store(group, keys[:, None] if group.dim == 1 else _unrank(keys, group.moduli), keys)
         else:   # Z^d: lexsort, several times faster than a sort of the structured key
             rows = rows[np.lexsort(rows.T[::-1])]
-            self._store(group, rows[_firsts(rows)])
+            self._store(group, _distinct(rows))
 
     def _store(self, group: GroupSpec, coords: np.ndarray, keys: np.ndarray | None = None) -> None:
         """Take sorted distinct rows, with their keys where known, as the set."""

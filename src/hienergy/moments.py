@@ -38,8 +38,14 @@ correlation is the same call: the direct path subtracts indices, the FFT
 conjugates f's spectrum.  A self-product (f is g) transforms each limb
 once, and a chain of convolution powers its base once per FFT shape.  A
 one-limb self-product whose spectrum no chain keeps forms the product in
-that spectrum's own buffer, so a fresh A o A holds one half-spectrum, and
-none once the inverse is cast to int64; a chain's first step squares its
+that spectrum's own buffer; a fresh A o A at a four-step shape instead
+forms its power spectrum |X|^2 as a real array, half the complex one's
+bytes, and drops the complex one.  A o A is even, (A o A)(x) = (A o A)(-x),
+and so is the inverse of any real spectrum: the four-step inverts only the
+columns j2 <= n2/2, rounds them to int64 and mirrors the rest, by the same
+butterfly levels and twiddle multiplies, so under the same bound.  So a
+fresh A o A holds at most one half-spectrum, and none once the inverse is
+rounded to int64; a chain's first step squares its
 kept spectrum into one fresh buffer, and T_k's square sums cut their
 digits _BLOCK entries at a time, so a chain step peaks near its working
 set of four tables (the kept spectrum, the level below, the product's
@@ -50,7 +56,8 @@ mass identity sum(f*g) = sum(f) sum(g) exactly, on either path, and
 besides that only T_k's cross-check is validated after the fact.  The limb
 thresholds are planned once per transform size.  A o A of a GSet is built
 once and kept on the set (see the gset module), read-only, and so is the
-histogram of its values, from bincounts of blocks, with its count total
+histogram of its values, from bincounts of blocks shifted by their
+minima, over half the table doubled in one dimension, with its count total
 and top level, and its integer power sums: a read of E_k keeps every order
 up to k, each missing order j one `_power_dot` under the a priori bound
 top E_(j-1) (v^j <= top v^(j-1) for every level v), and every order from
@@ -385,7 +392,10 @@ def _percival(size: int, four_step: bool = False) -> float:
     (1+e)^3m - 1) per entry, e = 2^-53 (twiddles accurate to e); about 13 m e.
     Each of the three transforms of a four-step runs the same m butterfly
     levels plus two twiddle multiplies, by table entries accurate to
-    _TWIDDLE_ERR: 3 x 2 more factors (1+e sqrt5)(1+_TWIDDLE_ERR)."""
+    _TWIDDLE_ERR: 3 x 2 more factors (1+e sqrt5)(1+_TWIDDLE_ERR).  The even
+    inverse of a self-correlation's power spectrum re^2 + im^2, the real
+    part of conj(c) c, runs those levels and multiplies on half the columns
+    and copies the rest, so the same bound and limb plan serve it."""
     m, e = max(1, (size - 1).bit_length()), 2.0 ** -53
     t = 2 if four_step else 0
     return math.expm1(6 * m * math.log1p(e) + (3 * (m + t) + 1) * math.log1p(e * math.sqrt(5))
@@ -512,24 +522,66 @@ def _rfft(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _irfft(c: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The real array of the given shape whose _rfft is c.  A four-step
-    consumes c: it runs the steps backwards, applying the conjugate twiddle
-    in place as conj(conj(b) w)."""
+    runs the steps backwards, applying the conjugate twiddle in place as
+    conj(conj(b) w); it consumes a complex c.  A real float64 c, a power
+    spectrum |X|^2, has an even inverse, x(j) = x(-j): the four-step then
+    computes only the columns j2 = 0..n2/2, each row by ihfft (the first
+    n2/2 + 1 entries of a real row's ifft), twiddled by the tables' first
+    n2/2 + 1 columns and inverted down the columns, rounds them into an
+    int64 table, fills in the rest by `_mirror` and returns that table.
+    Those columns run the same m butterfly levels and two twiddle
+    multiplies as the complex inverse, so _percival's bound holds as it is."""
     if not _four_step(shape):
         return np.fft.irfftn(c, shape, tuple(range(len(shape))))
     n1, hi, lo = _twiddles(shape[0])
-    c = np.fft.ifft(c, axis=1, out=c)
+    n2 = shape[0] // n1
+    even = c.dtype == np.float64
+    if even:
+        cols = n2 // 2 + 1
+        c, hi, lo = np.fft.ihfft(c, axis=1), hi[:, :cols], lo[:, :cols]
+    else:
+        c = np.fft.ifft(c, axis=1, out=c)
     np.conjugate(c, out=c)
     _twiddle(c, hi, lo)
     np.conjugate(c, out=c)
-    return np.fft.irfft(c, n1, axis=0).reshape(shape)
+    x = np.fft.irfft(c, n1, axis=0)
+    if not even:
+        return x.reshape(shape)
+    c = None   # gone before the table is allocated
+    out = np.empty((n1, n2), dtype=np.int64)
+    out[:, :cols] = np.rint(x, out=x)
+    x = None
+    _mirror(out)
+    return out.reshape(shape)
 
 
-def _abs_squared(c: np.ndarray) -> None:
+def _mirror(x: np.ndarray) -> None:
+    """Fill the columns j2 > n2/2 of an even table's n1 x n2 four-step
+    layout, x[j1, j2] = x(j1 n2 + j2), from the columns below: -(j1 n2 + j2)
+    = (n1 - 1 - j1) n2 + (n2 - j2) mod n, so x[j1, j2] = x[n1-1-j1, n2-j2]."""
+    half = x.shape[1] // 2
+    x[:, half + 1:] = x[::-1, half - 1:0:-1]
+
+
+def _power(c: np.ndarray) -> np.ndarray:
+    """|c|^2 = re^2 + im^2 of a spectrum as a fresh float64 array, the real
+    part of conj(c) c, _BLOCK entries at a time."""
+    p, spare = np.empty(c.shape), np.empty(_BLOCK)
+    cf, pf = c.reshape(-1), p.reshape(-1)
+    for s in range(0, len(cf), _BLOCK):
+        block, out = cf[s:s + _BLOCK], pf[s:s + _BLOCK]
+        np.square(block.real, out=out)
+        out += np.square(block.imag, out=spare[:len(block)])
+    return p
+
+
+def _abs_squared(c: np.ndarray) -> np.ndarray:
     """c = conj(c) c in place on a fresh spectrum, _BLOCK entries at a time."""
     flat = c.reshape(-1)
     for s in range(0, len(flat), _BLOCK):
         block = flat[s:s + _BLOCK]
         np.multiply(np.conjugate(block), block, out=block)
+    return c
 
 
 def _fft(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None = None) -> np.ndarray:
@@ -540,9 +592,11 @@ def _fft(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None 
     the padded transform, so that no kept table holds padding.  Operands and
     product are planes.  One limb each forms the product in f's spectrum, or
     in g's own for a self-product that spectra does not keep (by _abs_squared for a
-    correlation), or, for a self-product on a kept spectrum, in one fresh
-    buffer by one multiply, and drops every spectrum but the kept one
-    before the inverse's int64 cast;
+    correlation; at a four-step shape a self-correlation takes the real
+    power spectrum `_power` instead, whose inverse `_irfft` computes on
+    half the columns and rounds itself), or, for a self-product on a kept
+    spectrum, in one fresh buffer by one multiply, and drops every spectrum
+    but the kept one before the inverse's int64 cast;
     more are deposited limb pair by limb pair into the product's planes (one
     plane adds modulo 2^64, exact while B < 2^62) and carried once.  spectra
     (the caller's, for one g) keeps g's whole spectrum per shape."""
@@ -559,9 +613,8 @@ def _fft(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None 
     if fbits is None and gbits is None and planes == 1:
         own = same and cache is not spectra   # nothing keeps g's spectrum: the product takes its buffer
         gh, ghat, cache = ghat[0], None, None
-        if own and corr:
-            prod = gh
-            _abs_squared(prod)
+        if own and corr:   # |gh|^2: real at a four-step shape, else in gh's own buffer
+            prod = _power(gh) if _four_step(shape) else _abs_squared(gh)
         elif same:   # a kept spectrum's square goes to a fresh buffer, in one pass
             prod = np.multiply(np.conjugate(gh) if corr else gh, gh, out=gh if own else None)
         else:
@@ -570,7 +623,9 @@ def _fft(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None 
         gh = None
         out = _irfft(prod, shape)
         prod = None   # no spectrum outlives the inverse
-        out = np.rint(out, out=out).astype(np.int64)[None]
+        if out.dtype != np.int64:   # the even inverse rounds its own columns
+            out = np.rint(out, out=out).astype(np.int64)
+        out = out[None]
     else:
         # f's limb spectra are made one at a time, or shared with g's for a self-product
         fhat = ghat if same and fbits == gbits else (_rfft(p, shape) for p in _limbs(fa, fbits, fn[1]))
@@ -766,23 +821,63 @@ class _Histogram:
         return sums[k]
 
 
-def _histogram(values: np.ndarray) -> _Histogram:
+def _histogram(values: np.ndarray, twice: np.ndarray | None = None) -> _Histogram:
     """The distinct positive entries of a flat int64 table in ascending
-    order and their multiplicities, read-only, from bincounts of blocks of
-    _COUNT_BLOCK entries summed: np.bincount copies a read-only input, as
-    the kept A o A is, so a block is the most it copies.  The bins are
-    short: every table passed here, A o A and the quotient counts, has
-    entries in [0, |A|].  An object (wide) table or a negative entry raises."""
-    bins = np.zeros(1, dtype=np.int64)
-    for s in range(0, len(values), _COUNT_BLOCK):
-        part = np.bincount(values[s:s + _COUNT_BLOCK])
-        if len(part) > len(bins):
-            bins, part = part, bins
-        bins[:len(part)] += part
+    order and their multiplicities, read-only; with twice, the entries of
+    twice count two each, those of values one (an even table's halves, from
+    `_halves`).  Each block of _COUNT_BLOCK entries is counted from its own
+    minimum lo, np.bincount(block - lo) added into bins[lo:]: the shifted
+    copy is the block's one copy (np.bincount copies a read-only input, as
+    the kept A o A is), and its bincount spans the block's range, not its
+    top.  The bins are short: every table passed here, A o A and the
+    quotient counts, has entries in [0, |A|].  An object (wide) table or a
+    negative entry raises."""
+    bins = _add_counts(np.zeros(1, dtype=np.int64), values)
+    if twice is not None:
+        bins = _add_counts(bins, twice, 2)
     levels = np.flatnonzero(bins[1:]) + 1
     counts = bins[levels]
     levels.flags.writeable = counts.flags.writeable = False
     return _Histogram.of(levels, counts)
+
+
+def _add_counts(bins: np.ndarray, values: np.ndarray, weight: int = 1) -> np.ndarray:
+    """bins with every entry of values counted weight times, each block
+    shifted by its minimum; bins grow, at least twofold, where a block
+    reaches past them.  `_histogram` counts its values first: an even
+    table's lone entries hold its top, |A| at x = 0, so the bins take their
+    length at once."""
+    for s in range(0, len(values), _COUNT_BLOCK):
+        block = values[s:s + _COUNT_BLOCK]
+        lo = int(block.min())
+        if lo < 0:   # the shift would hide it from np.bincount
+            raise ValueError(f"histogram of a table with a negative entry {lo}")
+        part = np.bincount(block - lo)
+        top = lo + len(part)
+        if top > len(bins):
+            grown = np.zeros(max(top, 2 * len(bins)), dtype=np.int64)
+            grown[:len(bins)] = bins
+            bins = grown
+        if weight > 1:
+            part *= weight
+        bins[lo:top] += part
+    return bins
+
+
+def _halves(t: ConvTable) -> tuple[np.ndarray, np.ndarray | None]:
+    """(values, twice) of an even one-dimensional table for `_histogram`:
+    the entries that are their own partners under x -> -x and one of each
+    pair of the others.  On Z/N, x and N - x pair for x = 1..ceil(N/2) - 1,
+    and 0 and, for even N, N/2 stand alone; on a lattice window of length
+    L, cells i and L - 1 - i pair around the centre cell of an odd L.  A
+    table of any other dimension is (values, None)."""
+    v = t.values()
+    if t.group.dim != 1:
+        return v, None
+    n = len(v)
+    if t.group.is_cyclic:
+        return (v[:1] if n % 2 else v[[0, n // 2]]), v[1:(n + 1) // 2]
+    return v[n // 2:(n + 1) // 2], v[:n // 2]
 
 
 def _needs_ints(hist: _Histogram, k: int, bound: int) -> bool:
@@ -824,9 +919,11 @@ def _moment(hist: _Histogram, k: float) -> float:
 
 
 def _levels(a: GSet) -> _Histogram:
-    """The histogram of the kept A o A's values, kept on the set under "levels"."""
+    """The histogram of the kept A o A's values, kept on the set under
+    "levels"; A o A is even, so in one dimension it counts half the table
+    and doubles it (`_halves`)."""
     t = correlate(a, a)
-    return a.kept("levels", lambda: _histogram(t.values()))
+    return a.kept("levels", lambda: _histogram(*_halves(t)))
 
 
 def energy_k(a: GSet, k) -> int | float:
@@ -893,7 +990,11 @@ def t_k(a: GSet, k: int) -> int:
         spec = np.abs(chain.spectrum())
         spec.flat[0] = 0
         scale = max(1.0, float(spec.max())) if len(a) ** (2 * k) * spec.size >> 1000 else 1.0
-        np.power(np.divide(spec, scale, out=spec) if scale > 1 else spec, 2 * k, out=spec)
+        # |A^|^(2k) as |A^|^2 times itself k - 1 times: np.power takes about three times as long
+        sq = np.square(np.divide(spec, scale, out=spec) if scale > 1 else spec, out=spec)
+        spec = sq if k == 1 else np.multiply(sq, sq)
+        for _ in range(k - 2):
+            spec *= sq
         moduli = a.group.moduli
         # a bin whose conjugate the half-spectrum omits counts twice: rows
         # 1..n1/2 - 1 of a four-step, else last-axis bins but the first and Nyquist

@@ -125,6 +125,19 @@ def test_array_input_matches_list_input():
     assert all(s == GSet(lattice(2), np.array(rows, dtype=np.int64)) for s in sets)
 
 
+def test_repeats_and_distinct_elements_give_one_read_only_set():
+    # without repeats the sorted keys are kept as they are, not compressed
+    for g, elems in ((cyclic(64), [9, 70, 3, 41]), (lattice(1), [5, -8, 13, 0]),
+                     (cyclic(4, 6), [(1, 5), (3, 0), (0, 2)]), (lattice(2), [(3, -1), (-2, 5), (0, 0)])):
+        given = np.array(elems, dtype=np.int64)
+        plain, repeated = GSet(g, given), GSet(g, elems + elems[::2])
+        assert plain.keys.tolist() == repeated.keys.tolist()
+        assert plain.coords.tolist() == repeated.coords.tolist()
+        for s in (plain, repeated):
+            assert not s.keys.flags.writeable and not s.coords.flags.writeable
+        assert given.flags.writeable and given.tolist() == np.array(elems).tolist()   # the input is not taken
+
+
 def test_coordinates_that_could_wrap_are_rejected():
     for c in (1 << 62, -(1 << 62), 1 << 70):
         with pytest.raises(groups.GroupError):

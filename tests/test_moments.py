@@ -1389,6 +1389,98 @@ def test_four_step_at_2_20_matches_oracle(monkeypatch):
     assert set(seen) == {1 << 20}
 
 
+def recording_mirrors(monkeypatch):
+    """The four-step layouts whose columns `_mirror` fills, one per even inverse."""
+    seen = []
+    real = moments._mirror
+    monkeypatch.setattr(moments, "_mirror", lambda x: seen.append(x.shape) or real(x))
+    return seen
+
+
+def levels_oracle(r):
+    """(levels ascending, counts) of the positive values of a {x: count} dict."""
+    found = sorted(Counter(v for v in r.values() if v).items())
+    return [v for v, _ in found], [c for _, c in found]
+
+
+@pytest.mark.parametrize("g, elems, layout", [
+    (cyclic(1 << 15), random.Random(1).sample(range(1 << 15), 2000), (128, 256)),
+    (cyclic(1 << 16), random.Random(2).sample(range(1 << 16), 3000), (256, 256)),
+    (cyclic(20000), random.Random(3).sample(range(20000), 2000), (256, 256)),   # padded, rolled, folded
+    (lattice(1), random.Random(4).sample(range(-4500, 4500), 600), (128, 256)),  # window of 17,9xx cells
+], ids=["Z2^15", "Z2^16", "Z20000", "Z-window"])
+def test_even_inverse_matches_the_oracle(monkeypatch, g, elems, layout):
+    # A o A of a set at a four-step shape inverts its real power spectrum on
+    # the columns j2 <= n2/2 and mirrors the rest
+    seen = recording_mirrors(monkeypatch)
+    a = GSet(g, elems)
+    ones = {x: 1 for x in a.elems}
+    r = oracle_correlate(g.moduli if g.is_cyclic else None, ones, ones)
+    assert support(correlate(a, a)) == r
+    assert seen == [layout]
+    for k in range(2, 7):
+        assert energy_k(a, k) == sum(v ** k for v in r.values())
+    hist = moments._levels(a)
+    assert (hist.levels.tolist(), hist.counts.tolist()) == levels_oracle(r)
+    assert level_sequence(a) == sorted(r.values(), reverse=True)
+
+
+def interval_energy(n, k):
+    """E_k of an interval of n integers: sum over |d| < n of (n - |d|)^k."""
+    return sum((n - abs(d)) ** k for d in range(1 - n, n))
+
+
+@pytest.mark.parametrize("m, n, step", [(15, 600, 64), (16, 600, 64)])
+def test_even_inverse_meets_closed_forms(monkeypatch, m, n, step):
+    # an interval of n in Z/2^m has E_k = sum_(|d|<n) (n - |d|)^k, a subgroup
+    # H has E_k = |H|^(k+1)
+    seen = recording_mirrors(monkeypatch)
+    interval, subgroup = GSet(cyclic(1 << m), range(n)), GSet(cyclic(1 << m), range(0, 1 << m, step))
+    for k in range(2, 7):
+        assert energy_k(interval, k) == interval_energy(n, k)
+        assert energy_k(subgroup, k) == len(subgroup) ** (k + 1)
+    assert len(seen) == 2
+
+
+@pytest.mark.slow
+def test_even_inverse_meets_closed_forms_at_2_20(monkeypatch):
+    seen = recording_mirrors(monkeypatch)
+    g = cyclic(1 << 20)
+    interval, subgroup = GSet(g, range(5000)), GSet(g, range(0, 1 << 20, 256))
+    for k in range(2, 7):
+        assert energy_k(interval, k) == interval_energy(5000, k)
+        assert energy_k(subgroup, k) == 4096 ** (k + 1)
+    assert seen == [(1024, 1024)] * 2
+
+
+@pytest.mark.parametrize("g, elems", [
+    (cyclic(999), random.Random(5).sample(range(999), 60)),           # x and N - x pair; 0 alone
+    (cyclic(1000), [0, 500] + random.Random(6).sample(range(1, 500), 40)),   # N/2 alone, nonzero
+    (cyclic(1 << 15), [0, 1 << 14] + random.Random(7).sample(range(1, 1 << 14), 1500)),
+    (lattice(1), random.Random(8).sample(range(-300, 300), 50)),      # an odd window: a centre cell
+    (lattice(2), [(0, 0), (1, 2), (3, 1), (-2, 5)]),                  # counted whole
+    (cyclic(4, 6), [(0, 0), (1, 3), (2, 5), (3, 3)]),
+])
+def test_half_histogram_counts_every_entry(g, elems):
+    a = GSet(g, elems)
+    ones = {x: 1 for x in a.elems}
+    r = oracle_correlate(g.moduli if g.is_cyclic else None, ones, ones)
+    hist = moments._levels(a)
+    assert (hist.levels.tolist(), hist.counts.tolist()) == levels_oracle(r)
+    assert hist.total == len(r) == len(setops.diffset(a, a))
+
+
+def test_a_mis_mirrored_even_inverse_breaks_the_mass_identity(monkeypatch):
+    def shifted(x):   # every mirrored column read one column off
+        half = x.shape[1] // 2
+        x[:, half + 1:] = x[::-1, half:1:-1]
+    monkeypatch.setattr(moments, "_mirror", shifted)
+    for n in (1 << 15, 1 << 16):
+        a = GSet(cyclic(n), random.Random(n).sample(range(n), n // 8))
+        with pytest.raises(groups.InvariantError, match="mass identity"):
+            correlate(a, a)
+
+
 def test_four_step_serves_only_long_one_dimensional_shapes(monkeypatch):
     shapes = ((1 << 14,), (1 << 15,), (1 << 20,), (3 << 14,), (128, 256), (1 << 15, 2))
     assert [moments._four_step(s) for s in shapes] == [False, True, True, False, False, False]
@@ -1456,6 +1548,21 @@ def test_off_zero_corruption_trips_every_t_k(n, size):
     for k in (1, 3, 4, 5, 6):
         with pytest.raises(groups.InvariantError, match="cross-check"):
             t_k(a, k)
+
+
+@pytest.mark.parametrize("n", [64, 1 << 16])
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_t_k_moved_past_the_tolerance_trips_the_cross_check(n, k):
+    # |A^|^(2k) is taken as |A^|^2 times itself: a T_k off by 10^-4 of itself
+    # still fails, and the true T_k still passes
+    a = GSet(cyclic(n), random.Random(n + k).sample(range(n), max(16, n // 64)))
+    chain = moments._chain(a).extend(k)
+    good = chain.t[k - 1]
+    chain.t[k - 1] = good + max(1, good // 10 ** 4)
+    with pytest.raises(groups.InvariantError, match="cross-check"):
+        t_k(a, k)
+    chain.t[k - 1] = good
+    assert t_k(a, k) == good
 
 
 def test_t_k_past_the_float_range():
@@ -1549,7 +1656,7 @@ def test_histogram_refuses_wide_and_negative_tables():
     wide = table_of(lattice(1), {(0,): 3 << 70, (2,): 1 << 70}, dtype=object)
     with pytest.raises(TypeError):
         moments._histogram(wide.values())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative"):
         moments._histogram(np.array([0, 2, -1, 2]))
 
 

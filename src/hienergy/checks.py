@@ -214,11 +214,13 @@ def check_c10(a: GSet, k: int, primed: bool = False, caps: Caps = DEFAULT_CAPS) 
     return _res(cid, {**_summary(a), "k": k}, lhs, rhs, ">=", tolerance=REL_TOL)
 
 
-def _tuple_delta_size(y: np.ndarray, last: GSet, x: GSet) -> int:
+def _tuple_delta_size(y: np.ndarray, last: GSet, x: GSet, caps: Caps) -> int:
     """|(Y x L) - Delta(X)| for the tuples of an (n, m, d) block Y: the
     distinct rows (y_1 - x, ..., y_m - x, l - x) of one (n |L|, |X|, (m + 1) d)
-    block over y in Y, l in L and x in X."""
+    block over y in Y, l in L and x in X, refused above the tuple cap first."""
     n, m, d = y.shape
+    if (work := n * len(last) * len(x)) > caps.tuples:
+        raise setops.CapExceededError(f"tuple work {work} exceeds cap {caps.tuples}")
     tuples = np.concatenate([np.repeat(y, len(last), axis=0),
                              np.tile(last.coords, (n, 1))[:, None]], axis=1)
     diffs = as_rows(x.group, (tuples[:, None] - x.coords[None, :, None]).reshape(-1, d))
@@ -250,8 +252,8 @@ def check_c11(sets: dict, variant: str, m: int = 1, caps: Caps = DEFAULT_CAPS) -
         m = len(next(iter(y_tuples), ()))
         y = bounded_rows(x.group, [e for tup in y_tuples for e in tup])
         y = y.reshape(len(y_tuples), m, x.group.dim)
-        lhs = _tuple_delta_size(y, z, x)
-        rhs = _tuple_delta_size(y, x, z)
+        lhs = _tuple_delta_size(y, z, x, caps)
+        rhs = _tuple_delta_size(y, x, z, caps)
         inputs = {"variant": variant, "sizes": [len(y_tuples), len(x), len(z)]}
         return _res("C11", inputs, lhs, rhs, "=")
     else:
@@ -338,15 +340,15 @@ def check_c18(a: GSet, b: GSet, k: int, variant: str = "exact",
               caps: Caps = DEFAULT_CAPS) -> CheckResult:
     inputs = {**_summary(a), **_summary(b, "B"), "k": k, "variant": variant}
     if variant == "exact":
-        bounds = eigen.magnification_lower_bounds(a, b, k, caps)
+        bounds = eigen.magnification_lower_bounds(a, b, k)
         r, _ = setops.magnification_k(a, b, k, caps)
         return _res("C18", inputs, bounds["bound_eig"], float(r), "<=",
                     tolerance=REL_TOL, witness={"R_exact": str(r), **bounds})
     if variant == "sign":
         # (B o B) is symmetric, so Gram(-A, -B) is Gram(A, B) permuted: (-A).coords[i] = -a_p[i]
-        pg = eigen.build_gram(a, b, k, caps)
+        pg = eigen.build_gram(a, b, k)
         p = np.argsort(row_keys(a.group, as_rows(a.group, -a.coords)))
-        neg = eigen.build_gram(a.negate(), b.negate(), k, caps)
+        neg = eigen.build_gram(a.negate(), b.negate(), k)
         lhs = int((neg.gram != pg.gram[p][:, p]).sum())
         return _res("C18", inputs, lhs, 0, "=")
     raise ValueError(f"unknown C18 variant {variant!r}")
@@ -568,7 +570,7 @@ def check_c34(a: GSet, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     A, D = A - A, the popular set P and the eight most popular A- and
     D-slices.  Every candidate is a subset of A or of D, so each base's
     candidates take their energies from one family count
-    (`moments.family_energies`).  Soft: it passes when some candidate has a
+    (`setops.family_energies`).  Soft: it passes when some candidate has a
     finite positive ratio."""
     d = setops.diffset(a, a)
     k_val = len(d) / len(a)
@@ -591,7 +593,7 @@ def check_c34(a: GSet, caps: Caps = DEFAULT_CAPS) -> CheckResult:
         own = [j for j in kept if candidates[j][1] == i]
         if own:
             member = np.array([candidates[j][2] for j in own])
-            energies.update(zip(own, moments.family_energies(base, member)))
+            energies.update(zip(own, setops.family_energies(base, member)))
     best_name, best_ratio, best_size = None, -1.0, 0
     for j in kept:
         denom = sizes[j] ** 3 / (k_val ** (21 / 22) * logk ** (4 / 11))

@@ -17,11 +17,12 @@ from . import groups, moments
 from .genset import multiplicative_order_elements, primitive_root
 from .groups import InvariantError
 from .gset import GSet
-from .setops import CapExceededError, Caps, DEFAULT_CAPS
+from .setops import CapExceededError
 
 INVARIANT_RTOL = 1e-8
 EIG_SLACK = 1e-9
 RESIDUAL_TOL = 1e-8
+GRAM_CAP = 512   # |A| bound of build_gram's pattern Gram
 
 
 # ---------------------------------------------------------------------------
@@ -37,28 +38,27 @@ class PatternGram:
     frobenius_sq: int  # E_(2k+1)(A, B), the exact squared Frobenius norm of gram
 
 
-def build_gram(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> PatternGram:
+def build_gram(a: GSet, b: GSet, k: int) -> PatternGram:
     """Gram(y, y') = |(B-y) n (B-y')|^k = (B o B)(y'-y)^k on A x A, built on
     every call from the kept B o B, its array read-only.
 
-    Validates every diagonal entry = |B|^k and squared Frobenius norm =
-    E_{2k+1}(A, B) at construction.
+    Refuses |A| above GRAM_CAP, and validates every diagonal entry = |B|^k
+    and squared Frobenius norm = E_{2k+1}(A, B) at construction.
     """
     if a.group != b.group:
         raise groups.GroupError("pattern Gram needs sets in one group")
-    if k < 1:
-        raise ValueError("pattern depth k must be >= 1")
+    k = groups.integral_order(k, 1, "a pattern Gram")
     if not a or not b:
         raise ValueError("pattern Gram needs nonempty sets")
-    if len(a) > caps.gram:
-        raise CapExceededError(f"|A| = {len(a)} exceeds Gram cap {caps.gram}")
-    if len(b) ** k >= 1 << 63:   # |B|^k is the largest entry, on the diagonal
-        raise OverflowError(f"Gram entries |B|^k = {len(b) ** k} exceed int64")
+    if len(a) > GRAM_CAP:
+        raise CapExceededError(f"|A| = {len(a)} exceeds Gram cap {GRAM_CAP}")
     return _gram(a, b, k)
 
 
 def _gram(a: GSet, b: GSet, k: int) -> PatternGram:
     n, top = len(a), len(b) ** k
+    if top >= 1 << 63:   # |B|^k is the largest entry, on the diagonal
+        raise OverflowError(f"Gram entries |B|^k = {top} exceed int64")
     diffs = (a.coords[None, :] - a.coords[:, None]).reshape(n * n, -1)   # row i n + j: y_j - y_i
     gram = moments.correlate(b, b).values_at(diffs).reshape(n, n) ** k
     gram.flags.writeable = False
@@ -89,11 +89,10 @@ def singular_spectrum(pg: PatternGram) -> np.ndarray:
     return lam2
 
 
-def magnification_lower_bounds(a: GSet, b: GSet, k: int,
-                               caps: Caps = DEFAULT_CAPS) -> dict[str, float]:
+def magnification_lower_bounds(a: GSet, b: GSet, k: int) -> dict[str, float]:
     """|B|^2k / lambda_1^2 and |B|^2k / sqrt(E_(2k+1)(A,B)); the first
     dominates the second."""
-    pg = build_gram(a, b, k, caps)
+    pg = build_gram(a, b, k)
     lam2 = singular_spectrum(pg)
     bk = float(len(b)) ** (2 * k)
     bound_eig = bk / float(lam2[0])
@@ -144,6 +143,7 @@ def subgroup_eigencheck(gamma: GSet, k: int = 1, base_set: GSet | None = None) -
     G is positive semidefinite with 1_Gamma as an eigenvector, so
     t^2 u^T G u >= (sum u)^2 sum G.
     """
+    k = groups.integral_order(k, 1, "a pattern Gram")
     p, t = multiplicative_order_elements(gamma)
     h = pow(primitive_root(p), (p - 1) // t, p)
     b = gamma if base_set is None else base_set
@@ -152,8 +152,7 @@ def subgroup_eigencheck(gamma: GSet, k: int = 1, base_set: GSet | None = None) -
     table = moments.correlate(b, b).array
     if not np.array_equal(table[h * np.arange(p) % p], table):
         raise ValueError("the kernel is not Gamma-invariant")
-    caps = Caps(gram=t)   # the character loop is dense in t anyway
-    pg = build_gram(gamma, b, k, caps)
+    pg = _gram(gamma, b, k)   # not under GRAM_CAP: the character loop is dense in t anyway
     mat = pg.gram.astype(np.complex128)
     claimed = float(moments.energy_k_pair(gamma, b, k + 1)) / t
 
@@ -170,7 +169,7 @@ def subgroup_eigencheck(gamma: GSet, k: int = 1, base_set: GSet | None = None) -
     max_at_trivial = eigenvalues[0] >= measured_max - 1e-8 * max(1.0, abs(measured_max))
 
     # against Gamma itself at k = 1, mat's own Gram is the Gram of (Gamma, Gamma, 1)
-    gram = (pg if b == gamma and k == 1 else build_gram(gamma, gamma, 1, caps)).gram
+    gram = (pg if b == gamma and k == 1 else _gram(gamma, gamma, 1)).gram
     total = int(gram.sum())
     rng = np.random.default_rng(7)
     draws = np.array([rng.integers(-3, 4, size=t) for _ in range(8)])

@@ -1,4 +1,5 @@
-"""Constructive procedures: popular differences, intersection/robust-core
+"""Constructive procedures: the reports' normalized energy profile
+(`energy_profile`), popular differences, intersection/robust-core
 selection, both structured subset extraction pipelines (the second checks
 its difference-set transfer on sampled shifts), small-T_3 covering,
 almost-period search, and configuration / covering sweeps.
@@ -45,7 +46,7 @@ family of subsets or of shifts be read in one pass, with
   sum_d r_i(d)^2 with r_i(d) the number of pairs (x, y) in B_i x B_i with
   a_x - a_y = d.  Give the |A|^2 differences ids once (`setops.pair_ids`);
   then r_i is one bincount of the ids of row i's pairs, and no B_i needs a
-  set or a correlation of its own (`moments.family_energies`, which C34
+  set or a correlation of its own (`setops.family_energies`, which C34
   reads for every candidate inside A and inside A - A).
 
 * Shared differences.  bsg2's transfer sample at a shift s reads u = x - y
@@ -61,7 +62,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -97,6 +98,23 @@ class ExtractionReport:
 
     def to_json(self) -> str:
         return groups.dumps_json(self.__dict__)
+
+
+def energy_profile(a: GSet, ks: Iterable[int]) -> dict:
+    """Normalized invariants: kappa_k = E_k/|A|^(k+1), delta = |A|/N,
+    K = |A-A|/|A| (the sum of the counts of the set's histogram of A o A),
+    L = |A+A|/|A| (the kept ``setops.sumset(a, a)``)."""
+    if not a:
+        raise ValueError("profile needs a nonempty set")
+    n = len(a)
+    return {
+        "set_id": "",
+        "size": n,
+        "kappa": {str(k): float(moments.energy_k(a, k)) / n ** (k + 1) for k in sorted(map(int, ks))},
+        "delta": n / a.group.order if a.group.is_cyclic else None,
+        "K": moments._levels(a).total / n,
+        "L": len(setops.sumset(a, a)) / n,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +216,7 @@ def bsg_extract(a: GSet, eps: float = 1.0) -> ExtractionReport:
     k_val = float(Fraction(n ** 3, e2))
     e2e = moments.energy_k(a, 2 + eps)
     m_val = float(e2e) * k_val ** (1 + eps) / n ** (3 + eps)
-    rep = ExtractionReport("bsg1", moments.energy_profile(a, (2, 3)), {"eps": eps})
+    rep = ExtractionReport("bsg1", energy_profile(a, (2, 3)), {"eps": eps})
     rep.add_stage("normalize", K=k_val, M=m_val, E2=e2, E2_eps=float(e2e))
 
     g = a.group
@@ -241,7 +259,7 @@ def bsg_extract_v2(a: GSet, eps: float = 1.0, nm: Sequence[tuple[int, int]] = ((
     k_val = float(Fraction(n ** 3, e2))
     e3e = moments.energy_k(a, 3 + eps)
     m_val = float(e3e) * k_val ** (2 + eps) / n ** (4 + eps)
-    rep = ExtractionReport("bsg2", moments.energy_profile(a, (2, 3, 4)),
+    rep = ExtractionReport("bsg2", energy_profile(a, (2, 3, 4)),
                            {"eps": eps, "nm": list(map(list, nm)), "seed": seed})
     rep.add_stage("normalize", K=k_val, M=m_val, E2=e2, E3_eps=float(e3e))
 
@@ -371,7 +389,7 @@ def small_t4_extract(a: GSet) -> ExtractionReport:
     n = len(a)
     g = a.group
     corr = moments.correlate(a, a)
-    profile = moments.energy_profile(a, (2, 3))
+    profile = energy_profile(a, (2, 3))
     k_val = profile["K"]   # |A - A| / |A|
     t3 = moments.t_k(a, 3)
     m_val = float(t3) * k_val ** 2 / n ** 5
@@ -499,7 +517,7 @@ def cs_period_search(a: GSet, b: GSet, k: int, trials: int = 200,
     d_sq = base.square_sum()
     bb, bd = moments.correlate(b, b), moments.correlate(b, base)
     corr = moments.correlate(a, a)   # its support is A - A
-    profile = moments.energy_profile(a, (2,))
+    profile = energy_profile(a, (2,))
     rep = ExtractionReport("cs", profile, {"k": k, "trials": trials, "seed": seed})
 
     # every trial's sequence first: randrange(n) takes the one draw choice over A would

@@ -39,18 +39,6 @@ class SetRecipe:
                 return v
         return default
 
-    def __str__(self) -> str:
-        items = ",".join(f"{k}={_fmt_param(v)}" for k, v in self.params)
-        if self.seed:
-            items = f"{items},seed={self.seed}" if items else f"seed={self.seed}"
-        return f"{self.kind}:{items}" if items else self.kind
-
-
-def _fmt_param(v) -> str:
-    if isinstance(v, (list, tuple)):
-        return ";".join(str(x) for x in v)
-    return str(v)
-
 
 def recipe(kind: str, seed: int = 0, **params) -> SetRecipe:
     return SetRecipe(kind, tuple(sorted(params.items())), seed)

@@ -5,15 +5,17 @@ gset); this module describes the ambient group and parses and formats
 single elements as coordinate tuples, for input and output.  ``zero`` is
 the tuple zero and ``op_add`` the tuple form of the group law, kept for
 callers outside the package.  ``dumps_json`` writes every pretty JSON
-output of the package.  For a cyclic product Z/n_1 x ... x Z/n_d
-coordinates are kept reduced into [0, n_i); for the lattice Z^d they are
-arbitrary integers.  The dual of a cyclic product is identified with the
-group itself through the pairing xi.x = sum_i xi_i x_i / n_i.
+output of the package, and ``integral_order`` reads every integer order k.
+For a cyclic product Z/n_1 x ... x Z/n_d coordinates are kept reduced into
+[0, n_i); for the lattice Z^d they are arbitrary integers.  The dual of a
+cyclic product is identified with the group itself through the pairing
+xi.x = sum_i xi_i x_i / n_i.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
@@ -134,6 +136,16 @@ def parse_elem(g: GroupSpec, text: str) -> Elem:
     if len(coords) != g.dim:
         raise GroupError(f"element {coords!r} has {len(coords)} coordinates, group {g} needs {g.dim}")
     return tuple(c % n for c, n in zip(coords, g.moduli)) if g.is_cyclic else coords
+
+
+def integral_order(k, least: int, name: str) -> int:
+    """k as an int if it is an integer or an integral float of at least
+    `least`, else a ValueError that names it; read before any work."""
+    if isinstance(k, float) and k.is_integer():
+        k = int(k)
+    if not hasattr(k, "__index__") or operator.index(k) < least:   # the integer types alone
+        raise ValueError(f"{name} needs an integer order k >= {least}, got {k!r}")
+    return operator.index(k)
 
 
 def _json_float(x: float) -> str:

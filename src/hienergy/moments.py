@@ -77,7 +77,7 @@ operand, T_1..T_k and sigma_1..sigma_k together cost 2k - 2 real FFTs per set.
 Moment notation used throughout: (f*g)(x) = sum_y f(y) g(x-y) and
 (f o g)(x) = sum_y f(y) g(y+x); E_k(A) = sum_x (A o A)(x)^k; T_k(A) is the
 square sum of the k-fold convolution; sigma_k(A) counts k-tuples summing to
-zero.
+zero.  The engine imports only `groups` and `gset`.
 """
 
 from __future__ import annotations
@@ -89,11 +89,11 @@ import functools
 import itertools
 import math
 import operator
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from . import groups, setops
+from . import groups
 from .groups import Elem, GroupSpec, InvariantError
 from .gset import GSet, zset
 
@@ -611,12 +611,12 @@ def _fft(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None 
     if (ghat := cache.get(shape)) is None:
         ghat = cache[shape] = [_rfft(p, shape) for p in _limbs(ga, gbits, gn[1])]
     if fbits is None and gbits is None and planes == 1:
-        own = same and cache is not spectra   # nothing keeps g's spectrum: the product takes its buffer
+        own = same and spectra is None   # nothing keeps g's spectrum: the product takes its buffer
         gh, ghat, cache = ghat[0], None, None
         if own and corr:   # |gh|^2: real at a four-step shape, else in gh's own buffer
             prod = _power(gh) if _four_step(shape) else _abs_squared(gh)
-        elif same:   # a kept spectrum's square goes to a fresh buffer, in one pass
-            prod = np.multiply(np.conjugate(gh) if corr else gh, gh, out=gh if own else None)
+        elif same:   # a convolution: in gh's own buffer, or a kept spectrum's in a fresh one
+            prod = np.multiply(gh, gh, out=gh if own else None)
         else:
             prod = _rfft(_limbs(fa, None, fn[1])[0], shape)
             np.multiply(np.conjugate(prod, out=prod) if corr else prod, gh, out=prod)
@@ -653,7 +653,8 @@ def _conv(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None
     nnz(f) nnz(g) <= max(2^14, 2 x FFT size), capped at 2^22; else the FFT,
     whose limbs serve every wide product.  Both read the operands' kept
     facts, so no table's nonzeros or norms are derived twice, and check the
-    product's mass identity exactly."""
+    product's mass identity exactly.  spectra (a chain's, kept across its
+    steps) comes with convolutions only, never with a correlation."""
     grp, fa, ga, moduli = tf.group, tf.planes, tg.planes, _moduli(tf)
     (fnnz, fn), (gnnz, gn) = tf.facts(), tg.facts()
     size = math.prod(_shape(fa.shape[1:], ga.shape[1:], moduli))
@@ -936,33 +937,6 @@ def energy_k(a: GSet, k) -> int | float:
     return hist.power_sum(int(k)) if float(k).is_integer() else _moment(hist, k)
 
 
-def family_energies(a: GSet, member: np.ndarray) -> list[int]:
-    """E_2(B_i) for B_i the rows of A that row i of a boolean matrix over the
-    rows of A selects.  A full row reads E_2(A) off the kept A o A.  For the
-    other rows, E_2(B) = sum_d r_B(d)^2 with r_B(d) the number of pairs
-    (x, y) in B x B with a_x - a_y = d, so row i's energy is the square sum
-    of one bincount of the ids (`setops.pair_ids`) of its |B_i|^2 pairs, an
-    exact int of at most |B_i|^3, with A's id matrix built once for the
-    family.  That count serves while |A|^2 and the sum of the rows' |B_i|^2
-    stay within 2^22, the path chosen a priori as `_conv` chooses its own;
-    above that, each row's subset calls `energy_k`, so large sets keep the
-    FFT."""
-    sizes = member.sum(axis=1).tolist()
-    part = [i for i, s in enumerate(sizes) if s < len(a)]
-    found = {}
-    if max(len(a) ** 2, sum(sizes[i] ** 2 for i in part)) > _DIRECT_MAX:
-        found = {i: energy_k(a.subset(member[i]), 2) for i in part}
-    elif part:
-        ids, _ = setops.pair_ids(a, setops.MINUS)
-        for i in part:
-            counts = np.bincount(ids[member[i]][:, member[i]].ravel())
-            found[i] = int(np.dot(counts, counts))
-    whole = None
-    if len(part) < len(sizes):   # E_2(A) = sum (A o A)^2; no histogram is kept
-        whole = correlate(a, a).square_sum()
-    return [found.get(i, whole) for i in range(len(sizes))]
-
-
 def energy_k_pair(a: GSet, b: GSet, k) -> int | float:
     """E_k(A, B) = sum_x (A o A)(x) (B o B)(x)^(k-1), the (k-1)-th moment of
     B o B's values weighted by A o A's, over A o A's support; E_2(A, B) is
@@ -979,8 +953,7 @@ def energy_k_pair(a: GSet, b: GSet, k) -> int | float:
 def t_k(a: GSet, k: int) -> int:
     """T_k(A) = sum_x (A *_(k-1) A)(x)^2, read from the set's kept chain and
     cross-checked on the dual side the first time it is served."""
-    if k < 1:
-        raise ValueError("T_k needs k >= 1")
+    k = groups.integral_order(k, 1, "T_k")
     chain = _chain(a).extend(k)
     result = chain.t[k - 1]
     if a.group.is_cyclic and k not in chain.checked:
@@ -1013,8 +986,7 @@ def sigma_k(a: GSet, k: int) -> int:
     """sigma_k(A) = number of k-tuples of A summing to zero = A^(*k)(0)
     = sum over a in A of A^(*(k-1))(-a): recorded by the set's kept chain up
     to its top level, gathered from the top above it."""
-    if k < 1:
-        raise ValueError("sigma_k needs k >= 1")
+    k = groups.integral_order(k, 1, "sigma_k")
     if k == 1:   # [0 in A]: one search of the set's keys, without the chain
         return int(a.isin(np.zeros((1, a.group.dim), dtype=np.int64))[0])
     chain = _chain(a)
@@ -1124,8 +1096,7 @@ def _quotient_counts(xs: np.ndarray) -> np.ndarray:
 
 def mult_energy_k(a, k: int = 2) -> int:
     """E^x_k(A) = sum over quotients q of r_{A/A}(q)^k, for an integer k >= 2."""
-    if k < 2:
-        raise ValueError("multiplicative energy order must be >= 2")
+    k = groups.integral_order(k, 2, "E^x_k")
     return _histogram(quotient_counts(a)).power_sum(k)
 
 
@@ -1135,24 +1106,3 @@ def prodset_size(a) -> int:
 
 def quotset_size(a) -> int:
     return len(quotient_counts(a))
-
-
-# ---------------------------------------------------------------------------
-# normalized profile
-
-
-def energy_profile(a: GSet, ks: Iterable[int]) -> dict:
-    """Normalized invariants: kappa_k = E_k/|A|^(k+1), delta = |A|/N,
-    K = |A-A|/|A| (the sum of the counts of the set's histogram of A o A),
-    L = |A+A|/|A| (the kept ``setops.sumset(a, a)``)."""
-    if not a:
-        raise ValueError("profile needs a nonempty set")
-    n = len(a)
-    return {
-        "set_id": "",
-        "size": n,
-        "kappa": {str(k): float(energy_k(a, k)) / n ** (k + 1) for k in sorted(map(int, ks))},
-        "delta": n / a.group.order if a.group.is_cyclic else None,
-        "K": _levels(a).total / n,
-        "L": len(setops.sumset(a, a)) / n,
-    }

@@ -14,6 +14,11 @@ with an in-place sort and a neighbour comparison, which needs no hash table;
 `basis_depth_test` marks them in a table of the whole tuple space.  D_k and
 S_k are the counts when all A_i = C; the rows themselves are the id sets of
 the magnification search.
+A family of subsets B_i of one set A takes its sumset sizes |B_i -+ C_j|
+and its energies E_2(B_i) from one id per difference a_x -+ a_y
+(`pair_ids`): `family_sumset_sizes` counts distinct ids, `family_energies`
+squares their bincounts, and reads the engine (`moments`) for a whole row
+or past 2^22 pairs.
 A + A, A - A, the counts D_k and S_k and the ratios R^(k)_B[A] are kept on
 the set (see the gset module), each behind its cap checks: `_check_work`
 bounds the grid's size before any lookup or build.
@@ -28,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import groups
+from . import groups, moments
 from .groups import Elem
 from .gset import GSet, _firsts, _require_same_group, bounded_rows, row_keys, sum_rows
 
@@ -44,7 +49,6 @@ class CapExceededError(RuntimeError):
 class Caps:
     tuples: int = 10_000_000       # materialized tuple work bound
     subsets: int = 20              # magnification exhaustive |A| bound
-    gram: int = 512                # pattern Gram side bound
 
 DEFAULT_CAPS = Caps()
 
@@ -80,7 +84,7 @@ def iterated(a: GSet, n: int, m: int) -> GSet:
     return acc
 
 
-_BLOCK = 1 << 22   # entries of one block of translated rows or packed keys
+_BLOCK = 1 << 22   # entries of one block of translated rows or packed keys; family_energies' pair budget
 
 
 def slice_masks(a: GSet, shifts) -> np.ndarray:
@@ -157,6 +161,33 @@ def distinct_counts(rows: np.ndarray, ids: np.ndarray, count: int, width: int) -
         return seen.reshape(count, width).sum(axis=1)
     keys.sort()
     return np.bincount(keys[np.diff(keys, prepend=-1) != 0] // width, minlength=count)
+
+
+def family_energies(a: GSet, member: np.ndarray) -> list[int]:
+    """E_2(B_i) for B_i the rows of A that row i of a boolean matrix over the
+    rows of A selects.  A full row reads E_2(A) off the kept A o A.  For the
+    other rows, E_2(B) = sum_d r_B(d)^2 with r_B(d) the number of pairs
+    (x, y) in B x B with a_x - a_y = d, so row i's energy is the square sum
+    of one bincount of the ids (`pair_ids`) of its |B_i|^2 pairs, an
+    exact int of at most |B_i|^3, with A's id matrix built once for the
+    family.  That count serves while |A|^2 and the sum of the rows' |B_i|^2
+    stay within 2^22, the path chosen a priori as `moments._conv` chooses its
+    own; above that, each row's subset calls `moments.energy_k`, so large
+    sets keep the FFT."""
+    sizes = member.sum(axis=1).tolist()
+    part = [i for i, s in enumerate(sizes) if s < len(a)]
+    found = {}
+    if max(len(a) ** 2, sum(sizes[i] ** 2 for i in part)) > _BLOCK:
+        found = {i: moments.energy_k(a.subset(member[i]), 2) for i in part}
+    elif part:
+        ids, _ = pair_ids(a, MINUS)
+        for i in part:
+            counts = np.bincount(ids[member[i]][:, member[i]].ravel())
+            found[i] = int(np.dot(counts, counts))
+    whole = None
+    if len(part) < len(sizes):   # E_2(A) = sum (A o A)^2; no histogram is kept
+        whole = moments.correlate(a, a).square_sum()
+    return [found.get(i, whole) for i in range(len(sizes))]
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +282,7 @@ def s_k(a: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> int:
 
 
 def _delta_count(a: GSet, k: int, sign: str, caps: Caps) -> int:
-    if k < 1:
-        raise ValueError("D_k and S_k need k >= 1")
+    k = groups.integral_order(k, 1, "D_k" if sign == MINUS else "S_k")
     _check_work([a] * k, a, caps)
     return a.kept(("D" if sign == MINUS else "S", k),
                   lambda: delta_sumset([a] * k, a, sign, caps))
@@ -332,8 +362,7 @@ def magnification_k(a: GSet, b: GSet, k: int, caps: Caps = DEFAULT_CAPS) -> tupl
     """R^(k)_B[A] = min over nonempty Z <= A of |B^k + Delta(Z)| / |Z|,
     with a witness Z; kept on A per (B, k)."""
     _require_same_group(a, b)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = groups.integral_order(k, 1, "R^(k)_B[A]")
     if not a or not b:
         raise ValueError("magnification needs nonempty sets")
     if len(a) > caps.subsets:

@@ -291,6 +291,22 @@ def test_companion_sets_are_pinned():
     assert h.hexdigest() == "6ab66b465f9dfc11565bea3ddf7405bf0b512650b6e9d8ed7bcc6c2d6e6d342f"
 
 
+def test_c11_eq_tuples_is_refused_above_the_tuple_cap(monkeypatch):
+    # each side materializes |Y| |L| |X| tuple rows, refused before any is built
+    g = cyclic(13)
+    x, z = GSet(g, range(5)), GSet(g, range(3))
+    sets = {"Yt": [(i, j) for i in range(4) for j in range(2)], "X": x, "Z": z}   # 8 x 3 x 5 rows
+    assert run_check("C11", {"sets": sets, "variant": "eq_tuples"}, setops.Caps(tuples=120)).passed
+    monkeypatch.setattr(checks, "as_rows", lambda *args: pytest.fail("a tuple block was built"))
+    with pytest.raises(setops.CapExceededError, match="tuple work 120 exceeds cap 119"):
+        run_check("C11", {"sets": sets, "variant": "eq_tuples"}, setops.Caps(tuples=119))
+    # 160 x 256 x 256 = 10,485,760 rows, past the default 10^7
+    full = full_group(cyclic(256))
+    with pytest.raises(setops.CapExceededError, match="tuple work 10485760"):
+        run_check("C11", {"sets": {"Yt": [(i,) for i in range(160)], "X": full, "Z": full},
+                          "variant": "eq_tuples"})
+
+
 def test_c11_eq_tuples_matches_oracle():
     # |(Y x Z) - Delta(X)| = |(Y x X) - Delta(Z)| counted on int64 blocks, against
     # the oracle's explicit tuple sets: Y a product of sets, then any tuple set

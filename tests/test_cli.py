@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -419,3 +421,21 @@ def test_module_entry_point_runs_the_cli():
                           "--recipe", "interval:n=5"], capture_output=True, text=True, env=env,
                          timeout=120)
     assert (run.returncode, run.stdout.strip()) == (0, "E_2(A) = 85")
+
+
+def test_caps_fields_are_exactly_the_cap_flags():
+    # a field of Caps is a bound the CLI sets: one --cap-* flag each, on every
+    # command that takes one, and no flag without a field
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    fields = {f"--cap-{f.name}" for f in dataclasses.fields(setops.Caps)}
+    capped = {name: {o for a in p._actions for o in a.option_strings if o.startswith("--cap-")}
+              for name, p in sub.choices.items()}
+    assert capped == {"compute": fields, "gen": set(), "verify": fields, "extract": set(),
+                      "suite": fields}
+
+
+def test_c25_on_a_subgroup_above_the_gram_cap(capsys):
+    # t = 600 > eigen.GRAM_CAP: the character matrix is dense in t, so the
+    # subgroup's own Gram is not under the cap
+    code, out, _ = run_cli(capsys, "verify", "--subgroup", "1201,600", "--checks", "C25")
+    assert code == 0 and out == "check_id,instances,failures,max_ratio\nC25,1,0,1.0\n"

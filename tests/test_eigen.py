@@ -233,14 +233,14 @@ def test_subgroup_eigencheck_without_a_base_set_takes_gamma():
 def test_connected_forms_are_decided_in_integers(monkeypatch):
     # a Gram that is not positive semidefinite fails the exact comparison
     gamma = genset.mult_subgroup(31, 5)
-    real = eigen.build_gram
+    real = eigen._gram
 
-    def negated(a, b, k, caps):
-        pg = real(a, b, k, caps)
+    def negated(a, b, k):
+        pg = real(a, b, k)
         return eigen.PatternGram(pg.k, pg.b_size, -pg.gram, pg.frobenius_sq)
 
     assert subgroup_eigencheck(gamma).connected_ok
-    monkeypatch.setattr(eigen, "build_gram", negated)
+    monkeypatch.setattr(eigen, "_gram", negated)
     assert not subgroup_eigencheck(gamma).connected_ok
 
 

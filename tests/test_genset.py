@@ -82,9 +82,12 @@ def test_interval_and_ap():
 
 
 def test_recipe_literal_round_trip():
-    for text in ["qr:p=13", "subgroup:p=13,t=3", "random:N=256,delta=0.1,seed=7"]:
-        r = parse_recipe(text)
-        assert gen(parse_recipe(str(r))) == gen(r)
+    for text, built in [("qr:p=13", recipe("qr", p=13)),
+                        ("subgroup:p=13,t=3", recipe("subgroup", t=3, p=13)),
+                        ("random:N=256,delta=0.1,seed=7", recipe("random", seed=7, N=256, delta=0.1)),
+                        ("ap:base=0,gens=3;5,lens=4;2", recipe("ap", base=0, gens=(3, 5), lens=(4, 2)))]:
+        assert parse_recipe(text) == built
+        assert gen(parse_recipe(text)) == gen(built)
     with pytest.raises(RecipeError):
         gen(parse_recipe("warp:x=1"))
 

@@ -5,7 +5,9 @@ and a build that raises keeps nothing.  A Gram is kept nowhere: each call
 builds its own, equal to the oracle's."""
 
 import gc
+import math
 import random
+import re
 import types
 import weakref
 from collections import Counter
@@ -16,7 +18,7 @@ import pytest
 import oracles
 from hienergy import checks, eigen, extract, genset, moments, setops, spectrum
 from hienergy.groups import InvariantError, cyclic, lattice
-from hienergy.gset import GSet
+from hienergy.gset import GSet, zset
 from hienergy.setops import CapExceededError, Caps
 
 GROUPS = (cyclic(13), cyclic(4, 8), lattice(1), lattice(2))
@@ -130,23 +132,24 @@ def test_second_call_builds_nothing(monkeypatch):
         moments.energy_k(a, 3)
         moments.energy_k(a, 2.5)
         moments.level_sequence(a)
-        moments.energy_profile(a, (2, 3, 4))
+        extract.energy_profile(a, (2, 3, 4))
         assert counts == built   # |A + A| is the kept A + A
         counts.clear()
 
 
-def test_kept_values_still_refused_under_smaller_caps():
+def test_kept_values_still_refused_under_smaller_caps(monkeypatch):
     a, b = GSet(cyclic(64), range(0, 36, 3)), GSet(cyclic(64), [0, 5, 9])
     d2, s2 = setops.d_k(a, 2), setops.s_k(a, 2)
     r = setops.magnification_k(a, b, 2)
     pg = eigen.build_gram(a, b, 1)
-    small = Caps(tuples=100, subsets=4, gram=3)
+    small = Caps(tuples=100, subsets=4)
+    monkeypatch.setattr(eigen, "GRAM_CAP", 3)
     # one cap below the work each, the others at their defaults, as the
     # CLI's --cap-tuples and --cap-subsets build them
     for call in (lambda: setops.d_k(a, 2, small), lambda: setops.s_k(a, 2, small),
                  lambda: setops.magnification_k(a, b, 2, small),
                  lambda: setops.magnification_k(a, b, 2, Caps(tuples=100)),
-                 lambda: eigen.build_gram(a, b, 1, small),
+                 lambda: eigen.build_gram(a, b, 1),
                  lambda: setops.d_k(a, 2, Caps(tuples=100)),
                  lambda: setops.s_k(a, 2, Caps(tuples=100)),
                  lambda: setops.magnification(a, b, Caps(subsets=4))):
@@ -154,6 +157,7 @@ def test_kept_values_still_refused_under_smaller_caps():
             call()
     assert (setops.d_k(a, 2), setops.s_k(a, 2)) == (d2, s2)
     assert setops.magnification_k(a, b, 2) is r
+    monkeypatch.undo()
     assert eigen.build_gram(a, b, 1).gram.tolist() == pg.gram.tolist() == gram_oracle(
         (64,), set(a.elems), set(b.elems), 1)
 
@@ -361,3 +365,34 @@ def test_caps_are_frozen():
     with pytest.raises(AttributeError):
         setops.DEFAULT_CAPS.subsets = 4
     assert caps == Caps(tuples=100) and setops.DEFAULT_CAPS == Caps()
+
+
+# Each reader of an integer-only order: its least order and a call on fresh
+# sets A, B (integer sets, 0 not in A) and a subgroup Gamma.
+ORDERED = {
+    "t_k": (1, lambda a, b, gamma, k: moments.t_k(a, k)),
+    "sigma_k": (1, lambda a, b, gamma, k: moments.sigma_k(a, k)),
+    "mult_energy_k": (2, lambda a, b, gamma, k: moments.mult_energy_k(a, k)),
+    "d_k": (1, lambda a, b, gamma, k: setops.d_k(a, k)),
+    "s_k": (1, lambda a, b, gamma, k: setops.s_k(a, k)),
+    "magnification_k": (1, lambda a, b, gamma, k: setops.magnification_k(a, b, k)),
+    "build_gram": (1, lambda a, b, gamma, k: eigen.build_gram(a, b, k).gram.tolist()),
+    "subgroup_eigencheck": (1, lambda a, b, gamma, k: eigen.subgroup_eigencheck(gamma, k)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDERED))
+def test_orders_are_checked_before_any_work(name, monkeypatch):
+    least, call = ORDERED[name]
+    fresh = lambda: (zset([1, 2, 5, 7, 8]), zset([1, 3, 4]), genset.mult_subgroup(13, 4))
+    for k in (least - 1, least - 0.5, least + 0.5, 2.5, "2", None, math.nan, math.inf):
+        counts = counting(monkeypatch)
+        sets = fresh()
+        with pytest.raises(ValueError, match=re.escape(f"got {k!r}")):
+            call(*sets, k)
+        assert not counts and not any(s._kept for s in sets), k   # no chain level, no table
+        monkeypatch.undo()
+    # an integral float is its int: the same value, an int64 Gram
+    for k in (least, least + 1):
+        assert call(*fresh(), float(k)) == call(*fresh(), k)
+    assert eigen.build_gram(zset([1, 2]), zset([1, 3]), 2.0).gram.dtype == np.int64

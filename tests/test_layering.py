@@ -15,7 +15,9 @@ is read through its methods: no module reads its planes, `_flat()` or
 plain int64 Gram.  Every integer matrix product
 runs through `moments._exact_product`, on its caller's a priori bound.
 Pretty JSON is written by one writer, `groups.dumps_json`: no module
-indents JSON through the stdlib."""
+indents JSON through the stdlib.  Each module imports only the layers below
+it, groups < gset < moments < genset < setops < spectrum < eigen < extract
+< checks < cli: the engine stands below the set algebra that reads it."""
 
 import ast
 from pathlib import Path
@@ -172,7 +174,7 @@ def test_default_caps_guard_sees_each_form(tmp_path):
 
 
 PLANE_ONLY = ("_direct", "_fft", "_limbs", "_norms", "_checked", "_total", "_Chain",
-              "_square_sum", "_histogram", "_moment", "energy_k_pair", "energy_profile")
+              "_square_sum", "_histogram", "_moment", "energy_k_pair")
 GRAM_ONLY = ("_gram",)   # eigen's Gram: int64 entries below 2^63, checked without Python ints
 
 
@@ -560,8 +562,8 @@ def matmul_uses(path: Path) -> list[str]:
     """`module.top form` for every `@`, `@=`, `np.matmul`/`numpy.matmul` and
     name `matmul` imports from numpy (aliases included) in a module, by the
     top-level definition it sits in.  The int64 1-D `np.dot` reductions of
-    `moments` (`_square_sum`, `_power_dot`, `family_energies`) are no matrix
-    product: each is bounded on its own, in its docstring."""
+    `moments` (`_square_sum`, `_power_dot`) and `setops.family_energies` are
+    no matrix product: each is bounded on its own, in its docstring."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {a.asname or a.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module == "numpy"
@@ -600,3 +602,58 @@ def test_matmul_guard_sees_each_form(tmp_path):
     assert sorted(matmul_uses(bad)) == [
         "extract.Report matmul", "extract.Report matmul", "extract.robust_core @",
         "extract.robust_core @", "extract.robust_core np.matmul", "extract.robust_core np.matmul"]
+
+
+# The package's modules, lowest first: each imports only modules before it.
+LAYERS = ("groups", "gset", "moments", "genset", "setops", "spectrum", "eigen", "extract",
+          "checks", "cli")
+
+
+def package_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, module) for every module of the package that a module imports,
+    at the top or inside a function: `from . import x`, `from .x import y`,
+    and the same through `hienergy`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            if base in (".", "hienergy"):
+                found += [(node.lineno, a.name) for a in node.names]
+            elif base.startswith((".", "hienergy.")):
+                found.append((node.lineno, base.lstrip(".").removeprefix("hienergy.").split(".")[0]))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, a.name.split(".")[1]) for a in node.names
+                      if a.name.startswith("hienergy.")]
+    return found
+
+
+def upward_imports(path: Path) -> list[str]:
+    """Every import of a module of the package that is not below this one."""
+    below = LAYERS[:LAYERS.index(path.stem)]
+    return [f"{path.name}:{line} imports {name}" for line, name in package_imports(path)
+            if name not in below]
+
+
+def test_modules_import_only_the_layers_below():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name not in ("__init__.py", "__main__.py"))
+    assert sorted(p.stem for p in modules) == sorted(LAYERS)   # every module has its layer
+    assert [use for p in modules for use in upward_imports(p)] == []
+    # the guard reads the edge it orders: set algebra reads the engine
+    assert "moments" in {name for _, name in package_imports(SRC / "setops.py")}
+
+
+def test_layer_guard_sees_each_form(tmp_path):
+    bad = tmp_path / "moments.py"
+    bad.write_text("from . import groups, setops\n"
+                   "from .gset import GSet\n"
+                   "from .checks import run_check\n"
+                   "import hienergy.cli\n"
+                   "from hienergy import extract\n"
+                   "def f():\n"
+                   "    from .eigen import build_gram\n"
+                   "    from hienergy.moments import t_k\n"
+                   "import numpy.fft\n"
+                   "from numpy import linalg\n")
+    assert upward_imports(bad) == ["moments.py:1 imports setops", "moments.py:3 imports checks",
+                                   "moments.py:4 imports cli", "moments.py:5 imports extract",
+                                   "moments.py:7 imports eigen", "moments.py:8 imports moments"]

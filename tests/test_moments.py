@@ -15,9 +15,10 @@ import oracles
 from hienergy import extract, groups, moments, setops
 from hienergy.groups import cyclic, lattice
 from hienergy.gset import GSet, full_group, zset
+from hienergy.extract import energy_profile
 from hienergy.moments import (ConvTable, convolve, correlate, energy_k,
-                              energy_k_pair, energy_profile, level_sequence,
-                              mult_energy_k, prodset_size, quotset_size, sigma_k, t_k)
+                              energy_k_pair, level_sequence, mult_energy_k,
+                              prodset_size, quotset_size, sigma_k, t_k)
 
 
 def value(table, x):
@@ -974,7 +975,7 @@ def test_family_energies_pick_the_path_by_the_pair_budget(monkeypatch):
     # pair budget (patched down to 20^2), energy_k of each partial row past either; a
     # full row reads E_2(A) off the kept A o A on both sides, and a family of full rows
     # alone builds no ids
-    monkeypatch.setattr(moments, "_DIRECT_MAX", 400)
+    monkeypatch.setattr(setops, "_BLOCK", 400)
     builds, subsets = [], []
     real_ids, real_energy = setops.pair_ids, moments.energy_k
     monkeypatch.setattr(setops, "pair_ids", lambda a, sign: builds.append(len(a)) or real_ids(a, sign))
@@ -990,7 +991,7 @@ def test_family_energies_pick_the_path_by_the_pair_budget(monkeypatch):
             subsets.clear()
             mods = g.moduli if g.is_cyclic else None
             want = [oracles.oracle_energy_k(mods, set(a.subset(row).elems), 2) for row in member]
-            assert moments.family_energies(a, member) == want
+            assert setops.family_energies(a, member) == want
             assert builds == ([n] if counted else [])
             assert subsets == ([] if counted else sizes)
 

@@ -233,8 +233,8 @@ def test_family_energies_match_the_oracle():
             member = np.array(rows, dtype=bool).reshape(len(rows), size)
             want = [oracles.oracle_energy_k(mods, set(a.subset(row).elems), 2) for row in member]
             assert want[4:7] == [0, 1, oracles.oracle_energy_k(mods, set(a.elems), 2)]
-            assert moments.family_energies(a, member) == want
-    assert moments.family_energies(GSet(cyclic(8), []), np.zeros((2, 0), dtype=bool)) == [0, 0]
+            assert setops.family_energies(a, member) == want
+    assert setops.family_energies(GSet(cyclic(8), []), np.zeros((2, 0), dtype=bool)) == [0, 0]
 
 
 def test_slice_family_blocks_give_the_unblocked_results(monkeypatch):

@@ -33,7 +33,9 @@ J. Supercomputing 4, 1990): n1 = 2^floor(m/2) rows of n2 points, a real
 FFT down the rows, a twiddle multiply w^(k1 j2) from two tables of whole
 rows per length, and an FFT along them; its bound counts the m butterfly
 levels and the two twiddle multiplies.
-Smaller and multi-dimensional shapes use numpy's rfftn/irfftn.  A
+Smaller one-dimensional shapes call numpy's rfft/irfft, the routine that
+rfftn/irfftn run on one axis, bit for bit the same without its wrapper;
+multi-dimensional shapes use rfftn/irfftn.  A
 correlation is the same call: the direct path subtracts indices, the FFT
 conjugates f's spectrum.  A self-product (f is g) transforms each limb
 once, and a chain of convolution powers its base once per FFT shape.  A
@@ -53,8 +55,10 @@ spectrum and the inverse's output).  A table's nonzero count and norms
 are its facts, derived once per table (a set's table is born with them)
 and read by every engine call it enters; each call checks the product's
 mass identity sum(f*g) = sum(f) sum(g) exactly, on either path, and
-besides that only T_k's cross-check is validated after the fact.  The limb
-thresholds are planned once per transform size.  A o A of a GSet is built
+besides that only T_k's cross-check is validated after the fact.  A
+one-plane product of nonnegative operands takes that checked mass as its
+|x|_1 and sum, so its facts read only its nonzero count and maximum.  The
+limb thresholds are planned once per transform size.  A o A of a GSet is built
 once and kept on the set (see the gset module), read-only, and so is the
 histogram of its values, from bincounts of blocks shifted by their
 minima, over half the table doubled in one dimension, with its count total
@@ -122,19 +126,22 @@ class ConvTable:
     product's window is the linear product's, tight for nonnegative operands.
 
     ``facts()`` are the table's nonzero count and norms, derived from the
-    planes at most once; the planes are not written after construction.
+    planes, or a one-plane product's checked mass, at most once; the planes
+    are not written after construction.
     """
 
-    __slots__ = ("group", "offset", "planes", "_ints", "_facts")
+    __slots__ = ("group", "offset", "planes", "_ints", "_facts", "_mass")
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def of_planes(cls, group: GroupSpec, planes: np.ndarray, offset: tuple[int, ...] | None = None,
-                  facts: tuple[int, tuple[int, int, int]] | None = None) -> "ConvTable":
-        """The table of planes as they are, no copy, with its facts where known."""
+                  facts: tuple[int, tuple[int, int, int]] | None = None,
+                  mass: int | None = None) -> "ConvTable":
+        """The table of planes as they are, no copy, with its facts, or the
+        mass of one nonnegative plane, where known."""
         t = cls()
-        t.group, t.planes, t._ints, t._facts = group, planes, None, facts
+        t.group, t.planes, t._ints, t._facts, t._mass = group, planes, None, facts, mass
         t.offset = offset if offset is not None else (0,) * group.dim
         return t
 
@@ -156,9 +163,13 @@ class ConvTable:
 
     def facts(self) -> tuple[int, tuple[int, int, int]]:
         """(nonzero count, (|x|_1, |x|_inf, sum x) as `_norms` gives them),
-        derived from the planes on the first read and kept."""
+        derived from the planes on the first read and kept.  A table born
+        with its mass (one nonnegative plane) takes it as |x|_1 and sum x and
+        reads only its nonzero count and maximum, skipping _norms' min and sum."""
         if self._facts is None:
-            self._facts = int(np.count_nonzero(_support(self.planes))), _norms(self.planes)
+            x, mass = self.planes, self._mass
+            norms = _norms(x) if mass is None else (mass, int(np.max(x)), mass)
+            self._facts = int(np.count_nonzero(_support(x))), norms
         return self._facts
 
     # -- access -------------------------------------------------------
@@ -508,8 +519,12 @@ def _rfft(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     multiplies by w^(k1 j2) and transforms along them (Bailey, J.
     Supercomputing 4, 1990): c[k1, k2] = X[k1 + n1 k2] for k1 <= n1/2, every
     frequency up to conjugation, with bins k1 = 1..n1/2 - 1 standing for
-    their partners too.  Other shapes give numpy's rfftn layout."""
+    their partners too.  Other shapes give numpy's rfftn layout: one axis by
+    rfftn's own 1-D routine, bit for bit, without its wrapper (about 1.5 us
+    a call at 1,024 points); more axes by rfftn."""
     if not _four_step(shape):
+        if len(shape) == 1:
+            return np.fft.rfft(x, shape[0])
         return np.fft.rfftn(x, shape, tuple(range(len(shape))))
     n1, hi, lo = _twiddles(shape[0])
     n2 = shape[0] // n1
@@ -530,8 +545,12 @@ def _irfft(c: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     n2/2 + 1 columns and inverted down the columns, rounds them into an
     int64 table, fills in the rest by `_mirror` and returns that table.
     Those columns run the same m butterfly levels and two twiddle
-    multiplies as the complex inverse, so _percival's bound holds as it is."""
+    multiplies as the complex inverse, so _percival's bound holds as it is.
+    Other shapes invert numpy's rfftn layout, one axis by irfftn's own 1-D
+    routine, more by irfftn."""
     if not _four_step(shape):
+        if len(shape) == 1:
+            return np.fft.irfft(c, shape[0])
         return np.fft.irfftn(c, shape, tuple(range(len(shape))))
     n1, hi, lo = _twiddles(shape[0])
     n2 = shape[0] // n1
@@ -653,18 +672,22 @@ def _conv(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None
     nnz(f) nnz(g) <= max(2^14, 2 x FFT size), capped at 2^22; else the FFT,
     whose limbs serve every wide product.  Both read the operands' kept
     facts, so no table's nonzeros or norms are derived twice, and check the
-    product's mass identity exactly.  spectra (a chain's, kept across its
-    steps) comes with convolutions only, never with a correlation."""
+    product's mass identity exactly.  A one-plane product of nonnegative
+    operands (|x|_1 = sum x in their facts) is born with that checked mass
+    as its |x|_1 and sum; a product of an empty operand, the zeros `_direct`
+    returns unchecked, is not.  spectra (a chain's, kept across its steps)
+    comes with convolutions only, never with a correlation."""
     grp, fa, ga, moduli = tf.group, tf.planes, tg.planes, _moduli(tf)
     (fnnz, fn), (gnnz, gn) = tf.facts(), tg.facts()
     size = math.prod(_shape(fa.shape[1:], ga.shape[1:], moduli))
     direct = _count(fn, gn) == 1 and fnnz * gnnz <= min(_DIRECT_MAX, max(_DIRECT_MIN, 2 * size))
     out = _direct(tf, tg, corr) if direct else _fft(tf, tg, corr, spectra)
-    if moduli:
-        return ConvTable.of_planes(grp, out)
+    nonnegative = len(out) == 1 and fn[0] == fn[2] and gn[0] == gn[2]
+    mass = fn[2] * gn[2] if nonnegative and fnnz and gnnz else None
     # a correlation's lags start at g's offset minus the far corner of f's window
-    off = tuple(b - a - s + 1 if corr else a + b for a, b, s in zip(tf.offset, tg.offset, fa.shape[1:]))
-    return ConvTable.of_planes(grp, out, off)
+    off = None if moduli else tuple(b - a - s + 1 if corr else a + b
+                                    for a, b, s in zip(tf.offset, tg.offset, fa.shape[1:]))
+    return ConvTable.of_planes(grp, out, off, mass=mass)
 
 
 def convolve(f, g, *, corr: bool = False) -> ConvTable:

@@ -32,6 +32,32 @@ def test_as_rows_reduces_only_out_of_range_rows():
         assert out.tolist() == [[c % n for c, n in zip(bad[0], g.moduli)]]
 
 
+def test_flat_lists_read_as_asarray_reads_them(monkeypatch):
+    # a list that starts with a Python int takes one np.fromiter, with
+    # np.asarray's values and errors; rows and other lists take np.asarray
+    read = []
+    real = np.fromiter
+    monkeypatch.setattr(np, "fromiter", lambda *args: read.append(args[0]) or real(*args))
+    z, z7 = lattice(1), cyclic(7)
+    for elems, fromiter in (([5, -3, 1 << 62, -(1 << 62) + 1], True), ([True, False, True], True),
+                            ([4, np.int64(9), 2.5, "6"], True), ([2.7, -1.5, 3.0], False),
+                            (["12", " -4 ", "0"], False), ([], False)):
+        want = np.asarray(elems, dtype=np.int64).reshape(-1, 1)
+        read.clear()
+        got = as_rows(z, elems)
+        assert got.dtype == np.int64 and np.array_equal(got, want) and read == [elems] * fromiter, elems
+        assert np.array_equal(as_rows(z7, elems), want % 7)
+    for bad in ([1 << 63], [3, None], [None], [1, "x"], [1, float("nan")], [1, (2,)]):
+        with pytest.raises(groups.GroupError, match="integer coordinates"):
+            as_rows(z, bad)
+        with pytest.raises((OverflowError, TypeError, ValueError)):
+            np.asarray(bad, dtype=np.int64)
+    rows = [(1, 2), [3, -4], np.array([5, 6])]
+    read.clear()
+    assert as_rows(lattice(2), rows).tolist() == [[1, 2], [3, -4], [5, 6]] and read == []
+    assert as_rows(z, [[7], [8]]).tolist() == [[7], [8]]
+
+
 def test_sum_rows_match_as_rows_on_reduced_rows():
     # sums and differences of reduced rows, outer (x_i -+ y_j at row i len(y) + j) and
     # paired, reduce as as_rows reduces them, extremes 0 and m - 1 included; a lattice

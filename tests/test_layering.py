@@ -9,7 +9,8 @@ and the chain compute on int64 planes: none of them builds a Python-int
 caller in another part of it, bar a short allow-list with reasons, and no
 module imports a name it never reads.  The float FFT runs only in the
 engine's transforms and a set's kept spectrum (`spectrum._dft`).  A table's nonzero count and norms are derived in one place,
-`ConvTable.facts`, at most once per table, and outside `moments` a table
+`ConvTable.facts`, at most once per table (a product's checked mass is
+read there alone), and outside `moments` a table
 is read through its methods: no module reads its planes, `_flat()` or
 `facts()`, and `moments._square_sum` is named only by `eigen._gram`, on its
 plain int64 Gram.  Every integer matrix product
@@ -234,15 +235,20 @@ FACT_HOME = "ConvTable.facts"   # where a table's nonzero count and norms are fi
 
 
 def fact_derivations(path: Path) -> list[str]:
-    """Every call of `_norms` or `count_nonzero` in a module, as
-    `where:line name`, where is the top-level function or `Class.method` it
-    sits in (a nested function or lambda counts as its owner's)."""
+    """Every call of `_norms` or `count_nonzero` and every read of a
+    table's checked `._mass` in a module, as `where:line name`, where is the
+    top-level function or `Class.method` it sits in (a nested function or
+    lambda counts as its owner's).  Storing a mass, as a product's
+    constructor does, derives nothing."""
     found = []
     for top in ast.parse(path.read_text(encoding="utf-8")).body:
         owners = ([(f"{top.name}.{m.name}", m) for m in top.body if isinstance(m, ast.FunctionDef)]
                   if isinstance(top, ast.ClassDef) else [(getattr(top, "name", "<module>"), top)])
         for where, owner in owners:
             for node in ast.walk(owner):
+                if (isinstance(node, ast.Attribute) and node.attr == "_mass"
+                        and isinstance(node.ctx, ast.Load)):
+                    found.append(f"{where}:{node.lineno} _mass")
                 if not isinstance(node, ast.Call):
                     continue
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
@@ -254,8 +260,8 @@ def fact_derivations(path: Path) -> list[str]:
 def test_table_facts_are_derived_in_one_place():
     uses = fact_derivations(SRC / "moments.py")
     assert [use for use in uses if not use.startswith(FACT_HOME + ":")] == []
-    # the guard reads the one home: a nonzero count and the norms
-    assert sorted(use.rsplit(" ", 1)[1] for use in uses) == ["_norms", "count_nonzero"]
+    # the guard reads the one home: a nonzero count, and the norms or the checked mass
+    assert sorted(use.rsplit(" ", 1)[1] for use in uses) == ["_mass", "_norms", "count_nonzero"]
 
 
 def test_fact_guard_sees_each_form(tmp_path):
@@ -271,10 +277,14 @@ def test_fact_guard_sees_each_form(tmp_path):
                    "def _conv(tf, tg):\n"
                    "    nz = lambda t: count_nonzero(_support(t.planes))\n"
                    "    return moments._norms(tg.planes), nz(tf)\n"
+                   "def _square_sum(t):\n"
+                   "    t._mass = 5\n"
+                   "    return t._mass, (lambda: tf._mass)()\n"
                    "ok = np.flatnonzero(x)\n")
-    assert fact_derivations(bad) == [
+    assert sorted(fact_derivations(bad)) == sorted([
         "ConvTable.facts:3 count_nonzero", "ConvTable.facts:3 _norms", "ConvTable.square_sum:5 _norms",
-        "_fft:7 _norms", "_fft:8 count_nonzero", "_conv:10 count_nonzero", "_conv:11 _norms"]
+        "_fft:7 _norms", "_fft:8 count_nonzero", "_conv:10 count_nonzero", "_conv:11 _norms",
+        "_square_sum:14 _mass", "_square_sum:14 _mass"])
 
 
 TABLE_INSIDES = ("planes", "_flat", "facts")   # a table's storage and facts, read in moments only

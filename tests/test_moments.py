@@ -236,17 +236,17 @@ def test_chain_step_that_raises_keeps_the_last_good_level(monkeypatch):
     assert t_k(a, 3) == want["t", 3]
     chain = a._kept["chain"]
     top = chain.top
-    real = np.fft.irfftn
+    real = np.fft.irfft   # a one-axis shape below the four-step
 
     def corrupt(*args):
         out = real(*args)
         out.flat[7] += 1
         return out
-    monkeypatch.setattr(np.fft, "irfftn", corrupt)
+    monkeypatch.setattr(np.fft, "irfft", corrupt)
     with pytest.raises(groups.InvariantError, match="mass identity"):
         t_k(a, 5)
     assert chain.top is top and len(chain.t) == len(chain.sigma) == 3
-    monkeypatch.setattr(np.fft, "irfftn", real)
+    monkeypatch.setattr(np.fft, "irfft", real)
     assert sigma_k(a, 4) == want["sigma", 4]
     assert t_k(a, 5) == want["t", 5] and sigma_k(a, 5) == want["sigma", 5]
 
@@ -612,18 +612,19 @@ def test_correlate_matches_oracle_on_every_path(monkeypatch, g, points, span, ca
 
 
 def test_self_products_transform_once(monkeypatch):
+    # Z/4096 is one axis below the four-step: numpy's 1-D routines serve it
     calls = []
-    for name in ("rfftn", "irfftn"):
+    for name in ("rfft", "irfft", "rfftn", "irfftn"):
         real = getattr(np.fft, name)
         monkeypatch.setattr(np.fft, name, lambda *args, _r=real, _n=name: calls.append(_n) or _r(*args))
     a = GSet(cyclic(4096), random.Random(89).sample(range(4096), 1500))
     for product in (correlate, convolve):
         calls.clear()
         product(a, a)
-        assert calls == ["rfftn", "irfftn"]
+        assert calls == ["rfft", "irfft"]
     calls.clear()
     correlate(a, GSet(cyclic(4096), range(0, 400, 20)))
-    assert calls == ["rfftn", "rfftn", "irfftn"]
+    assert calls == ["rfft", "rfft", "irfft"]
     # a set's kept chain transforms A once (level 2 is a self-product) and each
     # new level's top once, and T_k's cross-check reuses A's spectrum; sigma_k
     # up to the top level, and repeated requests, read the kept levels
@@ -633,20 +634,20 @@ def test_self_products_transform_once(monkeypatch):
                               (t_k, 3, (0, 0)), (sigma_k, 5, (0, 0)), (t_k, 4, (0, 0))):
         calls.clear()
         moment(a, k)
-        assert (calls.count("rfftn"), calls.count("irfftn")) == counts, (moment.__name__, k)
+        assert calls == ["rfft"] * counts[0] + ["irfft"] * counts[1], (moment.__name__, k)
 
 
 def test_single_limb_product_keeps_mass_check(monkeypatch):
     a = GSet(cyclic(4096), random.Random(97).sample(range(4096), 1500))
     b = GSet(cyclic(4096), random.Random(98).sample(range(4096), 900))
     assert moments._split((1500, 1), (1500, 1), 4096) == (None, None)
-    real = np.fft.irfftn
+    real = np.fft.irfft   # a one-axis shape below the four-step
 
     def corrupt(*args):
         out = real(*args)
         out.flat[7] += 1
         return out
-    monkeypatch.setattr(np.fft, "irfftn", corrupt)
+    monkeypatch.setattr(np.fft, "irfft", corrupt)
     for f, g in ((a, a), (a, b)):
         for product in (correlate, convolve):
             with pytest.raises(groups.InvariantError, match="mass identity"):
@@ -1796,25 +1797,146 @@ def test_narrow_set_plane_reads_as_its_int64_copy_on_every_path(monkeypatch):
 
 
 def test_chain_steps_derive_each_table_fact_once(monkeypatch):
-    # level j's table is the only one whose norms a step to level j derives:
-    # the base's are known from the set, the top's were derived with its T_j;
-    # the limb plan is built once per transform size
-    derived, plans = [], []
+    # a step to level j derives the facts of level j's table alone, in two
+    # passes over its plane, a nonzero count and a maximum: its |x|_1 and sum
+    # are the mass the step checked, the base's facts are known from the set
+    # and the level below's were derived with its T_(j-1).  Only a wide level
+    # (Z/2^15 at j = 6: entries up to (2^14)^5) takes `_norms`; the limb plan
+    # is built once per transform size
+    passes, plans = [], []
     real_norms, real_percival = moments._norms, moments._percival
-    monkeypatch.setattr(moments, "_norms", lambda x: derived.append(x) or real_norms(x))
+    for name in ("count_nonzero", "max"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda x, *rest, _r=real, _n=name, **kw:
+                            passes.append((_n, x)) or _r(x, *rest, **kw))
+    monkeypatch.setattr(moments, "_norms", lambda x: passes.append(("_norms", x)) or real_norms(x))
     monkeypatch.setattr(moments, "_percival", lambda *a: plans.append(a) or real_percival(*a))
     moments._limb_caps.cache_clear()
     rng = random.Random(131)
     for n in (1024, 1024, 4096, 1 << 15):
         a = GSet(cyclic(n), rng.sample(range(n), n // 2))
-        derived.clear()
         chain = moments._chain(a)
         for k in range(2, 7):
+            passes.clear()
             assert t_k(a, k) == chain.t[k - 1]
-            assert len(derived) == k - 1 and derived[-1] is chain.top.planes
-        assert all(x is not chain.base.planes for x in derived)
-        assert len({id(x) for x in derived}) == len(derived)
+            one_plane = len(chain.top.planes) == 1
+            assert one_plane == (k < 6 or n < 1 << 15)
+            want = ["count_nonzero", "max"] if one_plane else ["_norms", "count_nonzero"]
+            assert sorted(name for name, _ in passes) == want, (n, k)
+            # (a wide level's nonzeros are counted on its planes' support, a fresh array)
+            assert all(np.shares_memory(x, chain.top.planes) for name, x in passes
+                       if one_plane or name == "_norms"), (n, k)
     assert plans == [(1024, False), (4096, False), (1 << 15, True)]
+
+
+@pytest.mark.parametrize("g, fpoints, gpoints, span, shape", [
+    (cyclic(1024), 300, 500, None, (1024,)),        # at the group size
+    (cyclic(1000), 300, 400, None, (2048,)),        # the linear product padded, then folded
+    (lattice(1), 300, 400, 700, (4096,)),           # a window of about 1,400 cells, padded
+    (cyclic(32, 64), 300, 400, None, (32, 64)),     # two axes: rfftn and irfftn as before
+], ids=["Z1024", "Z1000", "Z-window", "Z32xZ64"])
+def test_one_axis_transforms_equal_rfftn_bit_for_bit(monkeypatch, g, fpoints, gpoints, span, shape):
+    calls = []
+    for name in ("rfft", "irfft", "rfftn", "irfftn"):
+        real = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *args, _r=real, _n=name, **kw:
+                            calls.append(_n) or _r(*args, **kw))
+    rng = random.Random(149)
+    tf, tg = (table_of(g, weighted(rng, g, n, bits, span)) for n, bits in ((fpoints, 0), (gpoints, 20)))
+    assert moments._shape(tf.planes.shape[1:], tg.planes.shape[1:], moments._moduli(tf)) == shape
+    axes = tuple(range(len(shape)))
+    one, many = ("rfft", "irfft") if len(shape) == 1 else ("rfftn", "irfftn")
+    x, y = (moments._limbs(t.planes, None, t.facts()[1][1])[0] for t in (tf, tg))
+    spectra = []
+    for v in (x, y):
+        calls.clear()
+        got = moments._rfft(v, shape)
+        assert calls == [one]
+        want = np.fft.rfftn(v, shape, axes)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        spectra.append(got)
+    for c in (spectra[0] * spectra[1], np.conjugate(spectra[0]) * spectra[1], spectra[1]):
+        calls.clear()
+        got = moments._irfft(c, shape)
+        assert calls == [many]
+        want = np.fft.irfftn(c, shape, axes)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_products_take_their_facts_from_the_checked_mass(monkeypatch):
+    # a one-plane product of nonnegative operands is born with the mass its
+    # path checked, its |x|_1 and sum, and reads only its nonzero count and
+    # maximum: on every path its facts equal a fresh derivation without a
+    # call of `_norms`.  A signed operand, an empty set and a wide product
+    # are born without it, and `_norms` derives their facts as before
+    normed, served = [], []
+    real_norms = moments._norms
+    monkeypatch.setattr(moments, "_norms", lambda x: normed.append(x) or real_norms(x))
+    for name in ("_direct", "_fft"):
+        real = getattr(moments, name)
+        monkeypatch.setattr(moments, name, lambda tf, tg, *rest, _r=real, _n=name:
+                            served.append(_n) or _r(tf, tg, *rest))
+    mirrors = recording_mirrors(monkeypatch)
+    rng = random.Random(151)
+    z64, z1000, z1024, z4096, z15 = cyclic(64), cyclic(1000), cyclic(1024), cyclic(4096), cyclic(1 << 15)
+    ones = lambda g, points, span=None: GSet(g, list(weighted(rng, g, points, 0, span)))
+    heavy = table_of(z4096, weighted(rng, z4096, 3000, 40))
+    signed = {p: rng.choice((-1, 1)) * rng.randrange(1, 1 << 20) for p in weighted(rng, z1024, 300, 0)}
+    cases = [   # (name, path, product, born with its mass)
+        ("direct 0/1", "_direct", lambda: convolve(ones(z64, 10), ones(z64, 12)), True),
+        ("direct weighted", "_direct", lambda: correlate(table_of(z64, weighted(rng, z64, 10, 20)),
+                                                         ones(z64, 12)), True),
+        ("FFT one limb", "_fft", lambda: convolve(ones(z1024, 300), ones(z1024, 300)), True),
+        ("FFT self-product", "_fft", lambda: correlate(*[ones(z1024, 300)] * 2), True),
+        ("FFT limbs", "_fft", lambda: convolve(heavy, ones(z4096, 3000)), True),
+        ("padded and folded Z/N", "_fft", lambda: correlate(ones(z1000, 400), ones(z1000, 300)), True),
+        ("four-step", "_fft", lambda: convolve(ones(z15, 1000), ones(z15, 900)), True),
+        ("even inverse", "_fft", lambda: correlate(*[ones(z15, 1000)] * 2), True),
+        ("lattice window", "_fft", lambda: power(ones(lattice(2), 240, 20), 3), True),
+        ("1-D lattice window", "_fft", lambda: convolve(ones(lattice(1), 300, 700), ones(lattice(1), 400, 700)),
+         True),
+        ("lattice direct", "_direct", lambda: correlate(ones(lattice(1), 40, 30), ones(lattice(1), 30, 30)),
+         True),
+        ("signed direct", "_direct", lambda: convolve(table_of(z64, {(0,): -3, (5,): 7}), ones(z64, 12)),
+         False),
+        ("signed FFT", "_fft", lambda: convolve(table_of(z1024, signed), ones(z1024, 300)), False),
+        ("empty set", "_direct", lambda: convolve(GSet(z64, []), ones(z64, 5)), False),
+        ("empty lattice set", "_direct", lambda: correlate(ones(lattice(2), 9, 5), GSet(lattice(2), [])),
+         False),
+        ("wide product", "_fft", lambda: convolve(table_of(z1024, weighted(rng, z1024, 300, 61)),
+                                                  ones(z1024, 300)), False),
+    ]
+    for name, path, product, born in cases:
+        served.clear()
+        mirrors.clear()
+        out = product()
+        assert served[-1] == path and (len(out.planes) == 1) == (name != "wide product"), name
+        assert bool(mirrors) == (name == "even inverse"), name
+        if name == "FFT limbs":
+            assert moments._split(heavy.facts()[1], (3000, 1, 3000), 4096) != (None, None)
+        assert (out._mass is not None) == born, name
+        normed.clear()
+        facts = out.facts()
+        assert normed == ([] if born else [out.planes]), name
+        assert facts == fresh_facts(out), name
+
+
+def test_a_z1024_chain_to_t6_derives_no_norms(monkeypatch):
+    # the benchmark's small-table regime: every level of a Z/1024 chain of
+    # density 1/2 is born with its checked mass, so no table's facts take
+    # `_norms` (sigma_7 gathers the top level at -A)
+    normed = []
+    real_norms = moments._norms
+    monkeypatch.setattr(moments, "_norms", lambda x: normed.append(x) or real_norms(x))
+    g = cyclic(1024)
+    a = GSet(g, random.Random(157).sample(range(1024), 512))
+    ts, sigmas = [t_k(a, k) for k in range(2, 7)], [sigma_k(a, k) for k in range(2, 8)]
+    assert normed == []
+    counts = ones = {x: 1 for x in a.elems}
+    for k in range(2, 8):
+        counts = oracles.kronecker_convolve(g.moduli, counts, ones)
+        assert sigmas[k - 2] == counts.get((0,), 0)
+        assert k == 7 or ts[k - 2] == sum(c * c for c in counts.values())
 
 
 def test_correlation_mass_check_survives_optimize():

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import eigen, extract, genset, groups, moments, setops, spectrum
 from .groups import Elem
-from .gset import GSet, as_rows, bounded_rows, full_group, row_keys, sum_rows
+from .gset import GSet, as_rows, full_group, row_keys, sum_rows
 from .setops import DEFAULT_CAPS, MINUS, PLUS, Caps
 
 REL_TOL = 1e-9
@@ -214,19 +214,6 @@ def check_c10(a: GSet, k: int, primed: bool = False, caps: Caps = DEFAULT_CAPS) 
     return _res(cid, {**_summary(a), "k": k}, lhs, rhs, ">=", tolerance=REL_TOL)
 
 
-def _tuple_delta_size(y: np.ndarray, last: GSet, x: GSet, caps: Caps) -> int:
-    """|(Y x L) - Delta(X)| for the tuples of an (n, m, d) block Y: the
-    distinct rows (y_1 - x, ..., y_m - x, l - x) of one (n |L|, |X|, (m + 1) d)
-    block over y in Y, l in L and x in X, refused above the tuple cap first."""
-    n, m, d = y.shape
-    if (work := n * len(last) * len(x)) > caps.tuples:
-        raise setops.CapExceededError(f"tuple work {work} exceeds cap {caps.tuples}")
-    tuples = np.concatenate([np.repeat(y, len(last), axis=0),
-                             np.tile(last.coords, (n, 1))[:, None]], axis=1)
-    diffs = as_rows(x.group, (tuples[:, None] - x.coords[None, :, None]).reshape(-1, d))
-    return len(np.unique(row_keys(groups.lattice((m + 1) * d), diffs.reshape(-1, (m + 1) * d))))
-
-
 def check_c11(sets: dict, variant: str, m: int = 1, caps: Caps = DEFAULT_CAPS) -> CheckResult:
     if variant == "tri1":
         w, x, y, z = sets["W"], sets["X"], sets["Y"], sets["Z"]
@@ -246,15 +233,6 @@ def check_c11(sets: dict, variant: str, m: int = 1, caps: Caps = DEFAULT_CAPS) -
         lhs = setops.delta_sumset([a1, a2, z], x, MINUS, caps)
         rhs = setops.delta_sumset([a1, a2, x], z, MINUS, caps)
         inputs = {"variant": variant, "sizes": [len(a1), len(a2), len(x), len(z)]}
-        return _res("C11", inputs, lhs, rhs, "=")
-    elif variant == "eq_tuples":
-        y_tuples, x, z = sets["Yt"], sets["X"], sets["Z"]
-        m = len(next(iter(y_tuples), ()))
-        y = bounded_rows(x.group, [e for tup in y_tuples for e in tup])
-        y = y.reshape(len(y_tuples), m, x.group.dim)
-        lhs = _tuple_delta_size(y, z, x, caps)
-        rhs = _tuple_delta_size(y, x, z, caps)
-        inputs = {"variant": variant, "sizes": [len(y_tuples), len(x), len(z)]}
         return _res("C11", inputs, lhs, rhs, "=")
     else:
         raise ValueError(f"unknown C11 variant {variant!r}")

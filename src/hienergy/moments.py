@@ -1,18 +1,18 @@
 """Convolutions, correlations and energy functionals.
 
-Tables are exact integer-valued finitely-supported functions, stored as
-int64 digit planes of radix 2^R, R = 32 (Knuth, TAOCP vol. 2, 4.3.1): an
-array of shape (D,) + window with value sum_d planes[d] 2^(R d).  A set's
-table is the one exception: one read-only uint8 0/1 plane, the set's own
-indicator on a cyclic group, which every reader of a table takes as it
-is (a product of it is int64; its square sum is its nonzero count).  While
-the a priori bound B = min(|f|_1 |g|_inf, |g|_1 |f|_inf) on every entry of
-a product stays below 2^62, D = 1 and the one plane is the value itself.
-From 2^62 on, D is the fewest planes with B < 2^(R D): the low planes lie
-in [0, 2^R), the top one is signed and below 2^R in magnitude.  B bounds
-the entries only, so a table of D >= 2 planes may hold small values, and
-the engine reads an operand through all its planes even where the product
-fits in one.
+Tables are counts, exact nonnegative integer finitely-supported functions
+(1_A, A o A, A^(*j)), stored as int64 digit planes of radix 2^R, R = 32
+(Knuth, TAOCP vol. 2, 4.3.1): an array of shape (D,) + window with value
+sum_d planes[d] 2^(R d).  A set's table is the one exception: one
+read-only uint8 0/1 plane, the set's own indicator on a cyclic group,
+which every reader of a table takes as it is (a product of it is int64;
+its square sum is its nonzero count).  While the a priori bound B =
+min(|f|_1 |g|_inf, |g|_1 |f|_inf) on every entry of a product stays below
+2^62, D = 1 and the one plane is the value itself.  From 2^62 on, D is the
+fewest planes with B < 2^(R D), each in [0, 2^R).  B bounds the entries
+only, so a table of D >= 2 planes may hold small values, and the engine
+reads an operand through all its planes even where the product fits in
+one.
 So no plane sum wraps: a window holds fewer than 2^(63 - R) = 2^31 entries
 (16 GB a plane), so a per-plane sum stays below 2^63; the engine adds
 pieces below 2^R into the low planes (2^31 of them per entry before one
@@ -49,17 +49,18 @@ butterfly levels and twiddle multiplies, so under the same bound.  So a
 fresh A o A holds at most one half-spectrum, and none once the inverse is
 rounded to int64; a chain's first step squares its
 kept spectrum into one fresh buffer, and T_k's square sums cut their
-digits _BLOCK entries at a time, so a chain step peaks near its working
-set of four tables (the kept spectrum, the level below, the product's
-spectrum and the inverse's output).  A table's nonzero count and norms
-are its facts, derived once per table (a set's table is born with them)
-and read by every engine call it enters; each call checks the product's
-mass identity sum(f*g) = sum(f) sum(g) exactly, on either path, and
-besides that only T_k's cross-check is validated after the fact.  A
-one-plane product of nonnegative operands takes that checked mass as its
-|x|_1 and sum, so its facts read only its nonzero count and maximum.  The
-limb thresholds are planned once per transform size.  A o A of a GSet is built
-once and kept on the set (see the gset module), read-only, and so is the
+digits _BLOCK entries at a time, as do mass sums past 2^63, so a chain
+step peaks near its working set of four tables (the kept spectrum, the
+level below, the product's spectrum and the inverse's output).  A table's
+facts are its nonzero count, its mass sum x = |x|_1 and its maximum, read
+once per table and by every engine call it enters; each call checks the
+product's mass identity sum(f*g) = sum(f) sum(g) exactly, on either path,
+and besides that only T_k's cross-check is validated after the fact.
+Every table the engine builds is born with its mass (a set's |A|, a
+product's the one it checked), so its facts read only its nonzero count
+and maximum; a table built from planes alone sums its mass once and
+refuses a negative entry.  The limb thresholds are planned once per
+transform size.  A o A of a GSet is built once and kept on the set (see the gset module), read-only, and so is the
 histogram of its values, from bincounts of blocks shifted by their
 minima, over half the table doubled in one dimension, with its count total
 and top level, and its integer power sums: a read of E_k keeps every order
@@ -108,26 +109,25 @@ _R = 32                       # the planes' radix: value = sum_d planes[d] 2^(R 
 _MASK = (1 << _R) - 1
 _FOUR_STEP_MIN = 1 << 15      # one-dimensional power-of-two transforms from here run as a four-step
 _TWIDDLE_ERR = 16 * 2.0 ** -53   # bound on |table entry - w^e| of the four-step's twiddles
-_BLOCK = 1 << 14              # entries per block of a spectrum squared in place and of square-sum digits
+_BLOCK = 1 << 14              # entries per block of a spectrum squared in place and of square and mass sums' digits
 _COUNT_BLOCK = 1 << 16        # entries per bincount of a histogram: np.bincount copies a read-only input
 _INT_BOUND = 1 << 30          # |x| bound on the elements of multiplicative operands
 
 
 class ConvTable:
-    """Finitely-supported function on a group, stored as a dense window of
-    int64 planes: ``planes`` has shape (D,) + window (see the module
-    docstring); a set's table (``from_gset``) is one read-only uint8 0/1
-    plane.  ``array`` is the window of values: the one plane itself,
-    or, for D >= 2, Python ints built once on first read, read-only.
-    Tables are built by ``from_gset`` and ``of_planes``.
+    """Finitely-supported nonnegative integer function on a group, a count,
+    stored as a dense window of int64 planes: ``planes`` has shape (D,) +
+    window (see the module docstring); a set's table (``from_gset``) is one
+    read-only uint8 0/1 plane.  ``array`` is the window of values: the one
+    plane itself, or, for D >= 2, Python ints built once on first read,
+    read-only.  Tables are built by ``from_gset`` and ``of_planes``.
 
     ``offset`` is the coordinate of the window's [0,...,0] cell; cyclic
     tables use the full fundamental domain with zero offset.  A lattice
-    product's window is the linear product's, tight for nonnegative operands.
+    product's window is the linear product's, tight for tight operands.
 
-    ``facts()`` are the table's nonzero count and norms, derived from the
-    planes, or a one-plane product's checked mass, at most once; the planes
-    are not written after construction.
+    ``facts()`` are the table's nonzero count, mass and maximum, read off
+    the planes at most once; the planes are not written after construction.
     """
 
     __slots__ = ("group", "offset", "planes", "_ints", "_facts", "_mass")
@@ -136,10 +136,11 @@ class ConvTable:
 
     @classmethod
     def of_planes(cls, group: GroupSpec, planes: np.ndarray, offset: tuple[int, ...] | None = None,
-                  facts: tuple[int, tuple[int, int, int]] | None = None,
+                  facts: tuple[int, tuple[int, int]] | None = None,
                   mass: int | None = None) -> "ConvTable":
-        """The table of planes as they are, no copy, with its facts, or the
-        mass of one nonnegative plane, where known."""
+        """The table of nonnegative planes as they are, no copy, with its
+        facts or its mass: every engine product passes the mass it checked.
+        A table given neither derives its mass in `facts`."""
         t = cls()
         t.group, t.planes, t._ints, t._facts, t._mass = group, planes, None, facts, mass
         t.offset = offset if offset is not None else (0,) * group.dim
@@ -149,9 +150,9 @@ class ConvTable:
     def from_gset(cls, a: GSet) -> "ConvTable":
         """The indicator of a as one read-only uint8 plane (the set's own on a
         cyclic group, else its lattice window), born with its facts: |A|
-        nonzeros, all 1."""
+        nonzeros, all 1, mass |A|."""
         g, n = a.group, len(a)
-        facts = n, (n, min(n, 1), n)
+        facts = n, (n, min(n, 1))
         if g.is_cyclic:
             return cls.of_planes(g, a.indicator()[None], facts=facts)
         mat = a.coords   # the empty set's window is one cell at 0
@@ -161,15 +162,25 @@ class ConvTable:
         arr.flags.writeable = False
         return cls.of_planes(g, arr, tuple(int(v) for v in lo), facts)
 
-    def facts(self) -> tuple[int, tuple[int, int, int]]:
-        """(nonzero count, (|x|_1, |x|_inf, sum x) as `_norms` gives them),
-        derived from the planes on the first read and kept.  A table born
-        with its mass (one nonnegative plane) takes it as |x|_1 and sum x and
-        reads only its nonzero count and maximum, skipping _norms' min and sum."""
+    def facts(self) -> tuple[int, tuple[int, int]]:
+        """(nonzero count, (mass, max)) as exact ints, read on the first call
+        and kept: the mass sum x = |x|_1 is the table's own from its birth,
+        the maximum |x|_inf the plane's, or for D >= 2 planes the bound
+        2^(R (D-1)) (top + 1) - 1 read off the top plane.  A table born
+        without its mass sums its planes here, once, and refuses a negative
+        entry by name: a table is a count."""
         if self._facts is None:
             x, mass = self.planes, self._mass
-            norms = _norms(x) if mass is None else (mass, int(np.max(x)), mass)
-            self._facts = int(np.count_nonzero(_support(x))), norms
+            top = x[-1]
+            hi = int(np.max(top))
+            linf = hi if len(x) == 1 else (hi + 1 << _R * (len(x) - 1)) - 1
+            if mass is None:
+                i = int(np.argmin(top))
+                if top.flat[i] < 0:   # the top plane holds the sign
+                    point = tuple(int(p + o) for p, o in zip(np.unravel_index(i, top.shape), self.offset))
+                    raise ValueError(f"table entry {self.array.flat[i]} at {point} is negative: a table is a count")
+                mass = _total(x, top.size * linf)
+            self._facts = int(np.count_nonzero(_support(x))), (mass, linf)
         return self._facts
 
     # -- access -------------------------------------------------------
@@ -200,7 +211,7 @@ class ConvTable:
     def square_sum(self) -> int:
         """sum v^2 over the entries: a set's uint8 0/1 plane's nonzero count
         (a uint8 dot would wrap), else `_square_sum` under the |x|_inf fact."""
-        nnz, (_, linf, _) = self.facts()
+        nnz, (_, linf) = self.facts()
         return nnz if self.planes.dtype == np.uint8 else _square_sum(self._flat(), linf)
 
     def _gather(self, points: np.ndarray) -> np.ndarray:
@@ -254,15 +265,15 @@ def _support(x: np.ndarray) -> np.ndarray:
 
 def _digits(x: np.ndarray, width: int, count: int) -> list[np.ndarray]:
     """The values of planes x as count int64 digits, x = sum_j d_j 2^(width j):
-    the low ones in [0, 2^width), the last signed (the caller's count makes
-    it fit).  A digit is floor(x / 2^(width j)), read off the planes from
-    the one holding its lowest bit, modulo 2^64 (int64 arithmetic) and, but
-    for the last, modulo 2^width."""
+    the low ones in [0, 2^width), the last the rest (the caller's count
+    makes it fit).  A digit is floor(x / 2^(width j)), read off the planes
+    from the one holding its lowest bit, modulo 2^64 (int64 arithmetic) and,
+    but for the last, modulo 2^width."""
     radix = _R if len(x) > 1 else 64
     out = []
     for j in range(count):
         b, last = j * width, j == count - 1
-        p = min(b // radix, len(x) - 1)   # past the top plane: its sign
+        p = min(b // radix, len(x) - 1)   # past the top plane: 0
         d = x[p] >> b - p * radix
         for q in range(p + 1, len(x)):
             if not last and q * radix - b >= width:
@@ -280,9 +291,9 @@ def _whole(x: np.ndarray) -> np.ndarray:
 
 
 def _deposit(x: np.ndarray, part: np.ndarray, shift: int) -> None:
-    """x += part 2^shift before a carry pass, |part| < 2^63: pieces of part
-    in [0, 2^R) on each plane below the last it reaches (at most three
-    planes), the signed rest on that one.  So a low plane takes 2^31 deposits
+    """x += part 2^shift before a carry pass, 0 <= part < 2^63: pieces of
+    part in [0, 2^R) on each plane below the last it reaches (at most three
+    planes), the rest on that one.  So a low plane takes 2^31 deposits
     before it could wrap; the top plane adds modulo 2^64, which is exact
     because the value it ends with is small.  One plane adds modulo 2^64."""
     q, o = divmod(shift, _R) if len(x) > 1 else (0, shift)
@@ -302,9 +313,10 @@ def _carry(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _count(fn: tuple[int, ...], gn: tuple[int, ...]) -> int:
-    """The product's planes: one while the entry bound B = min(|f|_1 |g|_inf,
-    |g|_1 |f|_inf) < 2^62, else the fewest R-bit planes with B < 2^(R D)."""
+def _count(fn: tuple[int, int], gn: tuple[int, int]) -> int:
+    """The product's planes, from the operands' (mass, max): one while the
+    entry bound B = min(|f|_1 |g|_inf, |g|_1 |f|_inf) < 2^62, else the
+    fewest R-bit planes with B < 2^(R D)."""
     b = min(fn[0] * gn[1], gn[0] * fn[1])
     return 1 if b < _WIDE else -(-b.bit_length() // _R)
 
@@ -314,41 +326,30 @@ def _count(fn: tuple[int, ...], gn: tuple[int, ...]) -> int:
 
 
 def _total(x: np.ndarray, bound: int | None = None) -> int:
-    """Exact sum of planes.  One plane is summed in int64 where size |x|_inf,
-    or the caller's bound on every partial sum, is below 2^63, else as two
-    R-bit planes; an R-bit plane of fewer than 2^(63 - R) entries cannot wrap."""
-    if len(x) == 1:
-        if bound is None:
-            bound = x.size * max(int(x.max(initial=0)), -int(x.min(initial=0)))
-        if bound < 1 << 63:
-            return int(x.sum())
-        x = _digits(x, _R, 2)
-    return sum(int(plane.sum()) << _R * d for d, plane in enumerate(x))
+    """Exact sum of nonnegative planes.  One plane is one int64 sum where
+    size max x, or the caller's bound on every partial sum, is below 2^63,
+    else the sums of its two R-bit digits, cut _BLOCK entries at a time so
+    no digit outgrows a block; an R-bit plane of fewer than 2^(63 - R)
+    entries cannot wrap."""
+    if len(x) > 1:
+        return sum(int(plane.sum()) << _R * d for d, plane in enumerate(x))
+    if bound is None:
+        bound = x.size * int(x.max(initial=0))
+    if bound < 1 << 63:
+        return int(x.sum())
+    flat = x.reshape(1, -1)
+    return sum(int(d.sum()) << _R * j for s in range(0, flat.shape[1], _BLOCK)
+               for j, d in enumerate(_digits(flat[:, s:s + _BLOCK], _R, 2)))
 
 
-def _norms(x: np.ndarray) -> tuple[int, int, int]:
-    """(|x|_1, |x|_inf, sum x) of planes as exact Python ints, from one min,
-    one max and one sum per plane (two for a signed x: |x|_1 = sum x - 2 sum
-    min(x, 0), since |-2^63| wraps in int64).  For D >= 2 planes the first
-    two are bounds read off the top plane and per-plane sums."""
-    top = x if len(x) == 1 else x[-1]
-    lo, hi = int(top.min()), int(top.max())
-    if len(x) == 1:
-        linf = max(hi, -lo)
-        total = _total(x, x.size * linf)
-        return (total if lo >= 0 else total - 2 * _total(np.minimum(x, 0), x.size * linf)), linf, total
-    s = _R * (len(x) - 1)
-    total = _total(x)
-    return (total if lo >= 0 else _total(np.abs(x))), max((hi + 1 << s) - 1, -lo << s), total
-
-
-def _checked(out: np.ndarray, fn: tuple[int, ...], gn: tuple[int, ...], path: str) -> np.ndarray:
+def _checked(out: np.ndarray, fn: tuple[int, int], gn: tuple[int, int], path: str) -> np.ndarray:
     """out, once its mass identity sum(f*g) = sum(f) sum(g) holds exactly:
-    one plane summed in int64 where |f|_1 |g|_1 < 2^63 bounds every partial
-    sum of a correct product, else by _total's R-bit planes.  Direct sums are
-    integer arithmetic and the FFT's limbs are exact by an a priori bound, so
-    on either path only a defect breaks it."""
-    if _total(out, fn[0] * gn[0]) != fn[2] * gn[2]:
+    one plane summed in int64 where the mass |f|_1 |g|_1 < 2^63, which bounds
+    every partial sum of a correct nonnegative product, else by _total's
+    R-bit digits.  Direct sums are integer arithmetic and the FFT's limbs
+    are exact by an a priori bound, so on either path only a defect breaks it."""
+    mass = fn[0] * gn[0]
+    if _total(out, mass) != mass:
         raise InvariantError(f"{path} convolution broke the mass identity sum(f*g) = sum(f) sum(g)")
     return out
 
@@ -363,8 +364,8 @@ def _direct(tf: ConvTable, tg: ConvTable, corr: bool = False) -> np.ndarray:
     int64 plane: `_conv` sends only products whose entry bound is below
     2^62, so every pair product and partial sum fits.  On a cyclic group the
     window is the group, else the lattice window, where correlation lags
-    start at 1 - (f's extent).  The norms are the tables' facts; operands of
-    several planes are read whole."""
+    start at 1 - (f's extent).  The masses and maxima are the tables' facts;
+    operands of several planes are read whole."""
     fa, ga, moduli, same = tf.planes, tg.planes, _moduli(tf), tf is tg
     (_, fn), (_, gn) = tf.facts(), tg.facts()
     out_shape = moduli or tuple(int(a + b - 1) for a, b in zip(fa.shape[1:], ga.shape[1:]))
@@ -389,7 +390,7 @@ def _direct(tf: ConvTable, tg: ConvTable, corr: bool = False) -> np.ndarray:
         flat = s
     flat = flat.ravel()
     size = math.prod(out_shape)
-    if fn[1] == gn[1] == 1 and fn[2] == len(fidx) and gn[2] == len(gidx):   # 0/1: entries <= min(|supp|)
+    if fn[1] == gn[1] == 1:   # 0/1 operands: the pair counts, entries <= min(|supp|)
         out = np.bincount(flat, minlength=size)
     else:
         out = np.zeros(size, dtype=np.int64)
@@ -428,11 +429,12 @@ def _log4(q: int) -> int:
     return max(q.bit_length() - 1, 0) // 2
 
 
-def _split(fn: tuple[int, ...], gn: tuple[int, ...], size: int,
+def _split(fn: tuple[int, int], gn: tuple[int, int], size: int,
            four_step: bool = False) -> tuple[int | None, int | None]:
     """Limb widths for f and g (None: whole) that keep Percival's bound for
-    every limb product below 1/4, i.e. ||x||_2^2 ||y||_2^2 < cap.  A whole x
-    has ||x||_2^2 <= |x|_1 |x|_inf, a b-bit limb ||limb||_2^2 <= 4^b size.
+    every limb product below 1/4, i.e. ||x||_2^2 ||y||_2^2 < cap, from the
+    operands' (mass, max).  A whole x has ||x||_2^2 <= |x|_1 |x|_inf, a
+    b-bit limb ||limb||_2^2 <= 4^b size.
     The operand with the larger maximum is split first, into the widest b
     with 4^b size |g|_1 |g|_inf < cap; the other only if no b >= 1 fits,
     both then into the widest b with 4^b size < sqrt(cap)."""
@@ -451,7 +453,7 @@ def _split(fn: tuple[int, ...], gn: tuple[int, ...], size: int,
 
 def _limbs(x: np.ndarray, bits: int | None, linf: int) -> list[np.ndarray]:
     """Planes x = sum_i limb_i 2^(bits i) as float64 arrays, cut straight
-    from the planes: low limbs in [0, 2^bits), the top one carries the sign;
+    from the planes: in [0, 2^bits), as many as the maximum linf needs;
     with bits None, x whole (then every entry is below 2^53)."""
     if bits is None:
         return [_whole(x).astype(np.float64)]
@@ -605,18 +607,18 @@ def _abs_squared(c: np.ndarray) -> np.ndarray:
 
 def _fft(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None = None) -> np.ndarray:
     """Real-FFT convolution, or correlation with f's spectrum conjugated,
-    exact by the a priori limb split of `_split` on the tables' norms (their
-    facts): cyclic at the group size for power-of-two moduli, else linear at
-    power-of-two sizes, folded if cyclic, else its linear slice copied out of
-    the padded transform, so that no kept table holds padding.  Operands and
-    product are planes.  One limb each forms the product in f's spectrum, or
-    in g's own for a self-product that spectra does not keep (by _abs_squared for a
-    correlation; at a four-step shape a self-correlation takes the real
-    power spectrum `_power` instead, whose inverse `_irfft` computes on
-    half the columns and rounds itself), or, for a self-product on a kept
-    spectrum, in one fresh buffer by one multiply, and drops every spectrum
-    but the kept one before the inverse's int64 cast;
-    more are deposited limb pair by limb pair into the product's planes (one
+    exact by the a priori limb split of `_split` on the tables' masses and
+    maxima (their facts): cyclic at the group size for power-of-two moduli,
+    else linear at power-of-two sizes, folded if cyclic, else its linear
+    slice copied out of the padded transform, so that no kept table holds
+    padding.  Operands and product are planes.  One limb each forms the
+    product in f's spectrum, or in g's own for a self-product that spectra
+    does not keep (by _abs_squared for a correlation; at a four-step shape
+    a self-correlation takes the real power spectrum `_power` instead,
+    whose inverse `_irfft` computes on half the columns and rounds itself),
+    or, for a self-product on a kept spectrum, in one fresh buffer by one
+    multiply, and drops every spectrum but the kept one before the
+    inverse's int64 cast; more are deposited limb pair by limb pair into the product's planes (one
     plane adds modulo 2^64, exact while B < 2^62) and carried once.  spectra
     (the caller's, for one g) keeps g's whole spectrum per shape."""
     fa, ga, moduli, same = tf.planes, tg.planes, _moduli(tf), tf is tg
@@ -671,23 +673,20 @@ def _conv(tf: ConvTable, tg: ConvTable, corr: bool = False, spectra: dict | None
     """Direct iff the product fits one plane (entry bound below 2^62) and
     nnz(f) nnz(g) <= max(2^14, 2 x FFT size), capped at 2^22; else the FFT,
     whose limbs serve every wide product.  Both read the operands' kept
-    facts, so no table's nonzeros or norms are derived twice, and check the
-    product's mass identity exactly.  A one-plane product of nonnegative
-    operands (|x|_1 = sum x in their facts) is born with that checked mass
-    as its |x|_1 and sum; a product of an empty operand, the zeros `_direct`
-    returns unchecked, is not.  spectra (a chain's, kept across its steps)
+    facts, so no table's nonzeros, mass or maximum is derived twice, and
+    check the product's mass identity exactly.  Every product is born with
+    that mass, |f|_1 |g|_1 (0 for the zeros of an empty operand, which
+    `_direct` returns at once).  spectra (a chain's, kept across its steps)
     comes with convolutions only, never with a correlation."""
     grp, fa, ga, moduli = tf.group, tf.planes, tg.planes, _moduli(tf)
     (fnnz, fn), (gnnz, gn) = tf.facts(), tg.facts()
     size = math.prod(_shape(fa.shape[1:], ga.shape[1:], moduli))
     direct = _count(fn, gn) == 1 and fnnz * gnnz <= min(_DIRECT_MAX, max(_DIRECT_MIN, 2 * size))
     out = _direct(tf, tg, corr) if direct else _fft(tf, tg, corr, spectra)
-    nonnegative = len(out) == 1 and fn[0] == fn[2] and gn[0] == gn[2]
-    mass = fn[2] * gn[2] if nonnegative and fnnz and gnnz else None
     # a correlation's lags start at g's offset minus the far corner of f's window
     off = None if moduli else tuple(b - a - s + 1 if corr else a + b
                                     for a, b, s in zip(tf.offset, tg.offset, fa.shape[1:]))
-    return ConvTable.of_planes(grp, out, off, mass=mass)
+    return ConvTable.of_planes(grp, out, off, mass=fn[0] * gn[0])
 
 
 def convolve(f, g, *, corr: bool = False) -> ConvTable:

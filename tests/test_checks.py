@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 import random
@@ -12,7 +11,7 @@ import oracles
 from hienergy import checks, genset, moments, setops
 from hienergy.checks import Instance, run_check, run_suite
 from hienergy.groups import cyclic, lattice
-from hienergy.gset import GSet, full_group, zset
+from hienergy.gset import GSet, zset
 
 
 def test_registry_spot_values():
@@ -291,46 +290,11 @@ def test_companion_sets_are_pinned():
     assert h.hexdigest() == "6ab66b465f9dfc11565bea3ddf7405bf0b512650b6e9d8ed7bcc6c2d6e6d342f"
 
 
-def test_c11_eq_tuples_is_refused_above_the_tuple_cap(monkeypatch):
-    # each side materializes |Y| |L| |X| tuple rows, refused before any is built
+def test_c11_eq_tuples_is_an_unknown_variant():
+    # C11 states its identity on sets (tri1, tri2, eq); the tuple-set form
+    # is not a variant, and is refused as any unknown one is, before any work
     g = cyclic(13)
     x, z = GSet(g, range(5)), GSet(g, range(3))
-    sets = {"Yt": [(i, j) for i in range(4) for j in range(2)], "X": x, "Z": z}   # 8 x 3 x 5 rows
-    assert run_check("C11", {"sets": sets, "variant": "eq_tuples"}, setops.Caps(tuples=120)).passed
-    monkeypatch.setattr(checks, "as_rows", lambda *args: pytest.fail("a tuple block was built"))
-    with pytest.raises(setops.CapExceededError, match="tuple work 120 exceeds cap 119"):
-        run_check("C11", {"sets": sets, "variant": "eq_tuples"}, setops.Caps(tuples=119))
-    # 160 x 256 x 256 = 10,485,760 rows, past the default 10^7
-    full = full_group(cyclic(256))
-    with pytest.raises(setops.CapExceededError, match="tuple work 10485760"):
-        run_check("C11", {"sets": {"Yt": [(i,) for i in range(160)], "X": full, "Z": full},
-                          "variant": "eq_tuples"})
-
-
-def test_c11_eq_tuples_matches_oracle():
-    # |(Y x Z) - Delta(X)| = |(Y x X) - Delta(Z)| counted on int64 blocks, against
-    # the oracle's explicit tuple sets: Y a product of sets, then any tuple set
-    rng = random.Random(53)
-    for g in (cyclic(13), cyclic(4, 8), lattice(1), lattice(2)):
-        mods = g.moduli if g.is_cyclic else None
-
-        def draw(size):
-            if g.is_cyclic:
-                return GSet(g, [oracles.from_flat(mods, v) for v in rng.sample(range(g.order), size)])
-            return GSet(g, [tuple(rng.randint(-6, 6) for _ in range(g.dim)) for _ in range(size)])
-
-        for m in (1, 2, 3):
-            ys = [draw(rng.randint(1, 4)) for _ in range(m)]
-            x, z = draw(rng.randint(1, 4)), draw(rng.randint(1, 4))
-            product = set(itertools.product(*(y.elems for y in ys)))
-            r = run_check("C11", {"sets": {"Yt": product, "X": x, "Z": z}, "variant": "eq_tuples"})
-            assert r.lhs == len(oracles.oracle_delta_sumset(mods, [y.elems for y in ys] + [z.elems],
-                                                            x.elems, "-"))
-            assert r.rhs == len(oracles.oracle_delta_sumset(mods, [y.elems for y in ys] + [x.elems],
-                                                            z.elems, "-"))
-            assert r.passed and r.lhs == r.rhs
-            scattered = list({tuple(rng.choice(draw(3).elems) for _ in range(m)) for _ in range(5)})
-            r = run_check("C11", {"sets": {"Yt": scattered, "X": x, "Z": z}, "variant": "eq_tuples"})
-            want = {tuple(oracles.sub(mods, e, c) for e in tup + (w,))
-                    for tup in scattered for w in z.elems for c in x.elems}
-            assert r.lhs == len(want) and r.passed
+    sets = {"Yt": [(i, j) for i in range(4) for j in range(2)], "X": x, "Z": z}
+    with pytest.raises(ValueError, match="unknown C11 variant 'eq_tuples'"):
+        run_check("C11", {"sets": sets, "variant": "eq_tuples"})

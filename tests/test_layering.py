@@ -8,9 +8,11 @@ and the chain compute on int64 planes: none of them builds a Python-int
 (object) array.  Every top-level function and class in the package has a
 caller in another part of it, bar a short allow-list with reasons, and no
 module imports a name it never reads.  The float FFT runs only in the
-engine's transforms and a set's kept spectrum (`spectrum._dft`).  A table's nonzero count and norms are derived in one place,
-`ConvTable.facts`, at most once per table (a product's checked mass is
-read there alone), and outside `moments` a table
+engine's transforms and a set's kept spectrum (`spectrum._dft`).  A
+table's facts, its nonzero count, mass and maximum, are read in one
+place, `ConvTable.facts`, at most once per table (its birth mass is read
+there alone), and every table the package builds is born with its mass
+or its facts.  Outside `moments` a table
 is read through its methods: no module reads its planes, `_flat()` or
 `facts()`, and `moments._square_sum` is named only by `eigen._gram`, on its
 plain int64 Gram.  Every integer matrix product
@@ -174,7 +176,7 @@ def test_default_caps_guard_sees_each_form(tmp_path):
                                        "bad.py:11 DEFAULT_CAPS"]
 
 
-PLANE_ONLY = ("_direct", "_fft", "_limbs", "_norms", "_checked", "_total", "_Chain",
+PLANE_ONLY = ("_direct", "_fft", "_limbs", "_checked", "_total", "_Chain",
               "_square_sum", "_histogram", "_moment", "energy_k_pair")
 GRAM_ONLY = ("_gram",)   # eigen's Gram: int64 entries below 2^63, checked without Python ints
 
@@ -221,7 +223,7 @@ def test_object_array_guard_sees_each_form(tmp_path):
                    "    return np.zeros(3, dtype=dtype)\n"
                    "def _combine(x):\n"
                    "    return x.astype(object)\n"
-                   "def _norms(x):\n"
+                   "def _checked(x):\n"
                    "    return x.astype(np.int64), np.zeros(3, dtype=np.int64)\n"
                    "def _gram(a, b, k):\n"
                    "    gram = correlate(b, b).values_at(diffs) ** k\n"
@@ -231,15 +233,15 @@ def test_object_array_guard_sees_each_form(tmp_path):
     assert object_array_uses(bad, GRAM_ONLY) == ["_gram:18 object"]
 
 
-FACT_HOME = "ConvTable.facts"   # where a table's nonzero count and norms are first derived
+FACT_HOME = "ConvTable.facts"   # where a table's nonzero count, mass and maximum are first read
 
 
 def fact_derivations(path: Path) -> list[str]:
-    """Every call of `_norms` or `count_nonzero` and every read of a
-    table's checked `._mass` in a module, as `where:line name`, where is the
-    top-level function or `Class.method` it sits in (a nested function or
-    lambda counts as its owner's).  Storing a mass, as a product's
-    constructor does, derives nothing."""
+    """Every call of `count_nonzero` and every read of a table's birth
+    `._mass` in a module, as `where:line name`, where is the top-level
+    function or `Class.method` it sits in (a nested function or lambda
+    counts as its owner's).  Storing a mass, as a product's constructor
+    does, derives nothing."""
     found = []
     for top in ast.parse(path.read_text(encoding="utf-8")).body:
         owners = ([(f"{top.name}.{m.name}", m) for m in top.body if isinstance(m, ast.FunctionDef)]
@@ -252,7 +254,7 @@ def fact_derivations(path: Path) -> list[str]:
                 if not isinstance(node, ast.Call):
                     continue
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                if name in ("_norms", "count_nonzero"):
+                if name == "count_nonzero":
                     found.append(f"{where}:{node.lineno} {name}")
     return found
 
@@ -260,31 +262,67 @@ def fact_derivations(path: Path) -> list[str]:
 def test_table_facts_are_derived_in_one_place():
     uses = fact_derivations(SRC / "moments.py")
     assert [use for use in uses if not use.startswith(FACT_HOME + ":")] == []
-    # the guard reads the one home: a nonzero count, and the norms or the checked mass
-    assert sorted(use.rsplit(" ", 1)[1] for use in uses) == ["_mass", "_norms", "count_nonzero"]
+    # the guard reads the one home: a nonzero count and the birth mass
+    assert sorted(use.rsplit(" ", 1)[1] for use in uses) == ["_mass", "count_nonzero"]
 
 
 def test_fact_guard_sees_each_form(tmp_path):
     bad = tmp_path / "moments.py"
     bad.write_text("class ConvTable:\n"
                    "    def facts(self):\n"
-                   "        return np.count_nonzero(self.planes), _norms(self.planes)\n"
+                   "        return np.count_nonzero(self.planes), self._mass\n"
                    "    def square_sum(self):\n"
-                   "        return _norms(self.planes)\n"
+                   "        return self._mass\n"
                    "def _fft(f, g):\n"
-                   "    fn = _norms(f)\n"
+                   "    fn = f._mass\n"
                    "    return numpy.count_nonzero(g)\n"
                    "def _conv(tf, tg):\n"
                    "    nz = lambda t: count_nonzero(_support(t.planes))\n"
-                   "    return moments._norms(tg.planes), nz(tf)\n"
+                   "    return tg._mass, nz(tf)\n"
                    "def _square_sum(t):\n"
                    "    t._mass = 5\n"
                    "    return t._mass, (lambda: tf._mass)()\n"
                    "ok = np.flatnonzero(x)\n")
     assert sorted(fact_derivations(bad)) == sorted([
-        "ConvTable.facts:3 count_nonzero", "ConvTable.facts:3 _norms", "ConvTable.square_sum:5 _norms",
-        "_fft:7 _norms", "_fft:8 count_nonzero", "_conv:10 count_nonzero", "_conv:11 _norms",
+        "ConvTable.facts:3 count_nonzero", "ConvTable.facts:3 _mass", "ConvTable.square_sum:5 _mass",
+        "_fft:7 _mass", "_fft:8 count_nonzero", "_conv:10 count_nonzero", "_conv:11 _mass",
         "_square_sum:14 _mass", "_square_sum:14 _mass"])
+
+
+def massless_tables(path: Path) -> list[str]:
+    """Every `of_planes` call in a module that passes neither a mass nor
+    facts, as `module:line`: by keyword (`mass=`, `facts=`), or facts as
+    the fourth positional argument.  Such a table would sum its planes for
+    its mass on first use, a derivation the engine never needs."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "of_planes"
+                and len(node.args) < 4 and not {kw.arg for kw in node.keywords} & {"mass", "facts"}):
+            found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_every_table_is_born_with_its_mass():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 10
+    assert [use for p in modules for use in massless_tables(p)] == []
+    # the guard reads the builders: a set's table (two calls) and every product
+    tree = ast.parse((SRC / "moments.py").read_text(encoding="utf-8"))
+    assert sum(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "of_planes"
+               for node in ast.walk(tree)) == 3
+
+
+def test_mass_guard_sees_each_form(tmp_path):
+    bad = tmp_path / "moments.py"
+    bad.write_text("def from_gset(cls, a):\n"
+                   "    cls.of_planes(g, arr, lo, facts)\n"
+                   "    cls.of_planes(g, arr[None], facts=facts)\n"
+                   "    return cls.of_planes(g, arr)\n"
+                   "def _conv(tf, tg):\n"
+                   "    ConvTable.of_planes(grp, out, off, mass=m)\n"
+                   "    ConvTable.of_planes(grp, out, off, offset=None)\n"
+                   "    return ConvTable.of_planes(grp, out, None, **kw)\n")
+    assert massless_tables(bad) == ["moments:4", "moments:7", "moments:8"]
 
 
 TABLE_INSIDES = ("planes", "_flat", "facts")   # a table's storage and facts, read in moments only

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -40,7 +41,8 @@ def total(table):
 def cut_planes(values):
     """An integer array (Python ints allowed) as table planes: one int64
     plane where every entry fits, else the fewest R-bit planes whose top one
-    holds its largest |entry|, the low ones in [0, 2^R), the top one signed."""
+    holds its largest |entry|, the low ones in [0, 2^R), the top one the
+    rest (negative for a negative entry, which a table refuses)."""
     values = np.asarray(values)
     if values.dtype != object:
         return values.astype(np.int64, copy=False)[None]
@@ -1003,18 +1005,20 @@ BOUNDARY_VALUES = [0, 1, -1, 5, -7, (1 << 31) - 1, 1 << 31, 3037000499, 30370005
                    3 ** 60, -(5 ** 40), 1 << 100]
 
 
+MAGNITUDES = [abs(v) for v in BOUNDARY_VALUES]
+NARROW = [v for v in MAGNITUDES if v < 1 << 63]
+
+
 def test_planes_round_trip_python_ints():
-    # int64 where every entry fits (2^62 - 1, 2^62, -2^63 included), else R-bit
-    # planes, the low ones in [0, 2^R), the top signed; every reader hands out
-    # the same Python ints
-    for values in (BOUNDARY_VALUES[:15], BOUNDARY_VALUES):
+    # int64 where every entry fits (2^62 - 1, 2^62, 2^63 - 1 included), else
+    # R-bit planes, each in [0, 2^R); every reader hands out the same Python ints
+    for values in (NARROW, MAGNITUDES):
         g = cyclic(len(values))
         t = table_at(g, np.array(values, dtype=object))
-        wide = not all(-(1 << 63) <= v < 1 << 63 for v in values)
+        wide = not all(v < 1 << 63 for v in values)
         assert (len(t.planes) > 1) == wide and t.planes.dtype == np.int64
         if wide:
-            assert ((t.planes[:-1] >= 0) & (t.planes[:-1] < 1 << moments._R)).all()
-            assert abs(t.planes[-1]).max() < 1 << moments._R
+            assert ((t.planes >= 0) & (t.planes < 1 << moments._R)).all()
         assert t.array.tolist() == values and t.values().tolist() == values
         assert all(type(v) is int for v in t.array.tolist())
         points = np.arange(len(values)).reshape(-1, 1)
@@ -1023,13 +1027,15 @@ def test_planes_round_trip_python_ints():
         assert total(t) == sum(values)
         assert support(t) == {(x,): v for x, v in enumerate(values) if v}
         assert t.argmax() == ((values.index(max(values)),), max(values))
-        nonneg = cut_planes(np.array([max(v, 0) for v in values], dtype=object))
-        assert moments._square_sum(nonneg, max(values)) == sum(v * v for v in values if v > 0)
+        nnz, (mass, linf) = t.facts()
+        assert (nnz, mass) == (sum(1 for v in values if v), sum(values))
+        assert max(values) <= linf if wide else linf == max(values)
+        assert t.square_sum() == sum(v * v for v in values)
         # a product with the unit at 0 hands the same values back, in either order
         unit = table_of(g, {(0,): 1})
         assert convolve(t, unit).array.tolist() == values
         assert convolve(unit, t).array.tolist() == values
-    one = table_at(cyclic(15), np.array(BOUNDARY_VALUES[:15], dtype=object))
+    one = table_at(cyclic(len(NARROW)), np.array(NARROW, dtype=object))
     assert one.array.dtype == np.int64 and np.shares_memory(one.array, one.planes)   # no copy
 
 
@@ -1147,13 +1153,13 @@ def test_wide_chains_match_the_oracle(monkeypatch, index):
 
 
 def test_signed_wide_products_match_python_ints():
-    # signed planes on both paths: entries of either sign past 2^63 against a
-    # small signed g, and against g itself
+    # wide planes on both paths: entries past 2^63 against a small g, and
+    # against g itself
     rng = random.Random(109)
     for g, points in ((cyclic(64), 20), (cyclic(1024), 1024), (lattice(1), 300)):
         box = range(g.order) if g.is_cyclic else range(-400, 400)
-        f = {(x,): rng.choice((-1, 1)) * rng.randrange(1 << 90) for x in rng.sample(box, points)}
-        h = {(x,): rng.randrange(-3, 4) or 1 for x in rng.sample(box, points)}
+        f = {(x,): rng.randrange(1 << 90) for x in rng.sample(box, points)}
+        h = {(x,): rng.randrange(4) or 1 for x in rng.sample(box, points)}
         for u, w in ((f, h), (f, f)):
             want = {}
             for (x,), v in u.items():
@@ -1167,7 +1173,7 @@ def test_signed_wide_products_match_python_ints():
 
 def pair_sums(mods, f, h, corr=False):
     """(f * h)(x), or (f o h)(x) with corr, in Python ints over all pairs of
-    support points, signed entries allowed; zeros dropped."""
+    support points; zeros dropped."""
     want = {}
     for x, v in f.items():
         for y, c in h.items():
@@ -1178,25 +1184,22 @@ def pair_sums(mods, f, h, corr=False):
 
 def test_wide_products_with_few_pairs_take_the_fft(monkeypatch):
     # a product whose entry bound reaches 2^62 goes to the FFT's limbs however
-    # few its support pairs: signed and unsigned entries, operands of one
-    # plane (entries below 2^63) and of several, convolutions, correlations
-    # (the FFT conjugates every limb of f) and the chains behind T_k and sigma_k
+    # few its support pairs: operands of one plane (entries below 2^63) and
+    # of several, convolutions, correlations (the FFT conjugates every limb
+    # of f) and the chains behind T_k and sigma_k
     served = record_paths(monkeypatch)
     rng = random.Random(149)
     for g in (cyclic(64), cyclic(4, 8), lattice(1), lattice(2)):
         mods = g.moduli if g.is_cyclic else None
         for fbits, hbits in ((40, 30), (50, 50), (90, 3), (70, 70)):
-            for signed in (False, True):
-                sign = (lambda: rng.choice((-1, 1))) if signed else (lambda: 1)
-                f, h = ({p: sign() * v for p, v in weighted(rng, g, points, bits, 6).items()}
-                        for points, bits in ((5, fbits), (4, hbits)))
-                tf, th = table_of(g, f, dtype=object), table_of(g, h, dtype=object)
-                assert [len(t.planes) > 1 for t in (tf, th)] == [fbits > 63, hbits > 63]
-                served.clear()
-                for u, w, tu, tw in ((f, h, tf, th), (h, f, th, tf), (f, f, tf, tf)):
-                    assert support(convolve(tu, tw)) == pair_sums(mods, u, w), (g, fbits, signed)
-                    assert support(correlate(tu, tw)) == pair_sums(mods, u, w, corr=True), (g, fbits, signed)
-                assert served and all(p == "_fft" and wide for p, wide in served), (g, fbits, signed)
+            f, h = (weighted(rng, g, points, bits, 6) for points, bits in ((5, fbits), (4, hbits)))
+            tf, th = table_of(g, f, dtype=object), table_of(g, h, dtype=object)
+            assert [len(t.planes) > 1 for t in (tf, th)] == [fbits > 63, hbits > 63]
+            served.clear()
+            for u, w, tu, tw in ((f, h, tf, th), (h, f, th, tf), (f, f, tf, tf)):
+                assert support(convolve(tu, tw)) == pair_sums(mods, u, w), (g, fbits)
+                assert support(correlate(tu, tw)) == pair_sums(mods, u, w, corr=True), (g, fbits)
+            assert served and all(p == "_fft" and wide for p, wide in served), (g, fbits)
         # chains of a few points, walked to the first level past 2^63 and one more
         a = GSet(g, list(weighted(rng, g, 5, 0, 3)))
         served.clear()
@@ -1212,8 +1215,8 @@ def test_wide_products_with_few_pairs_take_the_fft(monkeypatch):
 
 
 def test_small_entries_on_wide_planes_are_read_whole(monkeypatch):
-    # p = u * v has entries in {0, +-2^32} but, as its a priori bound passes
-    # 2^62, two planes: plane 0 holds only the low digits (all 0).  A product
+    # p has entries in {0, 2^32} on two planes, as an a priori bound past 2^62
+    # can leave them: plane 0 holds only the low digits (all 0).  A product
     # of p with a unit or a small 0/1 table fits one plane; it must read p
     # through both planes, on the direct path (Z/64) and the FFT's one-limb
     # path (Z/1024), as a convolution and as a correlation
@@ -1226,11 +1229,9 @@ def test_small_entries_on_wide_planes_are_read_whole(monkeypatch):
         monkeypatch.setattr(moments, name, lambda *args, _r=real, _n=name: served.append(_n) or _r(*args))
     for n, path in ((2, "_direct"), (64, "_direct"), (1024, "_fft")):
         g = cyclic(n)
-        u = {(0,): 1 << 31, (1,): -(1 << 31)}
-        v = {(x,): (1 << 31) + 2 * rng.randrange(2) for x in range(n)}
-        v[(0,)] = 1 << 31
-        v[(1 % n,)] = (1 << 31) + 2
-        def brute(f, w, corr=False):   # Python ints, signed entries
+        top = np.array([rng.randrange(2) for _ in range(n)], dtype=np.int64)
+        top[0] = 1
+        def brute(f, w, corr=False):   # Python ints
             want = {}
             for (x,), c in f.items():
                 for (y,), d in w.items():
@@ -1238,8 +1239,8 @@ def test_small_entries_on_wide_planes_are_read_whole(monkeypatch):
                     want[z] = want.get(z, 0) + c * d
             return {z: c for z, c in want.items() if c}
 
-        p = convolve(table_of(g, u), table_of(g, v))
-        want_p = brute(u, v)
+        p = ConvTable.of_planes(g, np.stack([np.zeros(n, dtype=np.int64), top]))
+        want_p = {(x,): 1 << 32 for x in np.flatnonzero(top).tolist()}
         assert len(p.planes) == 2 and not p.planes[0].any() and support(p) == want_p
         unit = {(0,): 1}
         h = {(x,): 1 for x in rng.sample(range(n), max(1, n // 2))}
@@ -1255,16 +1256,17 @@ def test_small_entries_on_wide_planes_are_read_whole(monkeypatch):
 
 
 def test_minimum_int64_entry_times_two():
-    # |x|_1 of a table holding -2^63 is 2^63, not int64's wrapped abs
-    g = cyclic(4)
-    t = table_at(g, np.array([-(1 << 63), 0, 5, 0], dtype=np.int64))
+    # the largest int64 entry, 2^63 - 1: its mass 2^63 + 4 passes int64, and
+    # its products with 2 and 3 take two planes
+    g, top = cyclic(4), (1 << 63) - 1
+    t = table_at(g, np.array([top, 0, 5, 0], dtype=np.int64))
     assert len(t.planes) == 1
-    assert moments._norms(t.planes.reshape(1, -1)) == (5 + (1 << 63), 1 << 63, 5 - (1 << 63))
+    assert t.facts()[1] == (5 + top, top)
     got = convolve(t, table_of(g, {(0,): 2}))
-    assert got.array.tolist() == [-(1 << 64), 0, 10, 0]
-    got = convolve(t, table_of(g, {(1,): 2, (2,): -3}))
-    assert got.array.tolist() == [-15, -(1 << 64), 3 << 63, 10]
-    assert total(got) == (5 - (1 << 63)) * -1
+    assert got.array.tolist() == [2 * top, 0, 10, 0]
+    got = convolve(t, table_of(g, {(1,): 2, (2,): 3}))
+    assert got.array.tolist() == [15, 2 * top, 3 * top, 10]
+    assert total(got) == (5 + top) * 5
 
 
 def test_limb_plan():
@@ -1320,26 +1322,25 @@ def scan_split(fn, gn, size, four_step=False):
 
 def test_split_by_bit_arithmetic_matches_the_scan():
     # sizes 2^4..2^22, four-step on and off, operand maxima of 1 to 62 bits
-    # with norms |x|_1 up to size |x|_inf; and products that sit one below
-    # and at each integer threshold
+    # with masses up to size max; and products that sit one below and at
+    # each integer threshold
     rng = random.Random(139)
     for m in range(4, 23):
         size = 1 << m
         for four_step in (False, True):
-            norms = []
+            facts = []
             for b in range(1, 63):
                 linf = rng.randrange(1 << b - 1, 1 << b)
-                l1 = linf * rng.randrange(1, size + 1)
-                norms.append((l1, linf, l1))
-            cases = [(f, g) for f in norms for g in rng.sample(norms, 3)]
+                facts.append((linf * rng.randrange(1, size + 1), linf))
+            cases = [(f, g) for f in facts for g in rng.sample(facts, 3)]
             whole, limb = moments._limb_caps(size, four_step)
             for w in (whole - 1, whole):   # fn[0] fn[1] |g|_1 |g|_inf against the cap
-                cases.append(((w, 1, w), (1, 1, 1)))
+                cases.append(((w, 1), (1, 1)))
             for b in (1, 7, 20, 35):       # 4^b size |g|_1 |g|_inf against the cap
                 g1 = (whole - 1) // (4 ** b * size)
                 for g in (g1, g1 + 1):
                     if g:
-                        cases.append(((1 << 62, 1 << 62, 1 << 62), (g, 1, g)))
+                        cases.append(((1 << 62, 1 << 62), (g, 1)))
             for f, g in cases:
                 assert moments._split(f, g, size, four_step) == scan_split(f, g, size, four_step), (m, f, g)
 
@@ -1374,7 +1375,7 @@ def test_four_step_products_match_oracle(monkeypatch, g, points, span, bits, siz
     else:
         h = weighted(rng, g, points, bits, span)
         th = table_of(g, h)
-        limbs = moments._split(moments._norms(tf.planes), moments._norms(th.planes), size, True)
+        limbs = moments._split(tf.facts()[1], th.facts()[1], size, True)
         assert (limbs != (None, None)) == bool(bits)
         assert support(convolve(tf, th)) == oracles.kronecker_convolve(mods, f, h)
         assert support(correlate(tf, th)) == oracle_correlate(mods, f, h)
@@ -1596,9 +1597,9 @@ def test_fft_limb_products_exact():
     t = convolve(table_of(g, f), table_of(g, h))   # both operands split
     assert t.array.dtype == object
     assert support(t) == oracles.kronecker_convolve((4096,), f, h)
-    # signed operands: the top limb carries the sign
-    f = {(x,): rng.choice((-1, 1)) * rng.randrange(1 << 45) for x in rng.sample(range(4096), 60)}
-    h = {(x,): rng.randrange(-3, 4) for x in rng.sample(range(4096), 60)}
+    # sparse operands, one with entries to 2^45: its top limb is the rest
+    f = {(x,): rng.randrange(1 << 45) for x in rng.sample(range(4096), 60)}
+    h = {(x,): rng.randrange(4) for x in rng.sample(range(4096), 60)}
     want = {}
     for (u,), v in f.items():
         for (w,), c in h.items():
@@ -1682,8 +1683,14 @@ def test_kept_histogram_carries_its_total_and_top():
 
 
 def fresh_facts(t):
-    """A table's nonzero count and norms, derived from its planes now."""
-    return int(np.count_nonzero(moments._support(t.planes))), moments._norms(t.planes)
+    """A table's nonzero count, sum and maximum, derived from its values now
+    in Python ints; for D >= 2 planes the maximum is the bound read off the
+    top plane, which holds every value."""
+    values = np.asarray(t.array, dtype=object).ravel().tolist()
+    top = int(t.planes[-1].max())
+    linf = top if len(t.planes) == 1 else (top + 1 << moments._R * (len(t.planes) - 1)) - 1
+    assert max(values) <= linf
+    return sum(1 for v in values if v), (sum(values), linf)
 
 
 def test_carried_facts_equal_the_planes_on_every_path(monkeypatch):
@@ -1697,12 +1704,12 @@ def test_carried_facts_equal_the_planes_on_every_path(monkeypatch):
     rng = random.Random(127)
     z64, z1024, z4096 = cyclic(64), cyclic(1024), cyclic(4096)
     ones = lambda g, points, span=None: GSet(g, list(weighted(rng, g, points, 0, span)))
-    wide = {p: rng.choice((-1, 1)) * rng.randrange(1 << 64, 1 << 66) for p in weighted(rng, z1024, 300, 0)}
+    wide = {p: rng.randrange(1 << 64, 1 << 66) for p in weighted(rng, z1024, 300, 0)}
     cases = [
         ("direct 0/1", "_direct", lambda: convolve(ones(z64, 10), ones(z64, 12))),
         ("direct weighted", "_direct", lambda: convolve(table_of(z64, weighted(rng, z64, 10, 20)),
                                                         ones(z64, 12))),
-        ("wide few pairs", "_fft", lambda: convolve(table_of(z64, {(0,): 1 << 70, (5,): -3}, dtype=object),
+        ("wide few pairs", "_fft", lambda: convolve(table_of(z64, {(0,): 1 << 70, (5,): 3}, dtype=object),
                                                     table_of(z64, weighted(rng, z64, 12, 30)))),
         ("FFT one limb", "_fft", lambda: convolve(ones(z1024, 300), ones(z1024, 300))),
         ("FFT limbs", "_fft", lambda: convolve(table_of(z4096, weighted(rng, z4096, 3000, 40)),
@@ -1722,11 +1729,11 @@ def test_carried_facts_equal_the_planes_on_every_path(monkeypatch):
         for t in [x for _, tf, tg in seen for x in (tf, tg)]:
             assert t._facts is not None and t.facts() == fresh_facts(t), name
         assert out.facts() == fresh_facts(out), name
-    # a set's table is born with (|A|, (|A|, 1, |A|)), the empty set's with zeros
+    # a set's table is born with (|A|, (|A|, 1)), the empty set's with zeros
     for g in (z64, cyclic(4, 8), lattice(1), lattice(2)):
         for a in (ones(g, 9, 5), GSet(g, [])):
             t = ConvTable.from_gset(a)
-            assert t._facts == fresh_facts(t) == (len(a), (len(a), min(len(a), 1), len(a)))
+            assert t._facts == fresh_facts(t) == (len(a), (len(a), min(len(a), 1)))
 
 
 def int64_copy(a):
@@ -1747,12 +1754,12 @@ def test_narrow_set_plane_reads_as_its_int64_copy_on_every_path(monkeypatch):
     rng = random.Random(139)
     z64, z1000, z1024, z4096, z15 = cyclic(64), cyclic(1000), cyclic(1024), cyclic(4096), cyclic(1 << 15)
     ones = lambda g, points, span=None: GSet(g, list(weighted(rng, g, points, 0, span)))
-    wide = {p: rng.choice((-1, 1)) * rng.randrange(1 << 64, 1 << 66) for p in weighted(rng, z1024, 300, 0)}
+    wide = {p: rng.randrange(1 << 64, 1 << 66) for p in weighted(rng, z1024, 300, 0)}
     heavy = table_of(z4096, weighted(rng, z4096, 3000, 40))
     cases = [   # (name, path, f, g, corr, steps): g None is f itself; steps > 1 a power of f
         ("direct 0/1", "_direct", ones(z64, 10), ones(z64, 12), False, 1),
         ("direct weighted", "_direct", table_of(z64, weighted(rng, z64, 10, 20)), ones(z64, 12), True, 1),
-        ("wide few pairs", "_fft", table_of(z64, {(0,): 1 << 70, (5,): -3}, dtype=object), ones(z64, 12),
+        ("wide few pairs", "_fft", table_of(z64, {(0,): 1 << 70, (5,): 3}, dtype=object), ones(z64, 12),
          False, 1),
         ("FFT one limb", "_fft", ones(z1024, 300), ones(z1024, 300), True, 1),
         ("FFT self-product", "_fft", ones(z1024, 300), None, True, 1),
@@ -1798,18 +1805,18 @@ def test_narrow_set_plane_reads_as_its_int64_copy_on_every_path(monkeypatch):
 
 def test_chain_steps_derive_each_table_fact_once(monkeypatch):
     # a step to level j derives the facts of level j's table alone, in two
-    # passes over its plane, a nonzero count and a maximum: its |x|_1 and sum
-    # are the mass the step checked, the base's facts are known from the set
-    # and the level below's were derived with its T_(j-1).  Only a wide level
-    # (Z/2^15 at j = 6: entries up to (2^14)^5) takes `_norms`; the limb plan
-    # is built once per transform size
+    # passes, a nonzero count and a maximum: its mass is the one the step
+    # checked, the base's facts are known from the set and the level below's
+    # were derived with its T_(j-1).  A wide level (Z/2^15 at j = 6: entries
+    # up to (2^14)^5) takes its maximum off the top plane and counts its
+    # nonzeros on its planes' support; the limb plan is built once per
+    # transform size
     passes, plans = [], []
-    real_norms, real_percival = moments._norms, moments._percival
+    real_percival = moments._percival
     for name in ("count_nonzero", "max"):
         real = getattr(np, name)
         monkeypatch.setattr(np, name, lambda x, *rest, _r=real, _n=name, **kw:
                             passes.append((_n, x)) or _r(x, *rest, **kw))
-    monkeypatch.setattr(moments, "_norms", lambda x: passes.append(("_norms", x)) or real_norms(x))
     monkeypatch.setattr(moments, "_percival", lambda *a: plans.append(a) or real_percival(*a))
     moments._limb_caps.cache_clear()
     rng = random.Random(131)
@@ -1821,11 +1828,10 @@ def test_chain_steps_derive_each_table_fact_once(monkeypatch):
             assert t_k(a, k) == chain.t[k - 1]
             one_plane = len(chain.top.planes) == 1
             assert one_plane == (k < 6 or n < 1 << 15)
-            want = ["count_nonzero", "max"] if one_plane else ["_norms", "count_nonzero"]
-            assert sorted(name for name, _ in passes) == want, (n, k)
+            assert sorted(name for name, _ in passes) == ["count_nonzero", "max"], (n, k)
             # (a wide level's nonzeros are counted on its planes' support, a fresh array)
             assert all(np.shares_memory(x, chain.top.planes) for name, x in passes
-                       if one_plane or name == "_norms"), (n, k)
+                       if one_plane or name == "max"), (n, k)
     assert plans == [(1024, False), (4096, False), (1 << 15, True)]
 
 
@@ -1864,14 +1870,17 @@ def test_one_axis_transforms_equal_rfftn_bit_for_bit(monkeypatch, g, fpoints, gp
 
 
 def test_products_take_their_facts_from_the_checked_mass(monkeypatch):
-    # a one-plane product of nonnegative operands is born with the mass its
-    # path checked, its |x|_1 and sum, and reads only its nonzero count and
-    # maximum: on every path its facts equal a fresh derivation without a
-    # call of `_norms`.  A signed operand, an empty set and a wide product
-    # are born without it, and `_norms` derives their facts as before
-    normed, served = [], []
-    real_norms = moments._norms
-    monkeypatch.setattr(moments, "_norms", lambda x: normed.append(x) or real_norms(x))
+    # every product, on every engine path, is born with the mass its path
+    # checked and reads only its nonzero count and maximum, no sum of its
+    # planes; its facts equal a fresh count, sum and maximum of its values.
+    # The paths: direct (0/1, weighted, sparse), one limb, a self-product,
+    # several limbs, the fold of a padded Z/N, the four-step and its even
+    # inverse, 1-D and 2-D lattice windows, the lattice direct path, wide
+    # planes (an operand of three planes, a product of two) and an empty
+    # operand on a cyclic and on a lattice group
+    sums, served = [], []
+    real_total = moments._total
+    monkeypatch.setattr(moments, "_total", lambda *args: sums.append(args) or real_total(*args))
     for name in ("_direct", "_fft"):
         real = getattr(moments, name)
         monkeypatch.setattr(moments, name, lambda tf, tg, *rest, _r=real, _n=name:
@@ -1881,62 +1890,109 @@ def test_products_take_their_facts_from_the_checked_mass(monkeypatch):
     z64, z1000, z1024, z4096, z15 = cyclic(64), cyclic(1000), cyclic(1024), cyclic(4096), cyclic(1 << 15)
     ones = lambda g, points, span=None: GSet(g, list(weighted(rng, g, points, 0, span)))
     heavy = table_of(z4096, weighted(rng, z4096, 3000, 40))
-    signed = {p: rng.choice((-1, 1)) * rng.randrange(1, 1 << 20) for p in weighted(rng, z1024, 300, 0)}
-    cases = [   # (name, path, product, born with its mass)
-        ("direct 0/1", "_direct", lambda: convolve(ones(z64, 10), ones(z64, 12)), True),
+    wide = {p: rng.randrange(1 << 64, 1 << 66) for p in weighted(rng, z1024, 300, 0)}
+    cases = [   # (name, path, product, planes)
+        ("direct 0/1", "_direct", lambda: convolve(ones(z64, 10), ones(z64, 12)), 1),
         ("direct weighted", "_direct", lambda: correlate(table_of(z64, weighted(rng, z64, 10, 20)),
-                                                         ones(z64, 12)), True),
-        ("FFT one limb", "_fft", lambda: convolve(ones(z1024, 300), ones(z1024, 300)), True),
-        ("FFT self-product", "_fft", lambda: correlate(*[ones(z1024, 300)] * 2), True),
-        ("FFT limbs", "_fft", lambda: convolve(heavy, ones(z4096, 3000)), True),
-        ("padded and folded Z/N", "_fft", lambda: correlate(ones(z1000, 400), ones(z1000, 300)), True),
-        ("four-step", "_fft", lambda: convolve(ones(z15, 1000), ones(z15, 900)), True),
-        ("even inverse", "_fft", lambda: correlate(*[ones(z15, 1000)] * 2), True),
-        ("lattice window", "_fft", lambda: power(ones(lattice(2), 240, 20), 3), True),
+                                                         ones(z64, 12)), 1),
+        ("direct sparse", "_direct", lambda: convolve(table_of(z64, {(0,): 3, (5,): 7}), ones(z64, 12)), 1),
+        ("FFT one limb", "_fft", lambda: convolve(ones(z1024, 300), ones(z1024, 300)), 1),
+        ("FFT weighted", "_fft", lambda: convolve(table_of(z1024, weighted(rng, z1024, 300, 20)),
+                                                  ones(z1024, 300)), 1),
+        ("FFT self-product", "_fft", lambda: correlate(*[ones(z1024, 300)] * 2), 1),
+        ("FFT limbs", "_fft", lambda: convolve(heavy, ones(z4096, 3000)), 1),
+        ("padded and folded Z/N", "_fft", lambda: correlate(ones(z1000, 400), ones(z1000, 300)), 1),
+        ("four-step", "_fft", lambda: convolve(ones(z15, 1000), ones(z15, 900)), 1),
+        ("even inverse", "_fft", lambda: correlate(*[ones(z15, 1000)] * 2), 1),
+        ("lattice window", "_fft", lambda: power(ones(lattice(2), 240, 20), 3), 1),
         ("1-D lattice window", "_fft", lambda: convolve(ones(lattice(1), 300, 700), ones(lattice(1), 400, 700)),
-         True),
-        ("lattice direct", "_direct", lambda: correlate(ones(lattice(1), 40, 30), ones(lattice(1), 30, 30)),
-         True),
-        ("signed direct", "_direct", lambda: convolve(table_of(z64, {(0,): -3, (5,): 7}), ones(z64, 12)),
-         False),
-        ("signed FFT", "_fft", lambda: convolve(table_of(z1024, signed), ones(z1024, 300)), False),
-        ("empty set", "_direct", lambda: convolve(GSet(z64, []), ones(z64, 5)), False),
-        ("empty lattice set", "_direct", lambda: correlate(ones(lattice(2), 9, 5), GSet(lattice(2), [])),
-         False),
-        ("wide product", "_fft", lambda: convolve(table_of(z1024, weighted(rng, z1024, 300, 61)),
-                                                  ones(z1024, 300)), False),
+         1),
+        ("lattice direct", "_direct", lambda: correlate(ones(lattice(1), 40, 30), ones(lattice(1), 30, 30)), 1),
+        ("wide planes", "_fft", lambda: convolve(table_of(z1024, wide, dtype=object), ones(z1024, 300)), 3),
+        ("wide product", "_fft", lambda: convolve(table_of(z1024, weighted(rng, z1024, 300, 55)),
+                                                  ones(z1024, 300)), 2),
+        ("empty set", "_direct", lambda: convolve(GSet(z64, []), ones(z64, 5)), 1),
+        ("empty lattice set", "_direct", lambda: correlate(ones(lattice(2), 9, 5), GSet(lattice(2), [])), 1),
     ]
-    for name, path, product, born in cases:
+    for name, path, product, planes in cases:
         served.clear()
         mirrors.clear()
         out = product()
-        assert served[-1] == path and (len(out.planes) == 1) == (name != "wide product"), name
+        assert served[-1] == path and len(out.planes) == planes, name
         assert bool(mirrors) == (name == "even inverse"), name
         if name == "FFT limbs":
-            assert moments._split(heavy.facts()[1], (3000, 1, 3000), 4096) != (None, None)
-        assert (out._mass is not None) == born, name
-        normed.clear()
+            assert moments._split(heavy.facts()[1], (3000, 1), 4096) != (None, None)
+        assert out._mass is not None, name
+        sums.clear()
         facts = out.facts()
-        assert normed == ([] if born else [out.planes]), name
+        assert sums == [], name
         assert facts == fresh_facts(out), name
 
 
 def test_a_z1024_chain_to_t6_derives_no_norms(monkeypatch):
-    # the benchmark's small-table regime: every level of a Z/1024 chain of
-    # density 1/2 is born with its checked mass, so no table's facts take
-    # `_norms` (sigma_7 gathers the top level at -A)
-    normed = []
-    real_norms = moments._norms
-    monkeypatch.setattr(moments, "_norms", lambda x: normed.append(x) or real_norms(x))
+    # the benchmark's small-table regime: every table of a Z/1024 chain of
+    # density 1/2 is born with its mass or, the set's, its facts, so no
+    # table sums its planes for them (sigma_7 gathers the top level at -A)
+    built = []
+    real = ConvTable.of_planes.__func__
+    monkeypatch.setattr(ConvTable, "of_planes", classmethod(
+        lambda cls, *args, **kw: built.append(len(args) > 3 or kw.keys() & {"mass", "facts"})
+        or real(cls, *args, **kw)))
     g = cyclic(1024)
     a = GSet(g, random.Random(157).sample(range(1024), 512))
     ts, sigmas = [t_k(a, k) for k in range(2, 7)], [sigma_k(a, k) for k in range(2, 8)]
-    assert normed == []
+    assert len(built) == 6 and all(built)   # the set's table and levels 2..6
     counts = ones = {x: 1 for x in a.elems}
     for k in range(2, 8):
         counts = oracles.kronecker_convolve(g.moduli, counts, ones)
         assert sigmas[k - 2] == counts.get((0,), 0)
         assert k == 7 or ts[k - 2] == sum(c * c for c in counts.values())
+
+
+def test_a_negative_entry_is_refused_by_name_at_first_use():
+    # a table is a count: one built with a negative entry, on one plane or
+    # several, on a cyclic group or a lattice window, is built as it is and
+    # raises ValueError naming its most negative entry and that entry's
+    # point at its first engine use
+    z8 = cyclic(8)
+    a = GSet(z8, [0, 3])
+    cases = [
+        (table_at(z8, np.array([0, 4, 0, -7, 0, -2, 0, 0])), "-7 at (3,)", lambda t: convolve(t, a)),
+        (table_of(z8, {(1,): 1 << 70, (6,): -(1 << 64)}, dtype=object), f"{-(1 << 64)} at (6,)",
+         lambda t: correlate(a, t)),
+        (table_of(lattice(2), {(-2, 5): 2, (1, 3): -1}), "-1 at (1, 3)", lambda t: t.square_sum()),
+        (table_of(lattice(1), {(-4,): 3, (9,): -(1 << 63)}), f"{-(1 << 63)} at (9,)", lambda t: convolve(t, t)),
+    ]
+    for t, named, use in cases:
+        with pytest.raises(ValueError, match=re.escape(f"table entry {named} is negative")):
+            use(t)
+
+
+def test_total_past_2_63_sums_its_digits_a_block_at_a_time(monkeypatch):
+    # a one-plane table of 2^18 entries near 2^50, whose bound size max x
+    # passes 2^63: its two R-bit digits are cut _BLOCK entries at a time, so
+    # the sum holds no digit array of the table's size; it equals the Python
+    # int sum.  Below 2^63 it stays one int64 sum
+    x = np.random.default_rng(163).integers(1 << 49, 1 << 50, size=(1, 1 << 18))
+    want = sum(x[0].tolist())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = moments._total(x)
+        peak = (tracemalloc.get_traced_memory()[1] - before) / x.nbytes
+    finally:
+        tracemalloc.stop()
+    assert got == want and x.size * int(x.max()) >= 1 << 63
+    assert peak <= 0.5
+    cuts = []
+    real = moments._digits
+    monkeypatch.setattr(moments, "_digits", lambda *args: cuts.append(args[0].shape) or real(*args))
+    assert moments._total(x, want) == want
+    assert cuts == [(1, moments._BLOCK)] * (x.size // moments._BLOCK)
+    cuts.clear()
+    small = x >> 20
+    assert moments._total(small) == sum(small[0].tolist()) and cuts == []
 
 
 def test_correlation_mass_check_survives_optimize():
@@ -2011,13 +2067,14 @@ def test_lattice_products_keep_tight_windows(monkeypatch):
 
 
 def test_signed_products_with_zero_faces_read_as_the_oracle():
-    # signed lattice tables padded with zero faces: the product's window is the
-    # linear product's, zero faces kept, and every reader gives the oracle's values
+    # lattice tables of small weights padded with zero faces: the product's
+    # window is the linear product's, zero faces kept, and every reader
+    # gives the oracle's values
     rng = random.Random(151)
     for dim in (1, 2, 3):
         g = lattice(dim)
         for corr in (False, True):
-            f, h = ({p: rng.choice((-3, -2, -1, 1, 2, 3)) for p in weighted(rng, g, 12, 0, 3)} for _ in range(2))
+            f, h = ({p: rng.choice((1, 2, 3)) for p in weighted(rng, g, 12, 0, 3)} for _ in range(2))
             padded = [table_at(g, np.pad(u.array, 1), tuple(o - 1 for o in u.offset))
                       for u in (table_of(g, f), table_of(g, h))]
             t = convolve(*padded, corr=corr)

@@ -159,29 +159,19 @@ def _json_float(x: float) -> str:
 
 
 def _json_key(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, float):
-        return '"' + _json_float(key) + '"'
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return '"' + int.__repr__(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    if not isinstance(key, str):   # every dict the package writes has str keys
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
 
 
 def dumps_json(value, level: int = 0) -> str:
     """The text json.dumps(value, indent=2, sort_keys=True, default=str)
-    gives, for a value nested `level` containers deep: the same tests in the
-    same order (str, None, bool, int, float, list or tuple, dict, else
-    str(value)), the same escapes and number texts, and the TypeError of
-    unsortable or non-scalar keys.  Each container's text is built as one
-    string from its items' texts, with no generator or chunk per value.  It
-    does not detect a reference cycle."""
+    gives, for a value nested `level` containers deep whose dict keys are
+    str: the same tests in the same order (str, None, bool, int, float,
+    list or tuple, dict, else str(value)), the same escapes and number
+    texts.  A key of any other kind raises TypeError.  Each container's
+    text is built as one string from its items' texts, with no generator or
+    chunk per value.  It does not detect a reference cycle."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:

@@ -106,7 +106,6 @@ _DIRECT_MIN = 1 << 14         # support pairs the direct path serves for a one-p
 _DIRECT_MAX = 1 << 22         # ... and never exceeds
 _WIDE = 1 << 62               # entry bound from which tables are stored as R-bit planes
 _R = 32                       # the planes' radix: value = sum_d planes[d] 2^(R d)
-_MASK = (1 << _R) - 1
 _FOUR_STEP_MIN = 1 << 15      # one-dimensional power-of-two transforms from here run as a four-step
 _TWIDDLE_ERR = 16 * 2.0 ** -53   # bound on |table entry - w^e| of the four-step's twiddles
 _BLOCK = 1 << 14              # entries per block of a spectrum squared in place and of square and mass sums' digits
@@ -309,7 +308,7 @@ def _carry(x: np.ndarray) -> np.ndarray:
     """One carry pass: the low planes into [0, 2^R), the rest up into the top plane."""
     for d in range(len(x) - 1):
         x[d + 1] += x[d] >> _R
-        x[d] &= _MASK
+        x[d] &= (1 << _R) - 1
     return x
 
 
@@ -325,21 +324,28 @@ def _count(fn: tuple[int, int], gn: tuple[int, int]) -> int:
 # convolution engine
 
 
+def _digit_blocks(x: np.ndarray, linf: int, order: int) -> tuple[int, Iterator[list[np.ndarray]]]:
+    """(w, blocks): the digits of D x n planes of entries at most linf, w =
+    (63 - bitlen(n)) // order bits each and as many as linf needs, _BLOCK
+    entries at a time, so a sum over n entries of `order`-digit products is < 2^63."""
+    w = (63 - x.shape[1].bit_length()) // order
+    count = -(-linf.bit_length() // w)
+    return w, (_digits(x[:, s:s + _BLOCK], w, count) for s in range(0, x.shape[1], _BLOCK))
+
+
 def _total(x: np.ndarray, bound: int | None = None) -> int:
     """Exact sum of nonnegative planes.  One plane is one int64 sum where
     size max x, or the caller's bound on every partial sum, is below 2^63,
-    else the sums of its two R-bit digits, cut _BLOCK entries at a time so
-    no digit outgrows a block; an R-bit plane of fewer than 2^(63 - R)
-    entries cannot wrap."""
+    else the sums of its `_digit_blocks` digits; an R-bit plane of fewer than
+    2^(63 - R) entries cannot wrap."""
     if len(x) > 1:
         return sum(int(plane.sum()) << _R * d for d, plane in enumerate(x))
     if bound is None:
         bound = x.size * int(x.max(initial=0))
     if bound < 1 << 63:
         return int(x.sum())
-    flat = x.reshape(1, -1)
-    return sum(int(d.sum()) << _R * j for s in range(0, flat.shape[1], _BLOCK)
-               for j, d in enumerate(_digits(flat[:, s:s + _BLOCK], _R, 2)))
+    w, blocks = _digit_blocks(x.reshape(1, -1), (1 << 63) - 1, 1)
+    return sum(int(d.sum()) << w * j for digits in blocks for j, d in enumerate(digits))
 
 
 def _checked(out: np.ndarray, fn: tuple[int, int], gn: tuple[int, int], path: str) -> np.ndarray:
@@ -774,22 +780,15 @@ def _chain(a: GSet) -> _Chain:
 
 def _square_sum(x: np.ndarray, linf: int) -> int:
     """sum v^2 over nonnegative int64 D x n planes whose entries are at most
-    linf: one int64 dot where linf^2 n < 2^63, else digit dot products taken
-    over blocks of _BLOCK entries, so no digit outgrows a block.  Digits
-    have w = (63 - bitlen(n)) // 2 bits, chosen from the whole length before
-    any is read, so each of a block's m (m + 1) / 2 dots sums at most n
-    products below 2^(2w) < 2^63 / n.  A set's uint8 table never comes here
+    linf: one int64 dot where linf^2 n < 2^63, else the dots of each pair of
+    a block's `_digit_blocks` digits.  A set's uint8 table never comes here
     (`ConvTable.square_sum`): a dot of uint8 arrays would wrap."""
     top = x[-1]
-    n = len(top)
-    if len(x) == 1 and linf * linf * n < 1 << 63:
+    if len(x) == 1 and linf * linf * len(top) < 1 << 63:
         return int(np.dot(top, top))
-    w = (63 - n.bit_length()) // 2
-    m, total = -(-linf.bit_length() // w), 0
-    for s in range(0, n, _BLOCK):
-        d = _digits(x[:, s:s + _BLOCK], w, m)
-        total += sum(int(np.dot(d[i], d[j])) << w * (i + j) + (i < j) for i in range(m) for j in range(i, m))
-    return total
+    w, blocks = _digit_blocks(x, linf, 2)
+    return sum(int(np.dot(d[i], d[j])) << w * (i + j) + (i < j)
+               for d in blocks for i in range(len(d)) for j in range(i, len(d)))
 
 
 def _exact_product(x: np.ndarray, y: np.ndarray, bound: int) -> np.ndarray:
@@ -917,8 +916,8 @@ def _power_dot(hist: _Histogram, k: int, bound: int) -> int:
     whose sums stay below 2^31 2^R = 2^63."""
     if bound < 1 << 63:
         return int(np.dot(hist.counts, hist.levels ** k))
-    powers = hist.levels ** k
-    return (int(np.dot(hist.counts, powers >> _R)) << _R) + int(np.dot(hist.counts, powers & _MASK))
+    lo, hi = _digits((hist.levels ** k)[None], _R, 2)
+    return (int(np.dot(hist.counts, hi)) << _R) + int(np.dot(hist.counts, lo))
 
 
 def _int_power_sums(hist: _Histogram, lo: int, hi: int) -> list[int]:

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -563,19 +563,34 @@ def weighted(rng, g, points, bits, span=None):
     return {p: rng.randrange(1, 1 << bits) if bits else 1 for p in pts}
 
 
+Served = namedtuple("Served", "path wide f g")
+
+
 def record_paths(monkeypatch):
     """Route the engine's two paths through a recorder: the list it returns
-    gets (path, wide) per product, wide when the product's entry bound
-    reaches 2^62, so that it needs more than one plane."""
+    gets a Served per product, with the path, whether the product is wide
+    (more than one plane, as its entry bound reaches 2^62) and the operand
+    tables f and g the path read."""
     served = []
     for name in ("_direct", "_fft"):
         real = getattr(moments, name)
 
         def call(tf, tg, *rest, _r=real, _n=name):
-            served.append((_n, moments._count(tf.facts()[1], tg.facts()[1]) > 1))
-            return _r(tf, tg, *rest)
+            out = _r(tf, tg, *rest)
+            served.append(Served(_n, len(out) > 1, tf, tg))
+            return out
         monkeypatch.setattr(moments, name, call)
     return served
+
+
+def record_calls(monkeypatch, *names):
+    """Route the named engine functions through a recorder: the list it
+    returns gets (name, args) per call."""
+    calls = []
+    for name in names:
+        real = getattr(moments, name)
+        monkeypatch.setattr(moments, name, lambda *args, _r=real, _n=name: calls.append((_n, args)) or _r(*args))
+    return calls
 
 
 @pytest.mark.parametrize("g, points, span, cap, path", [
@@ -609,8 +624,8 @@ def test_correlate_matches_oracle_on_every_path(monkeypatch, g, points, span, ca
     assert support(correlate(a, b)) == oracles.corr_counts(mods, set(a.elems), set(b.elems))
     assert support(correlate(a, a)) == oracles.corr_counts(mods, set(a.elems), set(a.elems))
     # the 40-bit passes make wide products, which only the FFT's limbs serve
-    assert {p for p, wide in served if not wide} == {path}
-    assert {p for p, wide in served if wide} == {"_fft"}
+    assert {s.path for s in served if not s.wide} == {path}
+    assert {s.path for s in served if s.wide} == {"_fft"}
 
 
 def test_self_products_transform_once(monkeypatch):
@@ -1147,12 +1162,12 @@ def test_wide_chains_match_the_oracle(monkeypatch, index):
     top_level = moments._chain(a).extend(top).top
     assert len(top_level.planes) > 1 and max(counts.values()) >= 1 << 62
     assert support(top_level) == counts
-    assert {p for p, wide in served if wide} == {"_fft"}
+    assert {s.path for s in served if s.wide} == {"_fft"}
     if index == 0:
-        assert {p for p, wide in served if not wide} == {"_direct"}
+        assert {s.path for s in served if not s.wide} == {"_direct"}
 
 
-def test_signed_wide_products_match_python_ints():
+def test_wide_products_match_python_ints():
     # wide planes on both paths: entries past 2^63 against a small g, and
     # against g itself
     rng = random.Random(109)
@@ -1199,7 +1214,7 @@ def test_wide_products_with_few_pairs_take_the_fft(monkeypatch):
             for u, w, tu, tw in ((f, h, tf, th), (h, f, th, tf), (f, f, tf, tf)):
                 assert support(convolve(tu, tw)) == pair_sums(mods, u, w), (g, fbits)
                 assert support(correlate(tu, tw)) == pair_sums(mods, u, w, corr=True), (g, fbits)
-            assert served and all(p == "_fft" and wide for p, wide in served), (g, fbits)
+            assert served and all(s.path == "_fft" and s.wide for s in served), (g, fbits)
         # chains of a few points, walked to the first level past 2^63 and one more
         a = GSet(g, list(weighted(rng, g, 5, 0, 3)))
         served.clear()
@@ -1210,8 +1225,8 @@ def test_wide_products_with_few_pairs_take_the_fft(monkeypatch):
             wide += max(counts.values()) >= 1 << 63
             assert t_k(a, top) == sum(c * c for c in counts.values()), (g, top)
             assert sigma_k(a, top) == counts.get((0,) * g.dim, 0), (g, top)
-        assert any(wide for _, wide in served)
-        assert all(p == "_fft" for p, wide in served if wide), g
+        assert any(s.wide for s in served)
+        assert all(s.path == "_fft" for s in served if s.wide), g
 
 
 def test_small_entries_on_wide_planes_are_read_whole(monkeypatch):
@@ -1221,12 +1236,10 @@ def test_small_entries_on_wide_planes_are_read_whole(monkeypatch):
     # through both planes, on the direct path (Z/64) and the FFT's one-limb
     # path (Z/1024), as a convolution and as a correlation
     rng = random.Random(113)
-    splits, served = [], []
+    splits = []
     real_split = moments._split
     monkeypatch.setattr(moments, "_split", lambda *a: splits.append(real_split(*a)) or splits[-1])
-    for name in ("_direct", "_fft"):
-        real = getattr(moments, name)
-        monkeypatch.setattr(moments, name, lambda *args, _r=real, _n=name: served.append(_n) or _r(*args))
+    served = record_paths(monkeypatch)
     for n, path in ((2, "_direct"), (64, "_direct"), (1024, "_fft")):
         g = cyclic(n)
         top = np.array([rng.randrange(2) for _ in range(n)], dtype=np.int64)
@@ -1251,11 +1264,11 @@ def test_small_entries_on_wide_planes_are_read_whole(monkeypatch):
                 assert len(got.planes) == 1
                 assert support(got) == brute(want_p, w, corr), (n, corr, len(w))
                 if w is h:
-                    assert served == [path]
+                    assert [s.path for s in served] == [path]
                     assert path == "_direct" or splits[-1] == (None, None)
 
 
-def test_minimum_int64_entry_times_two():
+def test_largest_int64_entry_times_two():
     # the largest int64 entry, 2^63 - 1: its mass 2^63 + 4 passes int64, and
     # its products with 2 and 3 take two planes
     g, top = cyclic(4), (1 << 63) - 1
@@ -1345,14 +1358,6 @@ def test_split_by_bit_arithmetic_matches_the_scan():
                 assert moments._split(f, g, size, four_step) == scan_split(f, g, size, four_step), (m, f, g)
 
 
-def recording_twiddles(monkeypatch):
-    """The lengths at which the four-step runs, one per transform."""
-    seen = []
-    real = moments._twiddles
-    monkeypatch.setattr(moments, "_twiddles", lambda n: seen.append(n) or real(n))
-    return seen
-
-
 @pytest.mark.parametrize("g, points, span, bits, size, self_only", [
     (cyclic(1 << 15), 1 << 14, None, 0, 1 << 15, False),    # dense 0/1 at the group size
     (cyclic(1 << 15), 3000, None, 40, 1 << 15, False),      # entries to 2^40: a limb split
@@ -1361,11 +1366,8 @@ def recording_twiddles(monkeypatch):
     (cyclic(1 << 17), 1 << 16, None, 0, 1 << 17, True),     # dense 0/1, self-correlation
 ], ids=["Z2^15-dense", "Z2^15-limbs", "Z-window", "Z20000", "Z2^17-dense"])
 def test_four_step_products_match_oracle(monkeypatch, g, points, span, bits, size, self_only):
-    seen = recording_twiddles(monkeypatch)
-    served = []
-    for name in ("_direct", "_fft"):
-        real = getattr(moments, name)
-        monkeypatch.setattr(moments, name, lambda *args, _r=real, _n=name: served.append(_n) or _r(*args))
+    seen = record_calls(monkeypatch, "_twiddles")
+    served = record_paths(monkeypatch)
     rng = random.Random(size + bits)
     mods = g.moduli if g.is_cyclic else None
     f = weighted(rng, g, points, bits, span)
@@ -1379,25 +1381,17 @@ def test_four_step_products_match_oracle(monkeypatch, g, points, span, bits, siz
         assert (limbs != (None, None)) == bool(bits)
         assert support(convolve(tf, th)) == oracles.kronecker_convolve(mods, f, h)
         assert support(correlate(tf, th)) == oracle_correlate(mods, f, h)
-    assert set(served) == {"_fft"} and set(seen) == {size}
+    assert {s.path for s in served} == {"_fft"} and {length for _, (length,) in seen} == {size}
 
 
 @pytest.mark.slow
 def test_four_step_at_2_20_matches_oracle(monkeypatch):
-    seen = recording_twiddles(monkeypatch)
+    seen = record_calls(monkeypatch, "_twiddles")
     g = cyclic(1 << 20)
     a = GSet(g, random.Random(20).sample(range(1 << 20), 1 << 19))
     assert support(convolve(a, a)) == oracles.kronecker_convolve(g.moduli, {x: 1 for x in a.elems},
                                                                  {x: 1 for x in a.elems})
-    assert set(seen) == {1 << 20}
-
-
-def recording_mirrors(monkeypatch):
-    """The four-step layouts whose columns `_mirror` fills, one per even inverse."""
-    seen = []
-    real = moments._mirror
-    monkeypatch.setattr(moments, "_mirror", lambda x: seen.append(x.shape) or real(x))
-    return seen
+    assert {length for _, (length,) in seen} == {1 << 20}
 
 
 def levels_oracle(r):
@@ -1415,12 +1409,12 @@ def levels_oracle(r):
 def test_even_inverse_matches_the_oracle(monkeypatch, g, elems, layout):
     # A o A of a set at a four-step shape inverts its real power spectrum on
     # the columns j2 <= n2/2 and mirrors the rest
-    seen = recording_mirrors(monkeypatch)
+    seen = record_calls(monkeypatch, "_mirror")
     a = GSet(g, elems)
     ones = {x: 1 for x in a.elems}
     r = oracle_correlate(g.moduli if g.is_cyclic else None, ones, ones)
     assert support(correlate(a, a)) == r
-    assert seen == [layout]
+    assert [x.shape for _, (x,) in seen] == [layout]
     for k in range(2, 7):
         assert energy_k(a, k) == sum(v ** k for v in r.values())
     hist = moments._levels(a)
@@ -1437,7 +1431,7 @@ def interval_energy(n, k):
 def test_even_inverse_meets_closed_forms(monkeypatch, m, n, step):
     # an interval of n in Z/2^m has E_k = sum_(|d|<n) (n - |d|)^k, a subgroup
     # H has E_k = |H|^(k+1)
-    seen = recording_mirrors(monkeypatch)
+    seen = record_calls(monkeypatch, "_mirror")
     interval, subgroup = GSet(cyclic(1 << m), range(n)), GSet(cyclic(1 << m), range(0, 1 << m, step))
     for k in range(2, 7):
         assert energy_k(interval, k) == interval_energy(n, k)
@@ -1447,13 +1441,13 @@ def test_even_inverse_meets_closed_forms(monkeypatch, m, n, step):
 
 @pytest.mark.slow
 def test_even_inverse_meets_closed_forms_at_2_20(monkeypatch):
-    seen = recording_mirrors(monkeypatch)
+    seen = record_calls(monkeypatch, "_mirror")
     g = cyclic(1 << 20)
     interval, subgroup = GSet(g, range(5000)), GSet(g, range(0, 1 << 20, 256))
     for k in range(2, 7):
         assert energy_k(interval, k) == interval_energy(5000, k)
         assert energy_k(subgroup, k) == 4096 ** (k + 1)
-    assert seen == [(1024, 1024)] * 2
+    assert [x.shape for _, (x,) in seen] == [(1024, 1024)] * 2
 
 
 @pytest.mark.parametrize("g, elems", [
@@ -1487,7 +1481,7 @@ def test_a_mis_mirrored_even_inverse_breaks_the_mass_identity(monkeypatch):
 def test_four_step_serves_only_long_one_dimensional_shapes(monkeypatch):
     shapes = ((1 << 14,), (1 << 15,), (1 << 20,), (3 << 14,), (128, 256), (1 << 15, 2))
     assert [moments._four_step(s) for s in shapes] == [False, True, True, False, False, False]
-    seen = recording_twiddles(monkeypatch)
+    seen = record_calls(monkeypatch, "_twiddles")
     rng = random.Random(95)
     box = [(x, y) for x in range(150) for y in range(150)]
     # FFT-path products just below the cut, and on shapes of 2^15 points and
@@ -1506,7 +1500,7 @@ def test_four_step_serves_only_long_one_dimensional_shapes(monkeypatch):
     # Z/2^15 and Z/(3 2^14), whose linear products are padded to 2^17
     for n, size in ((1 << 15, 1 << 15), (3 << 14, 1 << 17)):
         t_k(GSet(cyclic(n), rng.sample(range(n), n // 2)), 2)
-        assert set(seen) == {size}
+        assert {length for _, (length,) in seen} == {size}
         seen.clear()
 
 
@@ -1693,45 +1687,116 @@ def fresh_facts(t):
     return sum(1 for v in values if v), (sum(values), linf)
 
 
+# A row of the engine-path table: the product convolve(f, g, corr=corr), g
+# None for f itself, or for power > 1 the power f^(*power) by a convolve
+# loop, whose every engine call `_conv` must send to `path`.  A word of the
+# name from BRANCHES says which branch of that path the row must take.
+EnginePath = namedtuple("EnginePath", "name path f g corr power", defaults=(None, False, 1))
+
+
+def engine_paths():
+    """The engine-path table: one row per branch of the engine's two paths,
+    on fresh operands, since a set keeps what is built from it."""
+    rng = random.Random(127)
+    z64, z1000, z1024, z4096, z15 = cyclic(64), cyclic(1000), cyclic(1024), cyclic(4096), cyclic(1 << 15)
+    ones = lambda g, points, span=None: GSet(g, list(weighted(rng, g, points, 0, span)))
+    heavy = lambda g, points, bits: table_of(g, weighted(rng, g, points, bits))
+    wide = {p: rng.randrange(1 << 64, 1 << 66) for p in weighted(rng, z1024, 300, 0)}
+    return [EnginePath(*row) for row in [
+        ("direct 0/1", "_direct", ones(z64, 10), ones(z64, 12)),
+        ("direct weighted", "_direct", heavy(z64, 10, 20), ones(z64, 12), True),
+        ("direct sparse", "_direct", table_of(z64, {(0,): 3, (5,): 7}), ones(z64, 12)),
+        ("wide few pairs", "_fft", table_of(z64, {(0,): 1 << 70, (5,): 3}, dtype=object), ones(z64, 12)),
+        ("FFT one limb", "_fft", ones(z1024, 300), ones(z1024, 300)),
+        ("FFT weighted", "_fft", heavy(z1024, 300, 20), ones(z1024, 300)),
+        ("FFT correlation", "_fft", ones(z1024, 300), heavy(z1024, 300, 20), True),
+        ("FFT self-product", "_fft", ones(z1024, 300), None, True),
+        ("FFT limbs", "_fft", heavy(z4096, 3000, 40), ones(z4096, 3000)),
+        ("FFT limbs on both operands", "_fft", heavy(z4096, 3000, 40), heavy(z4096, 3000, 38)),
+        ("padded and folded Z/N", "_fft", ones(z1000, 400), ones(z1000, 300), True),
+        ("four-step", "_fft", ones(z15, 1000), ones(z15, 900)),
+        ("four-step correlation", "_fft", ones(z15, 1000), ones(z15, 900), True),
+        ("four-step self-product", "_fft", ones(z15, 1000)),
+        ("even inverse", "_fft", ones(z15, 1000), None, True),
+        ("lattice window", "_fft", ones(lattice(2), 240, 20), None, False, 3),
+        ("1-D lattice window", "_fft", ones(lattice(1), 300, 700), ones(lattice(1), 400, 700)),
+        ("lattice direct power", "_direct", ones(lattice(1), 40, 30), None, False, 3),
+        ("lattice direct", "_direct", ones(lattice(1), 40, 30), ones(lattice(1), 30, 30), True),
+        ("wide planes", "_fft", table_of(z1024, wide, dtype=object), ones(z1024, 300)),
+        ("wide product", "_fft", heavy(z1024, 300, 55), ones(z1024, 300)),
+        ("empty set", "_direct", GSet(z64, []), ones(z64, 5)),
+        ("empty lattice set", "_direct", ones(lattice(2), 9, 5), GSet(lattice(2), []), True),
+    ]]
+
+
+def run_path(row):
+    """The row's product."""
+    g = row.f if row.g is None else row.g
+    return power(row.f, row.power) if row.power > 1 else convolve(row.f, g, corr=row.corr)
+
+
+BRANCHES = {   # a word of a row's name: whether the row's calls and products took that branch
+    "limbs": lambda calls, served: any(n == "_limbs" and args[1] is not None for n, args in calls),
+    "four-step": lambda calls, served: any(n == "_twiddles" for n, _ in calls),
+    "even inverse": lambda calls, served: any(n == "_mirror" for n, _ in calls),
+    "folded": lambda calls, served: any(n == "_fold" for n, _ in calls),
+    "lattice window": lambda calls, served: any(s.path == "_fft" and not s.f.group.is_cyclic for s in served),
+    "wide planes": lambda calls, served: any(len(t.planes) > 1 for s in served for t in (s.f, s.g)),
+    "empty": lambda calls, served: any(not t.planes.any() for s in served for t in (s.f, s.g)),
+}
+
+
+def branch_misses(monkeypatch, rows):
+    """What a table of engine paths gets wrong: a row some of whose products
+    take another path than its own, or that misses a branch its name names,
+    and a branch of BRANCHES that no row names."""
+    served = record_paths(monkeypatch)
+    calls = record_calls(monkeypatch, "_limbs", "_twiddles", "_mirror", "_fold")
+    misses = []
+    for row in rows:
+        served.clear()
+        calls.clear()
+        run_path(row)
+        if {s.path for s in served} != {row.path}:
+            misses.append(f"{row.name}: served by {sorted({s.path for s in served})}, not {row.path}")
+        misses += [f"{row.name}: no {word}" for word, took in BRANCHES.items()
+                   if word in row.name and not took(calls, served)]
+    return misses + [f"no row for {word}" for word in BRANCHES if not any(word in row.name for row in rows)]
+
+
+def test_every_engine_path_row_takes_the_path_and_branch_it_names(monkeypatch):
+    # the table is right: each row's products take its path and the branch
+    # its name names, and each branch has a row.  Planted rows with the
+    # wrong path or a branch they do not take fail, and so does a table
+    # with no row for a branch
+    assert branch_misses(monkeypatch, engine_paths()) == []
+    by_name = {row.name: row for row in engine_paths()}
+    planted = [by_name["four-step"]._replace(path="_direct"),
+               by_name["FFT one limb"]._replace(name="FFT limbs, planted"),
+               by_name["direct 0/1"]._replace(name="direct 0/1, even inverse")]
+    assert branch_misses(monkeypatch, planted) == [
+        "four-step: served by ['_fft'], not _direct", "FFT limbs, planted: no limbs",
+        "direct 0/1, even inverse: no even inverse",
+        "no row for folded", "no row for lattice window", "no row for wide planes", "no row for empty"]
+
+
 def test_carried_facts_equal_the_planes_on_every_path(monkeypatch):
     # every operand an engine path reads carries facts equal to a fresh
     # derivation from its planes, and so does every product
-    seen = []
-    for name in ("_direct", "_fft"):
-        real = getattr(moments, name)
-        monkeypatch.setattr(moments, name, lambda tf, tg, *rest, _r=real, _n=name:
-                            seen.append((_n, tf, tg)) or _r(tf, tg, *rest))
-    rng = random.Random(127)
-    z64, z1024, z4096 = cyclic(64), cyclic(1024), cyclic(4096)
-    ones = lambda g, points, span=None: GSet(g, list(weighted(rng, g, points, 0, span)))
-    wide = {p: rng.randrange(1 << 64, 1 << 66) for p in weighted(rng, z1024, 300, 0)}
-    cases = [
-        ("direct 0/1", "_direct", lambda: convolve(ones(z64, 10), ones(z64, 12))),
-        ("direct weighted", "_direct", lambda: convolve(table_of(z64, weighted(rng, z64, 10, 20)),
-                                                        ones(z64, 12))),
-        ("wide few pairs", "_fft", lambda: convolve(table_of(z64, {(0,): 1 << 70, (5,): 3}, dtype=object),
-                                                    table_of(z64, weighted(rng, z64, 12, 30)))),
-        ("FFT one limb", "_fft", lambda: convolve(ones(z1024, 300), ones(z1024, 300))),
-        ("FFT limbs", "_fft", lambda: convolve(table_of(z4096, weighted(rng, z4096, 3000, 40)),
-                                               table_of(z4096, weighted(rng, z4096, 3000, 38)))),
-        ("wide planes", "_fft", lambda: convolve(table_of(z1024, wide, dtype=object), ones(z1024, 300))),
-        ("lattice window", "_fft", lambda: power(ones(lattice(2), 240, 20), 3)),
-        ("lattice direct", "_direct", lambda: power(ones(lattice(1), 40, 30), 3)),
-        ("correlation", "_fft", lambda: correlate(ones(z1024, 300), table_of(z1024, weighted(rng, z1024, 300, 20)))),
-        ("lattice correlation", "_direct", lambda: correlate(ones(lattice(1), 40, 30), ones(lattice(1), 30, 30))),
-    ]
-    for name, path, product in cases:
-        seen.clear()
-        out = product()
-        assert seen and {p for p, _, _ in seen} == {path}, name
-        if name == "wide planes":
-            assert len(seen[0][1].planes) == 3
-        for t in [x for _, tf, tg in seen for x in (tf, tg)]:
-            assert t._facts is not None and t.facts() == fresh_facts(t), name
-        assert out.facts() == fresh_facts(out), name
+    served = record_paths(monkeypatch)
+    for row in engine_paths():
+        served.clear()
+        out = run_path(row)
+        assert served and {s.path for s in served} == {row.path}, row.name
+        if row.name == "wide planes":
+            assert len(served[0].f.planes) == 3
+        for t in [t for s in served for t in (s.f, s.g)]:
+            assert t._facts is not None and t.facts() == fresh_facts(t), row.name
+        assert out.facts() == fresh_facts(out), row.name
     # a set's table is born with (|A|, (|A|, 1)), the empty set's with zeros
-    for g in (z64, cyclic(4, 8), lattice(1), lattice(2)):
-        for a in (ones(g, 9, 5), GSet(g, [])):
+    rng = random.Random(127)
+    for g in (cyclic(64), cyclic(4, 8), lattice(1), lattice(2)):
+        for a in (GSet(g, list(weighted(rng, g, 9, 0, 5))), GSet(g, [])):
             t = ConvTable.from_gset(a)
             assert t._facts == fresh_facts(t) == (len(a), (len(a), min(len(a), 1)))
 
@@ -1746,47 +1811,23 @@ def test_narrow_set_plane_reads_as_its_int64_copy_on_every_path(monkeypatch):
     # a set's table is one read-only uint8 plane; on every engine path a set
     # operand and an int64 copy of its table give the same int64 planes,
     # offset and facts, and so do the plane's other readers
-    seen = []
-    for name in ("_direct", "_fft"):
-        real = getattr(moments, name)
-        monkeypatch.setattr(moments, name, lambda tf, tg, *rest, _r=real, _n=name:
-                            seen.append(_n) or _r(tf, tg, *rest))
+    served = record_paths(monkeypatch)
+    for row in engine_paths():
+        tf, tg = (int64_copy(x) if isinstance(x, GSet) else x for x in (row.f, row.g))
+        if row.name == "FFT limbs":
+            assert moments._split(tf.facts()[1], tg.facts()[1], 4096) != (None, None)
+        served.clear()
+        got = run_path(row)
+        assert {s.path for s in served} == {row.path}, row.name
+        want = run_path(row._replace(f=tf, g=tg))
+        assert got.planes.dtype == want.planes.dtype == np.int64, row.name
+        assert np.array_equal(got.planes, want.planes) and got.offset == want.offset, row.name
+        assert got.facts() == want.facts(), row.name
     rng = random.Random(139)
-    z64, z1000, z1024, z4096, z15 = cyclic(64), cyclic(1000), cyclic(1024), cyclic(4096), cyclic(1 << 15)
     ones = lambda g, points, span=None: GSet(g, list(weighted(rng, g, points, 0, span)))
-    wide = {p: rng.randrange(1 << 64, 1 << 66) for p in weighted(rng, z1024, 300, 0)}
-    heavy = table_of(z4096, weighted(rng, z4096, 3000, 40))
-    cases = [   # (name, path, f, g, corr, steps): g None is f itself; steps > 1 a power of f
-        ("direct 0/1", "_direct", ones(z64, 10), ones(z64, 12), False, 1),
-        ("direct weighted", "_direct", table_of(z64, weighted(rng, z64, 10, 20)), ones(z64, 12), True, 1),
-        ("wide few pairs", "_fft", table_of(z64, {(0,): 1 << 70, (5,): 3}, dtype=object), ones(z64, 12),
-         False, 1),
-        ("FFT one limb", "_fft", ones(z1024, 300), ones(z1024, 300), True, 1),
-        ("FFT self-product", "_fft", ones(z1024, 300), None, True, 1),
-        ("FFT limbs", "_fft", heavy, ones(z4096, 3000), False, 1),
-        ("four-step", "_fft", ones(z15, 1000), ones(z15, 900), True, 1),
-        ("four-step self-product", "_fft", ones(z15, 1000), None, False, 1),
-        ("wide planes", "_fft", table_of(z1024, wide, dtype=object), ones(z1024, 300), False, 1),
-        ("padded and folded Z/N", "_fft", ones(z1000, 400), ones(z1000, 300), True, 1),
-        ("lattice window", "_fft", ones(lattice(2), 240, 20), None, False, 3),
-        ("lattice direct", "_direct", ones(lattice(1), 40, 30), ones(lattice(1), 30, 30), True, 1),
-    ]
-    for name, path, f, g, corr, steps in cases:
-        tables = [int64_copy(x) if isinstance(x, GSet) else x for x in (f, g)]
-        if g is None:
-            g, tables[1] = f, tables[0]
-        if name == "FFT limbs":
-            assert moments._split(heavy.facts()[1], tables[1].facts()[1], 4096) != (None, None)
-        seen.clear()
-        got = power(f, steps) if steps > 1 else convolve(f, g, corr=corr)
-        assert set(seen) == {path}, name
-        want = power(tables[0], steps) if steps > 1 else convolve(*tables, corr=corr)
-        assert got.planes.dtype == want.planes.dtype == np.int64, name
-        assert np.array_equal(got.planes, want.planes) and got.offset == want.offset, name
-        assert got.facts() == want.facts(), name
     # the plane's own readers: whole and limb digits, the values, the zero cell,
     # the gather behind sigma_2 (read from level 1)
-    for a in (ones(z1000, 400), ones(cyclic(4, 8), 9), ones(lattice(1), 40, 30), ones(lattice(2), 60, 6)):
+    for a in (ones(cyclic(1000), 400), ones(cyclic(4, 8), 9), ones(lattice(1), 40, 30), ones(lattice(2), 60, 6)):
         t, c = ConvTable.from_gset(a), int64_copy(a)
         assert t.planes.dtype == np.uint8 and not t.planes.flags.writeable and t.facts() == c.facts()
         assert np.array_equal(t.array, c.array) and t.offset == c.offset
@@ -1811,13 +1852,11 @@ def test_chain_steps_derive_each_table_fact_once(monkeypatch):
     # up to (2^14)^5) takes its maximum off the top plane and counts its
     # nonzeros on its planes' support; the limb plan is built once per
     # transform size
-    passes, plans = [], []
-    real_percival = moments._percival
+    passes, plans = [], record_calls(monkeypatch, "_percival")
     for name in ("count_nonzero", "max"):
         real = getattr(np, name)
         monkeypatch.setattr(np, name, lambda x, *rest, _r=real, _n=name, **kw:
                             passes.append((_n, x)) or _r(x, *rest, **kw))
-    monkeypatch.setattr(moments, "_percival", lambda *a: plans.append(a) or real_percival(*a))
     moments._limb_caps.cache_clear()
     rng = random.Random(131)
     for n in (1024, 1024, 4096, 1 << 15):
@@ -1832,7 +1871,7 @@ def test_chain_steps_derive_each_table_fact_once(monkeypatch):
             # (a wide level's nonzeros are counted on its planes' support, a fresh array)
             assert all(np.shares_memory(x, chain.top.planes) for name, x in passes
                        if one_plane or name == "max"), (n, k)
-    assert plans == [(1024, False), (4096, False), (1 << 15, True)]
+    assert [args for _, args in plans] == [(1024, False), (4096, False), (1 << 15, True)]
 
 
 @pytest.mark.parametrize("g, fpoints, gpoints, span, shape", [
@@ -1873,63 +1912,26 @@ def test_products_take_their_facts_from_the_checked_mass(monkeypatch):
     # every product, on every engine path, is born with the mass its path
     # checked and reads only its nonzero count and maximum, no sum of its
     # planes; its facts equal a fresh count, sum and maximum of its values.
-    # The paths: direct (0/1, weighted, sparse), one limb, a self-product,
-    # several limbs, the fold of a padded Z/N, the four-step and its even
-    # inverse, 1-D and 2-D lattice windows, the lattice direct path, wide
-    # planes (an operand of three planes, a product of two) and an empty
-    # operand on a cyclic and on a lattice group
-    sums, served = [], []
-    real_total = moments._total
-    monkeypatch.setattr(moments, "_total", lambda *args: sums.append(args) or real_total(*args))
-    for name in ("_direct", "_fft"):
-        real = getattr(moments, name)
-        monkeypatch.setattr(moments, name, lambda tf, tg, *rest, _r=real, _n=name:
-                            served.append(_n) or _r(tf, tg, *rest))
-    mirrors = recording_mirrors(monkeypatch)
-    rng = random.Random(151)
-    z64, z1000, z1024, z4096, z15 = cyclic(64), cyclic(1000), cyclic(1024), cyclic(4096), cyclic(1 << 15)
-    ones = lambda g, points, span=None: GSet(g, list(weighted(rng, g, points, 0, span)))
-    heavy = table_of(z4096, weighted(rng, z4096, 3000, 40))
-    wide = {p: rng.randrange(1 << 64, 1 << 66) for p in weighted(rng, z1024, 300, 0)}
-    cases = [   # (name, path, product, planes)
-        ("direct 0/1", "_direct", lambda: convolve(ones(z64, 10), ones(z64, 12)), 1),
-        ("direct weighted", "_direct", lambda: correlate(table_of(z64, weighted(rng, z64, 10, 20)),
-                                                         ones(z64, 12)), 1),
-        ("direct sparse", "_direct", lambda: convolve(table_of(z64, {(0,): 3, (5,): 7}), ones(z64, 12)), 1),
-        ("FFT one limb", "_fft", lambda: convolve(ones(z1024, 300), ones(z1024, 300)), 1),
-        ("FFT weighted", "_fft", lambda: convolve(table_of(z1024, weighted(rng, z1024, 300, 20)),
-                                                  ones(z1024, 300)), 1),
-        ("FFT self-product", "_fft", lambda: correlate(*[ones(z1024, 300)] * 2), 1),
-        ("FFT limbs", "_fft", lambda: convolve(heavy, ones(z4096, 3000)), 1),
-        ("padded and folded Z/N", "_fft", lambda: correlate(ones(z1000, 400), ones(z1000, 300)), 1),
-        ("four-step", "_fft", lambda: convolve(ones(z15, 1000), ones(z15, 900)), 1),
-        ("even inverse", "_fft", lambda: correlate(*[ones(z15, 1000)] * 2), 1),
-        ("lattice window", "_fft", lambda: power(ones(lattice(2), 240, 20), 3), 1),
-        ("1-D lattice window", "_fft", lambda: convolve(ones(lattice(1), 300, 700), ones(lattice(1), 400, 700)),
-         1),
-        ("lattice direct", "_direct", lambda: correlate(ones(lattice(1), 40, 30), ones(lattice(1), 30, 30)), 1),
-        ("wide planes", "_fft", lambda: convolve(table_of(z1024, wide, dtype=object), ones(z1024, 300)), 3),
-        ("wide product", "_fft", lambda: convolve(table_of(z1024, weighted(rng, z1024, 300, 55)),
-                                                  ones(z1024, 300)), 2),
-        ("empty set", "_direct", lambda: convolve(GSet(z64, []), ones(z64, 5)), 1),
-        ("empty lattice set", "_direct", lambda: correlate(ones(lattice(2), 9, 5), GSet(lattice(2), [])), 1),
-    ]
-    for name, path, product, planes in cases:
+    # The rows with a product of more than one plane:
+    planes = {"wide few pairs": 3, "FFT limbs on both operands": 3, "wide planes": 3, "wide product": 2}
+    sums, served = record_calls(monkeypatch, "_total"), record_paths(monkeypatch)
+    mirrors = record_calls(monkeypatch, "_mirror")
+    for row in engine_paths():
         served.clear()
         mirrors.clear()
-        out = product()
-        assert served[-1] == path and len(out.planes) == planes, name
-        assert bool(mirrors) == (name == "even inverse"), name
-        if name == "FFT limbs":
-            assert moments._split(heavy.facts()[1], (3000, 1), 4096) != (None, None)
-        assert out._mass is not None, name
+        out = run_path(row)
+        assert served[-1].path == row.path and len(out.planes) == planes.get(row.name, 1), row.name
+        assert bool(mirrors) == (row.name == "even inverse"), row.name
+        if row.name == "FFT limbs":
+            assert moments._split(row.f.facts()[1], (3000, 1), 4096) != (None, None)
+        assert out._mass is not None, row.name
         sums.clear()
         facts = out.facts()
-        assert sums == [], name
-        assert facts == fresh_facts(out), name
+        assert sums == [], row.name
+        assert facts == fresh_facts(out), row.name
 
 
-def test_a_z1024_chain_to_t6_derives_no_norms(monkeypatch):
+def test_a_z1024_chain_to_t6_builds_every_table_with_its_mass(monkeypatch):
     # the benchmark's small-table regime: every table of a Z/1024 chain of
     # density 1/2 is born with its mass or, the set's, its facts, so no
     # table sums its planes for them (sigma_7 gathers the top level at -A)
@@ -1985,11 +1987,9 @@ def test_total_past_2_63_sums_its_digits_a_block_at_a_time(monkeypatch):
         tracemalloc.stop()
     assert got == want and x.size * int(x.max()) >= 1 << 63
     assert peak <= 0.5
-    cuts = []
-    real = moments._digits
-    monkeypatch.setattr(moments, "_digits", lambda *args: cuts.append(args[0].shape) or real(*args))
+    cuts = record_calls(monkeypatch, "_digits")
     assert moments._total(x, want) == want
-    assert cuts == [(1, moments._BLOCK)] * (x.size // moments._BLOCK)
+    assert [args[0].shape for _, args in cuts] == [(1, moments._BLOCK)] * (x.size // moments._BLOCK)
     cuts.clear()
     small = x >> 20
     assert moments._total(small) == sum(small[0].tolist()) and cuts == []
@@ -2042,13 +2042,7 @@ def test_lattice_products_keep_tight_windows(monkeypatch):
     # and every chain level to T_6 in Z, Z^2 and Z^3, on the direct path and
     # the FFT's with one limb and with several, each hold a nonzero entry on
     # every face and own their planes
-    events = []
-    for name in ("_direct", "_fft"):
-        real = getattr(moments, name)
-        monkeypatch.setattr(moments, name, lambda *args, _r=real, _n=name: events.append(_n) or _r(*args))
-    real_limbs = moments._limbs
-    monkeypatch.setattr(moments, "_limbs", lambda x, bits, linf: (events.append("limbs") if bits else None)
-                        or real_limbs(x, bits, linf))
+    served, limbs = record_paths(monkeypatch), record_calls(monkeypatch, "_limbs")
     rng = random.Random(149)
     for dim, small, large in ((1, (12, 20), (2000, 3000)), (2, (12, 6), (2000, 30)), (3, (10, 3), (700, 5))):
         g, kinds = lattice(dim), set()
@@ -2058,15 +2052,17 @@ def test_lattice_products_keep_tight_windows(monkeypatch):
             products = [lambda: convolve(a, b), lambda: correlate(a, b), lambda: correlate(a, a)]
             products += [lambda j=j: chain.extend(j).top for j in range(2, 7)]
             for product in products:
-                events.clear()
+                served.clear()
+                limbs.clear()
                 t = product()
                 assert tight_and_own(t), (dim, points, len(kinds))
-                kinds.add("direct" if "_direct" in events else "FFT limbs" if "limbs" in events else "FFT")
+                split = any(bits is not None for _, (x, bits, linf) in limbs)
+                kinds.add("direct" if any(s.path == "_direct" for s in served) else "FFT limbs" if split else "FFT")
             assert tight_and_own(ConvTable.from_gset(a))
         assert kinds == {"direct", "FFT", "FFT limbs"}, dim
 
 
-def test_signed_products_with_zero_faces_read_as_the_oracle():
+def test_products_with_zero_faces_read_as_the_oracle():
     # lattice tables of small weights padded with zero faces: the product's
     # window is the linear product's, zero faces kept, and every reader
     # gives the oracle's values

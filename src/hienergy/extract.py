@@ -103,7 +103,7 @@ class ExtractionReport:
 def energy_profile(a: GSet, ks: Iterable[int]) -> dict:
     """Normalized invariants: kappa_k = E_k/|A|^(k+1), delta = |A|/N,
     K = |A-A|/|A| (the sum of the counts of the set's histogram of A o A),
-    L = |A+A|/|A| (the kept ``setops.sumset(a, a)``)."""
+    L = |A+A|/|A| (the nonzero count of A * A, one engine call kept on the set)."""
     if not a:
         raise ValueError("profile needs a nonempty set")
     n = len(a)
@@ -113,7 +113,7 @@ def energy_profile(a: GSet, ks: Iterable[int]) -> dict:
         "kappa": {str(k): float(moments.energy_k(a, k)) / n ** (k + 1) for k in sorted(map(int, ks))},
         "delta": n / a.group.order if a.group.is_cyclic else None,
         "K": moments._levels(a).total / n,
-        "L": len(setops.sumset(a, a)) / n,
+        "L": a.kept("|A+A|", lambda: int(np.count_nonzero(moments.convolve(a, a).values()))) / n,
     }
 
 

@@ -66,6 +66,24 @@ def test_popular_mass_guarantee():
         assert 2 * sum(corr.values_at(p.coords).tolist()) >= len(a) ** 2
 
 
+def test_profile_reads_a_plus_a_off_one_engine_call(monkeypatch):
+    # L = |A + A| / |A| is the nonzero count of A * A, kept on the set: no
+    # pair sums are formed (setops.sumset is never called), and it equals
+    # len(sumset(a, a)) and the oracle's |A + A|, on the direct path and
+    # the FFT's (Z/4096 at 200 points)
+    rng = random.Random(71)
+    sets = [rand_gset(rng, g, 9) for g in (cyclic(13), cyclic(4, 8), lattice(1), lattice(2))]
+    sets.append(GSet(cyclic(4096), rng.sample(range(4096), 200)))
+    sumset, calls = setops.sumset, []
+    monkeypatch.setattr(setops, "sumset", lambda *args: calls.append(args) or sumset(*args))
+    got = [extract.energy_profile(a, (2,))["L"] for a in sets]
+    assert calls == [] and [extract.energy_profile(a, (3,))["L"] for a in sets] == got
+    for a, ratio in zip(sets, got):
+        mods = a.group.moduli if a.group.is_cyclic else None
+        size = len({oracles.add(mods, x, y) for x in a.elems for y in a.elems})
+        assert ratio == len(sumset(a, a)) / len(a) == size / len(a)
+
+
 def test_intersection_select_identical_family():
     fam = member_of([zset([0, 1, 2])] * 5, zset([0, 1, 2]))
     j, column = _select(fam, intersections(fam), 1.0, 1 / 8)

@@ -133,7 +133,10 @@ def test_second_call_builds_nothing(monkeypatch):
         moments.energy_k(a, 2.5)
         moments.level_sequence(a)
         extract.energy_profile(a, (2, 3, 4))
-        assert counts == built   # |A + A| is the kept A + A
+        built["_conv"] += 1   # |A + A|: the nonzero count of one A * A, kept
+        assert counts == built
+        extract.energy_profile(a, (2, 3))
+        assert counts == built
         counts.clear()
 
 

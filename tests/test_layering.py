@@ -20,7 +20,10 @@ runs through `moments._exact_product`, on its caller's a priori bound.
 Pretty JSON is written by one writer, `groups.dumps_json`: no module
 indents JSON through the stdlib.  Each module imports only the layers below
 it, groups < gset < moments < genset < setops < spectrum < eigen < extract
-< checks < cli: the engine stands below the set algebra that reads it."""
+< checks < cli: the engine stands below the set algebra that reads it.
+No test patches a threshold by which the engine picks its path
+(`_DIRECT_MAX`, `_DIRECT_MIN`, `_FOUR_STEP_MIN`, `_WIDE`): every path is
+reached through its operands."""
 
 import ast
 from pathlib import Path
@@ -705,3 +708,54 @@ def test_layer_guard_sees_each_form(tmp_path):
     assert upward_imports(bad) == ["moments.py:1 imports setops", "moments.py:3 imports checks",
                                    "moments.py:4 imports cli", "moments.py:5 imports extract",
                                    "moments.py:7 imports eigen", "moments.py:8 imports moments"]
+
+
+TESTS = Path(__file__).parent
+THRESHOLDS = ("_DIRECT_MAX", "_DIRECT_MIN", "_FOUR_STEP_MIN", "_WIDE")   # where `_conv` picks a path
+
+
+def threshold_patches(path: Path) -> list[str]:
+    """Every `setattr` call in a module that names one of the engine's path
+    thresholds, as a name argument (`monkeypatch.setattr(moments, "_WIDE",
+    0)`) or a dotted target (`monkeypatch.setattr("hienergy.moments._WIDE",
+    0)`), and every assignment to one, as `module:line name`.  A test
+    reaches each path through its operands, as a real input does."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and "setattr" in (getattr(node.func, "attr", None),
+                                                        getattr(node.func, "id", None)):
+            found += [(node.lineno, arg.value.rsplit(".", 1)[-1]) for arg in node.args
+                      if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                      and arg.value.rsplit(".", 1)[-1] in THRESHOLDS]
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.attr) for t in targets
+                      if isinstance(t, ast.Attribute) and t.attr in THRESHOLDS]
+    return [f"{path.stem}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_no_test_patches_an_engine_threshold():
+    modules = sorted(TESTS.glob("*.py"))
+    assert len(modules) >= 10
+    assert [use for p in modules for use in threshold_patches(p)] == []
+    # the names it looks for are the engine's module-level thresholds
+    tree = ast.parse((SRC / "moments.py").read_text(encoding="utf-8"))
+    assert set(THRESHOLDS) <= {t.id for node in tree.body if isinstance(node, ast.Assign)
+                               for t in node.targets if isinstance(t, ast.Name)}
+
+
+def test_threshold_guard_sees_each_form(tmp_path):
+    bad = tmp_path / "test_bad.py"
+    bad.write_text("def test_a(monkeypatch):\n"
+                   "    monkeypatch.setattr(moments, '_DIRECT_MAX', 0)\n"
+                   "    monkeypatch.setattr('hienergy.moments._WIDE', 1)\n"
+                   "    with monkeypatch.context() as m:\n"
+                   "        m.setattr(moments, '_FOUR_STEP_MIN', 8, raising=True)\n"
+                   "    setattr(moments, '_DIRECT_MIN', 0)\n"
+                   "    moments._WIDE = 4\n"
+                   "    moments._DIRECT_MAX += 1\n"
+                   "    monkeypatch.setattr(moments, '_fold', fold)\n"
+                   "    monkeypatch.setattr(moments, '_DIRECT_MAXIMUM', 0)\n"
+                   "    caps = moments._WIDE\n")
+    assert threshold_patches(bad) == ["test_bad:2 _DIRECT_MAX", "test_bad:3 _WIDE", "test_bad:5 _FOUR_STEP_MIN",
+                                      "test_bad:6 _DIRECT_MIN", "test_bad:7 _WIDE", "test_bad:8 _DIRECT_MAX"]

@@ -526,27 +526,6 @@ def test_fft_equals_direct_500_instances():
         assert (fft == direct).all(), f"instance {i} diverged"
 
 
-def test_fft_multidim_and_lattice_paths():
-    rng = random.Random(59)
-    g = cyclic(32, 32)  # order 1024 >= threshold
-    a = GSet(g, [oracles.from_flat(g.moduli, v) for v in rng.sample(range(1024), 40)])
-    b = GSet(g, [oracles.from_flat(g.moduli, v) for v in rng.sample(range(1024), 40)])
-    ta, tb = ConvTable.from_gset(a), ConvTable.from_gset(b)
-    assert (moments._fft(ta, tb) == moments._direct(ta, tb)).all()
-    # lattice windows: shift far from the origin, exactness preserved
-    z = lattice(1)
-    a = GSet(z, [x + 1000 for x in rng.sample(range(100), 20)])
-    b = GSet(z, [x - 2000 for x in rng.sample(range(100), 20)])
-    t = convolve(a, b)
-    mods = None
-    want = {}
-    for u in a.elems:
-        for v in b.elems:
-            s = (u[0] + v[0],)
-            want[s] = want.get(s, 0) + 1
-    assert support(t) == want
-
-
 def oracle_correlate(mods, f, h):
     """(f o h)(x) = sum_y f(y) h(y + x): the oracle convolution of f reflected."""
     return oracles.kronecker_convolve(
@@ -591,41 +570,6 @@ def record_calls(monkeypatch, *names):
         real = getattr(moments, name)
         monkeypatch.setattr(moments, name, lambda *args, _r=real, _n=name: calls.append((_n, args)) or _r(*args))
     return calls
-
-
-@pytest.mark.parametrize("g, points, span, cap, path", [
-    (cyclic(16), 12, None, None, "_direct"),
-    (cyclic(4, 4), 12, None, None, "_direct"),
-    (cyclic(4096), 64, None, None, "_direct"),       # sparse: sqrt(N) points, 2^12 pairs
-    (cyclic(1024), 160, None, None, "_fft"),         # cyclic FFT at the group size
-    (cyclic(32, 64), 160, None, None, "_fft"),
-    (cyclic(1000), 160, None, None, "_fft"),         # padded linear FFT, folded
-    (cyclic(3, 5), 12, None, 0, "_fft"),             # forced: _DIRECT_MAX patched to 0
-    (lattice(1), 40, 30, None, "_direct"),
-    (lattice(1), 240, 3000, None, "_fft"),           # padded linear FFT on a window
-    (lattice(1), 300, 150, None, "_fft"),            # dense Z set
-    (lattice(2), 240, 20, None, "_fft"),
-], ids=["Z16", "Z4xZ4", "Z4096-sparse", "Z1024", "Z32xZ64", "Z1000", "Z3xZ5-fft", "Z-direct",
-        "Z-fft", "Z-dense", "Z2-fft"])
-def test_correlate_matches_oracle_on_every_path(monkeypatch, g, points, span, cap, path):
-    if cap is not None:
-        monkeypatch.setattr(moments, "_DIRECT_MAX", cap)
-    served = record_paths(monkeypatch)
-    rng = random.Random(83)
-    mods = g.moduli if g.is_cyclic else None
-    # 0/1, then entries to 2^40 that force a limb split, with either operand the wider
-    for fbits, hbits in ((0, 0), (40, 3), (3, 40), (40, 40)):
-        f, h = weighted(rng, g, points, fbits, span), weighted(rng, g, points, hbits, span)
-        tf, th = table_of(g, f), table_of(g, h)
-        assert support(correlate(tf, th)) == oracle_correlate(mods, f, h)
-        assert support(correlate(th, tf)) == oracle_correlate(mods, h, f)
-        assert support(correlate(tf, tf)) == oracle_correlate(mods, f, f)
-    a, b = (GSet(g, list(weighted(rng, g, points, 0, span))) for _ in range(2))
-    assert support(correlate(a, b)) == oracles.corr_counts(mods, set(a.elems), set(b.elems))
-    assert support(correlate(a, a)) == oracles.corr_counts(mods, set(a.elems), set(a.elems))
-    # the 40-bit passes make wide products, which only the FFT's limbs serve
-    assert {s.path for s in served if not s.wide} == {path}
-    assert {s.path for s in served if s.wide} == {"_fft"}
 
 
 def test_self_products_transform_once(monkeypatch):
@@ -1167,25 +1111,6 @@ def test_wide_chains_match_the_oracle(monkeypatch, index):
         assert {s.path for s in served if not s.wide} == {"_direct"}
 
 
-def test_wide_products_match_python_ints():
-    # wide planes on both paths: entries past 2^63 against a small g, and
-    # against g itself
-    rng = random.Random(109)
-    for g, points in ((cyclic(64), 20), (cyclic(1024), 1024), (lattice(1), 300)):
-        box = range(g.order) if g.is_cyclic else range(-400, 400)
-        f = {(x,): rng.randrange(1 << 90) for x in rng.sample(box, points)}
-        h = {(x,): rng.randrange(4) or 1 for x in rng.sample(box, points)}
-        for u, w in ((f, h), (f, f)):
-            want = {}
-            for (x,), v in u.items():
-                for (y,), c in w.items():
-                    z = ((x + y) % g.order,) if g.is_cyclic else (x + y,)
-                    want[z] = want.get(z, 0) + v * c
-            got = convolve(table_of(g, u, dtype=object), table_of(g, w, dtype=object))
-            assert support(got) == {z: v for z, v in want.items() if v}
-            assert total(got) == sum(u.values()) * sum(w.values())
-
-
 def pair_sums(mods, f, h, corr=False):
     """(f * h)(x), or (f o h)(x) with corr, in Python ints over all pairs of
     support points; zeros dropped."""
@@ -1356,32 +1281,6 @@ def test_split_by_bit_arithmetic_matches_the_scan():
                         cases.append(((1 << 62, 1 << 62), (g, 1)))
             for f, g in cases:
                 assert moments._split(f, g, size, four_step) == scan_split(f, g, size, four_step), (m, f, g)
-
-
-@pytest.mark.parametrize("g, points, span, bits, size, self_only", [
-    (cyclic(1 << 15), 1 << 14, None, 0, 1 << 15, False),    # dense 0/1 at the group size
-    (cyclic(1 << 15), 3000, None, 40, 1 << 15, False),      # entries to 2^40: a limb split
-    (lattice(1), 3000, 12000, 0, 1 << 16, False),           # a window padded past 2^15
-    (cyclic(20000), 5000, None, 0, 1 << 16, False),         # Z/N padded past 2^15, folded
-    (cyclic(1 << 17), 1 << 16, None, 0, 1 << 17, True),     # dense 0/1, self-correlation
-], ids=["Z2^15-dense", "Z2^15-limbs", "Z-window", "Z20000", "Z2^17-dense"])
-def test_four_step_products_match_oracle(monkeypatch, g, points, span, bits, size, self_only):
-    seen = record_calls(monkeypatch, "_twiddles")
-    served = record_paths(monkeypatch)
-    rng = random.Random(size + bits)
-    mods = g.moduli if g.is_cyclic else None
-    f = weighted(rng, g, points, bits, span)
-    tf = table_of(g, f)
-    if self_only:
-        assert support(correlate(tf, tf)) == oracle_correlate(mods, f, f)
-    else:
-        h = weighted(rng, g, points, bits, span)
-        th = table_of(g, h)
-        limbs = moments._split(tf.facts()[1], th.facts()[1], size, True)
-        assert (limbs != (None, None)) == bool(bits)
-        assert support(convolve(tf, th)) == oracles.kronecker_convolve(mods, f, h)
-        assert support(correlate(tf, th)) == oracle_correlate(mods, f, h)
-    assert {s.path for s in served} == {"_fft"} and {length for _, (length,) in seen} == {size}
 
 
 @pytest.mark.slow
@@ -1583,25 +1482,6 @@ def test_t_k_past_the_float_range():
             t_k(a, k)
 
 
-def test_fft_limb_products_exact():
-    rng = random.Random(73)
-    g = cyclic(4096)
-    f = {(x,): rng.randrange(1 << 40) for x in range(4096)}
-    h = {(x,): rng.randrange(1 << 38) for x in range(4096)}
-    t = convolve(table_of(g, f), table_of(g, h))   # both operands split
-    assert t.array.dtype == object
-    assert support(t) == oracles.kronecker_convolve((4096,), f, h)
-    # sparse operands, one with entries to 2^45: its top limb is the rest
-    f = {(x,): rng.randrange(1 << 45) for x in rng.sample(range(4096), 60)}
-    h = {(x,): rng.randrange(4) for x in rng.sample(range(4096), 60)}
-    want = {}
-    for (u,), v in f.items():
-        for (w,), c in h.items():
-            want[((u + w) % 4096,)] = want.get(((u + w) % 4096,), 0) + v * c
-    t = convolve(table_of(g, f), table_of(g, h))
-    assert support(t) == {x: v for x, v in want.items() if v}
-
-
 def test_padded_folded_and_lattice_powers_match_oracle():
     rng = random.Random(79)
     box = [(x, y) for x in range(-20, 21) for y in range(-20, 21)]
@@ -1695,34 +1575,51 @@ EnginePath = namedtuple("EnginePath", "name path f g corr power", defaults=(None
 
 
 def engine_paths():
-    """The engine-path table: one row per branch of the engine's two paths,
-    on fresh operands, since a set keeps what is built from it."""
+    """The engine-path table: one row per branch of the engine's two paths
+    and per group kind that branch serves, on fresh operands, since a set
+    keeps what is built from it."""
     rng = random.Random(127)
     z64, z1000, z1024, z4096, z15 = cyclic(64), cyclic(1000), cyclic(1024), cyclic(4096), cyclic(1 << 15)
+    z4x8, z32x64, z = cyclic(4, 8), cyclic(32, 64), lattice(1)
     ones = lambda g, points, span=None: GSet(g, list(weighted(rng, g, points, 0, span)))
-    heavy = lambda g, points, bits: table_of(g, weighted(rng, g, points, bits))
-    wide = {p: rng.randrange(1 << 64, 1 << 66) for p in weighted(rng, z1024, 300, 0)}
+    heavy = lambda g, points, bits, span=None: table_of(g, weighted(rng, g, points, bits, span),
+                                                         object if bits > 63 else np.int64)
     return [EnginePath(*row) for row in [
         ("direct 0/1", "_direct", ones(z64, 10), ones(z64, 12)),
         ("direct weighted", "_direct", heavy(z64, 10, 20), ones(z64, 12), True),
         ("direct sparse", "_direct", table_of(z64, {(0,): 3, (5,): 7}), ones(z64, 12)),
+        ("direct on two axes", "_direct", heavy(z4x8, 12, 20), ones(z4x8, 12)),
+        ("direct, 64 x 64 points of Z/4096", "_direct", ones(z4096, 64), ones(z4096, 64)),
         ("wide few pairs", "_fft", table_of(z64, {(0,): 1 << 70, (5,): 3}, dtype=object), ones(z64, 12)),
         ("FFT one limb", "_fft", ones(z1024, 300), ones(z1024, 300)),
         ("FFT weighted", "_fft", heavy(z1024, 300, 20), ones(z1024, 300)),
         ("FFT correlation", "_fft", ones(z1024, 300), heavy(z1024, 300, 20), True),
         ("FFT self-product", "_fft", ones(z1024, 300), None, True),
+        ("FFT on two axes", "_fft", ones(z32x64, 160), ones(z32x64, 160)),
         ("FFT limbs", "_fft", heavy(z4096, 3000, 40), ones(z4096, 3000)),
+        ("FFT limbs, g the wider operand", "_fft", heavy(z1024, 300, 3), heavy(z1024, 300, 40)),
         ("FFT limbs on both operands", "_fft", heavy(z4096, 3000, 40), heavy(z4096, 3000, 38)),
+        ("FFT limbs on two axes", "_fft", heavy(z32x64, 160, 40), ones(z32x64, 160)),
         ("padded and folded Z/N", "_fft", ones(z1000, 400), ones(z1000, 300), True),
+        ("limbs, padded and folded Z/N", "_fft", heavy(z1000, 400, 40), ones(z1000, 300), True),
+        ("folded on two axes", "_fft", ones(cyclic(32, 48), 700), ones(cyclic(32, 48), 700)),
         ("four-step", "_fft", ones(z15, 1000), ones(z15, 900)),
         ("four-step correlation", "_fft", ones(z15, 1000), ones(z15, 900), True),
         ("four-step self-product", "_fft", ones(z15, 1000)),
+        ("four-step limbs", "_fft", heavy(z15, 3000, 40), heavy(z15, 3000, 40)),
+        ("four-step on a lattice window", "_fft", ones(z, 3000, 12000), ones(z, 3000, 12000)),
+        ("four-step, padded and folded Z/N", "_fft", ones(cyclic(20000), 5000), ones(cyclic(20000), 5000)),
         ("even inverse", "_fft", ones(z15, 1000), None, True),
         ("lattice window", "_fft", ones(lattice(2), 240, 20), None, False, 3),
-        ("1-D lattice window", "_fft", ones(lattice(1), 300, 700), ones(lattice(1), 400, 700)),
-        ("lattice direct power", "_direct", ones(lattice(1), 40, 30), None, False, 3),
-        ("lattice direct", "_direct", ones(lattice(1), 40, 30), ones(lattice(1), 30, 30), True),
-        ("wide planes", "_fft", table_of(z1024, wide, dtype=object), ones(z1024, 300)),
+        ("1-D lattice window", "_fft", ones(z, 300, 700), ones(z, 400, 700)),
+        ("limbs on a 1-D lattice window", "_fft", heavy(z, 300, 40, 700), ones(z, 400, 700)),
+        ("lattice direct power", "_direct", ones(z, 40, 30), None, False, 3),
+        ("lattice direct", "_direct", ones(z, 40, 30), ones(z, 30, 30), True),
+        ("lattice direct far from 0", "_direct", GSet(z, [x + 1000 for x in rng.sample(range(100), 20)]),
+         GSet(z, [x - 2000 for x in rng.sample(range(100), 20)])),
+        ("wide planes", "_fft", heavy(z1024, 300, 66), ones(z1024, 300)),
+        ("wide planes on Z", "_fft", heavy(z, 300, 90, 400), ones(z, 300, 400)),
+        ("wide self-product", "_fft", heavy(z64, 20, 90)),
         ("wide product", "_fft", heavy(z1024, 300, 55), ones(z1024, 300)),
         ("empty set", "_direct", GSet(z64, []), ones(z64, 5)),
         ("empty lattice set", "_direct", ones(lattice(2), 9, 5), GSet(lattice(2), []), True),
@@ -1778,6 +1675,85 @@ def test_every_engine_path_row_takes_the_path_and_branch_it_names(monkeypatch):
         "four-step: served by ['_fft'], not _direct", "FFT limbs, planted: no limbs",
         "direct 0/1, even inverse: no even inverse",
         "no row for folded", "no row for lattice window", "no row for wide planes", "no row for empty"]
+
+
+def counts_of(x):
+    """An operand's {point: value}: a set's indicator, a table's support."""
+    return dict.fromkeys(x.elems, 1) if isinstance(x, GSet) else support(x)
+
+
+def sorted_support(counts, dim):
+    """{point: value} as `support_rows` gives a table's: the points in
+    lexicographic order as rows of dim coordinates, and their values as
+    Python ints."""
+    points = sorted(counts)
+    return np.array(points, dtype=np.int64).reshape(len(points), dim), [counts[p] for p in points]
+
+
+def oracle_products(row):
+    """The row's products by the oracle, each as a `sorted_support`: the
+    power f^(*power) by a Kronecker loop, else f * g, g * f, f o g and g o f,
+    from one oracle convolution and one correlation, as f * g = g * f and
+    (g o f)(x) = (f o g)(-x)."""
+    f, g = row.f, row.f if row.g is None else row.g
+    mods = f.group.moduli if f.group.is_cyclic else None
+    cf, cg = counts_of(f), counts_of(g)
+    if row.power > 1:
+        want = cf
+        for _ in range(row.power - 1):
+            want = oracles.kronecker_convolve(mods, want, cf)
+        return [sorted_support(want, f.group.dim)]
+    conv, corr = oracles.kronecker_convolve(mods, cf, cg), oracle_correlate(mods, cf, cg)
+    back = {oracles.normalize(mods, tuple(-c for c in x)): v for x, v in corr.items()}
+    return [sorted_support(x, f.group.dim) for x in (conv, conv, corr, back)]
+
+
+def engine_products(row):
+    """The row's products by the engine, in `oracle_products`' order; `_conv`
+    sends all four of a row down one path."""
+    if row.power > 1:
+        return [run_path(row)]
+    f, g = row.f, row.f if row.g is None else row.g
+    return [convolve(f, g), convolve(g, f), correlate(f, g), correlate(g, f)]
+
+
+def oracle_misses(rows, wants):
+    """The names of the rows some of whose engine products differ from
+    wants, the rows' `oracle_products`."""
+    misses = []
+    for row, want in zip(rows, wants, strict=True):
+        for t, (points, values) in zip(engine_products(row), want, strict=True):
+            got_points, got_values = t.support_rows()
+            if not np.array_equal(got_points, points) or got_values.tolist() != values:
+                misses.append(row.name)
+                break
+    return misses
+
+
+def test_every_engine_path_matches_the_oracle(monkeypatch):
+    # every row's products are the oracle's counts.  A defect that keeps
+    # the mass passes the mass identity, so plant two and check that the
+    # loop names exactly the rows on their branch: a fold rolled by one
+    # cell, and a direct product with its largest and smallest entries
+    # swapped (an empty operand's zeros have no two distinct entries).
+    # Each row's oracle is computed once; each run reads fresh operands
+    rows = engine_paths()
+    wants = [oracle_products(row) for row in rows]
+    assert oracle_misses(rows, wants) == []
+    fold, direct = moments._fold, moments._direct
+    with monkeypatch.context() as m:
+        m.setattr(moments, "_fold", lambda x, moduli: np.roll(fold(x, moduli), 1, axis=-1))
+        assert oracle_misses(engine_paths(), wants) == [row.name for row in rows if "folded" in row.name]
+
+    def swapped(*args):
+        out = direct(*args)
+        flat = out.reshape(-1)
+        ends = [int(np.argmax(flat)), int(np.argmin(flat))]
+        flat[ends] = flat[ends[::-1]]
+        return out
+    monkeypatch.setattr(moments, "_direct", swapped)
+    assert oracle_misses(engine_paths(), wants) == [row.name for row in rows
+                                                    if row.path == "_direct" and "empty" not in row.name]
 
 
 def test_carried_facts_equal_the_planes_on_every_path(monkeypatch):
@@ -1874,38 +1850,43 @@ def test_chain_steps_derive_each_table_fact_once(monkeypatch):
     assert [args for _, args in plans] == [(1024, False), (4096, False), (1 << 15, True)]
 
 
-@pytest.mark.parametrize("g, fpoints, gpoints, span, shape", [
-    (cyclic(1024), 300, 500, None, (1024,)),        # at the group size
-    (cyclic(1000), 300, 400, None, (2048,)),        # the linear product padded, then folded
-    (lattice(1), 300, 400, 700, (4096,)),           # a window of about 1,400 cells, padded
-    (cyclic(32, 64), 300, 400, None, (32, 64)),     # two axes: rfftn and irfftn as before
-], ids=["Z1024", "Z1000", "Z-window", "Z32xZ64"])
-def test_one_axis_transforms_equal_rfftn_bit_for_bit(monkeypatch, g, fpoints, gpoints, span, shape):
+def test_one_axis_transforms_equal_rfftn_bit_for_bit(monkeypatch):
+    # every FFT row below the four-step: one axis (at the group size, padded
+    # and folded, a padded lattice window) by numpy's 1-D routines, the
+    # bytes of rfftn and irfftn; two axes by rfftn and irfftn as before
     calls = []
     for name in ("rfft", "irfft", "rfftn", "irfftn"):
         real = getattr(np.fft, name)
         monkeypatch.setattr(np.fft, name, lambda *args, _r=real, _n=name, **kw:
                             calls.append(_n) or _r(*args, **kw))
-    rng = random.Random(149)
-    tf, tg = (table_of(g, weighted(rng, g, n, bits, span)) for n, bits in ((fpoints, 0), (gpoints, 20)))
-    assert moments._shape(tf.planes.shape[1:], tg.planes.shape[1:], moments._moduli(tf)) == shape
-    axes = tuple(range(len(shape)))
-    one, many = ("rfft", "irfft") if len(shape) == 1 else ("rfftn", "irfftn")
-    x, y = (moments._limbs(t.planes, None, t.facts()[1][1])[0] for t in (tf, tg))
-    spectra = []
-    for v in (x, y):
-        calls.clear()
-        got = moments._rfft(v, shape)
-        assert calls == [one]
-        want = np.fft.rfftn(v, shape, axes)
-        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
-        spectra.append(got)
-    for c in (spectra[0] * spectra[1], np.conjugate(spectra[0]) * spectra[1], spectra[1]):
-        calls.clear()
-        got = moments._irfft(c, shape)
-        assert calls == [many]
-        want = np.fft.irfftn(c, shape, axes)
-        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    axes_seen = set()
+    for row in engine_paths():
+        tf = moments.as_table(row.f)
+        tg = tf if row.g is None else moments.as_table(row.g)
+        shape = moments._shape(tf.planes.shape[1:], tg.planes.shape[1:], moments._moduli(tf))
+        if row.path != "_fft" or moments._four_step(shape):
+            continue
+        axes_seen.add(len(shape))
+        axes = tuple(range(len(shape)))
+        one, many = ("rfft", "irfft") if len(shape) == 1 else ("rfftn", "irfftn")
+        (_, fn), (_, gn) = tf.facts(), tg.facts()
+        bits = moments._split(fn, gn, math.prod(shape))
+        x, y = (moments._limbs(t.planes, b, n[1])[0] for t, b, n in zip((tf, tg), bits, (fn, gn)))
+        spectra = []
+        for v in (x, y):
+            calls.clear()
+            got = moments._rfft(v, shape)
+            assert calls == [one], row.name
+            want = np.fft.rfftn(v, shape, axes)
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+            spectra.append(got)
+        for c in (spectra[0] * spectra[1], np.conjugate(spectra[0]) * spectra[1], spectra[1]):
+            calls.clear()
+            got = moments._irfft(c, shape)
+            assert calls == [many], row.name
+            want = np.fft.irfftn(c, shape, axes)
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert axes_seen == {1, 2}
 
 
 def test_products_take_their_facts_from_the_checked_mass(monkeypatch):
@@ -1913,7 +1894,8 @@ def test_products_take_their_facts_from_the_checked_mass(monkeypatch):
     # checked and reads only its nonzero count and maximum, no sum of its
     # planes; its facts equal a fresh count, sum and maximum of its values.
     # The rows with a product of more than one plane:
-    planes = {"wide few pairs": 3, "FFT limbs on both operands": 3, "wide planes": 3, "wide product": 2}
+    planes = {"wide few pairs": 3, "FFT limbs on both operands": 3, "four-step limbs": 3, "wide planes": 3,
+              "wide planes on Z": 4, "wide self-product": 6, "wide product": 2}
     sums, served = record_calls(monkeypatch, "_total"), record_paths(monkeypatch)
     mirrors = record_calls(monkeypatch, "_mirror")
     for row in engine_paths():
